@@ -35,6 +35,7 @@ from .lfunction import (
 )
 from .padic import PrecisionError
 from .polygon import Params, Polygon, hodge_polygon, lies_above, lower_bound_polygon
+from .polygon import record_key
 
 SCHEMA = 1
 
@@ -326,9 +327,7 @@ def _record_worker(payload):
     try:
         return sweep_record(tup, **kwargs)
     except Exception as exc:  # record, never kill the sweep
-        p, a, d, e, c, mu, lam = tup
-        return {"schema": SCHEMA,
-                "key": f"p{p}_a{a}_d{d}_e{e}_c{c}_mu{mu}_l{lam}",
+        return {"schema": SCHEMA, "key": record_key(tup),
                 "status": f"error:{type(exc).__name__}:{exc}"}
 
 
@@ -368,12 +367,7 @@ def run_grid(args, enforce: bool) -> int:
                   budget=args.budget, with_dwork=args.dwork,
                   trace_k=args.trace_k)
     existing = _load_existing(args.out) if args.out else set()
-    todo = []
-    for tup in tuples:
-        p, a, d, e, c, mu, lam = tup
-        key = f"p{p}_a{a}_d{d}_e{e}_c{c}_mu{mu}_l{lam}"
-        if key not in existing:
-            todo.append(tup)
+    todo = [tup for tup in tuples if record_key(tup) not in existing]
     records = []
     payloads = [(tup, kwargs) for tup in todo]
     if args.jobs > 1 and len(payloads) > 1:

@@ -3,7 +3,8 @@
 The central quantity is the minimum of sum_i rbar(inv(e)*(p*i - tau(i) + t))
 over permutations tau of {0..n}, where rbar is the minimal non-negative
 residue mod d.  Small instances are enumerated exhaustively; larger values
-go through an exact linear-sum-assignment solver.  The companion maximum
+go through an exact linear-sum-assignment solver, which also finds the
+edges (i, j) that lie on some optimal permutation.  The companion maximum
 (number of index pairs whose residue columns overflow d) is a maximum
 cardinality bipartite matching.
 """
@@ -19,7 +20,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .core_arith import min_residue, mod_inverse
 
-#: Largest n+1 for which minimizer sets are enumerated ((n+1)! permutations).
+#: Largest n+1 for which minimizer sets are enumerated ((n+1)! permutations),
+#: as ``v_exponent`` and the test oracles do; the Hasse certificate does not.
 ENUMERATION_CAP = 9
 
 #: Largest n+1 for which plain value queries stay exhaustive by default.
@@ -136,10 +138,13 @@ def _exhaustive_C(inst: CombInstance, n: int, want_minimizers: bool) -> OptimumR
                          minimizers=frozenset(argmin) if want_minimizers else None)
 
 
-def _solver_C(inst: CombInstance, n: int) -> int:
-    mat = np.array(cost_matrix(inst, n), dtype=np.int64)
+def _lsa_value(mat: np.ndarray) -> int:
     rows, cols = linear_sum_assignment(mat)
     return int(mat[rows, cols].sum())
+
+
+def _solver_C(inst: CombInstance, n: int) -> int:
+    return _lsa_value(np.array(cost_matrix(inst, n), dtype=np.int64))
 
 
 def compute_C(inst: CombInstance, n: int, want_minimizers: bool = False) -> OptimumResult:
@@ -231,6 +236,20 @@ def bfC_exhaustive(inst: CombInstance, n: int, alpha: int) -> int:
 def representable(inst: CombInstance, i: int, j: int) -> bool:
     """Whether p*i - j + t lies in the monoid dN + eN."""
     return xy_decomposition(inst, i, j).x >= 0
+
+
+def optimal_edges(inst: CombInstance, n: int) -> frozenset[tuple[int, int]]:
+    """Edges (i, j) used by some optimal permutation of {0..n}: those where
+    cost_ij plus the optimum of the minor without row i and column j is the
+    full optimum."""
+    if n == 0:
+        return frozenset({(0, 0)})
+    mat = np.array(cost_matrix(inst, n), dtype=np.int64)
+    best = _lsa_value(mat)
+    return frozenset(
+        (i, j) for i in range(n + 1) for j in range(n + 1)
+        if mat[i, j] + _lsa_value(np.delete(np.delete(mat, i, 0), j, 1)) == best
+    )
 
 
 def optimal_perm_sets(

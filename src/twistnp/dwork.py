@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core_arith import INFINITY, artin_hasse_coeffs, min_phi
+from .core_arith import INFINITY, artin_hasse_coeffs, min_phi, phi_minimizer
 from .lfunction import exp_sum_Tadic
 from .padic import ZqContext, ZqElem, make_context
 from .polygon import Params, Polygon, lower_bound_polygon, lower_convex_hull
@@ -188,9 +188,9 @@ def ef_gamma_coeffs(ctx: ZqContext, d: int, e: int, lam_hat: ZqElem,
     out = []
     for n in range(n_max + 1):
         terms: dict[int, ZqElem] = {}
-        if min_phi(n, d, e) is not INFINITY:
-            y = min_phi_y(n, d, e)
-            x = (n - e * y) // d
+        start = phi_minimizer(n, d, e)
+        if start is not None:
+            x, y = start
             while x >= 0:
                 total = x + y
                 if total >= O:
@@ -207,12 +207,6 @@ def ef_gamma_coeffs(ctx: ZqContext, d: int, e: int, lam_hat: ZqElem,
                 y += d
         out.append(PiSeries(ctx, 1, O, terms))
     return out
-
-
-def min_phi_y(n: int, d: int, e: int) -> int:
-    from .core_arith import min_residue, mod_inverse
-
-    return min_residue(mod_inverse(e, d) * n, d)
 
 
 @dataclass

@@ -7,10 +7,15 @@ repackages the same sum with p replaced by its residue mod c*d, each
 rational falling factorial paired with a matching power of c*d so that
 every permutation term is an integer.  Divisibility of the constant by p
 is then equivalent to the product of Hasse numbers not being a unit.
+
+A permutation is optimal exactly when all its edges lie on optimal
+permutations (each such edge is tight for every optimal dual), so each sum
+is one exact determinant of the weights on ``optimal_edges``.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,8 +25,8 @@ import sympy
 from .combinatorics import (
     CombInstance,
     compute_C,
+    optimal_edges,
     optimal_perm_sets,
-    perm_sign,
     xy_decomposition,
 )
 from .core_arith import INFINITY, factorial_inv_or_zero, falling_factorial
@@ -96,6 +101,14 @@ def twist_data(params: Params) -> TwistData:
                      t=t, u=tuple(u), uu=tuple(uu))
 
 
+def _optimal_det(inst: CombInstance, n: int, weight):
+    """Signed sum over optimal permutations tau of prod_i weight(i, tau(i))."""
+    edges = optimal_edges(inst, n)
+    return sympy.Matrix(n + 1, n + 1,
+                        lambda i, j: weight(i, j) if (i, j) in edges else 0
+                        ).det(method="bareiss")
+
+
 def hasse_number(params: Params, n: int, k: int) -> Fraction:
     """Signed sum over optimal permutations of 1/(x_i! y_i!) products.
 
@@ -109,17 +122,13 @@ def hasse_number(params: Params, n: int, k: int) -> Fraction:
     if not (1 <= k <= params.b):
         raise ValueError(f"k must lie in [1, b], got {k}")
     inst = CombInstance(params.p, params.d, params.e, params.u_digit(k))
-    _, bullet = optimal_perm_sets(inst, n)
-    total = Fraction(0)
-    for tau in bullet:
-        term = Fraction(perm_sign(tau))
-        for i in range(n + 1):
-            sol = xy_decomposition(inst, i, tau[i])
-            term *= factorial_inv_or_zero(sol.x) * factorial_inv_or_zero(sol.y)
-            if term == 0:
-                break
-        total += term
-    return total
+
+    def weight(i, j):
+        sol = xy_decomposition(inst, i, j)
+        return factorial_inv_or_zero(sol.x) * factorial_inv_or_zero(sol.y)
+
+    h = _optimal_det(inst, n, weight)
+    return Fraction(int(h.p), int(h.q))
 
 
 def v_exponent(params: Params, n: int, k: int) -> int:
@@ -155,19 +164,18 @@ def fraction_vp(x: Fraction, p: int) -> int:
     return v
 
 
-def hasse_product_valuation(params: Params):
-    """Total p-adic valuation of the product of all Hasse numbers.
-
-    Returns INFINITY when some factor vanishes outright.
-    """
-    total = 0
-    for n in range(params.d - 1):
-        for k in range(1, params.b + 1):
-            h = hasse_number(params, n, k)
-            if h == 0:
-                return INFINITY
-            total += fraction_vp(h, params.p)
-    return total
+def _integer_weight(inst: CombInstance, c: int, t_next: int, i: int, j: int) -> int:
+    """Edge weight of the Hasse constant, a product of integer factors."""
+    pp, d, e = inst.p, inst.d, inst.e
+    sol = xy_decomposition(inst, i, j)
+    assert -e <= sol.x < pp, f"x-residue {sol.x} out of [{-e}, {pp})"
+    ff_y = falling_factorial(d - 1, d - 1 - sol.y)
+    assert ff_y.denominator == 1
+    cdr = -pp * (c * i + t_next) + c * d * (pp - 1)
+    prod = int(ff_y)
+    for m in range(pp - 1 - sol.x):
+        prod *= cdr - c * d * m
+    return prod
 
 
 def hasse_constant(c: int, mu: int, pp: int, e: int, d: int) -> int:
@@ -179,11 +187,6 @@ def hasse_constant(c: int, mu: int, pp: int, e: int, d: int) -> int:
     cd*(arg - j).  Terms with a non-representable x vanish through the
     falling factorial crossing zero, mirroring the 1/x! = 0 convention.
     """
-    H, _ = hasse_constant_with_factors(c, mu, pp, e, d)
-    return H
-
-
-def hasse_constant_with_factors(c: int, mu: int, pp: int, e: int, d: int):
     if c < 1 or pp < 1:
         raise ValueError("c and pp must be positive")
     if not (d > e >= 1) or math.gcd(d, e) != 1:
@@ -194,38 +197,21 @@ def hasse_constant_with_factors(c: int, mu: int, pp: int, e: int, d: int):
         raise ValueError(f"need gcd(pp, c*d) = 1, got pp={pp}, c*d={c * d}")
     b = 1 if c == 1 else sympy.n_order(pp, c)
     t = _t_residues(pp, mu, c, b)
-    cd = c * d
     H = 1
-    factors = {}
     for k in range(1, b + 1):
         t_next = t[k % b]
         num = t_next * pp - t[(k - 1) % b]
         assert num % c == 0
-        uu_k = num // c
-        inst = CombInstance(pp, d, e, uu_k)
+        inst = CombInstance(pp, d, e, num // c)
         for n in range(d - 1):
-            _, bullet = optimal_perm_sets(inst, n)
-            total = 0
-            for tau in bullet:
-                term = perm_sign(tau)
-                for i in range(n + 1):
-                    sol = xy_decomposition(inst, i, tau[i])
-                    x, y = sol.x, sol.y
-                    assert -e <= x < pp, f"x-residue {x} out of [{-e}, {pp})"
-                    length = pp - 1 - x
-                    ff_y = falling_factorial(d - 1, d - 1 - y)
-                    assert ff_y.denominator == 1
-                    cdr = -pp * (c * i + t_next) + cd * (pp - 1)
-                    prod = int(ff_y)
-                    for j in range(length):
-                        prod *= cdr - cd * j
-                    term *= prod
-                    if term == 0:
-                        break
-                total += term
-            factors[(n, k)] = total
-            H *= total
-    return H, factors
+            H *= int(_optimal_det(
+                inst, n, lambda i, j: _integer_weight(inst, c, t_next, i, j)))
+    return H
+
+
+def _digits(n: int) -> str:
+    """Decimal digits of n; str(int) stops at 4300, a guard for untrusted text."""
+    return str(decimal.Decimal(n))
 
 
 @dataclass(frozen=True)
@@ -248,10 +234,10 @@ class HasseCertificate:
         hlist = []
         for (n, k), h in sorted(self.h_factors.items()):
             val = "inf" if h == 0 else str(fraction_vp(h, self.p))
-            hlist.append([n, k, f"{h.numerator}/{h.denominator}", val])
+            hlist.append([n, k, f"{_digits(h.numerator)}/{_digits(h.denominator)}", val])
         return {
             "h": hlist,
-            "H": str(self.H),
+            "H": _digits(self.H),
             "p_divides_H": self.p_divides_H,
             "h_unit": self.h_unit,
         }
@@ -259,11 +245,11 @@ class HasseCertificate:
 
 def hasse_certificate(params: Params) -> HasseCertificate:
     twist = twist_data(params)
-    h_factors = {}
-    for n in range(params.d - 1):
-        for k in range(1, params.b + 1):
-            h_factors[(n, k)] = hasse_number(params, n, k)
-    val = hasse_product_valuation(params)
+    h_factors = {(n, k): hasse_number(params, n, k)
+                 for n in range(params.d - 1) for k in range(1, params.b + 1)}
+    # valuation of the product of all Hasse numbers, INFINITY if one vanishes
+    val = (INFINITY if 0 in h_factors.values()
+           else sum(fraction_vp(h, params.p) for h in h_factors.values()))
     H = hasse_constant(params.c, params.mu, twist.pp, params.e, params.d)
     return HasseCertificate(
         params_key=params.key(),

@@ -27,7 +27,9 @@ from .padic import (
     ZqContext,
     ZqElem,
     make_context,
+    poly_mul_mod,
     poly_pow_mod,
+    poly_trim,
     zeta_p_power,
 )
 from .polygon import Params, Polygon, lower_convex_hull
@@ -62,8 +64,6 @@ def default_precision(params: Params) -> int:
 
 def _mult_matrix(z, modulus, p, m) -> np.ndarray:
     """Matrix of multiplication by z on the power basis of F_{p^m}."""
-    from .padic import poly_mul_mod
-
     cols = []
     for t in range(m):
         xt = (0,) * t + (1,)
@@ -136,16 +136,10 @@ def trace_count_matrix(p, m, modulus, g, lam_vecs, d_exp, e_exp, c,
             t_vals = (alpha + lam_row @ Ye) % p
             keys = t_vals * c + jmod
             counts[li] += np.bincount(keys, minlength=p * c)
-        base_d = _poly_mul(base_d, step_d, modulus, p)
-        base_e = _poly_mul(base_e, step_e, modulus, p)
+        base_d = poly_mul_mod(base_d, step_d, modulus, p)
+        base_e = poly_mul_mod(base_e, step_e, modulus, p)
         j0 += nb
     return counts.reshape(len(lam_vecs), p, c)
-
-
-def _poly_mul(a, b, modulus, p):
-    from .padic import poly_mul_mod
-
-    return poly_mul_mod(a, b, modulus, p)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +159,7 @@ def _base_generator_minpoly(p: int, a: int, M: int) -> list[int]:
         new = [(0,) * a] * (len(poly) + 1)
         new = [list(t) for t in new]
         for i, coef in enumerate(poly):
-            prod = _poly_mul(coef, root, base.modulus, p)
+            prod = poly_mul_mod(coef, root, base.modulus, p)
             prod = _pad(prod, a)
             for t in range(a):
                 new[i][t] = (new[i][t] + prod[t]) % p
@@ -186,11 +180,9 @@ def _pad(t, n):
 
 def _eval_fp_poly_in_ff(coeffs: list[int], z, modulus, p):
     """Evaluate an F_p[X] polynomial at a field element; trimmed tuple."""
-    from .padic import poly_trim
-
     acc: tuple = ()
     for c in reversed(coeffs):
-        acc = _poly_mul(acc, z, modulus, p)
+        acc = poly_mul_mod(acc, z, modulus, p)
         acc = _pad(acc, 1)
         acc = ((acc[0] + c) % p,) + acc[1:]
     return poly_trim(acc)
@@ -222,7 +214,7 @@ class SubfieldDescent:
         for j in range(q - 1):
             if not _eval_fp_poly_in_ff(minpoly, z, self.big.modulus, p):
                 return (step * j) % Q1
-            z = _poly_mul(z, h, self.big.modulus, p)
+            z = poly_mul_mod(z, h, self.big.modulus, p)
         raise AssertionError("no root of the base minimal polynomial found")
 
     def _dlog_in_subfield(self, target) -> int:
@@ -232,14 +224,12 @@ class SubfieldDescent:
         Q1 = p**self.big.deg - 1
         step = Q1 // (q - 1)
         h = poly_pow_mod(self.big.generator, step, self.big.modulus, p)
-        from .padic import poly_trim
-
         z = (1,)
         tgt = poly_trim(tuple(c % p for c in target))
         for j in range(q - 1):
             if z == tgt:
                 return (step * j) % Q1
-            z = _poly_mul(z, h, self.big.modulus, p)
+            z = poly_mul_mod(z, h, self.big.modulus, p)
         raise AssertionError("element does not lie in the subfield")
 
     def _build_basis(self):
@@ -276,7 +266,7 @@ class SubfieldDescent:
             if _pad(z, a) == _pad(target, a):
                 Q1 = p**self.big.deg - 1
                 return (self.embed_exponent * j) % Q1
-            z = _poly_mul(z, g, base.modulus, p)
+            z = poly_mul_mod(z, g, base.modulus, p)
         raise AssertionError("power basis root not generated")
 
     def _prepare_solver(self):

@@ -90,8 +90,14 @@ class Params:
         return self.p > (self.d - self.e) * (2 * self.d - 1)
 
     def key(self) -> str:
-        return (f"p{self.p}_a{self.a}_d{self.d}_e{self.e}"
-                f"_c{self.c}_mu{self.mu}_l{self.lam_index}")
+        return record_key((self.p, self.a, self.d, self.e, self.c, self.mu,
+                           self.lam_index))
+
+
+def record_key(tup: tuple[int, ...]) -> str:
+    """Sweep-record key of a (p, a, d, e, c, mu, lam) tuple, valid or not."""
+    p, a, d, e, c, mu, lam = tup
+    return f"p{p}_a{a}_d{d}_e{e}_c{c}_mu{mu}_l{lam}"
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import decimal
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 from twistnp.cli import main
+from twistnp.hasse import hasse_number
+from twistnp.polygon import Params
 
 
 def _run(capsys, argv):
@@ -52,6 +56,26 @@ def test_hasse_command(capsys):
     assert json.loads(out17)["H"] == data["H"]
 
 
+def test_hasse_prints_factors_past_the_int_str_limit(capsys):
+    # the h numerators here run to about 8300 digits
+    code, out = _run(capsys, ["hasse", "--p", "1009", "--d", "10", "--e", "3"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdicts_consistent"]
+    pr = Params(p=1009, a=1, d=10, e=3, c=1, mu=1)
+    for n, k, frac, _ in data["h"]:
+        num, den = (int(decimal.Decimal(x)) for x in frac.split("/"))
+        assert Fraction(num, den) == hasse_number(pr, n, k)
+    assert max(len(h[2]) for h in data["h"]) > 4300
+
+
+def test_hasse_command_past_d_10(capsys):
+    code, out = _run(capsys, ["hasse", "--p", "23", "--d", "11", "--e", "10"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdicts_consistent"] and len(data["h"]) == 10
+
+
 def test_hasse_rejects_bad_extension(capsys):
     # c = 3 with p = 11 needs b = 2 | a; a = 1 violates it
     code = main(["hasse", "--p", "11", "--a", "1", "--d", "3", "--e", "2",
@@ -73,17 +97,23 @@ def test_lfunc_command(capsys):
 
 def test_verify_small_grid_and_resume(tmp_path, capsys):
     out_file = tmp_path / "sweep.jsonl"
+    # 15 is not prime: its tuples become error records under the same keys
     argv = ["--out", str(out_file), "verify", "--d", "3", "--e", "2",
-            "--primes", "11", "--lam-policy", "first:2"]
+            "--primes", "11,15", "--lam-policy", "first:2"]
     code, out = _run(capsys, argv)
-    assert code == 0
+    assert code == 1  # verify counts error records as violations
     lines = out_file.read_text().strip().splitlines()
-    assert len(lines) == 2
-    assert json.loads(out)["summary"]["equal"] == 2
+    assert len(lines) == 4
+    summary = json.loads(out)["summary"]
+    assert summary["equal"] == 2 and summary["errors"] == 2
+    errors = [json.loads(x) for x in lines if '"error:' in x]
+    assert [r["key"] for r in errors] == ["p15_a1_d3_e2_c1_mu1_l0",
+                                          "p15_a1_d3_e2_c1_mu1_l1"]
+    assert all(r["status"].startswith("error:ValueError:") for r in errors)
     # resume: nothing recomputed, file unchanged
     code2, out2 = _run(capsys, argv)
     assert code2 == 0
-    assert json.loads(out2)["summary"]["skipped_existing"] == 2
+    assert json.loads(out2)["summary"]["skipped_existing"] == 4
     assert out_file.read_text().strip().splitlines() == lines
 
 

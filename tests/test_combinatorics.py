@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from twistnp.combinatorics import (
     compute_bfC,
     compute_C,
     cost,
+    optimal_edges,
     optimal_perm_sets,
     perm_sign,
     r_value,
@@ -167,6 +169,23 @@ def test_optimal_perm_sets_examples():
     inst5 = CombInstance(p=5, d=3, e=2, t=0)
     _, bullet = optimal_perm_sets(inst5, 1)
     assert bullet == frozenset({(0, 1), (1, 0)})
+
+
+def test_optimal_edges_are_the_edges_of_the_optimal_set():
+    rng = random.Random(5)
+    for _ in range(40):
+        d = rng.choice([3, 4, 5, 6, 7])
+        e = rng.choice([e for e in range(1, d) if math.gcd(d, e) == 1])
+        inst = CombInstance(p=rng.choice([7, 11, 13, 17]), d=d, e=e, t=rng.randint(0, 20))
+        n = rng.randint(0, d - 2)
+        _, bullet = optimal_perm_sets(inst, n)
+        edges = optimal_edges(inst, n)
+        assert edges == {(i, tau[i]) for tau in bullet for i in range(n + 1)}
+        # the optimal set is exactly the permutations inside those edges
+        inside = frozenset(
+            tau for tau in itertools.permutations(range(n + 1))
+            if all((i, tau[i]) in edges for i in range(n + 1)))
+        assert inside == bullet
 
 
 def test_bullet_equals_count_maximizers_for_two_alphas():

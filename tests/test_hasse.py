@@ -1,28 +1,38 @@
 """Tests for Hasse numbers and the integral Hasse constant.
 
-The independent oracle here is the pi-graded determinant: entries collect
-all decompositions d*x + e*y = p*i - j + t as terms (1/(x! y!)) * pi^(x+y)
+Two independent oracles.  The pi-graded determinant: entries collect all
+decompositions d*x + e*y = p*i - j + t as terms (1/(x! y!)) * pi^(x+y)
 * L^y, the determinant is expanded exactly, and the coefficient at the
 predicted leading pi-order must reproduce the Hasse number times L^v.
+And the textbook permutation sums: the optimal set is enumerated
+((n+1)! permutations) and each signed product is added up directly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from twistnp.combinatorics import CombInstance, compute_C, perm_sign
-from twistnp.core_arith import INFINITY, falling_factorial
+from twistnp import combinatorics, hasse
+from twistnp.combinatorics import (
+    CombInstance,
+    compute_C,
+    optimal_perm_sets,
+    perm_sign,
+    xy_decomposition,
+)
+from twistnp.core_arith import INFINITY, factorial_inv_or_zero, falling_factorial
 from twistnp.hasse import (
     VExponentUndefinedError,
     fraction_vp,
     hasse_certificate,
     hasse_constant,
     hasse_number,
-    hasse_product_valuation,
     twist_data,
     v_exponent,
 )
@@ -75,7 +85,7 @@ def test_hasse_number_twisted_anchor_values():
     assert hasse_number(pr, 0, 2) == F(1, 2)
     assert hasse_number(pr, 1, 1) == F(1, 24)
     assert hasse_number(pr, 1, 2) == F(-1, 1440)
-    assert hasse_product_valuation(pr) == 0
+    assert hasse_certificate(pr).h_valuation == 0
 
 
 def _gamma_entry(inst, i, j, cap):
@@ -171,7 +181,7 @@ def test_v_exponent_undefined_when_no_representable_optimum():
     with pytest.raises(VExponentUndefinedError):
         v_exponent(pr, 1, 1)
     assert hasse_number(pr, 1, 1) == 0
-    assert hasse_product_valuation(pr) == INFINITY
+    assert hasse_certificate(pr).h_valuation == INFINITY
 
 
 def test_fraction_vp():
@@ -190,12 +200,39 @@ def test_hasse_constant_frozen_values():
     assert hasse_constant(1, 1, 1, 2, 3) == 8
 
 
+@functools.lru_cache(maxsize=None)
+def _optimal_perms(inst, n):
+    # the optimal set depends on p and t mod d only (see the residue test)
+    if inst.p >= inst.d or inst.t >= inst.d:
+        return _optimal_perms(CombInstance(inst.p % inst.d, inst.d, inst.e,
+                                           inst.t % inst.d), n)
+    return optimal_perm_sets(inst, n)[1]
+
+
+def _perm_sum(inst, n, weight):
+    """Signed sum of prod_i weight(i, tau(i)) over the enumerated optimal set."""
+    weight = functools.cache(weight)
+    total = F(0)
+    for tau in _optimal_perms(inst, n):
+        term = F(perm_sign(tau))
+        for i in range(n + 1):
+            term *= weight(i, tau[i])
+        total += term
+    return total
+
+
+def _hasse_number_oracle(pr, n, k):
+    inst = CombInstance(pr.p, pr.d, pr.e, pr.u_digit(k))
+
+    def weight(i, j):
+        sol = xy_decomposition(inst, i, j)
+        return factorial_inv_or_zero(sol.x) * factorial_inv_or_zero(sol.y)
+
+    return _perm_sum(inst, n, weight)
+
+
 def _hasse_constant_rational_oracle(c, mu, pp, e, d):
     """Direct evaluation with rational falling factorials and cd-powers."""
-    import sympy
-
-    from twistnp.combinatorics import optimal_perm_sets, xy_decomposition
-
     b = 1 if c == 1 else sympy.n_order(pp, c)
     if c == 1:
         t = (0,) * b
@@ -207,22 +244,17 @@ def _hasse_constant_rational_oracle(c, mu, pp, e, d):
         t_next = t[k % b]
         uu = (t_next * pp - t[(k - 1) % b]) // c
         inst = CombInstance(pp, d, e, uu)
+
+        def weight(i, j):
+            sol = xy_decomposition(inst, i, j)
+            arg = F(-pp * (c * i + t_next), c * d) + pp - 1
+            length = pp - 1 - sol.x
+            return (falling_factorial(d - 1, d - 1 - sol.y)
+                    * F(c * d) ** length
+                    * falling_factorial(arg, length))
+
         for n in range(d - 1):
-            _, bullet = optimal_perm_sets(inst, n)
-            acc = F(0)
-            for tau in bullet:
-                term = F(perm_sign(tau))
-                for i in range(n + 1):
-                    sol = xy_decomposition(inst, i, tau[i])
-                    arg = F(-pp * (c * i + t_next), c * d) + pp - 1
-                    length = pp - 1 - sol.x
-                    term *= (
-                        falling_factorial(d - 1, d - 1 - sol.y)
-                        * F(c * d) ** length
-                        * falling_factorial(arg, length)
-                    )
-                acc += term
-            total *= acc
+            total *= _perm_sum(inst, n, weight)
     return total
 
 
@@ -247,6 +279,67 @@ def test_hasse_constant_integrality_against_rational_oracle(c, mu, pp, e, d):
     oracle = _hasse_constant_rational_oracle(c, mu, pp, e, d)
     assert oracle.denominator == 1
     assert hasse_constant(c, mu, pp, e, d) == oracle
+
+
+def _oracle_grid(d):
+    """(p, e, c) for every e coprime to d and c in {1, 2, 3}."""
+    out = []
+    for e in range(1, d):
+        if math.gcd(d, e) != 1:
+            continue
+        for c in (1, 2, 3):
+            p = sympy.nextprime(d + 2 * e + c)
+            while math.gcd(p, c * d) != 1:
+                p = sympy.nextprime(p)
+            out.append((p, e, c))
+    return out
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_determinants_match_permutation_sums(d):
+    for p, e, c in _oracle_grid(d):
+        pr = Params(p=p, a=1 if c == 1 else sympy.n_order(p, c), d=d, e=e, c=c, mu=1)
+        for k in range(1, pr.b + 1):
+            for n in range(d - 1):
+                assert hasse_number(pr, n, k) == _hasse_number_oracle(pr, n, k), \
+                    (p, d, e, c, n, k)
+        pp = p % (c * d)
+        assert hasse_constant(c, 1, pp, e, d) == _hasse_constant_rational_oracle(
+            c, 1, pp, e, d), (p, d, e, c)
+
+
+def test_strict_instance_against_permutation_sums():
+    pr = Params(p=43, a=1, d=5, e=2, c=1, mu=1)
+    h = {n: hasse_number(pr, n, 1) for n in range(4)}
+    assert h == {n: _hasse_number_oracle(pr, n, 1) for n in range(4)}
+    H = hasse_constant(1, 1, 43 % 5, 2, 5)
+    assert H == _hasse_constant_rational_oracle(1, 1, 43 % 5, 2, 5)
+    cert = hasse_certificate(pr)
+    assert cert.p_divides_H and not cert.h_unit and cert.verdicts_consistent()
+
+
+def test_certificate_past_d_10():
+    for p, e, c in [(23, 10, 1), (37, 2, 1), (13, 3, 2)]:
+        cert = hasse_certificate(Params(p=p, a=1, d=11, e=e, c=c, mu=1))
+        assert cert.verdicts_consistent(), (p, e, c)
+    # e = d-1 and p > c(d^2-d+1) = 111: forced equality, so a unit
+    forced = hasse_certificate(Params(p=113, a=1, d=11, e=10, c=1, mu=1))
+    assert forced.h_unit and not forced.p_divides_H and forced.h_valuation == 0
+    # 13 and 79 are both 13 mod 22
+    c13 = hasse_certificate(Params(p=13, a=1, d=11, e=3, c=2, mu=1))
+    c79 = hasse_certificate(Params(p=79, a=1, d=11, e=3, c=2, mu=1))
+    assert c13.twist.pp == c79.twist.pp == 13
+    assert c13.H == c79.H
+
+
+def test_certificate_enumerates_no_permutation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate must not enumerate permutations")
+
+    monkeypatch.setattr(hasse, "optimal_perm_sets", refuse)
+    monkeypatch.setattr(combinatorics, "_exhaustive_C", refuse)
+    cert = hasse_certificate(Params(p=211, a=1, d=10, e=3, c=1, mu=1))
+    assert cert.verdicts_consistent() and len(cert.h_factors) == 9
 
 
 def test_certificate_consistency_small_grid():
@@ -277,8 +370,6 @@ def test_certificate_residue_class_invariance():
 
 def test_optimal_sets_residue_invariance():
     # bullet sets depend only on residues: substituting pp for p keeps them
-    from twistnp.combinatorics import optimal_perm_sets
-
     for (p, d, e, t_list) in [(11, 3, 2, [0, 1, 2]), (13, 4, 3, [0, 5]), (17, 5, 3, [7])]:
         pp = p % d
         for t in t_list:
@@ -293,4 +384,4 @@ def test_thm14_unit_hasse_numbers_small():
     for (p, d, c) in [(11, 3, 1), (13, 3, 1), (17, 3, 2), (19, 3, 2), (17, 4, 1)]:
         pr = Params(p=p, a=1, d=d, e=d - 1, c=c, mu=1)
         assert p > c * (d * d - d + 1)
-        assert hasse_product_valuation(pr) == 0
+        assert hasse_certificate(pr).h_valuation == 0
