@@ -16,6 +16,8 @@ truncation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -30,6 +32,7 @@ from .hasse import hasse_certificate
 from .lfunction import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    classical_sums_by_lambda,
     l_polynomial,
     newton_polygon_classical,
 )
@@ -144,7 +147,7 @@ def cmd_dwork(args) -> int:
     if args.trace_k > 0:
         reports = trace_consistency(params, args.trace_k, args.J,
                                     N=res.verdict.N if args.big_n else None,
-                                    M=args.precision)
+                                    M=args.precision, mat=res.matrix)
     P = lower_bound_polygon(params, n_max)
     out = {
         "schema": SCHEMA,
@@ -238,9 +241,40 @@ def _lambda_indices(args, q) -> list[int]:
     raise ValueError(f"bad lambda policy {policy!r}")
 
 
-def sweep_record(tup, n_max=None, precision=None, budget=DEFAULT_BUDGET,
+def shared_pass(tups, precision=None, budget=DEFAULT_BUDGET):
+    """The work the records of one (p, a, d, e, c, mu) group share.
+
+    Returns ``(result, error, per_record_s)``.  ``result`` holds the
+    lower-bound and Hodge polygons, the Hasse certificate and each
+    lambda's sums S_1..S_d, from one enumeration pass per k; ``error`` is
+    the exception computing them raised instead, which each record
+    re-raises where its own computation would have met it.  The pass's
+    time is split evenly over the group's records.
+    """
+    t0 = time.monotonic()
+    p, a, d, e, c, mu, _ = tups[0]
+    result = error = None
+    if p**(a * d) <= budget:  # otherwise every record is skipped:budget
+        try:
+            params = Params(p=p, a=a, d=d, e=e, c=c, mu=mu)
+            lams = list(dict.fromkeys(tup[6] for tup in tups))
+            result = (lower_bound_polygon(params, 3 * d),
+                      hodge_polygon(params, 3 * d),
+                      hasse_certificate(params),
+                      classical_sums_by_lambda(params, lams, precision, budget))
+        except Exception as exc:  # each record re-raises it
+            error = exc
+    return result, error, (time.monotonic() - t0) / len(tups)
+
+
+def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
                  with_dwork=False, trace_k=0) -> dict:
-    """Compute the full record for one parameter tuple."""
+    """Compute the full record for one parameter tuple.
+
+    ``shared`` is the ``shared_pass`` of the tuple's group, made with the
+    same precision and budget.
+    """
+    result, error, shared_s = shared
     p, a, d, e, c, mu, lam = tup
     t0 = time.monotonic()
     params = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
@@ -258,10 +292,10 @@ def sweep_record(tup, n_max=None, precision=None, budget=DEFAULT_BUDGET,
         return rec
     n_top = n_max or d
     try:
-        P = lower_bound_polygon(params, 3 * d)
-        H = hodge_polygon(params, 3 * d)
-        cert = hasse_certificate(params)
-        data = l_polynomial(params, precision, budget)
+        if error is not None:
+            raise error
+        P, H, cert, sums = result
+        data = l_polynomial(params, precision, budget, _sums=sums[lam])
         np_poly = newton_polygon_classical(params, data=data)
     except (PrecisionError, TruncationError) as exc:
         rec["status"] = f"error:precision:{exc}"
@@ -310,7 +344,7 @@ def sweep_record(tup, n_max=None, precision=None, budget=DEFAULT_BUDGET,
                 violations.append("T-adic polygon escapes the sandwich")
             if trace_k > 0:
                 reports = trace_consistency(params, trace_k, min(6, p - 2),
-                                            M=precision)
+                                            M=precision, mat=res.matrix)
                 rec["trace_consistency"] = all(r.ok for r in reports)
                 if not rec["trace_consistency"]:
                     violations.append("trace formula mismatch")
@@ -318,21 +352,30 @@ def sweep_record(tup, n_max=None, precision=None, budget=DEFAULT_BUDGET,
             rec["status"] = f"error:precision:{exc}"
             return rec
     rec["violations"] = violations
-    rec["timings"] = {"total_s": round(time.monotonic() - t0, 3)}
+    rec["timings"] = {"total_s": round(time.monotonic() - t0 + shared_s, 3),
+                      "shared_s": round(shared_s, 3)}
     return rec
 
 
-def _record_worker(payload):
-    tup, kwargs = payload
-    try:
-        return sweep_record(tup, **kwargs)
-    except Exception as exc:  # record, never kill the sweep
-        return {"schema": SCHEMA, "key": record_key(tup),
-                "status": f"error:{type(exc).__name__}:{exc}"}
+def _group_worker(payload):
+    """Records of one (p, a, d, e, c, mu) group, from one shared pass."""
+    tups, kwargs = payload
+    shared = shared_pass(tups, kwargs["precision"], kwargs["budget"])
+    records = []
+    for tup in tups:
+        try:
+            records.append(sweep_record(tup, shared, **kwargs))
+        except Exception as exc:  # record, never kill the sweep
+            records.append({"schema": SCHEMA, "key": record_key(tup),
+                            "status": f"error:{type(exc).__name__}:{exc}"})
+    return records
 
 
 def _load_existing(path: str) -> set[str]:
-    """Existing record keys; quarantines undecodable lines."""
+    """Keys with a finished record: ok or skipped, not only error records.
+
+    Quarantines undecodable lines.
+    """
     if not os.path.exists(path):
         return set()
     keys = set()
@@ -345,10 +388,13 @@ def _load_existing(path: str) -> set[str]:
             continue
         try:
             rec = json.loads(line)
-            keys.add(rec["key"])
+            key = rec["key"]
             good_lines.append(line)
         except (json.JSONDecodeError, KeyError):
             bad_lines.append(line)
+            continue
+        if not str(rec.get("status", "ok")).startswith("error"):
+            keys.add(key)
     if bad_lines:
         with open(path + ".quarantine", "a", encoding="utf-8") as fh:
             for line in bad_lines:
@@ -362,53 +408,45 @@ def _load_existing(path: str) -> set[str]:
 
 
 def run_grid(args, enforce: bool) -> int:
+    """Compute the grid's missing records, group by group, appending each
+    group's records as soon as it finishes.
+
+    Tuples that differ only in lambda form a group and share one
+    enumeration pass per k (``shared_pass``).  Keys whose only records are
+    errors are computed again.
+    """
     tuples = grid_tuples(args)
     kwargs = dict(n_max=args.n_max, precision=args.precision,
                   budget=args.budget, with_dwork=args.dwork,
                   trace_k=args.trace_k)
     existing = _load_existing(args.out) if args.out else set()
     todo = [tup for tup in tuples if record_key(tup) not in existing]
-    records = []
-    payloads = [(tup, kwargs) for tup in todo]
-    if args.jobs > 1 and len(payloads) > 1:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            records = list(ex.map(_record_worker, payloads))
-    else:
-        records = [_record_worker(pl) for pl in payloads]
-    out_fh = open(args.out, "a", encoding="utf-8") if args.out else None
+    payloads = [(list(group), kwargs)
+                for _, group in itertools.groupby(todo, key=lambda tup: tup[:6])]
     violations = 0
     summary = {"total": len(tuples), "skipped_existing": len(tuples) - len(todo),
                "equal": 0, "strict_above": 0, "p_divides_H": 0,
                "violations": 0, "skipped_budget": 0, "errors": 0}
-    for rec in records:
-        if out_fh:
-            out_fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            out_fh.flush()
-            if args.fsync:
-                os.fsync(out_fh.fileno())
-        status = rec.get("status", "ok")
-        if status.startswith("skipped"):
-            summary["skipped_budget"] += 1
-            continue
-        if status.startswith("error"):
-            summary["errors"] += 1
-            if enforce:
-                violations += 1
-                sys.stderr.write(json.dumps(rec, sort_keys=True) + "\n")
-            continue
-        if rec.get("equal"):
-            summary["equal"] += 1
-        elif rec.get("lies_above"):
-            summary["strict_above"] += 1
-        if rec.get("p_divides_H"):
-            summary["p_divides_H"] += 1
-        if rec.get("violations"):
-            violations += len(rec["violations"])
-            sys.stderr.write(json.dumps(rec, sort_keys=True) + "\n")
-    if out_fh:
-        out_fh.close()
+    with contextlib.ExitStack() as stack:
+        out_fh = (stack.enter_context(open(args.out, "a", encoding="utf-8"))
+                  if args.out else None)
+        if args.jobs > 1 and len(payloads) > 1:
+            import concurrent.futures as cf
+
+            ex = stack.enter_context(
+                cf.ProcessPoolExecutor(max_workers=args.jobs))
+            groups = ex.map(_group_worker, payloads)
+        else:
+            groups = map(_group_worker, payloads)
+        for records in groups:
+            for rec in records:
+                if out_fh:
+                    out_fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                violations += _tally(rec, summary, enforce)
+            if out_fh:
+                out_fh.flush()
+                if args.fsync:
+                    os.fsync(out_fh.fileno())
     summary["violations"] = violations
     if summary["p_divides_H"] == 0:
         summary["note"] = ("no divisible Hasse constant in this grid; "
@@ -417,6 +455,30 @@ def run_grid(args, enforce: bool) -> int:
     if enforce and violations:
         return EXIT_VIOLATION
     return EXIT_OK
+
+
+def _tally(rec: dict, summary: dict, enforce: bool) -> int:
+    """Count one record into the summary; returns its violations."""
+    status = rec.get("status", "ok")
+    if status.startswith("skipped"):
+        summary["skipped_budget"] += 1
+        return 0
+    if status.startswith("error"):
+        summary["errors"] += 1
+        if enforce:
+            sys.stderr.write(json.dumps(rec, sort_keys=True) + "\n")
+            return 1
+        return 0
+    if rec.get("equal"):
+        summary["equal"] += 1
+    elif rec.get("lies_above"):
+        summary["strict_above"] += 1
+    if rec.get("p_divides_H"):
+        summary["p_divides_H"] += 1
+    if rec.get("violations"):
+        sys.stderr.write(json.dumps(rec, sort_keys=True) + "\n")
+        return len(rec["violations"])
+    return 0
 
 
 def cmd_verify(args) -> int:

@@ -551,13 +551,16 @@ class TraceReport:
 def trace_consistency(params: Params, k_max: int, J: int,
                       N: int | None = None, O: int | None = None,
                       M: int | None = None, strict: bool = True,
-                      tadic_budget: int | None = None) -> list[TraceReport]:
+                      tadic_budget: int | None = None,
+                      mat: PsiMatrix | None = None) -> list[TraceReport]:
     """Check S_k(T) = (q^k - 1) * trace(M^k) as truncated T-series.
 
     The left side is the direct T-adic character sum; the right side comes
     from the operator matrix, converted to a T-series by reverting
     E(pi) = 1 + T.  Both sides are exact mod p^M, so any mismatch within
-    the certified order is a hard failure.
+    the certified order is a hard failure.  An operator ``mat`` already
+    built for these params is reused when its (N, O, M) match the sizes
+    the check needs.
     """
     from .lfunction import DEFAULT_TADIC_BUDGET, default_precision
 
@@ -568,7 +571,8 @@ def trace_consistency(params: Params, k_max: int, J: int,
     autoN = max(autoN, math.ceil(Fraction(params.d * autoO, params.p - 1)) + 1)
     N = N if N is not None else autoN
     O = O if O is not None else autoO
-    mat = psi_a_matrix(params, N, O, M)
+    if mat is None or (mat.params, mat.N, mat.O, mat.ctx.M) != (params, N, O, M):
+        mat = psi_a_matrix(params, N, O, M)
     reports = []
     budget = tadic_budget if tadic_budget is not None else DEFAULT_TADIC_BUDGET
     for k in range(1, k_max + 1):

@@ -72,22 +72,6 @@ def _mult_matrix(z, modulus, p, m) -> np.ndarray:
     return np.array(cols, dtype=np.int64).T % p
 
 
-def _ff_trace_row(modulus, p, m) -> np.ndarray:
-    """Finite-field traces of the power basis, as a length-m row mod p."""
-    comp = [[0] * m for _ in range(m)]
-    for i in range(1, m):
-        comp[i][i - 1] = 1
-    for i in range(m):
-        comp[i][m - 1] = (-modulus[i]) % p
-    row = [m % p]
-    mat = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    for _ in range(1, m):
-        mat = [[sum(mat[i][t] * comp[t][j] for t in range(m)) % p for j in range(m)]
-               for i in range(m)]
-        row.append(sum(mat[i][i] for i in range(m)) % p)
-    return np.array(row, dtype=np.int64)
-
-
 def _power_block(h, modulus, p, m, width) -> np.ndarray:
     """Columns h^0 .. h^{width-1} as an (m, width) array, by doubling."""
     P = np.zeros((m, width), dtype=np.int64)
@@ -101,25 +85,83 @@ def _power_block(h, modulus, p, m, width) -> np.ndarray:
     return P
 
 
-def trace_count_matrix(p, m, modulus, g, lam_vecs, d_exp, e_exp, c,
+def _row_basis(rows, p, m) -> tuple[np.ndarray, np.ndarray]:
+    """An echelon basis of the F_p-span of length-m ``rows``, and each row's
+    coordinates.
+
+    Returns ``(basis, coords)``, an (r, m) and an (len(rows), r) array with
+    ``rows == coords @ basis`` mod p, where r is the rank.  Each basis
+    vector is zero at the pivots of the vectors before it, so reducing a
+    row against them in order leaves every earlier pivot at zero.
+    """
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    coords: list[list[int]] = []
+    for row in rows:
+        v = [int(x) % p for x in row]
+        f = []
+        for piv, b in zip(pivots, basis):
+            s = v[piv]
+            f.append(s)
+            if s:
+                v = [(x - s * y) % p for x, y in zip(v, b)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is not None:
+            inv = pow(v[piv], -1, p)
+            f.append(v[piv])
+            basis.append([x * inv % p for x in v])
+            pivots.append(piv)
+        coords.append(f)
+    r = len(basis)
+    coords_arr = np.zeros((len(rows), r), dtype=np.int64)
+    for li, f in enumerate(coords):
+        coords_arr[li, :len(f)] = f
+    return np.array(basis, dtype=np.int64).reshape(r, m), coords_arr
+
+
+def joint_histogram_fits(p: int, r: int, c: int, n_lam: int, width: int) -> bool:
+    """Whether the joint (Tr x^d, z, j mod c) histogram is worth binning.
+
+    It has p^(r+1) * c bins; it is used only while that is no larger than
+    the per-coefficient output (n_lam * p * c) or one block of powers, so
+    the pass never holds more than those already need.
+    """
+    return p**(r + 1) * c <= max(n_lam * p * c, width)
+
+
+def trace_count_matrix(p, m, ctx, lam_vecs, d_exp, e_exp, c,
                        block=_BLOCK) -> np.ndarray:
     """Counts N[l, r, j mod c] over x = g^j of Tr(x^d + lam_l * x^e) = r.
 
-    One pass over the q^k - 1 generator powers serves every coefficient in
-    ``lam_vecs`` at once; only the trace row depends on the coefficient.
+    ``ctx`` is the context of F_{p^m}, g its generator.  One pass over the
+    q^k - 1 generator powers serves every coefficient in ``lam_vecs``:
+    Tr(lam * y) = row_lam . y is linear in the coordinates y of x^e, and
+    the rows row_lam span a space of rank r <= min(#lam, a).  When
+    ``joint_histogram_fits``, the pass bins (Tr x^d, z, j mod c) with z the
+    projection of y onto a basis of that span, and each coefficient's
+    counts are folded out of the histogram afterwards.  Otherwise it bins
+    each coefficient's trace directly.
     """
+    modulus, g = ctx.modulus, ctx.generator
     total = p**m - 1
     width = min(block, total)
-    tr = _ff_trace_row(modulus, p, m)
+    tr = np.array(ctx.residue_traces(), dtype=np.int64)
     h_d = poly_pow_mod(g, d_exp, modulus, p)
     h_e = poly_pow_mod(g, e_exp, modulus, p)
     P_d = _power_block(h_d, modulus, p, m, width)
     P_e = _power_block(h_e, modulus, p, m, width)
-    lam_rows = []
-    for vec in lam_vecs:
-        lam_mat = _mult_matrix(vec, modulus, p, m)
-        lam_rows.append((tr @ lam_mat) % p)
-    counts = np.zeros((len(lam_vecs), p * c), dtype=np.int64)
+    lam_rows = [(tr @ _mult_matrix(vec, modulus, p, m)) % p for vec in lam_vecs]
+    n_lam = len(lam_rows)
+    basis, coords = _row_basis(lam_rows, p, m)
+    r = len(basis)
+    joint = joint_histogram_fits(p, r, c, n_lam, width)
+    if joint:
+        proj = basis
+        z_place = p ** np.arange(r, dtype=np.int64)
+        bins = np.zeros(p**(r + 1) * c, dtype=np.int64)
+    else:
+        proj = np.array(lam_rows, dtype=np.int64).reshape(n_lam, m)
+        counts = np.zeros((n_lam, p * c), dtype=np.int64)
     base_d = (1,)
     base_e = (1,)
     step_d = poly_pow_mod(h_d, width, modulus, p)
@@ -129,17 +171,32 @@ def trace_count_matrix(p, m, modulus, g, lam_vecs, d_exp, e_exp, c,
         nb = min(width, total - j0)
         mat_d = _mult_matrix(base_d, modulus, p, m)
         mat_e = _mult_matrix(base_e, modulus, p, m)
-        alpha = ((tr @ mat_d) @ P_d[:, :nb]) % p
-        Ye = (mat_e @ P_e[:, :nb]) % p
+        alpha = (((tr @ mat_d) % p) @ P_d[:, :nb]) % p
+        rows_e = (proj @ mat_e) % p
         jmod = (j0 + np.arange(nb, dtype=np.int64)) % c
-        for li, lam_row in enumerate(lam_rows):
-            t_vals = (alpha + lam_row @ Ye) % p
-            keys = t_vals * c + jmod
-            counts[li] += np.bincount(keys, minlength=p * c)
+        if joint:
+            z = (rows_e @ P_e[:, :nb]) % p
+            keys = (alpha * p**r + z_place @ z) * c + jmod
+            bins += np.bincount(keys, minlength=bins.size)
+        else:
+            for li in range(n_lam):
+                t_vals = (alpha + rows_e[li] @ P_e[:, :nb]) % p
+                counts[li] += np.bincount(t_vals * c + jmod, minlength=p * c)
         base_d = poly_mul_mod(base_d, step_d, modulus, p)
         base_e = poly_mul_mod(base_e, step_e, modulus, p)
         j0 += nb
-    return counts.reshape(len(lam_vecs), p, c)
+    if not joint:
+        return counts.reshape(n_lam, p, c)
+    # bin b = alpha * p^r + sum_i z_i p^i; its trace under lam_l is
+    # alpha + coords[l] . z
+    cells = np.arange(p**(r + 1), dtype=np.int64)
+    alpha = cells // p**r
+    z_digits = (cells[:, None] // z_place) % p
+    bins = bins.reshape(p**(r + 1), c)
+    out = np.zeros((n_lam, p, c), dtype=np.int64)
+    for li in range(n_lam):
+        np.add.at(out[li], (alpha + z_digits @ coords[li]) % p, bins)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +464,8 @@ def classical_sums_multi(params: Params, k: int, lam_indices: list[int],
     big = make_context(params.p, m, M)
     descent = _descent_for(params, big)
     lam_vecs = [descent.lambda_residue(li) for li in lam_indices]
-    counts = trace_count_matrix(params.p, m, big.modulus, big.generator,
-                                lam_vecs, params.d, params.e, params.c)
+    counts = trace_count_matrix(params.p, m, big, lam_vecs,
+                                params.d, params.e, params.c)
     V = _character_values(params, k, descent)
     out = {}
     for li, lam_index in enumerate(lam_indices):
@@ -432,6 +489,20 @@ def _descent_for(params: Params, big: ZqContext) -> SubfieldDescent:
 def exp_sum_classical(params: Params, k: int, M: int | None = None,
                       budget: int = DEFAULT_BUDGET) -> ClassicalSum:
     return classical_sums_multi(params, k, [params.lam_index], M, budget)[params.lam_index]
+
+
+def classical_sums_by_lambda(params: Params, lam_indices: list[int],
+                             M: int | None = None,
+                             budget: int = DEFAULT_BUDGET) -> dict[int, list[RamifiedElem]]:
+    """S_1..S_d over the base ring for each coefficient, one pass per k.
+
+    ``params.lam_index`` plays no part: the sums are those of the binomials
+    whose coefficient indices are ``lam_indices``.
+    """
+    _require_p_above_d(params)
+    by_k = [classical_sums_multi(params, k, lam_indices, M, budget)
+            for k in range(1, params.d + 1)]
+    return {li: [sums[li].value for sums in by_k] for li in lam_indices}
 
 
 @dataclass
@@ -509,16 +580,20 @@ class LFunctionData:
                 for n, v in enumerate(self.valuations)]
 
 
+def _require_p_above_d(params: Params) -> None:
+    if params.p <= params.d:
+        raise ValueError("need p > d so the exponential recurrence divides by units")
+
+
 def l_polynomial(params: Params, M: int | None = None,
                  budget: int = DEFAULT_BUDGET,
                  _sums: list[RamifiedElem] | None = None) -> LFunctionData:
     """Coefficients of exp(sum_k S_k s^k / k) up to degree d."""
     M = M or default_precision(params)
-    if params.p <= params.d:
-        raise ValueError("need p > d so the exponential recurrence divides by units")
+    _require_p_above_d(params)
     if _sums is None:
-        sums = [exp_sum_classical(params, k, M, budget).value
-                for k in range(1, params.d + 1)]
+        sums = classical_sums_by_lambda(params, [params.lam_index], M,
+                                        budget)[params.lam_index]
     else:
         sums = _sums
     base = sums[0].ctx

@@ -359,6 +359,10 @@ class ZqContext:
         """Absolute trace to Z_p, as an integer mod p^M."""
         return sum(c * t for c, t in zip(a.coeffs, self._trace_table)) % self.pM
 
+    def residue_traces(self) -> list[int]:
+        """Traces to F_p of the residue field's power basis x^0..x^{deg-1}."""
+        return [t % self.p for t in self._trace_table]
+
     # -- ramified layer
 
     def pi_xpow_table(self):

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from twistnp.cli import main
 from twistnp.hasse import hasse_number
 from twistnp.polygon import Params
@@ -110,11 +112,83 @@ def test_verify_small_grid_and_resume(tmp_path, capsys):
     assert [r["key"] for r in errors] == ["p15_a1_d3_e2_c1_mu1_l0",
                                           "p15_a1_d3_e2_c1_mu1_l1"]
     assert all(r["status"].startswith("error:ValueError:") for r in errors)
-    # resume: nothing recomputed, file unchanged
+    # resume: the ok records stay, the error keys are computed again and
+    # fail again, so verify still exits 1
     code2, out2 = _run(capsys, argv)
-    assert code2 == 0
-    assert json.loads(out2)["summary"]["skipped_existing"] == 4
-    assert out_file.read_text().strip().splitlines() == lines
+    assert code2 == 1
+    summary2 = json.loads(out2)["summary"]
+    assert summary2["skipped_existing"] == 2 and summary2["errors"] == 2
+    error_lines = [x for x in lines if '"error:' in x]
+    assert out_file.read_text().strip().splitlines() == lines + error_lines
+
+
+def test_verify_writes_each_group_before_the_next(tmp_path, capsys, monkeypatch):
+    import twistnp.cli as cli
+
+    out_file = tmp_path / "sweep.jsonl"
+    argv = ["--out", str(out_file), "verify", "--d", "3", "--e", "2",
+            "--primes", "11,13", "--lam-policy", "first:2"]
+    real_pass = cli.shared_pass
+
+    def killed_at_second_group(tups, *args, **kwargs):
+        if tups[0][0] == 13:
+            raise KeyboardInterrupt
+        return real_pass(tups, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "shared_pass", killed_at_second_group)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    keys = [json.loads(x)["key"] for x in out_file.read_text().splitlines()]
+    assert keys == ["p11_a1_d3_e2_c1_mu1_l0", "p11_a1_d3_e2_c1_mu1_l1"]
+    monkeypatch.setattr(cli, "shared_pass", real_pass)
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["summary"]["skipped_existing"] == 2
+    assert len(out_file.read_text().splitlines()) == 4
+
+
+def test_grouped_lambda_sweep_matches_single_lambda_runs(tmp_path, capsys):
+    grid = ["verify", "--d", "3", "--e", "2", "--c", "1,2", "--primes", "11"]
+    grouped = tmp_path / "grouped.jsonl"
+    assert main(["--out", str(grouped)] + grid + ["--lam-policy", "all"]) == 0
+    single = tmp_path / "single.jsonl"
+    for lam in range(10):
+        assert main(["--out", str(single)] + grid + ["--lam-policy", f"fixed:{lam}"]) == 0
+    capsys.readouterr()
+
+    def by_key(path):
+        recs = [json.loads(x) for x in path.read_text().splitlines()]
+        for rec in recs:
+            assert rec["timings"]["total_s"] >= rec["timings"]["shared_s"] >= 0
+            del rec["timings"]
+        return {rec["key"]: rec for rec in recs}
+
+    got, want = by_key(grouped), by_key(single)
+    assert len(got) == 20
+    assert got == want
+
+
+def test_dwork_trace_check_reuses_the_operator(capsys, monkeypatch):
+    import twistnp.dwork as dwork
+
+    builds = []
+    real_build = dwork.psi_a_matrix
+
+    def counted(*args, **kwargs):
+        builds.append(args[1:3])
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(dwork, "psi_a_matrix", counted)
+    code, out = _run(capsys, ["dwork", "--p", "11", "--d", "3", "--e", "2",
+                              "--trace-k", "2", "--J", "4"])
+    assert code == 0
+    assert all(r["ok"] for r in json.loads(out)["trace_consistency"])
+    assert len(builds) == 1
+    # an order O the check does not use: it builds its own operator
+    code, out = _run(capsys, ["dwork", "--p", "11", "--d", "3", "--e", "2",
+                              "--O", "18", "--trace-k", "2", "--J", "4"])
+    assert code == 0
+    assert len(builds) == 3 and builds[1] != builds[2]
 
 
 def test_verify_anchor_grid_all_lambdas(tmp_path, capsys):

@@ -9,37 +9,83 @@ import pytest
 
 from twistnp.lfunction import (
     BudgetExceededError,
+    _descent_for,
+    _mult_matrix,
+    _power_block,
     classical_sums_multi,
     exp_sum_Tadic,
     exp_sum_classical,
+    joint_histogram_fits,
     l_polynomial,
     newton_polygon_classical,
     trace_count_matrix,
 )
-from twistnp.padic import make_context, poly_pow_mod
+from twistnp.padic import make_context, poly_mul_mod, poly_pow_mod
 from twistnp.polygon import Params, hodge_polygon, lies_above, lower_bound_polygon
 
 F = Fraction
 
 
+def _ff_trace(y, modulus, p, m) -> int:
+    """Tr(y) = y + y^p + ... + y^(p^(m-1)), an element of F_p."""
+    acc = (0,) * m
+    for i in range(m):
+        conj = _pad(poly_pow_mod(y, p**i, modulus, p), m)
+        acc = tuple((u + v) % p for u, v in zip(acc, conj))
+    assert not any(acc[1:]), "trace is not in F_p"
+    return acc[0]
+
+
+def _pad(t, m):
+    return tuple(t) + (0,) * (m - len(t))
+
+
 def _brute_force_counts(p, m, modulus, g, lam_vec, d_exp, e_exp, c):
     """Reference enumeration with plain polynomial arithmetic."""
-    from twistnp.lfunction import _ff_trace_row
-    from twistnp.padic import poly_mul_mod
-
-    tr = _ff_trace_row(modulus, p, m)
     counts = np.zeros((p, c), dtype=np.int64)
     z = (1,)
     for j in range(p**m - 1):
         zd = poly_pow_mod(z, d_exp, modulus, p)
         ze = poly_pow_mod(z, e_exp, modulus, p)
         fz = poly_mul_mod(lam_vec, ze, modulus, p)
-        fz = tuple((a + b) % p for a, b in
-                   zip(zd + (0,) * (m - len(zd)), fz + (0,) * (m - len(fz))))
-        t = int(sum(int(tr[i]) * fz[i] for i in range(m)) % p)
-        counts[t, j % c] += 1
+        fz = tuple((a + b) % p for a, b in zip(_pad(zd, m), _pad(fz, m)))
+        counts[_ff_trace(fz, modulus, p, m), j % c] += 1
         z = poly_mul_mod(z, g, modulus, p)
     return counts
+
+
+def _per_lambda_counts(p, m, modulus, g, lam_vecs, d_exp, e_exp, c, block=1 << 14):
+    """The earlier kernel: one bincount of each coefficient's trace per block,
+    from the full product mat_e @ P_e.  The trace row comes from
+    ``_ff_trace``, independently of ``ZqContext``."""
+    total = p**m - 1
+    width = min(block, total)
+    tr = np.array([_ff_trace((0,) * v + (1,), modulus, p, m) for v in range(m)],
+                  dtype=np.int64)
+    h_d = poly_pow_mod(g, d_exp, modulus, p)
+    h_e = poly_pow_mod(g, e_exp, modulus, p)
+    P_d = _power_block(h_d, modulus, p, m, width)
+    P_e = _power_block(h_e, modulus, p, m, width)
+    lam_rows = [(tr @ _mult_matrix(vec, modulus, p, m)) % p for vec in lam_vecs]
+    counts = np.zeros((len(lam_vecs), p * c), dtype=np.int64)
+    base_d, base_e = (1,), (1,)
+    step_d = poly_pow_mod(h_d, width, modulus, p)
+    step_e = poly_pow_mod(h_e, width, modulus, p)
+    j0 = 0
+    while j0 < total:
+        nb = min(width, total - j0)
+        mat_d = _mult_matrix(base_d, modulus, p, m)
+        mat_e = _mult_matrix(base_e, modulus, p, m)
+        alpha = ((tr @ mat_d) @ P_d[:, :nb]) % p
+        Ye = (mat_e @ P_e[:, :nb]) % p
+        jmod = (j0 + np.arange(nb, dtype=np.int64)) % c
+        for li, lam_row in enumerate(lam_rows):
+            t_vals = (alpha + lam_row @ Ye) % p
+            counts[li] += np.bincount(t_vals * c + jmod, minlength=p * c)
+        base_d = poly_mul_mod(base_d, step_d, modulus, p)
+        base_e = poly_mul_mod(base_e, step_e, modulus, p)
+        j0 += nb
+    return counts.reshape(len(lam_vecs), p, c)
 
 
 @pytest.mark.parametrize("p,m,c", [(5, 2, 1), (7, 2, 2), (11, 1, 1), (3, 4, 2)])
@@ -47,11 +93,57 @@ def test_trace_count_matrix_against_brute_force(p, m, c):
     ctx = make_context(p, m, 2)
     g = ctx.generator
     lam = g  # an arbitrary nonzero element
-    got = trace_count_matrix(p, m, ctx.modulus, g, [lam], 3 if p != 3 else 4, 1, c)
+    got = trace_count_matrix(p, m, ctx, [lam], 3 if p != 3 else 4, 1, c)
     want = _brute_force_counts(p, m, ctx.modulus, g, lam, 3 if p != 3 else 4, 1, c)
     assert got.shape == (1, p, c)
     assert (got[0] == want).all()
     assert got.sum() == p**m - 1
+
+
+# (p, a, d, e, c, mu, lambda indices or None for all, k_max, block).  With
+# the default block the pass bins jointly for k >= 3 (k >= 2 for q = 121)
+# and each coefficient's trace directly below; block 97 keeps the width
+# below p^(r+1) c, so every pass bins directly.
+ORACLE_GRID = [
+    (11, 1, 3, 2, 1, 1, None, 3, 1 << 14),
+    (11, 1, 3, 2, 1, 1, None, 3, 97),
+    (13, 1, 4, 3, 2, 1, None, 4, 1 << 14),
+    (13, 1, 4, 3, 2, 1, None, 4, 97),
+    (29, 1, 4, 1, 1, 1, None, 4, 1 << 14),
+    (11, 2, 3, 2, 3, 1, None, 3, 1 << 14),
+    (43, 1, 5, 2, 1, 1, [7], 3, 1 << 14),  # the strict instance
+    (43, 1, 5, 2, 1, 1, [7], 3, 97),
+]
+
+
+@pytest.mark.parametrize("case", ORACLE_GRID,
+                         ids=lambda t: "p{}_a{}_d{}_e{}_c{}_block{}".format(*t[:5], t[8]))
+def test_trace_count_matrix_against_per_lambda_oracle(case):
+    p, a, d, e, c, mu, lams, k_max, block = case
+    pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu)
+    lams = list(range(pr.q - 1)) if lams is None else lams
+    for k in range(1, k_max + 1):
+        big = make_context(p, a * k, pr.a * pr.d + 8)
+        lam_vecs = [_descent_for(pr, big).lambda_residue(li) for li in lams]
+        got = trace_count_matrix(p, a * k, big, lam_vecs, d, e, c, block=block)
+        want = _per_lambda_counts(p, a * k, big.modulus, big.generator,
+                                  lam_vecs, d, e, c, block=block)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), (case, k)
+
+
+def test_joint_histogram_rule():
+    # lambda-grid sizes: one coefficient row (r = 1) for p = 29, c = 2
+    assert not joint_histogram_fits(29, 1, 2, 28, 840)  # k = 2: 1682 bins > 1624, 840
+    assert joint_histogram_fits(29, 1, 2, 28, 16384)  # k >= 3: a block holds them
+    # one lambda at large p: the joint bins would outgrow the block
+    assert not joint_histogram_fits(1009, 1, 1, 1, 16384)
+    # q = 121, all 120 lambdas (r = 2): 3993 bins against 3960 outputs
+    assert not joint_histogram_fits(11, 2, 3, 120, 120)
+    assert joint_histogram_fits(11, 2, 3, 120, 14640)
+    # the bound is inclusive: exactly one block's worth of bins
+    assert joint_histogram_fits(127, 1, 1, 1, 127**2)
+    assert not joint_histogram_fits(127, 1, 1, 1, 127**2 - 1)
 
 
 def test_character_orthogonality():
