@@ -268,7 +268,7 @@ def shared_pass(tups, precision=None, budget=DEFAULT_BUDGET):
 
 
 def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
-                 with_dwork=False, trace_k=0) -> dict:
+                 dwork=False, trace_k=0) -> dict:
     """Compute the full record for one parameter tuple.
 
     ``shared`` is the ``shared_pass`` of the tuple's group, made with the
@@ -332,7 +332,7 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
     diff_bound = Fraction((d - e) * (d - 1) ** 2, d * (p - 1))
     if max(P.value(n) - H.value(n) for n in range(3 * d + 1)) > diff_bound:
         violations.append("gap to the Hodge bound exceeds its limit")
-    if with_dwork:
+    if dwork:
         try:
             res = np_T(params, d, M=precision)
             rec["np_T_slopes"] = _slopes_json(res.polygon)
@@ -358,21 +358,28 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
 
 
 def _group_worker(payload):
-    """Records of one (p, a, d, e, c, mu) group, from one shared pass."""
-    tups, kwargs = payload
-    shared = shared_pass(tups, kwargs["precision"], kwargs["budget"])
+    """Records of one (p, a, d, e, c, mu) group, from one shared pass.
+
+    Each record carries the run's ``settings``, the keyword arguments of
+    ``sweep_record``.
+    """
+    tups, settings = payload
+    shared = shared_pass(tups, settings["precision"], settings["budget"])
     records = []
     for tup in tups:
         try:
-            records.append(sweep_record(tup, shared, **kwargs))
+            rec = sweep_record(tup, shared, **settings)
         except Exception as exc:  # record, never kill the sweep
-            records.append({"schema": SCHEMA, "key": record_key(tup),
-                            "status": f"error:{type(exc).__name__}:{exc}"})
+            rec = {"schema": SCHEMA, "key": record_key(tup),
+                   "status": f"error:{type(exc).__name__}:{exc}"}
+        rec["settings"] = settings
+        records.append(rec)
     return records
 
 
-def _load_existing(path: str) -> set[str]:
-    """Keys with a finished record: ok or skipped, not only error records.
+def _load_existing(path: str, settings: dict) -> set[str]:
+    """Keys with a finished record made under ``settings``: ok or skipped,
+    not only error records, and not records of other settings.
 
     Quarantines undecodable lines.
     """
@@ -393,7 +400,8 @@ def _load_existing(path: str) -> set[str]:
         except (json.JSONDecodeError, KeyError):
             bad_lines.append(line)
             continue
-        if not str(rec.get("status", "ok")).startswith("error"):
+        if (rec.get("settings") == settings
+                and not str(rec.get("status", "ok")).startswith("error")):
             keys.add(key)
     if bad_lines:
         with open(path + ".quarantine", "a", encoding="utf-8") as fh:
@@ -412,16 +420,16 @@ def run_grid(args, enforce: bool) -> int:
     group's records as soon as it finishes.
 
     Tuples that differ only in lambda form a group and share one
-    enumeration pass per k (``shared_pass``).  Keys whose only records are
-    errors are computed again.
+    enumeration pass per k (``shared_pass``).  A key counts as done only
+    when it has a record other than an error made under this run's
+    settings; otherwise it is computed again.
     """
     tuples = grid_tuples(args)
-    kwargs = dict(n_max=args.n_max, precision=args.precision,
-                  budget=args.budget, with_dwork=args.dwork,
-                  trace_k=args.trace_k)
-    existing = _load_existing(args.out) if args.out else set()
+    settings = dict(n_max=args.n_max, precision=args.precision,
+                    budget=args.budget, dwork=args.dwork, trace_k=args.trace_k)
+    existing = _load_existing(args.out, settings) if args.out else set()
     todo = [tup for tup in tuples if record_key(tup) not in existing]
-    payloads = [(list(group), kwargs)
+    payloads = [(list(group), settings)
                 for _, group in itertools.groupby(todo, key=lambda tup: tup[:6])]
     violations = 0
     summary = {"total": len(tuples), "skipped_existing": len(tuples) - len(todo),

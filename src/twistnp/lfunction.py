@@ -27,10 +27,10 @@ from .padic import (
     ZqContext,
     ZqElem,
     make_context,
+    poly_divmod,
     poly_mul_mod,
     poly_pow_mod,
     poly_trim,
-    zeta_p_power,
 )
 from .polygon import Params, Polygon, lower_convex_hull
 
@@ -63,13 +63,20 @@ def default_precision(params: Params) -> int:
 
 
 def _mult_matrix(z, modulus, p, m) -> np.ndarray:
-    """Matrix of multiplication by z on the power basis of F_{p^m}."""
-    cols = []
-    for t in range(m):
-        xt = (0,) * t + (1,)
-        col = poly_mul_mod(z, xt, modulus, p)
-        cols.append(tuple(col) + (0,) * (m - len(col)))
-    return np.array(cols, dtype=np.int64).T % p
+    """Matrix of multiplication by z on the power basis of F_{p^m}.
+
+    Column t is z * X^t: X times column t - 1, one shift and at most one
+    subtraction of the monic modulus.
+    """
+    col = list(_pad(poly_divmod(z, modulus, p)[1], m))
+    cols = [col]
+    for _ in range(m - 1):
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [(x - top * c) % p for x, c in zip(col, modulus)]
+        cols.append(col)
+    return np.array(cols, dtype=np.int64).T
 
 
 def _power_block(h, modulus, p, m, width) -> np.ndarray:
@@ -298,12 +305,7 @@ class SubfieldDescent:
         base_mod = self.base.modulus
         x_img_res = poly_pow_mod(big.generator,
                                  self._x_exponent(), big.modulus, big.p)
-        z = big.elem(x_img_res)
-        for _ in range(max(1, math.ceil(math.log2(big.M))) + 1):
-            fz = _eval_int_poly(big, base_mod, z)
-            dfz = _eval_int_poly_deriv(big, base_mod, z)
-            z = z - big.mul(fz, big.inverse(dfz))
-        assert _eval_int_poly(big, base_mod, z).is_zero()
+        z = big.lift_root(base_mod, big.elem(x_img_res))
         cols = [big.one()]
         for _ in range(a - 1):
             cols.append(big.mul(cols[-1], z))
@@ -397,20 +399,6 @@ class SubfieldDescent:
         return poly_pow_mod(big.generator, exp, big.modulus, big.p)
 
 
-def _eval_int_poly(ctx: ZqContext, coeffs, z: ZqElem) -> ZqElem:
-    acc = ctx.zero()
-    for c in reversed(coeffs):
-        acc = ctx.mul(acc, z) + ctx.from_int(c)
-    return acc
-
-
-def _eval_int_poly_deriv(ctx: ZqContext, coeffs, z: ZqElem) -> ZqElem:
-    acc = ctx.zero()
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = ctx.mul(acc, z) + ctx.from_int(i * coeffs[i])
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # exponential sums
 
@@ -439,17 +427,15 @@ def _character_values(params: Params, k: int, descent: SubfieldDescent):
 
 
 def _assemble_from_counts(big: ZqContext, counts: np.ndarray, V: list[ZqElem]):
-    p, c = counts.shape
-    out = big.ram_zero()
-    for r in range(p):
-        acc = big.zero()
-        for mm in range(c):
-            n = int(counts[r, mm])
-            if n:
-                acc = acc + V[mm] * n
-        if not acc.is_zero():
-            out = out + zeta_p_power(big, r).scale(acc)
-    return out
+    """sum_r zeta_p^r * acc_r with acc_r = sum_mm counts[r, mm] * V[mm].
+
+    The acc_r are plain integer vectors; one change of basis from zeta_p^r
+    to the pi_1^j (``ZqContext.zeta_basis``) and one reduction mod p^M
+    give the components.
+    """
+    acc = counts.astype(object) @ np.array([v.coeffs for v in V], dtype=object)
+    comps = (big.zeta_basis() @ acc) % big.pM
+    return RamifiedElem(big, (ZqElem(big, tuple(row)) for row in comps.tolist()))
 
 
 def classical_sums_multi(params: Params, k: int, lam_indices: list[int],

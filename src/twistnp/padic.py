@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import sympy
 
 # ---------------------------------------------------------------------------
@@ -33,33 +34,40 @@ def poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
     return a[:i]
 
 
-def poly_mul_mod(a, b, modulus, p):
-    """Product of a and b modulo (modulus, p)."""
+def poly_mul(a, b, p):
+    """Product of a and b over F_p."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return poly_divmod_rem(tuple(out), modulus, p)
+                out[i + j] += ai * bj
+    return tuple(x % p for x in out)
 
 
-def poly_divmod_rem(a, modulus, p):
-    """Remainder of a modulo the monic modulus, coefficients mod p."""
+def poly_mul_mod(a, b, modulus, p):
+    """Product of a and b modulo (modulus, p)."""
+    return poly_divmod(poly_mul(a, b, p), modulus, p)[1]
+
+
+def poly_divmod(a, b, p):
+    """Quotient and remainder of a by the monic b over F_p, both trimmed."""
     a = list(a)
-    deg_m = len(modulus) - 1
-    for i in range(len(a) - 1, deg_m - 1, -1):
+    db = len(b) - 1
+    q = [0] * max(1, len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
         c = a[i] % p
         if c:
-            for j in range(deg_m + 1):
-                a[i - deg_m + j] = (a[i - deg_m + j] - c * modulus[j]) % p
-    return poly_trim(tuple(x % p for x in a[:deg_m]))
+            q[i - db] = c
+            for j in range(db):  # b is monic; a[i] is not read again
+                a[i - db + j] -= c * b[j]
+    return poly_trim(tuple(q)), poly_trim(tuple(x % p for x in a[:db]))
 
 
 def poly_pow_mod(a, k, modulus, p):
     result = (1,)
-    base = poly_divmod_rem(a, modulus, p)
+    base = poly_divmod(a, modulus, p)[1]
     while k:
         if k & 1:
             result = poly_mul_mod(result, base, modulus, p)
@@ -73,7 +81,7 @@ def poly_gcd(a, b, p):
     while b:
         inv = pow(b[-1], -1, p)
         monic = tuple(c * inv % p for c in b)
-        r = poly_divmod_rem(a, monic, p) if len(a) >= len(b) else a
+        r = poly_divmod(a, monic, p)[1] if len(a) >= len(b) else a
         if len(a) < len(b):
             a, b = b, a
             continue
@@ -92,7 +100,7 @@ def is_irreducible(poly, p):
     for _ in range(deg):
         t = poly_pow_mod(t, p, poly, p)
         frob.append(t)
-    if frob[deg] != poly_divmod_rem(x, poly, p):
+    if frob[deg] != poly_divmod(x, poly, p)[1]:
         return False
     for r in sympy.primefactors(deg):
         diff = list(frob[deg // r])
@@ -184,6 +192,8 @@ class ZqContext:
         self._trace_table = self._build_trace_table()
         self._frob_matrix = None
         self._pi_xpow = None
+        self._ram_packing = None
+        self._zeta_basis = None
 
     # -- construction helpers
 
@@ -271,10 +281,10 @@ class ZqContext:
         while r1:
             inv_lead = pow(r1[-1], -1, p)
             monic = tuple(c * inv_lead % p for c in r1)
-            q, rem = _poly_quorem(r0, monic, p)
+            q, rem = poly_divmod(r0, monic, p)
             q = tuple(c * inv_lead % p for c in q)
             r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul_plain(q, s1, p), p)
+            s0, s1 = s1, _poly_sub(s0, poly_mul(q, s1, p), p)
         lead_inv = pow(r0[-1], -1, p)
         inv_res = tuple(c * lead_inv % p for c in s0)
         w = self.elem(inv_res)
@@ -319,31 +329,30 @@ class ZqContext:
         """Matrix of the lifted Frobenius on the power basis, mod p^M."""
         if self._frob_matrix is not None:
             return self._frob_matrix
-        x = self.elem((0, 1))
-        z = self.pow(x, self.p)
-        # Newton-lift z to an exact root of the defining polynomial
-        for _ in range(max(1, math.ceil(math.log2(self.M))) + 1):
-            fz = self._eval_modulus(z)
-            dfz = self._eval_modulus_derivative(z)
-            z = z - self.mul(fz, self.inverse(dfz))
-        assert self._eval_modulus(z).is_zero()
+        z = self.lift_root(self.modulus, self.pow(self.elem((0, 1)), self.p))
         cols = [self.one()]
         for _ in range(self.deg - 1):
             cols.append(self.mul(cols[-1], z))
         self._frob_matrix = [c.coeffs for c in cols]
         return self._frob_matrix
 
-    def _eval_modulus(self, z: "ZqElem") -> "ZqElem":
-        acc = self.zero()
-        for c in reversed(self.modulus):
-            acc = self.mul(acc, z) + self.from_int(c)
-        return acc
+    def eval_int_poly(self, coeffs, z: "ZqElem") -> tuple["ZqElem", "ZqElem"]:
+        """f(z) and f'(z) for the integer polynomial f with little-endian
+        ``coeffs``, by one Horner pass."""
+        val = deriv = self.zero()
+        for c in reversed(coeffs):
+            deriv = self.mul(deriv, z) + val
+            val = self.mul(val, z) + self.from_int(c)
+        return val, deriv
 
-    def _eval_modulus_derivative(self, z: "ZqElem") -> "ZqElem":
-        acc = self.zero()
-        for i in range(len(self.modulus) - 1, 0, -1):
-            acc = self.mul(acc, z) + self.from_int(i * self.modulus[i])
-        return acc
+    def lift_root(self, coeffs, z: "ZqElem") -> "ZqElem":
+        """Newton-lift z, a simple root of the integer polynomial mod p, to
+        a root mod p^M."""
+        for _ in range(max(1, math.ceil(math.log2(self.M))) + 1):
+            fz, dfz = self.eval_int_poly(coeffs, z)
+            z = z - self.mul(fz, self.inverse(dfz))
+        assert self.eval_int_poly(coeffs, z)[0].is_zero()
+        return z
 
     def frobenius(self, a: "ZqElem") -> "ZqElem":
         mat = self.frobenius_matrix()
@@ -382,6 +391,43 @@ class ZqContext:
         self._pi_xpow = table
         return table
 
+    def ram_packing(self) -> tuple[int, list[int]]:
+        """Slot width in bytes of the packed product in Z_q[pi_1], and the
+        rows of ``pi_xpow_table`` packed in its layout.
+
+        A slot holds one integer coefficient; pi_1^i X^v sits in slot
+        i * (2 deg - 1) + v, so the X-products of two pi-coefficients
+        never overlap.  A slot of the product sums at most (p-1) deg
+        products of residues below p^M, and after the pi-reduction at most
+        2 (p-1) deg of them, which 2 bitlen(p^M - 1) + bitlen((p-1) deg)
+        + 1 bits hold.
+        """
+        if self._ram_packing is None:
+            n, deg = self.p - 1, self.deg
+            bits = 2 * (self.pM - 1).bit_length() + (n * deg).bit_length() + 1
+            nbytes = -(-bits // 8)
+            row_bits = 8 * nbytes * (2 * deg - 1)
+            rows = [sum(t << (row_bits * i) for i, t in enumerate(row))
+                    for row in self.pi_xpow_table()]
+            self._ram_packing = (nbytes, rows)
+        return self._ram_packing
+
+    def zeta_basis(self) -> np.ndarray:
+        """The (p-1, p) object array whose column r is zeta_p^r over
+        1, pi_1, ..., pi_1^(p-2), mod p^M.
+
+        zeta_p^r = (1 + pi_1)^r = sum_j C(r, j) pi_1^j; only r = p - 1
+        reaches pi_1^(p-1), which is the first row of ``pi_xpow_table``.
+        """
+        if self._zeta_basis is None:
+            n = self.p - 1
+            top = self.pi_xpow_table()[0]
+            basis = np.array([[math.comb(r, j) for r in range(n + 1)]
+                              for j in range(n)], dtype=object)
+            basis[:, n] += np.array(top, dtype=object)
+            self._zeta_basis = basis % self.pM
+        return self._zeta_basis
+
     def ram_zero(self) -> "RamifiedElem":
         return RamifiedElem(self, (self.zero(),) * (self.p - 1))
 
@@ -393,31 +439,6 @@ class ZqContext:
 
     def __repr__(self):
         return f"ZqContext(p={self.p}, deg={self.deg}, M={self.M})"
-
-
-def _poly_quorem(a, b, p):
-    """Quotient and remainder of a by monic b over F_p."""
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return poly_trim(tuple(q)), poly_trim(tuple(x % p for x in a[:db]))
-
-
-def _poly_mul_plain(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return poly_trim(tuple(out))
 
 
 def _poly_sub(a, b, p):
@@ -535,28 +556,50 @@ class RamifiedElem:
         return RamifiedElem(self.ctx, tuple(c * factor for c in self.comps))
 
     def __mul__(self, other):
+        """Product by one big-integer multiplication (Kronecker substitution).
+
+        Each factor's (p-1) x deg coefficients are packed into one integer
+        in the layout of ``ZqContext.ram_packing``.  In the product, pi-row
+        n + t (n = p - 1) is folded into the rows below it as residues
+        times the packed row t of ``pi_xpow_table``; each of the n rows
+        left is then reduced in X and mod p^M.
+        """
         if isinstance(other, (int, ZqElem)):
             return self.scale(other)
         ctx = self.ctx
-        n = ctx.p - 1
-        prod: list[ZqElem] = [ctx.zero()] * (2 * n - 1)
-        for i, a in enumerate(self.comps):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.comps):
-                if not b.is_zero():
-                    prod[i + j] = prod[i + j] + ctx.mul(a, b)
-        table = ctx.pi_xpow_table()
-        out = list(prod[:n])
-        for t in range(n - 1):
-            c = prod[n + t]
-            if c.is_zero():
-                continue
-            row = table[t]
-            for i in range(n):
-                if row[i]:
-                    out[i] = out[i] + c * row[i]
-        return RamifiedElem(ctx, tuple(out))
+        n, deg, pM = ctx.p - 1, ctx.deg, ctx.pM
+        nbytes, pi_rows = ctx.ram_packing()
+        span = 2 * deg - 1
+        pad = (0,) * (deg - 1)
+
+        def pack(comps):
+            return int.from_bytes(b"".join([x.to_bytes(nbytes, "little")
+                                            for z in comps for x in z.coeffs + pad]),
+                                  "little")
+
+        def slots(buf, count):
+            return [int.from_bytes(buf[s * nbytes:(s + 1) * nbytes], "little")
+                    for s in range(count)]
+
+        prod = pack(self.comps) * pack(other.comps)
+        slot_bits = 8 * nbytes
+        low_bits = slot_bits * span * n
+        acc = prod & ((1 << low_bits) - 1)
+        high = slots((prod >> low_bits).to_bytes(nbytes * span * (n - 1), "little"),
+                     span * (n - 1))
+        for t, row in enumerate(pi_rows[:n - 1]):
+            h = 0
+            for u in range(span - 1, -1, -1):
+                h = (h << slot_bits) | (high[t * span + u] % pM)
+            if h:
+                acc += h * row
+        low = slots(acc.to_bytes(nbytes * span * n, "little"), span * n)
+        if deg == 1:
+            comps = (ZqElem(ctx, (x % pM,)) for x in low)
+        else:
+            comps = (ZqElem(ctx, ctx._reduce_product(low[i * span:(i + 1) * span]))
+                     for i in range(n))
+        return RamifiedElem(ctx, comps)
 
     __rmul__ = __mul__
 
@@ -581,18 +624,12 @@ class RamifiedElem:
         Distinct basis positions carry distinct fractional parts j/(p-1),
         so the minimum over positions is the valuation of the sum.
         """
-        p = self.ctx.p
-        best = None
-        for j, comp in enumerate(self.comps):
-            v = comp.vp()
-            if v is None:
-                continue
-            cand = Fraction(j, p - 1) + v
-            if best is None or cand < best:
-                best = cand
-        if best is None:
+        n = self.ctx.p - 1
+        units = [j + n * v for j, v in enumerate(c.vp() for c in self.comps)
+                 if v is not None]
+        if not units:
             return Valuation.at_least(self.ctx.M)
-        return Valuation(best)
+        return Valuation(Fraction(min(units), n))
 
     def congruent_mod_pi(self, other: "RamifiedElem", k: int) -> bool:
         """Whether self - other has pi-valuation at least k (pi-units)."""

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import decimal
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import twistnp
 from twistnp.cli import main
 from twistnp.hasse import hasse_number
 from twistnp.polygon import Params
@@ -120,6 +122,41 @@ def test_verify_small_grid_and_resume(tmp_path, capsys):
     assert summary2["skipped_existing"] == 2 and summary2["errors"] == 2
     error_lines = [x for x in lines if '"error:' in x]
     assert out_file.read_text().strip().splitlines() == lines + error_lines
+
+
+def test_resume_recomputes_keys_made_under_other_settings(tmp_path, capsys):
+    out_file = tmp_path / "sweep.jsonl"
+    grid = ["verify", "--d", "3", "--e", "2", "--primes", "11",
+            "--lam-policy", "first:2"]
+    argv = ["--out", str(out_file)] + grid
+    code, _ = _run(capsys, argv)
+    assert code == 0
+    first = [json.loads(x) for x in out_file.read_text().splitlines()]
+    assert [r["settings"] for r in first] == [
+        {"n_max": None, "precision": None, "budget": 2 * 10**7,
+         "dwork": False, "trace_k": 0}] * 2
+    assert not any("np_T_slopes" in r for r in first)
+    # the same settings: nothing to do
+    code, out = _run(capsys, argv)
+    assert code == 0 and json.loads(out)["summary"]["skipped_existing"] == 2
+    # resumed with --dwork: both keys are computed again, with the T-adic route
+    code, out = _run(capsys, argv + ["--dwork"])
+    assert code == 0 and json.loads(out)["summary"]["skipped_existing"] == 0
+    recs = [json.loads(x) for x in out_file.read_text().splitlines()]
+    assert len(recs) == 4
+    assert all(r["settings"]["dwork"] and "np_T_slopes" in r for r in recs[2:])
+    assert [r["key"] for r in recs[2:]] == [r["key"] for r in first]
+    code, out = _run(capsys, argv + ["--dwork"])
+    assert json.loads(out)["summary"]["skipped_existing"] == 2
+    # another precision, and a record without settings, are not done either
+    code, out = _run(capsys, ["--precision", "12"] + argv)
+    assert code == 0 and json.loads(out)["summary"]["skipped_existing"] == 0
+    bare = tmp_path / "bare.jsonl"
+    for rec in first:
+        del rec["settings"]
+    bare.write_text("".join(json.dumps(r) + "\n" for r in first))
+    code, out = _run(capsys, ["--out", str(bare)] + grid)
+    assert code == 0 and json.loads(out)["summary"]["skipped_existing"] == 0
 
 
 def test_verify_writes_each_group_before_the_next(tmp_path, capsys, monkeypatch):
@@ -261,9 +298,12 @@ def test_parallel_jobs_match_serial(tmp_path, capsys):
 
 
 def test_module_entrypoint_runs():
+    # the subprocess imports twistnp from the same source tree as this test
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twistnp.__file__)))
+    path = os.pathsep.join(x for x in (src, os.environ.get("PYTHONPATH")) if x)
     proc = subprocess.run(
         [sys.executable, "-m", "twistnp.cli", "polygon", "--p", "7",
          "--d", "3", "--e", "1", "--n-max", "3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == 1

@@ -9,6 +9,7 @@ import pytest
 
 from twistnp.lfunction import (
     BudgetExceededError,
+    _character_values,
     _descent_for,
     _mult_matrix,
     _power_block,
@@ -20,7 +21,7 @@ from twistnp.lfunction import (
     newton_polygon_classical,
     trace_count_matrix,
 )
-from twistnp.padic import make_context, poly_mul_mod, poly_pow_mod
+from twistnp.padic import make_context, poly_mul_mod, poly_pow_mod, zeta_p_power
 from twistnp.polygon import Params, hodge_polygon, lies_above, lower_bound_polygon
 
 F = Fraction
@@ -100,6 +101,19 @@ def test_trace_count_matrix_against_brute_force(p, m, c):
     assert got.sum() == p**m - 1
 
 
+@pytest.mark.parametrize("p,m", [(43, 5), (11, 6), (3, 8), (13, 1)])
+def test_mult_matrix_against_poly_mul_mod(p, m):
+    import random
+
+    rng = random.Random(p * m)
+    modulus = make_context(p, m, 2).modulus
+    for _ in range(10):
+        z = tuple(rng.randrange(p) for _ in range(m))
+        y = tuple(rng.randrange(p) for _ in range(m))
+        got = (_mult_matrix(z, modulus, p, m) @ np.array(y, dtype=np.int64)) % p
+        assert tuple(got) == _pad(poly_mul_mod(z, y, modulus, p), m)
+
+
 # (p, a, d, e, c, mu, lambda indices or None for all, k_max, block).  With
 # the default block the pass bins jointly for k >= 3 (k >= 2 for q = 121)
 # and each coefficient's trace directly below; block 97 keeps the width
@@ -130,6 +144,46 @@ def test_trace_count_matrix_against_per_lambda_oracle(case):
                                   lam_vecs, d, e, c, block=block)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want), (case, k)
+
+
+def _assemble_by_zeta_powers(big, counts, V):
+    """The earlier assembly: each trace value's character sum scales
+    zeta_p^r, built by ``zeta_p_power``, in the ramified ring."""
+    p, c = counts.shape
+    out = big.ram_zero()
+    for r in range(p):
+        acc = big.zero()
+        for mm in range(c):
+            n = int(counts[r, mm])
+            if n:
+                acc = acc + V[mm] * n
+        if not acc.is_zero():
+            out = out + zeta_p_power(big, r).scale(acc)
+    return out
+
+
+# (p, a, d, e, c, mu, lambda indices or None for all, k_max)
+ASSEMBLY_GRID = [
+    (11, 1, 3, 2, 1, 1, None, 3),
+    (13, 1, 4, 3, 2, 1, None, 4),
+    (11, 2, 3, 2, 3, 1, None, 3),  # q = 121
+    (43, 1, 5, 2, 1, 1, [7], 3),  # the strict instance
+]
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_GRID,
+                         ids=lambda t: "p{}_a{}_d{}_e{}_c{}".format(*t[:5]))
+def test_assembly_against_zeta_power_oracle(case):
+    p, a, d, e, c, mu, lams, k_max = case
+    pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu)
+    lams = list(range(pr.q - 1)) if lams is None else lams
+    for k in range(1, k_max + 1):
+        sums = classical_sums_multi(pr, k, lams)
+        big = sums[lams[0]].big_ctx
+        V = _character_values(pr, k, _descent_for(pr, big))
+        for li in lams:
+            want = _assemble_by_zeta_powers(big, sums[li].counts, V)
+            assert sums[li].value_big == want, (case, k, li)
 
 
 def test_joint_histogram_rule():

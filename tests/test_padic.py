@@ -5,14 +5,45 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from twistnp.padic import (
     RamifiedElem,
     Valuation,
     make_context,
-    smallest_irreducible,
+    poly_divmod,
+    poly_mul,
+    poly_mul_mod,
     poly_pow_mod,
+    poly_trim,
+    smallest_irreducible,
     zeta_p_power,
 )
+
+
+def _schoolbook_mul(x: RamifiedElem, y: RamifiedElem) -> RamifiedElem:
+    """The earlier product: a (p-1)^2 double loop of ``ZqContext.mul``,
+    then each pi_1^(p-1+t) folded back by ``pi_xpow_table``."""
+    ctx = x.ctx
+    n = ctx.p - 1
+    prod = [ctx.zero()] * (2 * n - 1)
+    for i, a in enumerate(x.comps):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(y.comps):
+            if not b.is_zero():
+                prod[i + j] = prod[i + j] + ctx.mul(a, b)
+    table = ctx.pi_xpow_table()
+    out = list(prod[:n])
+    for t in range(n - 1):
+        c = prod[n + t]
+        if c.is_zero():
+            continue
+        row = table[t]
+        for i in range(n):
+            if row[i]:
+                out[i] = out[i] + c * row[i]
+    return RamifiedElem(ctx, tuple(out))
 
 
 def test_smallest_irreducible_examples():
@@ -194,3 +225,76 @@ def test_ramified_mul_matches_integer_model():
     expected = [int(rem.coeff(x, k)) % ctx.pM for k in range(4)]
     got = [c.coeffs[0] for c in (a * b).comps]
     assert got == expected
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 29, 43])
+@pytest.mark.parametrize("deg", [1, 2, 3, 5])
+def test_packed_product_against_schoolbook(p, deg):
+    rng = random.Random(p * 100 + deg)
+    for M in (1, rng.randrange(2, 20), 20):
+        ctx = make_context(p, deg, M)
+        n, top = p - 1, ctx.pM - 1
+
+        def elem(draw):
+            return RamifiedElem(ctx, [ctx.elem([draw() for _ in range(deg)])
+                                      for _ in range(n)])
+
+        # all coefficients p^M - 1: the most carries a slot can take
+        pairs = [(elem(lambda: top), elem(lambda: top))]
+        pairs += [(elem(lambda: rng.randrange(ctx.pM)), elem(lambda: rng.randrange(ctx.pM)))
+                  for _ in range(3)]
+        sparse = [ctx.zero()] * n
+        sparse[n - 1] = ctx.elem([top] * deg)
+        pairs.append((RamifiedElem(ctx, sparse), elem(lambda: top)))
+        pairs.append((ctx.ram_zero(), elem(lambda: top)))
+        for x, y in pairs:
+            got = x * y
+            assert got == _schoolbook_mul(x, y), (p, deg, M)
+            assert all(type(c) is int and 0 <= c < ctx.pM
+                       for z in got.comps for c in z.coeffs)
+
+
+def test_poly_divmod_and_products():
+    p = 7
+    rng = random.Random(3)
+    modulus = smallest_irreducible(p, 3)
+
+    def pad(t, n):
+        return tuple(t) + (0,) * (n - len(t))
+
+    for _ in range(30):
+        a = tuple(rng.randrange(p) for _ in range(rng.randrange(0, 7)))
+        b = tuple(rng.randrange(p) for _ in range(rng.randrange(0, 5)))
+        q, r = poly_divmod(a, modulus, p)
+        qm = poly_mul(q, modulus, p)
+        n = max(len(qm), len(r), len(a))
+        total = tuple((x + y) % p for x, y in zip(pad(qm, n), pad(r, n)))
+        assert poly_trim(total) == poly_trim(a)  # a = q * modulus + r
+        assert len(r) < len(modulus)  # deg r < deg modulus
+        assert poly_mul_mod(a, b, modulus, p) == poly_divmod(poly_mul(a, b, p), modulus, p)[1]
+
+
+def test_eval_int_poly_and_lift_root():
+    ctx = make_context(7, 2, 9)
+    rng = random.Random(11)
+    coeffs = [rng.randrange(-50, 50) for _ in range(5)]
+    z = ctx.elem((rng.randrange(ctx.pM), rng.randrange(ctx.pM)))
+    val, deriv = ctx.eval_int_poly(coeffs, z)
+    assert val == sum((ctx.pow(z, i) * c for i, c in enumerate(coeffs)), ctx.zero())
+    assert deriv == sum((ctx.pow(z, i - 1) * (i * c) for i, c in enumerate(coeffs) if i),
+                        ctx.zero())
+    # the Frobenius image of X is the lifted root of the modulus near X^p
+    root = ctx.lift_root(ctx.modulus, ctx.pow(ctx.elem((0, 1)), 7))
+    assert ctx.eval_int_poly(ctx.modulus, root)[0].is_zero()
+    assert root.coeffs == ctx.frobenius_matrix()[1]
+
+
+def test_zeta_basis_columns_are_zeta_powers():
+    for (p, deg, M) in [(3, 1, 4), (5, 1, 6), (7, 2, 5), (29, 1, 12)]:
+        ctx = make_context(p, deg, M)
+        basis = ctx.zeta_basis()
+        assert basis.shape == (p - 1, p)
+        for r in range(p):
+            comps = zeta_p_power(ctx, r).comps
+            assert [z.coeffs[0] for z in comps] == basis[:, r].tolist()
+            assert all(not any(z.coeffs[1:]) for z in comps)
