@@ -9,8 +9,8 @@ dwork     T-adic polygon, truncation certificate, trace-formula check
 verify    run a grid, append one record per tuple, enforce the theorems
 sweep     like verify, but records only (no theorem gate)
 
-Exit codes: 0 ok, 1 theorem violation, 2 bad input, 3 precision or
-truncation failure.
+Exit codes: 0 ok, 1 theorem violation (a failed cross-check included),
+2 bad input, 3 precision or truncation failure.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from fractions import Fraction
 
 import sympy
 
-from .dwork import TruncationError, np_T, trace_consistency
+from .dwork import DworkConsistencyError, TruncationError, np_T, trace_consistency
 from .hasse import hasse_certificate
 from .lfunction import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    DescentError,
     classical_sums_by_lambda,
     l_polynomial,
     newton_polygon_classical,
@@ -147,6 +148,7 @@ def cmd_dwork(args) -> int:
     if args.trace_k > 0:
         reports = trace_consistency(params, args.trace_k, args.J,
                                     N=res.verdict.N if args.big_n else None,
+                                    O=res.verdict.O if args.big_o else None,
                                     M=args.precision, mat=res.matrix)
     P = lower_bound_polygon(params, n_max)
     out = {
@@ -169,7 +171,7 @@ def cmd_dwork(args) -> int:
                                               res.polygon.restrict(params.d)).ok,
         }
     _emit(out, args)
-    return EXIT_OK
+    return EXIT_OK if all(r.ok for r in reports) else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +580,9 @@ def main(argv=None) -> int:
     except (TruncationError, PrecisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECISION
+    except (DworkConsistencyError, DescentError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -261,6 +261,9 @@ class SubfieldDescent:
         self.p = params.p
         self.base = make_context(params.p, params.a, big.M)
         self.embed_exponent = self._find_embedding_exponent(params)
+        # the base generator's residue image: lambda index l maps to its l-th power
+        self._lam_base = poly_pow_mod(big.generator, self.embed_exponent,
+                                      big.modulus, big.p)
         self._build_basis()
 
     def _find_embedding_exponent(self, params: Params) -> int:
@@ -391,12 +394,20 @@ class SubfieldDescent:
     def descend_ram(self, elem: RamifiedElem) -> RamifiedElem:
         return RamifiedElem(self.base, tuple(self.descend_zq(c) for c in elem.comps))
 
-    def lambda_residue(self, lam_index: int):
-        """Residue vector of the embedded binomial coefficient."""
-        big = self.big
-        Q1 = big.p**big.deg - 1
-        exp = (self.embed_exponent * lam_index) % Q1
-        return poly_pow_mod(big.generator, exp, big.modulus, big.p)
+    def lambda_residues(self, lam_indices: list[int]) -> list[tuple[int, ...]]:
+        """Residue vectors of the embedded binomial coefficients.
+
+        Index l maps to the l-th power of the base generator's image, which
+        has order dividing q - 1.  One walk through those powers, over the
+        sorted indices, makes fewer than q products.
+        """
+        big, q = self.big, self.p**self.a
+        found, res, at = {}, (1,), 0
+        for lam in sorted({li % (q - 1) for li in lam_indices}):
+            for _ in range(lam - at):
+                res = poly_mul_mod(res, self._lam_base, big.modulus, big.p)
+            found[lam], at = res, lam
+        return [found[li % (q - 1)] for li in lam_indices]
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +460,7 @@ def classical_sums_multi(params: Params, k: int, lam_indices: list[int],
         raise BudgetExceededError(size + 1, budget)
     big = make_context(params.p, m, M)
     descent = _descent_for(params, big)
-    lam_vecs = [descent.lambda_residue(li) for li in lam_indices]
+    lam_vecs = descent.lambda_residues(lam_indices)
     counts = trace_count_matrix(params.p, m, big, lam_vecs,
                                 params.d, params.e, params.c)
     V = _character_values(params, k, descent)
@@ -521,7 +532,7 @@ def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
     g_teich = big.teichmuller(big.generator)
     omega_d = big.pow(g_teich, params.d)
     omega_e = big.pow(g_teich, params.e)
-    lam_hat = big.teichmuller(descent.lambda_residue(params.lam_index))
+    lam_hat = big.teichmuller(descent.lambda_residues([params.lam_index])[0])
     xd = big.one()
     xe = big.one()
     acc = [[0] * (J + 1) for _ in range(params.c)]

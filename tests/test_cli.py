@@ -14,7 +14,7 @@ import pytest
 import twistnp
 from twistnp.cli import main
 from twistnp.hasse import hasse_number
-from twistnp.polygon import Params
+from twistnp.polygon import Params, hodge_polygon
 
 
 def _run(capsys, argv):
@@ -221,11 +221,78 @@ def test_dwork_trace_check_reuses_the_operator(capsys, monkeypatch):
     assert code == 0
     assert all(r["ok"] for r in json.loads(out)["trace_consistency"])
     assert len(builds) == 1
-    # an order O the check does not use: it builds its own operator
+    # an order O given on the command line reaches the check as well
+    for order in ("18", "20"):
+        code, out = _run(capsys, ["dwork", "--p", "11", "--d", "3", "--e", "2",
+                                  "--O", order, "--trace-k", "2", "--J", "4"])
+        assert code == 0
+        assert all(r["ok"] for r in json.loads(out)["trace_consistency"])
+        assert builds[-1][1] == int(order)
+    assert len(builds) == 3
+
+
+def _off_by_one_tadic_sums(monkeypatch):
+    import twistnp.dwork as dwork
+
+    real = dwork.exp_sum_Tadic
+
+    def off_by_one(*args, **kwargs):
+        s = real(*args, **kwargs)
+        s.coeffs[1] = s.coeffs[1] + 1
+        return s
+
+    monkeypatch.setattr(dwork, "exp_sum_Tadic", off_by_one)
+
+
+def test_dwork_trace_mismatch_exits_1(capsys, monkeypatch):
+    _off_by_one_tadic_sums(monkeypatch)
     code, out = _run(capsys, ["dwork", "--p", "11", "--d", "3", "--e", "2",
-                              "--O", "18", "--trace-k", "2", "--J", "4"])
+                              "--trace-k", "1"])
+    assert code == 1
+    assert json.loads(out)["trace_consistency"] == [
+        {"k": 1, "checked_order": 5, "ok": False}]
+
+
+def test_verify_records_a_trace_mismatch(tmp_path, capsys, monkeypatch):
+    _off_by_one_tadic_sums(monkeypatch)
+    out_file = tmp_path / "trace.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "verify", "--d", "3",
+                            "--e", "2", "--primes", "11", "--dwork",
+                            "--trace-k", "1"])
+    assert code == 1
+    (rec,) = [json.loads(x) for x in out_file.read_text().splitlines()]
+    assert rec["status"] == "ok"
+    assert rec["trace_consistency"] is False
+    assert rec["violations"] == ["trace formula mismatch"]
+
+
+def test_consistency_errors_exit_1(capsys, monkeypatch):
+    import twistnp.dwork as dwork
+    from twistnp.dwork import PiSeries
+
+    real = dwork.char_series
+
+    def corrupt_c2(mat, n_max):
+        coeffs = real(mat, n_max)
+        coeffs[2] = coeffs[2] + PiSeries.one(mat.ctx, coeffs[2].order, coeffs[2].D)
+        return coeffs
+
+    monkeypatch.setattr(dwork, "char_series", corrupt_c2)
+    code = main(["dwork", "--p", "11", "--d", "3", "--e", "2", "--trace-k", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: Tr(A^2) from A and from the")
+    assert captured.err.count("\n") == 1
+
+
+def test_dwork_past_p(capsys):
+    # n_max = d = 4 >= p = 3: the characteristic series never divides
+    code, out = _run(capsys, ["dwork", "--p", "3", "--d", "4", "--e", "1"])
     assert code == 0
-    assert len(builds) == 3 and builds[1] != builds[2]
+    values = [Fraction(v) for _, v in json.loads(out)["np_T"]["vertices"]]
+    H = hodge_polygon(Params(p=3, a=1, d=4, e=1, c=1, mu=1), 4)
+    assert all(v >= h for v, h in zip(values, H.values))
+    assert values[4] == H.value(4)
 
 
 def test_verify_anchor_grid_all_lambdas(tmp_path, capsys):
@@ -307,3 +374,14 @@ def test_module_entrypoint_runs():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == 1
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracing.py wraps functions by name; a rename must fail here
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import tracing; "
+            "tracing.install(tracing.Tracer())")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(root, "perfbench"),
+         os.path.join(root, "src")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -22,11 +24,78 @@ from twistnp.dwork import (
     trace_consistency,
     truncation_certificate,
 )
+from twistnp.combinatorics import perm_sign
 from twistnp.lfunction import newton_polygon_classical
 from twistnp.padic import make_context
-from twistnp.polygon import Params, lies_above, lower_bound_polygon
+from twistnp.polygon import Params, hodge_polygon, lies_above, lower_bound_polygon
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# oracles for the characteristic series: repeated matrix products with the
+# Newton identities (they divide by k, so they need p > n_max), and the
+# exhaustive sum of principal minors
+
+
+def _mat_mul(A, B):
+    n = len(A)
+    zero = A[0][0].copy_with({})
+    return [[sum((A[i][t] * B[t][j] for t in range(n)), zero) for j in range(n)]
+            for i in range(n)]
+
+
+def _product_traces(mat, n_max):
+    """Tr(A^k) for k = 1..n_max, one matrix product per k."""
+    zero = mat.entries[0][0].copy_with({})
+    traces, power = [None], mat.entries
+    for k in range(1, n_max + 1):
+        if k > 1:
+            power = _mat_mul(power, mat.entries)
+        traces.append(sum((power[w][w] for w in range(mat.N)), zero))
+    return traces
+
+
+def _newton_series(mat, traces):
+    """det(1 - A s) to s^n from the traces t_1..t_n, dividing by k <= n."""
+    zero = mat.entries[0][0].copy_with({})
+    coeffs = [PiSeries.one(mat.ctx, zero.order, zero.D)]
+    for k in range(1, len(traces)):
+        acc = sum((traces[j] * coeffs[k - j] for j in range(1, k + 1)), zero)
+        coeffs.append(acc.negate() * pow(k, -1, mat.ctx.pM))
+    return coeffs
+
+
+def _det(m):
+    """Permutation expansion, pruned where a partial product vanishes."""
+    k = len(m)
+    zero = m[0][0].copy_with({})
+
+    def expand(i, used, term, sign):
+        if i == k:
+            return term * sign
+        total = zero
+        for t in range(k):
+            if t in used:
+                continue
+            prod = term * m[i][t]
+            if not prod.is_zero():
+                flips = sum(1 for u in used if u > t)  # inversions t adds
+                total = total + expand(i + 1, used | {t}, prod, sign * (-1) ** flips)
+        return total
+
+    return expand(0, frozenset(), PiSeries.one(zero.ctx, zero.order, zero.D), 1)
+
+
+def _minor_series(mat, k_max):
+    zero = mat.entries[0][0].copy_with({})
+    coeffs = [PiSeries.one(mat.ctx, zero.order, zero.D)]
+    for k in range(1, k_max + 1):
+        acc = zero
+        for subset in itertools.combinations(range(mat.N), k):
+            acc = acc + _det([[mat.entries[w][i] for i in subset] for w in subset])
+        coeffs.append(acc * (-1) ** k)
+    return coeffs
 
 
 def _gamma_ctx(p=11, a=1):
@@ -110,13 +179,66 @@ def test_psi_matrix_entry_orders_nonnegative():
 def test_char_series_low_coefficients_and_minors_agreement():
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
     mat = psi_a_matrix(pr, 6, 12)
-    coeffs = char_series(mat, 3, "newton")
+    coeffs = char_series(mat, 3)
     assert coeffs[0].terms == {0: mat.ctx.one()}
-    tr = mat.trace_power(1)
-    assert coeffs[1] == tr.negate()
-    alt = char_series(mat, 3, "minors")
-    for x, y in zip(coeffs, alt):
-        assert x == y
+    assert coeffs[1] == _product_traces(mat, 1)[1].negate()
+    assert coeffs == _minor_series(mat, 3)
+    assert coeffs == _newton_series(mat, _product_traces(mat, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def _np_T(tup, n_max):
+    p, a, d, e, c, mu, lam = tup
+    return np_T(Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam), n_max)
+
+
+# (p, a, d, e, c, mu, lambda), n_max, largest minor order checked.  The first
+# five have p > n_max; the last three lie past the reach of the Newton
+# identities, and at N = 32 the (7,1,3,2) minors of order 4 would take minutes.
+ORACLE_GRID = [
+    ((11, 1, 3, 2, 1, 1, 1), 3, 3),
+    ((11, 1, 3, 2, 1, 1, 1), 6, 4),
+    ((13, 1, 3, 1, 1, 1, 2), 3, 3),
+    ((11, 2, 3, 2, 3, 1, 3), 3, 3),  # q = 121
+    ((43, 1, 5, 2, 1, 1, 1), 5, 4),  # the strict instance
+    ((3, 1, 4, 1, 1, 1, 1), 4, 4),
+    ((5, 1, 6, 1, 1, 1, 1), 6, 4),
+    ((7, 1, 3, 2, 1, 1, 1), 8, 3),
+]
+
+
+@pytest.mark.parametrize("tup, n_max, k_minors", ORACLE_GRID,
+                         ids=lambda x: str(x).replace(" ", ""))
+def test_char_series_matches_oracles(tup, n_max, k_minors):
+    res = _np_T(tup, n_max)
+    mat, coeffs = res.matrix, res.coeffs
+    assert len(coeffs) == n_max + 1
+    assert coeffs[:k_minors + 1] == _minor_series(mat, k_minors)
+    if tup[0] > n_max:
+        traces = _product_traces(mat, n_max)
+        assert coeffs == _newton_series(mat, traces)
+        # the traces read off the series are the repeated-product traces
+        assert mat.traces[1:] == traces[1:]
+        assert [mat.trace_power(k) for k in range(1, n_max + 1)] == mat.traces[1:]
+
+
+@pytest.mark.parametrize("tup, n_max", [((3, 1, 4, 1, 1, 1, 1), 4),
+                                        ((5, 1, 6, 1, 1, 1, 1), 6),
+                                        ((7, 1, 3, 2, 1, 1, 1), 8)])
+def test_np_T_past_p_lies_above_hodge(tup, n_max):
+    # n_max >= p: the series never divides, so these are computable
+    res = _np_T(tup, n_max)
+    p, a, d, e, c, mu, lam = tup
+    H = hodge_polygon(Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam), n_max)
+    assert lies_above(res.polygon, H).ok
+    assert res.polygon.value(d) == H.value(d)
+
+
+def test_trace_power_extends_the_series():
+    pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
+    mat = psi_a_matrix(pr, 6, 12)
+    assert mat.trace_power(4) == _product_traces(mat, 4)[4]
+    assert len(mat.traces) == 5
 
 
 def test_truncation_certificate():
@@ -233,6 +355,22 @@ def test_trace_consistency_twisted_b2():
     pr = Params(p=11, a=2, d=3, e=2, c=3, mu=1, lam_index=11)
     reports = trace_consistency(pr, k_max=1, J=4)
     assert all(r.ok for r in reports)
+
+
+def test_trace_consistency_reports_a_mismatch(monkeypatch):
+    import twistnp.dwork as dwork
+
+    real = dwork.exp_sum_Tadic
+
+    def off_by_one(*args, **kwargs):
+        s = real(*args, **kwargs)
+        s.coeffs[1] = s.coeffs[1] + 1
+        return s
+
+    monkeypatch.setattr(dwork, "exp_sum_Tadic", off_by_one)
+    pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
+    reports = trace_consistency(pr, k_max=2, J=4)
+    assert [(r.ok, r.agree_order) for r in reports] == [(False, 1), (False, 1)]
 
 
 def test_non_unit_case_tadic_polygon():

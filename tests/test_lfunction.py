@@ -138,7 +138,7 @@ def test_trace_count_matrix_against_per_lambda_oracle(case):
     lams = list(range(pr.q - 1)) if lams is None else lams
     for k in range(1, k_max + 1):
         big = make_context(p, a * k, pr.a * pr.d + 8)
-        lam_vecs = [_descent_for(pr, big).lambda_residue(li) for li in lams]
+        lam_vecs = _descent_for(pr, big).lambda_residues(lams)
         got = trace_count_matrix(p, a * k, big, lam_vecs, d, e, c, block=block)
         want = _per_lambda_counts(p, a * k, big.modulus, big.generator,
                                   lam_vecs, d, e, c, block=block)
@@ -198,6 +198,18 @@ def test_joint_histogram_rule():
     # the bound is inclusive: exactly one block's worth of bins
     assert joint_histogram_fits(127, 1, 1, 1, 127**2)
     assert not joint_histogram_fits(127, 1, 1, 1, 127**2 - 1)
+
+
+@pytest.mark.parametrize("p, a, k", [(11, 1, 1), (11, 1, 3), (11, 2, 2), (5, 2, 1)])
+def test_lambda_residues_are_powers_of_the_embedded_generator(p, a, k):
+    pr = Params(p=p, a=a, d=3, e=2, c=1, mu=1)
+    big = make_context(p, a * k, pr.a * pr.d + 8)
+    descent = _descent_for(pr, big)
+    Q1 = p**(a * k) - 1
+    lams = [7, 0, pr.q - 2, 3, 7, pr.q + 4, 1]  # unsorted, repeated, past q - 1
+    want = [poly_pow_mod(big.generator, descent.embed_exponent * li % Q1,
+                         big.modulus, p) for li in lams]
+    assert descent.lambda_residues(lams) == want
 
 
 def test_character_orthogonality():
