@@ -4,9 +4,11 @@ Subcommands
 -----------
 polygon   assignment lower bound and Hodge bound, slopes included
 hasse     Hasse-number certificate and the integral constant
-lfunc     classical L-polynomial valuations and Newton polygon
+lfunc     classical L-polynomial valuations and Newton polygon, from every
+          sum S_1..S_d
 dwork     T-adic polygon, truncation certificate, trace-formula check
-verify    run a grid, append one record per tuple, enforce the theorems
+verify    run a grid, append one record per tuple, enforce the theorems;
+          the classical polygon comes by its ``classical_route``
 sweep     like verify, but records only (no theorem gate)
 
 Exit codes: 0 ok, 1 theorem violation (a failed cross-check included),
@@ -33,9 +35,12 @@ from .lfunction import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     DescentError,
-    classical_sums_by_lambda,
+    FunctionalEquationError,
+    classical_l_function,
+    classical_route,
     l_polynomial,
     newton_polygon_classical,
+    route_sums_by_lambda,
 )
 from .padic import PrecisionError
 from .polygon import Params, Polygon, hodge_polygon, lies_above, lower_bound_polygon
@@ -151,13 +156,15 @@ def cmd_dwork(args) -> int:
                                     O=res.verdict.O if args.big_o else None,
                                     M=args.precision, mat=res.matrix)
     P = lower_bound_polygon(params, n_max)
+    # the assignment bound is a theorem only past the monotonicity threshold
+    above = lies_above(res.polygon, P).ok if params.monotone_bound_ok() else None
     out = {
         "schema": SCHEMA,
         "params": params.key(),
         "certificate": {"N": res.verdict.N, "O": res.verdict.O, "ok": True},
         "np_T": _poly_json(res.polygon),
         "np_T_slopes": _slopes_json(res.polygon),
-        "lies_above_lower_bound": lies_above(res.polygon, P).ok,
+        "lies_above_lower_bound": above,
         "trace_consistency": [
             {"k": r.k, "checked_order": r.checked_order, "ok": r.ok}
             for r in reports
@@ -166,7 +173,7 @@ def cmd_dwork(args) -> int:
     if args.sandwich:
         np_classical = newton_polygon_classical(params, args.precision, args.budget)
         out["sandwich"] = {
-            "P_below_npT": lies_above(res.polygon, P).ok,
+            "P_below_npT": above,
             "npT_below_classical": lies_above(np_classical,
                                               res.polygon.restrict(params.d)).ok,
         }
@@ -243,27 +250,36 @@ def _lambda_indices(args, q) -> list[int]:
     raise ValueError(f"bad lambda policy {policy!r}")
 
 
+def enum_route(tup):
+    """The classical route of a tuple and the largest field it enumerates,
+    which is what the budget gates."""
+    p, a, d, _, c, _, _ = tup
+    route = classical_route(d, c)
+    return route.name, route.field_size(p, a)
+
+
 def shared_pass(tups, precision=None, budget=DEFAULT_BUDGET):
     """The work the records of one (p, a, d, e, c, mu) group share.
 
     Returns ``(result, error, per_record_s)``.  ``result`` holds the
     lower-bound and Hodge polygons, the Hasse certificate and each
-    lambda's sums S_1..S_d, from one enumeration pass per k; ``error`` is
-    the exception computing them raised instead, which each record
-    re-raises where its own computation would have met it.  The pass's
-    time is split evenly over the group's records.
+    lambda's sums for its route (``route_sums_by_lambda``), from one
+    enumeration pass per k; ``error`` is the exception computing them
+    raised instead, which each record re-raises where its own computation
+    would have met it.  The pass's time is split evenly over the group's
+    records.
     """
     t0 = time.monotonic()
     p, a, d, e, c, mu, _ = tups[0]
     result = error = None
-    if p**(a * d) <= budget:  # otherwise every record is skipped:budget
+    if enum_route(tups[0])[1] <= budget:  # otherwise every record is skipped:budget
         try:
             params = Params(p=p, a=a, d=d, e=e, c=c, mu=mu)
             lams = list(dict.fromkeys(tup[6] for tup in tups))
             result = (lower_bound_polygon(params, 3 * d),
                       hodge_polygon(params, 3 * d),
                       hasse_certificate(params),
-                      classical_sums_by_lambda(params, lams, precision, budget))
+                      route_sums_by_lambda(params, lams, precision, budget))
         except Exception as exc:  # each record re-raises it
             error = exc
     return result, error, (time.monotonic() - t0) / len(tups)
@@ -281,13 +297,13 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
     t0 = time.monotonic()
     params = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
     key = params.key()
+    route, field_size = enum_route(tup)
     rec = {
         "schema": SCHEMA, "key": key,
         "p": p, "a": a, "d": d, "e": e, "c": c, "mu": mu,
         "lambda_index": lam, "b": params.b, "u": params.u,
-        "status": "ok",
+        "status": "ok", "route": route, "enum_field": field_size,
     }
-    field_size = p**(a * d)
     if field_size > budget:
         rec["status"] = "skipped:budget"
         rec["needed_budget"] = field_size
@@ -297,7 +313,7 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
         if error is not None:
             raise error
         P, H, cert, sums = result
-        data = l_polynomial(params, precision, budget, _sums=sums[lam])
+        data = classical_l_function(params, precision, budget, _sums=sums[lam])
         np_poly = newton_polygon_classical(params, data=data)
     except (PrecisionError, TruncationError) as exc:
         rec["status"] = f"error:precision:{exc}"
@@ -580,7 +596,7 @@ def main(argv=None) -> int:
     except (TruncationError, PrecisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECISION
-    except (DworkConsistencyError, DescentError) as exc:
+    except (DworkConsistencyError, DescentError, FunctionalEquationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VIOLATION
 

@@ -11,6 +11,12 @@ map over F_p, so blocks of powers come from small matrix products.
 Sums over F_{q^k} live in Z_{q^k}[pi_1] but are Frobenius-invariant; they
 are descended to the base Z_q[pi_1] by solving against a Hensel-lifted
 subfield basis, which doubles as the invariance check.
+
+The classical polygon needs only about half the sums: the L-function is
+pure of weight 1, so its top coefficients' valuations are those of the
+bottom ones reflected (``classical_route``).  ``l_polynomial`` still
+computes every coefficient from S_1..S_d, and is the oracle of the
+reflection.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .padic import (
     poly_pow_mod,
     poly_trim,
 )
-from .polygon import Params, Polygon, lower_convex_hull
+from .polygon import Params, Polygon, hodge_polygon, lower_convex_hull
 
 #: Default cap on field size for a single exponential sum.
 DEFAULT_BUDGET = 2 * 10**7
@@ -52,6 +58,10 @@ class BudgetExceededError(RuntimeError):
 
 class DescentError(ArithmeticError):
     """A sum failed to lie in the base subring (Frobenius invariance)."""
+
+
+class FunctionalEquationError(ArithmeticError):
+    """A computed coefficient disagrees with its reflection."""
 
 
 def default_precision(params: Params) -> int:
@@ -423,6 +433,7 @@ class ClassicalSum:
     counts: np.ndarray  # (p, c) int64
     value_big: RamifiedElem
     value: RamifiedElem  # descended to the base context
+    conj_value: RamifiedElem | None = None  # the complex conjugate, descended
 
 
 def _character_values(params: Params, k: int, descent: SubfieldDescent):
@@ -450,9 +461,14 @@ def _assemble_from_counts(big: ZqContext, counts: np.ndarray, V: list[ZqElem]):
 
 
 def classical_sums_multi(params: Params, k: int, lam_indices: list[int],
-                         M: int | None = None,
-                         budget: int = DEFAULT_BUDGET) -> dict[int, ClassicalSum]:
-    """Classical sums over F_{q^k} for several binomial coefficients at once."""
+                         M: int | None = None, budget: int = DEFAULT_BUDGET,
+                         conjugate: bool = False) -> dict[int, ClassicalSum]:
+    """Classical sums over F_{q^k} for several binomial coefficients at once.
+
+    With ``conjugate`` each sum also gets its complex conjugate, the sum of
+    the conjugate characters chi^-1 and psi^-1.  It comes from the same
+    counts: the count of (trace r, class mm) weighs zeta_p^-r V_-mm.
+    """
     M = M or default_precision(params)
     m = params.a * k
     size = params.p**m - 1
@@ -464,12 +480,19 @@ def classical_sums_multi(params: Params, k: int, lam_indices: list[int],
     counts = trace_count_matrix(params.p, m, big, lam_vecs,
                                 params.d, params.e, params.c)
     V = _character_values(params, k, descent)
+    negate_r = -np.arange(params.p) % params.p
+    V_conj = [V[-mm % params.c] for mm in range(params.c)]
     out = {}
     for li, lam_index in enumerate(lam_indices):
         big_val = _assemble_from_counts(big, counts[li], V)
+        conj = None
+        if conjugate:
+            conj = descent.descend_ram(
+                _assemble_from_counts(big, counts[li][negate_r], V_conj))
         out[lam_index] = ClassicalSum(k=k, big_ctx=big, counts=counts[li],
                                       value_big=big_val,
-                                      value=descent.descend_ram(big_val))
+                                      value=descent.descend_ram(big_val),
+                                      conj_value=conj)
     return out
 
 
@@ -496,7 +519,7 @@ def classical_sums_by_lambda(params: Params, lam_indices: list[int],
     ``params.lam_index`` plays no part: the sums are those of the binomials
     whose coefficient indices are ``lam_indices``.
     """
-    _require_p_above_d(params)
+    _require_p_above(params, params.d)
     by_k = [classical_sums_multi(params, k, lam_indices, M, budget)
             for k in range(1, params.d + 1)]
     return {li: [sums[li].value for sums in by_k] for li in lam_indices}
@@ -563,23 +586,129 @@ def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
 # the L-polynomial and its polygon
 
 
+FUNCTIONAL_EQUATION = "functional-equation"
+FUNCTIONAL_EQUATION_CONJUGATE = "functional-equation-conjugate"
+FULL_ENUMERATION = "full-enumeration"
+
+
+@dataclass(frozen=True)
+class Route:
+    """How the classical polygon of one (d, c) is computed.
+
+    ``deg`` is the degree of the L-function whose coefficients are
+    computed, and S_1..S_k_max are the sums enumerated for it.
+    """
+
+    name: str
+    deg: int
+    k_max: int
+
+    def field_size(self, p: int, a: int) -> int:
+        """The largest field the route enumerates, F_{q^k_max}."""
+        return p**(a * self.k_max)
+
+
+def classical_route(d: int, c: int) -> Route:
+    """The route to the classical polygon for degree d and character order c.
+
+    For p not dividing d the L-function is pure of weight 1, so its roots
+    pair as alpha <-> q/conj(alpha).  With deg its degree and w = v(l_deg),
+    which is HP(d) since the Newton and Hodge polygons share end points,
+    that reads v(l_{deg-i}) = w - i + v(l'_i), with l' the coefficients of
+    the complex-conjugate L-function.  So S_1..S_h, h = floor(deg/2), give
+    l_0..l_h and the reflection gives the rest; S_{h+1} gives l_{h+1} both
+    ways, as a certificate (``classical_l_function``).
+
+    * c = 1: the A^1 L-function, of degree d - 1, whose sums are S_k + 1;
+      the classical L-function is (1 - s) times it.  Its coefficients lie
+      in Q(zeta_p), whose one prime above p conjugation fixes, so l' has
+      the valuations of l.
+    * c = 2: the same with deg = d, the character being real.
+    * c >= 3, d odd: deg = d, and l' comes from the conjugate sums.
+    * c >= 3, d even: every S_1..S_d is enumerated.
+    """
+    if c == 1:
+        deg = d - 1
+    elif c == 2 or d % 2:
+        deg = d
+    else:
+        return Route(FULL_ENUMERATION, d, d)
+    name = FUNCTIONAL_EQUATION_CONJUGATE if c >= 3 else FUNCTIONAL_EQUATION
+    return Route(name, deg, deg // 2 + 1)
+
+
+def route_sums_by_lambda(params: Params, lam_indices: list[int],
+                         M: int | None = None, budget: int = DEFAULT_BUDGET):
+    """The sums each coefficient's route needs, one pass per k for all.
+
+    Returns ``{lam: (sums, conj_sums)}``: S_1..S_k_max, and on the
+    conjugate route the complex conjugates S'_1..S'_h, otherwise None.
+    """
+    route = classical_route(params.d, params.c)
+    if route.name == FULL_ENUMERATION:
+        full = classical_sums_by_lambda(params, lam_indices, M, budget)
+        return {li: (sums, None) for li, sums in full.items()}
+    _require_p_above(params, route.k_max)
+    conj = route.name == FUNCTIONAL_EQUATION_CONJUGATE
+    by_k = [classical_sums_multi(params, k, lam_indices, M, budget,
+                                 conjugate=conj and k < route.k_max)
+            for k in range(1, route.k_max + 1)]
+    return {li: ([s[li].value for s in by_k],
+                 [s[li].conj_value for s in by_k[:-1]] if conj else None)
+            for li in lam_indices}
+
+
 @dataclass
 class LFunctionData:
+    """Coefficients of an L-polynomial and their valuations.
+
+    From ``l_polynomial``, ``sums`` are S_1..S_d and ``coeffs`` l_0..l_d.
+    From a functional-equation route they are the computed low half of
+    the route's L-function, S_1..S_{h+1} and l_0..l_{h+1}, while
+    ``valuations`` covers l_0..l_deg, past l_h by reflection.  For c = 1
+    that L-function is the A^1 one, of degree d - 1.
+    """
+
     params: Params
     M: int
-    sums: list[RamifiedElem]  # S_1..S_d over the base context
-    coeffs: list[RamifiedElem]  # l_0..l_d
+    sums: list[RamifiedElem]
+    coeffs: list[RamifiedElem]
     valuations: list[Fraction | None]  # pi-units; None when below precision
+    route: str = FULL_ENUMERATION
 
     def newton_points(self) -> list[tuple[int, Fraction | None]]:
         scale = self.params.a * (self.params.p - 1)
-        return [(n, None if v is None else v / scale)
-                for n, v in enumerate(self.valuations)]
+        pts = [(n, None if v is None else v / scale)
+               for n, v in enumerate(self.valuations)]
+        if len(pts) == self.params.d:  # the A^1 L-function: times 1 - s
+            pts = [(0, Fraction(0))] + [(n + 1, v) for n, v in pts]
+        return pts
 
 
-def _require_p_above_d(params: Params) -> None:
-    if params.p <= params.d:
-        raise ValueError("need p > d so the exponential recurrence divides by units")
+def _require_p_above(params: Params, n: int) -> None:
+    if params.p <= n:
+        raise ValueError(f"need p > {n} so the exponential recurrence "
+                         f"divides by units")
+
+
+def _exp_coeffs(sums: list[RamifiedElem]) -> list[RamifiedElem]:
+    """l_0..l_n of exp(sum_k S_k s^k / k) from S_1..S_n."""
+    base = sums[0].ctx
+    coeffs = [base.ram_one()]
+    for n in range(1, len(sums) + 1):
+        acc = base.ram_zero()
+        for k in range(1, n + 1):
+            acc = acc + sums[k - 1] * coeffs[n - k]
+        coeffs.append(acc.divide_by_unit_int(n))
+    return coeffs
+
+
+def _pi_valuations(coeffs: list[RamifiedElem], p: int) -> list[Fraction | None]:
+    out = []
+    for coeff in coeffs:
+        v = coeff.valuation()
+        out.append(v.pi_units(p) if v.exact else None)
+    return out
 
 
 def l_polynomial(params: Params, M: int | None = None,
@@ -587,36 +716,87 @@ def l_polynomial(params: Params, M: int | None = None,
                  _sums: list[RamifiedElem] | None = None) -> LFunctionData:
     """Coefficients of exp(sum_k S_k s^k / k) up to degree d."""
     M = M or default_precision(params)
-    _require_p_above_d(params)
+    _require_p_above(params, params.d)
     if _sums is None:
         sums = classical_sums_by_lambda(params, [params.lam_index], M,
                                         budget)[params.lam_index]
     else:
         sums = _sums
-    base = sums[0].ctx
-    coeffs = [base.ram_one()]
-    for n in range(1, params.d + 1):
-        acc = base.ram_zero()
-        for k in range(1, n + 1):
-            acc = acc + sums[k - 1] * coeffs[n - k]
-        coeffs.append(acc.divide_by_unit_int(n))
-    vals: list[Fraction | None] = []
-    for coeff in coeffs:
-        v = coeff.valuation()
-        vals.append(v.pi_units(params.p) if v.exact else None)
-    return LFunctionData(params=params, M=M, sums=sums, coeffs=coeffs, valuations=vals)
+    coeffs = _exp_coeffs(sums)
+    return LFunctionData(params=params, M=M, sums=sums, coeffs=coeffs,
+                         valuations=_pi_valuations(coeffs, params.p))
+
+
+def reflect_valuations(low: list[Fraction | None], conj: list[Fraction | None],
+                       deg: int, top: Fraction, step: int,
+                       cap: Fraction) -> list[Fraction | None]:
+    """Valuations of l_0..l_deg: ``low`` gives l_0..l_h, and past l_h
+    v(l_{deg-i}) = top - i * step + v(l'_i), with l'_i from ``conj``.
+
+    All in pi-units, None for a coefficient that vanishes mod p^M.  A
+    reflected value is None too when l'_i is, or when it reaches ``cap``:
+    since top - i * step >= 0, precision M could not certify the
+    coefficient on the full route either.
+    """
+    out = list(low)
+    for n in range(len(low), deg + 1):
+        v = conj[deg - n]
+        mirrored = None if v is None else top - (deg - n) * step + v
+        out.append(mirrored if mirrored is not None and mirrored < cap else None)
+    return out
+
+
+def classical_l_function(params: Params, M: int | None = None,
+                         budget: int = DEFAULT_BUDGET,
+                         _sums=None) -> LFunctionData:
+    """The classical L-function's valuations by its ``classical_route``.
+
+    ``_sums`` is one coefficient's entry of ``route_sums_by_lambda``.  On
+    a functional-equation route, l_{h+1} is both computed and reflected;
+    the two valuations, each capped at the precision, must agree, or
+    ``FunctionalEquationError`` is raised.
+    """
+    M = M or default_precision(params)
+    route = classical_route(params.d, params.c)
+    if route.name == FULL_ENUMERATION:
+        return l_polynomial(params, M, budget, None if _sums is None else _sums[0])
+    if _sums is None:
+        _sums = route_sums_by_lambda(params, [params.lam_index], M,
+                                     budget)[params.lam_index]
+    sums, conj_sums = _sums
+    p, h = params.p, route.k_max - 1
+    if params.c == 1:  # the A^1 sums gain x = 0, where psi(0) = 1
+        one = sums[0].ctx.ram_one()
+        sums = [s + one for s in sums]
+    coeffs = _exp_coeffs(sums)
+    low = _pi_valuations(coeffs, p)
+    conj = low if conj_sums is None else _pi_valuations(_exp_coeffs(conj_sums), p)
+    step = params.a * (p - 1)
+    top = hodge_polygon(params, params.d).value(params.d) * step
+    vals = reflect_valuations(low[:h + 1], conj, route.deg, top, step,
+                              Fraction(M * (p - 1)))
+    if vals[h + 1] != low[h + 1]:
+        raise FunctionalEquationError(
+            f"l_{h + 1} has valuation {low[h + 1]} computed and {vals[h + 1]} "
+            f"reflected (pi-units, None past precision M={M})")
+    return LFunctionData(params=params, M=M, sums=sums, coeffs=coeffs,
+                         valuations=vals, route=route.name)
 
 
 def newton_polygon_classical(params: Params, M: int | None = None,
                              budget: int = DEFAULT_BUDGET,
                              data: LFunctionData | None = None) -> Polygon:
-    """Newton polygon of the L-polynomial on [0, d], in q-adic units."""
+    """Newton polygon of the L-polynomial on [0, d], in q-adic units.
+
+    Without ``data`` it comes by ``classical_l_function``;
+    ``data=l_polynomial(params)`` gives it from every sum S_1..S_d.
+    """
     if data is None:
-        data = l_polynomial(params, M, budget)
+        data = classical_l_function(params, M, budget)
     M = data.M
-    if data.valuations[params.d] is None:
+    if data.valuations[-1] is None:
         raise PrecisionError(
-            f"degree-{params.d} coefficient vanishes mod p^{M}; "
+            f"degree-{len(data.valuations) - 1} coefficient vanishes mod p^{M}; "
             f"retry with M >= {M + params.a * params.d}")
     cap = Fraction(M * (params.p - 1))
     needed = max(v for v in data.valuations if v is not None)

@@ -188,7 +188,9 @@ def test_criterion_4_unit_criterion_both_directions():
         pr = Params(p=p, a=1, d=d, e=e, c=1, mu=1, lam_index=1)
         cert = hasse_certificate(pr)
         P = lower_bound_polygon(pr, d)
-        np_poly = newton_polygon_classical(pr, budget=BIG_BUDGET)
+        # every sum S_1..S_d, and the functional-equation route beside it
+        np_poly = newton_polygon_classical(pr, data=l_polynomial(pr, budget=BIG_BUDGET))
+        assert newton_polygon_classical(pr).values == np_poly.values, (d, e, p)
         above = lies_above(np_poly, P)
         assert above.ok, (d, e, p)
         equal = np_poly.values == P.values
@@ -207,7 +209,8 @@ def test_criterion_4_unit_criterion_both_directions():
         verdicts = {lam: poly.values == P.values
                     for lam, poly in _np_all_lambdas(p, 1, d, e, 1, 1).items()}
         assert set(verdicts.values()) == {cert.h_unit}, (d, e, p)
-    note = (f"{equal_cases} unit cases all equal; "
+    note = (f"full and half routes agree on {len(grid)} tuples; "
+            f"{equal_cases} unit cases all equal; "
             + (f"{divisible_cases} divisible cases all strictly above"
                if divisible_cases else
                "no p | H instance in this grid (consistent with the "

@@ -289,10 +289,78 @@ def test_dwork_past_p(capsys):
     # n_max = d = 4 >= p = 3: the characteristic series never divides
     code, out = _run(capsys, ["dwork", "--p", "3", "--d", "4", "--e", "1"])
     assert code == 0
-    values = [Fraction(v) for _, v in json.loads(out)["np_T"]["vertices"]]
+    doc = json.loads(out)
+    # p = 3 is below (d-e)(2d-1) = 21, where the assignment bound is no theorem
+    assert doc["lies_above_lower_bound"] is None
+    values = [Fraction(v) for _, v in doc["np_T"]["vertices"]]
     H = hodge_polygon(Params(p=3, a=1, d=4, e=1, c=1, mu=1), 4)
     assert all(v >= h for v, h in zip(values, H.values))
     assert values[4] == H.value(4)
+
+
+def test_dwork_sandwich_below_the_monotonicity_bound(capsys):
+    # the classical side reflects l_0..l_1 (p = 3 > h + 1 = 2); P is no bound
+    code, out = _run(capsys, ["dwork", "--p", "3", "--d", "4", "--e", "1",
+                              "--sandwich"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lies_above_lower_bound"] is None
+    assert doc["sandwich"] == {"P_below_npT": None, "npT_below_classical": True}
+
+
+def _perturb_top_sum(monkeypatch):
+    """Add 1 to S_{h+1}, the sum only the certificate reads."""
+    import twistnp.lfunction as lfunction
+
+    real = lfunction.classical_sums_multi
+
+    def perturbed(params, k, *args, **kwargs):
+        sums = real(params, k, *args, **kwargs)
+        if k == lfunction.classical_route(params.d, params.c).k_max:
+            for s in sums.values():
+                s.value = s.value + s.value.ctx.ram_one()
+        return sums
+
+    monkeypatch.setattr(lfunction, "classical_sums_multi", perturbed)
+
+
+def test_reflection_mismatch_exits_1(capsys, monkeypatch):
+    _perturb_top_sum(monkeypatch)
+    code = main(["dwork", "--p", "11", "--d", "3", "--e", "2", "--sandwich"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: l_2 has valuation 0 computed")
+
+
+def test_verify_records_a_reflection_mismatch(tmp_path, capsys, monkeypatch):
+    _perturb_top_sum(monkeypatch)
+    out_file = tmp_path / "reflect.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "verify", "--d", "5",
+                            "--e", "2", "--c", "1,2", "--primes", "43"])
+    assert code == 1
+    recs = [json.loads(x) for x in out_file.read_text().splitlines()]
+    assert len(recs) == 2
+    assert all(r["status"].startswith("error:FunctionalEquationError:l_3 ")
+               for r in recs)
+
+
+def test_small_p_sweep_with_dwork(tmp_path, capsys):
+    # p = 5 <= d = 7: the full route refuses, the half route needs p > 4
+    out_file = tmp_path / "small.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "sweep", "--allow-small-p",
+                            "--dwork", "--d", "7", "--e", "2,3", "--c", "1",
+                            "--primes", "5"])
+    assert code == 0
+    recs = [json.loads(x) for x in out_file.read_text().splitlines()]
+    assert [r["e"] for r in recs] == [2, 3]
+    H = [Fraction(n * (n - 1), 14) for n in range(8)]
+    for rec in recs:
+        assert rec["status"] == "ok" and rec["enum_field"] == 5**4
+        values = [Fraction(0)]
+        for slope in rec["np_slopes"]:
+            values.append(values[-1] + Fraction(slope))
+        assert all(v >= h for v, h in zip(values, H)) and values[7] == H[7]
+        assert rec["routes_agree"] and rec["np_T_slopes"] == rec["np_slopes"]
 
 
 def test_verify_anchor_grid_all_lambdas(tmp_path, capsys):
@@ -341,7 +409,24 @@ def test_sweep_budget_skip(tmp_path, capsys):
     assert code == 0
     rec = json.loads(out_file.read_text().strip())
     assert rec["status"] == "skipped:budget"
-    assert rec["needed_budget"] == 11**3
+    # the functional-equation route enumerates F_p and F_{p^2} only
+    assert rec["needed_budget"] == rec["enum_field"] == 11**2
+    assert rec["route"] == "functional-equation"
+
+
+def test_records_name_their_route(tmp_path, capsys):
+    out_file = tmp_path / "routes.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "sweep", "--d", "3,4",
+                            "--e", "1", "--c", "1,3", "--mu", "1",
+                            "--primes", "13"])
+    assert code == 0
+    recs = {(r["d"], r["c"]): r for r in map(json.loads, out_file.read_text().splitlines())}
+    assert {k: (r["status"], r["route"], r["enum_field"]) for k, r in recs.items()} == {
+        (3, 1): ("ok", "functional-equation", 13**2),
+        (3, 3): ("ok", "functional-equation-conjugate", 13**2),
+        (4, 1): ("ok", "functional-equation", 13**2),
+        (4, 3): ("ok", "full-enumeration", 13**4),
+    }
 
 
 def test_parallel_jobs_match_serial(tmp_path, capsys):

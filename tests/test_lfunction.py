@@ -2,27 +2,45 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from twistnp.lfunction import (
+    FULL_ENUMERATION,
+    FUNCTIONAL_EQUATION,
+    FUNCTIONAL_EQUATION_CONJUGATE,
     BudgetExceededError,
+    LFunctionData,
+    Route,
     _character_values,
     _descent_for,
     _mult_matrix,
     _power_block,
+    classical_l_function,
+    classical_route,
+    classical_sums_by_lambda,
     classical_sums_multi,
     exp_sum_Tadic,
     exp_sum_classical,
     joint_histogram_fits,
     l_polynomial,
     newton_polygon_classical,
+    reflect_valuations,
+    route_sums_by_lambda,
     trace_count_matrix,
 )
 from twistnp.padic import make_context, poly_mul_mod, poly_pow_mod, zeta_p_power
-from twistnp.polygon import Params, hodge_polygon, lies_above, lower_bound_polygon
+from twistnp.polygon import (
+    Params,
+    hodge_polygon,
+    lies_above,
+    lower_bound_polygon,
+    lower_convex_hull,
+)
 
 F = Fraction
 
@@ -360,3 +378,110 @@ def test_newton_polygon_degree_and_endpoint():
         H = hodge_polygon(pr, d)
         assert np_poly.value(d) == P.value(d) == H.value(d)
         assert lies_above(np_poly, P).ok
+
+
+# ---------------------------------------------------------------------------
+# the functional-equation routes against the full enumeration
+
+
+def test_classical_route_table():
+    assert classical_route(5, 1) == Route(FUNCTIONAL_EQUATION, 4, 3)
+    assert classical_route(2, 1) == Route(FUNCTIONAL_EQUATION, 1, 1)
+    assert classical_route(4, 2) == Route(FUNCTIONAL_EQUATION, 4, 3)
+    assert classical_route(3, 3) == Route(FUNCTIONAL_EQUATION_CONJUGATE, 3, 2)
+    assert classical_route(5, 4) == Route(FUNCTIONAL_EQUATION_CONJUGATE, 5, 3)
+    assert classical_route(4, 3) == Route(FULL_ENUMERATION, 4, 4)
+    assert classical_route(5, 1).field_size(43, 1) == 43**3
+    assert classical_route(3, 3).field_size(11, 2) == 11**4
+
+
+def _oracle_grid():
+    """(p, a, d, e, c, mu) with p^(ad) <= 3e6 and p > d: d 2..6, every
+    coprime e, c in {1, 2}, primes below 40; c = 3 with odd d and every
+    mu, q = 121 among them."""
+    out = []
+    for d in range(2, 7):
+        for e in [e for e in range(1, d) if math.gcd(d, e) == 1]:
+            for c in (1, 2, 3):
+                if c == 3 and d % 2 == 0:
+                    continue
+                for p in map(int, sympy.primerange(d + 1, 40)):
+                    a = 1 if (p - 1) % c == 0 else 2
+                    if p**(a * d) > 3 * 10**6:
+                        continue
+                    for mu in range(1, max(c, 2)):
+                        if math.gcd(mu, c) == 1:
+                            out.append((p, a, d, e, c, mu))
+    return out
+
+
+def test_half_route_matches_full_enumeration():
+    grid = _oracle_grid()
+    assert (11, 2, 3, 2, 3, 1) in grid and (11, 2, 3, 2, 3, 2) in grid
+    assert {c for *_, c, _ in grid} == {1, 2, 3}
+    for (p, a, d, e, c, mu) in grid:
+        base = Params(p=p, a=a, d=d, e=e, c=c, mu=mu)
+        lams = sorted({1, (base.q - 1) // 2})
+        full = classical_sums_by_lambda(base, lams)
+        half = route_sums_by_lambda(base, lams)
+        for lam in lams:
+            pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
+            want = newton_polygon_classical(pr, data=l_polynomial(pr, _sums=full[lam]))
+            data = classical_l_function(pr, _sums=half[lam])
+            assert data.route != FULL_ENUMERATION
+            got = newton_polygon_classical(pr, data=data)
+            assert got.values == want.values, pr.key()
+
+
+def test_conjugate_sums_are_the_conjugate_tuple_sums():
+    # for odd d, x -> -x turns the complex conjugate of the sum of
+    # (mu, lambda) into chi(-1)^k times that of (c - mu, (-1)^(e+1) lambda)
+    for (p, a, d, e, c, mu, lam) in [(11, 2, 3, 2, 3, 1, 5), (13, 1, 5, 2, 4, 1, 3),
+                                     (7, 1, 3, 1, 3, 2, 4)]:
+        pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
+        lam_conj = (lam + (pr.q - 1) // 2 * (e % 2 == 0)) % (pr.q - 1)
+        conj_pr = Params(p=p, a=a, d=d, e=e, c=c, mu=c - mu)
+        for k in (1, 2):
+            got = classical_sums_multi(pr, k, [lam], conjugate=True)[lam].conj_value
+            want = classical_sums_multi(conj_pr, k, [lam_conj])[lam_conj].value
+            assert got in (want, -want), (pr.key(), k)
+
+
+def test_reflection_certificate_holds_and_types_agree():
+    pr = Params(p=43, a=1, d=5, e=2, c=1, mu=1, lam_index=7)
+    data = classical_l_function(pr)
+    assert isinstance(data, LFunctionData) and data.route == FUNCTIONAL_EQUATION
+    # the A^1 L-function: degree 4, l_0..l_3 computed, l_3 also reflected
+    assert len(data.valuations) == 5 and len(data.coeffs) == 4
+    assert newton_polygon_classical(pr, data=data).slopes() == [
+        F(0), F(3, 14), F(1, 2), F(1, 2), F(11, 14)]
+
+
+def test_inexact_low_coefficient_reflects_to_an_omitted_point():
+    # deg 4, h = 2: l'_1 vanishes mod p^M, so l_3 = l_(4-1) is omitted, as a
+    # coefficient that vanishes mod p^M is on the full route
+    cap = F(100)
+    low = [F(0), F(3), F(12)]
+    conj = [F(0), None, F(12)]
+    vals = reflect_valuations(low, conj, 4, F(40), 10, cap)
+    assert vals == [F(0), F(3), F(12), None, F(40)]
+    # a reflection that reaches the cap is omitted as well
+    assert reflect_valuations(low, [F(0), F(95), F(12)], 4, F(40), 10, cap)[3] is None
+    data = LFunctionData(params=Params(p=11, a=1, d=4, e=1, c=2, mu=1), M=10,
+                         sums=[], coeffs=[], valuations=vals)
+    pts = data.newton_points()
+    assert pts[3] == (3, None)
+    assert lower_convex_hull(pts).values == lower_convex_hull(
+        [pt for pt in pts if pt[1] is not None]).values
+
+
+def test_half_route_reach_below_d():
+    # p = 5 <= d = 7: the half route divides only by n <= 4
+    pr = Params(p=5, a=1, d=7, e=2, c=1, mu=1, lam_index=1)
+    with pytest.raises(ValueError):
+        l_polynomial(pr)
+    np_poly = newton_polygon_classical(pr)
+    H = hodge_polygon(pr, 7)
+    assert lies_above(np_poly, H).ok and np_poly.value(7) == H.value(7)
+    with pytest.raises(ValueError, match="need p > 4"):
+        newton_polygon_classical(Params(p=3, a=1, d=7, e=2, c=1, mu=1))
