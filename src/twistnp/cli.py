@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -191,6 +190,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 def grid_tuples(args):
     """All valid parameter tuples of the requested grid, in sorted order."""
+    if args.a_multiple < 1:  # a = 0 would make q = 1: an empty grid
+        raise ValueError(f"--a-multiple must be >= 1, got {args.a_multiple}")
     tuples = []
     for d in _parse_int_list(args.d):
         if args.e == "all":
@@ -447,8 +448,10 @@ def run_grid(args, enforce: bool) -> int:
                     budget=args.budget, dwork=args.dwork, trace_k=args.trace_k)
     existing = _load_existing(args.out, settings) if args.out else set()
     todo = [tup for tup in tuples if record_key(tup) not in existing]
-    payloads = [(list(group), settings)
-                for _, group in itertools.groupby(todo, key=lambda tup: tup[:6])]
+    groups: dict[tuple, list] = {}
+    for tup in todo:
+        groups.setdefault(tup[:6], []).append(tup)
+    payloads = [(group, settings) for group in groups.values()]
     violations = 0
     summary = {"total": len(tuples), "skipped_existing": len(tuples) - len(todo),
                "equal": 0, "strict_above": 0, "p_divides_H": 0,

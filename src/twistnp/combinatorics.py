@@ -2,34 +2,19 @@
 
 The central quantity is the minimum of sum_i rbar(inv(e)*(p*i - tau(i) + t))
 over permutations tau of {0..n}, where rbar is the minimal non-negative
-residue mod d.  Small instances are enumerated exhaustively; larger values
-go through an exact linear-sum-assignment solver, which also finds the
-edges (i, j) that lie on some optimal permutation.  The companion maximum
-(number of index pairs whose residue columns overflow d) is a maximum
-cardinality bipartite matching.
+residue mod d.  One Hungarian solve gives that optimum together with an
+optimal dual (u, v); the edges with cost_ij = u_i + v_j ("tight" edges)
+carry exactly the optimal permutations, which is all the Hasse layer needs.
+The companion maximum (number of index pairs whose residue columns overflow
+d) is a maximum cardinality bipartite matching.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from .core_arith import min_residue, mod_inverse
-
-#: Largest n+1 for which minimizer sets are enumerated ((n+1)! permutations),
-#: as ``v_exponent`` and the test oracles do; the Hasse certificate does not.
-ENUMERATION_CAP = 9
-
-#: Largest n+1 for which plain value queries stay exhaustive by default.
-_AUTO_EXHAUSTIVE = 6
-
-
-class CapExceededError(ValueError):
-    """Raised when a minimizer-set request exceeds the enumeration cap."""
 
 
 @dataclass(frozen=True)
@@ -55,19 +40,6 @@ class CombInstance:
         if math.gcd(self.d, self.e) != 1:
             raise ValueError(f"need gcd(d, e) = 1, got {self.d}, {self.e}")
         object.__setattr__(self, "e_inv", mod_inverse(self.e, self.d))
-
-
-@dataclass(frozen=True)
-class OptimumResult:
-    """Optimal value C_{t,n} together with the attaining permutations.
-
-    ``minimizers`` is None when only the value was requested or the cap was
-    exceeded; it is a frozenset of image tuples otherwise.
-    """
-
-    n: int
-    value: int
-    minimizers: frozenset[tuple[int, ...]] | None = None
 
 
 @dataclass(frozen=True)
@@ -123,52 +95,75 @@ def perm_sign(tau: tuple[int, ...]) -> int:
     return sign
 
 
-def _exhaustive_C(inst: CombInstance, n: int, want_minimizers: bool) -> OptimumResult:
-    best = None
-    argmin: set[tuple[int, ...]] = set()
-    mat = cost_matrix(inst, n)
-    for tau in itertools.permutations(range(n + 1)):
-        s = sum(mat[i][tau[i]] for i in range(n + 1))
-        if best is None or s < best:
-            best = s
-            argmin = {tau}
-        elif s == best and want_minimizers:
-            argmin.add(tau)
-    return OptimumResult(n=n, value=best,
-                         minimizers=frozenset(argmin) if want_minimizers else None)
+def _dual(mat: list[list[int]]) -> tuple[list[int], list[int]]:
+    """An optimal dual (u, v) of the assignment problem on a square matrix.
+
+    Kuhn's Hungarian method (Naval Res. Logist. Q. 2, 1955), O(m^3) for m
+    rows, in the shortest-augmenting-path form: rows join one at a time,
+    ``row_of`` holds the current matching by column, and the extra column
+    m stands for the row being added.  On return u_i + v_j <= mat[i][j]
+    everywhere, with equality on an optimal assignment, so sum(u) + sum(v)
+    is the optimum.
+    """
+    m = len(mat)
+    u = [0] * m
+    v = [0] * (m + 1)
+    row_of = [-1] * (m + 1)
+    for i in range(m):
+        row_of[m] = i
+        j0 = m
+        slack = [math.inf] * (m + 1)
+        way = [m] * (m + 1)
+        used = [False] * (m + 1)
+        while row_of[j0] != -1:
+            used[j0] = True
+            i0 = row_of[j0]
+            delta, j1 = math.inf, m
+            for j in range(m):
+                if not used[j]:
+                    cur = mat[i0][j] - u[i0] - v[j]
+                    if cur < slack[j]:
+                        slack[j], way[j] = cur, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0 != m:  # augment along the path back to the new row
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    return u, v[:m]
 
 
-def _lsa_value(mat: np.ndarray) -> int:
-    rows, cols = linear_sum_assignment(mat)
-    return int(mat[rows, cols].sum())
-
-
-def _solver_C(inst: CombInstance, n: int) -> int:
-    return _lsa_value(np.array(cost_matrix(inst, n), dtype=np.int64))
-
-
-def compute_C(inst: CombInstance, n: int, want_minimizers: bool = False) -> OptimumResult:
+def compute_C(inst: CombInstance, n: int) -> int:
     """Exact minimum of the permutation cost sum over {0..n}.
 
-    n = -1 returns 0 by convention.  Minimizer sets are only available up
-    to the enumeration cap; the value alone has no size limit.  No
-    periodicity shortcut is applied here so that the period identity can be
-    tested against two independent computations.
+    n = -1 returns 0 by convention.  No periodicity shortcut is applied
+    here so that the period identity can be tested against two
+    independent computations.
     """
     if n < -1:
         raise ValueError(f"n must be >= -1, got {n}")
-    if n == -1:
-        return OptimumResult(n=-1, value=0,
-                             minimizers=frozenset({()}) if want_minimizers else None)
-    if want_minimizers:
-        if n + 1 > ENUMERATION_CAP:
-            raise CapExceededError(
-                f"minimizer sets need (n+1)! enumeration; n+1={n + 1} exceeds cap "
-                f"{ENUMERATION_CAP} (value alone is still available)")
-        return _exhaustive_C(inst, n, True)
-    if n + 1 <= _AUTO_EXHAUSTIVE:
-        return _exhaustive_C(inst, n, False)
-    return OptimumResult(n=n, value=_solver_C(inst, n), minimizers=None)
+    u, v = _dual(cost_matrix(inst, n))
+    return sum(u) + sum(v)
+
+
+def tight_edges(inst: CombInstance, n: int) -> frozenset[tuple[int, int]]:
+    """Edges (i, j) of {0..n} with cost_ij = u_i + v_j for an optimal dual.
+
+    By complementary slackness every optimal permutation uses only these
+    edges, and every permutation made of them costs sum(u) + sum(v), the
+    optimum: the optimal permutations are exactly the perfect matchings
+    of the tight edges (which may include edges on no optimal permutation).
+    """
+    mat = cost_matrix(inst, n)
+    u, v = _dual(mat)
+    return frozenset((i, j) for i in range(n + 1) for j in range(n + 1)
+                     if mat[i][j] == u[i] + v[j])
 
 
 def C_value_reduced(inst: CombInstance, n: int) -> int:
@@ -181,7 +176,7 @@ def C_value_reduced(inst: CombInstance, n: int) -> int:
     if n < -1:
         raise ValueError(f"n must be >= -1, got {n}")
     m = (n + 1) % inst.d - 1
-    return compute_C(inst, m).value
+    return compute_C(inst, m)
 
 
 def _max_matching(adj: list[list[int]], n_right: int) -> int:
@@ -221,35 +216,9 @@ def compute_bfC(inst: CombInstance, n: int, alpha: int) -> int:
     return _max_matching(adj, n + 1)
 
 
-def bfC_exhaustive(inst: CombInstance, n: int, alpha: int) -> int:
-    """Brute-force version of compute_bfC, for oracle tests."""
-    if n == -1:
-        return 0
-    R = [R_value(inst, i, alpha) for i in range(n + 1)]
-    r = [r_value(inst, j, alpha) for j in range(n + 1)]
-    return max(
-        sum(1 for i in range(n + 1) if R[i] + r[tau[i]] >= inst.d)
-        for tau in itertools.permutations(range(n + 1))
-    )
-
-
 def representable(inst: CombInstance, i: int, j: int) -> bool:
     """Whether p*i - j + t lies in the monoid dN + eN."""
     return xy_decomposition(inst, i, j).x >= 0
-
-
-def optimal_edges(inst: CombInstance, n: int) -> frozenset[tuple[int, int]]:
-    """Edges (i, j) used by some optimal permutation of {0..n}: those where
-    cost_ij plus the optimum of the minor without row i and column j is the
-    full optimum."""
-    if n == 0:
-        return frozenset({(0, 0)})
-    mat = np.array(cost_matrix(inst, n), dtype=np.int64)
-    best = _lsa_value(mat)
-    return frozenset(
-        (i, j) for i in range(n + 1) for j in range(n + 1)
-        if mat[i, j] + _lsa_value(np.delete(np.delete(mat, i, 0), j, 1)) == best
-    )
 
 
 def optimal_perm_sets(
@@ -257,15 +226,34 @@ def optimal_perm_sets(
 ) -> tuple[frozenset[tuple[int, ...]], frozenset[tuple[int, ...]]]:
     """(S_circle, S_bullet) for the instance at index n.
 
-    S_bullet is the set of permutations attaining the optimum; by the
-    residue identity cost = sum(R) + sum(r) - d * (overflow count), these
-    are exactly the overflow-count maximizers for every alpha.  S_circle
+    S_bullet is the set of permutations attaining the optimum, enumerated
+    depth first as the perfect matchings of ``tight_edges``; by the residue
+    identity cost = sum(R) + sum(r) - d * (overflow count), these are
+    exactly the overflow-count maximizers for every alpha.  S_circle
     additionally requires every p*i - tau(i) + t to be representable.
     """
-    res = compute_C(inst, n, want_minimizers=True)
-    bullet = res.minimizers
+    adj = [[] for _ in range(n + 1)]
+    for i, j in sorted(tight_edges(inst, n)):
+        adj[i].append(j)
+    bullet = []
+    tau: list[int] = []
+    used = [False] * (n + 1)
+
+    def extend(i: int) -> None:
+        if i == n + 1:
+            bullet.append(tuple(tau))
+            return
+        for j in adj[i]:
+            if not used[j]:
+                used[j] = True
+                tau.append(j)
+                extend(i + 1)
+                tau.pop()
+                used[j] = False
+
+    extend(0)
     circle = frozenset(
         tau for tau in bullet
         if all(representable(inst, i, tau[i]) for i in range(n + 1))
     )
-    return circle, bullet
+    return circle, frozenset(bullet)

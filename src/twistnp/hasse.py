@@ -8,9 +8,10 @@ rational falling factorial paired with a matching power of c*d so that
 every permutation term is an integer.  Divisibility of the constant by p
 is then equivalent to the product of Hasse numbers not being a unit.
 
-A permutation is optimal exactly when all its edges lie on optimal
-permutations (each such edge is tight for every optimal dual), so each sum
-is one exact determinant of the weights on ``optimal_edges``.
+One Hungarian solve of the assignment problem gives an optimal dual, and
+the permutations made of its tight edges are exactly the optimal ones
+(complementary slackness), so each sum is one exact determinant of the
+weights on ``tight_edges``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import sympy
 from .combinatorics import (
     CombInstance,
     compute_C,
-    optimal_edges,
     optimal_perm_sets,
+    tight_edges,
     xy_decomposition,
 )
 from .core_arith import INFINITY, factorial_inv_or_zero, falling_factorial
@@ -103,7 +104,7 @@ def twist_data(params: Params) -> TwistData:
 
 def _optimal_det(inst: CombInstance, n: int, weight):
     """Signed sum over optimal permutations tau of prod_i weight(i, tau(i))."""
-    edges = optimal_edges(inst, n)
+    edges = tight_edges(inst, n)
     return sympy.Matrix(n + 1, n + 1,
                         lambda i, j: weight(i, j) if (i, j) in edges else 0
                         ).det(method="bareiss")
@@ -145,7 +146,7 @@ def v_exponent(params: Params, n: int, k: int) -> int:
         values.add(sum(xy_decomposition(inst, i, tau[i]).y for i in range(n + 1)))
     assert len(values) == 1, "sum of y over the optimal set is not constant"
     v = values.pop()
-    assert v == compute_C(inst, n).value
+    assert v == compute_C(inst, n)
     return v
 
 

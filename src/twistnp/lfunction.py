@@ -542,8 +542,8 @@ def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
     powers of x^d and x^e incrementally; each element contributes the
     falling-factorial expansion of (1+T)^{trace}.
     """
-    if J >= params.p:
-        raise ValueError("T-adic truncation order must stay below p")
+    if not 0 <= J < params.p:
+        raise ValueError(f"T-adic truncation order J={J} must lie in [0, p)")
     M = M or default_precision(params)
     m = params.a * k
     size = params.p**m - 1
@@ -624,15 +624,9 @@ def classical_route(d: int, c: int) -> Route:
       in Q(zeta_p), whose one prime above p conjugation fixes, so l' has
       the valuations of l.
     * c = 2: the same with deg = d, the character being real.
-    * c >= 3, d odd: deg = d, and l' comes from the conjugate sums.
-    * c >= 3, d even: every S_1..S_d is enumerated.
+    * c >= 3: deg = d, and l' comes from the conjugate sums.
     """
-    if c == 1:
-        deg = d - 1
-    elif c == 2 or d % 2:
-        deg = d
-    else:
-        return Route(FULL_ENUMERATION, d, d)
+    deg = d - 1 if c == 1 else d
     name = FUNCTIONAL_EQUATION_CONJUGATE if c >= 3 else FUNCTIONAL_EQUATION
     return Route(name, deg, deg // 2 + 1)
 
@@ -645,9 +639,6 @@ def route_sums_by_lambda(params: Params, lam_indices: list[int],
     conjugate route the complex conjugates S'_1..S'_h, otherwise None.
     """
     route = classical_route(params.d, params.c)
-    if route.name == FULL_ENUMERATION:
-        full = classical_sums_by_lambda(params, lam_indices, M, budget)
-        return {li: (sums, None) for li, sums in full.items()}
     _require_p_above(params, route.k_max)
     conj = route.name == FUNCTIONAL_EQUATION_CONJUGATE
     by_k = [classical_sums_multi(params, k, lam_indices, M, budget,
@@ -751,15 +742,13 @@ def classical_l_function(params: Params, M: int | None = None,
                          _sums=None) -> LFunctionData:
     """The classical L-function's valuations by its ``classical_route``.
 
-    ``_sums`` is one coefficient's entry of ``route_sums_by_lambda``.  On
-    a functional-equation route, l_{h+1} is both computed and reflected;
-    the two valuations, each capped at the precision, must agree, or
-    ``FunctionalEquationError`` is raised.
+    ``_sums`` is one coefficient's entry of ``route_sums_by_lambda``.
+    l_{h+1} is both computed and reflected; the two valuations, each
+    capped at the precision, must agree, or ``FunctionalEquationError`` is
+    raised.
     """
     M = M or default_precision(params)
     route = classical_route(params.d, params.c)
-    if route.name == FULL_ENUMERATION:
-        return l_polynomial(params, M, budget, None if _sums is None else _sums[0])
     if _sums is None:
         _sums = route_sums_by_lambda(params, [params.lam_index], M,
                                      budget)[params.lam_index]

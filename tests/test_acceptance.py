@@ -14,13 +14,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from oracles import exhaustive_C
 from twistnp.combinatorics import (
     CombInstance,
     R_value,
-    _exhaustive_C,
-    _solver_C,
     compute_bfC,
     compute_C,
+    optimal_perm_sets,
     r_value,
 )
 from twistnp.dwork import np_T, trace_consistency
@@ -60,7 +60,7 @@ def c_tables():
         for t in list(range(d)) + [p - 1]:
             inst = CombInstance(p, d, e, t)
             tables[(d, e, p, t)] = {
-                n: compute_C(inst, n).value for n in range(-1, 2 * d + 1)
+                n: compute_C(inst, n) for n in range(-1, 2 * d + 1)
             }
     return tables
 
@@ -110,8 +110,9 @@ def test_criterion_2_solver_oracle_equivalence():
                 cases += 1
                 if n == -1:
                     continue
-                brute = _exhaustive_C(inst, n, False).value
-                if _solver_C(inst, n) != brute or compute_C(inst, n).value != brute:
+                # the tight edges' matchings are the exhaustive optimal set
+                best, optimal = exhaustive_C(inst, n)
+                if compute_C(inst, n) != best or optimal_perm_sets(inst, n)[1] != optimal:
                     mismatches += 1
     _report(2, mismatches == 0,
             f"assignment solver vs exhaustive: {cases} cases, "

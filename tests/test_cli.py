@@ -92,6 +92,14 @@ def test_dwork_exit_3_on_tiny_matrix(capsys):
     assert code == 3
 
 
+def test_dwork_rejects_negative_truncation_order(capsys):
+    code = main(["dwork", "--p", "7", "--d", "3", "--e", "2", "--J", "-2",
+                 "--trace-k", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "J=-2" in err
+
+
 def test_lfunc_command(capsys):
     code, out = _run(capsys, ["lfunc", "--p", "11", "--d", "3", "--e", "2"])
     assert code == 0
@@ -402,6 +410,18 @@ def test_verify_empty_grid(tmp_path, capsys):
     assert not out_file.exists() or out_file.read_text() == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_grid_rejects_a_multiple_below_one(tmp_path, capsys, command):
+    # a = 0 gives q = 1: no lambda, no tuple, and nothing was verified
+    out_file = tmp_path / "none.jsonl"
+    code = main(["--out", str(out_file), command, "--d", "3", "--e", "2",
+                 "--primes", "11", "--a-multiple", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not out_file.exists()
+
+
 def test_sweep_budget_skip(tmp_path, capsys):
     out_file = tmp_path / "budget.jsonl"
     code, out = _run(capsys, ["--budget", "100", "--out", str(out_file),
@@ -425,7 +445,7 @@ def test_records_name_their_route(tmp_path, capsys):
         (3, 1): ("ok", "functional-equation", 13**2),
         (3, 3): ("ok", "functional-equation-conjugate", 13**2),
         (4, 1): ("ok", "functional-equation", 13**2),
-        (4, 3): ("ok", "full-enumeration", 13**4),
+        (4, 3): ("ok", "functional-equation-conjugate", 13**3),
     }
 
 
@@ -470,3 +490,12 @@ def test_benchmark_tracer_installs():
         [sys.executable, "-c", code, os.path.join(root, "perfbench"),
          os.path.join(root, "src")], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twistnp.__file__)))
+    code = "import sys, twistnp.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -6,22 +6,19 @@ import itertools
 import math
 import random
 
-import pytest
-
+from oracles import bfC_exhaustive, exhaustive_C
 from twistnp.combinatorics import (
-    CapExceededError,
     CombInstance,
     C_value_reduced,
     R_value,
     _max_matching,
-    bfC_exhaustive,
     compute_bfC,
     compute_C,
     cost,
-    optimal_edges,
     optimal_perm_sets,
     perm_sign,
     r_value,
+    tight_edges,
     xy_decomposition,
 )
 
@@ -38,20 +35,18 @@ def test_cost_examples():
 
 def test_compute_C_examples():
     inst = CombInstance(p=5, d=3, e=2, t=0)
-    assert compute_C(inst, -1).value == 0
-    res = compute_C(inst, 1, want_minimizers=True)
-    assert res.value == 2
-    assert res.minimizers == frozenset({(0, 1), (1, 0)})
+    assert compute_C(inst, -1) == 0
+    assert compute_C(inst, 1) == 2
+    assert optimal_perm_sets(inst, 1)[1] == frozenset({(0, 1), (1, 0)})
     inst11 = CombInstance(p=11, d=3, e=2, t=0)
-    res2 = compute_C(inst11, 2, want_minimizers=True)
-    assert res2.value == 0
-    assert (0, 2, 1) in res2.minimizers
+    assert compute_C(inst11, 2) == 0
+    assert (0, 2, 1) in optimal_perm_sets(inst11, 2)[1]
 
 
 def test_compute_C_frozen_p11_low_indices():
     # frozen from exhaustive enumeration; these feed the p=11 polygon anchor
     inst = CombInstance(p=11, d=3, e=2, t=0)
-    assert [compute_C(inst, n).value for n in (-1, 0, 1, 2)] == [0, 0, 2, 0]
+    assert [compute_C(inst, n) for n in (-1, 0, 1, 2)] == [0, 0, 2, 0]
 
 
 def test_compute_bfC_examples():
@@ -110,16 +105,7 @@ def test_solver_matches_exhaustive():
         inst = CombInstance(p=rng.choice([7, 11, 13, 29]), d=d, e=e,
                             t=rng.randint(-5, 25))
         for n in range(-1, 7):
-            best = compute_C(inst, n).value
-            if n >= 0:
-                brute = min(
-                    sum(cost(inst, i, tau[i]) for i in range(n + 1))
-                    for tau in itertools.permutations(range(n + 1))
-                )
-                assert best == brute
-            from twistnp.combinatorics import _solver_C
-            if n >= 0:
-                assert _solver_C(inst, n) == best
+            assert compute_C(inst, n) == exhaustive_C(inst, n)[0]
 
 
 def test_matching_against_exhaustive():
@@ -129,24 +115,29 @@ def test_matching_against_exhaustive():
             assert compute_bfC(inst, n, alpha) == bfC_exhaustive(inst, n, alpha)
 
 
-def test_cap_errors():
+def test_optimal_perm_sets_at_ten_indices():
+    # n + 1 = 10: past any exhaustive enumeration, every member is optimal
+    for inst in (CombInstance(p=11, d=3, e=2, t=0), CombInstance(p=23, d=11, e=10, t=2)):
+        best = compute_C(inst, 9)
+        circle, bullet = optimal_perm_sets(inst, 9)
+        assert bullet and circle <= bullet
+        for tau in bullet:
+            assert sorted(tau) == list(range(10))
+            assert sum(cost(inst, i, tau[i]) for i in range(10)) == best
     inst = CombInstance(p=11, d=3, e=2, t=0)
-    with pytest.raises(CapExceededError):
-        compute_C(inst, 9, want_minimizers=True)
-    # the value alone is still fine
-    assert compute_C(inst, 9).value == compute_C(inst, 9 - 3).value
+    assert compute_C(inst, 9) == compute_C(inst, 9 - 3)
 
 
 def test_prop21_identity_and_periodicity_spot():
     for (p, d, e, t) in [(11, 3, 2, 0), (13, 3, 1, 5), (29, 4, 3, 7), (11, 5, 2, 3)]:
         inst = CombInstance(p=p, d=d, e=e, t=t)
         for n in range(-1, 2 * d + 1):
-            C = compute_C(inst, n).value
+            C = compute_C(inst, n)
             for alpha in range(d):
                 total = sum(R_value(inst, i, alpha) + r_value(inst, i, alpha)
                             for i in range(n + 1))
                 assert C == total - d * compute_bfC(inst, n, alpha)
-            assert compute_C(inst, n + d).value == C
+            assert compute_C(inst, n + d) == C
             assert C_value_reduced(inst, n) == C
             for alpha in range(d):
                 assert compute_bfC(inst, n + d, alpha) == d - 1 + compute_bfC(inst, n, alpha)
@@ -171,21 +162,25 @@ def test_optimal_perm_sets_examples():
     assert bullet == frozenset({(0, 1), (1, 0)})
 
 
-def test_optimal_edges_are_the_edges_of_the_optimal_set():
+def test_tight_edges_support_exactly_the_optimal_set():
     rng = random.Random(5)
+    cases = [(CombInstance(p=43, d=5, e=2, t=t), n) for t in range(5) for n in range(4)]
     for _ in range(40):
         d = rng.choice([3, 4, 5, 6, 7])
         e = rng.choice([e for e in range(1, d) if math.gcd(d, e) == 1])
         inst = CombInstance(p=rng.choice([7, 11, 13, 17]), d=d, e=e, t=rng.randint(0, 20))
-        n = rng.randint(0, d - 2)
-        _, bullet = optimal_perm_sets(inst, n)
-        edges = optimal_edges(inst, n)
-        assert edges == {(i, tau[i]) for tau in bullet for i in range(n + 1)}
-        # the optimal set is exactly the permutations inside those edges
-        inside = frozenset(
-            tau for tau in itertools.permutations(range(n + 1))
-            if all((i, tau[i]) in edges for i in range(n + 1)))
-        assert inside == bullet
+        cases.append((inst, rng.randint(0, d - 2)))
+    for inst, n in cases:
+        best, optimal = exhaustive_C(inst, n)
+        edges = tight_edges(inst, n)
+        # tight edges may exceed the union of the optimal permutations'
+        # edges; the permutations they support may not
+        assert {(i, tau[i]) for tau in optimal for i in range(n + 1)} <= edges
+        supported = frozenset(tau for tau in itertools.permutations(range(n + 1))
+                              if all((i, tau[i]) in edges for i in range(n + 1)))
+        assert supported == optimal
+        assert optimal_perm_sets(inst, n)[1] == optimal
+        assert compute_C(inst, n) == best
 
 
 def test_bullet_equals_count_maximizers_for_two_alphas():

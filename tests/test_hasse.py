@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from oracles import exhaustive_C
 from twistnp import combinatorics, hasse
 from twistnp.combinatorics import (
     CombInstance,
@@ -130,7 +131,7 @@ def _det_oracle(inst, n, cap):
 
 
 def _leading_order(inst, n):
-    C = compute_C(inst, n).value
+    C = compute_C(inst, n)
     num = (inst.p - 1) * n * (n + 1) // 2 + (n + 1) * inst.t + (inst.d - inst.e) * C
     assert num % inst.d == 0
     return num // inst.d, C
@@ -206,7 +207,7 @@ def _optimal_perms(inst, n):
     if inst.p >= inst.d or inst.t >= inst.d:
         return _optimal_perms(CombInstance(inst.p % inst.d, inst.d, inst.e,
                                            inst.t % inst.d), n)
-    return optimal_perm_sets(inst, n)[1]
+    return exhaustive_C(inst, n)[1]
 
 
 def _perm_sum(inst, n, weight):
@@ -337,7 +338,7 @@ def test_certificate_enumerates_no_permutation(monkeypatch):
         raise AssertionError("the certificate must not enumerate permutations")
 
     monkeypatch.setattr(hasse, "optimal_perm_sets", refuse)
-    monkeypatch.setattr(combinatorics, "_exhaustive_C", refuse)
+    monkeypatch.setattr(combinatorics, "optimal_perm_sets", refuse)
     cert = hasse_certificate(Params(p=211, a=1, d=10, e=3, c=1, mu=1))
     assert cert.verdicts_consistent() and len(cert.h_factors) == 9
 

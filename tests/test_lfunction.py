@@ -390,23 +390,25 @@ def test_classical_route_table():
     assert classical_route(4, 2) == Route(FUNCTIONAL_EQUATION, 4, 3)
     assert classical_route(3, 3) == Route(FUNCTIONAL_EQUATION_CONJUGATE, 3, 2)
     assert classical_route(5, 4) == Route(FUNCTIONAL_EQUATION_CONJUGATE, 5, 3)
-    assert classical_route(4, 3) == Route(FULL_ENUMERATION, 4, 4)
+    assert classical_route(4, 3) == Route(FUNCTIONAL_EQUATION_CONJUGATE, 4, 3)
     assert classical_route(5, 1).field_size(43, 1) == 43**3
     assert classical_route(3, 3).field_size(11, 2) == 11**4
 
 
 def _oracle_grid():
     """(p, a, d, e, c, mu) with p^(ad) <= 3e6 and p > d: d 2..6, every
-    coprime e, c in {1, 2}, primes below 40; c = 3 with odd d and every
-    mu, q = 121 among them."""
+    coprime e, c in {1, 2, 3}, primes below 40, q = 121 among them; and
+    c = 4 with even d.  c >= 3 takes every mu."""
     out = []
     for d in range(2, 7):
         for e in [e for e in range(1, d) if math.gcd(d, e) == 1]:
-            for c in (1, 2, 3):
-                if c == 3 and d % 2 == 0:
+            for c in (1, 2, 3, 4):
+                if c == 4 and d % 2:
                     continue
                 for p in map(int, sympy.primerange(d + 1, 40)):
-                    a = 1 if (p - 1) % c == 0 else 2
+                    if c % p == 0:
+                        continue
+                    a = 1 if c == 1 else int(sympy.n_order(p, c))
                     if p**(a * d) > 3 * 10**6:
                         continue
                     for mu in range(1, max(c, 2)):
@@ -418,7 +420,9 @@ def _oracle_grid():
 def test_half_route_matches_full_enumeration():
     grid = _oracle_grid()
     assert (11, 2, 3, 2, 3, 1) in grid and (11, 2, 3, 2, 3, 2) in grid
-    assert {c for *_, c, _ in grid} == {1, 2, 3}
+    # even d with c >= 3 reflects through the conjugate sums too
+    assert (13, 1, 4, 1, 3, 2) in grid and (7, 2, 2, 1, 4, 3) in grid
+    assert {c for *_, c, _ in grid} == {1, 2, 3, 4}
     for (p, a, d, e, c, mu) in grid:
         base = Params(p=p, a=a, d=d, e=e, c=c, mu=mu)
         lams = sorted({1, (base.q - 1) // 2})
