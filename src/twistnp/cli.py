@@ -26,8 +26,7 @@ import sys
 import time
 from fractions import Fraction
 
-import sympy
-
+from .core_arith import is_prime, multiplicative_order
 from .dwork import DworkConsistencyError, TruncationError, np_T, trace_consistency
 from .hasse import hasse_certificate
 from .lfunction import (
@@ -209,13 +208,11 @@ def grid_tuples(args):
                         continue
                     primes = _grid_primes(args, d, e, c)
                     for p in primes:
-                        if d % p == 0:
+                        # a character of order c needs c | q - 1
+                        if d % p == 0 or math.gcd(p, c) != 1:
                             continue
-                        b = 1 if c == 1 else sympy.n_order(p, c)
-                        a = b * args.a_multiple
+                        a = multiplicative_order(p, c) * args.a_multiple
                         q = p**a
-                        if (q - 1) % c != 0:
-                            continue
                         lam_list = _lambda_indices(args, q)
                         for lam in lam_list:
                             tuples.append((p, a, d, e, c, mu, lam))
@@ -231,11 +228,11 @@ def _grid_primes(args, d, e, c) -> list[int]:
     else:
         lo = max(args.prime_min, 2)
     out = []
-    p = sympy.nextprime(lo - 1)
+    p = lo
     while len(out) < args.prime_count:
-        if math.gcd(p, c * d) == 1 and d % p != 0:
+        if is_prime(p) and math.gcd(p, c * d) == 1:
             out.append(p)
-        p = sympy.nextprime(p)
+        p += 1
     return out
 
 
@@ -592,6 +589,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
     try:
+        if args.precision is not None and args.precision < 1:
+            raise ValueError(f"--precision must be >= 1, got {args.precision}")
         return args.func(args)
     except (ValueError, BudgetExceededError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -2,7 +2,9 @@
 
 Everything here is exact: Python ints, ``fractions.Fraction``, and an
 infinity sentinel for the minimal-representation function.  No floats ever
-enter a value that is later asserted on.
+enter a value that is later asserted on.  The number theory the package
+needs (primality, prime factors, multiplicative orders, integer
+determinants) is here too, as plain integer code.
 """
 
 from __future__ import annotations
@@ -30,6 +32,98 @@ def mod_inverse(e: int, d: int) -> int:
     if math.gcd(e, d) != 1:
         raise ValueError(f"{e} is not invertible modulo {d}")
     return pow(e, -1, d)
+
+
+#: Sorenson and Webster, Math. Comp. 86 (2017): Miller-Rabin to the first
+#: 13 prime bases decides primality of every n below psi_13.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < psi_13.
+
+    From psi_13 on no fixed set of bases is proved exact, so this raises
+    ``ValueError`` rather than guess.
+    """
+    if n >= PSI_13:
+        raise ValueError(f"primality is decided only below psi_13 = {PSI_13}, got {n}")
+    if n < 2:
+        return False
+    for base in _MR_BASES:
+        if n % base == 0:
+            return n == base
+    s, odd = 0, n - 1
+    while odd % 2 == 0:
+        s, odd = s + 1, odd // 2
+    for base in _MR_BASES:
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def multiplicative_order(x: int, c: int) -> int:
+    """The least b >= 1 with x^b = 1 mod c (1 when c == 1)."""
+    if c < 1:
+        raise ValueError(f"modulus must be positive, got {c}")
+    if math.gcd(x, c) != 1:
+        raise ValueError(f"{x} is not invertible modulo {c}")
+    b, y = 1, x % c
+    while y != 1 % c:
+        b, y = b + 1, y * x % c
+    return b
+
+
+def bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix, given as a list of rows.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22 (1968)): after step
+    k every entry is a (k+1)-minor of the input, so each division by the
+    previous pivot is exact.  A zero pivot is swapped with a row below it.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        piv, row_k = a[k][k], a[k]
+        for i in range(k + 1, n):
+            row_i, lead = a[i], a[i][k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * piv - lead * row_k[j]) // prev
+        prev = piv
+    return sign * a[n - 1][n - 1]
 
 
 def falling_factorial(x: int | Fraction, n: int) -> Fraction:

@@ -11,7 +11,9 @@ is then equivalent to the product of Hasse numbers not being a unit.
 One Hungarian solve of the assignment problem gives an optimal dual, and
 the permutations made of its tight edges are exactly the optimal ones
 (complementary slackness), so each sum is one exact determinant of the
-weights on ``tight_edges``.
+weights on ``tight_edges``.  The determinant is an integer Bareiss
+elimination: each row of rational weights is first scaled by the lcm of
+its denominators, and the product of those scales divides out at the end.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .combinatorics import (
     CombInstance,
     compute_C,
@@ -30,7 +30,13 @@ from .combinatorics import (
     tight_edges,
     xy_decomposition,
 )
-from .core_arith import INFINITY, factorial_inv_or_zero, falling_factorial
+from .core_arith import (
+    INFINITY,
+    bareiss_det,
+    factorial_inv_or_zero,
+    falling_factorial,
+    multiplicative_order,
+)
 from .polygon import Params
 
 
@@ -102,12 +108,17 @@ def twist_data(params: Params) -> TwistData:
                      t=t, u=tuple(u), uu=tuple(uu))
 
 
-def _optimal_det(inst: CombInstance, n: int, weight):
+def _optimal_det(inst: CombInstance, n: int, weight) -> Fraction:
     """Signed sum over optimal permutations tau of prod_i weight(i, tau(i))."""
     edges = tight_edges(inst, n)
-    return sympy.Matrix(n + 1, n + 1,
-                        lambda i, j: weight(i, j) if (i, j) in edges else 0
-                        ).det(method="bareiss")
+    rows, scale = [], 1
+    for i in range(n + 1):
+        row = [Fraction(weight(i, j)) if (i, j) in edges else Fraction(0)
+               for j in range(n + 1)]
+        s = math.lcm(*(w.denominator for w in row))
+        rows.append([w.numerator * (s // w.denominator) for w in row])
+        scale *= s
+    return Fraction(bareiss_det(rows), scale)
 
 
 def hasse_number(params: Params, n: int, k: int) -> Fraction:
@@ -128,8 +139,7 @@ def hasse_number(params: Params, n: int, k: int) -> Fraction:
         sol = xy_decomposition(inst, i, j)
         return factorial_inv_or_zero(sol.x) * factorial_inv_or_zero(sol.y)
 
-    h = _optimal_det(inst, n, weight)
-    return Fraction(int(h.p), int(h.q))
+    return _optimal_det(inst, n, weight)
 
 
 def v_exponent(params: Params, n: int, k: int) -> int:
@@ -196,7 +206,7 @@ def hasse_constant(c: int, mu: int, pp: int, e: int, d: int) -> int:
         raise ValueError(f"need gcd(mu, c) = 1, got mu={mu}, c={c}")
     if math.gcd(pp, c * d) != 1:
         raise ValueError(f"need gcd(pp, c*d) = 1, got pp={pp}, c*d={c * d}")
-    b = 1 if c == 1 else sympy.n_order(pp, c)
+    b = multiplicative_order(pp, c)
     t = _t_residues(pp, mu, c, b)
     H = 1
     for k in range(1, b + 1):

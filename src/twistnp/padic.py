@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import sympy
+
+from .core_arith import is_prime, prime_factors
 
 # ---------------------------------------------------------------------------
 # residue-field polynomial helpers (coefficients little-endian, mod p)
@@ -102,7 +103,7 @@ def is_irreducible(poly, p):
         frob.append(t)
     if frob[deg] != poly_divmod(x, poly, p)[1]:
         return False
-    for r in sympy.primefactors(deg):
+    for r in prime_factors(deg):
         diff = list(frob[deg // r])
         while len(diff) < 2:
             diff.append(0)
@@ -138,7 +139,7 @@ def find_generator(p: int, deg: int) -> tuple[int, ...]:
     """Smallest-encoded generator of the multiplicative group of F_{p^deg}."""
     modulus = smallest_irreducible(p, deg)
     order = p**deg - 1
-    primes = sympy.primefactors(order)
+    primes = prime_factors(order)
     for code in range(1, p**deg):
         elem = []
         rem = code
@@ -178,7 +179,7 @@ class ZqContext:
     """Arithmetic context for Z_q mod p^M with q = p^deg."""
 
     def __init__(self, p: int, deg: int, M: int):
-        if not sympy.isprime(p):
+        if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if deg < 1 or M < 1:
             raise ValueError("deg and M must be >= 1")
@@ -647,14 +648,6 @@ class RamifiedElem:
 def make_context(p: int, deg: int, M: int) -> ZqContext:
     """Deterministic context; repeated calls return the same object."""
     return ZqContext(p, deg, M)
-
-
-def teichmuller(ctx: ZqContext, residue) -> ZqElem:
-    return ctx.teichmuller(residue)
-
-
-def valuation(x: RamifiedElem) -> Valuation:
-    return x.valuation()
 
 
 def zeta_p_power(ctx: ZqContext, n: int) -> RamifiedElem:

@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import sympy
-
 from .combinatorics import C_value_reduced, CombInstance
+from .core_arith import is_prime, multiplicative_order
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class Params:
     digits: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if not sympy.isprime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if self.a < 1:
             raise ValueError(f"a must be >= 1, got {self.a}")
@@ -63,9 +62,7 @@ class Params:
         if not (0 <= self.lam_index <= q - 2):
             raise ValueError(f"lam_index must lie in [0, q-2], got {self.lam_index}")
         u = ((q - 1) // self.c * self.mu) % (q - 1)
-        b = 1
-        if self.c > 1:
-            b = sympy.n_order(self.p, self.c)
+        b = multiplicative_order(self.p, self.c)
         if self.a % b != 0:
             raise ValueError(f"order b={b} of p mod c must divide a={self.a}")
         digits = []

@@ -49,6 +49,19 @@ def test_bad_flags_exit_2(capsys):
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--precision", "0", "lfunc", "--p", "11", "--d", "3", "--e", "2"],
+    ["--precision", "-2", "lfunc", "--p", "11", "--d", "3", "--e", "2"],
+    # 2^127 - 1 is prime, but past psi_13 primality is not decided
+    ["polygon", "--p", str(2**127 - 1), "--d", "5", "--e", "2"],
+])
+def test_refused_input_exits_2_with_one_error_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_hasse_command(capsys):
     code, out = _run(capsys, ["hasse", "--p", "11", "--d", "3", "--e", "2"])
     assert code == 0
@@ -130,6 +143,16 @@ def test_verify_small_grid_and_resume(tmp_path, capsys):
     assert summary2["skipped_existing"] == 2 and summary2["errors"] == 2
     error_lines = [x for x in lines if '"error:' in x]
     assert out_file.read_text().strip().splitlines() == lines + error_lines
+
+
+def test_verify_skips_explicit_primes_sharing_a_factor_with_c(tmp_path, capsys):
+    # no character of order 3 exists over a power of 3
+    out_file = tmp_path / "sweep.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "verify", "--d", "4", "--e", "1",
+                            "--c", "3", "--primes", "5,3"])
+    assert code == 0
+    records = [json.loads(x) for x in out_file.read_text().splitlines()]
+    assert records and {r["p"] for r in records} == {5}
 
 
 def test_resume_recomputes_keys_made_under_other_settings(tmp_path, capsys):
@@ -494,8 +517,8 @@ def test_benchmark_tracer_installs():
 
 def test_cli_import_leaves_scipy_out():
     src = os.path.dirname(os.path.dirname(os.path.abspath(twistnp.__file__)))
-    code = "import sys, twistnp.cli; print('scipy' in sys.modules)"
+    code = "import sys, twistnp.cli; print({'scipy', 'sympy'} & set(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "set()"

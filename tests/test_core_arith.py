@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,13 +13,18 @@ from hypothesis import strategies as st
 
 from twistnp.core_arith import (
     INFINITY,
+    PSI_13,
     artin_hasse_coeffs,
+    bareiss_det,
     factorial_inv_or_zero,
     falling_factorial,
+    is_prime,
     min_phi,
     min_residue,
     mod_inverse,
+    multiplicative_order,
     phi_minimizer,
+    prime_factors,
 )
 
 
@@ -137,3 +143,84 @@ def test_min_phi_small_cases():
     assert min_phi(7, 3, 2) == 3
     assert min_phi(1, 3, 2) is INFINITY
     assert min_phi(-4, 3, 2) is INFINITY
+
+
+# psi_1..psi_12 (OEIS A014233): psi_k is the least odd composite that is a
+# strong probable prime to each of the first k prime bases
+_PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461]
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    s, odd = 0, n - 1
+    while odd % 2 == 0:
+        s, odd = s + 1, odd // 2
+    x = pow(base, odd, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_matches_sympy_on_a_range():
+    assert [n for n in range(200_000) if is_prime(n)] == list(sympy.primerange(200_000))
+
+
+def test_is_prime_matches_sympy_on_random_integers():
+    rng = random.Random(20171)
+    for n in (rng.randrange(10**12) for _ in range(3000)):
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_rejects_the_strong_pseudoprimes():
+    for n in _PSI:
+        assert not sympy.isprime(n)
+        assert not is_prime(n), n
+    # only the thirteenth base, 41, exposes psi_12
+    first_12 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    assert all(_strong_probable_prime(_PSI[11], b) for b in first_12)
+    assert not _strong_probable_prime(_PSI[11], 41)
+
+
+def test_is_prime_refuses_from_psi_13_on():
+    assert not sympy.isprime(PSI_13)
+    assert is_prime(PSI_13 - 2) == sympy.isprime(PSI_13 - 2)
+    for n in (PSI_13, 2**127 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
+
+
+def test_prime_factors_matches_sympy():
+    rng = random.Random(7)
+    cases = list(range(1, 2000)) + [rng.randrange(1, 10**10) for _ in range(200)]
+    cases += [11**6 - 1, 2**32 - 1, 97 * 97 * 101]
+    for n in cases:
+        assert prime_factors(n) == sympy.primefactors(n), n
+    with pytest.raises(ValueError):
+        prime_factors(0)
+
+
+def test_multiplicative_order_matches_sympy():
+    for c in range(2, 120):
+        for x in range(-3, 3 * c):
+            if math.gcd(x, c) == 1:
+                assert multiplicative_order(x, c) == sympy.n_order(x % c, c)
+            else:
+                with pytest.raises(ValueError):
+                    multiplicative_order(x, c)
+    assert multiplicative_order(1009, 1) == multiplicative_order(0, 1) == 1
+    with pytest.raises(ValueError):
+        multiplicative_order(3, 0)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_bareiss_det_matches_sympy(n):
+    rng = random.Random(1000 + n)
+    for _ in range(40):
+        rows = [[rng.randrange(-10**30, 10**30) if rng.random() < 0.4 else 0
+                 for _ in range(n)] for _ in range(n)]
+        assert bareiss_det(rows) == sympy.Matrix(n, n, sum(rows, [])).det(method="bareiss")
