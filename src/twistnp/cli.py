@@ -32,6 +32,7 @@ from .hasse import hasse_certificate
 from .lfunction import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    DEFAULT_TADIC_BUDGET,
     DescentError,
     FunctionalEquationError,
     classical_l_function,
@@ -316,10 +317,6 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
     except (PrecisionError, TruncationError) as exc:
         rec["status"] = f"error:precision:{exc}"
         return rec
-    except BudgetExceededError as exc:
-        rec["status"] = "skipped:budget"
-        rec["needed_budget"] = exc.needed
-        return rec
     rec.update({
         "precision": data.M,
         "H": str(cert.H),
@@ -359,11 +356,17 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
             if not sandwich:
                 violations.append("T-adic polygon escapes the sandwich")
             if trace_k > 0:
-                reports = trace_consistency(params, trace_k, min(6, p - 2),
-                                            M=precision, mat=res.matrix)
-                rec["trace_consistency"] = all(r.ok for r in reports)
-                if not rec["trace_consistency"]:
-                    violations.append("trace formula mismatch")
+                # the check enumerates F_{q^trace_k} under the fixed T-adic budget
+                needed = params.q**trace_k
+                if needed > DEFAULT_TADIC_BUDGET:
+                    rec["trace_consistency"] = None
+                    rec["trace_needed_budget"] = needed
+                else:
+                    reports = trace_consistency(params, trace_k, min(6, p - 2),
+                                                M=precision, mat=res.matrix)
+                    rec["trace_consistency"] = all(r.ok for r in reports)
+                    if not rec["trace_consistency"]:
+                        violations.append("trace formula mismatch")
         except (TruncationError, PrecisionError) as exc:
             rec["status"] = f"error:precision:{exc}"
             return rec
@@ -591,6 +594,9 @@ def main(argv=None) -> int:
     try:
         if args.precision is not None and args.precision < 1:
             raise ValueError(f"--precision must be >= 1, got {args.precision}")
+        n_max = getattr(args, "n_max", None)
+        if n_max is not None and n_max < 1:
+            raise ValueError(f"--n-max must be >= 1, got {n_max}")
         return args.func(args)
     except (ValueError, BudgetExceededError) as exc:
         sys.stderr.write(f"error: {exc}\n")

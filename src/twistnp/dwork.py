@@ -42,7 +42,12 @@ class TruncationError(RuntimeError):
 
 @dataclass
 class PiSeries:
-    """Finite sum of c * pi^(num/D) with num in [0, D*order)."""
+    """Finite sum of c * pi^(num/D) with num in [0, D*order).
+
+    ``(D, order)`` is the series' grid.  Every series of one operator sits
+    on the same grid, so sums and products never realign exponents; an
+    operation on series of two grids raises ``ValueError``.
+    """
 
     ctx: ZqContext
     D: int
@@ -53,42 +58,28 @@ class PiSeries:
         return PiSeries(self.ctx, self.D, self.order, terms)
 
     @classmethod
-    def zero(cls, ctx, order, D=1):
-        return cls(ctx, D, order, {})
-
-    @classmethod
-    def one(cls, ctx, order, D=1):
+    def one(cls, ctx, order, D):
         return cls(ctx, D, order, {0: ctx.one()})
 
     def is_zero(self):
         return not self.terms
 
-    def _aligned(self, other):
-        D = math.lcm(self.D, other.D)
-        order = min(self.order, other.order)
-        return D, order
-
-    def _rescaled_terms(self, D, order):
-        f = D // self.D
-        cap = D * order
-        out = {}
-        for num, c in self.terms.items():
-            nn = num * f
-            if nn < cap and not c.is_zero():
-                out[nn] = c
-        return out
+    def check_same_grid(self, other):
+        if (self.D, self.order) != (other.D, other.order):
+            raise ValueError(f"series on the grids (D, order) = {(self.D, self.order)} "
+                             f"and {(other.D, other.order)}")
 
     def __add__(self, other):
-        D, order = self._aligned(other)
-        out = self._rescaled_terms(D, order)
-        for num, c in other._rescaled_terms(D, order).items():
+        self.check_same_grid(other)
+        out = dict(self.terms)
+        for num, c in other.terms.items():
             acc = out.get(num)
             s = c if acc is None else acc + c
             if s.is_zero():
                 out.pop(num, None)
             else:
                 out[num] = s
-        return PiSeries(self.ctx, D, order, out)
+        return self.copy_with(out)
 
     def __sub__(self, other):
         return self + other.negate()
@@ -104,27 +95,21 @@ class PiSeries:
                 if not s.is_zero():
                     out[num] = s
             return self.copy_with(out)
-        D, order = self._aligned(other)
-        zero = PiSeries(self.ctx, D, order, {})
-        return _dot([(zero.copy_with(self._rescaled_terms(D, order)),
-                      zero.copy_with(other._rescaled_terms(D, order)))], zero)
+        return _dot([(self, other)], self.copy_with({}))
 
     __rmul__ = __mul__
 
-    def shift(self, num: int, D: int) -> "PiSeries":
+    def shift(self, num: int) -> "PiSeries":
         """Multiply by pi^(num/D); exponents must stay non-negative."""
-        DD = math.lcm(self.D, D)
-        cap = DD * self.order
-        f_self = DD // self.D
-        f_arg = DD // D
+        cap = self.D * self.order
         out = {}
         for n, c in self.terms.items():
-            nn = n * f_self + num * f_arg
+            nn = n + num
             if nn < 0:
                 raise ValueError("negative pi-exponent")
             if nn < cap:
                 out[nn] = c
-        return PiSeries(self.ctx, DD, self.order, out)
+        return self.copy_with(out)
 
     def t_valuation(self) -> Fraction | None:
         """T-adic order: smallest exponent present, None if empty."""
@@ -140,12 +125,6 @@ class PiSeries:
             out[num // self.D] = c
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, PiSeries):
-            return NotImplemented
-        D, order = self._aligned(other)
-        return self._rescaled_terms(D, order) == other._rescaled_terms(D, order)
-
 
 def artin_hasse_zq(ctx: ZqContext, n_max: int) -> list[ZqElem]:
     """Artin-Hasse coefficients as Z_q scalars (denominators are units)."""
@@ -159,7 +138,11 @@ def artin_hasse_zq(ctx: ZqContext, n_max: int) -> list[ZqElem]:
 
 def ef_gamma_coeffs(ctx: ZqContext, d: int, e: int, lam_hat: ZqElem,
                     n_max: int, O: int) -> list[PiSeries]:
-    """Splitting-series coefficients gamma_0..gamma_{n_max} mod pi^O."""
+    """Splitting-series coefficients gamma_0..gamma_{n_max} mod pi^O.
+
+    The series sit on the operator's grid (d, O): pi^(x+y) is exponent
+    (x+y)*d.
+    """
     lam = artin_hasse_zq(ctx, O)
     lam_pows = [ctx.one()]
     for _ in range(O):
@@ -176,15 +159,16 @@ def ef_gamma_coeffs(ctx: ZqContext, d: int, e: int, lam_hat: ZqElem,
                     break  # totals grow by d - e > 0 along the solution line
                 coeff = ctx.mul(ctx.mul(lam[x], lam[y]), lam_pows[y])
                 if not coeff.is_zero():
-                    acc = terms.get(total)
+                    num = total * d
+                    acc = terms.get(num)
                     s = coeff if acc is None else acc + coeff
                     if s.is_zero():
-                        terms.pop(total, None)
+                        terms.pop(num, None)
                     else:
-                        terms[total] = s
+                        terms[num] = s
                 x -= e
                 y += d
-        out.append(PiSeries(ctx, 1, O, terms))
+        out.append(PiSeries(ctx, d, O, terms))
     return out
 
 
@@ -217,14 +201,16 @@ class PsiMatrix:
 def _dot(pairs, zero: PiSeries) -> PiSeries:
     """Sum of x * y over pairs of series on the grid of ``zero``.
 
-    Every series must carry the denominator ``zero.D``; this is the one
-    series product.  The products are accumulated as unreduced polynomials
-    and reduced once per exponent.
+    This is the one series product; a series on another grid raises.  The
+    products are accumulated as unreduced polynomials and reduced once per
+    exponent.
     """
     ctx, cap = zero.ctx, zero.D * zero.order
     width = 2 * ctx.deg - 1
     acc: dict[int, list[int]] = {}
     for x, y in pairs:
+        zero.check_same_grid(x)
+        zero.check_same_grid(y)
         for na, ca in x.terms.items():
             for nb, cb in y.terms.items():
                 n = na + nb
@@ -251,8 +237,6 @@ class _ProductCoeffs:
 
     def __init__(self, params: Params, ctx: ZqContext, O: int):
         self.params = params
-        self.ctx = ctx
-        self.O = O
         p, d, e = params.p, params.d, params.e
         g = ctx.generator
         from .padic import poly_pow_mod
@@ -265,6 +249,7 @@ class _ProductCoeffs:
             twisted = ctx.pow(lam_hat, p**j)
             self.gammas.append(
                 ef_gamma_coeffs(ctx, d, e, twisted, self.gamma_max, O))
+        self.zero = PiSeries(ctx, d, O, {})
         self._memo: dict[tuple[int, int], PiSeries] = {}
 
     def coeff(self, m: int) -> PiSeries:
@@ -277,22 +262,19 @@ class _ProductCoeffs:
             pj = self.params.p**j
             if m % pj == 0 and m // pj <= self.gamma_max:
                 return self.gammas[j][m // pj]
-            return PiSeries.zero(self.ctx, self.O)
+            return self.zero
         key = (j, m)
-        if key in self._memo:
-            return self._memo[key]
-        pj = self.params.p**j
-        total = PiSeries.zero(self.ctx, self.O)
-        n = 0
-        while n * pj <= m and n <= self.gamma_max:
-            g = self.gammas[j][n]
-            if not g.is_zero():
-                rest = self._level(j + 1, m - n * pj)
-                if not rest.is_zero():
-                    total = total + g * rest
-            n += 1
-        self._memo[key] = total
-        return total
+        if key not in self._memo:
+            pj = self.params.p**j
+            pairs = []
+            for n in range(min(m // pj, self.gamma_max) + 1):
+                g = self.gammas[j][n]
+                if g.terms:
+                    rest = self._level(j + 1, m - n * pj)
+                    if rest.terms:
+                        pairs.append((g, rest))
+            self._memo[key] = _dot(pairs, self.zero)
+        return self._memo[key]
 
 
 def psi_a_matrix(params: Params, N: int, O: int, M: int | None = None,
@@ -317,11 +299,7 @@ def psi_a_matrix(params: Params, N: int, O: int, M: int | None = None,
         row = []
         for i in range(N):
             midx = q * w - i + u
-            if midx < 0:
-                row.append(PiSeries.zero(ctx, O_work, d))
-                continue
-            series = prod.coeff(midx)
-            row.append(series.shift(i - w, d))
+            row.append(prod.zero if midx < 0 else prod.coeff(midx).shift(i - w))
         entries.append(row)
     return PsiMatrix(params=params, ctx=ctx, N=N, O=O, entries=entries)
 
@@ -335,7 +313,7 @@ def char_series(mat: PsiMatrix, n_max: int) -> list[PiSeries]:
     """
     A = mat.entries
     zero = A[0][0].copy_with({})
-    coeffs = [PiSeries.one(mat.ctx, zero.order, zero.D)] + [zero] * n_max
+    coeffs = [zero.copy_with({0: mat.ctx.one()})] + [zero] * n_max
     for r in range(mat.N):
         row = A[r][:r]
         # factor[m]: minus the s^m coefficient of the bordering factor
@@ -396,20 +374,19 @@ class TruncationVerdict:
     reason: str = ""
 
 
-def required_order(params: Params, n_max: int, guard: int = DEFAULT_GUARD) -> int:
+def required_order(params: Params, n_max: int) -> int:
     P = lower_bound_polygon(params, n_max)
     top = params.a * (params.p - 1) * P.value(n_max)
-    return math.ceil(top) + guard
+    return math.ceil(top) + DEFAULT_GUARD
 
 
-def truncation_certificate(params: Params, N: int, O: int, n_max: int,
-                           guard: int = DEFAULT_GUARD) -> TruncationVerdict:
+def truncation_certificate(params: Params, N: int, O: int, n_max: int) -> TruncationVerdict:
     """Certify that (N, O) resolve the first n_max char-series valuations.
 
     Tail rows w >= N only feed terms of order at least (p-1)*w/d, so they
     cannot touch anything below O once (p-1)*N/d >= O.
     """
-    O_needed = required_order(params, n_max, guard)
+    O_needed = required_order(params, n_max)
     d, p = params.d, params.p
     N_needed = math.ceil(Fraction(d * max(O, O_needed), p - 1)) + 1
     if O < O_needed:
@@ -424,8 +401,8 @@ def truncation_certificate(params: Params, N: int, O: int, n_max: int,
     return TruncationVerdict(True, N, O, N, O)
 
 
-def auto_sizes(params: Params, n_max: int, guard: int = DEFAULT_GUARD) -> tuple[int, int]:
-    O = required_order(params, n_max, guard)
+def auto_sizes(params: Params, n_max: int) -> tuple[int, int]:
+    O = required_order(params, n_max)
     N = math.ceil(Fraction(params.d * O, params.p - 1)) + 1
     N = max(N, n_max)
     return N, O
@@ -440,16 +417,16 @@ class NpTResult:
 
 
 def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
-         M: int | None = None, guard: int = DEFAULT_GUARD) -> NpTResult:
+         M: int | None = None) -> NpTResult:
     """T-adic Newton polygon of the characteristic series on [0, n_max].
 
     The traces of A^k read off the series must equal those computed from A
     directly (``direct_traces``), or this raises ``DworkConsistencyError``.
     """
-    autoN, autoO = auto_sizes(params, n_max, guard)
+    autoN, autoO = auto_sizes(params, n_max)
     N = N if N is not None else autoN
     O = O if O is not None else autoO
-    verdict = truncation_certificate(params, N, O, n_max, guard)
+    verdict = truncation_certificate(params, N, O, n_max)
     if not verdict.ok:
         raise TruncationError(verdict)
     mat = psi_a_matrix(params, N, O, M)

@@ -270,18 +270,18 @@ class SubfieldDescent:
         self.a = params.a
         self.p = params.p
         self.base = make_context(params.p, params.a, big.M)
-        self.embed_exponent = self._find_embedding_exponent(params)
         # the base generator's residue image: lambda index l maps to its l-th power
-        self._lam_base = poly_pow_mod(big.generator, self.embed_exponent,
-                                      big.modulus, big.p)
+        if self.a == 1:  # the base field is F_p: the generator is a constant
+            self._lam_base = self.base.generator
+        else:
+            self.embed_exponent = self._find_embedding_exponent(params)
+            self._lam_base = poly_pow_mod(big.generator, self.embed_exponent,
+                                          big.modulus, big.p)
         self._build_basis()
 
     def _find_embedding_exponent(self, params: Params) -> int:
-        """Exponent E with big_gen^E the image of the base generator."""
+        """Exponent E with big_gen^E the image of the base generator, a > 1."""
         p, a = self.p, self.a
-        if a == 1:
-            g_int = make_context(p, 1, 2).generator[0]
-            return self._dlog_in_subfield((g_int,))
         minpoly = _base_generator_minpoly(p, a, 2)
         q = p**a
         Q1 = p**self.big.deg - 1
@@ -293,21 +293,6 @@ class SubfieldDescent:
                 return (step * j) % Q1
             z = poly_mul_mod(z, h, self.big.modulus, p)
         raise AssertionError("no root of the base minimal polynomial found")
-
-    def _dlog_in_subfield(self, target) -> int:
-        """Discrete log of a subfield element, by scanning the small group."""
-        p = self.p
-        q = p**self.a
-        Q1 = p**self.big.deg - 1
-        step = Q1 // (q - 1)
-        h = poly_pow_mod(self.big.generator, step, self.big.modulus, p)
-        z = (1,)
-        tgt = poly_trim(tuple(c % p for c in target))
-        for j in range(q - 1):
-            if z == tgt:
-                return (step * j) % Q1
-            z = poly_mul_mod(z, h, self.big.modulus, p)
-        raise AssertionError("element does not lie in the subfield")
 
     def _build_basis(self):
         big, a = self.big, self.a

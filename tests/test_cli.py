@@ -54,6 +54,11 @@ def test_bad_flags_exit_2(capsys):
     ["--precision", "-2", "lfunc", "--p", "11", "--d", "3", "--e", "2"],
     # 2^127 - 1 is prime, but past psi_13 primality is not decided
     ["polygon", "--p", str(2**127 - 1), "--d", "5", "--e", "2"],
+    ["polygon", "--p", "11", "--d", "3", "--e", "2", "--n-max", "0"],
+    ["dwork", "--p", "11", "--d", "3", "--e", "2", "--n-max", "-1"],
+    ["lfunc", "--p", "11", "--d", "3", "--e", "2", "--n-max", "0"],
+    ["verify", "--d", "3", "--e", "2", "--primes", "11", "--n-max", "0"],
+    ["sweep", "--d", "3", "--e", "2", "--primes", "11", "--n-max", "-3"],
 ])
 def test_refused_input_exits_2_with_one_error_line(capsys, argv):
     assert main(argv) == 2
@@ -295,6 +300,22 @@ def test_verify_records_a_trace_mismatch(tmp_path, capsys, monkeypatch):
     assert rec["status"] == "ok"
     assert rec["trace_consistency"] is False
     assert rec["violations"] == ["trace formula mismatch"]
+
+
+def test_verify_keeps_a_record_whose_trace_check_exceeds_the_tadic_budget(tmp_path, capsys):
+    # 61^3 = 226981 elements lie past the fixed T-adic budget of 2*10^5
+    out_file = tmp_path / "trace_budget.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "verify", "--d", "3", "--e", "2",
+                            "--c", "1", "--primes", "61", "--lam-policy", "first:1",
+                            "--dwork", "--trace-k", "3"])
+    assert code == 0
+    (rec,) = [json.loads(x) for x in out_file.read_text().splitlines()]
+    assert rec["status"] == "ok" and rec["violations"] == []
+    assert rec["trace_consistency"] is None
+    assert rec["trace_needed_budget"] == 61**3
+    # the classical, Hasse and T-adic parts of the record are kept
+    assert rec["np_slopes"] == rec["np_T_slopes"] == ["0/1", "1/3", "2/3"]
+    assert rec["H"] == "8" and rec["h_unit"] is True
 
 
 def test_consistency_errors_exit_1(capsys, monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from twistnp.core_arith import INFINITY, artin_hasse_coeffs, min_phi
 from twistnp.dwork import (
     PiSeries,
+    _ProductCoeffs,
     TruncationError,
     auto_sizes,
     char_series,
@@ -106,11 +107,13 @@ def test_gamma_low_coefficients():
     ctx = _gamma_ctx()
     lam_hat = ctx.teichmuller((3,))
     gam = ef_gamma_coeffs(ctx, 3, 2, lam_hat, 12, 8)
+    # the operator's grid: pi^1 is exponent d = 3
+    assert all((g.D, g.order) == (3, 8) for g in gam)
     assert gam[0].terms == {0: ctx.one()}
     # gamma_d starts with pi * lambda_1 = pi
-    assert min(gam[3].terms) == 1 and gam[3].terms[1] == ctx.one()
+    assert min(gam[3].terms) == 3 and gam[3].terms[3] == ctx.one()
     # gamma_e starts with pi * lamhat
-    assert min(gam[2].terms) == 1 and gam[2].terms[1] == lam_hat
+    assert min(gam[2].terms) == 3 and gam[2].terms[3] == lam_hat
     # non-representable index has empty series
     assert gam[1].terms == {} or min(gam[1].terms) > 0
 
@@ -131,17 +134,26 @@ def test_gamma_order_matches_phi():
 
 def test_pi_series_arithmetic():
     ctx = _gamma_ctx()
-    a = PiSeries(ctx, 1, 6, {0: ctx.one(), 2: ctx.from_int(3)})
+    a = PiSeries(ctx, 3, 6, {0: ctx.one(), 6: ctx.from_int(3)})  # 1 + 3 pi^2
     b = PiSeries(ctx, 3, 6, {1: ctx.from_int(2)})  # 2 * pi^(1/3)
-    prod = a * b
-    assert prod.D == 3
-    assert prod.terms[1] == ctx.from_int(2)
-    assert prod.terms[7] == ctx.from_int(6)
-    assert (a + a).terms[0] == ctx.from_int(2)
-    assert a.shift(1, 3).terms == {1: ctx.one(), 7: ctx.from_int(3)}
+    assert (a * b).terms == {1: ctx.from_int(2), 7: ctx.from_int(6)}
+    assert (a * b * b).terms == {2: ctx.from_int(4), 8: ctx.from_int(12)}
+    assert (a + a).terms == {0: ctx.from_int(2), 6: ctx.from_int(6)}
+    assert (a - a).is_zero() and (a - a).D == 3
+    assert a.shift(1).terms == {1: ctx.one(), 7: ctx.from_int(3)}
+    assert a.shift(12).terms == {12: ctx.one()}  # pi^6 falls past the order
     with pytest.raises(ValueError):
-        b.shift(-2, 3)
+        b.shift(-2)
     assert a.t_valuation() == 0 and b.t_valuation() == F(1, 3)
+    # series on another grid, even one holding the same exponents, never mix
+    for other in (PiSeries(ctx, 1, 6, {0: ctx.one(), 2: ctx.from_int(3)}),
+                  PiSeries(ctx, 3, 7, dict(a.terms))):
+        assert other != a
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            with pytest.raises(ValueError, match="grids"):
+                op(a, other)
+            with pytest.raises(ValueError, match="grids"):
+                op(other, a)
 
 
 def test_psi_matrix_single_factor_case():
@@ -160,7 +172,71 @@ def test_psi_matrix_single_factor_case():
             if midx < 0:
                 assert mat.entries[w][i].is_zero()
             else:
-                assert mat.entries[w][i] == gam[midx].shift(i - w, 3)
+                assert mat.entries[w][i] == gam[midx].shift(i - w)
+
+
+def _pairwise_entries(params, N, order, ctx):
+    """Operator entries as {Fraction exponent: coefficient}: every gamma on
+    integer exponents, each product of (gamma, rest) reduced and added on
+    its own, and the shift by (i - w)/d aligned entry by entry.  Fraction
+    exponents need no common grid."""
+    p, a, d, q, u = params.p, params.a, params.d, params.q, params.u
+    prod = _ProductCoeffs(params, ctx, order)
+    gammas = [[{F(n, g.D): c for n, c in g.terms.items()} for g in row]
+              for row in prod.gammas]
+    assert all(x.denominator == 1 for row in gammas for g in row for x in g)
+
+    def add(x, y):
+        out = dict(x)
+        for t, c in y.items():
+            out[t] = out[t] + c if t in out else c
+        return {t: c for t, c in out.items() if not c.is_zero()}
+
+    def mul(x, y):
+        out = {}
+        for s, b in x.items():
+            for t, c in y.items():
+                if s + t < order:
+                    out = add(out, {s + t: b * c})
+        return out
+
+    @functools.lru_cache(maxsize=None)
+    def level(j, m):
+        pj = p**j
+        if j == a - 1:
+            n = m // pj
+            return gammas[j][n] if m % pj == 0 and n <= prod.gamma_max else {}
+        total = {}
+        for n in range(min(m // pj, prod.gamma_max) + 1):
+            total = add(total, mul(gammas[j][n], level(j + 1, m - n * pj)))
+        return total
+
+    entries = [[{} for _ in range(N)] for _ in range(N)]
+    for w in range(N):
+        for i in range(N):
+            midx = q * w - i + u
+            if midx >= 0:
+                shift = F(i - w, d)
+                entries[w][i] = {t + shift: c for t, c in level(0, midx).items()
+                                 if t + shift < order}
+    return entries
+
+
+@pytest.mark.parametrize("tup", [(11, 2, 3, 2, 3, 1, 1),  # q = 121, two factors
+                                 (43, 1, 5, 2, 1, 1, 1),  # the strict instance
+                                 (17, 1, 7, 6, 2, 1, 1)],
+                         ids=lambda x: str(x).replace(" ", ""))
+def test_psi_matrix_matches_pairwise_accumulation(tup):
+    p, a, d, e, c, mu, lam = tup
+    pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
+    N, O = auto_sizes(pr, d)
+    mat = psi_a_matrix(pr, N, O)
+    want = _pairwise_entries(pr, N, mat.work_order, mat.ctx)
+    for w in range(N):
+        for i in range(N):
+            got = mat.entries[w][i]
+            assert (got.D, got.order) == (d, mat.work_order)
+            assert {F(n, d): c for n, c in got.terms.items()} == want[w][i], (w, i)
 
 
 def test_psi_matrix_entry_orders_nonnegative():
