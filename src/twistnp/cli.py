@@ -33,10 +33,10 @@ from .lfunction import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     DEFAULT_TADIC_BUDGET,
-    DescentError,
     FunctionalEquationError,
     classical_l_function,
     classical_route,
+    extend_newton_polygon,
     l_polynomial,
     newton_polygon_classical,
     route_sums_by_lambda,
@@ -57,15 +57,11 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _poly_json(poly: Polygon, corners_only=False) -> dict:
-    return poly.to_json_dict(corners_only=corners_only)
-
-
 def _slopes_json(poly: Polygon) -> list[str]:
     return [_frac_str(s) for s in poly.slopes()]
 
 
-def _emit(obj, args) -> None:
+def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2))
     sys.stdout.write("\n")
 
@@ -100,14 +96,14 @@ def cmd_polygon(args) -> int:
     _emit({
         "schema": SCHEMA,
         "params": params.key(),
-        "hodge": _poly_json(H),
+        "hodge": H.to_json_dict(),
         "hodge_slopes": _slopes_json(H),
-        "lower_bound": _poly_json(P),
+        "lower_bound": P.to_json_dict(),
         "lower_bound_slopes": _slopes_json(P),
         "meets_hodge_on_d_multiples": all(
             P.value(params.d * m) == H.value(params.d * m)
             for m in range(n_max // params.d + 1)),
-    }, args)
+    })
     return EXIT_OK
 
 
@@ -118,7 +114,7 @@ def cmd_hasse(args) -> int:
     out.update(cert.to_json_dict())
     out["verdicts_consistent"] = cert.verdicts_consistent()
     out["pp"] = cert.twist.pp
-    _emit(out, args)
+    _emit(out)
     return EXIT_OK
 
 
@@ -132,15 +128,13 @@ def cmd_lfunc(args) -> int:
         "precision": data.M,
         "l_valuations_pi_units": [None if v is None else _frac_str(Fraction(v))
                                   for v in data.valuations],
-        "newton_polygon": _poly_json(np_poly),
+        "newton_polygon": np_poly.to_json_dict(),
         "newton_slopes": _slopes_json(np_poly),
     }
     if args.n_max and args.n_max > params.d:
-        from .lfunction import extend_newton_polygon
-
-        out["extended_polygon"] = _poly_json(
-            extend_newton_polygon(np_poly, args.n_max), corners_only=False)
-    _emit(out, args)
+        ext = extend_newton_polygon(np_poly, args.n_max)
+        out["extended_polygon"] = ext.to_json_dict()
+    _emit(out)
     return EXIT_OK
 
 
@@ -161,7 +155,7 @@ def cmd_dwork(args) -> int:
         "schema": SCHEMA,
         "params": params.key(),
         "certificate": {"N": res.verdict.N, "O": res.verdict.O, "ok": True},
-        "np_T": _poly_json(res.polygon),
+        "np_T": res.polygon.to_json_dict(),
         "np_T_slopes": _slopes_json(res.polygon),
         "lies_above_lower_bound": above,
         "trace_consistency": [
@@ -176,7 +170,7 @@ def cmd_dwork(args) -> int:
             "npT_below_classical": lies_above(np_classical,
                                               res.polygon.restrict(params.d)).ok,
         }
-    _emit(out, args)
+    _emit(out)
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VIOLATION
 
 
@@ -190,8 +184,17 @@ def _parse_int_list(text: str) -> list[int]:
 
 def grid_tuples(args):
     """All valid parameter tuples of the requested grid, in sorted order."""
-    if args.a_multiple < 1:  # a = 0 would make q = 1: an empty grid
+    # flags no tuple can come from are refused, not read as an empty grid
+    if args.a_multiple < 1:  # a = 0 would make q = 1
         raise ValueError(f"--a-multiple must be >= 1, got {args.a_multiple}")
+    for c in _parse_int_list(args.c):
+        if c < 1:
+            raise ValueError(f"--c entries must be >= 1, got {c}")
+    for p in _parse_int_list(args.primes or ""):
+        if not is_prime(p):
+            raise ValueError(f"--primes entries must be prime, got {p}")
+    if args.lam_policy.startswith("first:") and int(args.lam_policy[6:]) < 1:
+        raise ValueError(f"--lam-policy first:K needs K >= 1, got {args.lam_policy}")
     tuples = []
     for d in _parse_int_list(args.d):
         if args.e == "all":
@@ -371,8 +374,9 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
             rec["status"] = f"error:precision:{exc}"
             return rec
     rec["violations"] = violations
-    rec["timings"] = {"total_s": round(time.monotonic() - t0 + shared_s, 3),
-                      "shared_s": round(shared_s, 3)}
+    # to the microsecond: a record of a small group takes well under 1 ms
+    rec["timings"] = {"total_s": round(time.monotonic() - t0 + shared_s, 6),
+                      "shared_s": round(shared_s, 6)}
     return rec
 
 
@@ -480,7 +484,7 @@ def run_grid(args, enforce: bool) -> int:
     if summary["p_divides_H"] == 0:
         summary["note"] = ("no divisible Hasse constant in this grid; "
                            "equality held wherever the theorems demanded it")
-    _emit({"schema": SCHEMA, "summary": summary}, args)
+    _emit({"schema": SCHEMA, "summary": summary})
     if enforce and violations:
         return EXIT_VIOLATION
     return EXIT_OK
@@ -604,7 +608,7 @@ def main(argv=None) -> int:
     except (TruncationError, PrecisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECISION
-    except (DworkConsistencyError, DescentError, FunctionalEquationError) as exc:
+    except (DworkConsistencyError, FunctionalEquationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VIOLATION
 

@@ -8,9 +8,10 @@ the sum is assembled from p + c Teichmuller data afterwards.  The pass
 itself is vectorised: multiplication by a fixed field element is a linear
 map over F_p, so blocks of powers come from small matrix products.
 
-Sums over F_{q^k} live in Z_{q^k}[pi_1] but are Frobenius-invariant; they
-are descended to the base Z_q[pi_1] by solving against a Hensel-lifted
-subfield basis, which doubles as the invariance check.
+The twist is chi(Norm x), whose values are c-th roots of unity in Z_q,
+so every sum is assembled in the base ring Z_q[pi_1] directly
+(``SubfieldDescent``): one embedding of F_q in F_{q^k} places the
+binomial's coefficient in the enumeration and fixes the character values.
 
 The classical polygon needs only about half the sums: the L-function is
 pure of weight 1, so its top coefficients' valuations are those of the
@@ -54,10 +55,6 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"enumeration needs {needed} elements, budget is {budget}")
         self.needed = needed
         self.budget = budget
-
-
-class DescentError(ArithmeticError):
-    """A sum failed to lie in the base subring (Frobenius invariance)."""
 
 
 class FunctionalEquationError(ArithmeticError):
@@ -217,34 +214,7 @@ def trace_count_matrix(p, m, ctx, lam_vecs, d_exp, e_exp, c,
 
 
 # ---------------------------------------------------------------------------
-# subfield embedding and descent
-
-
-def _base_generator_minpoly(p: int, a: int, M: int) -> list[int]:
-    """Minimal polynomial over F_p of the base-field generator."""
-    base = make_context(p, a, M)
-    g = base.generator
-    # product of (X - g^{p^i}) computed with polynomial coefficients in F_{p^a}
-    conj = g
-    poly = [tuple((-c) % p for c in _pad(conj, a)), (1,) + (0,) * (a - 1)]
-    for _ in range(a - 1):
-        conj = poly_pow_mod(conj, p, base.modulus, p)
-        root = tuple((-c) % p for c in _pad(conj, a))
-        new = [(0,) * a] * (len(poly) + 1)
-        new = [list(t) for t in new]
-        for i, coef in enumerate(poly):
-            prod = poly_mul_mod(coef, root, base.modulus, p)
-            prod = _pad(prod, a)
-            for t in range(a):
-                new[i][t] = (new[i][t] + prod[t]) % p
-            for t in range(a):
-                new[i + 1][t] = (new[i + 1][t] + coef[t]) % p
-        poly = [tuple(t) for t in new]
-    out = []
-    for coef in poly:
-        assert all(x == 0 for x in coef[1:]), "minimal polynomial not over F_p"
-        out.append(coef[0])
-    return out
+# the base ring: one embedding and the norm character
 
 
 def _pad(t, n):
@@ -263,131 +233,53 @@ def _eval_fp_poly_in_ff(coeffs: list[int], z, modulus, p):
 
 
 class SubfieldDescent:
-    """Maps elements of Z_{q^k} known to lie in Z_q back to base coordinates."""
+    """Sums over F_{q^k} assembled in the base ring Z_q[pi_1].
+
+    The twist chi(Norm x) takes c-th roots of unity, which lie in Z_q, so
+    each sum is assembled over the base ring from its (p, c) counts.  One
+    embedding iota of F_q in F_{q^k}, sending X to a root z of the base
+    modulus, serves both sides: coefficient index l is iota(g)^l in the
+    enumeration, and with ell the index where iota(g)^((q-1)/c * ell) =
+    g_big^((q^k-1)/c), class mm of x = g_big^j (j = mm mod c) weighs
+    V_mm = Teich(g^(-u * ell * mm)).  Any embedding gives the same sums,
+    as a Frobenius power only permutes the field elements.
+    """
 
     def __init__(self, params: Params, big: ZqContext):
+        p, a, c = params.p, params.a, params.c
+        q, Qk1 = p**a, p**big.deg - 1
         self.big = big
-        self.a = params.a
-        self.p = params.p
-        self.base = make_context(params.p, params.a, big.M)
-        # the base generator's residue image: lambda index l maps to its l-th power
-        if self.a == 1:  # the base field is F_p: the generator is a constant
-            self._lam_base = self.base.generator
-        else:
-            self.embed_exponent = self._find_embedding_exponent(params)
-            self._lam_base = poly_pow_mod(big.generator, self.embed_exponent,
-                                          big.modulus, big.p)
-        self._build_basis()
+        self.base = base = make_context(p, a, big.M)
+        z = ()  # a = 1: the base modulus is X, whose root is 0
+        if a > 1:  # the roots lie among the elements of order dividing q - 1
+            h = poly_pow_mod(big.generator, Qk1 // (q - 1), big.modulus, p)
+            z = (1,)
+            while _eval_fp_poly_in_ff(base.modulus, z, big.modulus, p):
+                z = poly_mul_mod(z, h, big.modulus, p)
+        # the base generator's residue image: index l maps to its l-th power
+        self._lam_base = _eval_fp_poly_in_ff(base.generator, z, big.modulus, p)
+        root = poly_pow_mod(self._lam_base, (q - 1) // c, big.modulus, p)
+        want = poly_pow_mod(big.generator, Qk1 // c, big.modulus, p)
+        ell = next(i for i in range(c) if poly_pow_mod(root, i, big.modulus, p) == want)
+        w = base.teichmuller(poly_pow_mod(base.generator, -params.u * ell % (q - 1),
+                                          base.modulus, p))
+        self.V = [base.pow(w, mm) for mm in range(c)]
 
-    def _find_embedding_exponent(self, params: Params) -> int:
-        """Exponent E with big_gen^E the image of the base generator, a > 1."""
-        p, a = self.p, self.a
-        minpoly = _base_generator_minpoly(p, a, 2)
-        q = p**a
-        Q1 = p**self.big.deg - 1
-        step = Q1 // (q - 1)
-        h = poly_pow_mod(self.big.generator, step, self.big.modulus, p)
-        z = (1,)
-        for j in range(q - 1):
-            if not _eval_fp_poly_in_ff(minpoly, z, self.big.modulus, p):
-                return (step * j) % Q1
-            z = poly_mul_mod(z, h, self.big.modulus, p)
-        raise AssertionError("no root of the base minimal polynomial found")
+    def descend_ram(self, counts: np.ndarray, conjugate: bool = False) -> RamifiedElem:
+        """sum_r zeta_p^r * acc_r with acc_r = sum_mm counts[r, mm] * V_mm.
 
-    def _build_basis(self):
-        big, a = self.big, self.a
-        if a == 1:
-            self._rows = None
-            return
-        # Hensel-lift the residue embedding of the base power-basis root
-        base_mod = self.base.modulus
-        x_img_res = poly_pow_mod(big.generator,
-                                 self._x_exponent(), big.modulus, big.p)
-        z = big.lift_root(base_mod, big.elem(x_img_res))
-        cols = [big.one()]
-        for _ in range(a - 1):
-            cols.append(big.mul(cols[-1], z))
-        self._B = [c.coeffs for c in cols]  # a columns, each length big.deg
-        self._prepare_solver()
-
-    def _x_exponent(self) -> int:
-        """Dlog of the residue image of the base ring generator X."""
-        # X generates the residue field as a ring; write it in terms of the
-        # base generator: X = g_base^dlog, so its image is big_gen^(E * dlog)
-        p, a = self.p, self.a
+        The acc_r are plain integer vectors; one change of basis from
+        zeta_p^r to the pi_1^j (``ZqContext.zeta_basis``) and one reduction
+        mod p^M give the components.  With ``conjugate`` it is the sum of
+        the conjugate characters: count (r, mm) weighs zeta_p^-r V_-mm.
+        """
+        if conjugate:
+            p, c = counts.shape
+            counts = counts[-np.arange(p) % p][:, -np.arange(c) % c]
         base = self.base
-        g = base.generator
-        target = (0, 1)
-        z = (1,)
-        for j in range(p**a - 1):
-            if _pad(z, a) == _pad(target, a):
-                Q1 = p**self.big.deg - 1
-                return (self.embed_exponent * j) % Q1
-            z = poly_mul_mod(z, g, base.modulus, p)
-        raise AssertionError("power basis root not generated")
-
-    def _prepare_solver(self):
-        big, a = self.big, self.a
-        p, pM = big.p, big.pM
-        mat = [[self._B[t][r] for t in range(a)] for r in range(big.deg)]
-        # pick a rows forming an invertible minor, by elimination mod p
-        work = [[x % p for x in row] for row in mat]
-        chosen: list[int] = []
-        for t in range(a):
-            pivot = None
-            for r in range(big.deg):
-                if r not in chosen and work[r][t] % p != 0:
-                    pivot = r
-                    break
-            assert pivot is not None, "subfield basis is degenerate mod p"
-            chosen.append(pivot)
-            inv = pow(work[pivot][t], -1, p)
-            for r in range(big.deg):
-                if r != pivot and work[r][t]:
-                    f = work[r][t] * inv % p
-                    for tt in range(a):
-                        work[r][tt] = (work[r][tt] - f * work[pivot][tt]) % p
-        self._rows = chosen
-        # invert the a x a minor mod p^M by Gauss-Jordan with unit pivots
-        minor = [[mat[r][t] % pM for t in range(a)] for r in chosen]
-        inv = [[1 if i == j else 0 for j in range(a)] for i in range(a)]
-        for t in range(a):
-            piv = None
-            for r in range(t, a):
-                if minor[r][t] % p != 0:
-                    piv = r
-                    break
-            assert piv is not None
-            minor[t], minor[piv] = minor[piv], minor[t]
-            inv[t], inv[piv] = inv[piv], inv[t]
-            scale = pow(minor[t][t], -1, pM)
-            minor[t] = [x * scale % pM for x in minor[t]]
-            inv[t] = [x * scale % pM for x in inv[t]]
-            for r in range(a):
-                if r != t and minor[r][t]:
-                    f = minor[r][t]
-                    minor[r] = [(x - f * y) % pM for x, y in zip(minor[r], minor[t])]
-                    inv[r] = [(x - f * y) % pM for x, y in zip(inv[r], inv[t])]
-        self._minor_inv = inv
-
-    def descend_zq(self, elem: ZqElem) -> ZqElem:
-        big, a = self.big, self.a
-        pM = big.pM
-        if a == 1:
-            if any(c != 0 for c in elem.coeffs[1:]):
-                raise DescentError("value has non-constant coordinates")
-            return self.base.from_int(elem.coeffs[0])
-        v = [elem.coeffs[r] for r in self._rows]
-        y = [sum(self._minor_inv[i][j] * v[j] for j in range(a)) % pM for i in range(a)]
-        # full-system check: this is the Frobenius-invariance assertion
-        for r in range(big.deg):
-            got = sum(self._B[t][r] * y[t] for t in range(a)) % pM
-            if got != elem.coeffs[r]:
-                raise DescentError(f"value does not lie in the subring (row {r})")
-        return self.base.elem(tuple(y))
-
-    def descend_ram(self, elem: RamifiedElem) -> RamifiedElem:
-        return RamifiedElem(self.base, tuple(self.descend_zq(c) for c in elem.comps))
+        acc = counts.astype(object) @ np.array([v.coeffs for v in self.V], dtype=object)
+        comps = (base.zeta_basis() @ acc) % base.pM
+        return RamifiedElem(base, (ZqElem(base, tuple(row)) for row in comps.tolist()))
 
     def lambda_residues(self, lam_indices: list[int]) -> list[tuple[int, ...]]:
         """Residue vectors of the embedded binomial coefficients.
@@ -396,7 +288,7 @@ class SubfieldDescent:
         has order dividing q - 1.  One walk through those powers, over the
         sorted indices, makes fewer than q products.
         """
-        big, q = self.big, self.p**self.a
+        big, q = self.big, self.base.p**self.base.deg
         found, res, at = {}, (1,), 0
         for lam in sorted({li % (q - 1) for li in lam_indices}):
             for _ in range(lam - at):
@@ -411,38 +303,13 @@ class SubfieldDescent:
 
 @dataclass
 class ClassicalSum:
-    """One classical twisted sum: raw counts plus assembled values."""
+    """One classical twisted sum over F_{q^k}: its (p, c) counts and its
+    values in the base ring Z_q[pi_1]."""
 
     k: int
-    big_ctx: ZqContext
     counts: np.ndarray  # (p, c) int64
-    value_big: RamifiedElem
-    value: RamifiedElem  # descended to the base context
-    conj_value: RamifiedElem | None = None  # the complex conjugate, descended
-
-
-def _character_values(params: Params, k: int, descent: SubfieldDescent):
-    """Teichmuller values V_0..V_{c-1} of the twisted character."""
-    big = descent.big
-    Qk1 = params.p**(params.a * k) - 1
-    s_exp = (-params.u * (Qk1 // (params.q - 1))) % Qk1
-    vals = []
-    for mm in range(params.c):
-        res = poly_pow_mod(big.generator, (s_exp * mm) % Qk1, big.modulus, big.p)
-        vals.append(big.teichmuller(res))
-    return vals
-
-
-def _assemble_from_counts(big: ZqContext, counts: np.ndarray, V: list[ZqElem]):
-    """sum_r zeta_p^r * acc_r with acc_r = sum_mm counts[r, mm] * V[mm].
-
-    The acc_r are plain integer vectors; one change of basis from zeta_p^r
-    to the pi_1^j (``ZqContext.zeta_basis``) and one reduction mod p^M
-    give the components.
-    """
-    acc = counts.astype(object) @ np.array([v.coeffs for v in V], dtype=object)
-    comps = (big.zeta_basis() @ acc) % big.pM
-    return RamifiedElem(big, (ZqElem(big, tuple(row)) for row in comps.tolist()))
+    value: RamifiedElem
+    conj_value: RamifiedElem | None = None  # the complex conjugate
 
 
 def classical_sums_multi(params: Params, k: int, lam_indices: list[int],
@@ -451,8 +318,7 @@ def classical_sums_multi(params: Params, k: int, lam_indices: list[int],
     """Classical sums over F_{q^k} for several binomial coefficients at once.
 
     With ``conjugate`` each sum also gets its complex conjugate, the sum of
-    the conjugate characters chi^-1 and psi^-1.  It comes from the same
-    counts: the count of (trace r, class mm) weighs zeta_p^-r V_-mm.
+    the conjugate characters chi^-1 and psi^-1, from the same counts.
     """
     M = M or default_precision(params)
     m = params.a * k
@@ -464,20 +330,10 @@ def classical_sums_multi(params: Params, k: int, lam_indices: list[int],
     lam_vecs = descent.lambda_residues(lam_indices)
     counts = trace_count_matrix(params.p, m, big, lam_vecs,
                                 params.d, params.e, params.c)
-    V = _character_values(params, k, descent)
-    negate_r = -np.arange(params.p) % params.p
-    V_conj = [V[-mm % params.c] for mm in range(params.c)]
     out = {}
     for li, lam_index in enumerate(lam_indices):
-        big_val = _assemble_from_counts(big, counts[li], V)
-        conj = None
-        if conjugate:
-            conj = descent.descend_ram(
-                _assemble_from_counts(big, counts[li][negate_r], V_conj))
-        out[lam_index] = ClassicalSum(k=k, big_ctx=big, counts=counts[li],
-                                      value_big=big_val,
-                                      value=descent.descend_ram(big_val),
-                                      conj_value=conj)
+        conj = descent.descend_ram(counts[li], conjugate=True) if conjugate else None
+        out[lam_index] = ClassicalSum(k, counts[li], descent.descend_ram(counts[li]), conj)
     return out
 
 
@@ -485,7 +341,7 @@ _descent_cache: dict = {}
 
 
 def _descent_for(params: Params, big: ZqContext) -> SubfieldDescent:
-    key = (params.p, params.a, big.deg, big.M)
+    key = (params.p, params.a, params.c, params.mu, big.deg, big.M)
     if key not in _descent_cache:
         _descent_cache[key] = SubfieldDescent(params, big)
     return _descent_cache[key]
@@ -556,14 +412,12 @@ def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
             bucket[jj] += ff
         xd = big.mul(xd, omega_d)
         xe = big.mul(xe, omega_e)
-    V = _character_values(params, k, descent)
-    inv_fact = [pow(math.factorial(jj) % pM, -1, pM) for jj in range(J + 1)]
     coeffs = []
     for jj in range(J + 1):
-        total = big.zero()
+        total = descent.base.zero()
         for mm in range(c):
-            total = total + V[mm] * (acc[mm][jj] % pM)
-        coeffs.append(descent.descend_zq(total * inv_fact[jj]))
+            total = total + descent.V[mm] * (acc[mm][jj] % pM)
+        coeffs.append(total * pow(math.factorial(jj) % pM, -1, pM))
     return TadicSum(k=k, J=J, coeffs=coeffs)
 
 

@@ -139,9 +139,9 @@ class Polygon:
     def restrict(self, n_max: int) -> "Polygon":
         return Polygon(self.values[: n_max + 1])
 
-    def to_json_dict(self, corners_only: bool = False) -> dict:
-        pts = self.corners() if corners_only else list(enumerate(self.values))
-        return {"vertices": [[n, f"{v.numerator}/{v.denominator}"] for n, v in pts]}
+    def to_json_dict(self) -> dict:
+        return {"vertices": [[n, f"{v.numerator}/{v.denominator}"]
+                             for n, v in enumerate(self.values)]}
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,13 @@ def test_bad_flags_exit_2(capsys):
     ["lfunc", "--p", "11", "--d", "3", "--e", "2", "--n-max", "0"],
     ["verify", "--d", "3", "--e", "2", "--primes", "11", "--n-max", "0"],
     ["sweep", "--d", "3", "--e", "2", "--primes", "11", "--n-max", "-3"],
+    # grid flags that no tuple can come from
+    ["verify", "--d", "3", "--e", "2", "--primes", "9"],
+    ["sweep", "--d", "3", "--e", "2", "--primes", "11,1"],
+    ["verify", "--d", "3", "--e", "2", "--primes", "11", "--c", "0"],
+    ["sweep", "--d", "3", "--e", "2", "--c", "1,-3"],
+    ["verify", "--d", "3", "--e", "2", "--primes", "11", "--lam-policy", "first:0"],
+    ["sweep", "--d", "3", "--e", "2", "--primes", "11", "--lam-policy", "first:-2"],
 ])
 def test_refused_input_exits_2_with_one_error_line(capsys, argv):
     assert main(argv) == 2
@@ -127,25 +134,25 @@ def test_lfunc_command(capsys):
 
 def test_verify_small_grid_and_resume(tmp_path, capsys):
     out_file = tmp_path / "sweep.jsonl"
-    # 15 is not prime: its tuples become error records under the same keys
+    # p = 2 is not above the half route's k_max = 2, so the recurrence
+    # cannot divide by 2: its one tuple (q - 1 = 1) becomes an error record
     argv = ["--out", str(out_file), "verify", "--d", "3", "--e", "2",
-            "--primes", "11,15", "--lam-policy", "first:2"]
+            "--primes", "11,2", "--lam-policy", "first:2"]
     code, out = _run(capsys, argv)
     assert code == 1  # verify counts error records as violations
     lines = out_file.read_text().strip().splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 3
     summary = json.loads(out)["summary"]
-    assert summary["equal"] == 2 and summary["errors"] == 2
+    assert summary["equal"] == 2 and summary["errors"] == 1
     errors = [json.loads(x) for x in lines if '"error:' in x]
-    assert [r["key"] for r in errors] == ["p15_a1_d3_e2_c1_mu1_l0",
-                                          "p15_a1_d3_e2_c1_mu1_l1"]
+    assert [r["key"] for r in errors] == ["p2_a1_d3_e2_c1_mu1_l0"]
     assert all(r["status"].startswith("error:ValueError:") for r in errors)
-    # resume: the ok records stay, the error keys are computed again and
-    # fail again, so verify still exits 1
+    # resume: the ok records stay, the error key is computed again and
+    # fails again, so verify still exits 1
     code2, out2 = _run(capsys, argv)
     assert code2 == 1
     summary2 = json.loads(out2)["summary"]
-    assert summary2["skipped_existing"] == 2 and summary2["errors"] == 2
+    assert summary2["skipped_existing"] == 2 and summary2["errors"] == 1
     error_lines = [x for x in lines if '"error:' in x]
     assert out_file.read_text().strip().splitlines() == lines + error_lines
 
@@ -233,7 +240,7 @@ def test_grouped_lambda_sweep_matches_single_lambda_runs(tmp_path, capsys):
         recs = [json.loads(x) for x in path.read_text().splitlines()]
         for rec in recs:
             assert rec["timings"]["total_s"] >= rec["timings"]["shared_s"] >= 0
-            del rec["timings"]
+            rec.pop("timings", None)
         return {rec["key"]: rec for rec in recs}
 
     got, want = by_key(grouped), by_key(single)
@@ -543,3 +550,36 @@ def test_cli_import_leaves_scipy_out():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "set()"
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("dwork_q121", ["dwork", "--p", "11", "--a", "2", "--d", "3", "--e", "2", "--c", "3",
+                    "--lam", "57", "--trace-k", "2", "--J", "4", "--sandwich"]),
+    ("verify_q121", ["verify", "--d", "3", "--e", "2", "--c", "3", "--mu", "1",
+                     "--primes", "11", "--lam-policy", "fixed:57"]),
+    ("verify_strict", ["verify", "--d", "5", "--e", "2", "--primes", "43",
+                       "--lam-policy", "fixed:7"]),
+    ("sweep_small", ["sweep", "--d", "3,4", "--c", "3,8", "--primes", "5,7",
+                     "--lam-policy", "first:4"]),
+])
+def test_outputs_match_golden_records(tmp_path, capsys, name, argv):
+    # tests/golden holds each command's stdout and, for a grid, its JSONL
+    # records without ``timings``, as written before the sums were
+    # assembled in the base ring; every command exited 0
+    grid = argv[0] in ("verify", "sweep")
+    out = tmp_path / "records.jsonl"
+    code, stdout = _run(capsys, (["--out", str(out)] if grid else []) + argv)
+    assert code == 0
+    with open(os.path.join(GOLDEN, name + ".stdout"), encoding="utf-8") as fh:
+        assert stdout == fh.read()
+    if grid:
+        lines = []
+        for line in out.read_text(encoding="utf-8").splitlines():
+            rec = json.loads(line)
+            rec.pop("timings", None)
+            lines.append(json.dumps(rec, sort_keys=True) + "\n")
+        with open(os.path.join(GOLDEN, name + ".jsonl"), encoding="utf-8") as fh:
+            assert "".join(lines) == fh.read()

@@ -16,7 +16,6 @@ from twistnp.lfunction import (
     BudgetExceededError,
     LFunctionData,
     Route,
-    _character_values,
     _descent_for,
     _mult_matrix,
     _power_block,
@@ -24,6 +23,7 @@ from twistnp.lfunction import (
     classical_route,
     classical_sums_by_lambda,
     classical_sums_multi,
+    default_precision,
     exp_sum_Tadic,
     exp_sum_classical,
     joint_histogram_fits,
@@ -196,12 +196,128 @@ def test_assembly_against_zeta_power_oracle(case):
     pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu)
     lams = list(range(pr.q - 1)) if lams is None else lams
     for k in range(1, k_max + 1):
-        sums = classical_sums_multi(pr, k, lams)
-        big = sums[lams[0]].big_ctx
-        V = _character_values(pr, k, _descent_for(pr, big))
+        sums = classical_sums_multi(pr, k, lams, conjugate=True)
+        descent = _descent_for(pr, make_context(p, a * k, default_precision(pr)))
+        neg_r, neg_mm = -np.arange(p) % p, -np.arange(c) % c
         for li in lams:
-            want = _assemble_by_zeta_powers(big, sums[li].counts, V)
-            assert sums[li].value_big == want, (case, k, li)
+            counts = sums[li].counts
+            want = _assemble_by_zeta_powers(descent.base, counts, descent.V)
+            assert sums[li].value == want, (case, k, li)
+            want = _assemble_by_zeta_powers(descent.base, counts[neg_r][:, neg_mm],
+                                            descent.V)
+            assert sums[li].conj_value == want, (case, k, li)
+
+
+def _big_character_values(pr, big):
+    """chi(Norm x) in Z_{q^k} on the class j = mm mod c of x = g_big^j:
+    V_mm = Teich(g_big^(-u (q^k - 1)/(q - 1) mm))."""
+    Qk1 = pr.p**big.deg - 1
+    s = -pr.u * (Qk1 // (pr.q - 1)) % Qk1
+    return [big.teichmuller(poly_pow_mod(big.generator, s * mm % Qk1, big.modulus, pr.p))
+            for mm in range(pr.c)]
+
+
+def _embedding(pr, big):
+    """The embedding Z_q -> Z_{q^k} the enumeration uses, as a map of
+    elements.
+
+    Its residue map sends g to g_img, the image of coefficient index 1;
+    the base variable X = g^t of F_q goes to g_img^t (to 0 for a = 1),
+    which ``lift_root`` lifts to a root Z of the base modulus.
+    """
+    p = pr.p
+    base = make_context(p, pr.a, big.M)
+    x_res = ()
+    if pr.a > 1:
+        g_img = _descent_for(pr, big).lambda_residues([1])[0]
+        t = next(t for t in range(pr.q - 1)
+                 if poly_pow_mod(base.generator, t, base.modulus, p) == (0, 1))
+        x_res = poly_pow_mod(g_img, t, big.modulus, p)
+    Z = big.lift_root(base.modulus, big.elem(x_res))
+
+    def embed(y):
+        out, z_pow = big.zero(), big.one()
+        for coef in y.coeffs:
+            out = out + z_pow * coef
+            z_pow = big.mul(z_pow, Z)
+        return out
+
+    return embed
+
+
+def _fixed_by_sigma_a(big, elems, a):
+    if big.deg == 1:  # sigma is the identity on Z_p
+        return True
+    out = list(elems)
+    for _ in range(a):
+        out = [big.frobenius(x) for x in out]
+    return out == list(elems)
+
+
+# (p, a, d, e, c, mu, ks)
+EMBEDDING_GRID = [
+    (11, 1, 3, 2, 1, 1, (1, 2, 3)),
+    (7, 1, 3, 1, 2, 1, (3,)),
+    (11, 2, 3, 2, 3, 1, (1, 2)),
+    (3, 2, 2, 1, 8, 5, (1, 2, 3)),
+    (7, 3, 5, 2, 9, 2, (1,)),
+    (43, 1, 5, 2, 1, 1, (2,)),  # the strict instance
+]
+
+
+@pytest.mark.parametrize("case", EMBEDDING_GRID,
+                         ids=lambda t: "p{}_a{}_d{}_e{}_c{}_mu{}".format(*t[:6]))
+def test_base_ring_sums_are_the_big_ring_sums_embedded(case):
+    # S_k assembled in Z_{q^k}[pi_1] with chi(Norm x) there is fixed by
+    # sigma^a, and it is the image of the base-ring sum; so are the conjugates
+    p, a, d, e, c, mu, ks = case
+    pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu)
+    lams = sorted({0, 1, (pr.q - 1) // 2, pr.q - 2})
+    neg_r = -np.arange(p) % p
+    for k in ks:
+        big = make_context(p, a * k, default_precision(pr))
+        embed = _embedding(pr, big)
+        V = _big_character_values(pr, big)
+        V_conj = [V[-mm % c] for mm in range(c)]
+        sums = classical_sums_multi(pr, k, lams, conjugate=True)
+        for li in lams:
+            s = sums[li]
+            for counts, V_big, got in ((s.counts, V, s.value),
+                                       (s.counts[neg_r], V_conj, s.conj_value)):
+                want = _assemble_by_zeta_powers(big, counts, V_big).comps
+                assert _fixed_by_sigma_a(big, want, a), (case, k, li)
+                assert tuple(embed(y) for y in got.comps) == want, (case, k, li)
+
+
+def _big_ring_tadic(pr, J, big):
+    """T^0..T^J of the T-adic sum in Z_{q^k}: each x in F_{q^k}^* adds
+    binom(t, jj) chi(Norm x) with t = Tr(x^d + lambda x^e) of the lifts."""
+    pM = big.pM
+    g = big.teichmuller(big.generator)
+    lam = big.teichmuller(_descent_for(pr, big).lambda_residues([pr.lam_index])[0])
+    acc = [[0] * (J + 1) for _ in range(pr.c)]
+    x = big.one()
+    for j in range(pr.p**big.deg - 1):
+        t = big.trace_zp(big.pow(x, pr.d) + lam * big.pow(x, pr.e))
+        falling = 1
+        for jj in range(J + 1):
+            acc[j % pr.c][jj] += falling * pow(math.factorial(jj), -1, pM)
+            falling = falling * (t - jj) % pM
+        x = big.mul(x, g)
+    V = _big_character_values(pr, big)
+    return [sum((V[mm] * (acc[mm][jj] % pM) for mm in range(pr.c)), big.zero())
+            for jj in range(J + 1)]
+
+
+@pytest.mark.parametrize("p,a,d,e,c,mu,lam,J",
+                         [(11, 2, 3, 2, 3, 1, 57, 4), (5, 2, 3, 1, 4, 1, 5, 4)])
+def test_tadic_base_ring_sums_are_the_big_ring_sums_embedded(p, a, d, e, c, mu, lam, J):
+    pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
+    big = make_context(p, 2 * a, default_precision(pr))
+    want = _big_ring_tadic(pr, J, big)
+    assert _fixed_by_sigma_a(big, want, a)
+    embed = _embedding(pr, big)
+    assert [embed(y) for y in exp_sum_Tadic(pr, 2, J).coeffs] == want
 
 
 def test_joint_histogram_rule():
@@ -218,59 +334,48 @@ def test_joint_histogram_rule():
     assert not joint_histogram_fits(127, 1, 1, 1, 127**2 - 1)
 
 
-@pytest.mark.parametrize("p, a, k", [(11, 1, 1), (11, 1, 3), (11, 2, 2), (5, 2, 1)])
+@pytest.mark.parametrize("p, a, k", [(11, 1, 1), (11, 1, 3), (11, 2, 2), (5, 2, 1),
+                                    (7, 3, 1)])
 def test_lambda_residues_are_powers_of_the_embedded_generator(p, a, k):
     pr = Params(p=p, a=a, d=3, e=2, c=1, mu=1)
     big = make_context(p, a * k, pr.a * pr.d + 8)
+    base = make_context(p, a, 2)
     descent = _descent_for(pr, big)
-    Q1 = p**(a * k) - 1
-    if a == 1:
-        # the exponent E with big_gen^E = g, by scanning the subgroup of order p - 1
-        g = make_context(p, 1, 2).generator
-        step = Q1 // (p - 1)
-        E = next(step * j for j in range(p - 1)
-                 if poly_pow_mod(big.generator, step * j, big.modulus, p) == g)
-    else:
-        E = descent.embed_exponent
+
+    def in_big(i):
+        return _pad(poly_pow_mod(g_img, i, big.modulus, p), a * k)
+
+    def in_base(i):
+        return _pad(poly_pow_mod(base.generator, i, base.modulus, p), a)
+
+    g_img = descent.lambda_residues([1])[0]
     lams = [7, 0, pr.q - 2, 3, 7, pr.q + 4, 1]  # unsorted, repeated, past q - 1
-    want = [poly_pow_mod(big.generator, E * li % Q1, big.modulus, p) for li in lams]
-    assert descent.lambda_residues(lams) == want
+    assert [_pad(r, a * k) for r in descent.lambda_residues(lams)] == \
+        [in_big(li) for li in lams]
+    # g^i -> g_img^i is a field embedding: it has order q - 1 and is
+    # additive, g^i + g^j = g^l going to g_img^i + g_img^j = g_img^l
+    assert in_big(pr.q - 1) == in_big(0)
+    dlog = {in_base(i): i for i in range(pr.q - 1)}
+    for i, j in [(0, 1), (1, 1), (2, 5), (3, pr.q // 2)]:
+        total = tuple((x + y) % p for x, y in zip(in_base(i), in_base(j)))
+        image = tuple((x + y) % p for x, y in zip(in_big(i), in_big(j)))
+        assert image == (in_big(dlog[total]) if any(total) else (0,) * (a * k)), (i, j)
 
 
 def test_character_orthogonality():
-    # sum over x of omega(x)^{-u}: q-1 for u = 0, else 0
+    # sum over x of chi(Norm x): q^k - 1 for u = 0, else 0
     for (p, a, c, mu) in [(11, 1, 1, 1), (11, 1, 2, 1), (13, 1, 3, 2), (11, 2, 3, 1)]:
         pr = Params(p=p, a=a, d=3, e=2, c=c, mu=mu)
-        s = exp_sum_classical(pr, 1)
-        # the count matrix is uniform across character buckets per trace value
-        big = s.big_ctx
-        V = [big.teichmuller(poly_pow_mod(big.generator,
-                                          ((-pr.u) * mm) % (pr.q - 1),
-                                          big.modulus, big.p))
-             for mm in range(c)]
-        total = big.zero()
-        for mm in range(c):
-            total = total + V[mm] * int(s.counts[:, mm].sum())
-        if pr.u == 0:
-            assert total == big.from_int(pr.q - 1)
-        else:
-            assert total.is_zero()
-
-
-def test_classical_sum_is_frobenius_invariant():
-    # S_k over F_{q^k} is fixed by sigma^a; descent doubles as the check
-    from twistnp.padic import RamifiedElem
-
-    for (p, a, d, e, c, mu, lam, k) in [(11, 1, 3, 2, 1, 1, 2, 2),
-                                        (7, 1, 3, 1, 2, 1, 1, 3),
-                                        (11, 2, 3, 2, 3, 1, 5, 2)]:
-        pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
-        s = exp_sum_classical(pr, k)
-        big = s.big_ctx
-        comps = s.value_big.comps
-        for _ in range(a):
-            comps = tuple(big.frobenius(x) for x in comps)
-        assert RamifiedElem(big, comps) == s.value_big
+        for k in (1, 2):
+            s = exp_sum_classical(pr, k)
+            descent = _descent_for(pr, make_context(p, a * k, default_precision(pr)))
+            total = descent.base.zero()
+            for mm in range(c):
+                total = total + descent.V[mm] * int(s.counts[:, mm].sum())
+            if pr.u == 0:
+                assert total == descent.base.from_int(pr.q**k - 1)
+            else:
+                assert total.is_zero()
 
 
 def test_exp_sum_budget():
