@@ -596,11 +596,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
     try:
-        if args.precision is not None and args.precision < 1:
-            raise ValueError(f"--precision must be >= 1, got {args.precision}")
-        n_max = getattr(args, "n_max", None)
-        if n_max is not None and n_max < 1:
-            raise ValueError(f"--n-max must be >= 1, got {n_max}")
+        # a flag that would do nothing, or a size no run can use, is refused
+        if args.format == "csv" and args.command != "polygon":
+            raise ValueError(f"--format csv applies to polygon only, not {args.command}")
+        for flag, attr, least in (("--precision", "precision", 1), ("--n-max", "n_max", 1),
+                                  ("--N", "big_n", 1), ("--O", "big_o", 1),
+                                  ("--trace-k", "trace_k", 0)):
+            value = getattr(args, attr, None)
+            if value is not None and value < least:
+                raise ValueError(f"{flag} must be >= {least}, got {value}")
         return args.func(args)
     except (ValueError, BudgetExceededError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -5,8 +5,6 @@ over permutations tau of {0..n}, where rbar is the minimal non-negative
 residue mod d.  One Hungarian solve gives that optimum together with an
 optimal dual (u, v); the edges with cost_ij = u_i + v_j ("tight" edges)
 carry exactly the optimal permutations, which is all the Hasse layer needs.
-The companion maximum (number of index pairs whose residue columns overflow
-d) is a maximum cardinality bipartite matching.
 """
 
 from __future__ import annotations
@@ -57,14 +55,6 @@ def cost_matrix(inst: CombInstance, n: int) -> list[list[int]]:
     return [[cost(inst, i, j) for j in range(n + 1)] for i in range(n + 1)]
 
 
-def R_value(inst: CombInstance, i: int, alpha: int) -> int:
-    return min_residue(inst.e_inv * (inst.p * i + alpha), inst.d)
-
-
-def r_value(inst: CombInstance, i: int, alpha: int) -> int:
-    return min_residue(inst.e_inv * (inst.t - alpha - i), inst.d)
-
-
 def xy_decomposition(inst: CombInstance, i: int, j: int) -> XYDecomposition:
     """Unique (x, y) with d*x + e*y = p*i - j + t and 0 <= y < d.
 
@@ -76,23 +66,6 @@ def xy_decomposition(inst: CombInstance, i: int, j: int) -> XYDecomposition:
     num = k - inst.e * y
     assert num % inst.d == 0
     return XYDecomposition(x=num // inst.d, y=y)
-
-
-def perm_sign(tau: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(tau)
-    for start in range(len(tau)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = tau[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _dual(mat: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -177,43 +150,6 @@ def C_value_reduced(inst: CombInstance, n: int) -> int:
         raise ValueError(f"n must be >= -1, got {n}")
     m = (n + 1) % inst.d - 1
     return compute_C(inst, m)
-
-
-def _max_matching(adj: list[list[int]], n_right: int) -> int:
-    """Maximum bipartite matching size by augmenting paths."""
-    match_right = [-1] * n_right
-
-    def try_augment(i: int, visited: list[bool]) -> bool:
-        for j in adj[i]:
-            if visited[j]:
-                continue
-            visited[j] = True
-            if match_right[j] == -1 or try_augment(match_right[j], visited):
-                match_right[j] = i
-                return True
-        return False
-
-    size = 0
-    for i in range(len(adj)):
-        if try_augment(i, [False] * n_right):
-            size += 1
-    return size
-
-
-def compute_bfC(inst: CombInstance, n: int, alpha: int) -> int:
-    """Maximal number of i in {0..n} with R_i + r_{tau(i)} >= d over tau.
-
-    Solved as a maximum-cardinality bipartite matching on the pairs that
-    satisfy the inequality.
-    """
-    if n < -1:
-        raise ValueError(f"n must be >= -1, got {n}")
-    if n == -1:
-        return 0
-    R = [R_value(inst, i, alpha) for i in range(n + 1)]
-    r = [r_value(inst, j, alpha) for j in range(n + 1)]
-    adj = [[j for j in range(n + 1) if R[i] + r[j] >= inst.d] for i in range(n + 1)]
-    return _max_matching(adj, n + 1)
 
 
 def representable(inst: CombInstance, i: int, j: int) -> bool:

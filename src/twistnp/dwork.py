@@ -12,6 +12,10 @@ exponent carrying a nonzero coefficient.
 Truncation is certified, not guessed: every term routed through a basis
 row w carries order at least (p-1)*w/d, so rows beyond N are irrelevant
 once (p-1)*N/d clears the working order.
+
+The trace formula S_k(T) = (q^k - 1) Tr(A^k) is checked in pi: the
+direct T-adic sum is a polynomial in T, and T = E(pi) - 1 is substituted
+into it with the Artin-Hasse coefficients of E as Z_q integers.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core_arith import INFINITY, artin_hasse_coeffs, min_phi, phi_minimizer
-from .lfunction import exp_sum_Tadic
-from .padic import ZqContext, ZqElem, make_context
+from .core_arith import artin_hasse_coeffs, phi_minimizer
+from .lfunction import default_precision, exp_sum_Tadic
+from .padic import ZqContext, ZqElem, make_context, poly_pow_mod
 from .polygon import Params, Polygon, lower_bound_polygon, lower_convex_hull
 
 #: extra pi-orders kept beyond the largest valuation that must be resolved
@@ -187,10 +191,6 @@ class PsiMatrix:
     entries: list[list[PiSeries]]
     traces: list[PiSeries | None] = field(default_factory=list, repr=False)
 
-    @property
-    def work_order(self) -> int:
-        return self.entries[0][0].order
-
     def trace_power(self, k: int) -> PiSeries:
         """Tr(A^k), read off the characteristic series."""
         if len(self.traces) <= k:
@@ -239,8 +239,6 @@ class _ProductCoeffs:
         self.params = params
         p, d, e = params.p, params.d, params.e
         g = ctx.generator
-        from .padic import poly_pow_mod
-
         lam_res = poly_pow_mod(g, params.lam_index, ctx.modulus, p)
         lam_hat = ctx.teichmuller(lam_res)
         self.gamma_max = d * O  # gamma_n vanishes mod pi^O beyond d*O
@@ -288,8 +286,6 @@ def psi_a_matrix(params: Params, N: int, O: int, M: int | None = None,
     Results are trustworthy below the target order O.
     """
     if ctx is None:
-        from .lfunction import default_precision
-
         ctx = make_context(params.p, params.a, M or default_precision(params))
     d, q, u = params.d, params.q, params.u
     O_work = O + (N - 1 + d - 1) // d
@@ -448,77 +444,24 @@ def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
                      matrix=mat, verdict=verdict)
 
 
-def entry_valuation_bound(params: Params, i: int, j: int, k: int) -> Fraction | float:
-    """Stated lower bound for a one-step operator entry, as a diagnostic."""
-    if not (1 <= k <= params.b):
-        raise ValueError(f"k must lie in [1, b], got {k}")
-    q = params.q
-    s_k = (pow(params.p, k, q - 1) * params.u) % (q - 1)
-    s_k1 = (pow(params.p, k - 1, q - 1) * params.u) % (q - 1)
-    u_mk = params.u_digit(params.b - k)
-    phi = min_phi(params.p * i - j + u_mk, params.d, params.e)
-    if phi is INFINITY:
-        return INFINITY
-    return (Fraction(s_k - s_k1, params.d * (q - 1))
-            + Fraction(j - i, params.d) + phi)
-
-
 # ---------------------------------------------------------------------------
-# T-series conversion and the trace-formula cross check
+# the trace-formula cross check
 
 
-def pi_of_T_coeffs(p: int, order: int) -> list[Fraction]:
-    """Reversion pi(T) of T = E(pi) - 1, up to T^order inclusive."""
-    lam = artin_hasse_coeffs(p, order)
-    r = [Fraction(0), Fraction(1)]
-    for j in range(2, order + 1):
-        # residual coefficient of T^j from lower-order data
-        powers = _poly_powers([Fraction(0)] + r[1:] + [Fraction(0)], j)
-        resid = Fraction(0)
-        for n in range(2, j + 1):
-            resid += lam[n] * powers[n][j]
-        r.append(-resid)
-    return r
+def substitute_T(coeffs: list[ZqElem], order: int) -> list[ZqElem]:
+    """pi^0..pi^order coefficients of sum_j coeffs[j] T^j at T = E(pi) - 1.
 
-
-def _poly_powers(poly: list[Fraction], order: int) -> list[list[Fraction]]:
-    """poly^0..poly^order truncated at degree order."""
-    out = [[Fraction(1)] + [Fraction(0)] * order]
-    cur = list(poly[: order + 1]) + [Fraction(0)] * max(0, order + 1 - len(poly))
-    out.append(cur)
-    for _ in range(order - 1):
-        nxt = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(out[-1]):
-            if a == 0:
-                continue
-            for jj, b in enumerate(cur):
-                if i + jj <= order and b != 0:
-                    nxt[i + jj] += a * b
-        out.append(nxt)
-    return out
-
-
-def pi_series_to_T(series: PiSeries, order: int) -> list[ZqElem]:
-    """T-expansion of an integer-exponent pi-series, to T^order."""
-    ctx = series.ctx
-    coeff_map = series.integer_coeff_map()
-    rev = pi_of_T_coeffs(ctx.p, order)
-    rev_poly = [Fraction(0)] * (order + 1)
-    for idx, val in enumerate(rev[: order + 1]):
-        rev_poly[idx] = val
-    powers = _poly_powers(rev_poly, order)
-    out = [ctx.zero() for _ in range(order + 1)]
-    for i, a in coeff_map.items():
-        if i > order:
-            continue
-        for jj in range(order + 1):
-            frac = powers[i][jj]
-            if frac == 0:
-                continue
-            assert frac.denominator % ctx.p != 0
-            scalar = frac.numerator * pow(frac.denominator % ctx.pM, -1, ctx.pM)
-            out[jj] = out[jj] + a * (scalar % ctx.pM)
-    return out
+    Horner's rule on pi-series truncated past pi^order.  T = pi + O(pi^2),
+    so terms past T^order do not reach pi^order, and the change of
+    variable is triangular with unit diagonal.
+    """
+    ctx = coeffs[0].ctx
+    lam = artin_hasse_zq(ctx, order)
+    acc = [ctx.zero()] * (order + 1)
+    for c in reversed(coeffs[:order + 1]):
+        acc = [c] + [sum((lam[i] * acc[n - i] for i in range(1, n + 1)), ctx.zero())
+                     for n in range(1, order + 1)]
+    return acc
 
 
 @dataclass
@@ -533,17 +476,17 @@ def trace_consistency(params: Params, k_max: int, J: int,
                       N: int | None = None, O: int | None = None,
                       M: int | None = None,
                       mat: PsiMatrix | None = None) -> list[TraceReport]:
-    """Check S_k(T) = (q^k - 1) * trace(M^k) as truncated T-series.
+    """Check S_k(T) = (q^k - 1) * trace(M^k) as truncated series.
 
-    The left side is the direct T-adic character sum; the right side comes
-    from the operator matrix, converted to a T-series by reverting
-    E(pi) = 1 + T.  Both sides are exact mod p^M, so any mismatch within
-    the certified order is a failure, reported as ``ok=False``.  An
-    operator ``mat`` already built for these params is reused when its
-    (N, O, M) match the sizes the check needs.
+    The left side is the direct T-adic character sum, a polynomial in T;
+    ``substitute_T`` turns it into a pi-series, which is compared with the
+    operator's trace coefficient by coefficient.  The first coefficient
+    that differs has the same index in T and in pi, so ``agree_order``
+    counts the agreeing T-coefficients too.  Both sides are exact mod p^M,
+    so any mismatch within the certified order is a failure, reported as
+    ``ok=False``.  An operator ``mat`` already built for these params is
+    reused when its (N, O, M) match the sizes the check needs.
     """
-    from .lfunction import default_precision
-
     M = M or default_precision(params)
     n_max = max(k_max, params.d)
     autoN, autoO = auto_sizes(params, n_max)
@@ -553,33 +496,16 @@ def trace_consistency(params: Params, k_max: int, J: int,
     O = O if O is not None else autoO
     if mat is None or (mat.params, mat.N, mat.O, mat.ctx.M) != (params, N, O, M):
         mat = psi_a_matrix(params, N, O, M)
+    check_order = min(J, O - 1)
+    zero = mat.ctx.zero()
     reports = []
     for k in range(1, k_max + 1):
-        lhs = exp_sum_Tadic(params, k, J, M)
-        tr = mat.trace_power(k)
-        check_order = min(J, O - 1)
-        rhs_T = pi_series_to_T(tr, check_order)
+        lhs = substitute_T(exp_sum_Tadic(params, k, J, M).coeffs, check_order)
+        rhs = mat.trace_power(k).integer_coeff_map()
         scale = (params.q**k - 1) % mat.ctx.pM
-        agree = 0
-        ok = True
-        for jj in range(check_order + 1):
-            want = rhs_T[jj] * scale
-            if lhs.coeffs[jj].coeffs == want.coeffs:
-                agree = jj + 1
-            else:
-                ok = False
-                break
+        agree = next((jj for jj in range(check_order + 1)
+                      if lhs[jj].coeffs != (rhs.get(jj, zero) * scale).coeffs),
+                     check_order + 1)
         reports.append(TraceReport(k=k, checked_order=check_order,
-                                   agree_order=agree, ok=ok))
+                                   agree_order=agree, ok=agree > check_order))
     return reports
-
-
-def compare_aggregate_bound(params: Params, coeffs: list[PiSeries]) -> bool:
-    """Every char-series coefficient clears the assignment lower bound."""
-    P = lower_bound_polygon(params, len(coeffs) - 1)
-    scale = params.a * (params.p - 1)
-    for n, cs in enumerate(coeffs):
-        v = cs.t_valuation()
-        if v is not None and v < scale * P.value(n):
-            return False
-    return True

@@ -66,15 +66,6 @@ class TwistData:
     u: tuple[int, ...]
     uu: tuple[int, ...]
 
-    def t_of(self, k: int) -> int:
-        return self.t[k % self.b]
-
-    def u_of(self, k: int) -> int:
-        return self.u[k % self.b]
-
-    def uu_of(self, k: int) -> int:
-        return self.uu[k % self.b]
-
 
 def _t_residues(p_or_pp: int, mu: int, c: int, b: int) -> tuple[int, ...]:
     if c == 1:

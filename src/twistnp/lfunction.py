@@ -35,9 +35,10 @@ from .padic import (
     ZqElem,
     make_context,
     poly_divmod,
+    poly_eval_mod,
     poly_mul_mod,
     poly_pow_mod,
-    poly_trim,
+    x_walk,
 )
 from .polygon import Params, Polygon, hodge_polygon, lower_convex_hull
 
@@ -70,19 +71,9 @@ def default_precision(params: Params) -> int:
 
 
 def _mult_matrix(z, modulus, p, m) -> np.ndarray:
-    """Matrix of multiplication by z on the power basis of F_{p^m}.
-
-    Column t is z * X^t: X times column t - 1, one shift and at most one
-    subtraction of the monic modulus.
-    """
-    col = list(_pad(poly_divmod(z, modulus, p)[1], m))
-    cols = [col]
-    for _ in range(m - 1):
-        top = col[-1]
-        col = [0] + col[:-1]
-        if top:
-            col = [(x - top * c) % p for x, c in zip(col, modulus)]
-        cols.append(col)
+    """Matrix of multiplication by z on the power basis of F_{p^m}: column
+    t is z * X^t, one step of ``x_walk`` from column t - 1."""
+    cols = x_walk(poly_divmod(z, modulus, p)[1], modulus[:m], p, m)
     return np.array(cols, dtype=np.int64).T
 
 
@@ -217,21 +208,6 @@ def trace_count_matrix(p, m, ctx, lam_vecs, d_exp, e_exp, c,
 # the base ring: one embedding and the norm character
 
 
-def _pad(t, n):
-    t = tuple(t)
-    return t + (0,) * (n - len(t))
-
-
-def _eval_fp_poly_in_ff(coeffs: list[int], z, modulus, p):
-    """Evaluate an F_p[X] polynomial at a field element; trimmed tuple."""
-    acc: tuple = ()
-    for c in reversed(coeffs):
-        acc = poly_mul_mod(acc, z, modulus, p)
-        acc = _pad(acc, 1)
-        acc = ((acc[0] + c) % p,) + acc[1:]
-    return poly_trim(acc)
-
-
 class SubfieldDescent:
     """Sums over F_{q^k} assembled in the base ring Z_q[pi_1].
 
@@ -254,10 +230,10 @@ class SubfieldDescent:
         if a > 1:  # the roots lie among the elements of order dividing q - 1
             h = poly_pow_mod(big.generator, Qk1 // (q - 1), big.modulus, p)
             z = (1,)
-            while _eval_fp_poly_in_ff(base.modulus, z, big.modulus, p):
+            while poly_eval_mod(base.modulus, z, big.modulus, p):
                 z = poly_mul_mod(z, h, big.modulus, p)
         # the base generator's residue image: index l maps to its l-th power
-        self._lam_base = _eval_fp_poly_in_ff(base.generator, z, big.modulus, p)
+        self._lam_base = poly_eval_mod(base.generator, z, big.modulus, p)
         root = poly_pow_mod(self._lam_base, (q - 1) // c, big.modulus, p)
         want = poly_pow_mod(big.generator, Qk1 // c, big.modulus, p)
         ell = next(i for i in range(c) if poly_pow_mod(root, i, big.modulus, p) == want)
@@ -345,11 +321,6 @@ def _descent_for(params: Params, big: ZqContext) -> SubfieldDescent:
     if key not in _descent_cache:
         _descent_cache[key] = SubfieldDescent(params, big)
     return _descent_cache[key]
-
-
-def exp_sum_classical(params: Params, k: int, M: int | None = None,
-                      budget: int = DEFAULT_BUDGET) -> ClassicalSum:
-    return classical_sums_multi(params, k, [params.lam_index], M, budget)[params.lam_index]
 
 
 def classical_sums_by_lambda(params: Params, lam_indices: list[int],
@@ -533,14 +504,6 @@ def _exp_coeffs(sums: list[RamifiedElem]) -> list[RamifiedElem]:
     return coeffs
 
 
-def _pi_valuations(coeffs: list[RamifiedElem], p: int) -> list[Fraction | None]:
-    out = []
-    for coeff in coeffs:
-        v = coeff.valuation()
-        out.append(v.pi_units(p) if v.exact else None)
-    return out
-
-
 def l_polynomial(params: Params, M: int | None = None,
                  budget: int = DEFAULT_BUDGET,
                  _sums: list[RamifiedElem] | None = None) -> LFunctionData:
@@ -554,7 +517,7 @@ def l_polynomial(params: Params, M: int | None = None,
         sums = _sums
     coeffs = _exp_coeffs(sums)
     return LFunctionData(params=params, M=M, sums=sums, coeffs=coeffs,
-                         valuations=_pi_valuations(coeffs, params.p))
+                         valuations=[c.valuation() for c in coeffs])
 
 
 def reflect_valuations(low: list[Fraction | None], conj: list[Fraction | None],
@@ -597,8 +560,8 @@ def classical_l_function(params: Params, M: int | None = None,
         one = sums[0].ctx.ram_one()
         sums = [s + one for s in sums]
     coeffs = _exp_coeffs(sums)
-    low = _pi_valuations(coeffs, p)
-    conj = low if conj_sums is None else _pi_valuations(_exp_coeffs(conj_sums), p)
+    low = [c.valuation() for c in coeffs]
+    conj = low if conj_sums is None else [c.valuation() for c in _exp_coeffs(conj_sums)]
     step = params.a * (p - 1)
     top = hodge_polygon(params, params.d).value(params.d) * step
     vals = reflect_valuations(low[:h + 1], conj, route.deg, top, step,

@@ -7,16 +7,21 @@ field.  Elements are coefficient vectors over the power basis, reduced mod
 p^M.  The single ramified layer adjoins pi_1 = zeta_p - 1, a root of
 ((1+X)^p - 1)/X, with v_p(pi_1) = 1/(p-1).
 
+The F_p[X] helpers (``poly_*``) serve both the residue fields and the
+contexts: every "multiply by X and fold the top coefficient back" walk,
+mod p or mod p^M, is ``x_walk``, and the traces of the power basis are
+the power sums of the modulus's roots, by Newton's identities.
+
 All ring operations are exact mod p^M: divisions only ever happen by
 p-adic units, so precision never degrades silently.  Valuations are
-certified: a vector that vanishes mod p^M reports "at least M" rather
+certified: an element that vanishes mod p^M has valuation None rather
 than a number.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -77,6 +82,35 @@ def poly_pow_mod(a, k, modulus, p):
     return result
 
 
+def poly_eval_mod(coeffs, z, modulus, p):
+    """f(z) modulo (modulus, p) for the F_p[X] polynomial f with
+    little-endian ``coeffs``, by Horner's rule; trimmed."""
+    acc: tuple = ()
+    for c in reversed(coeffs):
+        acc = poly_mul_mod(acc, z, modulus, p) or (0,)
+        acc = ((acc[0] + c) % p,) + acc[1:]
+    return poly_trim(acc)
+
+
+def x_walk(v, low, mod, count) -> list[tuple[int, ...]]:
+    """v, X v, ..., X^(count-1) v modulo the monic X^n + low(X), n = len(low),
+    with coefficients mod ``mod``.
+
+    ``v`` has at most n coefficients.  Each step shifts up by one and folds
+    the top coefficient t back as -t * low.
+    """
+    n = len(low)
+    col = [c % mod for c in v] + [0] * (n - len(v))
+    out = [tuple(col)]
+    for _ in range(count - 1):
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [(x - top * c) % mod for x, c in zip(col, low)]
+        out.append(tuple(col))
+    return out
+
+
 def poly_gcd(a, b, p):
     a, b = poly_trim(a), poly_trim(b)
     while b:
@@ -114,23 +148,21 @@ def is_irreducible(poly, p):
     return True
 
 
+def _codes(p: int, deg: int):
+    """Little-endian coefficient tuples of length deg by increasing base-p
+    code sum_i c_i p^i, from the zero tuple on."""
+    return (t[::-1] for t in itertools.product(range(p), repeat=deg))
+
+
 @lru_cache(maxsize=None)
 def smallest_irreducible(p: int, deg: int) -> tuple[int, ...]:
     """Monic irreducible of given degree with smallest base-p encoding.
 
-    Degree 1 returns plain X.
+    Degree 1 returns plain X, code 0.
     """
-    if deg == 1:
-        return (0, 1)
-    for code in range(p**deg):
-        lower = []
-        rem = code
-        for _ in range(deg):
-            lower.append(rem % p)
-            rem //= p
-        poly = tuple(lower) + (1,)
-        if is_irreducible(poly, p):
-            return poly
+    for lower in _codes(p, deg):
+        if is_irreducible(lower + (1,), p):
+            return lower + (1,)
     raise AssertionError("no irreducible polynomial found")
 
 
@@ -140,13 +172,8 @@ def find_generator(p: int, deg: int) -> tuple[int, ...]:
     modulus = smallest_irreducible(p, deg)
     order = p**deg - 1
     primes = prime_factors(order)
-    for code in range(1, p**deg):
-        elem = []
-        rem = code
-        for _ in range(deg):
-            elem.append(rem % p)
-            rem //= p
-        z = poly_trim(tuple(elem))
+    for elem in itertools.islice(_codes(p, deg), 1, None):  # code 0 is no unit
+        z = poly_trim(elem)
         if all(poly_pow_mod(z, order // r, modulus, p) != (1,) for r in primes):
             return z
     raise AssertionError("no generator found")
@@ -158,21 +185,6 @@ def find_generator(p: int, deg: int) -> tuple[int, ...]:
 
 class PrecisionError(ArithmeticError):
     """Raised when a certified valuation cannot be produced at precision M."""
-
-
-@dataclass(frozen=True)
-class Valuation:
-    """A p-adic valuation statement: exact, or a certified lower bound."""
-
-    value: Fraction
-    exact: bool = True
-
-    @classmethod
-    def at_least(cls, bound) -> "Valuation":
-        return cls(value=Fraction(bound), exact=False)
-
-    def pi_units(self, p: int) -> Fraction:
-        return self.value * (p - 1)
 
 
 class ZqContext:
@@ -191,7 +203,6 @@ class ZqContext:
         self.generator = find_generator(p, deg)
         self._xpow = self._build_xpow()
         self._trace_table = self._build_trace_table()
-        self._frob_matrix = None
         self._pi_xpow = None
         self._ram_packing = None
         self._zeta_basis = None
@@ -200,32 +211,18 @@ class ZqContext:
 
     def _build_xpow(self):
         """X^{deg+t} mod modulus, coefficients mod p^M, for t = 0..deg-2."""
-        deg, pM = self.deg, self.pM
-        top = [(-self.modulus[i]) % pM for i in range(deg)]
-        table = [tuple(top)]
-        for _ in range(deg - 2):
-            prev = table[-1]
-            shifted = [0] + list(prev[:-1])
-            carry = prev[-1]
-            if carry:
-                shifted = [(shifted[i] + carry * top[i]) % pM for i in range(deg)]
-            table.append(tuple(shifted))
-        return table
+        deg = self.deg
+        return x_walk((0,) * (deg - 1) + (1,), self.modulus[:deg], self.pM, deg)[1:]
 
     def _build_trace_table(self):
-        """Tr(x^v) for v = 0..deg-1 via traces of companion-matrix powers."""
-        deg, pM = self.deg, self.pM
-        comp = [[0] * deg for _ in range(deg)]
-        for i in range(1, deg):
-            comp[i][i - 1] = 1
-        for i in range(deg):
-            comp[i][deg - 1] = (-self.modulus[i]) % pM
-        table = [deg % pM]
-        mat = [[1 if i == j else 0 for j in range(deg)] for i in range(deg)]
-        for _ in range(1, deg):
-            mat = [[sum(mat[i][k] * comp[k][j] for k in range(deg)) % pM
-                    for j in range(deg)] for i in range(deg)]
-            table.append(sum(mat[i][i] for i in range(deg)) % pM)
+        """Tr(x^v) for v = 0..deg-1: the power sums s_v of the modulus's
+        roots, by Newton's identities on its coefficients a_i,
+        s_k = -(k a_{n-k} + sum_{0<i<k} a_{n-i} s_{k-i}) with n = deg."""
+        n, a, pM = self.deg, self.modulus, self.pM
+        table = [n % pM]
+        for k in range(1, n):
+            table.append(-(k * a[n - k] + sum(a[n - i] * table[k - i]
+                                              for i in range(1, k))) % pM)
         return table
 
     # -- element constructors
@@ -270,35 +267,10 @@ class ZqContext:
                     prod[i + j] += ai * bc[j]
         return ZqElem(self, self._reduce_product(prod))
 
-    def inverse(self, a: "ZqElem") -> "ZqElem":
-        """Inverse of a unit, by lifting the residue inverse."""
-        p = self.p
-        res = poly_trim(tuple(c % p for c in a.coeffs))
-        if not res:
-            raise ZeroDivisionError("element is not a unit")
-        # extended Euclid in F_p[x] against the modulus
-        r0, r1 = self.modulus, res
-        s0, s1 = (), (1,)
-        while r1:
-            inv_lead = pow(r1[-1], -1, p)
-            monic = tuple(c * inv_lead % p for c in r1)
-            q, rem = poly_divmod(r0, monic, p)
-            q = tuple(c * inv_lead % p for c in q)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, poly_mul(q, s1, p), p)
-        lead_inv = pow(r0[-1], -1, p)
-        inv_res = tuple(c * lead_inv % p for c in s0)
-        w = self.elem(inv_res)
-        two = self.from_int(2)
-        iterations = max(1, math.ceil(math.log2(self.M))) + 1
-        for _ in range(iterations):
-            w = self.mul(w, two - self.mul(a, w))
-        assert self.mul(a, w).is_one()
-        return w
-
     def pow(self, a: "ZqElem", k: int) -> "ZqElem":
+        """a^k for k >= 0, by repeated squaring."""
         if k < 0:
-            return self.pow(self.inverse(a), -k)
+            raise ValueError(f"negative exponent {k}")
         result = self.one()
         base = a
         while k:
@@ -326,45 +298,6 @@ class ZqContext:
             z = self.pow(z, q)
         return z
 
-    def frobenius_matrix(self):
-        """Matrix of the lifted Frobenius on the power basis, mod p^M."""
-        if self._frob_matrix is not None:
-            return self._frob_matrix
-        z = self.lift_root(self.modulus, self.pow(self.elem((0, 1)), self.p))
-        cols = [self.one()]
-        for _ in range(self.deg - 1):
-            cols.append(self.mul(cols[-1], z))
-        self._frob_matrix = [c.coeffs for c in cols]
-        return self._frob_matrix
-
-    def eval_int_poly(self, coeffs, z: "ZqElem") -> tuple["ZqElem", "ZqElem"]:
-        """f(z) and f'(z) for the integer polynomial f with little-endian
-        ``coeffs``, by one Horner pass."""
-        val = deriv = self.zero()
-        for c in reversed(coeffs):
-            deriv = self.mul(deriv, z) + val
-            val = self.mul(val, z) + self.from_int(c)
-        return val, deriv
-
-    def lift_root(self, coeffs, z: "ZqElem") -> "ZqElem":
-        """Newton-lift z, a simple root of the integer polynomial mod p, to
-        a root mod p^M."""
-        for _ in range(max(1, math.ceil(math.log2(self.M))) + 1):
-            fz, dfz = self.eval_int_poly(coeffs, z)
-            z = z - self.mul(fz, self.inverse(dfz))
-        assert self.eval_int_poly(coeffs, z)[0].is_zero()
-        return z
-
-    def frobenius(self, a: "ZqElem") -> "ZqElem":
-        mat = self.frobenius_matrix()
-        out = [0] * self.deg
-        for v, cv in enumerate(a.coeffs):
-            if cv:
-                col = mat[v]
-                for i in range(self.deg):
-                    out[i] = (out[i] + cv * col[i]) % self.pM
-        return ZqElem(self, tuple(out))
-
     def trace_zp(self, a: "ZqElem") -> int:
         """Absolute trace to Z_p, as an integer mod p^M."""
         return sum(c * t for c, t in zip(a.coeffs, self._trace_table)) % self.pM
@@ -376,21 +309,13 @@ class ZqContext:
     # -- ramified layer
 
     def pi_xpow_table(self):
-        """Reduction rows for pi^(p-1+t) against ((1+X)^p - 1)/X."""
-        if self._pi_xpow is not None:
-            return self._pi_xpow
-        p, pM = self.p, self.pM
-        top = [(-math.comb(p, i + 1)) % pM for i in range(p - 1)]
-        table = [tuple(top)]
-        for _ in range(p - 3):
-            prev = table[-1]
-            shifted = [0] + list(prev[:-1])
-            carry = prev[-1]
-            if carry:
-                shifted = [(shifted[i] + carry * top[i]) % pM for i in range(p - 1)]
-            table.append(tuple(shifted))
-        self._pi_xpow = table
-        return table
+        """Reduction rows for pi^(p-1+t) against ((1+X)^p - 1)/X, for
+        t = 0..p-3; at p = 2 the one row t = 0, which ``zeta_basis`` reads."""
+        if self._pi_xpow is None:
+            n = self.p - 1
+            low = [math.comb(self.p, i + 1) for i in range(n)]
+            self._pi_xpow = x_walk((0,) * (n - 1) + (1,), low, self.pM, max(n, 2))[1:]
+        return self._pi_xpow
 
     def ram_packing(self) -> tuple[int, list[int]]:
         """Slot width in bytes of the packed product in Z_q[pi_1], and the
@@ -435,18 +360,8 @@ class ZqContext:
     def ram_one(self) -> "RamifiedElem":
         return RamifiedElem(self, (self.one(),) + (self.zero(),) * (self.p - 2))
 
-    def ram_from_zq(self, a: "ZqElem") -> "RamifiedElem":
-        return RamifiedElem(self, (a,) + (self.zero(),) * (self.p - 2))
-
     def __repr__(self):
         return f"ZqContext(p={self.p}, deg={self.deg}, M={self.M})"
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return poly_trim(tuple((x - y) % p for x, y in zip(a, b)))
 
 
 class ZqElem:
@@ -619,26 +534,17 @@ class RamifiedElem:
     def __hash__(self):
         return hash(self.comps)
 
-    def valuation(self) -> Valuation:
-        """Certified p-adic valuation.
+    def valuation(self) -> Fraction | None:
+        """Certified valuation in pi_1-units (p has p - 1 of them); None
+        when the element vanishes mod p^M.
 
-        Distinct basis positions carry distinct fractional parts j/(p-1),
-        so the minimum over positions is the valuation of the sum.
+        Distinct basis positions j carry distinct residues j mod p - 1, so
+        the minimum over positions is the valuation of the sum.
         """
         n = self.ctx.p - 1
         units = [j + n * v for j, v in enumerate(c.vp() for c in self.comps)
                  if v is not None]
-        if not units:
-            return Valuation.at_least(self.ctx.M)
-        return Valuation(Fraction(min(units), n))
-
-    def congruent_mod_pi(self, other: "RamifiedElem", k: int) -> bool:
-        """Whether self - other has pi-valuation at least k (pi-units)."""
-        diff = self - other
-        val = diff.valuation()
-        if not val.exact:
-            return True
-        return val.pi_units(self.ctx.p) >= k
+        return Fraction(min(units)) if units else None
 
     def __repr__(self):
         return f"Ram({self.comps})"
@@ -648,20 +554,3 @@ class RamifiedElem:
 def make_context(p: int, deg: int, M: int) -> ZqContext:
     """Deterministic context; repeated calls return the same object."""
     return ZqContext(p, deg, M)
-
-
-def zeta_p_power(ctx: ZqContext, n: int) -> RamifiedElem:
-    """(1 + pi_1)^(n mod p), the additive character value at n."""
-    n = n % ctx.p
-    comps = [ctx.zero()] * (ctx.p - 1)
-    if n <= ctx.p - 2:
-        for j in range(n + 1):
-            comps[j] = ctx.from_int(math.comb(n, j))
-        return RamifiedElem(ctx, comps)
-    # n = p - 1: one reduction step against the minimal polynomial
-    for j in range(ctx.p - 1):
-        comps[j] = ctx.from_int(math.comb(n, j))
-    elem = RamifiedElem(ctx, comps)
-    top = ctx.pi_xpow_table()[0]
-    corr = RamifiedElem(ctx, tuple(ctx.from_int(t) for t in top))
-    return elem + corr.scale(math.comb(n, ctx.p - 1))

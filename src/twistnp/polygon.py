@@ -2,7 +2,7 @@
 
 Polygons are stored as their values at every integer index of the range,
 not just at corner points, so comparisons are plain index-wise checks on
-``Fraction`` values.  Corner extraction is available for compact output.
+``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -125,16 +125,6 @@ class Polygon:
     def is_convex(self) -> bool:
         s = self.slopes()
         return all(s[i] <= s[i + 1] for i in range(len(s) - 1))
-
-    def corners(self) -> list[tuple[int, Fraction]]:
-        """Vertices with collinear interior points dropped."""
-        out = [(0, self.values[0])]
-        for n in range(1, self.n_max):
-            if self.slope(n - 1) != self.slope(n):
-                out.append((n, self.values[n]))
-        if self.n_max >= 1:
-            out.append((self.n_max, self.values[self.n_max]))
-        return out
 
     def restrict(self, n_max: int) -> "Polygon":
         return Polygon(self.values[: n_max + 1])

@@ -1,12 +1,32 @@
-"""Exhaustive oracles for the assignment layer: (n+1)! enumerations that
-the Hungarian solve, its tight edges and the matching count are checked
-against."""
+"""Oracles and test-only helpers: code no command runs, kept as the
+independent side of the checks on the program.
+
+- the assignment layer: (n+1)! enumerations that the Hungarian solve, its
+  tight edges and the matching count are checked against, and the
+  overflow-count matching with its residue columns
+- the unramified ring: unit inverses, Newton lifting of roots, the lifted
+  Frobenius, and the companion-matrix traces
+- the ramified ring: zeta_p powers and congruence mod pi_1
+- the T-adic layer: the reversion pi(T) of T = E(pi) - 1 and the
+  T-expansion of a pi-series, and the stated entry and aggregate bounds
+"""
 
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
+from functools import lru_cache
 
-from twistnp.combinatorics import CombInstance, R_value, cost_matrix, r_value
+from twistnp.combinatorics import CombInstance, cost_matrix
+from twistnp.core_arith import INFINITY, artin_hasse_coeffs, min_phi, min_residue
+from twistnp.dwork import PiSeries, PsiMatrix
+from twistnp.lfunction import DEFAULT_BUDGET, ClassicalSum, classical_sums_multi
+from twistnp.padic import RamifiedElem, ZqContext, ZqElem, poly_pow_mod, poly_trim
+from twistnp.polygon import Params, Polygon, lower_bound_polygon
+
+# ---------------------------------------------------------------------------
+# the assignment layer
 
 
 def exhaustive_C(inst: CombInstance, n: int) -> tuple[int, frozenset[tuple[int, ...]]]:
@@ -16,6 +36,64 @@ def exhaustive_C(inst: CombInstance, n: int) -> tuple[int, frozenset[tuple[int, 
               for tau in itertools.permutations(range(n + 1))}
     best = min(totals.values())
     return best, frozenset(tau for tau, s in totals.items() if s == best)
+
+
+def R_value(inst: CombInstance, i: int, alpha: int) -> int:
+    return min_residue(inst.e_inv * (inst.p * i + alpha), inst.d)
+
+
+def r_value(inst: CombInstance, i: int, alpha: int) -> int:
+    return min_residue(inst.e_inv * (inst.t - alpha - i), inst.d)
+
+
+def perm_sign(tau: tuple[int, ...]) -> int:
+    sign = 1
+    seen = [False] * len(tau)
+    for start in range(len(tau)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = tau[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def max_matching(adj: list[list[int]], n_right: int) -> int:
+    """Maximum bipartite matching size by augmenting paths."""
+    match_right = [-1] * n_right
+
+    def try_augment(i: int, visited: list[bool]) -> bool:
+        for j in adj[i]:
+            if visited[j]:
+                continue
+            visited[j] = True
+            if match_right[j] == -1 or try_augment(match_right[j], visited):
+                match_right[j] = i
+                return True
+        return False
+
+    return sum(1 for i in range(len(adj)) if try_augment(i, [False] * n_right))
+
+
+def compute_bfC(inst: CombInstance, n: int, alpha: int) -> int:
+    """Maximal number of i in {0..n} with R_i + r_{tau(i)} >= d over tau.
+
+    Solved as a maximum-cardinality bipartite matching on the pairs that
+    satisfy the inequality.
+    """
+    if n < -1:
+        raise ValueError(f"n must be >= -1, got {n}")
+    if n == -1:
+        return 0
+    R = [R_value(inst, i, alpha) for i in range(n + 1)]
+    r = [r_value(inst, j, alpha) for j in range(n + 1)]
+    adj = [[j for j in range(n + 1) if R[i] + r[j] >= inst.d] for i in range(n + 1)]
+    return max_matching(adj, n + 1)
 
 
 def bfC_exhaustive(inst: CombInstance, n: int, alpha: int) -> int:
@@ -28,3 +106,221 @@ def bfC_exhaustive(inst: CombInstance, n: int, alpha: int) -> int:
         sum(1 for i in range(n + 1) if R[i] + r[tau[i]] >= inst.d)
         for tau in itertools.permutations(range(n + 1))
     )
+
+
+def cyclic(seq: tuple[int, ...], k: int) -> int:
+    """Entry k of a digit period, indexed cyclically (``TwistData.t``, ``u``, ``uu``)."""
+    return seq[k % len(seq)]
+
+
+def corners(poly: Polygon) -> list[tuple[int, Fraction]]:
+    """Vertices with collinear interior points dropped."""
+    out = [(0, poly.values[0])]
+    for n in range(1, poly.n_max):
+        if poly.slope(n - 1) != poly.slope(n):
+            out.append((n, poly.values[n]))
+    if poly.n_max >= 1:
+        out.append((poly.n_max, poly.values[poly.n_max]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the unramified ring Z_q mod p^M
+
+
+def _newton_steps(ctx: ZqContext) -> int:
+    return max(1, math.ceil(math.log2(ctx.M))) + 1
+
+
+def inverse(ctx: ZqContext, a: ZqElem) -> ZqElem:
+    """Inverse of a unit: the residue inverse res^(q-2), Newton-lifted."""
+    res = poly_trim(tuple(c % ctx.p for c in a.coeffs))
+    if not res:
+        raise ZeroDivisionError("element is not a unit")
+    w = ctx.elem(poly_pow_mod(res, ctx.p**ctx.deg - 2, ctx.modulus, ctx.p))
+    for _ in range(_newton_steps(ctx)):
+        w = ctx.mul(w, 2 - ctx.mul(a, w))
+    assert ctx.mul(a, w).is_one()
+    return w
+
+
+def eval_int_poly(ctx: ZqContext, coeffs, z: ZqElem) -> tuple[ZqElem, ZqElem]:
+    """f(z) and f'(z) for the integer polynomial f with little-endian
+    ``coeffs``, by one Horner pass."""
+    val = deriv = ctx.zero()
+    for c in reversed(coeffs):
+        deriv = ctx.mul(deriv, z) + val
+        val = ctx.mul(val, z) + ctx.from_int(c)
+    return val, deriv
+
+
+def lift_root(ctx: ZqContext, coeffs, z: ZqElem) -> ZqElem:
+    """Newton-lift z, a simple root of the integer polynomial mod p, to a
+    root mod p^M."""
+    for _ in range(_newton_steps(ctx)):
+        fz, dfz = eval_int_poly(ctx, coeffs, z)
+        z = z - ctx.mul(fz, inverse(ctx, dfz))
+    assert eval_int_poly(ctx, coeffs, z)[0].is_zero()
+    return z
+
+
+@lru_cache(maxsize=None)
+def frobenius_matrix(ctx: ZqContext) -> list[tuple[int, ...]]:
+    """Columns sigma(X^v), v < deg, of the lifted Frobenius, mod p^M.
+
+    sigma(X) is the root of the modulus lifted from X^p mod p; on Z_p
+    (deg 1) the one column is sigma(1) = 1.
+    """
+    x_p = poly_pow_mod((0, 1), ctx.p, ctx.modulus, ctx.p)
+    z = lift_root(ctx, ctx.modulus, ctx.elem(x_p))
+    cols = [ctx.one()]
+    for _ in range(ctx.deg - 1):
+        cols.append(ctx.mul(cols[-1], z))
+    return [c.coeffs for c in cols]
+
+
+def frobenius(ctx: ZqContext, a: ZqElem) -> ZqElem:
+    out = [0] * ctx.deg
+    for cv, col in zip(a.coeffs, frobenius_matrix(ctx)):
+        if cv:
+            out = [(o + cv * x) % ctx.pM for o, x in zip(out, col)]
+    return ZqElem(ctx, tuple(out))
+
+
+def companion_trace_table(ctx: ZqContext) -> list[int]:
+    """Tr(x^v) for v = 0..deg-1 as traces of companion-matrix powers."""
+    deg, pM = ctx.deg, ctx.pM
+    comp = [[0] * deg for _ in range(deg)]
+    for i in range(1, deg):
+        comp[i][i - 1] = 1
+    for i in range(deg):
+        comp[i][deg - 1] = (-ctx.modulus[i]) % pM
+    table = [deg % pM]
+    mat = [[1 if i == j else 0 for j in range(deg)] for i in range(deg)]
+    for _ in range(1, deg):
+        mat = [[sum(mat[i][k] * comp[k][j] for k in range(deg)) % pM
+                for j in range(deg)] for i in range(deg)]
+        table.append(sum(mat[i][i] for i in range(deg)) % pM)
+    return table
+
+
+# ---------------------------------------------------------------------------
+# the ramified ring Z_q[pi_1]
+
+
+def ram_from_zq(ctx: ZqContext, a: ZqElem) -> RamifiedElem:
+    return RamifiedElem(ctx, (a,) + (ctx.zero(),) * (ctx.p - 2))
+
+
+def zeta_p_power(ctx: ZqContext, n: int) -> RamifiedElem:
+    """(1 + pi_1)^(n mod p), the additive character value at n."""
+    n = n % ctx.p
+    comps = [ctx.zero()] * (ctx.p - 1)
+    if n <= ctx.p - 2:
+        for j in range(n + 1):
+            comps[j] = ctx.from_int(math.comb(n, j))
+        return RamifiedElem(ctx, comps)
+    # n = p - 1: one reduction step against the minimal polynomial
+    for j in range(ctx.p - 1):
+        comps[j] = ctx.from_int(math.comb(n, j))
+    elem = RamifiedElem(ctx, comps)
+    top = ctx.pi_xpow_table()[0]
+    corr = RamifiedElem(ctx, tuple(ctx.from_int(t) for t in top))
+    return elem + corr.scale(math.comb(n, ctx.p - 1))
+
+
+def congruent_mod_pi(x: RamifiedElem, y: RamifiedElem, k: int) -> bool:
+    """Whether x - y has pi_1-valuation at least k (true when it vanishes)."""
+    v = (x - y).valuation()
+    return v is None or v >= k
+
+
+# ---------------------------------------------------------------------------
+# sums and the T-adic layer
+
+
+def exp_sum_classical(params: Params, k: int, M: int | None = None,
+                      budget: int = DEFAULT_BUDGET) -> ClassicalSum:
+    return classical_sums_multi(params, k, [params.lam_index], M, budget)[params.lam_index]
+
+
+def work_order(mat: PsiMatrix) -> int:
+    """The padded order the operator's series are carried at."""
+    return mat.entries[0][0].order
+
+
+def pi_of_T_coeffs(p: int, order: int) -> list[Fraction]:
+    """Reversion pi(T) of T = E(pi) - 1, up to T^order inclusive."""
+    lam = artin_hasse_coeffs(p, order)
+    r = [Fraction(0), Fraction(1)]
+    for j in range(2, order + 1):
+        # residual coefficient of T^j from lower-order data
+        powers = _poly_powers([Fraction(0)] + r[1:] + [Fraction(0)], j)
+        resid = Fraction(0)
+        for n in range(2, j + 1):
+            resid += lam[n] * powers[n][j]
+        r.append(-resid)
+    return r
+
+
+def _poly_powers(poly: list[Fraction], order: int) -> list[list[Fraction]]:
+    """poly^0..poly^order truncated at degree order."""
+    out = [[Fraction(1)] + [Fraction(0)] * order]
+    cur = list(poly[: order + 1]) + [Fraction(0)] * max(0, order + 1 - len(poly))
+    out.append(cur)
+    for _ in range(order - 1):
+        nxt = [Fraction(0)] * (order + 1)
+        for i, a in enumerate(out[-1]):
+            if a == 0:
+                continue
+            for jj, b in enumerate(cur):
+                if i + jj <= order and b != 0:
+                    nxt[i + jj] += a * b
+        out.append(nxt)
+    return out
+
+
+def pi_series_to_T(series: PiSeries, order: int) -> list[ZqElem]:
+    """T-expansion of an integer-exponent pi-series, to T^order."""
+    ctx = series.ctx
+    coeff_map = series.integer_coeff_map()
+    rev = pi_of_T_coeffs(ctx.p, order)
+    powers = _poly_powers(rev[: order + 1] + [Fraction(0)] * (order + 1 - len(rev)), order)
+    out = [ctx.zero() for _ in range(order + 1)]
+    for i, a in coeff_map.items():
+        if i > order:
+            continue
+        for jj in range(order + 1):
+            frac = powers[i][jj]
+            if frac == 0:
+                continue
+            assert frac.denominator % ctx.p != 0
+            scalar = frac.numerator * pow(frac.denominator % ctx.pM, -1, ctx.pM)
+            out[jj] = out[jj] + a * (scalar % ctx.pM)
+    return out
+
+
+def entry_valuation_bound(params: Params, i: int, j: int, k: int) -> Fraction | float:
+    """Stated lower bound for a one-step operator entry, as a diagnostic."""
+    if not (1 <= k <= params.b):
+        raise ValueError(f"k must lie in [1, b], got {k}")
+    q = params.q
+    s_k = (pow(params.p, k, q - 1) * params.u) % (q - 1)
+    s_k1 = (pow(params.p, k - 1, q - 1) * params.u) % (q - 1)
+    u_mk = params.u_digit(params.b - k)
+    phi = min_phi(params.p * i - j + u_mk, params.d, params.e)
+    if phi is INFINITY:
+        return INFINITY
+    return (Fraction(s_k - s_k1, params.d * (q - 1))
+            + Fraction(j - i, params.d) + phi)
+
+
+def compare_aggregate_bound(params: Params, coeffs: list[PiSeries]) -> bool:
+    """Every char-series coefficient clears the assignment lower bound."""
+    P = lower_bound_polygon(params, len(coeffs) - 1)
+    scale = params.a * (params.p - 1)
+    for n, cs in enumerate(coeffs):
+        v = cs.t_valuation()
+        if v is not None and v < scale * P.value(n):
+            return False
+    return True

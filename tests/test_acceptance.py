@@ -14,15 +14,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from oracles import exhaustive_C
-from twistnp.combinatorics import (
-    CombInstance,
-    R_value,
-    compute_bfC,
-    compute_C,
-    optimal_perm_sets,
-    r_value,
-)
+from oracles import R_value, compute_bfC, exhaustive_C, r_value
+from twistnp.combinatorics import CombInstance, compute_C, optimal_perm_sets
 from twistnp.dwork import np_T, trace_consistency
 from twistnp.hasse import hasse_certificate
 from twistnp.lfunction import classical_sums_multi, l_polynomial, newton_polygon_classical

@@ -66,6 +66,16 @@ def test_bad_flags_exit_2(capsys):
     ["sweep", "--d", "3", "--e", "2", "--c", "1,-3"],
     ["verify", "--d", "3", "--e", "2", "--primes", "11", "--lam-policy", "first:0"],
     ["sweep", "--d", "3", "--e", "2", "--primes", "11", "--lam-policy", "first:-2"],
+    # flags that would do nothing, or sizes no operator has
+    ["--format", "csv", "hasse", "--p", "43", "--d", "5", "--e", "2"],
+    ["--format", "csv", "lfunc", "--p", "11", "--d", "3", "--e", "2"],
+    ["--format", "csv", "dwork", "--p", "11", "--d", "3", "--e", "2"],
+    ["--format", "csv", "sweep", "--d", "3", "--e", "2", "--primes", "11"],
+    ["dwork", "--p", "11", "--d", "3", "--e", "2", "--N", "0"],
+    ["dwork", "--p", "11", "--d", "3", "--e", "2", "--O", "0"],
+    ["dwork", "--p", "11", "--d", "3", "--e", "2", "--trace-k", "-1"],
+    ["verify", "--d", "3", "--e", "2", "--primes", "11", "--trace-k", "-2"],
+    ["sweep", "--d", "3", "--e", "2", "--primes", "11", "--dwork", "--trace-k", "-1"],
 ])
 def test_refused_input_exits_2_with_one_error_line(capsys, argv):
     assert main(argv) == 2
@@ -564,11 +574,18 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
                        "--lam-policy", "fixed:7"]),
     ("sweep_small", ["sweep", "--d", "3,4", "--c", "3,8", "--primes", "5,7",
                      "--lam-policy", "first:4"]),
+    ("dwork_p13", ["dwork", "--p", "13", "--d", "3", "--e", "1", "--trace-k", "3"]),
+    ("dwork_q25", ["dwork", "--p", "5", "--a", "2", "--d", "3", "--e", "1", "--c", "4",
+                   "--trace-k", "2", "--J", "4", "--sandwich"]),
+    ("sweep_dwork", ["sweep", "--d", "3", "--e", "all", "--c", "1,3", "--primes", "7,13",
+                     "--lam-policy", "first:2", "--dwork", "--trace-k", "2"]),
 ])
 def test_outputs_match_golden_records(tmp_path, capsys, name, argv):
     # tests/golden holds each command's stdout and, for a grid, its JSONL
-    # records without ``timings``, as written before the sums were
-    # assembled in the base ring; every command exited 0
+    # records without ``timings``, as written by the code before the change
+    # each file guards (dwork_q121 to sweep_small: the base-ring sums;
+    # dwork_p13 to sweep_dwork: the trace check in pi); every command
+    # exited 0
     grid = argv[0] in ("verify", "sweep")
     out = tmp_path / "records.jsonl"
     code, stdout = _run(capsys, (["--out", str(out)] if grid else []) + argv)

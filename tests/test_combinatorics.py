@@ -6,18 +6,21 @@ import itertools
 import math
 import random
 
-from oracles import bfC_exhaustive, exhaustive_C
+from oracles import (
+    R_value,
+    bfC_exhaustive,
+    compute_bfC,
+    exhaustive_C,
+    max_matching,
+    perm_sign,
+    r_value,
+)
 from twistnp.combinatorics import (
     CombInstance,
     C_value_reduced,
-    R_value,
-    _max_matching,
-    compute_bfC,
     compute_C,
     cost,
     optimal_perm_sets,
-    perm_sign,
-    r_value,
     tight_edges,
     xy_decomposition,
 )
@@ -245,6 +248,6 @@ def test_matching_of_tiled_sequences_property():
 
 def test_max_matching_basic():
     # complete bipartite 3x3 restricted to a diagonal
-    assert _max_matching([[0], [1], [2]], 3) == 3
-    assert _max_matching([[0], [0], [0]], 3) == 1
-    assert _max_matching([[], [], []], 3) == 0
+    assert max_matching([[0], [1], [2]], 3) == 3
+    assert max_matching([[0], [0], [0]], 3) == 1
+    assert max_matching([[], [], []], 3) == 0

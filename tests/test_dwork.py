@@ -8,6 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import (
+    compare_aggregate_bound,
+    entry_valuation_bound,
+    pi_of_T_coeffs,
+    pi_series_to_T,
+    work_order,
+)
 from twistnp.core_arith import INFINITY, artin_hasse_coeffs, min_phi
 from twistnp.dwork import (
     PiSeries,
@@ -15,17 +22,13 @@ from twistnp.dwork import (
     TruncationError,
     auto_sizes,
     char_series,
-    compare_aggregate_bound,
     ef_gamma_coeffs,
-    entry_valuation_bound,
     np_T,
-    pi_of_T_coeffs,
-    pi_series_to_T,
     psi_a_matrix,
+    substitute_T,
     trace_consistency,
     truncation_certificate,
 )
-from twistnp.combinatorics import perm_sign
 from twistnp.lfunction import newton_polygon_classical
 from twistnp.padic import make_context
 from twistnp.polygon import Params, hodge_polygon, lies_above, lower_bound_polygon
@@ -165,7 +168,7 @@ def test_psi_matrix_single_factor_case():
     lam_hat = ctx.teichmuller(
         __import__("twistnp.padic", fromlist=["poly_pow_mod"]).poly_pow_mod(
             ctx.generator, 1, ctx.modulus, 11))
-    gam = ef_gamma_coeffs(ctx, 3, 2, lam_hat, 11 * N, mat.work_order)
+    gam = ef_gamma_coeffs(ctx, 3, 2, lam_hat, 11 * N, work_order(mat))
     for w in range(N):
         for i in range(N):
             midx = 11 * w - i
@@ -231,11 +234,11 @@ def test_psi_matrix_matches_pairwise_accumulation(tup):
     pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
     N, O = auto_sizes(pr, d)
     mat = psi_a_matrix(pr, N, O)
-    want = _pairwise_entries(pr, N, mat.work_order, mat.ctx)
+    want = _pairwise_entries(pr, N, work_order(mat), mat.ctx)
     for w in range(N):
         for i in range(N):
             got = mat.entries[w][i]
-            assert (got.D, got.order) == (d, mat.work_order)
+            assert (got.D, got.order) == (d, work_order(mat))
             assert {F(n, d): c for n, c in got.terms.items()} == want[w][i], (w, i)
 
 
@@ -417,6 +420,18 @@ def test_pi_series_to_T_roundtrip():
     want2 = r[1] * r[1]
     assert coeffs[2] == ctx.from_int(want2.numerator)
     assert coeffs[0].is_zero() and coeffs[1].is_zero()
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_substitute_T_inverts_the_reversion(p):
+    # the T-expansion of pi^i from the reversion oracle, at T = E(pi) - 1,
+    # is pi^i again
+    order = 8
+    ctx = make_context(p, 1, 10)
+    for i in range(order + 1):
+        t_coeffs = pi_series_to_T(PiSeries(ctx, 1, order + 1, {i: ctx.one()}), order)
+        got = substitute_T(t_coeffs, order)
+        assert [c.coeffs[0] for c in got] == [int(n == i) for n in range(order + 1)], i
 
 
 def test_trace_consistency_p11():

@@ -18,13 +18,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from oracles import exhaustive_C
+from oracles import cyclic, exhaustive_C, perm_sign
 from twistnp import combinatorics, hasse
 from twistnp.combinatorics import (
     CombInstance,
     compute_C,
     optimal_perm_sets,
-    perm_sign,
     xy_decomposition,
 )
 from twistnp.core_arith import INFINITY, factorial_inv_or_zero, falling_factorial
@@ -51,7 +50,7 @@ def test_twist_data_twisted_anchor():
     assert tw.pp == 2 and tw.ell == 1
     assert tw.uu == (1, 0)
     for k in range(2):
-        assert tw.u_of(k) == tw.t_of(k + 1) * 3 * tw.ell + tw.uu_of(k)
+        assert cyclic(tw.u, k) == cyclic(tw.t, k + 1) * 3 * tw.ell + cyclic(tw.uu, k)
 
 
 def test_twist_data_trivial_character():
