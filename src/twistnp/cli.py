@@ -32,7 +32,6 @@ from .hasse import hasse_certificate
 from .lfunction import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    DEFAULT_TADIC_BUDGET,
     FunctionalEquationError,
     classical_l_function,
     classical_route,
@@ -67,8 +66,11 @@ def _emit(obj) -> None:
 
 
 def _params_from_args(args) -> Params:
+    lam = args.lam
+    if lam is None:  # the generator g by default; at q = 2, g = g^0
+        lam = 0 if (args.p, args.a) == (2, 1) else 1
     return Params(p=args.p, a=args.a, d=args.d, e=args.e, c=args.c,
-                  mu=args.mu, lam_index=args.lam)
+                  mu=args.mu, lam_index=lam)
 
 
 def _add_param_flags(sub):
@@ -78,8 +80,9 @@ def _add_param_flags(sub):
     sub.add_argument("--e", type=int, required=True)
     sub.add_argument("--c", type=int, default=1)
     sub.add_argument("--mu", type=int, default=1)
-    sub.add_argument("--lam", type=int, default=1,
-                     help="discrete log of the lower coefficient")
+    sub.add_argument("--lam", type=int, default=None,
+                     help="discrete log of the lower coefficient "
+                          "(default 1 mod q - 1)")
 
 
 def cmd_polygon(args) -> int:
@@ -144,10 +147,12 @@ def cmd_dwork(args) -> int:
     res = np_T(params, n_max, N=args.big_n, O=args.big_o, M=args.precision)
     reports = []
     if args.trace_k > 0:
-        reports = trace_consistency(params, args.trace_k, args.J,
+        J = min(5, params.p - 1) if args.J is None else args.J
+        reports = trace_consistency(params, args.trace_k, J,
                                     N=res.verdict.N if args.big_n else None,
                                     O=res.verdict.O if args.big_o else None,
-                                    M=args.precision, mat=res.matrix)
+                                    M=args.precision, mat=res.matrix,
+                                    budget=args.budget)
     P = lower_bound_polygon(params, n_max)
     # the assignment bound is a theorem only past the monotonicity threshold
     above = lies_above(res.polygon, P).ok if params.monotone_bound_ok() else None
@@ -359,14 +364,15 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
             if not sandwich:
                 violations.append("T-adic polygon escapes the sandwich")
             if trace_k > 0:
-                # the check enumerates F_{q^trace_k} under the fixed T-adic budget
+                # the check enumerates F_{q^trace_k} under the run's budget
                 needed = params.q**trace_k
-                if needed > DEFAULT_TADIC_BUDGET:
+                if needed > budget:
                     rec["trace_consistency"] = None
                     rec["trace_needed_budget"] = needed
                 else:
                     reports = trace_consistency(params, trace_k, min(6, p - 2),
-                                                M=precision, mat=res.matrix)
+                                                M=precision, mat=res.matrix,
+                                                budget=budget)
                     rec["trace_consistency"] = all(r.ok for r in reports)
                     if not rec["trace_consistency"]:
                         violations.append("trace formula mismatch")
@@ -562,7 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
     sd.add_argument("--N", dest="big_n", type=int, default=None)
     sd.add_argument("--O", dest="big_o", type=int, default=None)
     sd.add_argument("--trace-k", type=int, default=0)
-    sd.add_argument("--J", type=int, default=5)
+    sd.add_argument("--J", type=int, default=None,
+                    help="T-adic truncation order of the trace check "
+                         "(default min(5, p - 1))")
     sd.add_argument("--sandwich", action="store_true")
     sd.set_defaults(func=cmd_dwork)
 
@@ -599,9 +607,9 @@ def main(argv=None) -> int:
         # a flag that would do nothing, or a size no run can use, is refused
         if args.format == "csv" and args.command != "polygon":
             raise ValueError(f"--format csv applies to polygon only, not {args.command}")
-        for flag, attr, least in (("--precision", "precision", 1), ("--n-max", "n_max", 1),
-                                  ("--N", "big_n", 1), ("--O", "big_o", 1),
-                                  ("--trace-k", "trace_k", 0)):
+        for flag, attr, least in (("--precision", "precision", 1), ("--budget", "budget", 1),
+                                  ("--n-max", "n_max", 1), ("--N", "big_n", 1),
+                                  ("--O", "big_o", 1), ("--trace-k", "trace_k", 0)):
             value = getattr(args, attr, None)
             if value is not None and value < least:
                 raise ValueError(f"{flag} must be >= {least}, got {value}")

@@ -4,12 +4,14 @@ Everything here is exact: Python ints, ``fractions.Fraction``, and an
 infinity sentinel for the minimal-representation function.  No floats ever
 enter a value that is later asserted on.  The number theory the package
 needs (primality, prime factors, multiplicative orders, integer
-determinants) is here too, as plain integer code.
+determinants, characteristic polynomials mod n) is here too, as plain
+integer code.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -124,6 +126,30 @@ def bareiss_det(rows) -> int:
                 row_i[j] = (row_i[j] * piv - lead * row_k[j]) // prev
         prev = piv
     return sign * a[n - 1][n - 1]
+
+
+def charpoly_mod(rows, mod: int) -> list[int]:
+    """c_0..c_n with det(1 - A s) = sum_i c_i s^i mod ``mod``, for the
+    n x n integer matrix A given as a list of rows.
+
+    Berkowitz's recurrence (Inf. Process. Lett. 18 (1984)), the one
+    ``dwork.char_series`` runs on series: bordering the leading r x r block
+    A_r by the column C, the row R and the corner a multiplies
+    det(1 - A_r s) by 1 - a s - sum_j (R A_r^j C) s^(j+2), and the product
+    has degree r + 1, so terms past s^(r+1) are dropped.  It never
+    divides, so any modulus works.
+    """
+    coeffs = [1 % mod]
+    for r, row in enumerate(rows):
+        col = [rows[w][r] for w in range(r)]
+        factor = [1, -row[r]]
+        for j in range(r):
+            if j:
+                col = [sum(map(operator.mul, rows[w][:r], col)) % mod for w in range(r)]
+            factor.append(-sum(map(operator.mul, row[:r], col)))
+        coeffs = [sum(factor[i] * coeffs[n - i] for i in range(max(0, n - r), n + 1)) % mod
+                  for n in range(r + 2)]
+    return coeffs
 
 
 def falling_factorial(x: int | Fraction, n: int) -> Fraction:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core_arith import artin_hasse_coeffs, phi_minimizer
-from .lfunction import default_precision, exp_sum_Tadic
+from .lfunction import DEFAULT_BUDGET, default_precision, exp_sum_Tadic
 from .padic import ZqContext, ZqElem, make_context, poly_pow_mod
 from .polygon import Params, Polygon, lower_bound_polygon, lower_convex_hull
 
@@ -475,7 +475,8 @@ class TraceReport:
 def trace_consistency(params: Params, k_max: int, J: int,
                       N: int | None = None, O: int | None = None,
                       M: int | None = None,
-                      mat: PsiMatrix | None = None) -> list[TraceReport]:
+                      mat: PsiMatrix | None = None,
+                      budget: int = DEFAULT_BUDGET) -> list[TraceReport]:
     """Check S_k(T) = (q^k - 1) * trace(M^k) as truncated series.
 
     The left side is the direct T-adic character sum, a polynomial in T;
@@ -485,7 +486,8 @@ def trace_consistency(params: Params, k_max: int, J: int,
     counts the agreeing T-coefficients too.  Both sides are exact mod p^M,
     so any mismatch within the certified order is a failure, reported as
     ``ok=False``.  An operator ``mat`` already built for these params is
-    reused when its (N, O, M) match the sizes the check needs.
+    reused when its (N, O, M) match the sizes the check needs.  The direct
+    sums over F_{q^k} are gated by ``budget``.
     """
     M = M or default_precision(params)
     n_max = max(k_max, params.d)
@@ -500,7 +502,7 @@ def trace_consistency(params: Params, k_max: int, J: int,
     zero = mat.ctx.zero()
     reports = []
     for k in range(1, k_max + 1):
-        lhs = substitute_T(exp_sum_Tadic(params, k, J, M).coeffs, check_order)
+        lhs = substitute_T(exp_sum_Tadic(params, k, J, M, budget).coeffs, check_order)
         rhs = mat.trace_power(k).integer_coeff_map()
         scale = (params.q**k - 1) % mat.ctx.pM
         agree = next((jj for jj in range(check_order + 1)

@@ -18,6 +18,15 @@ pure of weight 1, so its top coefficients' valuations are those of the
 bottom ones reflected (``classical_route``).  ``l_polynomial`` still
 computes every coefficient from S_1..S_d, and is the oracle of the
 reflection.
+
+The T-adic sum (``exp_sum_Tadic``) needs the p-adic trace of each lifted
+value, not its residue, so it cannot bin traces mod p.  Instead the two
+traces of x = g^j, Tr(omega^(dj)) and Tr(lamhat * omega^(ej)) with omega
+the Teichmuller lift of g, are linear recurring sequences of order ak in
+j, streamed by integer recurrences whose characteristic polynomials come
+from Berkowitz's division-free algorithm (``core_arith.charpoly_mod``).
+The direct sum thus uses only the residue field, Teichmuller lifts and
+the base-ring assembly, never the Dwork operator it is checked against.
 """
 
 from __future__ import annotations
@@ -44,9 +53,6 @@ from .polygon import Params, Polygon, hodge_polygon, lower_convex_hull
 
 #: Default cap on field size for a single exponential sum.
 DEFAULT_BUDGET = 2 * 10**7
-
-#: Default cap for the per-element T-adic path (pure Python loop).
-DEFAULT_TADIC_BUDGET = 2 * 10**5
 
 _BLOCK = 1 << 14
 
@@ -347,12 +353,15 @@ class TadicSum:
 
 
 def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
-                  budget: int = DEFAULT_TADIC_BUDGET) -> TadicSum:
+                  budget: int = DEFAULT_BUDGET) -> TadicSum:
     """Coefficient-wise twisted T-adic sum, truncated at T^J.
 
-    Walks the multiplicative group once, maintaining the Teichmuller
-    powers of x^d and x^e incrementally; each element contributes the
-    falling-factorial expansion of (1+T)^{trace}.
+    With omega the Teichmuller lift of the generator g of F_{q^k} and
+    lamhat that of the coefficient, x = g^j contributes the falling-factorial
+    expansion of (1+T)^t, t = Tr(omega^(dj)) + Tr(lamhat * omega^(ej)), to
+    the bucket j mod c.  Both traces are linear recurring sequences in j
+    (``ZqContext.trace_sequence``), streamed together, so each element
+    costs 2ak integer products and no table of the field is kept.
     """
     if not 0 <= J < params.p:
         raise ValueError(f"T-adic truncation order J={J} must lie in [0, p)")
@@ -363,26 +372,21 @@ def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
         raise BudgetExceededError(size + 1, budget)
     big = make_context(params.p, m, M)
     descent = _descent_for(params, big)
-    pM = big.pM
-    g_teich = big.teichmuller(big.generator)
-    omega_d = big.pow(g_teich, params.d)
-    omega_e = big.pow(g_teich, params.e)
+    pM, c = big.pM, params.c
+    omega = big.teichmuller(big.generator)
     lam_hat = big.teichmuller(descent.lambda_residues([params.lam_index])[0])
-    xd = big.one()
-    xe = big.one()
-    acc = [[0] * (J + 1) for _ in range(params.c)]
-    c = params.c
-    for j in range(size):
-        fhat = xd + big.mul(lam_hat, xe)
-        t = big.trace_zp(fhat)
+    traces = zip(range(size),
+                 big.trace_sequence(big.one(), big.pow(omega, params.d)),
+                 big.trace_sequence(lam_hat, big.pow(omega, params.e)))
+    acc = [[0] * (J + 1) for _ in range(c)]
+    for j, tr_d, tr_e in traces:
+        t = tr_d + tr_e
         bucket = acc[j % c]
         bucket[0] += 1
         ff = 1
         for jj in range(1, J + 1):
             ff = ff * (t - jj + 1) % pM
             bucket[jj] += ff
-        xd = big.mul(xd, omega_d)
-        xe = big.mul(xe, omega_e)
     coeffs = []
     for jj in range(J + 1):
         total = descent.base.zero()

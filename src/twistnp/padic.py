@@ -10,7 +10,9 @@ p^M.  The single ramified layer adjoins pi_1 = zeta_p - 1, a root of
 The F_p[X] helpers (``poly_*``) serve both the residue fields and the
 contexts: every "multiply by X and fold the top coefficient back" walk,
 mod p or mod p^M, is ``x_walk``, and the traces of the power basis are
-the power sums of the modulus's roots, by Newton's identities.
+the power sums of the modulus's roots, by Newton's identities.  The
+traces Tr(gamma * beta^j) recur with the characteristic polynomial of
+multiplication by beta (``ZqContext.trace_sequence``).
 
 All ring operations are exact mod p^M: divisions only ever happen by
 p-adic units, so precision never degrades silently.  Valuations are
@@ -22,12 +24,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .core_arith import is_prime, prime_factors
+from .core_arith import charpoly_mod, is_prime, prime_factors
 
 # ---------------------------------------------------------------------------
 # residue-field polynomial helpers (coefficients little-endian, mod p)
@@ -301,6 +305,30 @@ class ZqContext:
     def trace_zp(self, a: "ZqElem") -> int:
         """Absolute trace to Z_p, as an integer mod p^M."""
         return sum(c * t for c, t in zip(a.coeffs, self._trace_table)) % self.pM
+
+    def trace_sequence(self, gamma: "ZqElem", beta: "ZqElem"):
+        """Tr(gamma * beta^j) for j = 0, 1, 2, ..., as an endless iterator.
+
+        With n = deg, beta is a root of det(x - M_beta) for M_beta the
+        matrix of multiplication by beta (Cayley-Hamilton), so with
+        det(1 - M_beta s) = sum_i c_i s^i the traces recur as
+        u_{j+n} = -(c_1 u_{j+n-1} + ... + c_n u_j) (Lidl and Niederreiter,
+        Finite Fields, ch. 8).  The first n terms cost n products in Z_q,
+        each later one n integer products, and only the last n are kept.
+        """
+        n, pM = self.deg, self.pM
+        cols = x_walk(beta.coeffs, self.modulus[:n], pM, n)  # column t: X^t beta
+        charpoly = charpoly_mod([list(row) for row in zip(*cols)], pM)
+        recur = [-c % pM for c in reversed(charpoly[1:])]  # c_n first: it meets u_j
+        window = deque(maxlen=n)
+        x = gamma
+        for _ in range(n):
+            window.append(self.trace_zp(x))
+            yield window[-1]
+            x = self.mul(x, beta)
+        while True:
+            window.append(sum(map(operator.mul, recur, window)) % pM)
+            yield window[-1]
 
     def residue_traces(self) -> list[int]:
         """Traces to F_p of the residue field's power basis x^0..x^{deg-1}."""

@@ -7,8 +7,9 @@ independent side of the checks on the program.
 - the unramified ring: unit inverses, Newton lifting of roots, the lifted
   Frobenius, and the companion-matrix traces
 - the ramified ring: zeta_p powers and congruence mod pi_1
-- the T-adic layer: the reversion pi(T) of T = E(pi) - 1 and the
-  T-expansion of a pi-series, and the stated entry and aggregate bounds
+- the T-adic layer: the direct sum by a walk over the field, the
+  reversion pi(T) of T = E(pi) - 1 and the T-expansion of a pi-series,
+  and the stated entry and aggregate bounds
 """
 
 from __future__ import annotations
@@ -21,8 +22,22 @@ from functools import lru_cache
 from twistnp.combinatorics import CombInstance, cost_matrix
 from twistnp.core_arith import INFINITY, artin_hasse_coeffs, min_phi, min_residue
 from twistnp.dwork import PiSeries, PsiMatrix
-from twistnp.lfunction import DEFAULT_BUDGET, ClassicalSum, classical_sums_multi
-from twistnp.padic import RamifiedElem, ZqContext, ZqElem, poly_pow_mod, poly_trim
+from twistnp.lfunction import (
+    DEFAULT_BUDGET,
+    ClassicalSum,
+    TadicSum,
+    _descent_for,
+    classical_sums_multi,
+    default_precision,
+)
+from twistnp.padic import (
+    RamifiedElem,
+    ZqContext,
+    ZqElem,
+    make_context,
+    poly_pow_mod,
+    poly_trim,
+)
 from twistnp.polygon import Params, Polygon, lower_bound_polygon
 
 # ---------------------------------------------------------------------------
@@ -242,6 +257,33 @@ def congruent_mod_pi(x: RamifiedElem, y: RamifiedElem, k: int) -> bool:
 def exp_sum_classical(params: Params, k: int, M: int | None = None,
                       budget: int = DEFAULT_BUDGET) -> ClassicalSum:
     return classical_sums_multi(params, k, [params.lam_index], M, budget)[params.lam_index]
+
+
+def exp_sum_Tadic_walk(params: Params, k: int, J: int, M: int | None = None) -> TadicSum:
+    """``exp_sum_Tadic`` by walking F_{q^k}^*: the Teichmuller powers of
+    x^d and x^e are kept as Z_q elements, three products and a trace per
+    element, with no trace recurrence."""
+    M = M or default_precision(params)
+    big = make_context(params.p, params.a * k, M)
+    descent = _descent_for(params, big)
+    pM, c = big.pM, params.c
+    g_teich = big.teichmuller(big.generator)
+    omega_d = big.pow(g_teich, params.d)
+    omega_e = big.pow(g_teich, params.e)
+    lam_hat = big.teichmuller(descent.lambda_residues([params.lam_index])[0])
+    xd, xe = big.one(), big.one()
+    acc = [[0] * (J + 1) for _ in range(c)]
+    for j in range(params.p**big.deg - 1):
+        t = big.trace_zp(xd + big.mul(lam_hat, xe))
+        falling = 1
+        for jj in range(J + 1):
+            acc[j % c][jj] += falling
+            falling = falling * (t - jj) % pM
+        xd = big.mul(xd, omega_d)
+        xe = big.mul(xe, omega_e)
+    coeffs = [sum((descent.V[mm] * (acc[mm][jj] % pM) for mm in range(c)), descent.base.zero())
+              * pow(math.factorial(jj), -1, pM) for jj in range(J + 1)]
+    return TadicSum(k=k, J=J, coeffs=coeffs)
 
 
 def work_order(mat: PsiMatrix) -> int:

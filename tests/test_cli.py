@@ -76,6 +76,11 @@ def test_bad_flags_exit_2(capsys):
     ["dwork", "--p", "11", "--d", "3", "--e", "2", "--trace-k", "-1"],
     ["verify", "--d", "3", "--e", "2", "--primes", "11", "--trace-k", "-2"],
     ["sweep", "--d", "3", "--e", "2", "--primes", "11", "--dwork", "--trace-k", "-1"],
+    # a budget below one element would skip or refuse every sum
+    ["--budget", "0", "verify", "--d", "3", "--e", "2", "--primes", "7"],
+    ["--budget", "-5", "lfunc", "--p", "11", "--d", "3", "--e", "2"],
+    # the budget reaches the direct T-adic sums: F_{11^3} has 1331 elements
+    ["--budget", "1000", "dwork", "--p", "11", "--d", "3", "--e", "2", "--trace-k", "3"],
 ])
 def test_refused_input_exits_2_with_one_error_line(capsys, argv):
     assert main(argv) == 2
@@ -320,9 +325,11 @@ def test_verify_records_a_trace_mismatch(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_keeps_a_record_whose_trace_check_exceeds_the_tadic_budget(tmp_path, capsys):
-    # 61^3 = 226981 elements lie past the fixed T-adic budget of 2*10^5
+    # 61^3 = 226981 elements lie past a budget of 2*10^5, which the
+    # classical route's F_{61^2} fits
     out_file = tmp_path / "trace_budget.jsonl"
-    code, _ = _run(capsys, ["--out", str(out_file), "verify", "--d", "3", "--e", "2",
+    code, _ = _run(capsys, ["--out", str(out_file), "--budget", "200000",
+                            "verify", "--d", "3", "--e", "2",
                             "--c", "1", "--primes", "61", "--lam-policy", "first:1",
                             "--dwork", "--trace-k", "3"])
     assert code == 0
@@ -333,6 +340,35 @@ def test_verify_keeps_a_record_whose_trace_check_exceeds_the_tadic_budget(tmp_pa
     # the classical, Hasse and T-adic parts of the record are kept
     assert rec["np_slopes"] == rec["np_T_slopes"] == ["0/1", "1/3", "2/3"]
     assert rec["H"] == "8" and rec["h_unit"] is True
+
+
+def test_dwork_trace_check_runs_under_the_global_budget(capsys):
+    # F_{61^3} lies past 2*10^5 elements; a larger --budget admits it
+    code, out = _run(capsys, ["--budget", "100000000", "dwork", "--p", "61", "--d", "3",
+                              "--e", "2", "--trace-k", "3"])
+    assert code == 0
+    reports = json.loads(out)["trace_consistency"]
+    assert [r["k"] for r in reports] == [1, 2, 3] and all(r["ok"] for r in reports)
+
+
+@pytest.mark.parametrize("argv", [
+    ["polygon", "--p", "2", "--d", "3", "--e", "1"],
+    ["hasse", "--p", "2", "--d", "3", "--e", "1"],
+    ["dwork", "--p", "2", "--d", "3", "--e", "1"],
+])
+def test_default_coefficient_exists_at_q_2(capsys, argv):
+    # F_2^* = {1}: the default coefficient index is 1 mod (q - 1) = 0
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["params"].endswith("_l0")
+
+
+@pytest.mark.parametrize("p, J", [(2, 1), (3, 2), (5, 4), (7, 5)])
+def test_dwork_default_truncation_order_fits_p(capsys, p, J):
+    code, out = _run(capsys, ["dwork", "--p", str(p), "--d", "4" if p == 3 else "3",
+                              "--e", "1", "--trace-k", "1"])
+    assert code == 0
+    assert json.loads(out)["trace_consistency"] == [{"k": 1, "checked_order": J, "ok": True}]
 
 
 def test_consistency_errors_exit_1(capsys, monkeypatch):

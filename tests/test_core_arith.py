@@ -16,6 +16,7 @@ from twistnp.core_arith import (
     PSI_13,
     artin_hasse_coeffs,
     bareiss_det,
+    charpoly_mod,
     factorial_inv_or_zero,
     falling_factorial,
     is_prime,
@@ -224,3 +225,24 @@ def test_bareiss_det_matches_sympy(n):
         rows = [[rng.randrange(-10**30, 10**30) if rng.random() < 0.4 else 0
                  for _ in range(n)] for _ in range(n)]
         assert bareiss_det(rows) == sympy.Matrix(n, n, sum(rows, [])).det(method="bareiss")
+
+
+@pytest.mark.parametrize("n, mod", [(0, 7), (1, 5**3), (2, 2), (3, 3**4), (4, 2**10),
+                                    (5, 11**9), (6, 7**6)])
+def test_charpoly_mod_satisfies_cayley_hamilton(n, mod):
+    rng = random.Random(2000 + n)
+    for _ in range(10):
+        rows = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
+        coeffs = charpoly_mod(rows, mod)
+        assert len(coeffs) == n + 1 and coeffs[0] == 1 % mod
+        # sum_i c_i A^(n-i) vanishes mod ``mod``
+        power = [[int(i == j) for j in range(n)] for i in range(n)]
+        acc = [[0] * n for _ in range(n)]
+        for c in reversed(coeffs):
+            acc = [[x + c * y for x, y in zip(ra, rp)] for ra, rp in zip(acc, power)]
+            power = [[sum(rp[t] * rows[t][j] for t in range(n)) for j in range(n)]
+                     for rp in power]
+        assert all(x % mod == 0 for row in acc for x in row)
+        if n:
+            want = sympy.Matrix(rows).charpoly().all_coeffs()  # det(x - A), leading 1
+            assert coeffs == [int(x) % mod for x in want]

@@ -12,6 +12,7 @@ import sympy
 from oracles import (
     congruent_mod_pi,
     exp_sum_classical,
+    exp_sum_Tadic_walk,
     frobenius,
     lift_root,
     ram_from_zq,
@@ -331,6 +332,21 @@ def test_tadic_base_ring_sums_are_the_big_ring_sums_embedded(p, a, d, e, c, mu, 
     assert _fixed_by_sigma_a(big, want, a)
     embed = _embedding(pr, big)
     assert [embed(y) for y in exp_sum_Tadic(pr, 2, J).coeffs] == want
+
+
+@pytest.mark.parametrize("p,a,d,e,c,mu,k,J", [
+    (43, 1, 5, 2, 1, 1, 2, 5),  # the strict instance
+    (11, 2, 3, 2, 3, 2, 1, 4),  # a > 1 and c >= 3
+    (11, 2, 3, 2, 3, 1, 2, 4),
+    (13, 1, 3, 1, 1, 1, 3, 5),
+    (3, 1, 2, 1, 1, 1, 3, 2),  # recurrence order ak = 3 >= p
+    (5, 2, 3, 1, 4, 1, 2, 4),  # ak = 4 >= p, c = 4
+])
+def test_tadic_sum_equals_the_walk(p, a, d, e, c, mu, k, J):
+    q = p**a
+    for lam in sorted({0, 1, q // 3, q - 2}):
+        pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
+        assert exp_sum_Tadic(pr, k, J).coeffs == exp_sum_Tadic_walk(pr, k, J).coeffs, lam
 
 
 def test_joint_histogram_rule():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from oracles import (
     ram_from_zq,
     zeta_p_power,
 )
+from twistnp.core_arith import charpoly_mod
 from twistnp.padic import (
     RamifiedElem,
     find_generator,
@@ -28,6 +30,7 @@ from twistnp.padic import (
     poly_pow_mod,
     poly_trim,
     smallest_irreducible,
+    x_walk,
 )
 
 
@@ -384,3 +387,33 @@ def test_zeta_basis_columns_are_zeta_powers():
             comps = zeta_p_power(ctx, r).comps
             assert [z.coeffs[0] for z in comps] == basis[:, r].tolist()
             assert all(not any(z.coeffs[1:]) for z in comps)
+
+
+_TRACE_CONTEXTS = [(2, 1, 5), (3, 3, 4), (5, 2, 6), (11, 4, 14), (7, 5, 3), (43, 2, 13)]
+
+
+@pytest.mark.parametrize("p, deg, M", _TRACE_CONTEXTS)
+def test_charpoly_of_X_is_the_modulus(p, deg, M):
+    ctx = make_context(p, deg, M)
+    cols = x_walk((1,), ctx.modulus[:deg], ctx.pM, deg + 1)[1:]  # column t: X^(t+1)
+    assert charpoly_mod([list(row) for row in zip(*cols)], ctx.pM)[::-1] == list(ctx.modulus)
+
+
+@pytest.mark.parametrize("p, deg, M", _TRACE_CONTEXTS)
+def test_trace_sequence_is_the_trace_of_the_powers(p, deg, M):
+    ctx = make_context(p, deg, M)
+    rng = random.Random(p * 100 + deg)
+
+    def rand():
+        return ctx.elem([rng.randrange(ctx.pM) for _ in range(deg)])
+
+    omega = ctx.teichmuller(ctx.generator)
+    # units, a Teichmuller lift, zero and a non-unit among gamma and beta
+    pairs = [(ctx.one(), omega), (rand(), ctx.pow(omega, 3)), (rand(), rand()),
+             (rand(), ctx.zero()), (ctx.zero(), rand()), (rand(), rand() * p)]
+    for gamma, beta in pairs:
+        want, x = [], gamma
+        for _ in range(3 * deg + 2):
+            want.append(ctx.trace_zp(x))
+            x = ctx.mul(x, beta)
+        assert list(itertools.islice(ctx.trace_sequence(gamma, beta), 3 * deg + 2)) == want
