@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .core_arith import is_prime, multiplicative_order
 from .dwork import DworkConsistencyError, TruncationError, np_T, trace_consistency
+from .dwork import check_trace_budget
 from .hasse import hasse_certificate
 from .lfunction import (
     BudgetExceededError,
@@ -141,9 +142,20 @@ def cmd_lfunc(args) -> int:
     return EXIT_OK
 
 
+def sandwich(params: Params, P: Polygon, np_T: Polygon,
+             np_classical: Polygon | None = None) -> dict:
+    """The halves of P <= NP_T <= NP, each on the range both share.  Below
+    the threshold p > (d-e)(2d-1) P is no bound, and P <= NP_T is None;
+    without the classical polygon NP_T <= NP is None."""
+    return {"P_below_npT": lies_above(np_T, P).ok if params.monotone_bound_ok() else None,
+            "npT_below_classical": (None if np_classical is None
+                                    else lies_above(np_classical, np_T).ok)}
+
+
 def cmd_dwork(args) -> int:
     params = _params_from_args(args)
     n_max = args.n_max or params.d
+    check_trace_budget(params, args.trace_k, args.budget)
     res = np_T(params, n_max, N=args.big_n, O=args.big_o, M=args.precision)
     reports = []
     if args.trace_k > 0:
@@ -153,28 +165,23 @@ def cmd_dwork(args) -> int:
                                     O=res.verdict.O if args.big_o else None,
                                     M=args.precision, mat=res.matrix,
                                     budget=args.budget)
-    P = lower_bound_polygon(params, n_max)
-    # the assignment bound is a theorem only past the monotonicity threshold
-    above = lies_above(res.polygon, P).ok if params.monotone_bound_ok() else None
+    np_classical = (newton_polygon_classical(params, args.precision, args.budget)
+                    if args.sandwich else None)
+    halves = sandwich(params, lower_bound_polygon(params, n_max), res.polygon, np_classical)
     out = {
         "schema": SCHEMA,
         "params": params.key(),
         "certificate": {"N": res.verdict.N, "O": res.verdict.O, "ok": True},
         "np_T": res.polygon.to_json_dict(),
         "np_T_slopes": _slopes_json(res.polygon),
-        "lies_above_lower_bound": above,
+        "lies_above_lower_bound": halves["P_below_npT"],
         "trace_consistency": [
             {"k": r.k, "checked_order": r.checked_order, "ok": r.ok}
             for r in reports
         ],
     }
     if args.sandwich:
-        np_classical = newton_polygon_classical(params, args.precision, args.budget)
-        out["sandwich"] = {
-            "P_below_npT": above,
-            "npT_below_classical": lies_above(np_classical,
-                                              res.polygon.restrict(params.d)).ok,
-        }
+        out["sandwich"] = halves
     _emit(out)
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VIOLATION
 
@@ -358,17 +365,14 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
             res = np_T(params, d, M=precision)
             rec["np_T_slopes"] = _slopes_json(res.polygon)
             rec["routes_agree"] = res.polygon.values == np_poly.values
-            sandwich = (lies_above(res.polygon, P.restrict(d)).ok
-                        and lies_above(np_poly, res.polygon).ok)
-            rec["sandwich"] = sandwich
-            if not sandwich:
+            rec["sandwich"] = False not in sandwich(params, P, res.polygon, np_poly).values()
+            if not rec["sandwich"]:
                 violations.append("T-adic polygon escapes the sandwich")
             if trace_k > 0:
                 # the check enumerates F_{q^trace_k} under the run's budget
                 needed = params.q**trace_k
                 if needed > budget:
-                    rec["trace_consistency"] = None
-                    rec["trace_needed_budget"] = needed
+                    rec.update(trace_consistency=None, trace_needed_budget=needed)
                 else:
                     reports = trace_consistency(params, trace_k, min(6, p - 2),
                                                 M=precision, mat=res.matrix,

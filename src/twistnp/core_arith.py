@@ -4,14 +4,16 @@ Everything here is exact: Python ints, ``fractions.Fraction``, and an
 infinity sentinel for the minimal-representation function.  No floats ever
 enter a value that is later asserted on.  The number theory the package
 needs (primality, prime factors, multiplicative orders, integer
-determinants, characteristic polynomials mod n) is here too, as plain
-integer code.
+determinants) is here too, as plain integer code.  So are the two
+recurrences of a characteristic series, written once for any ring:
+Berkowitz's det(1 - A s) (``berkowitz``) and the traces Tr(A^k) by the
+Newton identities (``power_sums``), run mod n here and in ``padic``, and
+on T-adic series in ``dwork``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -128,28 +130,57 @@ def bareiss_det(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def berkowitz(rows, n_max: int, dot, one, zero) -> list:
+    """c_0..c_{n_max} with det(1 - A s) = sum_i c_i s^i, for the square
+    matrix A, given as a list of rows, over any commutative ring.
+
+    ``dot(pairs)`` is the ring's sum of x * y over the pairs (x, y).
+    Berkowitz's recurrence (Inf. Process. Lett. 18 (1984)): bordering the
+    leading r x r block A_r by the column C, the row R and the corner a
+    multiplies det(1 - A_r s) by 1 - a s - sum_j (R A_r^j C) s^(j+2).  The
+    product is det(1 - A_{r+1} s), of degree r + 1, so it is kept to
+    s^min(r+1, n_max): what a truncating ring (p^M, pi^O) drops past
+    that degree is an exact zero.  It never divides.
+    """
+    coeffs = [one] + [zero] * n_max
+    for r, row in enumerate(rows):
+        top = min(r + 1, n_max)
+        factor = [zero, row[r]]  # factor[m]: minus the s^m coefficient
+        col = [rows[w][r] for w in range(r)]
+        for j in range(top - 1):
+            if j:
+                col = [dot(zip(rows[w][:r], col)) for w in range(r)]
+            if not any(col):
+                break
+            factor.append(dot(zip(row[:r], col)))
+        coeffs[:top + 1] = [coeffs[n] - dot((factor[m], coeffs[n - m])
+                                            for m in range(1, min(n + 1, len(factor))))
+                            for n in range(top + 1)]
+    return coeffs
+
+
+def power_sums(coeffs: list, dot) -> list:
+    """Tr(A^k) for 0 < k < len(coeffs), from det(1 - A s) = sum_k c_k s^k.
+
+    The Newton identities in their division-free direction,
+    t_k = -k c_k - sum_{0<j<k} t_j c_{k-j}, with ``dot`` the ring's sum of
+    products as in ``berkowitz``; index 0 is None.
+    """
+    traces = [None]
+    for k in range(1, len(coeffs)):
+        traces.append(coeffs[k] * -k - dot((traces[j], coeffs[k - j]) for j in range(1, k)))
+    return traces
+
+
+def mod_dot(mod: int):
+    """The sum of products of integer pairs, reduced mod ``mod``."""
+    return lambda pairs: sum(x * y for x, y in pairs) % mod
+
+
 def charpoly_mod(rows, mod: int) -> list[int]:
     """c_0..c_n with det(1 - A s) = sum_i c_i s^i mod ``mod``, for the
-    n x n integer matrix A given as a list of rows.
-
-    Berkowitz's recurrence (Inf. Process. Lett. 18 (1984)), the one
-    ``dwork.char_series`` runs on series: bordering the leading r x r block
-    A_r by the column C, the row R and the corner a multiplies
-    det(1 - A_r s) by 1 - a s - sum_j (R A_r^j C) s^(j+2), and the product
-    has degree r + 1, so terms past s^(r+1) are dropped.  It never
-    divides, so any modulus works.
-    """
-    coeffs = [1 % mod]
-    for r, row in enumerate(rows):
-        col = [rows[w][r] for w in range(r)]
-        factor = [1, -row[r]]
-        for j in range(r):
-            if j:
-                col = [sum(map(operator.mul, rows[w][:r], col)) % mod for w in range(r)]
-            factor.append(-sum(map(operator.mul, row[:r], col)))
-        coeffs = [sum(factor[i] * coeffs[n - i] for i in range(max(0, n - r), n + 1)) % mod
-                  for n in range(r + 2)]
-    return coeffs
+    n x n integer matrix A given as a list of rows (``berkowitz``)."""
+    return [c % mod for c in berkowitz(rows, len(rows), mod_dot(mod), 1, 0)]
 
 
 def falling_factorial(x: int | Fraction, n: int) -> Fraction:

@@ -11,7 +11,9 @@ exponent carrying a nonzero coefficient.
 
 Truncation is certified, not guessed: every term routed through a basis
 row w carries order at least (p-1)*w/d, so rows beyond N are irrelevant
-once (p-1)*N/d clears the working order.
+once (p-1)*N/d clears the working order (``auto_sizes``).  The
+characteristic series and Tr(A^k) are ``core_arith.berkowitz`` and
+``core_arith.power_sums`` run with the one series product ``_dot``.
 
 The trace formula S_k(T) = (q^k - 1) Tr(A^k) is checked in pi: the
 direct T-adic sum is a polynomial in T, and T = E(pi) - 1 is substituted
@@ -24,8 +26,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core_arith import artin_hasse_coeffs, phi_minimizer
-from .lfunction import DEFAULT_BUDGET, default_precision, exp_sum_Tadic
+from .core_arith import artin_hasse_coeffs, berkowitz, phi_minimizer, power_sums
+from .lfunction import DEFAULT_BUDGET, check_budget, default_precision, exp_sum_Tadic
 from .padic import ZqContext, ZqElem, make_context, poly_pow_mod
 from .polygon import Params, Polygon, lower_bound_polygon, lower_convex_hull
 
@@ -68,6 +70,9 @@ class PiSeries:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def check_same_grid(self, other):
         if (self.D, self.order) != (other.D, other.order):
             raise ValueError(f"series on the grids (D, order) = {(self.D, self.order)} "
@@ -77,8 +82,7 @@ class PiSeries:
         self.check_same_grid(other)
         out = dict(self.terms)
         for num, c in other.terms.items():
-            acc = out.get(num)
-            s = c if acc is None else acc + c
+            s = out[num] + c if num in out else c
             if s.is_zero():
                 out.pop(num, None)
             else:
@@ -93,12 +97,8 @@ class PiSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, ZqElem)):
-            out = {}
-            for num, c in self.terms.items():
-                s = c * other
-                if not s.is_zero():
-                    out[num] = s
-            return self.copy_with(out)
+            return self.copy_with({num: s for num, c in self.terms.items()
+                                   if not (s := c * other).is_zero()})
         return _dot([(self, other)], self.copy_with({}))
 
     __rmul__ = __mul__
@@ -162,14 +162,8 @@ def ef_gamma_coeffs(ctx: ZqContext, d: int, e: int, lam_hat: ZqElem,
                 if total >= O:
                     break  # totals grow by d - e > 0 along the solution line
                 coeff = ctx.mul(ctx.mul(lam[x], lam[y]), lam_pows[y])
-                if not coeff.is_zero():
-                    num = total * d
-                    acc = terms.get(num)
-                    s = coeff if acc is None else acc + coeff
-                    if s.is_zero():
-                        terms.pop(num, None)
-                    else:
-                        terms[num] = s
+                if not coeff.is_zero():  # each total comes once
+                    terms[total * d] = coeff
                 x -= e
                 y += d
         out.append(PiSeries(ctx, d, O, terms))
@@ -238,8 +232,7 @@ class _ProductCoeffs:
     def __init__(self, params: Params, ctx: ZqContext, O: int):
         self.params = params
         p, d, e = params.p, params.d, params.e
-        g = ctx.generator
-        lam_res = poly_pow_mod(g, params.lam_index, ctx.modulus, p)
+        lam_res = poly_pow_mod(ctx.generator, params.lam_index, ctx.modulus, p)
         lam_hat = ctx.teichmuller(lam_res)
         self.gamma_max = d * O  # gamma_n vanishes mod pi^O beyond d*O
         self.gammas = []
@@ -301,44 +294,17 @@ def psi_a_matrix(params: Params, N: int, O: int, M: int | None = None,
 
 
 def char_series(mat: PsiMatrix, n_max: int) -> list[PiSeries]:
-    """Coefficients of det(1 - A s) in s^0..s^{n_max}, without division.
-
-    Berkowitz's recurrence, truncated at s^{n_max}: bordering the leading
-    r x r block A_r by the column C, the row R and the corner a multiplies
-    det(1 - A_r s) by 1 - a s - sum_j (R A_r^j C) s^(j+2).
-    """
-    A = mat.entries
-    zero = A[0][0].copy_with({})
-    coeffs = [zero.copy_with({0: mat.ctx.one()})] + [zero] * n_max
-    for r in range(mat.N):
-        row = A[r][:r]
-        # factor[m]: minus the s^m coefficient of the bordering factor
-        factor = [zero, A[r][r]]
-        col = [A[w][r] for w in range(r)]
-        for j in range(n_max - 1):
-            if j:
-                col = [_dot(zip(A[w][:r], col), zero) for w in range(r)]
-            if not any(x.terms for x in col):
-                break
-            factor.append(_dot(zip(row, col), zero))
-        coeffs = [coeffs[n] - _dot(((factor[m], coeffs[n - m])
-                                    for m in range(1, min(n + 1, len(factor)))), zero)
-                  for n in range(n_max + 1)]
-    return coeffs
+    """Coefficients of det(1 - A s) in s^0..s^{n_max}, by ``berkowitz``
+    on series."""
+    zero = mat.entries[0][0].copy_with({})
+    return berkowitz(mat.entries, n_max, lambda pairs: _dot(pairs, zero),
+                     zero.copy_with({0: mat.ctx.one()}), zero)
 
 
 def power_traces(coeffs: list[PiSeries]) -> list[PiSeries | None]:
-    """Tr(A^k) for k <= n_max from det(1 - A s) = sum_k c_k s^k.
-
-    The Newton identities in their division-free direction:
-    t_k = -k c_k - sum_{0<j<k} t_j c_{k-j}.  Index 0 is unused.
-    """
+    """Tr(A^k) for k <= n_max from det(1 - A s), by ``power_sums``."""
     zero = coeffs[0].copy_with({})
-    traces: list[PiSeries | None] = [None]
-    for k in range(1, len(coeffs)):
-        tail = _dot(((traces[j], coeffs[k - j]) for j in range(1, k)), zero)
-        traces.append((coeffs[k] * k + tail).negate())
-    return traces
+    return power_sums(coeffs, lambda pairs: _dot(pairs, zero))
 
 
 def direct_traces(mat: PsiMatrix, k_max: int) -> list[PiSeries | None]:
@@ -370,38 +336,34 @@ class TruncationVerdict:
     reason: str = ""
 
 
-def required_order(params: Params, n_max: int) -> int:
+def auto_sizes(params: Params, n_max: int, least_order: int = 0) -> tuple[int, int]:
+    """The operator sizes (N, O) that resolve the first n_max valuations.
+
+    O clears the lower bound's P(n_max), in pi-units, by ``DEFAULT_GUARD``
+    and is raised to ``least_order``; N is the least size whose tail rows
+    clear O, and at least n_max.
+    """
     P = lower_bound_polygon(params, n_max)
-    top = params.a * (params.p - 1) * P.value(n_max)
-    return math.ceil(top) + DEFAULT_GUARD
+    O = max(math.ceil(params.a * (params.p - 1) * P.value(n_max)) + DEFAULT_GUARD,
+            least_order)
+    return max(math.ceil(Fraction(params.d * O, params.p - 1)) + 1, n_max), O
 
 
 def truncation_certificate(params: Params, N: int, O: int, n_max: int) -> TruncationVerdict:
     """Certify that (N, O) resolve the first n_max char-series valuations.
 
     Tail rows w >= N only feed terms of order at least (p-1)*w/d, so they
-    cannot touch anything below O once (p-1)*N/d >= O.
+    cannot touch anything below O once (p-1)*N/d >= O.  A failed verdict
+    suggests ``auto_sizes`` at order at least O.
     """
-    O_needed = required_order(params, n_max)
-    d, p = params.d, params.p
-    N_needed = math.ceil(Fraction(d * max(O, O_needed), p - 1)) + 1
-    if O < O_needed:
-        return TruncationVerdict(False, N, O, N_needed, O_needed,
-                                 f"working order {O} below required {O_needed}")
-    if Fraction((p - 1) * N, d) < O:
-        return TruncationVerdict(False, N, O, N_needed, O_needed,
-                                 f"tail rows reach below order {O} for N={N}")
-    if n_max > N:
-        return TruncationVerdict(False, N, O, N_needed, O_needed,
-                                 f"n_max={n_max} exceeds matrix size {N}")
+    N_needed, O_needed = auto_sizes(params, n_max, O)
+    tail_short = Fraction((params.p - 1) * N, params.d) < O
+    for failed, reason in ((O < O_needed, f"working order {O} below required {O_needed}"),
+                           (tail_short, f"tail rows reach below order {O} for N={N}"),
+                           (n_max > N, f"n_max={n_max} exceeds matrix size {N}")):
+        if failed:
+            return TruncationVerdict(False, N, O, N_needed, O_needed, reason)
     return TruncationVerdict(True, N, O, N, O)
-
-
-def auto_sizes(params: Params, n_max: int) -> tuple[int, int]:
-    O = required_order(params, n_max)
-    N = math.ceil(Fraction(params.d * O, params.p - 1)) + 1
-    N = max(N, n_max)
-    return N, O
 
 
 @dataclass
@@ -433,13 +395,9 @@ def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
             raise DworkConsistencyError(
                 f"Tr(A^{k}) from A and from the characteristic series disagree")
     scale = params.a * (params.p - 1)
-    points: list[tuple[int, Fraction | None]] = []
-    for n, cs in enumerate(coeffs):
-        v = cs.t_valuation()
-        # digits at or beyond the target order live in the padding zone
-        if v is not None and v >= O:
-            v = None
-        points.append((n, None if v is None else v / scale))
+    # digits at or beyond the target order live in the padding zone
+    points = [(n, None if v is None or v >= O else v / scale)
+              for n, v in enumerate(cs.t_valuation() for cs in coeffs)]
     return NpTResult(polygon=lower_convex_hull(points), coeffs=coeffs,
                      matrix=mat, verdict=verdict)
 
@@ -472,6 +430,12 @@ class TraceReport:
     ok: bool
 
 
+def check_trace_budget(params: Params, k_max: int, budget: int) -> None:
+    """Refuse, before any work, a trace check whose sums exceed ``budget``."""
+    for k in range(1, k_max + 1):
+        check_budget(params, k, budget)
+
+
 def trace_consistency(params: Params, k_max: int, J: int,
                       N: int | None = None, O: int | None = None,
                       M: int | None = None,
@@ -487,13 +451,11 @@ def trace_consistency(params: Params, k_max: int, J: int,
     so any mismatch within the certified order is a failure, reported as
     ``ok=False``.  An operator ``mat`` already built for these params is
     reused when its (N, O, M) match the sizes the check needs.  The direct
-    sums over F_{q^k} are gated by ``budget``.
+    sums over F_{q^k} are gated by ``budget``, for every k before any work.
     """
+    check_trace_budget(params, k_max, budget)
     M = M or default_precision(params)
-    n_max = max(k_max, params.d)
-    autoN, autoO = auto_sizes(params, n_max)
-    autoO = max(autoO, J + 2)
-    autoN = max(autoN, math.ceil(Fraction(params.d * autoO, params.p - 1)) + 1)
+    autoN, autoO = auto_sizes(params, max(k_max, params.d), J + 2)
     N = N if N is not None else autoN
     O = O if O is not None else autoO
     if mat is None or (mat.params, mat.N, mat.O, mat.ctx.M) != (params, N, O, M):

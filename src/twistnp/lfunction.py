@@ -24,7 +24,7 @@ value, not its residue, so it cannot bin traces mod p.  Instead the two
 traces of x = g^j, Tr(omega^(dj)) and Tr(lamhat * omega^(ej)) with omega
 the Teichmuller lift of g, are linear recurring sequences of order ak in
 j, streamed by integer recurrences whose characteristic polynomials come
-from Berkowitz's division-free algorithm (``core_arith.charpoly_mod``).
+from Berkowitz's division-free algorithm (``core_arith.berkowitz``).
 The direct sum thus uses only the residue field, Teichmuller lifts and
 the base-ring assembly, never the Dwork operator it is checked against.
 """
@@ -233,7 +233,9 @@ class SubfieldDescent:
         self.big = big
         self.base = base = make_context(p, a, big.M)
         z = ()  # a = 1: the base modulus is X, whose root is 0
-        if a > 1:  # the roots lie among the elements of order dividing q - 1
+        if big.deg == a > 1:  # k = 1: the two moduli agree, so X is a root
+            z = (0, 1)
+        elif a > 1:  # the roots lie among the elements of order dividing q - 1
             h = poly_pow_mod(big.generator, Qk1 // (q - 1), big.modulus, p)
             z = (1,)
             while poly_eval_mod(base.modulus, z, big.modulus, p):
@@ -246,21 +248,26 @@ class SubfieldDescent:
         w = base.teichmuller(poly_pow_mod(base.generator, -params.u * ell % (q - 1),
                                           base.modulus, p))
         self.V = [base.pow(w, mm) for mm in range(c)]
+        self._V_rows = np.array([v.coeffs for v in self.V], dtype=object)
+
+    def weigh(self, counts) -> np.ndarray:
+        """Row i of the (n, c) array ``counts`` weighted by the character:
+        sum_mm counts[i, mm] * V_mm, as an (n, deg) integer array mod p^M."""
+        return (np.asarray(counts, dtype=object) @ self._V_rows) % self.base.pM
 
     def descend_ram(self, counts: np.ndarray, conjugate: bool = False) -> RamifiedElem:
-        """sum_r zeta_p^r * acc_r with acc_r = sum_mm counts[r, mm] * V_mm.
+        """sum_r zeta_p^r * acc_r with acc_r the r-th row of ``weigh``.
 
-        The acc_r are plain integer vectors; one change of basis from
-        zeta_p^r to the pi_1^j (``ZqContext.zeta_basis``) and one reduction
-        mod p^M give the components.  With ``conjugate`` it is the sum of
-        the conjugate characters: count (r, mm) weighs zeta_p^-r V_-mm.
+        One change of basis from zeta_p^r to the pi_1^j
+        (``ZqContext.zeta_basis``) and one reduction mod p^M give the
+        components.  With ``conjugate`` it is the sum of the conjugate
+        characters: count (r, mm) weighs zeta_p^-r V_-mm.
         """
         if conjugate:
             p, c = counts.shape
             counts = counts[-np.arange(p) % p][:, -np.arange(c) % c]
         base = self.base
-        acc = counts.astype(object) @ np.array([v.coeffs for v in self.V], dtype=object)
-        comps = (base.zeta_basis() @ acc) % base.pM
+        comps = (base.zeta_basis() @ self.weigh(counts)) % base.pM
         return RamifiedElem(base, (ZqElem(base, tuple(row)) for row in comps.tolist()))
 
     def lambda_residues(self, lam_indices: list[int]) -> list[tuple[int, ...]]:
@@ -302,21 +309,14 @@ def classical_sums_multi(params: Params, k: int, lam_indices: list[int],
     With ``conjugate`` each sum also gets its complex conjugate, the sum of
     the conjugate characters chi^-1 and psi^-1, from the same counts.
     """
-    M = M or default_precision(params)
-    m = params.a * k
-    size = params.p**m - 1
-    if size + 1 > budget:
-        raise BudgetExceededError(size + 1, budget)
-    big = make_context(params.p, m, M)
-    descent = _descent_for(params, big)
+    big, descent = _field(params, k, M, budget)
     lam_vecs = descent.lambda_residues(lam_indices)
-    counts = trace_count_matrix(params.p, m, big, lam_vecs,
+    counts = trace_count_matrix(params.p, big.deg, big, lam_vecs,
                                 params.d, params.e, params.c)
-    out = {}
-    for li, lam_index in enumerate(lam_indices):
-        conj = descent.descend_ram(counts[li], conjugate=True) if conjugate else None
-        out[lam_index] = ClassicalSum(k, counts[li], descent.descend_ram(counts[li]), conj)
-    return out
+    return {lam_index: ClassicalSum(k, counts[li], descent.descend_ram(counts[li]),
+                                    descent.descend_ram(counts[li], conjugate=True)
+                                    if conjugate else None)
+            for li, lam_index in enumerate(lam_indices)}
 
 
 _descent_cache: dict = {}
@@ -327,6 +327,21 @@ def _descent_for(params: Params, big: ZqContext) -> SubfieldDescent:
     if key not in _descent_cache:
         _descent_cache[key] = SubfieldDescent(params, big)
     return _descent_cache[key]
+
+
+def check_budget(params: Params, k: int, budget: int) -> None:
+    """Refuse a sum over F_{q^k} whose q^k elements exceed ``budget``."""
+    if params.q**k > budget:
+        raise BudgetExceededError(params.q**k, budget)
+
+
+def _field(params: Params, k: int, M: int | None,
+           budget: int) -> tuple[ZqContext, SubfieldDescent]:
+    """What every sum over F_{q^k} starts from: the budget check, the
+    context of F_{q^k} at precision M, and its base-ring descent."""
+    check_budget(params, k, budget)
+    big = make_context(params.p, params.a * k, M or default_precision(params))
+    return big, _descent_for(params, big)
 
 
 def classical_sums_by_lambda(params: Params, lam_indices: list[int],
@@ -365,17 +380,11 @@ def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
     """
     if not 0 <= J < params.p:
         raise ValueError(f"T-adic truncation order J={J} must lie in [0, p)")
-    M = M or default_precision(params)
-    m = params.a * k
-    size = params.p**m - 1
-    if size + 1 > budget:
-        raise BudgetExceededError(size + 1, budget)
-    big = make_context(params.p, m, M)
-    descent = _descent_for(params, big)
+    big, descent = _field(params, k, M, budget)
     pM, c = big.pM, params.c
     omega = big.teichmuller(big.generator)
     lam_hat = big.teichmuller(descent.lambda_residues([params.lam_index])[0])
-    traces = zip(range(size),
+    traces = zip(range(params.q**k - 1),
                  big.trace_sequence(big.one(), big.pow(omega, params.d)),
                  big.trace_sequence(lam_hat, big.pow(omega, params.e)))
     acc = [[0] * (J + 1) for _ in range(c)]
@@ -387,12 +396,9 @@ def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
         for jj in range(1, J + 1):
             ff = ff * (t - jj + 1) % pM
             bucket[jj] += ff
-    coeffs = []
-    for jj in range(J + 1):
-        total = descent.base.zero()
-        for mm in range(c):
-            total = total + descent.V[mm] * (acc[mm][jj] % pM)
-        coeffs.append(total * pow(math.factorial(jj) % pM, -1, pM))
+    rows = descent.weigh(np.array(acc, dtype=object).T).tolist()
+    coeffs = [descent.base.elem(row) * pow(math.factorial(jj) % pM, -1, pM)
+              for jj, row in enumerate(rows)]
     return TadicSum(k=k, J=J, coeffs=coeffs)
 
 

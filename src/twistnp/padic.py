@@ -10,9 +10,10 @@ p^M.  The single ramified layer adjoins pi_1 = zeta_p - 1, a root of
 The F_p[X] helpers (``poly_*``) serve both the residue fields and the
 contexts: every "multiply by X and fold the top coefficient back" walk,
 mod p or mod p^M, is ``x_walk``, and the traces of the power basis are
-the power sums of the modulus's roots, by Newton's identities.  The
+the power sums of the modulus's roots (``core_arith.power_sums``).  The
 traces Tr(gamma * beta^j) recur with the characteristic polynomial of
-multiplication by beta (``ZqContext.trace_sequence``).
+multiplication by beta, from ``core_arith.berkowitz``
+(``ZqContext.trace_sequence``).
 
 All ring operations are exact mod p^M: divisions only ever happen by
 p-adic units, so precision never degrades silently.  Valuations are
@@ -31,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core_arith import charpoly_mod, is_prime, prime_factors
+from .core_arith import charpoly_mod, is_prime, mod_dot, power_sums, prime_factors
 
 # ---------------------------------------------------------------------------
 # residue-field polynomial helpers (coefficients little-endian, mod p)
@@ -205,7 +206,8 @@ class ZqContext:
         self.pM = p**M
         self.modulus = smallest_irreducible(p, deg)
         self.generator = find_generator(p, deg)
-        self._xpow = self._build_xpow()
+        # X^{deg+t} mod modulus, coefficients mod p^M, for t = 0..deg-2
+        self._xpow = x_walk((0,) * (deg - 1) + (1,), self.modulus[:deg], self.pM, deg)[1:]
         self._trace_table = self._build_trace_table()
         self._pi_xpow = None
         self._ram_packing = None
@@ -213,21 +215,12 @@ class ZqContext:
 
     # -- construction helpers
 
-    def _build_xpow(self):
-        """X^{deg+t} mod modulus, coefficients mod p^M, for t = 0..deg-2."""
-        deg = self.deg
-        return x_walk((0,) * (deg - 1) + (1,), self.modulus[:deg], self.pM, deg)[1:]
-
     def _build_trace_table(self):
-        """Tr(x^v) for v = 0..deg-1: the power sums s_v of the modulus's
-        roots, by Newton's identities on its coefficients a_i,
-        s_k = -(k a_{n-k} + sum_{0<i<k} a_{n-i} s_{k-i}) with n = deg."""
-        n, a, pM = self.deg, self.modulus, self.pM
-        table = [n % pM]
-        for k in range(1, n):
-            table.append(-(k * a[n - k] + sum(a[n - i] * table[k - i]
-                                              for i in range(1, k))) % pM)
-        return table
+        """Tr(x^v) for v = 0..deg-1: the power sums of the modulus's roots,
+        by ``power_sums`` on the reversed modulus, det(1 - M_X s)."""
+        n, pM = self.deg, self.pM
+        sums = power_sums(self.modulus[::-1][:n], mod_dot(pM))
+        return [n % pM] + [t % pM for t in sums[1:]]
 
     # -- element constructors
 
@@ -341,7 +334,7 @@ class ZqContext:
         t = 0..p-3; at p = 2 the one row t = 0, which ``zeta_basis`` reads."""
         if self._pi_xpow is None:
             n = self.p - 1
-            low = [math.comb(self.p, i + 1) for i in range(n)]
+            low = [math.comb(self.p, i + 1) % self.pM for i in range(n)]
             self._pi_xpow = x_walk((0,) * (n - 1) + (1,), low, self.pM, max(n, 2))[1:]
         return self._pi_xpow
 
@@ -360,8 +353,8 @@ class ZqContext:
             n, deg = self.p - 1, self.deg
             bits = 2 * (self.pM - 1).bit_length() + (n * deg).bit_length() + 1
             nbytes = -(-bits // 8)
-            row_bits = 8 * nbytes * (2 * deg - 1)
-            rows = [sum(t << (row_bits * i) for i, t in enumerate(row))
+            rows = [int.from_bytes(b"".join([t.to_bytes(nbytes * (2 * deg - 1), "little")
+                                             for t in row]), "little")
                     for row in self.pi_xpow_table()]
             self._ram_packing = (nbytes, rows)
         return self._ram_packing
@@ -370,16 +363,19 @@ class ZqContext:
         """The (p-1, p) object array whose column r is zeta_p^r over
         1, pi_1, ..., pi_1^(p-2), mod p^M.
 
-        zeta_p^r = (1 + pi_1)^r = sum_j C(r, j) pi_1^j; only r = p - 1
+        zeta_p^r = (1 + pi_1)^r = sum_j C(r, j) pi_1^j, each row of
+        binomials from the one above by Pascal's rule; only r = p - 1
         reaches pi_1^(p-1), which is the first row of ``pi_xpow_table``.
         """
         if self._zeta_basis is None:
-            n = self.p - 1
-            top = self.pi_xpow_table()[0]
-            basis = np.array([[math.comb(r, j) for r in range(n + 1)]
-                              for j in range(n)], dtype=object)
-            basis[:, n] += np.array(top, dtype=object)
-            self._zeta_basis = basis % self.pM
+            n, pM = self.p - 1, self.pM
+            rows = [[1] * (n + 1)]
+            for _ in range(1, n):  # C(r+1, j) = C(r, j) + C(r, j-1)
+                rows.append(list(itertools.accumulate(rows[-1][:n], lambda s, x: (s + x) % pM,
+                                                      initial=0)))
+            for row, t in zip(rows, self.pi_xpow_table()[0]):
+                row[n] = (row[n] + t) % pM
+            self._zeta_basis = np.array(rows, dtype=object)
         return self._zeta_basis
 
     def ram_zero(self) -> "RamifiedElem":

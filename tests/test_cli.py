@@ -342,6 +342,25 @@ def test_verify_keeps_a_record_whose_trace_check_exceeds_the_tadic_budget(tmp_pa
     assert rec["H"] == "8" and rec["h_unit"] is True
 
 
+def test_over_budget_trace_check_is_refused_before_any_work(capsys, monkeypatch):
+    import twistnp.dwork as dwork
+    from twistnp.lfunction import BudgetExceededError
+
+    def no_operator(*args, **kwargs):
+        raise AssertionError("the operator was built")
+
+    monkeypatch.setattr(dwork, "psi_a_matrix", no_operator)
+    code = main(["dwork", "--p", "11", "--a", "2", "--d", "3", "--e", "2", "--c", "3",
+                 "--lam", "57", "--trace-k", "4", "--J", "4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: enumeration needs 214358881 elements, budget is 20000000\n"
+    # the smallest field past the budget is named: F_{11^2} here
+    with pytest.raises(BudgetExceededError, match="needs 121 elements"):
+        dwork.trace_consistency(Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1),
+                                3, 4, budget=100)
+
+
 def test_dwork_trace_check_runs_under_the_global_budget(capsys):
     # F_{61^3} lies past 2*10^5 elements; a larger --budget admits it
     code, out = _run(capsys, ["--budget", "100000000", "dwork", "--p", "61", "--d", "3",
@@ -403,7 +422,7 @@ def test_dwork_past_p(capsys):
     assert values[4] == H.value(4)
 
 
-def test_dwork_sandwich_below_the_monotonicity_bound(capsys):
+def test_dwork_sandwich_below_the_monotonicity_bound(tmp_path, capsys):
     # the classical side reflects l_0..l_1 (p = 3 > h + 1 = 2); P is no bound
     code, out = _run(capsys, ["dwork", "--p", "3", "--d", "4", "--e", "1",
                               "--sandwich"])
@@ -411,6 +430,14 @@ def test_dwork_sandwich_below_the_monotonicity_bound(capsys):
     doc = json.loads(out)
     assert doc["lies_above_lower_bound"] is None
     assert doc["sandwich"] == {"P_below_npT": None, "npT_below_classical": True}
+    # nor in a grid record, where P's slopes are not even convex
+    out_file = tmp_path / "small.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "verify", "--d", "4", "--e", "1",
+                            "--c", "1", "--primes", "3", "--allow-small-p", "--dwork"])
+    assert code == 0
+    (rec,) = [json.loads(x) for x in out_file.read_text().splitlines()]
+    assert rec["P_slopes"] == ["0/1", "1/1", "1/2", "0/1"]
+    assert rec["sandwich"] is True and rec["violations"] == []
 
 
 def _perturb_top_sum(monkeypatch):

@@ -16,15 +16,18 @@ from twistnp.core_arith import (
     PSI_13,
     artin_hasse_coeffs,
     bareiss_det,
+    berkowitz,
     charpoly_mod,
     factorial_inv_or_zero,
     falling_factorial,
     is_prime,
     min_phi,
     min_residue,
+    mod_dot,
     mod_inverse,
     multiplicative_order,
     phi_minimizer,
+    power_sums,
     prime_factors,
 )
 
@@ -246,3 +249,21 @@ def test_charpoly_mod_satisfies_cayley_hamilton(n, mod):
         if n:
             want = sympy.Matrix(rows).charpoly().all_coeffs()  # det(x - A), leading 1
             assert coeffs == [int(x) % mod for x in want]
+
+
+@pytest.mark.parametrize("n, mod", [(1, 5**3), (3, 3**4), (5, 11**9), (6, 7**6)])
+def test_berkowitz_truncates_and_power_sums_are_traces(n, mod):
+    # truncated at s^n_max, det(1 - A s) is the prefix of the full one,
+    # zero past degree n; its power sums are the traces of A^k
+    rng = random.Random(3000 + n)
+    rows = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
+    full = charpoly_mod(rows, mod) + [0, 0]
+    for n_max in range(n + 3):
+        got = berkowitz(rows, n_max, mod_dot(mod), 1, 0)
+        assert [c % mod for c in got] == full[:n_max + 1]
+    traces = power_sums(full, mod_dot(mod))
+    power = rows
+    for k in range(1, n + 3):
+        assert traces[k] % mod == sum(power[i][i] for i in range(n)) % mod
+        power = [[sum(rp[t] * rows[t][j] for t in range(n)) for j in range(n)]
+                 for rp in power]

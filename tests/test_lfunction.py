@@ -391,6 +391,26 @@ def test_lambda_residues_are_powers_of_the_embedded_generator(p, a, k):
         assert image == (in_big(dlog[total]) if any(total) else (0,) * (a * k)), (i, j)
 
 
+@pytest.mark.parametrize("p, a", [(11, 1), (467, 2)])
+def test_descent_at_k_1_scans_for_no_root(monkeypatch, p, a):
+    # at k = 1 the base modulus is the big one, so X is a root: only the
+    # base generator's image is evaluated
+    import twistnp.lfunction as lfunction
+
+    calls = []
+    real = lfunction.poly_eval_mod
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lfunction, "poly_eval_mod", counted)
+    pr = Params(p=p, a=a, d=3, e=2, c=1, mu=1)
+    descent = lfunction.SubfieldDescent(pr, make_context(p, a, 3))
+    assert len(calls) <= 1
+    assert descent.lambda_residues([1]) == [make_context(p, a, 3).generator]
+
+
 def test_character_orthogonality():
     # sum over x of chi(Norm x): q^k - 1 for u = 0, else 0
     for (p, a, c, mu) in [(11, 1, 1, 1), (11, 1, 2, 1), (13, 1, 3, 2), (11, 2, 3, 1)]:

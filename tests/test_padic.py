@@ -379,7 +379,7 @@ def _order(z, modulus, p):
 
 
 def test_zeta_basis_columns_are_zeta_powers():
-    for (p, deg, M) in [(3, 1, 4), (5, 1, 6), (7, 2, 5), (29, 1, 12)]:
+    for (p, deg, M) in [(3, 1, 4), (5, 1, 6), (7, 2, 5), (29, 1, 12), (101, 1, 5)]:
         ctx = make_context(p, deg, M)
         basis = ctx.zeta_basis()
         assert basis.shape == (p - 1, p)
