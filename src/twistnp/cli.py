@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .core_arith import is_prime, multiplicative_order
 from .dwork import DworkConsistencyError, TruncationError, np_T, trace_consistency
-from .dwork import check_trace_budget
+from .dwork import check_trace_inputs
 from .hasse import hasse_certificate
 from .lfunction import (
     BudgetExceededError,
@@ -155,11 +155,11 @@ def sandwich(params: Params, P: Polygon, np_T: Polygon,
 def cmd_dwork(args) -> int:
     params = _params_from_args(args)
     n_max = args.n_max or params.d
-    check_trace_budget(params, args.trace_k, args.budget)
+    J = min(5, params.p - 1) if args.J is None else args.J
+    check_trace_inputs(params, args.trace_k, J, args.budget)
     res = np_T(params, n_max, N=args.big_n, O=args.big_o, M=args.precision)
     reports = []
     if args.trace_k > 0:
-        J = min(5, params.p - 1) if args.J is None else args.J
         reports = trace_consistency(params, args.trace_k, J,
                                     N=res.verdict.N if args.big_n else None,
                                     O=res.verdict.O if args.big_o else None,

@@ -27,12 +27,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core_arith import artin_hasse_coeffs, berkowitz, phi_minimizer, power_sums
-from .lfunction import DEFAULT_BUDGET, check_budget, default_precision, exp_sum_Tadic
+from .lfunction import (DEFAULT_BUDGET, check_budget, check_tadic_order, default_precision,
+                        exp_sum_Tadic)
 from .padic import ZqContext, ZqElem, make_context, poly_pow_mod
 from .polygon import Params, Polygon, lower_bound_polygon, lower_convex_hull
 
 #: extra pi-orders kept beyond the largest valuation that must be resolved
 DEFAULT_GUARD = 6
+
+#: headroom bits of a packed slot for the pairs one ``_dot`` sums: fewer
+#: than 2^PAIR_BITS pairs per call are certified not to overflow
+PAIR_BITS = 32
 
 
 class DworkConsistencyError(ArithmeticError):
@@ -53,12 +58,18 @@ class PiSeries:
     ``(D, order)`` is the series' grid.  Every series of one operator sits
     on the same grid, so sums and products never realign exponents; an
     operation on series of two grids raises ``ValueError``.
+
+    A series is immutable by convention: ``packed`` caches a view of
+    ``terms`` the first time a product reads it, so ``terms`` must not
+    change afterwards; ``copy_with`` makes a fresh series.
     """
 
     ctx: ZqContext
     D: int
     order: int
     terms: dict[int, ZqElem] = field(default_factory=dict)
+    _packed: list[tuple[int, int]] | None = field(default=None, init=False,
+                                                  repr=False, compare=False)
 
     def copy_with(self, terms):
         return PiSeries(self.ctx, self.D, self.order, terms)
@@ -69,6 +80,19 @@ class PiSeries:
 
     def is_zero(self):
         return not self.terms
+
+    def packed(self) -> list[tuple[int, int]]:
+        """The terms as (exponent, packed coefficient), by exponent.
+
+        The coefficient sum_i c_i X^i is the integer sum_i c_i 2^(i w), with
+        w = ``slot_bits`` of the grid, so a product of two coefficients is
+        one integer product whose slot i + j holds the X^(i+j) sum.
+        """
+        if self._packed is None:
+            w = slot_bits(self.ctx, self.D * self.order)
+            self._packed = [(n, sum(c << (i * w) for i, c in enumerate(z.coeffs)))
+                            for n, z in sorted(self.terms.items())]
+        return self._packed
 
     def __bool__(self):
         return bool(self.terms)
@@ -192,35 +216,55 @@ class PsiMatrix:
         return self.traces[k]
 
 
+def slot_bits(ctx: ZqContext, cap: int) -> int:
+    """Bits of one slot of a packed coefficient on a grid with ``cap``
+    exponents.
+
+    A slot of one term product sums at most deg products of residues below
+    p^M.  One exponent of ``_dot`` sums at most one term product per left
+    exponent below the cap and per pair, so fewer than 2^PAIR_BITS pairs
+    keep every slot below 2^(2 bitlen(p^M - 1) + bitlen(cap deg) +
+    PAIR_BITS).
+    """
+    return 2 * (ctx.pM - 1).bit_length() + (cap * ctx.deg).bit_length() + PAIR_BITS
+
+
 def _dot(pairs, zero: PiSeries) -> PiSeries:
     """Sum of x * y over pairs of series on the grid of ``zero``.
 
-    This is the one series product; a series on another grid raises.  The
-    products are accumulated as unreduced polynomials and reduced once per
-    exponent.
+    This is the one series product; a series on another grid raises.  Each
+    term product is one integer product of packed coefficients
+    (``PiSeries.packed``); the right-hand terms are walked by exponent and
+    left at the cap, so no pair past the truncation is visited.  Each
+    exponent's sum is unpacked and reduced once.
     """
     ctx, cap = zero.ctx, zero.D * zero.order
-    width = 2 * ctx.deg - 1
-    acc: dict[int, list[int]] = {}
+    acc: dict[int, int] = {}
+    count = 0
     for x, y in pairs:
         zero.check_same_grid(x)
         zero.check_same_grid(y)
-        for na, ca in x.terms.items():
-            for nb, cb in y.terms.items():
+        count += 1
+        right = y.packed()
+        if not right:
+            continue
+        first = right[0][0]
+        for na, va in x.packed():
+            lim = cap - na
+            if lim <= first:
+                break
+            for nb, vb in right:
+                if nb >= lim:
+                    break
                 n = na + nb
-                if n >= cap:
-                    continue
-                row = acc.get(n)
-                if row is None:
-                    row = acc[n] = [0] * width
-                bc = cb.coeffs
-                for i, ai in enumerate(ca.coeffs):
-                    if ai:
-                        for j, bj in enumerate(bc):
-                            row[i + j] += ai * bj
+                acc[n] = acc.get(n, 0) + va * vb
+    if count >> PAIR_BITS:
+        raise OverflowError(f"{count} pairs overflow the {PAIR_BITS} headroom bits of a slot")
+    w = slot_bits(ctx, cap)
+    mask, slots = (1 << w) - 1, range(0, (2 * ctx.deg - 1) * w, w)
     terms = {}
-    for n, row in acc.items():
-        c = ctx._reduce_product(row)
+    for n, v in acc.items():
+        c = ctx._reduce_product([(v >> s) & mask for s in slots])
         if any(c):
             terms[n] = ZqElem(ctx, c)
     return zero.copy_with(terms)
@@ -322,7 +366,9 @@ def direct_traces(mat: PsiMatrix, k_max: int) -> list[PiSeries | None]:
     if k_max >= 3:
         A2 = [[_dot(((A[i][t], A[t][j]) for t in range(N)), zero) for j in range(N)]
               for i in range(N)]
-        traces += [tr_prod(A2, A), tr_prod(A2, A2)]
+        traces.append(tr_prod(A2, A))
+        if k_max >= 4:
+            traces.append(tr_prod(A2, A2))
     return traces[:k_max + 1]
 
 
@@ -430,10 +476,13 @@ class TraceReport:
     ok: bool
 
 
-def check_trace_budget(params: Params, k_max: int, budget: int) -> None:
-    """Refuse, before any work, a trace check whose sums exceed ``budget``."""
+def check_trace_inputs(params: Params, k_max: int, J: int, budget: int) -> None:
+    """Refuse, before any work, a trace check to k_max whose sums exceed
+    ``budget`` or whose T-adic order J lies outside [0, p)."""
     for k in range(1, k_max + 1):
         check_budget(params, k, budget)
+    if k_max > 0:
+        check_tadic_order(params, J)
 
 
 def trace_consistency(params: Params, k_max: int, J: int,
@@ -450,10 +499,11 @@ def trace_consistency(params: Params, k_max: int, J: int,
     counts the agreeing T-coefficients too.  Both sides are exact mod p^M,
     so any mismatch within the certified order is a failure, reported as
     ``ok=False``.  An operator ``mat`` already built for these params is
-    reused when its (N, O, M) match the sizes the check needs.  The direct
-    sums over F_{q^k} are gated by ``budget``, for every k before any work.
+    reused when its (N, O, M) match the sizes the check needs.  Before any
+    work, ``check_trace_inputs`` gates the direct sums over F_{q^k} by
+    ``budget`` for every k, and J by [0, p).
     """
-    check_trace_budget(params, k_max, budget)
+    check_trace_inputs(params, k_max, J, budget)
     M = M or default_precision(params)
     autoN, autoO = auto_sizes(params, max(k_max, params.d), J + 2)
     N = N if N is not None else autoN

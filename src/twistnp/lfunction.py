@@ -367,6 +367,12 @@ class TadicSum:
     coeffs: list[ZqElem]
 
 
+def check_tadic_order(params: Params, J: int) -> None:
+    """Refuse a T-adic truncation order J outside [0, p)."""
+    if not 0 <= J < params.p:
+        raise ValueError(f"T-adic truncation order J={J} must lie in [0, p)")
+
+
 def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
                   budget: int = DEFAULT_BUDGET) -> TadicSum:
     """Coefficient-wise twisted T-adic sum, truncated at T^J.
@@ -378,8 +384,7 @@ def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
     (``ZqContext.trace_sequence``), streamed together, so each element
     costs 2ak integer products and no table of the field is kept.
     """
-    if not 0 <= J < params.p:
-        raise ValueError(f"T-adic truncation order J={J} must lie in [0, p)")
+    check_tadic_order(params, J)
     big, descent = _field(params, k, M, budget)
     pM, c = big.pM, params.c
     omega = big.teichmuller(big.generator)

@@ -7,9 +7,10 @@ independent side of the checks on the program.
 - the unramified ring: unit inverses, Newton lifting of roots, the lifted
   Frobenius, and the companion-matrix traces
 - the ramified ring: zeta_p powers and congruence mod pi_1
-- the T-adic layer: the direct sum by a walk over the field, the
-  reversion pi(T) of T = E(pi) - 1 and the T-expansion of a pi-series,
-  and the stated entry and aggregate bounds
+- the T-adic layer: the series product over dicts of Z_q elements, the
+  direct sum by a walk over the field, the reversion pi(T) of
+  T = E(pi) - 1 and the T-expansion of a pi-series, and the stated entry
+  and aggregate bounds
 """
 
 from __future__ import annotations
@@ -284,6 +285,38 @@ def exp_sum_Tadic_walk(params: Params, k: int, J: int, M: int | None = None) -> 
     coeffs = [sum((descent.V[mm] * (acc[mm][jj] % pM) for mm in range(c)), descent.base.zero())
               * pow(math.factorial(jj), -1, pM) for jj in range(J + 1)]
     return TadicSum(k=k, J=J, coeffs=coeffs)
+
+
+def dict_dot(pairs, zero: PiSeries) -> PiSeries:
+    """Sum of x * y over pairs of series on the grid of ``zero``, term pair
+    by term pair over the dicts: each product is accumulated as an
+    unreduced polynomial and reduced once per exponent, and pairs at or
+    past the cap are dropped."""
+    ctx, cap = zero.ctx, zero.D * zero.order
+    width = 2 * ctx.deg - 1
+    acc: dict[int, list[int]] = {}
+    for x, y in pairs:
+        zero.check_same_grid(x)
+        zero.check_same_grid(y)
+        for na, ca in x.terms.items():
+            for nb, cb in y.terms.items():
+                n = na + nb
+                if n >= cap:
+                    continue
+                row = acc.get(n)
+                if row is None:
+                    row = acc[n] = [0] * width
+                bc = cb.coeffs
+                for i, ai in enumerate(ca.coeffs):
+                    if ai:
+                        for j, bj in enumerate(bc):
+                            row[i + j] += ai * bj
+    terms = {}
+    for n, row in acc.items():
+        c = ctx._reduce_product(row)
+        if any(c):
+            terms[n] = ZqElem(ctx, c)
+    return zero.copy_with(terms)
 
 
 def work_order(mat: PsiMatrix) -> int:

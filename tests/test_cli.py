@@ -361,6 +361,23 @@ def test_over_budget_trace_check_is_refused_before_any_work(capsys, monkeypatch)
                                 3, 4, budget=100)
 
 
+def test_bad_J_is_refused_before_the_operator(capsys, monkeypatch):
+    import twistnp.dwork as dwork
+
+    def no_operator(*args, **kwargs):
+        raise AssertionError("the operator was built")
+
+    monkeypatch.setattr(dwork, "psi_a_matrix", no_operator)
+    for J in ("7", "-1"):
+        code = main(["dwork", "--p", "7", "--d", "3", "--e", "2", "--n-max", "8",
+                     "--trace-k", "1", "--J", J])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: T-adic truncation order J={J} must lie in [0, p)\n"
+    with pytest.raises(ValueError, match="J=11 must lie"):
+        dwork.trace_consistency(Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1), 1, 11)
+
+
 def test_dwork_trace_check_runs_under_the_global_budget(capsys):
     # F_{61^3} lies past 2*10^5 elements; a larger --budget admits it
     code, out = _run(capsys, ["--budget", "100000000", "dwork", "--p", "61", "--d", "3",

@@ -4,20 +4,23 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from oracles import (
     compare_aggregate_bound,
+    dict_dot,
     entry_valuation_bound,
     pi_of_T_coeffs,
     pi_series_to_T,
     work_order,
 )
-from twistnp.core_arith import INFINITY, artin_hasse_coeffs, min_phi
+from twistnp.core_arith import INFINITY, artin_hasse_coeffs, berkowitz, min_phi
 from twistnp.dwork import (
     PiSeries,
+    _dot,
     _ProductCoeffs,
     TruncationError,
     auto_sizes,
@@ -159,6 +162,68 @@ def test_pi_series_arithmetic():
                 op(other, a)
 
 
+@pytest.mark.parametrize("p, deg, M", [(7, 1, 11), (2, 2, 9), (11, 2, 6), (5, 3, 9)])
+def test_dot_matches_the_dict_oracle(p, deg, M):
+    # the packed product against the term-pair walk over the dicts
+    rng = random.Random(100 * p + deg)
+    ctx = make_context(p, deg, M)
+    D, order = 3, 8
+    cap, top = D * order, ctx.pM - 1
+    zero = PiSeries(ctx, D, order)
+
+    def series(exps, draw):
+        return PiSeries(ctx, D, order, {n: z for n in exps
+                                        if not (z := ctx.elem([draw() for _ in range(deg)])).is_zero()})
+
+    def rand():
+        return rng.randrange(ctx.pM)
+
+    pool = [zero, series(range(cap), lambda: top), series([0], rand),
+            series([cap - 1], rand), series(range(cap // 2, cap), rand)]
+    pool += [series(rng.sample(range(cap), rng.randrange(1, cap)), rand) for _ in range(6)]
+    for _ in range(40):
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randrange(6))]
+        got = _dot(pairs, zero)
+        assert got == dict_dot(pairs, zero)
+        assert (got.D, got.order) == (D, order)
+        assert all(not c.is_zero() and all(0 <= x < ctx.pM for x in c.coeffs)
+                   for c in got.terms.values())
+    # term pairs on both sides of the cap
+    x, y = pool[1], series(range(0, cap, 5), rand)
+    assert {na + nb < cap for na in x.terms for nb in y.terms} == {True, False}
+    assert _dot([(x, y)], zero) == dict_dot([(x, y)], zero)
+    # sums that vanish mod p^M, though not over the integers, leave no term
+    assert _dot([(x, y), (x.negate(), y)], zero).terms == {}
+    low = x.copy_with({n: c for n, c in x.terms.items() if n < cap // 2})
+    half = _dot([(x, y), (low.negate(), y)], zero)
+    assert half == dict_dot([(x, y), (low.negate(), y)], zero)
+    assert min(half.terms) == cap // 2
+    # empty series and no pairs
+    assert _dot([], zero).terms == {} and _dot([(zero, x), (y, zero)], zero).terms == {}
+    # another grid raises, on either side of a pair
+    for other in (PiSeries(ctx, D, order + 1, dict(y.terms)), PiSeries(ctx, 1, order, {0: ctx.one()})):
+        with pytest.raises(ValueError, match="grids"):
+            _dot([(x, other)], zero)
+        with pytest.raises(ValueError, match="grids"):
+            _dot([(x, y), (other, x)], zero)
+
+
+@pytest.mark.parametrize("deg", [1, 2, 3])
+def test_dot_headroom_is_certified(monkeypatch, deg):
+    # with 2 headroom bits, 3 pairs of all-maximal coefficients fill the
+    # slots as far as the width allows and stay exact; a 4th pair raises
+    import twistnp.dwork as dwork
+
+    monkeypatch.setattr(dwork, "PAIR_BITS", 2)
+    ctx = make_context(5, deg, 7)
+    D, order = 2, 9
+    zero = PiSeries(ctx, D, order)
+    full = PiSeries(ctx, D, order, {n: ctx.elem([ctx.pM - 1] * deg) for n in range(D * order)})
+    assert _dot([(full, full)] * 3, zero) == dict_dot([(full, full)] * 3, zero)
+    with pytest.raises(OverflowError, match="headroom"):
+        _dot([(full, full)] * 4, zero)
+
+
 def test_psi_matrix_single_factor_case():
     # a = 1: entry (w, i) is pi^((i-w)/d) gamma_{p*w - i + u}
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
@@ -292,6 +357,10 @@ def test_char_series_matches_oracles(tup, n_max, k_minors):
     res = _np_T(tup, n_max)
     mat, coeffs = res.matrix, res.coeffs
     assert len(coeffs) == n_max + 1
+    # the same recurrence with the dict product, coefficient by coefficient
+    zero = mat.entries[0][0].copy_with({})
+    assert coeffs == berkowitz(mat.entries, n_max, lambda pairs: dict_dot(pairs, zero),
+                               zero.copy_with({0: mat.ctx.one()}), zero)
     assert coeffs[:k_minors + 1] == _minor_series(mat, k_minors)
     if tup[0] > n_max:
         traces = _product_traces(mat, n_max)

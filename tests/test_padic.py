@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from twistnp.core_arith import charpoly_mod
 from twistnp.padic import (
     RamifiedElem,
     find_generator,
+    is_irreducible,
     make_context,
     poly_divmod,
     poly_eval_mod,
@@ -334,6 +336,20 @@ def test_trace_table_against_companion_matrix_powers(p):
         for M in sorted({1, 2, rng.randrange(3, 12), 12}):
             ctx = make_context(p, deg, M)
             assert ctx._trace_table == companion_trace_table(ctx), (p, deg, M)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_trace_table_sees_the_t1_term(p):
+    # the smallest moduli have a_{n-1} = 0, so t_1 = 0 and the j = 1 term of
+    # the Newton identities never shows; a modulus with a_{n-1} != 0 makes
+    # it reach t_2 from degree 3 on
+    for deg in (3, 4, 5):
+        ctx = copy.copy(make_context(p, deg, 6))
+        ctx.modulus = next(low + (1,) for low in itertools.product(range(p), repeat=deg)
+                           if low[0] and low[-1] and is_irreducible(low + (1,), p))
+        table = ctx._build_trace_table()
+        assert table[1] % p  # t_1 = -a_{n-1}
+        assert table == companion_trace_table(ctx), (p, deg, ctx.modulus)
 
 
 def test_codes_give_the_smallest_encodings():
