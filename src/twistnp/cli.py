@@ -414,7 +414,7 @@ def _load_existing(path: str, settings: dict) -> set[str]:
     """Keys with a finished record made under ``settings``: ok or skipped,
     not only error records, and not records of other settings.
 
-    Quarantines undecodable lines.
+    Quarantines every line that is not a JSON object with a string key.
     """
     if not os.path.exists(path):
         return set()
@@ -428,14 +428,15 @@ def _load_existing(path: str, settings: dict) -> set[str]:
             continue
         try:
             rec = json.loads(line)
-            key = rec["key"]
-            good_lines.append(line)
-        except (json.JSONDecodeError, KeyError):
+        except json.JSONDecodeError:
+            rec = None
+        if not (isinstance(rec, dict) and isinstance(rec.get("key"), str)):
             bad_lines.append(line)
             continue
+        good_lines.append(line)
         if (rec.get("settings") == settings
                 and not str(rec.get("status", "ok")).startswith("error")):
-            keys.add(key)
+            keys.add(rec["key"])
     if bad_lines:
         with open(path + ".quarantine", "a", encoding="utf-8") as fh:
             for line in bad_lines:
@@ -612,11 +613,16 @@ def main(argv=None) -> int:
         if args.format == "csv" and args.command != "polygon":
             raise ValueError(f"--format csv applies to polygon only, not {args.command}")
         for flag, attr, least in (("--precision", "precision", 1), ("--budget", "budget", 1),
-                                  ("--n-max", "n_max", 1), ("--N", "big_n", 1),
-                                  ("--O", "big_o", 1), ("--trace-k", "trace_k", 0)):
+                                  ("--jobs", "jobs", 1), ("--n-max", "n_max", 1),
+                                  ("--N", "big_n", 1), ("--O", "big_o", 1),
+                                  ("--trace-k", "trace_k", 0), ("--prime-count", "prime_count", 1)):
             value = getattr(args, attr, None)
             if value is not None and value < least:
                 raise ValueError(f"{flag} must be >= {least}, got {value}")
+        if args.command in ("verify", "sweep") and args.trace_k > 0 and not args.dwork:
+            raise ValueError("--trace-k checks the T-adic route, which needs --dwork")
+        if args.command == "dwork" and args.J is not None and args.trace_k == 0:
+            raise ValueError("--J sets the trace check's order, which needs --trace-k above 0")
         return args.func(args)
     except (ValueError, BudgetExceededError) as exc:
         sys.stderr.write(f"error: {exc}\n")

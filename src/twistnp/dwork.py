@@ -29,15 +29,12 @@ from fractions import Fraction
 from .core_arith import artin_hasse_coeffs, berkowitz, phi_minimizer, power_sums
 from .lfunction import (DEFAULT_BUDGET, check_budget, check_tadic_order, default_precision,
                         exp_sum_Tadic)
-from .padic import ZqContext, ZqElem, make_context, poly_pow_mod
+from .padic import (ZqContext, ZqElem, checked_pairs, make_context, pack, poly_pow_mod,
+                    slot_bytes, unpack)
 from .polygon import Params, Polygon, lower_bound_polygon, lower_convex_hull
 
 #: extra pi-orders kept beyond the largest valuation that must be resolved
 DEFAULT_GUARD = 6
-
-#: headroom bits of a packed slot for the pairs one ``_dot`` sums: fewer
-#: than 2^PAIR_BITS pairs per call are certified not to overflow
-PAIR_BITS = 32
 
 
 class DworkConsistencyError(ArithmeticError):
@@ -84,15 +81,19 @@ class PiSeries:
     def packed(self) -> list[tuple[int, int]]:
         """The terms as (exponent, packed coefficient), by exponent.
 
-        The coefficient sum_i c_i X^i is the integer sum_i c_i 2^(i w), with
-        w = ``slot_bits`` of the grid, so a product of two coefficients is
-        one integer product whose slot i + j holds the X^(i+j) sum.
+        The coefficient sum_i c_i X^i is packed with c_i in slot i
+        (``padic.pack``), so a product of two coefficients is one integer
+        product whose slot i + j holds the X^(i+j) sum.
         """
         if self._packed is None:
-            w = slot_bits(self.ctx, self.D * self.order)
-            self._packed = [(n, sum(c << (i * w) for i, c in enumerate(z.coeffs)))
-                            for n, z in sorted(self.terms.items())]
+            nbytes = self.slot_width()
+            self._packed = [(n, pack(z.coeffs, nbytes)) for n, z in sorted(self.terms.items())]
         return self._packed
+
+    def slot_width(self) -> int:
+        """Bytes of a packed slot on this grid: a pair of series adds to an
+        exponent at most one term product per left exponent below the cap."""
+        return slot_bytes(self.ctx.pM, self.D * self.order * self.ctx.deg)
 
     def __bool__(self):
         return bool(self.terms)
@@ -216,19 +217,6 @@ class PsiMatrix:
         return self.traces[k]
 
 
-def slot_bits(ctx: ZqContext, cap: int) -> int:
-    """Bits of one slot of a packed coefficient on a grid with ``cap``
-    exponents.
-
-    A slot of one term product sums at most deg products of residues below
-    p^M.  One exponent of ``_dot`` sums at most one term product per left
-    exponent below the cap and per pair, so fewer than 2^PAIR_BITS pairs
-    keep every slot below 2^(2 bitlen(p^M - 1) + bitlen(cap deg) +
-    PAIR_BITS).
-    """
-    return 2 * (ctx.pM - 1).bit_length() + (cap * ctx.deg).bit_length() + PAIR_BITS
-
-
 def _dot(pairs, zero: PiSeries) -> PiSeries:
     """Sum of x * y over pairs of series on the grid of ``zero``.
 
@@ -240,11 +228,9 @@ def _dot(pairs, zero: PiSeries) -> PiSeries:
     """
     ctx, cap = zero.ctx, zero.D * zero.order
     acc: dict[int, int] = {}
-    count = 0
-    for x, y in pairs:
+    for x, y in checked_pairs(pairs):
         zero.check_same_grid(x)
         zero.check_same_grid(y)
-        count += 1
         right = y.packed()
         if not right:
             continue
@@ -258,16 +244,9 @@ def _dot(pairs, zero: PiSeries) -> PiSeries:
                     break
                 n = na + nb
                 acc[n] = acc.get(n, 0) + va * vb
-    if count >> PAIR_BITS:
-        raise OverflowError(f"{count} pairs overflow the {PAIR_BITS} headroom bits of a slot")
-    w = slot_bits(ctx, cap)
-    mask, slots = (1 << w) - 1, range(0, (2 * ctx.deg - 1) * w, w)
-    terms = {}
-    for n, v in acc.items():
-        c = ctx._reduce_product([(v >> s) & mask for s in slots])
-        if any(c):
-            terms[n] = ZqElem(ctx, c)
-    return zero.copy_with(terms)
+    nbytes, span = zero.slot_width(), 2 * ctx.deg - 1
+    return zero.copy_with({n: ZqElem(ctx, c) for n, v in acc.items()
+                           if any(c := ctx.reduce_product(unpack(v, nbytes, span)))})
 
 
 class _ProductCoeffs:
@@ -312,8 +291,7 @@ class _ProductCoeffs:
         return self._memo[key]
 
 
-def psi_a_matrix(params: Params, N: int, O: int, M: int | None = None,
-                 ctx: ZqContext | None = None) -> PsiMatrix:
+def psi_a_matrix(params: Params, N: int, O: int, M: int | None = None) -> PsiMatrix:
     """Matrix entries pi^((i-w)/d) * F_{q*w - i + u} for w, i < N.
 
     Internally the series are carried at order O + ceil((N-1)/d): partial
@@ -322,8 +300,7 @@ def psi_a_matrix(params: Params, N: int, O: int, M: int | None = None,
     cycle closes), so the padding keeps every truncation decision safe.
     Results are trustworthy below the target order O.
     """
-    if ctx is None:
-        ctx = make_context(params.p, params.a, M or default_precision(params))
+    ctx = make_context(params.p, params.a, M or default_precision(params))
     d, q, u = params.d, params.q, params.u
     O_work = O + (N - 1 + d - 1) // d
     prod = _ProductCoeffs(params, ctx, O_work)

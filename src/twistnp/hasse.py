@@ -34,7 +34,6 @@ from .core_arith import (
     INFINITY,
     bareiss_det,
     factorial_inv_or_zero,
-    falling_factorial,
     multiplicative_order,
 )
 from .polygon import Params
@@ -171,10 +170,8 @@ def _integer_weight(inst: CombInstance, c: int, t_next: int, i: int, j: int) -> 
     pp, d, e = inst.p, inst.d, inst.e
     sol = xy_decomposition(inst, i, j)
     assert -e <= sol.x < pp, f"x-residue {sol.x} out of [{-e}, {pp})"
-    ff_y = falling_factorial(d - 1, d - 1 - sol.y)
-    assert ff_y.denominator == 1
     cdr = -pp * (c * i + t_next) + c * d * (pp - 1)
-    prod = int(ff_y)
+    prod = math.perm(d - 1, d - 1 - sol.y)  # (d-1)!/y!
     for m in range(pp - 1 - sol.x):
         prod *= cdr - c * d * m
     return prod

@@ -508,13 +508,12 @@ def _require_p_above(params: Params, n: int) -> None:
 
 
 def _exp_coeffs(sums: list[RamifiedElem]) -> list[RamifiedElem]:
-    """l_0..l_n of exp(sum_k S_k s^k / k) from S_1..S_n."""
+    """l_0..l_n of exp(sum_k S_k s^k / k) from S_1..S_n: n l_n is the sum
+    of S_k l_(n-k) over k, one ``ram_dot``."""
     base = sums[0].ctx
     coeffs = [base.ram_one()]
     for n in range(1, len(sums) + 1):
-        acc = base.ram_zero()
-        for k in range(1, n + 1):
-            acc = acc + sums[k - 1] * coeffs[n - k]
+        acc = base.ram_dot(zip(sums, reversed(coeffs)))
         coeffs.append(acc.divide_by_unit_int(n))
     return coeffs
 

@@ -13,7 +13,9 @@ mod p or mod p^M, is ``x_walk``, and the traces of the power basis are
 the power sums of the modulus's roots (``core_arith.power_sums``).  The
 traces Tr(gamma * beta^j) recur with the characteristic polynomial of
 multiplication by beta, from ``core_arith.berkowitz``
-(``ZqContext.trace_sequence``).
+(``ZqContext.trace_sequence``).  Both sums of products, ``ZqContext.ram_dot``
+in Z_q[pi_1] and the T-adic series product ``dwork._dot``, pack residues into
+big integers in one layout: ``pack``, ``unpack`` and the width ``slot_bytes``.
 
 All ring operations are exact mod p^M: divisions only ever happen by
 p-adic units, so precision never degrades silently.  Valuations are
@@ -185,6 +187,42 @@ def find_generator(p: int, deg: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# packed sums of products (Kronecker substitution)
+
+#: headroom bits of a packed slot for the pairs one sum of products adds:
+#: fewer than 2^PAIR_BITS pairs per call are certified not to overflow
+PAIR_BITS = 32
+
+
+def slot_bytes(pM: int, products: int) -> int:
+    """Bytes of a slot to which each of fewer than 2^PAIR_BITS pairs adds at
+    most ``products`` products of residues mod p^M, and a fold after the sum
+    at most one pair's worth more: 2 bitlen(p^M - 1) + bitlen(products) +
+    PAIR_BITS bits, rounded up."""
+    return -(-(2 * (pM - 1).bit_length() + products.bit_length() + PAIR_BITS) // 8)
+
+
+def checked_pairs(pairs) -> list:
+    """The pairs of a sum of products, as a list; raises ``OverflowError``
+    when the slot headroom cannot hold that many."""
+    pairs = list(pairs)
+    if len(pairs) >> PAIR_BITS:
+        raise OverflowError(f"{len(pairs)} pairs overflow the {PAIR_BITS} headroom bits of a slot")
+    return pairs
+
+
+def pack(values, nbytes: int) -> int:
+    """The non-negative ``values`` as one integer, value s in slot s of ``nbytes`` bytes."""
+    return int.from_bytes(b"".join([x.to_bytes(nbytes, "little") for x in values]), "little")
+
+
+def unpack(value: int, nbytes: int, count: int) -> list[int]:
+    """The ``count`` slots of ``nbytes`` bytes of a packed integer."""
+    buf = value.to_bytes(nbytes * count, "little")
+    return [int.from_bytes(buf[s:s + nbytes], "little") for s in range(0, nbytes * count, nbytes)]
+
+
+# ---------------------------------------------------------------------------
 # unramified contexts
 
 
@@ -240,7 +278,8 @@ class ZqContext:
     def from_int(self, n: int) -> "ZqElem":
         return self.elem((n,))
 
-    def _reduce_product(self, prod: list[int]) -> tuple[int, ...]:
+    def reduce_product(self, prod: list[int]) -> tuple[int, ...]:
+        """The 2 deg - 1 X-coefficients ``prod`` reduced in X and mod p^M."""
         deg, pM = self.deg, self.pM
         out = list(prod[:deg])
         for t in range(len(prod) - deg):
@@ -262,7 +301,7 @@ class ZqContext:
             if ai:
                 for j in range(deg):
                     prod[i + j] += ai * bc[j]
-        return ZqElem(self, self._reduce_product(prod))
+        return ZqElem(self, self.reduce_product(prod))
 
     def pow(self, a: "ZqElem", k: int) -> "ZqElem":
         """a^k for k >= 0, by repeated squaring."""
@@ -339,25 +378,42 @@ class ZqContext:
         return self._pi_xpow
 
     def ram_packing(self) -> tuple[int, list[int]]:
-        """Slot width in bytes of the packed product in Z_q[pi_1], and the
-        rows of ``pi_xpow_table`` packed in its layout.
-
-        A slot holds one integer coefficient; pi_1^i X^v sits in slot
-        i * (2 deg - 1) + v, so the X-products of two pi-coefficients
-        never overlap.  A slot of the product sums at most (p-1) deg
-        products of residues below p^M, and after the pi-reduction at most
-        2 (p-1) deg of them, which 2 bitlen(p^M - 1) + bitlen((p-1) deg)
-        + 1 bits hold.
-        """
+        """Slot bytes of a packed element of Z_q[pi_1], whose pi_1^i X^v
+        sits in slot i (2 deg - 1) + v so that the X-products of two
+        pi-coefficients never overlap, and the rows of ``pi_xpow_table``
+        packed in that layout.  A pair's product adds at most (p-1) deg
+        products to a slot."""
         if self._ram_packing is None:
-            n, deg = self.p - 1, self.deg
-            bits = 2 * (self.pM - 1).bit_length() + (n * deg).bit_length() + 1
-            nbytes = -(-bits // 8)
-            rows = [int.from_bytes(b"".join([t.to_bytes(nbytes * (2 * deg - 1), "little")
-                                             for t in row]), "little")
-                    for row in self.pi_xpow_table()]
-            self._ram_packing = (nbytes, rows)
+            nbytes = slot_bytes(self.pM, (self.p - 1) * self.deg)
+            pad = (0,) * (2 * self.deg - 2)
+            self._ram_packing = (nbytes, [pack([x for t in row for x in (t,) + pad], nbytes)
+                                          for row in self.pi_xpow_table()])
         return self._ram_packing
+
+    def ram_dot(self, pairs) -> "RamifiedElem":
+        """Sum of x * y over pairs in Z_q[pi_1], one big-integer product per
+        pair in the layout of ``ram_packing`` (Kronecker substitution).
+
+        Pi-row n + t (n = p - 1) of the sum is folded into the rows below as
+        residues times the packed row t of ``pi_xpow_table``; each of the n
+        rows left is reduced in X and mod p^M, once per call.
+        """
+        n, deg, pM = self.p - 1, self.deg, self.pM
+        nbytes, pi_rows = self.ram_packing()
+        span, pad = 2 * deg - 1, (0,) * (deg - 1)
+
+        def packed(x):
+            return pack([c for z in x.comps for c in z.coeffs + pad], nbytes)
+
+        total = sum(packed(x) * packed(y) for x, y in checked_pairs(pairs))
+        low_bits = 8 * nbytes * span * n
+        high = [c % pM for c in unpack(total >> low_bits, nbytes, span * (n - 1))]
+        total &= (1 << low_bits) - 1
+        for t, row in enumerate(pi_rows[:n - 1]):
+            total += pack(high[t * span:(t + 1) * span], nbytes) * row
+        low = unpack(total, nbytes, span * n)
+        return RamifiedElem(self, (ZqElem(self, self.reduce_product(low[i * span:(i + 1) * span]))
+                                   for i in range(n)))
 
     def zeta_basis(self) -> np.ndarray:
         """The (p-1, p) object array whose column r is zeta_p^r over
@@ -496,50 +552,10 @@ class RamifiedElem:
         return RamifiedElem(self.ctx, tuple(c * factor for c in self.comps))
 
     def __mul__(self, other):
-        """Product by one big-integer multiplication (Kronecker substitution).
-
-        Each factor's (p-1) x deg coefficients are packed into one integer
-        in the layout of ``ZqContext.ram_packing``.  In the product, pi-row
-        n + t (n = p - 1) is folded into the rows below it as residues
-        times the packed row t of ``pi_xpow_table``; each of the n rows
-        left is then reduced in X and mod p^M.
-        """
+        """Product by an int or ZqElem scalar, or the one-pair ``ram_dot``."""
         if isinstance(other, (int, ZqElem)):
             return self.scale(other)
-        ctx = self.ctx
-        n, deg, pM = ctx.p - 1, ctx.deg, ctx.pM
-        nbytes, pi_rows = ctx.ram_packing()
-        span = 2 * deg - 1
-        pad = (0,) * (deg - 1)
-
-        def pack(comps):
-            return int.from_bytes(b"".join([x.to_bytes(nbytes, "little")
-                                            for z in comps for x in z.coeffs + pad]),
-                                  "little")
-
-        def slots(buf, count):
-            return [int.from_bytes(buf[s * nbytes:(s + 1) * nbytes], "little")
-                    for s in range(count)]
-
-        prod = pack(self.comps) * pack(other.comps)
-        slot_bits = 8 * nbytes
-        low_bits = slot_bits * span * n
-        acc = prod & ((1 << low_bits) - 1)
-        high = slots((prod >> low_bits).to_bytes(nbytes * span * (n - 1), "little"),
-                     span * (n - 1))
-        for t, row in enumerate(pi_rows[:n - 1]):
-            h = 0
-            for u in range(span - 1, -1, -1):
-                h = (h << slot_bits) | (high[t * span + u] % pM)
-            if h:
-                acc += h * row
-        low = slots(acc.to_bytes(nbytes * span * n, "little"), span * n)
-        if deg == 1:
-            comps = (ZqElem(ctx, (x % pM,)) for x in low)
-        else:
-            comps = (ZqElem(ctx, ctx._reduce_product(low[i * span:(i + 1) * span]))
-                     for i in range(n))
-        return RamifiedElem(ctx, comps)
+        return self.ctx.ram_dot([(self, other)])
 
     __rmul__ = __mul__
 

@@ -313,7 +313,7 @@ def dict_dot(pairs, zero: PiSeries) -> PiSeries:
                             row[i + j] += ai * bj
     terms = {}
     for n, row in acc.items():
-        c = ctx._reduce_product(row)
+        c = ctx.reduce_product(row)
         if any(c):
             terms[n] = ZqElem(ctx, c)
     return zero.copy_with(terms)

@@ -81,6 +81,16 @@ def test_bad_flags_exit_2(capsys):
     ["--budget", "-5", "lfunc", "--p", "11", "--d", "3", "--e", "2"],
     # the budget reaches the direct T-adic sums: F_{11^3} has 1331 elements
     ["--budget", "1000", "dwork", "--p", "11", "--d", "3", "--e", "2", "--trace-k", "3"],
+    # an empty prime list, no worker process
+    ["verify", "--d", "3", "--e", "2", "--prime-count", "0"],
+    ["sweep", "--d", "3", "--e", "2", "--prime-count", "-1"],
+    ["--jobs", "0", "verify", "--d", "3", "--e", "2", "--primes", "11"],
+    ["--jobs", "-2", "polygon", "--p", "11", "--d", "3", "--e", "2"],
+    # a trace check without the T-adic route, a J without a trace check
+    ["verify", "--d", "3", "--e", "2", "--primes", "11", "--trace-k", "2"],
+    ["sweep", "--d", "3", "--e", "2", "--primes", "11", "--trace-k", "1"],
+    ["dwork", "--p", "11", "--d", "3", "--e", "2", "--J", "4"],
+    ["dwork", "--p", "11", "--d", "3", "--e", "2", "--J", "4", "--trace-k", "0"],
 ])
 def test_refused_input_exits_2_with_one_error_line(capsys, argv):
     assert main(argv) == 2
@@ -540,6 +550,25 @@ def test_verify_quarantines_partial_lines(tmp_path, capsys):
     assert code2 == 0
     assert out_file.read_text() == good
     assert (tmp_path / "sweep.jsonl.quarantine").read_text().startswith('{"key"')
+
+
+def test_verify_quarantines_lines_that_are_no_record(tmp_path, capsys):
+    # lines that decode, but not to an object with a string key, are
+    # quarantined like partial ones, not read as records
+    out_file = tmp_path / "sweep.jsonl"
+    argv = ["--out", str(out_file), "verify", "--d", "3", "--e", "2",
+            "--primes", "11", "--lam-policy", "first:1"]
+    code, _ = _run(capsys, argv)
+    assert code == 0
+    good = out_file.read_text()
+    junk = ["null", "[1, 2]", "7", '"key"', '{"key": 5}', '{"status": "ok"}']
+    with open(out_file, "a", encoding="utf-8") as fh:
+        fh.write("\n".join(junk) + "\n")
+    code2, out2 = _run(capsys, argv)
+    assert code2 == 0
+    assert json.loads(out2)["summary"]["skipped_existing"] == 1
+    assert out_file.read_text() == good
+    assert (tmp_path / "sweep.jsonl.quarantine").read_text().splitlines() == junk
 
 
 def test_verify_empty_grid(tmp_path, capsys):

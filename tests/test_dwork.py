@@ -211,17 +211,23 @@ def test_dot_matches_the_dict_oracle(p, deg, M):
 @pytest.mark.parametrize("deg", [1, 2, 3])
 def test_dot_headroom_is_certified(monkeypatch, deg):
     # with 2 headroom bits, 3 pairs of all-maximal coefficients fill the
-    # slots as far as the width allows and stay exact; a 4th pair raises
-    import twistnp.dwork as dwork
+    # slots as far as the width allows and stay exact; a 4th pair raises,
+    # in the series product and in the ramified one
+    import twistnp.padic as padic
 
-    monkeypatch.setattr(dwork, "PAIR_BITS", 2)
-    ctx = make_context(5, deg, 7)
+    monkeypatch.setattr(padic, "PAIR_BITS", 2)
+    ctx = padic.ZqContext(5, deg, 7)  # a fresh context: its widths are computed now
     D, order = 2, 9
     zero = PiSeries(ctx, D, order)
     full = PiSeries(ctx, D, order, {n: ctx.elem([ctx.pM - 1] * deg) for n in range(D * order)})
     assert _dot([(full, full)] * 3, zero) == dict_dot([(full, full)] * 3, zero)
     with pytest.raises(OverflowError, match="headroom"):
         _dot([(full, full)] * 4, zero)
+    top = padic.RamifiedElem(ctx, [ctx.elem([ctx.pM - 1] * deg)] * (ctx.p - 1))
+    square = top * top
+    assert ctx.ram_dot([(top, top)] * 3) == square + square + square
+    with pytest.raises(OverflowError, match="headroom"):
+        ctx.ram_dot([(top, top)] * 4)
 
 
 def test_psi_matrix_single_factor_case():

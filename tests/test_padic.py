@@ -259,9 +259,10 @@ def test_ramified_mul_matches_integer_model():
     assert got == expected
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 29, 43])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 29, 43])
 @pytest.mark.parametrize("deg", [1, 2, 3, 5])
 def test_packed_product_against_schoolbook(p, deg):
+    # p = 2 has no pi-row to fold
     rng = random.Random(p * 100 + deg)
     for M in (1, rng.randrange(2, 20), 20):
         ctx = make_context(p, deg, M)
@@ -272,18 +273,26 @@ def test_packed_product_against_schoolbook(p, deg):
                                       for _ in range(n)])
 
         # all coefficients p^M - 1: the most carries a slot can take
-        pairs = [(elem(lambda: top), elem(lambda: top))]
+        full = elem(lambda: top)
+        pairs = [(full, full)]
         pairs += [(elem(lambda: rng.randrange(ctx.pM)), elem(lambda: rng.randrange(ctx.pM)))
                   for _ in range(3)]
         sparse = [ctx.zero()] * n
         sparse[n - 1] = ctx.elem([top] * deg)
-        pairs.append((RamifiedElem(ctx, sparse), elem(lambda: top)))
-        pairs.append((ctx.ram_zero(), elem(lambda: top)))
+        pairs.append((RamifiedElem(ctx, sparse), full))
+        pairs.append((ctx.ram_zero(), full))
         for x, y in pairs:
             got = x * y
             assert got == _schoolbook_mul(x, y), (p, deg, M)
             assert all(type(c) is int and 0 <= c < ctx.pM
                        for z in got.comps for c in z.coeffs)
+        # sums of products: no pair, one pair, all-maximal pairs, a mix
+        for group in ([], pairs[1:2], [(full, full)] * 7, pairs + [(full, full)] * 3):
+            want = ctx.ram_zero()
+            for x, y in group:
+                want = want + _schoolbook_mul(x, y)
+            assert ctx.ram_dot(group) == want, (p, deg, M, len(group))
+            assert ctx.ram_dot(iter(group)) == want
 
 
 def test_poly_divmod_and_products():
