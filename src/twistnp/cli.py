@@ -157,6 +157,9 @@ def cmd_dwork(args) -> int:
     n_max = args.n_max or params.d
     J = min(5, params.p - 1) if args.J is None else args.J
     check_trace_inputs(params, args.trace_k, J, args.budget)
+    # before the operator: a classical route past the budget, or at p <= h + 1, exits 2
+    np_classical = (newton_polygon_classical(params, args.precision, args.budget)
+                    if args.sandwich else None)
     res = np_T(params, n_max, N=args.big_n, O=args.big_o, M=args.precision)
     reports = []
     if args.trace_k > 0:
@@ -165,8 +168,6 @@ def cmd_dwork(args) -> int:
                                     O=res.verdict.O if args.big_o else None,
                                     M=args.precision, mat=res.matrix,
                                     budget=args.budget)
-    np_classical = (newton_polygon_classical(params, args.precision, args.budget)
-                    if args.sandwich else None)
     halves = sandwich(params, lower_bound_polygon(params, n_max), res.polygon, np_classical)
     out = {
         "schema": SCHEMA,
@@ -264,21 +265,14 @@ def _lambda_indices(args, q) -> list[int]:
     raise ValueError(f"bad lambda policy {policy!r}")
 
 
-def enum_route(tup):
-    """The classical route of a tuple and the largest field it enumerates,
-    which is what the budget gates."""
-    p, a, d, _, c, _, _ = tup
-    route = classical_route(d, c)
-    return route.name, route.field_size(p, a)
-
-
-def shared_pass(tups, precision=None, budget=DEFAULT_BUDGET):
+def shared_pass(tups, precision=None, budget=DEFAULT_BUDGET, n_max=None):
     """The work the records of one (p, a, d, e, c, mu) group share.
 
-    Returns ``(result, error, per_record_s)``.  ``result`` holds the
-    lower-bound and Hodge polygons, the Hasse certificate and each
+    Returns ``(result, error, per_record_s)``.  ``result`` holds each
     lambda's sums for its route (``route_sums_by_lambda``), from one
-    enumeration pass per k; ``error`` is the exception computing them
+    enumeration pass per k, then the lower-bound and Hodge polygons to
+    max(3d, n_max) and the Hasse certificate, so a group the budget
+    refuses does no other work; ``error`` is the exception computing them
     raised instead, which each record re-raises where its own computation
     would have met it.  The pass's time is split evenly over the group's
     records.
@@ -286,16 +280,15 @@ def shared_pass(tups, precision=None, budget=DEFAULT_BUDGET):
     t0 = time.monotonic()
     p, a, d, e, c, mu, _ = tups[0]
     result = error = None
-    if enum_route(tups[0])[1] <= budget:  # otherwise every record is skipped:budget
-        try:
-            params = Params(p=p, a=a, d=d, e=e, c=c, mu=mu)
-            lams = list(dict.fromkeys(tup[6] for tup in tups))
-            result = (lower_bound_polygon(params, 3 * d),
-                      hodge_polygon(params, 3 * d),
-                      hasse_certificate(params),
-                      route_sums_by_lambda(params, lams, precision, budget))
-        except Exception as exc:  # each record re-raises it
-            error = exc
+    try:
+        params = Params(p=p, a=a, d=d, e=e, c=c, mu=mu)
+        lams = list(dict.fromkeys(tup[6] for tup in tups))
+        sums = route_sums_by_lambda(params, lams, precision, budget)
+        n_poly = max(3 * d, n_max or 0)
+        result = (lower_bound_polygon(params, n_poly), hodge_polygon(params, n_poly),
+                  hasse_certificate(params), sums)
+    except Exception as exc:  # each record re-raises it
+        error = exc
     return result, error, (time.monotonic() - t0) / len(tups)
 
 
@@ -304,24 +297,21 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
     """Compute the full record for one parameter tuple.
 
     ``shared`` is the ``shared_pass`` of the tuple's group, made with the
-    same precision and budget.
+    same precision, budget and n_max.  A group the budget refuses gives
+    ``skipped:budget`` records.
     """
     result, error, shared_s = shared
     p, a, d, e, c, mu, lam = tup
     t0 = time.monotonic()
     params = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
     key = params.key()
-    route, field_size = enum_route(tup)
+    route = classical_route(d, c)
     rec = {
         "schema": SCHEMA, "key": key,
         "p": p, "a": a, "d": d, "e": e, "c": c, "mu": mu,
         "lambda_index": lam, "b": params.b, "u": params.u,
-        "status": "ok", "route": route, "enum_field": field_size,
+        "status": "ok", "route": route.name, "enum_field": route.field_size(p, a),
     }
-    if field_size > budget:
-        rec["status"] = "skipped:budget"
-        rec["needed_budget"] = field_size
-        return rec
     n_top = n_max or d
     try:
         if error is not None:
@@ -329,6 +319,10 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
         P, H, cert, sums = result
         data = classical_l_function(params, precision, budget, _sums=sums[lam])
         np_poly = newton_polygon_classical(params, data=data)
+    except BudgetExceededError:
+        rec["status"] = "skipped:budget"
+        rec["needed_budget"] = rec["enum_field"]
+        return rec
     except (PrecisionError, TruncationError) as exc:
         rec["status"] = f"error:precision:{exc}"
         return rec
@@ -370,13 +364,13 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
                 violations.append("T-adic polygon escapes the sandwich")
             if trace_k > 0:
                 # the check enumerates F_{q^trace_k} under the run's budget
-                needed = params.q**trace_k
-                if needed > budget:
-                    rec.update(trace_consistency=None, trace_needed_budget=needed)
-                else:
+                try:
                     reports = trace_consistency(params, trace_k, min(6, p - 2),
                                                 M=precision, mat=res.matrix,
                                                 budget=budget)
+                except BudgetExceededError:
+                    rec.update(trace_consistency=None, trace_needed_budget=params.q**trace_k)
+                else:
                     rec["trace_consistency"] = all(r.ok for r in reports)
                     if not rec["trace_consistency"]:
                         violations.append("trace formula mismatch")
@@ -397,7 +391,8 @@ def _group_worker(payload):
     ``sweep_record``.
     """
     tups, settings = payload
-    shared = shared_pass(tups, settings["precision"], settings["budget"])
+    shared = shared_pass(tups, settings["precision"], settings["budget"],
+                         settings["n_max"])
     records = []
     for tup in tups:
         try:

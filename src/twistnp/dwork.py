@@ -456,8 +456,7 @@ class TraceReport:
 def check_trace_inputs(params: Params, k_max: int, J: int, budget: int) -> None:
     """Refuse, before any work, a trace check to k_max whose sums exceed
     ``budget`` or whose T-adic order J lies outside [0, p)."""
-    for k in range(1, k_max + 1):
-        check_budget(params, k, budget)
+    check_budget(params, k_max, budget)
     if k_max > 0:
         check_tadic_order(params, J)
 

@@ -25,8 +25,7 @@ from fractions import Fraction
 
 from .combinatorics import (
     CombInstance,
-    compute_C,
-    optimal_perm_sets,
+    optimal_perm_sets,  # noqa: F401  uncalled here; perfbench's tracer wraps this name
     tight_edges,
     xy_decomposition,
 )
@@ -37,10 +36,6 @@ from .core_arith import (
     multiplicative_order,
 )
 from .polygon import Params
-
-
-class VExponentUndefinedError(ValueError):
-    """Raised when the optimal set with representable targets is empty."""
 
 
 @dataclass(frozen=True)
@@ -130,24 +125,6 @@ def hasse_number(params: Params, n: int, k: int) -> Fraction:
         return factorial_inv_or_zero(sol.x) * factorial_inv_or_zero(sol.y)
 
     return _optimal_det(inst, n, weight)
-
-
-def v_exponent(params: Params, n: int, k: int) -> int:
-    """Common value of sum_i y_i over the representable optimal set.
-
-    Equals C_{t,n} for t the k-th digit; asserted constant across the set.
-    """
-    inst = CombInstance(params.p, params.d, params.e, params.u_digit(k))
-    circle, _ = optimal_perm_sets(inst, n)
-    if not circle:
-        raise VExponentUndefinedError(f"no representable optimum at n={n}, k={k}")
-    values = set()
-    for tau in circle:
-        values.add(sum(xy_decomposition(inst, i, tau[i]).y for i in range(n + 1)))
-    assert len(values) == 1, "sum of y over the optimal set is not constant"
-    v = values.pop()
-    assert v == compute_C(inst, n)
-    return v
 
 
 def fraction_vp(x: Fraction, p: int) -> int:

@@ -147,11 +147,11 @@ def trace_count_matrix(p, m, ctx, lam_vecs, d_exp, e_exp, c,
     ``ctx`` is the context of F_{p^m}, g its generator.  One pass over the
     q^k - 1 generator powers serves every coefficient in ``lam_vecs``:
     Tr(lam * y) = row_lam . y is linear in the coordinates y of x^e, and
-    the rows row_lam span a space of rank r <= min(#lam, a).  When
-    ``joint_histogram_fits``, the pass bins (Tr x^d, z, j mod c) with z the
-    projection of y onto a basis of that span, and each coefficient's
-    counts are folded out of the histogram afterwards.  Otherwise it bins
-    each coefficient's trace directly.
+    the rows row_lam span a space of rank r <= min(#lam, a).  The pass
+    reads z, the projection of y onto a basis of that span, and
+    Tr(lam_l * y) = coords[l] . z.  When ``joint_histogram_fits``, it bins
+    (Tr x^d, z, j mod c) and folds each coefficient's counts out
+    afterwards; otherwise it bins each coefficient's trace directly.
     """
     modulus, g = ctx.modulus, ctx.generator
     total = p**m - 1
@@ -161,40 +161,35 @@ def trace_count_matrix(p, m, ctx, lam_vecs, d_exp, e_exp, c,
     h_e = poly_pow_mod(g, e_exp, modulus, p)
     P_d = _power_block(h_d, modulus, p, m, width)
     P_e = _power_block(h_e, modulus, p, m, width)
-    lam_rows = [(tr @ _mult_matrix(vec, modulus, p, m)) % p for vec in lam_vecs]
-    n_lam = len(lam_rows)
-    basis, coords = _row_basis(lam_rows, p, m)
+    step_d = _mult_matrix(poly_pow_mod(h_d, width, modulus, p), modulus, p, m)
+    step_e = _mult_matrix(poly_pow_mod(h_e, width, modulus, p), modulus, p, m)
+    n_lam = len(lam_vecs)
+    basis, coords = _row_basis([(tr @ _mult_matrix(vec, modulus, p, m)) % p
+                                for vec in lam_vecs], p, m)
     r = len(basis)
     joint = joint_histogram_fits(p, r, c, n_lam, width)
     if joint:
-        proj = basis
         z_place = p ** np.arange(r, dtype=np.int64)
         bins = np.zeros(p**(r + 1) * c, dtype=np.int64)
     else:
-        proj = np.array(lam_rows, dtype=np.int64).reshape(n_lam, m)
         counts = np.zeros((n_lam, p * c), dtype=np.int64)
-    base_d = (1,)
-    base_e = (1,)
-    step_d = poly_pow_mod(h_d, width, modulus, p)
-    step_e = poly_pow_mod(h_e, width, modulus, p)
+    # the trace rows at the block's first power x = g^j0, one product a block
+    row_d, rows_e = tr, basis
     j0 = 0
     while j0 < total:
         nb = min(width, total - j0)
-        mat_d = _mult_matrix(base_d, modulus, p, m)
-        mat_e = _mult_matrix(base_e, modulus, p, m)
-        alpha = (((tr @ mat_d) % p) @ P_d[:, :nb]) % p
-        rows_e = (proj @ mat_e) % p
+        alpha = (row_d @ P_d[:, :nb]) % p
+        z = (rows_e @ P_e[:, :nb]) % p
         jmod = (j0 + np.arange(nb, dtype=np.int64)) % c
         if joint:
-            z = (rows_e @ P_e[:, :nb]) % p
             keys = (alpha * p**r + z_place @ z) * c + jmod
             bins += np.bincount(keys, minlength=bins.size)
         else:
             for li in range(n_lam):
-                t_vals = (alpha + rows_e[li] @ P_e[:, :nb]) % p
+                t_vals = (alpha + coords[li] @ z) % p
                 counts[li] += np.bincount(t_vals * c + jmod, minlength=p * c)
-        base_d = poly_mul_mod(base_d, step_d, modulus, p)
-        base_e = poly_mul_mod(base_e, step_e, modulus, p)
+        row_d = (row_d @ step_d) % p
+        rows_e = (rows_e @ step_e) % p
         j0 += nb
     if not joint:
         return counts.reshape(n_lam, p, c)
@@ -329,33 +324,22 @@ def _descent_for(params: Params, big: ZqContext) -> SubfieldDescent:
     return _descent_cache[key]
 
 
-def check_budget(params: Params, k: int, budget: int) -> None:
-    """Refuse a sum over F_{q^k} whose q^k elements exceed ``budget``."""
-    if params.q**k > budget:
-        raise BudgetExceededError(params.q**k, budget)
+def check_budget(params: Params, k_max: int, budget: int) -> None:
+    """The one budget gate: refuse sums over F_q .. F_{q^k_max} once any
+    of these fields has more than ``budget`` elements, naming the smallest
+    such field."""
+    for k in range(1, k_max + 1):
+        if params.q**k > budget:
+            raise BudgetExceededError(params.q**k, budget)
 
 
 def _field(params: Params, k: int, M: int | None,
            budget: int) -> tuple[ZqContext, SubfieldDescent]:
-    """What every sum over F_{q^k} starts from: the budget check, the
+    """What every sum over F_{q^k} starts from: the budget gate, the
     context of F_{q^k} at precision M, and its base-ring descent."""
     check_budget(params, k, budget)
     big = make_context(params.p, params.a * k, M or default_precision(params))
     return big, _descent_for(params, big)
-
-
-def classical_sums_by_lambda(params: Params, lam_indices: list[int],
-                             M: int | None = None,
-                             budget: int = DEFAULT_BUDGET) -> dict[int, list[RamifiedElem]]:
-    """S_1..S_d over the base ring for each coefficient, one pass per k.
-
-    ``params.lam_index`` plays no part: the sums are those of the binomials
-    whose coefficient indices are ``lam_indices``.
-    """
-    _require_p_above(params, params.d)
-    by_k = [classical_sums_multi(params, k, lam_indices, M, budget)
-            for k in range(1, params.d + 1)]
-    return {li: [sums[li].value for sums in by_k] for li in lam_indices}
 
 
 @dataclass
@@ -457,13 +441,21 @@ def classical_route(d: int, c: int) -> Route:
 
 
 def route_sums_by_lambda(params: Params, lam_indices: list[int],
-                         M: int | None = None, budget: int = DEFAULT_BUDGET):
+                         M: int | None = None, budget: int = DEFAULT_BUDGET,
+                         route: Route | None = None):
     """The sums each coefficient's route needs, one pass per k for all.
+
+    ``route`` is ``classical_route`` by default; ``l_polynomial`` passes
+    the full route, Route(FULL_ENUMERATION, d, d).  ``params.lam_index``
+    plays no part: the sums are those of the binomials whose coefficient
+    indices are ``lam_indices``.  Before any pass, ``check_budget`` gates
+    every field up to F_{q^k_max}, and then p must exceed k_max.
 
     Returns ``{lam: (sums, conj_sums)}``: S_1..S_k_max, and on the
     conjugate route the complex conjugates S'_1..S'_h, otherwise None.
     """
-    route = classical_route(params.d, params.c)
+    route = route or classical_route(params.d, params.c)
+    check_budget(params, route.k_max, budget)
     _require_p_above(params, route.k_max)
     conj = route.name == FUNCTIONAL_EQUATION_CONJUGATE
     by_k = [classical_sums_multi(params, k, lam_indices, M, budget,
@@ -525,12 +517,11 @@ def l_polynomial(params: Params, M: int | None = None,
     M = M or default_precision(params)
     _require_p_above(params, params.d)
     if _sums is None:
-        sums = classical_sums_by_lambda(params, [params.lam_index], M,
-                                        budget)[params.lam_index]
-    else:
-        sums = _sums
-    coeffs = _exp_coeffs(sums)
-    return LFunctionData(params=params, M=M, sums=sums, coeffs=coeffs,
+        full = Route(FULL_ENUMERATION, params.d, params.d)
+        _sums = route_sums_by_lambda(params, [params.lam_index], M, budget,
+                                     full)[params.lam_index][0]
+    coeffs = _exp_coeffs(_sums)
+    return LFunctionData(params=params, M=M, sums=_sums, coeffs=coeffs,
                          valuations=[c.valuation() for c in coeffs])
 
 

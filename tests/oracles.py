@@ -2,8 +2,9 @@
 independent side of the checks on the program.
 
 - the assignment layer: (n+1)! enumerations that the Hungarian solve, its
-  tight edges and the matching count are checked against, and the
-  overflow-count matching with its residue columns
+  tight edges and the matching count are checked against, the
+  overflow-count matching with its residue columns, and the sum of y over
+  the representable optimal set (``v_exponent``)
 - the unramified ring: unit inverses, Newton lifting of roots, the lifted
   Frobenius, and the companion-matrix traces
 - the ramified ring: zeta_p powers and congruence mod pi_1
@@ -20,7 +21,13 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from twistnp.combinatorics import CombInstance, cost_matrix
+from twistnp.combinatorics import (
+    CombInstance,
+    compute_C,
+    cost_matrix,
+    optimal_perm_sets,
+    xy_decomposition,
+)
 from twistnp.core_arith import INFINITY, artin_hasse_coeffs, min_phi, min_residue
 from twistnp.dwork import PiSeries, PsiMatrix
 from twistnp.lfunction import (
@@ -122,6 +129,28 @@ def bfC_exhaustive(inst: CombInstance, n: int, alpha: int) -> int:
         sum(1 for i in range(n + 1) if R[i] + r[tau[i]] >= inst.d)
         for tau in itertools.permutations(range(n + 1))
     )
+
+
+class VExponentUndefinedError(ValueError):
+    """Raised when the optimal set with representable targets is empty."""
+
+
+def v_exponent(params: Params, n: int, k: int) -> int:
+    """Common value of sum_i y_i over the representable optimal set.
+
+    Equals C_{t,n} for t the k-th digit; asserted constant across the set.
+    """
+    inst = CombInstance(params.p, params.d, params.e, params.u_digit(k))
+    circle, _ = optimal_perm_sets(inst, n)
+    if not circle:
+        raise VExponentUndefinedError(f"no representable optimum at n={n}, k={k}")
+    values = set()
+    for tau in circle:
+        values.add(sum(xy_decomposition(inst, i, tau[i]).y for i in range(n + 1)))
+    assert len(values) == 1, "sum of y over the optimal set is not constant"
+    v = values.pop()
+    assert v == compute_C(inst, n)
+    return v
 
 
 def cyclic(seq: tuple[int, ...], k: int) -> int:

@@ -14,7 +14,7 @@ import pytest
 import twistnp
 from twistnp.cli import main
 from twistnp.hasse import hasse_number
-from twistnp.polygon import Params, hodge_polygon
+from twistnp.polygon import Params, hodge_polygon, lower_bound_polygon
 
 
 def _run(capsys, argv):
@@ -604,6 +604,62 @@ def test_sweep_budget_skip(tmp_path, capsys):
     assert rec["route"] == "functional-equation"
 
 
+def test_budget_gate_ranks_before_the_p_threshold(tmp_path, capsys):
+    # p = 5 does not exceed the half route's k_max = 5 either, but the
+    # enumeration of F_{5^5} is refused first
+    out_file = tmp_path / "budget.jsonl"
+    code, _ = _run(capsys, ["--budget", "100", "--out", str(out_file), "sweep", "--d", "9",
+                            "--e", "2", "--primes", "5", "--allow-small-p"])
+    assert code == 0
+    rec = json.loads(out_file.read_text().strip())
+    assert rec["status"] == "skipped:budget"
+    assert rec["needed_budget"] == rec["enum_field"] == 5**5
+
+
+def test_over_budget_sandwich_is_refused_before_the_operator(capsys, monkeypatch):
+    import twistnp.dwork as dwork
+
+    def no_operator(*args, **kwargs):
+        raise AssertionError("the operator was built")
+
+    monkeypatch.setattr(dwork, "psi_a_matrix", no_operator)
+    code = main(["--budget", "20", "dwork", "--p", "7", "--d", "3", "--e", "2",
+                 "--n-max", "8", "--sandwich"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: enumeration needs 49 elements, budget is 20\n"
+
+
+def test_over_budget_lfunc_is_refused_before_any_pass(capsys, monkeypatch):
+    import twistnp.lfunction as lfunction
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a field was enumerated")
+
+    monkeypatch.setattr(lfunction, "trace_count_matrix", no_pass)
+    code = main(["lfunc", "--p", "43", "--d", "5", "--e", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    # F_43 .. F_{43^4} fit the default budget; F_{43^5} is the one named
+    assert captured.err == ("error: enumeration needs 147008443 elements, "
+                            "budget is 20000000\n")
+
+
+def test_grid_polygons_reach_n_max_past_3d(tmp_path, capsys):
+    out_file = tmp_path / "nmax.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "verify", "--d", "3", "--e", "2",
+                            "--primes", "11", "--n-max", "12"])
+    assert code == 0
+    rec = json.loads(out_file.read_text().strip())
+    assert rec["status"] == "ok" and rec["violations"] == []
+    # P and H are built past 3d = 9 to n_max
+    params = Params(p=11, a=1, d=3, e=2, c=1, mu=1)
+    for field, poly in (("P_slopes", lower_bound_polygon(params, 12)),
+                        ("hodge_slopes", hodge_polygon(params, 12))):
+        assert rec[field] == [f"{s.numerator}/{s.denominator}" for s in poly.slopes()]
+        assert len(rec[field]) == 12
+
+
 def test_records_name_their_route(tmp_path, capsys):
     out_file = tmp_path / "routes.jsonl"
     code, _ = _run(capsys, ["--out", str(out_file), "sweep", "--d", "3,4",
@@ -688,6 +744,8 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
                    "--trace-k", "2", "--J", "4", "--sandwich"]),
     ("sweep_dwork", ["sweep", "--d", "3", "--e", "all", "--c", "1,3", "--primes", "7,13",
                      "--lam-policy", "first:2", "--dwork", "--trace-k", "2"]),
+    ("sweep_budget", ["sweep", "--d", "3,15", "--e", "2", "--c", "1,3", "--primes", "7,13",
+                      "--lam-policy", "first:2", "--dwork", "--trace-k", "9"]),
 ])
 def test_outputs_match_golden_records(tmp_path, capsys, name, argv):
     # tests/golden holds each command's stdout and, for a grid, its JSONL

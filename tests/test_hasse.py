@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from oracles import cyclic, exhaustive_C, perm_sign
+from oracles import VExponentUndefinedError, cyclic, exhaustive_C, perm_sign, v_exponent
 from twistnp import combinatorics, hasse
 from twistnp.combinatorics import (
     CombInstance,
@@ -28,13 +28,11 @@ from twistnp.combinatorics import (
 )
 from twistnp.core_arith import INFINITY, factorial_inv_or_zero, falling_factorial
 from twistnp.hasse import (
-    VExponentUndefinedError,
     fraction_vp,
     hasse_certificate,
     hasse_constant,
     hasse_number,
     twist_data,
-    v_exponent,
 )
 from twistnp.polygon import Params
 
