@@ -746,13 +746,18 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
                      "--lam-policy", "first:2", "--dwork", "--trace-k", "2"]),
     ("sweep_budget", ["sweep", "--d", "3,15", "--e", "2", "--c", "1,3", "--primes", "7,13",
                       "--lam-policy", "first:2", "--dwork", "--trace-k", "9"]),
+    ("verify_half_route", ["verify", "--d", "3,4", "--e", "all", "--c", "1,2",
+                           "--prime-count", "2", "--lam-policy", "first:3"]),
+    ("lfunc_p7_c3", ["lfunc", "--p", "7", "--d", "3", "--e", "2", "--c", "3", "--lam", "2"]),
+    ("lfunc_p13_c2", ["lfunc", "--p", "13", "--d", "4", "--e", "1", "--c", "2", "--lam", "3"]),
 ])
 def test_outputs_match_golden_records(tmp_path, capsys, name, argv):
     # tests/golden holds each command's stdout and, for a grid, its JSONL
     # records without ``timings``, as written by the code before the change
     # each file guards (dwork_q121 to sweep_small: the base-ring sums;
-    # dwork_p13 to sweep_dwork: the trace check in pi); every command
-    # exited 0
+    # dwork_p13 to sweep_dwork: the trace check in pi; verify_half_route
+    # to lfunc_p13_c2: the Newton identities in the group ring); every
+    # command exited 0
     grid = argv[0] in ("verify", "sweep")
     out = tmp_path / "records.jsonl"
     code, stdout = _run(capsys, (["--out", str(out)] if grid else []) + argv)
