@@ -34,6 +34,7 @@ from .lfunction import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     FunctionalEquationError,
+    SmallPrimeError,
     classical_l_function,
     classical_route,
     extend_newton_polygon,
@@ -317,11 +318,17 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
         if error is not None:
             raise error
         P, H, cert, sums = result
-        data = classical_l_function(params, precision, budget, _sums=sums[lam])
+        data = classical_l_function(params, precision, budget, _sums=sums[lam], hodge=H)
         np_poly = newton_polygon_classical(params, data=data)
     except BudgetExceededError:
         rec["status"] = "skipped:budget"
         rec["needed_budget"] = rec["enum_field"]
+        return rec
+    except SmallPrimeError as exc:
+        # an error record all the same, named by the ValueError it is:
+        # resuming retries it and verify counts it
+        rec["status"] = f"error:ValueError:{exc}"
+        rec["needed_p_above"] = exc.threshold
         return rec
     except (PrecisionError, TruncationError) as exc:
         rec["status"] = f"error:precision:{exc}"

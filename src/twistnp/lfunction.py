@@ -9,9 +9,13 @@ itself is vectorised: multiplication by a fixed field element is a linear
 map over F_p, so blocks of powers come from small matrix products.
 
 The twist is chi(Norm x), whose values are c-th roots of unity in Z_q,
-so every sum is assembled in the base ring Z_q[pi_1] directly
+so every sum is assembled in the base ring Z_q[zeta_p] directly
 (``SubfieldDescent``): one embedding of F_q in F_{q^k} places the
 binomial's coefficient in the enumeration and fixes the character values.
+Over 1, zeta_p, ..., zeta_p^(p-2) a sum is its character-weighted counts,
+and the Newton identities run there: each n l_n is one sum of products in
+the group ring Z_q[x]/(x^p - 1) (``ZqContext.group_dot``), and only the
+valuations of the l_n go to the pi_1-basis, row by row.
 
 The classical polygon needs only about half the sums: the L-function is
 pure of weight 1, so its top coefficients' valuations are those of the
@@ -66,6 +70,16 @@ class BudgetExceededError(RuntimeError):
 
 class FunctionalEquationError(ArithmeticError):
     """A computed coefficient disagrees with its reflection."""
+
+
+class SmallPrimeError(ValueError):
+    """p does not exceed ``threshold``, the largest n by which the Newton
+    identities divide n l_n."""
+
+    def __init__(self, threshold: int):
+        super().__init__(f"need p > {threshold} so the exponential recurrence "
+                         f"divides by units")
+        self.threshold = threshold
 
 
 def default_precision(params: Params) -> int:
@@ -210,7 +224,7 @@ def trace_count_matrix(p, m, ctx, lam_vecs, d_exp, e_exp, c,
 
 
 class SubfieldDescent:
-    """Sums over F_{q^k} assembled in the base ring Z_q[pi_1].
+    """Sums over F_{q^k} assembled in the base ring Z_q[zeta_p].
 
     The twist chi(Norm x) takes c-th roots of unity, which lie in Z_q, so
     each sum is assembled over the base ring from its (p, c) counts.  One
@@ -251,19 +265,16 @@ class SubfieldDescent:
         return (np.asarray(counts, dtype=object) @ self._V_rows) % self.base.pM
 
     def descend_ram(self, counts: np.ndarray, conjugate: bool = False) -> RamifiedElem:
-        """sum_r zeta_p^r * acc_r with acc_r the r-th row of ``weigh``.
-
-        One change of basis from zeta_p^r to the pi_1^j
-        (``ZqContext.zeta_basis``) and one reduction mod p^M give the
-        components.  With ``conjugate`` it is the sum of the conjugate
-        characters: count (r, mm) weighs zeta_p^-r V_-mm.
+        """sum_r zeta_p^r * acc_r with acc_r the r-th row of ``weigh``, over
+        1, zeta_p, ..., zeta_p^(p-2): zeta_p^(p-1) = -(1 + ... + zeta_p^(p-2))
+        takes count row p - 1 off the others before they are weighed.  With
+        ``conjugate`` it is the sum of the conjugate characters: count
+        (r, mm) weighs zeta_p^-r V_-mm, an index permutation of the counts.
         """
         if conjugate:
             p, c = counts.shape
             counts = counts[-np.arange(p) % p][:, -np.arange(c) % c]
-        base = self.base
-        comps = (base.zeta_basis() @ self.weigh(counts)) % base.pM
-        return RamifiedElem(base, (ZqElem(base, tuple(row)) for row in comps.tolist()))
+        return RamifiedElem(self.base, map(tuple, self.weigh(counts[:-1] - counts[-1]).tolist()))
 
     def lambda_residues(self, lam_indices: list[int]) -> list[tuple[int, ...]]:
         """Residue vectors of the embedded binomial coefficients.
@@ -288,7 +299,7 @@ class SubfieldDescent:
 @dataclass
 class ClassicalSum:
     """One classical twisted sum over F_{q^k}: its (p, c) counts and its
-    values in the base ring Z_q[pi_1]."""
+    values in the base ring Z_q[zeta_p]."""
 
     k: int
     counts: np.ndarray  # (p, c) int64
@@ -495,18 +506,17 @@ class LFunctionData:
 
 def _require_p_above(params: Params, n: int) -> None:
     if params.p <= n:
-        raise ValueError(f"need p > {n} so the exponential recurrence "
-                         f"divides by units")
+        raise SmallPrimeError(n)
 
 
-def _exp_coeffs(sums: list[RamifiedElem]) -> list[RamifiedElem]:
-    """l_0..l_n of exp(sum_k S_k s^k / k) from S_1..S_n: n l_n is the sum
-    of S_k l_(n-k) over k, one ``ram_dot``."""
+def _newton_coeffs(sums: list[RamifiedElem]) -> list[RamifiedElem]:
+    """l_0..l_n of exp(sum_k S_k s^k / k) from S_1..S_n by Newton's
+    identities: n l_n is the sum of S_k l_(n-k) over k, one ``group_dot``
+    with 1/n folded into its reduction."""
     base = sums[0].ctx
     coeffs = [base.ram_one()]
     for n in range(1, len(sums) + 1):
-        acc = base.ram_dot(zip(sums, reversed(coeffs)))
-        coeffs.append(acc.divide_by_unit_int(n))
+        coeffs.append(base.group_dot(zip(sums, reversed(coeffs)), pow(n, -1, base.pM)))
     return coeffs
 
 
@@ -520,7 +530,7 @@ def l_polynomial(params: Params, M: int | None = None,
         full = Route(FULL_ENUMERATION, params.d, params.d)
         _sums = route_sums_by_lambda(params, [params.lam_index], M, budget,
                                      full)[params.lam_index][0]
-    coeffs = _exp_coeffs(_sums)
+    coeffs = _newton_coeffs(_sums)
     return LFunctionData(params=params, M=M, sums=_sums, coeffs=coeffs,
                          valuations=[c.valuation() for c in coeffs])
 
@@ -546,13 +556,14 @@ def reflect_valuations(low: list[Fraction | None], conj: list[Fraction | None],
 
 def classical_l_function(params: Params, M: int | None = None,
                          budget: int = DEFAULT_BUDGET,
-                         _sums=None) -> LFunctionData:
+                         _sums=None, hodge: Polygon | None = None) -> LFunctionData:
     """The classical L-function's valuations by its ``classical_route``.
 
-    ``_sums`` is one coefficient's entry of ``route_sums_by_lambda``.
-    l_{h+1} is both computed and reflected; the two valuations, each
-    capped at the precision, must agree, or ``FunctionalEquationError`` is
-    raised.
+    ``_sums`` is one coefficient's entry of ``route_sums_by_lambda``, and
+    ``hodge`` the Hodge polygon on at least [0, d], whose end point the
+    reflection starts from; both are computed when absent.  l_{h+1} is
+    both computed and reflected; the two valuations, each capped at the
+    precision, must agree, or ``FunctionalEquationError`` is raised.
     """
     M = M or default_precision(params)
     route = classical_route(params.d, params.c)
@@ -562,13 +573,14 @@ def classical_l_function(params: Params, M: int | None = None,
     sums, conj_sums = _sums
     p, h = params.p, route.k_max - 1
     if params.c == 1:  # the A^1 sums gain x = 0, where psi(0) = 1
-        one = sums[0].ctx.ram_one()
-        sums = [s + one for s in sums]
-    coeffs = _exp_coeffs(sums)
+        sums = [s + 1 for s in sums]
+    coeffs = _newton_coeffs(sums)
     low = [c.valuation() for c in coeffs]
-    conj = low if conj_sums is None else [c.valuation() for c in _exp_coeffs(conj_sums)]
+    conj = low if conj_sums is None else [c.valuation() for c in _newton_coeffs(conj_sums)]
     step = params.a * (p - 1)
-    top = hodge_polygon(params, params.d).value(params.d) * step
+    if hodge is None:
+        hodge = hodge_polygon(params, params.d)
+    top = hodge.value(params.d) * step
     vals = reflect_valuations(low[:h + 1], conj, route.deg, top, step,
                               Fraction(M * (p - 1)))
     if vals[h + 1] != low[h + 1]:

@@ -1,11 +1,15 @@
-"""Truncated p-adic towers: unramified Z_q mod p^M and Z_q[pi_1].
+"""Truncated p-adic towers: unramified Z_q mod p^M and Z_q[zeta_p].
 
 A context fixes the prime, the degree, the working precision M, a
 deterministic defining polynomial (the smallest-encoded monic irreducible
 over F_p) and a deterministic multiplicative generator of the residue
 field.  Elements are coefficient vectors over the power basis, reduced mod
-p^M.  The single ramified layer adjoins pi_1 = zeta_p - 1, a root of
-((1+X)^p - 1)/X, with v_p(pi_1) = 1/(p-1).
+p^M.  The single ramified layer adjoins zeta_p, whose pi_1 = zeta_p - 1
+has v_p(pi_1) = 1/(p-1).  Its elements are kept over 1, zeta_p, ...,
+zeta_p^(p-2) (``RamifiedElem``): Z_q[zeta_p] is the image of the group
+ring Z_q[x]/(x^p - 1), so a character sum is its weighted counts and a
+product is a cyclic convolution (``ZqContext.group_dot``); the
+pi_1-valuation is read off the binomial change of basis, row by row.
 
 The F_p[X] helpers (``poly_*``) serve both the residue fields and the
 contexts: every "multiply by X and fold the top coefficient back" walk,
@@ -13,9 +17,10 @@ mod p or mod p^M, is ``x_walk``, and the traces of the power basis are
 the power sums of the modulus's roots (``core_arith.power_sums``).  The
 traces Tr(gamma * beta^j) recur with the characteristic polynomial of
 multiplication by beta, from ``core_arith.berkowitz``
-(``ZqContext.trace_sequence``).  Both sums of products, ``ZqContext.ram_dot``
-in Z_q[pi_1] and the T-adic series product ``dwork._dot``, pack residues into
-big integers in one layout: ``pack``, ``unpack`` and the width ``slot_bytes``.
+(``ZqContext.trace_sequence``).  Both sums of products,
+``ZqContext.group_dot`` in Z_q[zeta_p] and the T-adic series product
+``dwork._dot``, pack residues into big integers in one layout: ``pack``,
+``unpack`` and the width ``slot_bytes``.
 
 All ring operations are exact mod p^M: divisions only ever happen by
 p-adic units, so precision never degrades silently.  Valuations are
@@ -26,13 +31,10 @@ than a number.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .core_arith import charpoly_mod, is_prime, mod_dot, power_sums, prime_factors
 
@@ -196,9 +198,8 @@ PAIR_BITS = 32
 
 def slot_bytes(pM: int, products: int) -> int:
     """Bytes of a slot to which each of fewer than 2^PAIR_BITS pairs adds at
-    most ``products`` products of residues mod p^M, and a fold after the sum
-    at most one pair's worth more: 2 bitlen(p^M - 1) + bitlen(products) +
-    PAIR_BITS bits, rounded up."""
+    most ``products`` products of residues mod p^M: 2 bitlen(p^M - 1) +
+    bitlen(products) + PAIR_BITS bits, rounded up."""
     return -(-(2 * (pM - 1).bit_length() + products.bit_length() + PAIR_BITS) // 8)
 
 
@@ -220,6 +221,22 @@ def unpack(value: int, nbytes: int, count: int) -> list[int]:
     """The ``count`` slots of ``nbytes`` bytes of a packed integer."""
     buf = value.to_bytes(nbytes * count, "little")
     return [int.from_bytes(buf[s:s + nbytes], "little") for s in range(0, nbytes * count, nbytes)]
+
+
+def vp_min(values, p: int) -> int | None:
+    """min v_p over the nonzero ``values``; None when every one is 0."""
+    best = None
+    for c in values:
+        if c:
+            v = 0
+            while c % p == 0:
+                c //= p
+                v += 1
+            if v == 0:
+                return 0
+            if best is None or v < best:
+                best = v
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +264,7 @@ class ZqContext:
         # X^{deg+t} mod modulus, coefficients mod p^M, for t = 0..deg-2
         self._xpow = x_walk((0,) * (deg - 1) + (1,), self.modulus[:deg], self.pM, deg)[1:]
         self._trace_table = self._build_trace_table()
-        self._pi_xpow = None
-        self._ram_packing = None
-        self._zeta_basis = None
+        self._ram_bytes = slot_bytes(self.pM, (p - 1) * deg)
 
     # -- construction helpers
 
@@ -366,79 +381,40 @@ class ZqContext:
         """Traces to F_p of the residue field's power basis x^0..x^{deg-1}."""
         return [t % self.p for t in self._trace_table]
 
-    # -- ramified layer
+    # -- ramified layer: Z_q[zeta_p], the image of the group ring Z_q[C_p]
 
-    def pi_xpow_table(self):
-        """Reduction rows for pi^(p-1+t) against ((1+X)^p - 1)/X, for
-        t = 0..p-3; at p = 2 the one row t = 0, which ``zeta_basis`` reads."""
-        if self._pi_xpow is None:
-            n = self.p - 1
-            low = [math.comb(self.p, i + 1) % self.pM for i in range(n)]
-            self._pi_xpow = x_walk((0,) * (n - 1) + (1,), low, self.pM, max(n, 2))[1:]
-        return self._pi_xpow
+    def group_dot(self, pairs, scale: int = 1) -> "RamifiedElem":
+        """``scale`` times the sum of x * y over pairs in Z_q[zeta_p].
 
-    def ram_packing(self) -> tuple[int, list[int]]:
-        """Slot bytes of a packed element of Z_q[pi_1], whose pi_1^i X^v
-        sits in slot i (2 deg - 1) + v so that the X-products of two
-        pi-coefficients never overlap, and the rows of ``pi_xpow_table``
-        packed in that layout.  A pair's product adds at most (p-1) deg
-        products to a slot."""
-        if self._ram_packing is None:
-            nbytes = slot_bytes(self.pM, (self.p - 1) * self.deg)
-            pad = (0,) * (2 * self.deg - 2)
-            self._ram_packing = (nbytes, [pack([x for t in row for x in (t,) + pad], nbytes)
-                                          for row in self.pi_xpow_table()])
-        return self._ram_packing
-
-    def ram_dot(self, pairs) -> "RamifiedElem":
-        """Sum of x * y over pairs in Z_q[pi_1], one big-integer product per
-        pair in the layout of ``ram_packing`` (Kronecker substitution).
-
-        Pi-row n + t (n = p - 1) of the sum is folded into the rows below as
-        residues times the packed row t of ``pi_xpow_table``; each of the n
-        rows left is reduced in X and mod p^M, once per call.
+        Each pair is one product of packed integers (``RamifiedElem.packed``),
+        a product in the group ring Z_q[x]/(x^p - 1) by Kronecker
+        substitution (Harvey, J. Symbolic Comput. 2009).  Once per call,
+        x^p = 1 folds the sum's rows p.. onto rows 0.. by one shift and add,
+        zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2)) takes row p - 1
+        off the others, and each slot is scaled and reduced in X and mod
+        p^M.  After the fold a slot holds, per pair, the products of at most
+        p - 1 coordinate pairs, deg products each, which the slot width
+        covers.
         """
-        n, deg, pM = self.p - 1, self.deg, self.pM
-        nbytes, pi_rows = self.ram_packing()
-        span, pad = 2 * deg - 1, (0,) * (deg - 1)
-
-        def packed(x):
-            return pack([c for z in x.comps for c in z.coeffs + pad], nbytes)
-
-        total = sum(packed(x) * packed(y) for x, y in checked_pairs(pairs))
-        low_bits = 8 * nbytes * span * n
-        high = [c % pM for c in unpack(total >> low_bits, nbytes, span * (n - 1))]
-        total &= (1 << low_bits) - 1
-        for t, row in enumerate(pi_rows[:n - 1]):
-            total += pack(high[t * span:(t + 1) * span], nbytes) * row
-        low = unpack(total, nbytes, span * n)
-        return RamifiedElem(self, (ZqElem(self, self.reduce_product(low[i * span:(i + 1) * span]))
-                                   for i in range(n)))
-
-    def zeta_basis(self) -> np.ndarray:
-        """The (p-1, p) object array whose column r is zeta_p^r over
-        1, pi_1, ..., pi_1^(p-2), mod p^M.
-
-        zeta_p^r = (1 + pi_1)^r = sum_j C(r, j) pi_1^j, each row of
-        binomials from the one above by Pascal's rule; only r = p - 1
-        reaches pi_1^(p-1), which is the first row of ``pi_xpow_table``.
-        """
-        if self._zeta_basis is None:
-            n, pM = self.p - 1, self.pM
-            rows = [[1] * (n + 1)]
-            for _ in range(1, n):  # C(r+1, j) = C(r, j) + C(r, j-1)
-                rows.append(list(itertools.accumulate(rows[-1][:n], lambda s, x: (s + x) % pM,
-                                                      initial=0)))
-            for row, t in zip(rows, self.pi_xpow_table()[0]):
-                row[n] = (row[n] + t) % pM
-            self._zeta_basis = np.array(rows, dtype=object)
-        return self._zeta_basis
+        p, deg, pM = self.p, self.deg, self.pM
+        nbytes, span = self._ram_bytes, 2 * deg - 1
+        total = sum(x.packed() * y.packed() for x, y in checked_pairs(pairs))
+        cut = 8 * nbytes * span * p
+        slots = unpack((total & ((1 << cut) - 1)) + (total >> cut), nbytes, span * p)
+        top = slots[-span:]
+        if deg == 1:
+            t = top[0]
+            coords = [((s - t) * scale % pM,) for s in slots[:-1]]
+        else:
+            coords = [self.reduce_product([(s - t) * scale for s, t in zip(slots[i:i + span], top)])
+                      for i in range(0, span * (p - 1), span)]
+        return RamifiedElem(self, coords)
 
     def ram_zero(self) -> "RamifiedElem":
-        return RamifiedElem(self, (self.zero(),) * (self.p - 1))
+        return RamifiedElem(self, ((0,) * self.deg,) * (self.p - 1))
 
     def ram_one(self) -> "RamifiedElem":
-        return RamifiedElem(self, (self.one(),) + (self.zero(),) * (self.p - 2))
+        return self.ram_zero() + 1
 
     def __repr__(self):
         return f"ZqContext(p={self.p}, deg={self.deg}, M={self.M})"
@@ -506,19 +482,7 @@ class ZqElem:
 
     def vp(self) -> int | None:
         """min v_p over coordinates; None when zero mod p^M."""
-        best = None
-        for c in self.coeffs:
-            if c == 0:
-                continue
-            v = 0
-            while c % self.ctx.p == 0:
-                c //= self.ctx.p
-                v += 1
-            if best is None or v < best:
-                best = v
-            if best == 0:
-                return 0
-        return best
+        return vp_min(self.coeffs, self.ctx.p)
 
     def residue(self) -> tuple[int, ...]:
         return tuple(c % self.ctx.p for c in self.coeffs)
@@ -528,66 +492,83 @@ class ZqElem:
 
 
 class RamifiedElem:
-    """Element of Z_q[pi_1] as a vector over 1, pi_1, ..., pi_1^{p-2}."""
+    """Element of Z_q[zeta_p] over 1, zeta_p, ..., zeta_p^(p-2): coordinate
+    r is the X-coefficient tuple, reduced mod p^M, of a Z_q element."""
 
-    __slots__ = ("ctx", "comps")
+    __slots__ = ("ctx", "coords", "_packed")
 
-    def __init__(self, ctx: ZqContext, comps):
-        comps = tuple(comps)
-        assert len(comps) == ctx.p - 1
+    def __init__(self, ctx: ZqContext, coords):
+        coords = tuple(coords)
+        assert len(coords) == ctx.p - 1
         self.ctx = ctx
-        self.comps = comps
+        self.coords = coords
+        self._packed = None
+
+    def packed(self) -> int:
+        """The element as one integer for ``ZqContext.group_dot``, packed
+        once: zeta_p^r X^v sits in slot r (2 deg - 1) + v, so the
+        X-products of two coordinates never overlap."""
+        if self._packed is None:
+            pad = (0,) * (self.ctx.deg - 1)
+            self._packed = pack([c for z in self.coords for c in z + pad], self.ctx._ram_bytes)
+        return self._packed
 
     def __add__(self, other):
-        return RamifiedElem(self.ctx, tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def __sub__(self, other):
-        return RamifiedElem(self.ctx, tuple(a - b for a, b in zip(self.comps, other.comps)))
+        """The sum with an element, or with an int, which moves coordinate 0 only."""
+        pM = self.ctx.pM
+        if isinstance(other, int):
+            (c, *rest), *tail = self.coords
+            return RamifiedElem(self.ctx, (((c + other) % pM, *rest), *tail))
+        return RamifiedElem(self.ctx, (tuple((x + y) % pM for x, y in zip(a, b))
+                                       for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
-        return RamifiedElem(self.ctx, tuple(-a for a in self.comps))
-
-    def scale(self, factor) -> "RamifiedElem":
-        """Multiply by an int or ZqElem scalar."""
-        return RamifiedElem(self.ctx, tuple(c * factor for c in self.comps))
+        pM = self.ctx.pM
+        return RamifiedElem(self.ctx, (tuple(-x % pM for x in z) for z in self.coords))
 
     def __mul__(self, other):
-        """Product by an int or ZqElem scalar, or the one-pair ``ram_dot``."""
-        if isinstance(other, (int, ZqElem)):
-            return self.scale(other)
-        return self.ctx.ram_dot([(self, other)])
-
-    __rmul__ = __mul__
-
-    def divide_by_unit_int(self, k: int) -> "RamifiedElem":
-        if k % self.ctx.p == 0:
-            raise ZeroDivisionError(f"{k} is not a p-adic unit")
-        inv = pow(k, -1, self.ctx.pM)
-        return self.scale(inv)
+        """The one-pair ``group_dot``."""
+        return self.ctx.group_dot([(self, other)])
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
+        return not any(map(any, self.coords))
 
     def __eq__(self, other):
-        return isinstance(other, RamifiedElem) and self.comps == other.comps
+        return isinstance(other, RamifiedElem) and self.coords == other.coords
 
     def __hash__(self):
-        return hash(self.comps)
+        return hash(self.coords)
 
     def valuation(self) -> Fraction | None:
         """Certified valuation in pi_1-units (p has p - 1 of them); None
         when the element vanishes mod p^M.
 
-        Distinct basis positions j carry distinct residues j mod p - 1, so
-        the minimum over positions is the valuation of the sum.
+        With pi_1 = zeta_p - 1, sum_r a_r zeta_p^r is sum_j b_j pi_1^j with
+        b_j = sum_r C(r, j) a_r, the Taylor coefficients at x = 1 of
+        sum_r a_r x^r; no power past pi_1^(p-2) occurs.  Distinct j carry
+        distinct residues mod p - 1, so v = min_j (j + (p - 1) v_p(b_j)).
+        The change of basis is unitriangular over Z, so min_j v_p(b_j) is
+        k = min_r v_p(a_r), and as j < p - 1 the minimum is (p - 1) k + j0
+        for the first j0 with v_p(b_j0) = k.  The rows (b_j / p^k) mod p
+        come one at a time, each from the last by one synthetic division
+        by x - 1 (suffix sums), and stop at the first that is not zero.
         """
-        n = self.ctx.p - 1
-        units = [j + n * v for j, v in enumerate(c.vp() for c in self.comps)
-                 if v is not None]
-        return Fraction(min(units)) if units else None
+        p = self.ctx.p
+        k = vp_min(itertools.chain.from_iterable(self.coords), p)
+        if k is None:
+            return None
+        pk = p**k
+        # per X-coordinate, (a_r / p^k) mod p from r = p - 2 down to 0, so
+        # that running sums are suffix sums
+        rows = [[c // pk % p for c in reversed(col)] for col in zip(*self.coords)]
+        for j in range(p - 1):
+            rows = [list(itertools.accumulate(row)) for row in rows]
+            if any([row.pop() % p for row in rows]):  # b_j; the rest is the quotient
+                return Fraction((p - 1) * k + j)
+        raise AssertionError("the change of basis is invertible")
 
     def __repr__(self):
-        return f"Ram({self.comps})"
+        return f"Ram{self.coords}"
 
 
 @lru_cache(maxsize=None)

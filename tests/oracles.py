@@ -7,7 +7,9 @@ independent side of the checks on the program.
   the representable optimal set (``v_exponent``)
 - the unramified ring: unit inverses, Newton lifting of roots, the lifted
   Frobenius, and the companion-matrix traces
-- the ramified ring: zeta_p powers and congruence mod pi_1
+- the ramified ring over the pi_1-basis: its packed product with the
+  pi-fold, the Newton identities there, the full change of basis from
+  zeta_p-coordinates and back, zeta_p powers and congruence mod pi_1
 - the T-adic layer: the series product over dicts of Z_q elements, the
   direct sum by a walk over the field, the reversion pi(T) of
   T = E(pi) - 1 and the T-expansion of a pi-series, and the stated entry
@@ -20,6 +22,8 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from twistnp.combinatorics import (
     CombInstance,
@@ -42,9 +46,14 @@ from twistnp.padic import (
     RamifiedElem,
     ZqContext,
     ZqElem,
+    checked_pairs,
     make_context,
+    pack,
     poly_pow_mod,
     poly_trim,
+    slot_bytes,
+    unpack,
+    x_walk,
 )
 from twistnp.polygon import Params, Polygon, lower_bound_polygon
 
@@ -250,32 +259,182 @@ def companion_trace_table(ctx: ZqContext) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# the ramified ring Z_q[pi_1]
+# the ramified ring over the pi_1-basis, and the change of basis to it
 
 
-def ram_from_zq(ctx: ZqContext, a: ZqElem) -> RamifiedElem:
-    return RamifiedElem(ctx, (a,) + (ctx.zero(),) * (ctx.p - 2))
+class PiElem:
+    """Element of Z_q[pi_1] as a vector of Z_q elements over 1, pi_1, ...,
+    pi_1^(p-2), the basis the program's valuations are read in."""
+
+    __slots__ = ("ctx", "comps")
+
+    def __init__(self, ctx: ZqContext, comps):
+        comps = tuple(comps)
+        assert len(comps) == ctx.p - 1
+        self.ctx = ctx
+        self.comps = comps
+
+    def __add__(self, other):
+        return PiElem(self.ctx, tuple(a + b for a, b in zip(self.comps, other.comps)))
+
+    def __sub__(self, other):
+        return PiElem(self.ctx, tuple(a - b for a, b in zip(self.comps, other.comps)))
+
+    def __neg__(self):
+        return PiElem(self.ctx, tuple(-a for a in self.comps))
+
+    def scale(self, factor) -> "PiElem":
+        """Multiply by an int or ZqElem scalar."""
+        return PiElem(self.ctx, tuple(c * factor for c in self.comps))
+
+    def __mul__(self, other):
+        """Product by an int or ZqElem scalar, or the one-pair ``ram_dot``."""
+        if isinstance(other, (int, ZqElem)):
+            return self.scale(other)
+        return ram_dot(self.ctx, [(self, other)])
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.comps)
+
+    def __eq__(self, other):
+        return isinstance(other, PiElem) and self.comps == other.comps
+
+    def __hash__(self):
+        return hash(self.comps)
+
+    def valuation(self) -> Fraction | None:
+        """Valuation in pi_1-units, None when zero mod p^M: the minimum of
+        j + (p - 1) v_p over the nonzero components j."""
+        n = self.ctx.p - 1
+        units = [j + n * v for j, v in enumerate(c.vp() for c in self.comps)
+                 if v is not None]
+        return Fraction(min(units)) if units else None
+
+    def __repr__(self):
+        return f"Pi({self.comps})"
 
 
-def zeta_p_power(ctx: ZqContext, n: int) -> RamifiedElem:
+def pi_zero(ctx: ZqContext) -> PiElem:
+    return PiElem(ctx, (ctx.zero(),) * (ctx.p - 1))
+
+
+def pi_one(ctx: ZqContext) -> PiElem:
+    return PiElem(ctx, (ctx.one(),) + (ctx.zero(),) * (ctx.p - 2))
+
+
+@lru_cache(maxsize=None)
+def pi_xpow_table(ctx: ZqContext):
+    """Reduction rows for pi^(p-1+t) against ((1+X)^p - 1)/X, for
+    t = 0..p-3; at p = 2 the one row t = 0, which ``zeta_basis`` reads."""
+    n = ctx.p - 1
+    low = [math.comb(ctx.p, i + 1) % ctx.pM for i in range(n)]
+    return x_walk((0,) * (n - 1) + (1,), low, ctx.pM, max(n, 2))[1:]
+
+
+@lru_cache(maxsize=None)
+def ram_packing(ctx: ZqContext) -> tuple[int, list[int]]:
+    """Slot bytes of a packed element of Z_q[pi_1], whose pi_1^i X^v sits
+    in slot i (2 deg - 1) + v, and the rows of ``pi_xpow_table`` packed in
+    that layout.  A pair's product adds at most (p-1) deg products to a
+    slot, and the pi-fold after the sum at most one pair's worth more."""
+    nbytes = slot_bytes(ctx.pM, (ctx.p - 1) * ctx.deg)
+    pad = (0,) * (2 * ctx.deg - 2)
+    return nbytes, [pack([x for t in row for x in (t,) + pad], nbytes)
+                    for row in pi_xpow_table(ctx)]
+
+
+def ram_dot(ctx: ZqContext, pairs) -> PiElem:
+    """Sum of x * y over pairs in Z_q[pi_1], one big-integer product per
+    pair in the layout of ``ram_packing``: pi-row n + t (n = p - 1) of the
+    sum is folded into the rows below as residues times the packed row t
+    of ``pi_xpow_table``, and each of the n rows left is reduced in X and
+    mod p^M, once per call."""
+    n, deg, pM = ctx.p - 1, ctx.deg, ctx.pM
+    nbytes, pi_rows = ram_packing(ctx)
+    span, pad = 2 * deg - 1, (0,) * (deg - 1)
+
+    def packed(x):
+        return pack([c for z in x.comps for c in z.coeffs + pad], nbytes)
+
+    total = sum(packed(x) * packed(y) for x, y in checked_pairs(pairs))
+    low_bits = 8 * nbytes * span * n
+    high = [c % pM for c in unpack(total >> low_bits, nbytes, span * (n - 1))]
+    total &= (1 << low_bits) - 1
+    for t, row in enumerate(pi_rows[:n - 1]):
+        total += pack(high[t * span:(t + 1) * span], nbytes) * row
+    low = unpack(total, nbytes, span * n)
+    return PiElem(ctx, (ZqElem(ctx, ctx.reduce_product(low[i * span:(i + 1) * span]))
+                        for i in range(n)))
+
+
+def exp_coeffs(sums: list[PiElem]) -> list[PiElem]:
+    """l_0..l_n of exp(sum_k S_k s^k / k) from S_1..S_n over the
+    pi_1-basis: n l_n is the sum of S_k l_(n-k) over k, one ``ram_dot``,
+    then scaled by 1/n."""
+    ctx = sums[0].ctx
+    coeffs = [pi_one(ctx)]
+    for n in range(1, len(sums) + 1):
+        acc = ram_dot(ctx, zip(sums, reversed(coeffs)))
+        coeffs.append(acc.scale(pow(n, -1, ctx.pM)))
+    return coeffs
+
+
+@lru_cache(maxsize=None)
+def zeta_basis(ctx: ZqContext) -> np.ndarray:
+    """The (p-1, p) object array whose column r is zeta_p^r over 1, pi_1,
+    ..., pi_1^(p-2), mod p^M: zeta_p^r = (1 + pi_1)^r = sum_j C(r, j) pi_1^j,
+    and only r = p - 1 reaches pi_1^(p-1), whose reduction is the first
+    row of ``pi_xpow_table``."""
+    n, pM = ctx.p - 1, ctx.pM
+    rows = [[math.comb(r, j) % pM for r in range(n + 1)] for j in range(n)]
+    for row, t in zip(rows, pi_xpow_table(ctx)[0]):
+        row[n] = (row[n] + t) % pM
+    return np.array(rows, dtype=object)
+
+
+def to_pi(x: RamifiedElem) -> PiElem:
+    """The full change of basis of an element kept over zeta_p^0..zeta_p^(p-2)."""
+    ctx = x.ctx
+    coords = np.array(x.coords, dtype=object).reshape(ctx.p - 1, ctx.deg)
+    comps = (zeta_basis(ctx)[:, :ctx.p - 1] @ coords) % ctx.pM
+    return PiElem(ctx, (ZqElem(ctx, tuple(row)) for row in comps.tolist()))
+
+
+def from_pi(y: PiElem) -> RamifiedElem:
+    """The element over zeta_p^0..zeta_p^(p-2): pi_1^j = (zeta_p - 1)^j =
+    sum_r C(j, r) (-1)^(j-r) zeta_p^r."""
+    ctx = y.ctx
+    n = ctx.p - 1
+    coords = [[sum((-1) ** (j - r) * math.comb(j, r) * y.comps[j].coeffs[v]
+                   for j in range(r, n)) % ctx.pM for v in range(ctx.deg)]
+              for r in range(n)]
+    return RamifiedElem(ctx, map(tuple, coords))
+
+
+def ram_from_zq(ctx: ZqContext, a: ZqElem) -> PiElem:
+    return PiElem(ctx, (a,) + (ctx.zero(),) * (ctx.p - 2))
+
+
+def zeta_p_power(ctx: ZqContext, n: int) -> PiElem:
     """(1 + pi_1)^(n mod p), the additive character value at n."""
     n = n % ctx.p
     comps = [ctx.zero()] * (ctx.p - 1)
     if n <= ctx.p - 2:
         for j in range(n + 1):
             comps[j] = ctx.from_int(math.comb(n, j))
-        return RamifiedElem(ctx, comps)
+        return PiElem(ctx, comps)
     # n = p - 1: one reduction step against the minimal polynomial
     for j in range(ctx.p - 1):
         comps[j] = ctx.from_int(math.comb(n, j))
-    elem = RamifiedElem(ctx, comps)
-    top = ctx.pi_xpow_table()[0]
-    corr = RamifiedElem(ctx, tuple(ctx.from_int(t) for t in top))
+    elem = PiElem(ctx, comps)
+    top = pi_xpow_table(ctx)[0]
+    corr = PiElem(ctx, tuple(ctx.from_int(t) for t in top))
     return elem + corr.scale(math.comb(n, ctx.p - 1))
 
 
-def congruent_mod_pi(x: RamifiedElem, y: RamifiedElem, k: int) -> bool:
-    """Whether x - y has pi_1-valuation at least k (true when it vanishes)."""
+def congruent_mod_pi(x, y, k: int) -> bool:
+    """Whether x - y, two ``RamifiedElem`` or two ``PiElem``, has
+    pi_1-valuation at least k (true when it vanishes)."""
     v = (x - y).valuation()
     return v is None or v >= k
 

@@ -616,6 +616,41 @@ def test_budget_gate_ranks_before_the_p_threshold(tmp_path, capsys):
     assert rec["needed_budget"] == rec["enum_field"] == 5**5
 
 
+def test_p_threshold_refusal_keeps_the_record_fields(tmp_path, capsys):
+    # d = 9, c = 1: the half route's k_max is 5, which p = 5 does not exceed
+    # though F_{5^5} fits the budget; the records keep the route and the
+    # parameters, and count as errors, not as budget skips
+    out_file = tmp_path / "small.jsonl"
+    code, out = _run(capsys, ["--out", str(out_file), "sweep", "--d", "9", "--e", "2",
+                              "--primes", "5", "--allow-small-p", "--lam-policy", "first:2"])
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["errors"] == 2 and summary["skipped_budget"] == 0
+    recs = [json.loads(x) for x in out_file.read_text().splitlines()]
+    assert [r["lambda_index"] for r in recs] == [0, 1]
+    for rec in recs:
+        assert rec["status"] == ("error:ValueError:need p > 5 so the exponential "
+                                 "recurrence divides by units")
+        assert rec["needed_p_above"] == 5
+        assert rec["route"] == "functional-equation" and rec["enum_field"] == 5**5
+        assert (rec["p"], rec["a"], rec["d"], rec["e"], rec["c"], rec["mu"]) == (5, 1, 9, 2, 1, 1)
+
+
+def test_grid_records_take_the_hodge_polygon_of_their_group(tmp_path, capsys, monkeypatch):
+    import twistnp.lfunction as lfunction
+
+    def no_hodge(*args, **kwargs):
+        raise AssertionError("a record built the Hodge polygon again")
+
+    monkeypatch.setattr(lfunction, "hodge_polygon", no_hodge)
+    out_file = tmp_path / "grid.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "verify", "--d", "3", "--e", "2",
+                            "--c", "1,3", "--primes", "7", "--lam-policy", "first:3"])
+    assert code == 0
+    recs = [json.loads(x) for x in out_file.read_text().splitlines()]
+    assert len(recs) == 9 and all(r["status"] == "ok" for r in recs)
+
+
 def test_over_budget_sandwich_is_refused_before_the_operator(capsys, monkeypatch):
     import twistnp.dwork as dwork
 

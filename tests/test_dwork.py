@@ -212,7 +212,7 @@ def test_dot_matches_the_dict_oracle(p, deg, M):
 def test_dot_headroom_is_certified(monkeypatch, deg):
     # with 2 headroom bits, 3 pairs of all-maximal coefficients fill the
     # slots as far as the width allows and stay exact; a 4th pair raises,
-    # in the series product and in the ramified one
+    # in the series product and in the group-ring one
     import twistnp.padic as padic
 
     monkeypatch.setattr(padic, "PAIR_BITS", 2)
@@ -223,11 +223,11 @@ def test_dot_headroom_is_certified(monkeypatch, deg):
     assert _dot([(full, full)] * 3, zero) == dict_dot([(full, full)] * 3, zero)
     with pytest.raises(OverflowError, match="headroom"):
         _dot([(full, full)] * 4, zero)
-    top = padic.RamifiedElem(ctx, [ctx.elem([ctx.pM - 1] * deg)] * (ctx.p - 1))
+    top = padic.RamifiedElem(ctx, [(ctx.pM - 1,) * deg] * (ctx.p - 1))
     square = top * top
-    assert ctx.ram_dot([(top, top)] * 3) == square + square + square
+    assert ctx.group_dot([(top, top)] * 3) == square + square + square
     with pytest.raises(OverflowError, match="headroom"):
-        ctx.ram_dot([(top, top)] * 4)
+        ctx.group_dot([(top, top)] * 4)
 
 
 def test_psi_matrix_single_factor_case():

@@ -10,12 +10,16 @@ import pytest
 import sympy
 
 from oracles import (
+    PiElem,
     congruent_mod_pi,
     exp_sum_classical,
     exp_sum_Tadic_walk,
     frobenius,
     lift_root,
+    pi_xpow_table,
+    pi_zero,
     ram_from_zq,
+    to_pi,
     zeta_p_power,
 )
 from twistnp.lfunction import (
@@ -25,6 +29,7 @@ from twistnp.lfunction import (
     BudgetExceededError,
     LFunctionData,
     Route,
+    SmallPrimeError,
     _descent_for,
     _mult_matrix,
     _power_block,
@@ -180,10 +185,10 @@ def test_trace_count_matrix_against_per_lambda_oracle(case):
 
 
 def _assemble_by_zeta_powers(big, counts, V):
-    """The earlier assembly: each trace value's character sum scales
-    zeta_p^r, built by ``zeta_p_power``, in the ramified ring."""
+    """The assembly over the pi_1-basis: each trace value's character sum
+    scales zeta_p^r, built by ``zeta_p_power``."""
     p, c = counts.shape
-    out = big.ram_zero()
+    out = pi_zero(big)
     for r in range(p):
         acc = big.zero()
         for mm in range(c):
@@ -217,10 +222,10 @@ def test_assembly_against_zeta_power_oracle(case):
         for li in lams:
             counts = sums[li].counts
             want = _assemble_by_zeta_powers(descent.base, counts, descent.V)
-            assert sums[li].value == want, (case, k, li)
+            assert to_pi(sums[li].value) == want, (case, k, li)
             want = _assemble_by_zeta_powers(descent.base, counts[neg_r][:, neg_mm],
                                             descent.V)
-            assert sums[li].conj_value == want, (case, k, li)
+            assert to_pi(sums[li].conj_value) == want, (case, k, li)
 
 
 def _big_character_values(pr, big):
@@ -299,7 +304,7 @@ def test_base_ring_sums_are_the_big_ring_sums_embedded(case):
                                        (s.counts[neg_r], V_conj, s.conj_value)):
                 want = _assemble_by_zeta_powers(big, counts, V_big).comps
                 assert _fixed_by_sigma_a(big, want, a), (case, k, li)
-                assert tuple(embed(y) for y in got.comps) == want, (case, k, li)
+                assert tuple(embed(y) for y in to_pi(got).comps) == want, (case, k, li)
 
 
 def _big_ring_tadic(pr, J, big):
@@ -441,13 +446,11 @@ def test_tadic_sum_degree_zero_and_one():
     assert ts.coeffs[0] == base.from_int(6)
     s1 = exp_sum_classical(pr, 1)
     # classical sum mod pi^2 equals c_0 + c_1 * pi
-    lhs = s1.value
+    lhs = to_pi(s1.value)
     rhs = ram_from_zq(base, ts.coeffs[0])
     pi_term = [base.zero()] * 6
     pi_term[1] = ts.coeffs[1]
-    from twistnp.padic import RamifiedElem
-
-    rhs = rhs + RamifiedElem(base, tuple(pi_term))
+    rhs = rhs + PiElem(base, tuple(pi_term))
     assert congruent_mod_pi(lhs, rhs, 2)
 
 
@@ -465,24 +468,22 @@ def test_tadic_specializes_to_classical(p, a, d, e, c, mu, lam, k, J):
     ts = exp_sum_Tadic(pr, k, J)
     cs = exp_sum_classical(pr, k)
     base = cs.value.ctx
-    from twistnp.padic import RamifiedElem
-
-    acc = base.ram_zero()
+    acc = pi_zero(base)
     for jj in range(J, -1, -1):
         comps = list(acc.comps)
         # multiply by pi and add c_jj: Horner in pi
         if jj < J:
             shifted = [base.zero()] + comps[:-1]
             top = comps[-1]
-            acc = RamifiedElem(base, shifted)
+            acc = PiElem(base, shifted)
             if not top.is_zero():
-                table = base.pi_xpow_table()[0]
-                corr = RamifiedElem(base, tuple(base.from_int(t) * top for t in table))
+                table = pi_xpow_table(base)[0]
+                corr = PiElem(base, tuple(base.from_int(t) * top for t in table))
                 acc = acc + corr
         comps = list(acc.comps)
         comps[0] = comps[0] + ts.coeffs[jj]
-        acc = RamifiedElem(base, comps)
-    assert congruent_mod_pi(cs.value, acc, J + 1)
+        acc = PiElem(base, comps)
+    assert congruent_mod_pi(to_pi(cs.value), acc, J + 1)
 
 
 def test_l_polynomial_low_coefficients():
@@ -642,10 +643,12 @@ def test_inexact_low_coefficient_reflects_to_an_omitted_point():
 def test_half_route_reach_below_d():
     # p = 5 <= d = 7: the half route divides only by n <= 4
     pr = Params(p=5, a=1, d=7, e=2, c=1, mu=1, lam_index=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(SmallPrimeError) as info:
         l_polynomial(pr)
+    assert isinstance(info.value, ValueError) and info.value.threshold == 7
     np_poly = newton_polygon_classical(pr)
     H = hodge_polygon(pr, 7)
     assert lies_above(np_poly, H).ok and np_poly.value(7) == H.value(7)
-    with pytest.raises(ValueError, match="need p > 4"):
+    with pytest.raises(SmallPrimeError, match="need p > 4") as info:
         newton_polygon_classical(Params(p=3, a=1, d=7, e=2, c=1, mu=1))
+    assert info.value.threshold == 4

@@ -10,16 +10,26 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    PiElem,
     companion_trace_table,
     eval_int_poly,
+    exp_coeffs,
+    from_pi,
     frobenius,
     frobenius_matrix,
     inverse,
     lift_root,
+    pi_one,
+    pi_xpow_table,
+    pi_zero,
+    ram_dot,
     ram_from_zq,
+    to_pi,
+    zeta_basis,
     zeta_p_power,
 )
 from twistnp.core_arith import charpoly_mod
+from twistnp.lfunction import _newton_coeffs
 from twistnp.padic import (
     RamifiedElem,
     find_generator,
@@ -36,9 +46,10 @@ from twistnp.padic import (
 )
 
 
-def _schoolbook_mul(x: RamifiedElem, y: RamifiedElem) -> RamifiedElem:
-    """The earlier product: a (p-1)^2 double loop of ``ZqContext.mul``,
-    then each pi_1^(p-1+t) folded back by ``pi_xpow_table``."""
+def _schoolbook_mul(x: PiElem, y: PiElem) -> PiElem:
+    """The product over the pi_1-basis as a (p-1)^2 double loop of
+    ``ZqContext.mul``, then each pi_1^(p-1+t) folded back by
+    ``pi_xpow_table``."""
     ctx = x.ctx
     n = ctx.p - 1
     prod = [ctx.zero()] * (2 * n - 1)
@@ -48,7 +59,7 @@ def _schoolbook_mul(x: RamifiedElem, y: RamifiedElem) -> RamifiedElem:
         for j, b in enumerate(y.comps):
             if not b.is_zero():
                 prod[i + j] = prod[i + j] + ctx.mul(a, b)
-    table = ctx.pi_xpow_table()
+    table = pi_xpow_table(ctx)
     out = list(prod[:n])
     for t in range(n - 1):
         c = prod[n + t]
@@ -58,7 +69,7 @@ def _schoolbook_mul(x: RamifiedElem, y: RamifiedElem) -> RamifiedElem:
         for i in range(n):
             if row[i]:
                 out[i] = out[i] + c * row[i]
-    return RamifiedElem(ctx, tuple(out))
+    return PiElem(ctx, tuple(out))
 
 
 def test_smallest_irreducible_examples():
@@ -200,13 +211,13 @@ def test_precision_monotonicity():
 def test_valuation_basics():
     # in pi_1-units: p = 5 has valuation p - 1 = 4, pi_1 has 1
     ctx = make_context(5, 1, 6)
-    p_elem = ram_from_zq(ctx, ctx.from_int(5))
+    p_elem = from_pi(ram_from_zq(ctx, ctx.from_int(5)))
     assert p_elem.valuation() == 4 and type(p_elem.valuation()) is Fraction
-    pi = RamifiedElem(ctx, (ctx.zero(), ctx.one(), ctx.zero(), ctx.zero()))
+    pi = from_pi(PiElem(ctx, (ctx.zero(), ctx.one(), ctx.zero(), ctx.zero())))
     assert pi.valuation() == 1
     assert ctx.ram_zero().valuation() is None
     # p^5 * pi_1^3 is the smallest nonzero power of pi_1 below precision 6
-    assert RamifiedElem(ctx, (ctx.zero(),) * 3 + (ctx.from_int(5**5),)).valuation() == 23
+    assert from_pi(PiElem(ctx, (ctx.zero(),) * 3 + (ctx.from_int(5**5),))).valuation() == 23
 
 
 def test_valuation_multiplicative_on_certified_pairs():
@@ -215,8 +226,8 @@ def test_valuation_multiplicative_on_certified_pairs():
     for _ in range(25):
         comps_a = [ctx.from_int(rng.randrange(0, 30)) for _ in range(4)]
         comps_b = [ctx.from_int(rng.randrange(0, 30)) for _ in range(4)]
-        a = RamifiedElem(ctx, comps_a)
-        b = RamifiedElem(ctx, comps_b)
+        a = from_pi(PiElem(ctx, comps_a))
+        b = from_pi(PiElem(ctx, comps_b))
         if a.is_zero() or b.is_zero():
             continue
         va, vb, vab = a.valuation(), b.valuation(), (a * b).valuation()
@@ -226,27 +237,31 @@ def test_valuation_multiplicative_on_certified_pairs():
 
 def test_zeta_p_power():
     ctx = make_context(7, 1, 5)
-    assert zeta_p_power(ctx, 0) == ctx.ram_one()
-    assert zeta_p_power(ctx, 7) == ctx.ram_one()
+    assert zeta_p_power(ctx, 0) == pi_one(ctx) == to_pi(ctx.ram_one())
+    assert zeta_p_power(ctx, 7) == pi_one(ctx)
     assert zeta_p_power(ctx, -1) == zeta_p_power(ctx, 6)
-    total = ctx.ram_zero()
+    total = pi_zero(ctx)
     for n in range(7):
         total = total + zeta_p_power(ctx, n)
     assert total.is_zero()
 
 
 def test_zeta_p_power_is_multiplicative():
+    # over the pi_1-basis, and in the group ring
     ctx = make_context(5, 1, 6)
     for m in range(5):
         for n in range(5):
-            assert zeta_p_power(ctx, m) * zeta_p_power(ctx, n) == zeta_p_power(ctx, m + n)
+            want = zeta_p_power(ctx, m + n)
+            assert zeta_p_power(ctx, m) * zeta_p_power(ctx, n) == want
+            assert from_pi(zeta_p_power(ctx, m)) * from_pi(zeta_p_power(ctx, n)) == from_pi(want)
 
 
 def test_ramified_mul_matches_integer_model():
-    # compare against exact arithmetic in Z[zeta_5] via polynomial reduction
+    # compare against exact arithmetic in Z[zeta_5] via polynomial reduction,
+    # for the product over the pi_1-basis and the group-ring one
     ctx = make_context(5, 1, 8)
-    a = RamifiedElem(ctx, tuple(ctx.from_int(c) for c in (3, 0, 2, 1)))
-    b = RamifiedElem(ctx, tuple(ctx.from_int(c) for c in (1, 4, 0, 6)))
+    a = PiElem(ctx, tuple(ctx.from_int(c) for c in (3, 0, 2, 1)))
+    b = PiElem(ctx, tuple(ctx.from_int(c) for c in (1, 4, 0, 6)))
     import sympy
 
     x = sympy.symbols("x")
@@ -255,13 +270,14 @@ def test_ramified_mul_matches_integer_model():
     pb = 1 + 4 * x + 6 * x**3
     rem = sympy.rem(sympy.expand(pa * pb), phi, x)
     expected = [int(rem.coeff(x, k)) % ctx.pM for k in range(4)]
-    got = [c.coeffs[0] for c in (a * b).comps]
-    assert got == expected
+    assert [c.coeffs[0] for c in (a * b).comps] == expected
+    assert [c.coeffs[0] for c in to_pi(from_pi(a) * from_pi(b)).comps] == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 29, 43])
 @pytest.mark.parametrize("deg", [1, 2, 3, 5])
 def test_packed_product_against_schoolbook(p, deg):
+    # the product over the pi_1-basis, the oracle of the group ring's;
     # p = 2 has no pi-row to fold
     rng = random.Random(p * 100 + deg)
     for M in (1, rng.randrange(2, 20), 20):
@@ -269,8 +285,7 @@ def test_packed_product_against_schoolbook(p, deg):
         n, top = p - 1, ctx.pM - 1
 
         def elem(draw):
-            return RamifiedElem(ctx, [ctx.elem([draw() for _ in range(deg)])
-                                      for _ in range(n)])
+            return PiElem(ctx, [ctx.elem([draw() for _ in range(deg)]) for _ in range(n)])
 
         # all coefficients p^M - 1: the most carries a slot can take
         full = elem(lambda: top)
@@ -279,8 +294,8 @@ def test_packed_product_against_schoolbook(p, deg):
                   for _ in range(3)]
         sparse = [ctx.zero()] * n
         sparse[n - 1] = ctx.elem([top] * deg)
-        pairs.append((RamifiedElem(ctx, sparse), full))
-        pairs.append((ctx.ram_zero(), full))
+        pairs.append((PiElem(ctx, sparse), full))
+        pairs.append((pi_zero(ctx), full))
         for x, y in pairs:
             got = x * y
             assert got == _schoolbook_mul(x, y), (p, deg, M)
@@ -288,11 +303,64 @@ def test_packed_product_against_schoolbook(p, deg):
                        for z in got.comps for c in z.coeffs)
         # sums of products: no pair, one pair, all-maximal pairs, a mix
         for group in ([], pairs[1:2], [(full, full)] * 7, pairs + [(full, full)] * 3):
-            want = ctx.ram_zero()
+            want = pi_zero(ctx)
             for x, y in group:
                 want = want + _schoolbook_mul(x, y)
-            assert ctx.ram_dot(group) == want, (p, deg, M, len(group))
-            assert ctx.ram_dot(iter(group)) == want
+            assert ram_dot(ctx, group) == want, (p, deg, M, len(group))
+            assert ram_dot(ctx, iter(group)) == want
+
+
+def _random_ram(ctx, rng, draw=None):
+    """A random element over zeta_p^0..zeta_p^(p-2), coordinates by ``draw``."""
+    draw = draw or (lambda: rng.randrange(ctx.pM))
+    return RamifiedElem(ctx, [tuple(draw() for _ in range(ctx.deg))
+                              for _ in range(ctx.p - 1)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 11, 29])
+@pytest.mark.parametrize("deg", [1, 2, 3])
+def test_group_dot_against_ram_dot(p, deg):
+    # the group-ring sum of products, through the full change of basis,
+    # against the sum over the pi_1-basis, scaled or not
+    rng = random.Random(p * 10 + deg)
+    for M in (1, rng.randrange(2, 12)):
+        ctx = make_context(p, deg, M)
+        top = ctx.pM - 1
+        full = _random_ram(ctx, rng, lambda: top)
+        one_slot = RamifiedElem(ctx, [(0,) * deg] * (p - 2) + [(top,) * deg])
+        pairs = [(full, full), (one_slot, full), (ctx.ram_zero(), full), (ctx.ram_one(), full)]
+        pairs += [(_random_ram(ctx, rng), _random_ram(ctx, rng)) for _ in range(4)]
+        for group in ([], pairs[:1], pairs[2:4], pairs, pairs + [(full, full)] * 5):
+            want = ram_dot(ctx, [(to_pi(x), to_pi(y)) for x, y in group])
+            got = ctx.group_dot(group)
+            assert to_pi(got) == want, (p, deg, M, len(group))
+            assert from_pi(want) == got
+            assert all(type(c) is int and 0 <= c < ctx.pM for z in got.coords for c in z)
+            assert ctx.group_dot(iter(group), 1 + p) == from_pi(want.scale(1 + p))
+        if M > 1:
+            sums = [_random_ram(ctx, rng) for _ in range(min(3, p - 1))]
+            assert [to_pi(c) for c in _newton_coeffs(sums)] == exp_coeffs([to_pi(s) for s in sums])
+
+
+@pytest.mark.parametrize("p, deg, M", [(2, 1, 6), (3, 2, 5), (5, 1, 7), (7, 3, 4),
+                                       (11, 1, 9), (29, 2, 6), (43, 1, 3)])
+def test_early_exit_valuation_against_full_change_of_basis(p, deg, M):
+    # units, random elements, p^k Z_q[zeta_p] for every k up to M and
+    # elements that vanish mod p^M; each element also times pi_1^j
+    rng = random.Random(p * 1000 + deg * 10 + M)
+    ctx = make_context(p, deg, M)
+    elems = [ctx.ram_zero(), ctx.ram_one()] + [_random_ram(ctx, rng) for _ in range(4)]
+    for k in range(1, M + 1):
+        small = _random_ram(ctx, rng, lambda: rng.randrange(p ** (M - k)) * p**k % ctx.pM)
+        elems.append(small)
+    pis = [from_pi(PiElem(ctx, [ctx.one() if i == j else ctx.zero() for i in range(p - 1)]))
+           for j in range(p - 1)]
+    elems += [x * pis[rng.randrange(p - 1)] for x in list(elems)]
+    assert any(x.is_zero() for x in elems) and ctx.ram_zero().valuation() is None
+    for x in elems:
+        want = to_pi(x).valuation()
+        assert x.valuation() == want, (p, deg, M, x)
+        assert (want is None) == x.is_zero()
 
 
 def test_poly_divmod_and_products():
@@ -406,7 +474,7 @@ def _order(z, modulus, p):
 def test_zeta_basis_columns_are_zeta_powers():
     for (p, deg, M) in [(3, 1, 4), (5, 1, 6), (7, 2, 5), (29, 1, 12), (101, 1, 5)]:
         ctx = make_context(p, deg, M)
-        basis = ctx.zeta_basis()
+        basis = zeta_basis(ctx)
         assert basis.shape == (p - 1, p)
         for r in range(p):
             comps = zeta_p_power(ctx, r).comps
