@@ -5,8 +5,12 @@ additive character value depends only on the finite-field trace of f(x),
 the multiplicative character value only on the discrete log mod c, so one
 streaming pass over generator powers produces a (p x c) count matrix and
 the sum is assembled from p + c Teichmuller data afterwards.  The pass
-itself is vectorised: multiplication by a fixed field element is a linear
-map over F_p, so blocks of powers come from small matrix products.
+reads one trace table (``TraceTable``): with g the generator and N = q^k - 1,
+T[i] = Tr(g^i) is a linear recurring sequence, and g^(N/(p-1)) lies in
+F_p^*, so the first N/(p-1) traces and their F_p-multiples give them all.
+For x = g^j, Tr(x^d) and Tr(lambda x^e) with lambda = g^s are the strided
+slices T[dj mod N] and T[(s + ej) mod N]; blocks of them are added as big
+integers, slot by slot, and their values counted per class of j mod c.
 
 The twist is chi(Norm x), whose values are c-th roots of unity in Z_q,
 so every sum is assembled in the base ring Z_q[zeta_p] directly
@@ -36,21 +40,27 @@ the base-ring assembly, never the Dwork operator it is checked against.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-import numpy as np
-
+from .core_arith import charpoly_mod
 from .padic import (
     PrecisionError,
     RamifiedElem,
     ZqContext,
     ZqElem,
     make_context,
+    pack,
     poly_divmod,
     poly_eval_mod,
     poly_mul_mod,
     poly_pow_mod,
+    poly_trim,
+    unpack,
     x_walk,
 )
 from .polygon import Params, Polygon, hodge_polygon, lower_convex_hull
@@ -58,7 +68,15 @@ from .polygon import Params, Polygon, hodge_polygon, lower_convex_hull
 #: Default cap on field size for a single exponential sum.
 DEFAULT_BUDGET = 2 * 10**7
 
-_BLOCK = 1 << 14
+#: generator powers streamed and binned at a time
+_BLOCK = 1 << 16
+
+#: a trace table keeps whole cosets of F_p^* up to about this many bytes
+_TABLE_BYTES = 1 << 22
+
+#: bytes are counted by one ``bytes.count`` pass per value up to this p,
+#: and by a ``Counter`` past it
+_COUNT_PASSES = 56
 
 
 class BudgetExceededError(RuntimeError):
@@ -90,133 +108,330 @@ def default_precision(params: Params) -> int:
 # residue-field bulk enumeration
 
 
-def _mult_matrix(z, modulus, p, m) -> np.ndarray:
-    """Matrix of multiplication by z on the power basis of F_{p^m}: column
-    t is z * X^t, one step of ``x_walk`` from column t - 1."""
-    cols = x_walk(poly_divmod(z, modulus, p)[1], modulus[:m], p, m)
-    return np.array(cols, dtype=np.int64).T
+def min_poly(ctx: ZqContext) -> tuple[int, ...]:
+    """The minimal polynomial over F_p of the generator g of ctx's residue
+    field, monic and little-endian: det(x - M_g) for M_g multiplication by
+    g, of full degree since g generates the field."""
+    p, m = ctx.p, ctx.deg
+    cols = x_walk(ctx.generator, ctx.modulus[:m], p, m)  # column t: X^t g
+    return tuple(charpoly_mod([list(row) for row in zip(*cols)], p)[::-1])
 
 
-def _power_block(h, modulus, p, m, width) -> np.ndarray:
-    """Columns h^0 .. h^{width-1} as an (m, width) array, by doubling."""
-    P = np.zeros((m, width), dtype=np.int64)
-    P[0, 0] = 1
-    filled = 1
-    while filled < width:
-        take = min(filled, width - filled)
-        mat = _mult_matrix(poly_pow_mod(h, filled, modulus, p), modulus, p, m)
-        P[:, filled:filled + take] = (mat @ P[:, :take]) % p
-        filled += take
-    return P
+@lru_cache(maxsize=None)  # p < 128 and f < p: at most 1,720 tables
+def _byte_map(p: int, f: int) -> bytes:
+    """The ``bytes.translate`` table of x -> f x mod p on bytes x < 2p."""
+    return bytes(f * x % p for x in range(2 * p)) + bytes(256 - 2 * p)
 
 
-def _row_basis(rows, p, m) -> tuple[np.ndarray, np.ndarray]:
-    """An echelon basis of the F_p-span of length-m ``rows``, and each row's
-    coordinates.
+@lru_cache(maxsize=4096)
+def _plane_map(p: int, f: int, j: int) -> bytes:
+    """The ``bytes.translate`` table of x -> byte j of f x mod p."""
+    return bytes(f * x % p >> 8 * j & 255 for x in range(256))
 
-    Returns ``(basis, coords)``, an (r, m) and an (len(rows), r) array with
-    ``rows == coords @ basis`` mod p, where r is the rank.  Each basis
-    vector is zero at the pivots of the vectors before it, so reducing a
-    row against them in order leaves every earlier pivot at zero.
+
+class TraceTable:
+    """The traces T[i] = Tr(g^i) of F_{p^m}, g its generator, i < N = p^m - 1.
+
+    gamma = g^L, L = N/(p-1), is the norm of g and generates F_p^*, so
+    T[vL + u] = gamma^v T[u]: T[0..L) and the p - 1 scalings give every
+    trace.  T is a linear recurring sequence whose characteristic
+    polynomial is the minimal polynomial f of g (Lidl and Niederreiter,
+    Finite Fields, ch. 8).  With x^n = sum_i b_i x^i mod f, T[u + n] =
+    Tr(g^n g^u) = sum_i b_i T[u + i], so n terms give n - m + 1 more as one
+    sum of m scaled slices: the table doubles from its first m terms.  It
+    keeps r whole cosets, rL entries with r as large as ``_TABLE_BYTES``
+    allows (r = p - 1 keeps all N), and entry G rL + o is gamma^(rG) T[o].
+
+    Entries sit in slots wide enough for the sum of two: one byte while
+    p < 128, where ``bytes.translate`` scales and reduces them, else two,
+    four or eight bytes, scaled and reduced one integer at a time.  Two
+    streams add as big integers, slot by slot, with no carry.
     """
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    coords: list[list[int]] = []
-    for row in rows:
-        v = [int(x) % p for x in row]
-        f = []
-        for piv, b in zip(pivots, basis):
-            s = v[piv]
-            f.append(s)
-            if s:
-                v = [(x - s * y) % p for x, y in zip(v, b)]
+
+    def __init__(self, ctx: ZqContext):
+        p, m, g = ctx.p, ctx.deg, ctx.generator
+        self.p, self.N = p, p**m - 1
+        self.L = L = self.N // (p - 1)
+        self.code = _slot_code(2 * p - 2)
+        self.narrow = self.code == "B"  # p < 128
+        f = min_poly(ctx)
+        self.gamma = (-1)**m * f[0] % p  # the norm, (-1)^m f(0)
+        tr, seed, y = ctx.residue_traces(), [], (1,)
+        for _ in range(m):
+            seed.append(sum(map(operator.mul, y, tr)) % p)
+            y = poly_mul_mod(y, g, ctx.modulus, p)
+        b = poly_divmod((0,) * m + (1,), f, p)[1]  # x^n mod f for n entries
+        # x^-1 = -(f(x) - f(0)) / (x f(0)), and x^-(m-1) steps n to 2n - m + 1
+        x_inv = poly_trim(tuple(-c * pow(f[0], -1, p) % p for c in f[1:]))
+        back = poly_pow_mod(x_inv, m - 1, f, p)
+        self.r = r = min(p - 1, max(1, _TABLE_BYTES // (L * array(self.code).itemsize)))
+        self.span = r * L
+        self.table = array(self.code, [0]) * (r * L)
+        self.table[:m] = array(self.code, seed)
+        n = m
+        while n < L:
+            more = min(n - m + 1, L - n)
+            self._fill(n, more, [(i, bi) for i, bi in enumerate(b) if bi])
+            n += more
+            b = poly_mul_mod(poly_mul_mod(b, b, f, p), back, f, p)
+        # then whole cosets, doubling too: coset k + v is gamma^k times coset v
+        cosets = 1
+        while cosets < r:
+            more = min(cosets, r - cosets)
+            self._fill(cosets * L, more * L, [(0, pow(self.gamma, cosets, p))])
+            cosets += more
+        if self.narrow:
+            self.table = self.table.tobytes()
+
+    def _fill(self, dst: int, count: int, terms) -> None:
+        """Table entries dst + k, k < count, as the sums of coef times
+        entry src + k over the (src, coef) in ``terms``, a block at a time."""
+        for lo in range(0, count, _BLOCK):
+            hi = min(count, lo + _BLOCK)
+            acc = None
+            for src, coef in terms:
+                term = self.scale(self.cut(src + lo, src + hi), coef)
+                acc = term if acc is None else self.reduce(self.plus(acc, term))
+            self.table[dst + lo:dst + hi] = array(self.code, acc)
+
+    def view(self, data: bytes):
+        """The slots of ``data`` as a sequence of integers."""
+        return data if self.narrow else memoryview(data).cast(self.code)
+
+    def cut(self, start: int, stop: int, step: int = 1) -> bytes:
+        """Table entries start, start + step, ... before stop, as slots."""
+        part = self.table[start:stop:step]
+        return part if isinstance(part, bytes) else part.tobytes()
+
+    def scale(self, data: bytes, f: int) -> bytes:
+        """Each slot times f, mod p.  A wide slot x is sum_k x_k 256^k by
+        bytes, so x f is the sum over k of the slots x_k (256^k f mod p),
+        each made by one ``bytes.translate`` per output byte."""
+        p = self.p
+        if f == 1:
+            return data
+        if self.narrow:
+            return data.translate(_byte_map(p, f))
+        w = array(self.code).itemsize
+        acc = None
+        for k in range(w):
+            plane, term = data[k::w], bytearray(len(data))
+            for j in range(w):
+                term[j::w] = plane.translate(_plane_map(p, f * 256**k % p, j))
+            acc = bytes(term) if acc is None else self.reduce(self.plus(acc, term))
+        return acc
+
+    @staticmethod
+    def plus(x: bytes, y: bytes) -> bytes:
+        """The slot-wise sum of two streams of residues, each slot below 2p."""
+        return (int.from_bytes(x, "little") + int.from_bytes(y, "little")).to_bytes(len(x), "little")
+
+    def reduce(self, data: bytes) -> bytes:
+        """Each slot, below 2p, mod p.  A wide slot of b bits subtracts p
+        where y + 2^(b-1) - p sets its top bit, which never carries out as
+        p <= 2^(b-1)."""
+        p = self.p
+        if self.narrow:
+            return data.translate(_byte_map(p, 1))
+        w = array(self.code).itemsize
+        ones = int.from_bytes(b"\x01".ljust(w, b"\0") * (len(data) // w), "little")
+        y = int.from_bytes(data, "little")
+        high = (y + ((1 << 8 * w - 1) - p) * ones) >> 8 * w - 1 & ones
+        return (y - high * p).to_bytes(len(data), "little")
+
+    def stream(self, start: int, step: int, count: int) -> bytes:
+        """T[(start + step i) mod N] for i < count: strided slices of the
+        table, one per group of r cosets crossed, group G scaled by
+        gamma^(rG)."""
+        N, span = self.N, self.span
+        if count > 1 and not step % N:  # one entry, repeated
+            return self.stream(start, 1, 1) * count
+        parts, pos = [], start % N
+        while count:
+            G, o = divmod(pos, span)
+            n = min(count, (min(span, N - G * span) - 1 - o) // step + 1)
+            parts.append(self.scale(self.cut(o, o + (n - 1) * step + 1, step),
+                                    pow(self.gamma, self.r * G, self.p)))
+            pos = (pos + n * step) % N
+            count -= n
+        return b"".join(parts)
+
+    def bin(self, sums: bytes, j0: int, out: list[list[int]]) -> None:
+        """out[t][j mod c] += the slots of ``sums``, those of x = g^j for j
+        from j0, that are t mod p; c is len(out[0])."""
+        p, c = self.p, len(out[0])
+        by_count = self.narrow and p <= _COUNT_PASSES
+        view = self.view(self.reduce(sums))
+        for mm in range(c):
+            part = view[(mm - j0) % c::c]
+            if by_count:
+                left = len(part)
+                for t in range(p - 1):
+                    n = part.count(t)
+                    out[t][mm] += n
+                    left -= n
+                out[p - 1][mm] += left
+            else:
+                for t, n in Counter(part).items():
+                    out[t][mm] += n
+
+    def bin_keys(self, streams: list[bytes], j0: int, hists: list[Counter]) -> None:
+        """hists[j mod c] counts the keys sum_i a_i p^(n-1-i) of the slots
+        a_0..a_(n-1) of the n ``streams`` at x = g^j, for j from j0.  The
+        keys are made slot by slot in big integers, in slots widened to
+        hold p^n."""
+        p, c = self.p, len(hists)
+        code = _slot_code(p ** len(streams) - 1)
+        keys = 0
+        for stream in streams:
+            wide = _widen(stream, self.code, code)
+            keys = keys * p + int.from_bytes(wide, "little")
+        view = memoryview(keys.to_bytes(len(wide), "little")).cast(code)
+        for mm, hist in enumerate(hists):
+            hist.update(view[(mm - j0) % c::c])
+
+
+def _slot_code(top: int) -> str:
+    """The narrowest unsigned ``array`` type code whose slots hold ``top``."""
+    return next(code for code in "BHIQ" if top >> 8 * array(code).itemsize == 0)
+
+
+def _widen(data: bytes, code: str, wide: str) -> bytes:
+    """The slots of ``data`` of type ``code`` as slots of type ``wide``."""
+    w_in, w_out = array(code).itemsize, array(wide).itemsize
+    out = bytearray(len(data) // w_in * w_out)
+    for k in range(w_in):  # little-endian: byte k of each slot stays byte k
+        out[k::w_out] = data[k::w_in]
+    return bytes(out)
+
+
+def _powers(ctx: ZqContext, logs: list[int]) -> list[tuple[int, ...]]:
+    """The residues g^s for the ``logs`` s, g the generator of ctx's
+    residue field: one product a log along the sorted logs, and one power
+    a distinct gap between them."""
+    p, modulus = ctx.p, ctx.modulus
+    found, steps, x, at = {}, {}, (1,), 0
+    for s in sorted(set(logs)):
+        if s - at not in steps:
+            steps[s - at] = poly_pow_mod(ctx.generator, s - at, modulus, p)
+        x = poly_mul_mod(x, steps[s - at], modulus, p)
+        found[s], at = x, s
+    return [found[s] for s in logs]
+
+
+def _basis(vecs: list[tuple[int, ...]], p: int) -> tuple[list[int], list[list[int]]]:
+    """A maximal F_p-independent subset of ``vecs``, as indices, and each
+    vector's coordinates over it.
+
+    Forward elimination: each echelon row keeps its pivot and its
+    expression in the chosen vectors, so a vector that reduces to zero
+    reads its coordinates off the rows it was reduced by, and one that
+    does not joins the basis."""
+    basis: list[int] = []
+    rows: list[tuple[int, list[int], list[int]]] = []  # (pivot, row, expression)
+    coords = []
+    for li, vec in enumerate(vecs):
+        v, took = list(vec), []
+        for piv, row, _ in rows:
+            f = v[piv] * pow(row[piv], -1, p) % p
+            took.append(f)
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        expr = [0] * len(basis)
+        for f, (_, _, e) in zip(took, rows):
+            expr = [(x + f * y) % p for x, y in zip(expr, e + [0] * (len(basis) - len(e)))]
         piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is not None:
-            inv = pow(v[piv], -1, p)
-            f.append(v[piv])
-            basis.append([x * inv % p for x in v])
-            pivots.append(piv)
-        coords.append(f)
+        if piv is not None:  # v = vec - sum f row: vec is a new basis vector
+            basis.append(li)
+            rows.append((piv, v, [-x % p for x in expr] + [1]))
+            expr = [0] * (len(basis) - 1) + [1]
+        coords.append(expr)
     r = len(basis)
-    coords_arr = np.zeros((len(rows), r), dtype=np.int64)
-    for li, f in enumerate(coords):
-        coords_arr[li, :len(f)] = f
-    return np.array(basis, dtype=np.int64).reshape(r, m), coords_arr
+    return basis, [x + [0] * (r - len(x)) for x in coords]
 
 
-def joint_histogram_fits(p: int, r: int, c: int, n_lam: int, width: int) -> bool:
-    """Whether the joint (Tr x^d, z, j mod c) histogram is worth binning.
+def joint_pays(p: int, c: int, n_lam: int, r: int, total: int, narrow: bool) -> bool:
+    """Whether ``n_lam`` coefficients spanning rank r are counted faster
+    from the joint histogram than one by one.
 
-    It has p^(r+1) * c bins; it is used only while that is no larger than
-    the per-coefficient output (n_lam * p * c) or one block of powers, so
-    the pass never holds more than those already need.
+    A cost model in nanoseconds, measured on a 2-vCPU x86 host with
+    CPython 3.11.  One by one, each coefficient costs min(p, 50) + 20 per
+    field element and 500 per count call (p c of them) with byte slots,
+    and 150 per element with wider ones.  The joint histogram costs
+    80 + 10 r per element, 300 per cell (p^(r+1) c of them) and a fold of
+    1000 p^r per coefficient and class.
     """
-    return p**(r + 1) * c <= max(n_lam * p * c, width)
+    one_by_one = (total * (min(p, 50) + 20) + 500 * p * c) if narrow else 150 * total
+    return n_lam * one_by_one > (total * (80 + 10 * r) + 300 * p**(r + 1) * c
+                                 + 1000 * n_lam * c * p**r)
 
 
-def trace_count_matrix(p, m, ctx, lam_vecs, d_exp, e_exp, c,
-                       block=_BLOCK) -> np.ndarray:
-    """Counts N[l, r, j mod c] over x = g^j of Tr(x^d + lam_l * x^e) = r.
+def _fold(hists: list[Counter], coords, counts, p: int) -> None:
+    """counts[l][t][mm] += the cells of class mm with a + sum_i coords[l][i]
+    b_i = t, for cells (a, b_1..b_r) keyed a p^r + sum_i b_i p^(r-i).
 
-    ``ctx`` is the context of F_{p^m}, g its generator.  One pass over the
-    q^k - 1 generator powers serves every coefficient in ``lam_vecs``:
-    Tr(lam * y) = row_lam . y is linear in the coordinates y of x^e, and
-    the rows row_lam span a space of rank r <= min(#lam, a).  The pass
-    reads z, the projection of y onto a basis of that span, and
-    Tr(lam_l * y) = coords[l] . z.  When ``joint_histogram_fits``, it bins
-    (Tr x^d, z, j mod c) and folds each coefficient's counts out
-    afterwards; otherwise it bins each coefficient's trace directly.
+    Each row (b_1..b_r) of a class, its counts over a, is packed into one
+    integer, p slots wide enough for the class's total.  Turning it by
+    sum_i coords[l][i] b_i slots moves the count of each cell to the slot
+    of its trace, so the sum of the turned rows holds the class's counts.
     """
-    modulus, g = ctx.modulus, ctx.generator
-    total = p**m - 1
+    r = len(coords[0])
+    for mm, hist in enumerate(hists):
+        nbytes = -(-sum(hist.values()).bit_length() // 8) or 1
+        bits, top = 8 * nbytes, 8 * nbytes * p
+        mask = (1 << top) - 1
+        rows = [pack([hist.get(a * p**r + b, 0) for a in range(p)], nbytes)
+                for b in range(p**r)]
+        for li, lam in enumerate(coords):
+            turns = [0]
+            for f in lam:
+                turns = [(t + f * b) % p for t in turns for b in range(p)]
+            acc = 0
+            for row, turn in zip(rows, turns):
+                if row:
+                    shift = turn * bits
+                    acc += (row << shift & mask) | row >> (top - shift)
+            for t, n in enumerate(unpack(acc, nbytes, p)):
+                counts[li][t][mm] += n
+
+
+def trace_count_matrix(p: int, m: int, ctx: ZqContext, lam_logs: list[int],
+                       d_exp: int, e_exp: int, c: int,
+                       block: int = _BLOCK) -> list[list[list[int]]]:
+    """Counts N[l][t][j mod c] over x = g^j of Tr(x^d + lam_l * x^e) = t.
+
+    ``ctx`` is the context of F_{p^m}, g its generator, N = p^m - 1, and
+    lam_l = g^(s_l) for the logs s_l in ``lam_logs``.  The traces of x^d
+    and lam_l x^e are T[dj mod N] and T[(s_l + ej) mod N], two strided
+    streams of one ``TraceTable``.  Per block of j, each coefficient's
+    stream is added to that of x^d and its sums are counted per class of
+    j mod c.  Tr(lam x^e) is F_p-linear in lam, so when the coefficients
+    span a small space over F_p (rank at most a when they lie in F_{p^a},
+    1 at a = 1), the pass may instead bin the joint histogram of Tr x^d and
+    the Tr(w_i x^e), w_i a basis among them, and fold it by each
+    coefficient's coordinates; ``joint_pays`` decides.
+    """
+    table = TraceTable(ctx)
+    total = table.N
+    counts = [[[0] * c for _ in range(p)] for _ in lam_logs]
+    joint = False
+    if len(lam_logs) > 1:
+        basis, coords = _basis([(vec + (0,) * m)[:m] for vec in _powers(ctx, lam_logs)], p)
+        joint = joint_pays(p, c, len(lam_logs), len(basis), total, table.narrow)
+    hists = [Counter() for _ in range(c)] if joint else None
     width = min(block, total)
-    tr = np.array(ctx.residue_traces(), dtype=np.int64)
-    h_d = poly_pow_mod(g, d_exp, modulus, p)
-    h_e = poly_pow_mod(g, e_exp, modulus, p)
-    P_d = _power_block(h_d, modulus, p, m, width)
-    P_e = _power_block(h_e, modulus, p, m, width)
-    step_d = _mult_matrix(poly_pow_mod(h_d, width, modulus, p), modulus, p, m)
-    step_e = _mult_matrix(poly_pow_mod(h_e, width, modulus, p), modulus, p, m)
-    n_lam = len(lam_vecs)
-    basis, coords = _row_basis([(tr @ _mult_matrix(vec, modulus, p, m)) % p
-                                for vec in lam_vecs], p, m)
-    r = len(basis)
-    joint = joint_histogram_fits(p, r, c, n_lam, width)
-    if joint:
-        z_place = p ** np.arange(r, dtype=np.int64)
-        bins = np.zeros(p**(r + 1) * c, dtype=np.int64)
-    else:
-        counts = np.zeros((n_lam, p * c), dtype=np.int64)
-    # the trace rows at the block's first power x = g^j0, one product a block
-    row_d, rows_e = tr, basis
-    j0 = 0
-    while j0 < total:
+    for j0 in range(0, total, width):
         nb = min(width, total - j0)
-        alpha = (row_d @ P_d[:, :nb]) % p
-        z = (rows_e @ P_e[:, :nb]) % p
-        jmod = (j0 + np.arange(nb, dtype=np.int64)) % c
+        traces_d = table.stream(d_exp * j0, d_exp, nb)
         if joint:
-            keys = (alpha * p**r + z_place @ z) * c + jmod
-            bins += np.bincount(keys, minlength=bins.size)
-        else:
-            for li in range(n_lam):
-                t_vals = (alpha + coords[li] @ z) % p
-                counts[li] += np.bincount(t_vals * c + jmod, minlength=p * c)
-        row_d = (row_d @ step_d) % p
-        rows_e = (rows_e @ step_e) % p
-        j0 += nb
-    if not joint:
-        return counts.reshape(n_lam, p, c)
-    # bin b = alpha * p^r + sum_i z_i p^i; its trace under lam_l is
-    # alpha + coords[l] . z
-    cells = np.arange(p**(r + 1), dtype=np.int64)
-    alpha = cells // p**r
-    z_digits = (cells[:, None] // z_place) % p
-    bins = bins.reshape(p**(r + 1), c)
-    out = np.zeros((n_lam, p, c), dtype=np.int64)
-    for li in range(n_lam):
-        np.add.at(out[li], (alpha + z_digits @ coords[li]) % p, bins)
-    return out
+            table.bin_keys([traces_d] + [table.stream(lam_logs[i] + e_exp * j0, e_exp, nb)
+                                         for i in basis], j0, hists)
+            continue
+        for s, out in zip(lam_logs, counts):
+            table.bin(table.plus(traces_d, table.stream(s + e_exp * j0, e_exp, nb)), j0, out)
+    if joint:
+        _fold(hists, coords, counts, p)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +443,16 @@ class SubfieldDescent:
 
     The twist chi(Norm x) takes c-th roots of unity, which lie in Z_q, so
     each sum is assembled over the base ring from its (p, c) counts.  One
-    embedding iota of F_q in F_{q^k}, sending X to a root z of the base
-    modulus, serves both sides: coefficient index l is iota(g)^l in the
-    enumeration, and with ell the index where iota(g)^((q-1)/c * ell) =
-    g_big^((q^k-1)/c), class mm of x = g_big^j (j = mm mod c) weighs
-    V_mm = Teich(g^(-u * ell * mm)).  Any embedding gives the same sums,
-    as a Frobenius power only permutes the field elements.
+    embedding iota of F_q in F_{q^k} serves both sides.  It sends the base
+    generator g to h^t, h = g_big^((q^k-1)/(q-1)), for the least t that
+    makes h^t a root of g's minimal polynomial, found by one walk over
+    F_q^* (at k = 1 iota is the identity and t = 1).  So coefficient index
+    l is g_big^(l s_1) with s_1 = t (q^k-1)/(q-1), a log shift of the
+    trace table, and with ell = t^-1 mod c, the index where
+    iota(g)^((q-1)/c * ell) = g_big^((q^k-1)/c), class mm of x = g_big^j
+    (j = mm mod c) weighs V_mm = Teich(g^(-u * ell * mm)).  Any embedding
+    gives the same sums, as a Frobenius power only permutes the field
+    elements.
     """
 
     def __init__(self, params: Params, big: ZqContext):
@@ -241,30 +460,32 @@ class SubfieldDescent:
         q, Qk1 = p**a, p**big.deg - 1
         self.big = big
         self.base = base = make_context(p, a, big.M)
-        z = ()  # a = 1: the base modulus is X, whose root is 0
-        if big.deg == a > 1:  # k = 1: the two moduli agree, so X is a root
-            z = (0, 1)
-        elif a > 1:  # the roots lie among the elements of order dividing q - 1
+        t = 1  # k = 1: the fields and their generators agree
+        if big.deg > a:
             h = poly_pow_mod(big.generator, Qk1 // (q - 1), big.modulus, p)
-            z = (1,)
-            while poly_eval_mod(base.modulus, z, big.modulus, p):
-                z = poly_mul_mod(z, h, big.modulus, p)
-        # the base generator's residue image: index l maps to its l-th power
-        self._lam_base = poly_eval_mod(base.generator, z, big.modulus, p)
-        root = poly_pow_mod(self._lam_base, (q - 1) // c, big.modulus, p)
-        want = poly_pow_mod(big.generator, Qk1 // c, big.modulus, p)
-        ell = next(i for i in range(c) if poly_pow_mod(root, i, big.modulus, p) == want)
+            if a == 1:  # h and g lie in F_p, and the walk is one of integers
+                t = next(t for t in range(p - 1) if pow(h[0], t, p) == base.generator[0])
+            else:
+                f, t, z = min_poly(base), 0, (1,)
+                while poly_eval_mod(f, z, big.modulus, p):
+                    z = poly_mul_mod(z, h, big.modulus, p)
+                    t += 1
+        self._log_g = t * (Qk1 // (q - 1)) % Qk1
+        ell = pow(t, -1, c)
         w = base.teichmuller(poly_pow_mod(base.generator, -params.u * ell % (q - 1),
                                           base.modulus, p))
         self.V = [base.pow(w, mm) for mm in range(c)]
-        self._V_rows = np.array([v.coeffs for v in self.V], dtype=object)
 
-    def weigh(self, counts) -> np.ndarray:
-        """Row i of the (n, c) array ``counts`` weighted by the character:
-        sum_mm counts[i, mm] * V_mm, as an (n, deg) integer array mod p^M."""
-        return (np.asarray(counts, dtype=object) @ self._V_rows) % self.base.pM
+    def weigh(self, counts) -> list[tuple[int, ...]]:
+        """Row i of ``counts``, n rows of c counts, weighted by the
+        character: sum_mm counts[i][mm] * V_mm, as n X-coefficient tuples
+        mod p^M."""
+        pM = self.base.pM
+        columns = list(zip(*(v.coeffs for v in self.V)))
+        return [tuple(sum(map(operator.mul, row, col)) % pM for col in columns)
+                for row in counts]
 
-    def descend_ram(self, counts: np.ndarray, conjugate: bool = False) -> RamifiedElem:
+    def descend_ram(self, counts, conjugate: bool = False) -> RamifiedElem:
         """sum_r zeta_p^r * acc_r with acc_r the r-th row of ``weigh``, over
         1, zeta_p, ..., zeta_p^(p-2): zeta_p^(p-1) = -(1 + ... + zeta_p^(p-2))
         takes count row p - 1 off the others before they are weighed.  With
@@ -272,24 +493,21 @@ class SubfieldDescent:
         (r, mm) weighs zeta_p^-r V_-mm, an index permutation of the counts.
         """
         if conjugate:
-            p, c = counts.shape
-            counts = counts[-np.arange(p) % p][:, -np.arange(c) % c]
-        return RamifiedElem(self.base, map(tuple, self.weigh(counts[:-1] - counts[-1]).tolist()))
+            p, c = len(counts), len(counts[0])
+            counts = [[counts[-r % p][-mm % c] for mm in range(c)] for r in range(p)]
+        last = counts[-1]
+        return RamifiedElem(self.base, self.weigh([[x - y for x, y in zip(row, last)]
+                                                   for row in counts[:-1]]))
+
+    def lambda_logs(self, lam_indices: list[int]) -> list[int]:
+        """Discrete logs, to the base g_big, of the embedded binomial
+        coefficients: index l maps to iota(g)^l = g_big^(l s_1)."""
+        return [li * self._log_g % (self.big.p**self.big.deg - 1) for li in lam_indices]
 
     def lambda_residues(self, lam_indices: list[int]) -> list[tuple[int, ...]]:
-        """Residue vectors of the embedded binomial coefficients.
-
-        Index l maps to the l-th power of the base generator's image, which
-        has order dividing q - 1.  One walk through those powers, over the
-        sorted indices, makes fewer than q products.
-        """
-        big, q = self.big, self.base.p**self.base.deg
-        found, res, at = {}, (1,), 0
-        for lam in sorted({li % (q - 1) for li in lam_indices}):
-            for _ in range(lam - at):
-                res = poly_mul_mod(res, self._lam_base, big.modulus, big.p)
-            found[lam], at = res, lam
-        return [found[li % (q - 1)] for li in lam_indices]
+        """Residue vectors of the embedded binomial coefficients, the
+        powers of g_big at their ``lambda_logs``."""
+        return _powers(self.big, self.lambda_logs(lam_indices))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +520,7 @@ class ClassicalSum:
     values in the base ring Z_q[zeta_p]."""
 
     k: int
-    counts: np.ndarray  # (p, c) int64
+    counts: list[list[int]]  # p rows of c counts
     value: RamifiedElem
     conj_value: RamifiedElem | None = None  # the complex conjugate
 
@@ -316,8 +534,7 @@ def classical_sums_multi(params: Params, k: int, lam_indices: list[int],
     the conjugate characters chi^-1 and psi^-1, from the same counts.
     """
     big, descent = _field(params, k, M, budget)
-    lam_vecs = descent.lambda_residues(lam_indices)
-    counts = trace_count_matrix(params.p, big.deg, big, lam_vecs,
+    counts = trace_count_matrix(params.p, big.deg, big, descent.lambda_logs(lam_indices),
                                 params.d, params.e, params.c)
     return {lam_index: ClassicalSum(k, counts[li], descent.descend_ram(counts[li]),
                                     descent.descend_ram(counts[li], conjugate=True)
@@ -396,7 +613,7 @@ def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
         for jj in range(1, J + 1):
             ff = ff * (t - jj + 1) % pM
             bucket[jj] += ff
-    rows = descent.weigh(np.array(acc, dtype=object).T).tolist()
+    rows = descent.weigh(list(zip(*acc)))
     coeffs = [descent.base.elem(row) * pow(math.factorial(jj) % pM, -1, pM)
               for jj, row in enumerate(rows)]
     return TadicSum(k=k, J=J, coeffs=coeffs)

@@ -177,11 +177,15 @@ def smallest_irreducible(p: int, deg: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def find_generator(p: int, deg: int) -> tuple[int, ...]:
-    """Smallest-encoded generator of the multiplicative group of F_{p^deg}."""
+    """Smallest-encoded generator of the multiplicative group of F_{p^deg}.
+
+    Code 0 is no unit, and for deg >= 2 no constant generates either (its
+    order divides p - 1), so the search starts past the p constant codes.
+    """
     modulus = smallest_irreducible(p, deg)
     order = p**deg - 1
     primes = prime_factors(order)
-    for elem in itertools.islice(_codes(p, deg), 1, None):  # code 0 is no unit
+    for elem in itertools.islice(_codes(p, deg), p if deg > 1 else 1, None):
         z = poly_trim(elem)
         if all(poly_pow_mod(z, order // r, modulus, p) != (1,) for r in primes):
             return z

@@ -5,6 +5,8 @@ independent side of the checks on the program.
   tight edges and the matching count are checked against, the
   overflow-count matching with its residue columns, and the sum of y over
   the representable optimal set (``v_exponent``)
+- the residue fields: the generator search over every code, and the numpy
+  enumeration kernel that counts traces by small matrix products
 - the unramified ring: unit inverses, Newton lifting of roots, the lifted
   Frobenius, and the companion-matrix traces
 - the ramified ring over the pi_1-basis: its packed product with the
@@ -32,7 +34,13 @@ from twistnp.combinatorics import (
     optimal_perm_sets,
     xy_decomposition,
 )
-from twistnp.core_arith import INFINITY, artin_hasse_coeffs, min_phi, min_residue
+from twistnp.core_arith import (
+    INFINITY,
+    artin_hasse_coeffs,
+    min_phi,
+    min_residue,
+    prime_factors,
+)
 from twistnp.dwork import PiSeries, PsiMatrix
 from twistnp.lfunction import (
     DEFAULT_BUDGET,
@@ -49,9 +57,11 @@ from twistnp.padic import (
     checked_pairs,
     make_context,
     pack,
+    poly_divmod,
     poly_pow_mod,
     poly_trim,
     slot_bytes,
+    smallest_irreducible,
     unpack,
     x_walk,
 )
@@ -175,6 +185,156 @@ def corners(poly: Polygon) -> list[tuple[int, Fraction]]:
             out.append((n, poly.values[n]))
     if poly.n_max >= 1:
         out.append((poly.n_max, poly.values[poly.n_max]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the residue fields: the generator search and the vectorised enumeration
+
+
+def find_generator_every_code(p: int, deg: int) -> tuple[int, ...]:
+    """``padic.find_generator`` without its skip: every code from 1 on is
+    tried, the constants included."""
+    modulus = smallest_irreducible(p, deg)
+    order = p**deg - 1
+    primes = prime_factors(order)
+    for code in range(1, p**deg):
+        z = poly_trim(tuple(code // p**i % p for i in range(deg)))
+        if all(poly_pow_mod(z, order // r, modulus, p) != (1,) for r in primes):
+            return z
+    raise AssertionError("no generator found")
+
+
+def mult_matrix(z, modulus, p, m) -> np.ndarray:
+    """Matrix of multiplication by z on the power basis of F_{p^m}: column
+    t is z * X^t, one step of ``x_walk`` from column t - 1."""
+    cols = x_walk(poly_divmod(z, modulus, p)[1], modulus[:m], p, m)
+    return np.array(cols, dtype=np.int64).T
+
+
+def power_block(h, modulus, p, m, width) -> np.ndarray:
+    """Columns h^0 .. h^{width-1} as an (m, width) array, by doubling."""
+    P = np.zeros((m, width), dtype=np.int64)
+    P[0, 0] = 1
+    filled = 1
+    while filled < width:
+        take = min(filled, width - filled)
+        mat = mult_matrix(poly_pow_mod(h, filled, modulus, p), modulus, p, m)
+        P[:, filled:filled + take] = (mat @ P[:, :take]) % p
+        filled += take
+    return P
+
+
+def row_basis(rows, p, m) -> tuple[np.ndarray, np.ndarray]:
+    """An echelon basis of the F_p-span of length-m ``rows``, and each row's
+    coordinates.
+
+    Returns ``(basis, coords)``, an (r, m) and an (len(rows), r) array with
+    ``rows == coords @ basis`` mod p, where r is the rank.  Each basis
+    vector is zero at the pivots of the vectors before it, so reducing a
+    row against them in order leaves every earlier pivot at zero.
+    """
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    coords: list[list[int]] = []
+    for row in rows:
+        v = [int(x) % p for x in row]
+        f = []
+        for piv, b in zip(pivots, basis):
+            s = v[piv]
+            f.append(s)
+            if s:
+                v = [(x - s * y) % p for x, y in zip(v, b)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is not None:
+            inv = pow(v[piv], -1, p)
+            f.append(v[piv])
+            basis.append([x * inv % p for x in v])
+            pivots.append(piv)
+        coords.append(f)
+    r = len(basis)
+    coords_arr = np.zeros((len(rows), r), dtype=np.int64)
+    for li, f in enumerate(coords):
+        coords_arr[li, :len(f)] = f
+    return np.array(basis, dtype=np.int64).reshape(r, m), coords_arr
+
+
+def joint_histogram_fits(p: int, r: int, c: int, n_lam: int, width: int) -> bool:
+    """Whether the joint (Tr x^d, z, j mod c) histogram is worth binning.
+
+    It has p^(r+1) * c bins; it is used only while that is no larger than
+    the per-coefficient output (n_lam * p * c) or one block of powers, so
+    the pass never holds more than those already need.
+    """
+    return p**(r + 1) * c <= max(n_lam * p * c, width)
+
+
+def trace_count_matrix_numpy(p, m, ctx, lam_vecs, d_exp, e_exp, c,
+                             block=1 << 14) -> np.ndarray:
+    """Counts N[l, r, j mod c] over x = g^j of Tr(x^d + lam_l * x^e) = r,
+    for the coefficients' residue vectors ``lam_vecs``: the numpy kernel
+    that ``lfunction.trace_count_matrix`` replaced.
+
+    ``ctx`` is the context of F_{p^m}, g its generator.  One pass over the
+    q^k - 1 generator powers serves every coefficient in ``lam_vecs``:
+    Tr(lam * y) = row_lam . y is linear in the coordinates y of x^e, and
+    the rows row_lam span a space of rank r <= min(#lam, a).  The pass
+    reads z, the projection of y onto a basis of that span, and
+    Tr(lam_l * y) = coords[l] . z.  When ``joint_histogram_fits``, it bins
+    (Tr x^d, z, j mod c) and folds each coefficient's counts out
+    afterwards; otherwise it bins each coefficient's trace directly.
+    Blocks of powers come from small matrix products: multiplication by a
+    fixed field element is a linear map over F_p.
+    """
+    modulus, g = ctx.modulus, ctx.generator
+    total = p**m - 1
+    width = min(block, total)
+    tr = np.array(ctx.residue_traces(), dtype=np.int64)
+    h_d = poly_pow_mod(g, d_exp, modulus, p)
+    h_e = poly_pow_mod(g, e_exp, modulus, p)
+    P_d = power_block(h_d, modulus, p, m, width)
+    P_e = power_block(h_e, modulus, p, m, width)
+    step_d = mult_matrix(poly_pow_mod(h_d, width, modulus, p), modulus, p, m)
+    step_e = mult_matrix(poly_pow_mod(h_e, width, modulus, p), modulus, p, m)
+    n_lam = len(lam_vecs)
+    basis, coords = row_basis([(tr @ mult_matrix(vec, modulus, p, m)) % p
+                               for vec in lam_vecs], p, m)
+    r = len(basis)
+    joint = joint_histogram_fits(p, r, c, n_lam, width)
+    if joint:
+        z_place = p ** np.arange(r, dtype=np.int64)
+        bins = np.zeros(p**(r + 1) * c, dtype=np.int64)
+    else:
+        counts = np.zeros((n_lam, p * c), dtype=np.int64)
+    # the trace rows at the block's first power x = g^j0, one product a block
+    row_d, rows_e = tr, basis
+    j0 = 0
+    while j0 < total:
+        nb = min(width, total - j0)
+        alpha = (row_d @ P_d[:, :nb]) % p
+        z = (rows_e @ P_e[:, :nb]) % p
+        jmod = (j0 + np.arange(nb, dtype=np.int64)) % c
+        if joint:
+            keys = (alpha * p**r + z_place @ z) * c + jmod
+            bins += np.bincount(keys, minlength=bins.size)
+        else:
+            for li in range(n_lam):
+                t_vals = (alpha + coords[li] @ z) % p
+                counts[li] += np.bincount(t_vals * c + jmod, minlength=p * c)
+        row_d = (row_d @ step_d) % p
+        rows_e = (rows_e @ step_e) % p
+        j0 += nb
+    if not joint:
+        return counts.reshape(n_lam, p, c)
+    # bin b = alpha * p^r + sum_i z_i p^i; its trace under lam_l is
+    # alpha + coords[l] . z
+    cells = np.arange(p**(r + 1), dtype=np.int64)
+    alpha = cells // p**r
+    z_digits = (cells[:, None] // z_place) % p
+    bins = bins.reshape(p**(r + 1), c)
+    out = np.zeros((n_lam, p, c), dtype=np.int64)
+    for li in range(n_lam):
+        np.add.at(out[li], (alpha + z_digits @ coords[li]) % p, bins)
     return out
 
 

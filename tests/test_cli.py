@@ -762,6 +762,16 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "set()"
 
 
+def test_cli_import_leaves_numpy_out():
+    # the runtime is the standard library alone; numpy serves the tests
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twistnp.__file__)))
+    code = "import sys, twistnp.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 

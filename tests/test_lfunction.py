@@ -14,12 +14,17 @@ from oracles import (
     congruent_mod_pi,
     exp_sum_classical,
     exp_sum_Tadic_walk,
+    find_generator_every_code,
     frobenius,
+    joint_histogram_fits,
     lift_root,
+    mult_matrix,
     pi_xpow_table,
     pi_zero,
+    power_block,
     ram_from_zq,
     to_pi,
+    trace_count_matrix_numpy,
     zeta_p_power,
 )
 from twistnp.lfunction import (
@@ -30,22 +35,20 @@ from twistnp.lfunction import (
     LFunctionData,
     Route,
     SmallPrimeError,
+    TraceTable,
     _descent_for,
-    _mult_matrix,
-    _power_block,
     classical_l_function,
     classical_route,
     classical_sums_multi,
     default_precision,
     exp_sum_Tadic,
-    joint_histogram_fits,
     l_polynomial,
     newton_polygon_classical,
     reflect_valuations,
     route_sums_by_lambda,
     trace_count_matrix,
 )
-from twistnp.padic import make_context, poly_mul_mod, poly_pow_mod, x_walk
+from twistnp.padic import find_generator, make_context, poly_mul_mod, poly_pow_mod, x_walk
 from twistnp.polygon import (
     Params,
     hodge_polygon,
@@ -95,9 +98,9 @@ def _per_lambda_counts(p, m, modulus, g, lam_vecs, d_exp, e_exp, c, block=1 << 1
                   dtype=np.int64)
     h_d = poly_pow_mod(g, d_exp, modulus, p)
     h_e = poly_pow_mod(g, e_exp, modulus, p)
-    P_d = _power_block(h_d, modulus, p, m, width)
-    P_e = _power_block(h_e, modulus, p, m, width)
-    lam_rows = [(tr @ _mult_matrix(vec, modulus, p, m)) % p for vec in lam_vecs]
+    P_d = power_block(h_d, modulus, p, m, width)
+    P_e = power_block(h_e, modulus, p, m, width)
+    lam_rows = [(tr @ mult_matrix(vec, modulus, p, m)) % p for vec in lam_vecs]
     counts = np.zeros((len(lam_vecs), p * c), dtype=np.int64)
     base_d, base_e = (1,), (1,)
     step_d = poly_pow_mod(h_d, width, modulus, p)
@@ -105,8 +108,8 @@ def _per_lambda_counts(p, m, modulus, g, lam_vecs, d_exp, e_exp, c, block=1 << 1
     j0 = 0
     while j0 < total:
         nb = min(width, total - j0)
-        mat_d = _mult_matrix(base_d, modulus, p, m)
-        mat_e = _mult_matrix(base_e, modulus, p, m)
+        mat_d = mult_matrix(base_d, modulus, p, m)
+        mat_e = mult_matrix(base_e, modulus, p, m)
         alpha = ((tr @ mat_d) @ P_d[:, :nb]) % p
         Ye = (mat_e @ P_e[:, :nb]) % p
         jmod = (j0 + np.arange(nb, dtype=np.int64)) % c
@@ -123,8 +126,8 @@ def _per_lambda_counts(p, m, modulus, g, lam_vecs, d_exp, e_exp, c, block=1 << 1
 def test_trace_count_matrix_against_brute_force(p, m, c):
     ctx = make_context(p, m, 2)
     g = ctx.generator
-    lam = g  # an arbitrary nonzero element
-    got = trace_count_matrix(p, m, ctx, [lam], 3 if p != 3 else 4, 1, c)
+    lam = g  # an arbitrary nonzero element, g^1
+    got = np.array(trace_count_matrix(p, m, ctx, [1], 3 if p != 3 else 4, 1, c))
     want = _brute_force_counts(p, m, ctx.modulus, g, lam, 3 if p != 3 else 4, 1, c)
     assert got.shape == (1, p, c)
     assert (got[0] == want).all()
@@ -140,7 +143,7 @@ def test_mult_matrix_against_poly_mul_mod(p, m):
     for _ in range(10):
         z = tuple(rng.randrange(p) for _ in range(m))
         y = tuple(rng.randrange(p) for _ in range(m))
-        got = (_mult_matrix(z, modulus, p, m) @ np.array(y, dtype=np.int64)) % p
+        got = (mult_matrix(z, modulus, p, m) @ np.array(y, dtype=np.int64)) % p
         assert tuple(got) == _pad(poly_mul_mod(z, y, modulus, p), m)
     # the walk under it, mod p and mod p^M: step t is X^t v by long division
     for M in (1, 3, 12):
@@ -153,9 +156,9 @@ def test_mult_matrix_against_poly_mul_mod(p, m):
 
 
 # (p, a, d, e, c, mu, lambda indices or None for all, k_max, block).  With
-# the default block the pass bins jointly for k >= 3 (k >= 2 for q = 121)
-# and each coefficient's trace directly below; block 97 keeps the width
-# below p^(r+1) c, so every pass bins directly.
+# every lambda at a = 1 the kernel bins the joint histogram once the field
+# is large enough (``joint_pays``); block 97 is smaller than every field
+# past k = 1 and divides none of them.
 ORACLE_GRID = [
     (11, 1, 3, 2, 1, 1, None, 3, 1 << 14),
     (11, 1, 3, 2, 1, 1, None, 3, 97),
@@ -176,12 +179,101 @@ def test_trace_count_matrix_against_per_lambda_oracle(case):
     lams = list(range(pr.q - 1)) if lams is None else lams
     for k in range(1, k_max + 1):
         big = make_context(p, a * k, pr.a * pr.d + 8)
-        lam_vecs = _descent_for(pr, big).lambda_residues(lams)
-        got = trace_count_matrix(p, a * k, big, lam_vecs, d, e, c, block=block)
+        descent = _descent_for(pr, big)
+        lam_vecs = descent.lambda_residues(lams)
+        got = np.array(trace_count_matrix(p, a * k, big, descent.lambda_logs(lams),
+                                          d, e, c, block=block))
         want = _per_lambda_counts(p, a * k, big.modulus, big.generator,
                                   lam_vecs, d, e, c, block=block)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want), (case, k)
+
+
+# (p, m, d, e, c, a, block): one coefficient, then every element of
+# F_{p^a}^* in F_{p^m}, against the numpy kernel.  Block 97 is smaller than
+# N and divides none of these N.
+NUMPY_GRID = [
+    (43, 1, 5, 2, 1, 1, None),  # the strict instance, k = 1..3
+    (43, 2, 5, 2, 1, 1, None),
+    (43, 3, 5, 2, 1, 1, None),
+    (43, 3, 5, 2, 1, 1, 97),
+    (11, 2, 3, 2, 3, 2, None),  # q = 121, c = 3, k = 1, 2
+    (11, 4, 3, 2, 3, 2, None),
+    (11, 4, 3, 2, 3, 2, 97),
+    (2, 1, 3, 1, 1, 1, None),  # F_2^* has order 1: gamma = 1, N = 1
+    (2, 2, 3, 1, 1, 1, None),  # N = 3 divides d: x^d is 1 on the field
+    (2, 6, 3, 1, 1, 1, 97),
+    (3, 1, 4, 1, 2, 1, None),  # F_3^* has order 2
+    (3, 4, 4, 1, 2, 1, 97),
+    (7, 1, 3, 2, 6, 1, None),  # m = 1, c = 6
+    (7, 2, 4, 1, 6, 1, 97),  # gcd(d, N) = 4
+    (13, 3, 4, 3, 4, 1, None),  # c = 4
+    (13, 3, 4, 3, 4, 1, 97),
+    (127, 2, 3, 2, 2, 1, None),  # the last one-byte slots
+    (131, 2, 3, 2, 3, 1, None),  # the first two-byte slots
+    (131, 1, 3, 2, 1, 1, None),
+    (257, 2, 4, 1, 1, 1, None),  # residues past one byte
+]
+
+
+@pytest.mark.parametrize("case", NUMPY_GRID,
+                         ids=lambda t: "p{}_m{}_d{}_e{}_c{}_a{}_block{}".format(*t))
+def test_trace_count_matrix_against_numpy_kernel(monkeypatch, case):
+    import twistnp.lfunction as lfunction
+
+    p, m, d, e, c, a, block = case
+    ctx = make_context(p, m, 2)
+    total, sub = p**m - 1, p**a - 1
+    block = block or 1 << 16
+    real = lfunction.joint_pays
+    for logs in ([5 % total], [l * (total // sub) for l in range(sub)]):
+        vecs = [poly_pow_mod(ctx.generator, s, ctx.modulus, p) for s in logs]
+        want = trace_count_matrix_numpy(p, m, ctx, vecs, d, e, c)
+        # the cost model's choice, then each way of counting forced
+        for rule in (real, lambda *args: False, lambda *args: True):
+            monkeypatch.setattr(lfunction, "joint_pays", rule)
+            got = trace_count_matrix(p, m, ctx, logs, d, e, c, block=block)
+            assert np.array_equal(np.array(got), want), (case, len(logs), rule)
+
+
+# (p, m, table bytes): a table of every coset, of one coset (r = 1), and of
+# r cosets with r not dividing p - 1, so the last group is partial
+TABLE_GRID = [(2, 5, 1 << 22), (3, 3, 1), (5, 1, 1 << 22), (29, 2, 100), (29, 2, 1),
+              (7, 3, 1 << 22), (131, 2, 1), (131, 2, 1000), (257, 1, 1 << 22)]
+
+
+@pytest.mark.parametrize("p, m, table_bytes", TABLE_GRID)
+def test_trace_table_streams_are_the_traces(monkeypatch, p, m, table_bytes):
+    import twistnp.lfunction as lfunction
+
+    monkeypatch.setattr(lfunction, "_TABLE_BYTES", table_bytes)
+    ctx = make_context(p, m, 2)
+    table = TraceTable(ctx)
+    total = p**m - 1
+    assert table.span % table.L == 0 and table.span <= total
+    if (p, table_bytes) == (29, 100):
+        assert (p - 1) % table.r and table.r > 1
+    tr, traces, y = ctx.residue_traces(), [], (1,)
+    for _ in range(total):
+        traces.append(sum(a * b for a, b in zip(y, tr)) % p)
+        y = poly_mul_mod(y, ctx.generator, ctx.modulus, p)
+    count = 2 * total + 3
+    for start, step in [(0, 1), (5, 3), (total - 1, 2), (7, total), (3, 2 * total + 1),
+                        (total // 2, table.L)]:
+        got = list(table.view(table.stream(start, step, count)))
+        assert got == [traces[(start + step * i) % total] for i in range(count)], (start, step)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 43])
+@pytest.mark.parametrize("deg", [1, 2, 3, 4])
+def test_generator_search_skips_only_constants(p, deg):
+    # for deg >= 2 a constant's order divides p - 1, so skipping the p
+    # constant codes cannot skip the smallest generator
+    assert find_generator(p, deg) == find_generator_every_code(p, deg)
+
+
+def test_generator_search_skips_constants_at_large_p():
+    assert find_generator(1009, 2) == find_generator_every_code(1009, 2)
 
 
 def _assemble_by_zeta_powers(big, counts, V):
@@ -220,7 +312,7 @@ def test_assembly_against_zeta_power_oracle(case):
         descent = _descent_for(pr, make_context(p, a * k, default_precision(pr)))
         neg_r, neg_mm = -np.arange(p) % p, -np.arange(c) % c
         for li in lams:
-            counts = sums[li].counts
+            counts = np.array(sums[li].counts)
             want = _assemble_by_zeta_powers(descent.base, counts, descent.V)
             assert to_pi(sums[li].value) == want, (case, k, li)
             want = _assemble_by_zeta_powers(descent.base, counts[neg_r][:, neg_mm],
@@ -280,6 +372,7 @@ EMBEDDING_GRID = [
     (3, 2, 2, 1, 8, 5, (1, 2, 3)),
     (7, 3, 5, 2, 9, 2, (1,)),
     (43, 1, 5, 2, 1, 1, (2,)),  # the strict instance
+    (11, 1, 3, 2, 5, 2, (2, 3)),  # c = 5: a unit t with t^2 != 1 mod c shows ell = t^-1
 ]
 
 
@@ -300,8 +393,9 @@ def test_base_ring_sums_are_the_big_ring_sums_embedded(case):
         sums = classical_sums_multi(pr, k, lams, conjugate=True)
         for li in lams:
             s = sums[li]
-            for counts, V_big, got in ((s.counts, V, s.value),
-                                       (s.counts[neg_r], V_conj, s.conj_value)):
+            counts = np.array(s.counts)
+            for counts, V_big, got in ((counts, V, s.value),
+                                       (counts[neg_r], V_conj, s.conj_value)):
                 want = _assemble_by_zeta_powers(big, counts, V_big).comps
                 assert _fixed_by_sigma_a(big, want, a), (case, k, li)
                 assert tuple(embed(y) for y in to_pi(got).comps) == want, (case, k, li)
@@ -424,7 +518,7 @@ def test_character_orthogonality():
             descent = _descent_for(pr, make_context(p, a * k, default_precision(pr)))
             total = descent.base.zero()
             for mm in range(c):
-                total = total + descent.V[mm] * int(s.counts[:, mm].sum())
+                total = total + descent.V[mm] * int(np.array(s.counts)[:, mm].sum())
             if pr.u == 0:
                 assert total == descent.base.from_int(pr.q**k - 1)
             else:
