@@ -93,7 +93,7 @@ def cmd_polygon(args) -> int:
     P = lower_bound_polygon(params, n_max)
     H = hodge_polygon(params, n_max)
     if args.format == "csv":
-        which = {"lower": P, "hodge": H}[args.which]
+        which = {"lower": P, "hodge": H}[args.which or "lower"]
         sys.stdout.write("n,slope_num,slope_den\n")
         for n, s in enumerate(which.slopes()):
             sys.stdout.write(f"{n},{s.numerator},{s.denominator}\n")
@@ -136,7 +136,7 @@ def cmd_lfunc(args) -> int:
         "newton_polygon": np_poly.to_json_dict(),
         "newton_slopes": _slopes_json(np_poly),
     }
-    if args.n_max and args.n_max > params.d:
+    if args.n_max:
         ext = extend_newton_polygon(np_poly, args.n_max)
         out["extended_polygon"] = ext.to_json_dict()
     _emit(out)
@@ -555,8 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("polygon", help="lower-bound and Hodge polygons")
     _add_param_flags(sp)
     sp.add_argument("--n-max", type=int, default=None)
-    sp.add_argument("--which", choices=["lower", "hodge"], default="lower",
-                    help="which slope table to emit as CSV")
+    sp.add_argument("--which", choices=["lower", "hodge"], default=None,
+                    help="which slope table to emit as CSV (default lower)")
     sp.set_defaults(func=cmd_polygon)
 
     sh = sub.add_parser("hasse", help="Hasse certificate and constant")
@@ -614,6 +614,8 @@ def main(argv=None) -> int:
         # a flag that would do nothing, or a size no run can use, is refused
         if args.format == "csv" and args.command != "polygon":
             raise ValueError(f"--format csv applies to polygon only, not {args.command}")
+        if args.command == "polygon" and args.which is not None and args.format != "csv":
+            raise ValueError("--which picks the CSV slope table, which needs --format csv")
         for flag, attr, least in (("--precision", "precision", 1), ("--budget", "budget", 1),
                                   ("--jobs", "jobs", 1), ("--n-max", "n_max", 1),
                                   ("--N", "big_n", 1), ("--O", "big_o", 1),
@@ -625,6 +627,9 @@ def main(argv=None) -> int:
             raise ValueError("--trace-k checks the T-adic route, which needs --dwork")
         if args.command == "dwork" and args.J is not None and args.trace_k == 0:
             raise ValueError("--J sets the trace check's order, which needs --trace-k above 0")
+        if args.command == "lfunc" and args.n_max is not None and args.n_max <= args.d:
+            raise ValueError(f"lfunc --n-max extends the polygon past degree d={args.d}, "
+                             f"so it must exceed d, got {args.n_max}")
         return args.func(args)
     except (ValueError, BudgetExceededError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -183,17 +183,6 @@ def charpoly_mod(rows, mod: int) -> list[int]:
     return [c % mod for c in berkowitz(rows, len(rows), mod_dot(mod), 1, 0)]
 
 
-def falling_factorial(x: int | Fraction, n: int) -> Fraction:
-    """x(x-1)...(x-n+1) with n factors; n = 0 gives 1."""
-    if n < 0:
-        raise ValueError(f"length must be non-negative, got {n}")
-    out = Fraction(1)
-    xf = Fraction(x)
-    for j in range(n):
-        out *= xf - j
-    return out
-
-
 def factorial_inv_or_zero(k: int) -> Fraction:
     """1/k! for k >= 0, and 0 for negative k.
 

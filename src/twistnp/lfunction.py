@@ -8,14 +8,20 @@ the sum is assembled from p + c Teichmuller data afterwards.  The pass
 reads one trace table (``TraceTable``): with g the generator and N = q^k - 1,
 T[i] = Tr(g^i) is a linear recurring sequence, and g^(N/(p-1)) lies in
 F_p^*, so the first N/(p-1) traces and their F_p-multiples give them all.
-For x = g^j, Tr(x^d) and Tr(lambda x^e) with lambda = g^s are the strided
-slices T[dj mod N] and T[(s + ej) mod N]; blocks of them are added as big
-integers, slot by slot, and their values counted per class of j mod c.
+The binomial's coefficient of index l is theta^l, theta = g^(s_1) the
+image of the base generator under one embedding of F_q in F_{q^k}.  For
+x = g^j, Tr(x^d) and Tr(theta^l x^e) are the strided slices T[dj mod N]
+and T[(l s_1 + ej) mod N]; blocks of them are added as big integers, slot
+by slot, and their values counted per class of j mod c.  Tr(theta^l x^e)
+is F_p-linear in theta^l, whose coordinates over the index basis 1, theta,
+..., theta^(a-1) are those of y^l mod f, f the minimal polynomial of
+theta; so many coefficients can share one joint histogram of Tr(x^d) and
+the Tr(theta^i x^e), folded by those coordinates (``trace_count_matrix``).
 
 The twist is chi(Norm x), whose values are c-th roots of unity in Z_q,
 so every sum is assembled in the base ring Z_q[zeta_p] directly
-(``SubfieldDescent``): one embedding of F_q in F_{q^k} places the
-binomial's coefficient in the enumeration and fixes the character values.
+(``SubfieldDescent``): the embedding that gives theta and s_1 also fixes
+the character values.
 Over 1, zeta_p, ..., zeta_p^(p-2) a sum is its character-weighted counts,
 and the Newton identities run there: each n l_n is one sum of products in
 the group ring Z_q[x]/(x^p - 1) (``ZqContext.group_dot``), and only the
@@ -47,13 +53,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core_arith import charpoly_mod
 from .padic import (
     PrecisionError,
     RamifiedElem,
     ZqContext,
     ZqElem,
+    basis_traces,
     make_context,
+    mult_charpoly,
     pack,
     poly_divmod,
     poly_eval_mod,
@@ -110,11 +117,10 @@ def default_precision(params: Params) -> int:
 
 def min_poly(ctx: ZqContext) -> tuple[int, ...]:
     """The minimal polynomial over F_p of the generator g of ctx's residue
-    field, monic and little-endian: det(x - M_g) for M_g multiplication by
-    g, of full degree since g generates the field."""
-    p, m = ctx.p, ctx.deg
-    cols = x_walk(ctx.generator, ctx.modulus[:m], p, m)  # column t: X^t g
-    return tuple(charpoly_mod([list(row) for row in zip(*cols)], p)[::-1])
+    field, monic and little-endian: det(x - M_g), det(1 - M_g s) reversed,
+    for M_g multiplication by g, of full degree since g generates the
+    field."""
+    return tuple(mult_charpoly(ctx.generator, ctx.modulus, ctx.p)[::-1])
 
 
 @lru_cache(maxsize=None)  # p < 128 and f < p: at most 1,720 tables
@@ -136,7 +142,8 @@ class TraceTable:
     T[vL + u] = gamma^v T[u]: T[0..L) and the p - 1 scalings give every
     trace.  T is a linear recurring sequence whose characteristic
     polynomial is the minimal polynomial f of g (Lidl and Niederreiter,
-    Finite Fields, ch. 8).  With x^n = sum_i b_i x^i mod f, T[u + n] =
+    Finite Fields, ch. 8).  Its first m terms are the power sums of f's
+    roots, the conjugates of g.  With x^n = sum_i b_i x^i mod f, T[u + n] =
     Tr(g^n g^u) = sum_i b_i T[u + i], so n terms give n - m + 1 more as one
     sum of m scaled slices: the table doubles from its first m terms.  It
     keeps r whole cosets, rL entries with r as large as ``_TABLE_BYTES``
@@ -149,17 +156,13 @@ class TraceTable:
     """
 
     def __init__(self, ctx: ZqContext):
-        p, m, g = ctx.p, ctx.deg, ctx.generator
+        p, m = ctx.p, ctx.deg
         self.p, self.N = p, p**m - 1
         self.L = L = self.N // (p - 1)
         self.code = _slot_code(2 * p - 2)
         self.narrow = self.code == "B"  # p < 128
         f = min_poly(ctx)
         self.gamma = (-1)**m * f[0] % p  # the norm, (-1)^m f(0)
-        tr, seed, y = ctx.residue_traces(), [], (1,)
-        for _ in range(m):
-            seed.append(sum(map(operator.mul, y, tr)) % p)
-            y = poly_mul_mod(y, g, ctx.modulus, p)
         b = poly_divmod((0,) * m + (1,), f, p)[1]  # x^n mod f for n entries
         # x^-1 = -(f(x) - f(0)) / (x f(0)), and x^-(m-1) steps n to 2n - m + 1
         x_inv = poly_trim(tuple(-c * pow(f[0], -1, p) % p for c in f[1:]))
@@ -167,7 +170,7 @@ class TraceTable:
         self.r = r = min(p - 1, max(1, _TABLE_BYTES // (L * array(self.code).itemsize)))
         self.span = r * L
         self.table = array(self.code, [0]) * (r * L)
-        self.table[:m] = array(self.code, seed)
+        self.table[:m] = array(self.code, basis_traces(f, p))
         n = m
         while n < L:
             more = min(n - m + 1, L - n)
@@ -305,54 +308,9 @@ def _widen(data: bytes, code: str, wide: str) -> bytes:
     return bytes(out)
 
 
-def _powers(ctx: ZqContext, logs: list[int]) -> list[tuple[int, ...]]:
-    """The residues g^s for the ``logs`` s, g the generator of ctx's
-    residue field: one product a log along the sorted logs, and one power
-    a distinct gap between them."""
-    p, modulus = ctx.p, ctx.modulus
-    found, steps, x, at = {}, {}, (1,), 0
-    for s in sorted(set(logs)):
-        if s - at not in steps:
-            steps[s - at] = poly_pow_mod(ctx.generator, s - at, modulus, p)
-        x = poly_mul_mod(x, steps[s - at], modulus, p)
-        found[s], at = x, s
-    return [found[s] for s in logs]
-
-
-def _basis(vecs: list[tuple[int, ...]], p: int) -> tuple[list[int], list[list[int]]]:
-    """A maximal F_p-independent subset of ``vecs``, as indices, and each
-    vector's coordinates over it.
-
-    Forward elimination: each echelon row keeps its pivot and its
-    expression in the chosen vectors, so a vector that reduces to zero
-    reads its coordinates off the rows it was reduced by, and one that
-    does not joins the basis."""
-    basis: list[int] = []
-    rows: list[tuple[int, list[int], list[int]]] = []  # (pivot, row, expression)
-    coords = []
-    for li, vec in enumerate(vecs):
-        v, took = list(vec), []
-        for piv, row, _ in rows:
-            f = v[piv] * pow(row[piv], -1, p) % p
-            took.append(f)
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        expr = [0] * len(basis)
-        for f, (_, _, e) in zip(took, rows):
-            expr = [(x + f * y) % p for x, y in zip(expr, e + [0] * (len(basis) - len(e)))]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is not None:  # v = vec - sum f row: vec is a new basis vector
-            basis.append(li)
-            rows.append((piv, v, [-x % p for x in expr] + [1]))
-            expr = [0] * (len(basis) - 1) + [1]
-        coords.append(expr)
-    r = len(basis)
-    return basis, [x + [0] * (r - len(x)) for x in coords]
-
-
 def joint_pays(p: int, c: int, n_lam: int, r: int, total: int, narrow: bool) -> bool:
-    """Whether ``n_lam`` coefficients spanning rank r are counted faster
-    from the joint histogram than one by one.
+    """Whether ``n_lam`` coefficients over a basis of r elements are
+    counted faster from the joint histogram than one by one.
 
     A cost model in nanoseconds, measured on a 2-vCPU x86 host with
     CPython 3.11.  One by one, each coefficient costs min(p, 50) + 20 per
@@ -395,42 +353,48 @@ def _fold(hists: list[Counter], coords, counts, p: int) -> None:
                 counts[li][t][mm] += n
 
 
-def trace_count_matrix(p: int, m: int, ctx: ZqContext, lam_logs: list[int],
+def trace_count_matrix(p: int, m: int, ctx: ZqContext, lam_indices: list[int],
+                       log_theta: int, theta_poly: tuple[int, ...],
                        d_exp: int, e_exp: int, c: int,
                        block: int = _BLOCK) -> list[list[list[int]]]:
-    """Counts N[l][t][j mod c] over x = g^j of Tr(x^d + lam_l * x^e) = t.
+    """Counts N[l][t][j mod c] over x = g^j of Tr(x^d + theta^l * x^e) = t.
 
     ``ctx`` is the context of F_{p^m}, g its generator, N = p^m - 1, and
-    lam_l = g^(s_l) for the logs s_l in ``lam_logs``.  The traces of x^d
-    and lam_l x^e are T[dj mod N] and T[(s_l + ej) mod N], two strided
-    streams of one ``TraceTable``.  Per block of j, each coefficient's
-    stream is added to that of x^d and its sums are counted per class of
-    j mod c.  Tr(lam x^e) is F_p-linear in lam, so when the coefficients
-    span a small space over F_p (rank at most a when they lie in F_{p^a},
-    1 at a = 1), the pass may instead bin the joint histogram of Tr x^d and
-    the Tr(w_i x^e), w_i a basis among them, and fold it by each
-    coefficient's coordinates; ``joint_pays`` decides.
+    theta = g^(log_theta) has the minimal polynomial f = ``theta_poly``
+    over F_p, of degree a; the coefficients are theta^l for the indices l
+    in ``lam_indices``.  The traces of x^d and theta^l x^e are T[dj mod N]
+    and T[(l log_theta + ej) mod N], two strided streams of one
+    ``TraceTable``.  Per block of j, each coefficient's stream is added to
+    that of x^d and its sums are counted per class of j mod c.
+
+    Tr(theta^l x^e) is F_p-linear in theta^l, whose coordinates over 1,
+    theta, ..., theta^(a-1) are those of y^l mod f.  So the pass may
+    instead bin the joint histogram of Tr x^d and the Tr(theta^i x^e) for
+    i < r = min(a, max l + 1), and fold it by each coefficient's
+    coordinates, column l of the walk 1, y, y^2, ... mod f (``x_walk``)
+    cut to r; ``joint_pays`` decides.
     """
     table = TraceTable(ctx)
     total = table.N
-    counts = [[[0] * c for _ in range(p)] for _ in lam_logs]
-    joint = False
-    if len(lam_logs) > 1:
-        basis, coords = _basis([(vec + (0,) * m)[:m] for vec in _powers(ctx, lam_logs)], p)
-        joint = joint_pays(p, c, len(lam_logs), len(basis), total, table.narrow)
+    counts = [[[0] * c for _ in range(p)] for _ in lam_indices]
+    a, top = len(theta_poly) - 1, max(lam_indices, default=0) + 1
+    r = min(a, top)
+    joint = len(lam_indices) > 1 and joint_pays(p, c, len(lam_indices), r, total, table.narrow)
     hists = [Counter() for _ in range(c)] if joint else None
     width = min(block, total)
     for j0 in range(0, total, width):
         nb = min(width, total - j0)
         traces_d = table.stream(d_exp * j0, d_exp, nb)
         if joint:
-            table.bin_keys([traces_d] + [table.stream(lam_logs[i] + e_exp * j0, e_exp, nb)
-                                         for i in basis], j0, hists)
+            table.bin_keys([traces_d] + [table.stream(i * log_theta + e_exp * j0, e_exp, nb)
+                                         for i in range(r)], j0, hists)
             continue
-        for s, out in zip(lam_logs, counts):
-            table.bin(table.plus(traces_d, table.stream(s + e_exp * j0, e_exp, nb)), j0, out)
+        for li, out in zip(lam_indices, counts):
+            table.bin(table.plus(traces_d, table.stream(li * log_theta + e_exp * j0, e_exp, nb)),
+                      j0, out)
     if joint:
-        _fold(hists, coords, counts, p)
+        cols = x_walk((1,), theta_poly[:a], p, top)
+        _fold(hists, [cols[li][:r] for li in lam_indices], counts, p)
     return counts
 
 
@@ -444,11 +408,13 @@ class SubfieldDescent:
     The twist chi(Norm x) takes c-th roots of unity, which lie in Z_q, so
     each sum is assembled over the base ring from its (p, c) counts.  One
     embedding iota of F_q in F_{q^k} serves both sides.  It sends the base
-    generator g to h^t, h = g_big^((q^k-1)/(q-1)), for the least t that
-    makes h^t a root of g's minimal polynomial, found by one walk over
-    F_q^* (at k = 1 iota is the identity and t = 1).  So coefficient index
-    l is g_big^(l s_1) with s_1 = t (q^k-1)/(q-1), a log shift of the
-    trace table, and with ell = t^-1 mod c, the index where
+    generator g to theta = h^t, h = g_big^((q^k-1)/(q-1)), for the least t
+    that makes h^t a root of g's minimal polynomial f (``theta_poly``),
+    found by one walk over F_q^* (at k = 1 iota is the identity and
+    t = 1).  So coefficient index l is theta^l = g_big^(l s_1) with
+    s_1 = t (q^k-1)/(q-1) (``log_theta``), a log shift of the trace table,
+    and theta^l has the coordinates of y^l mod f over 1, theta, ...,
+    theta^(a-1).  With ell = t^-1 mod c, the index where
     iota(g)^((q-1)/c * ell) = g_big^((q^k-1)/c), class mm of x = g_big^j
     (j = mm mod c) weighs V_mm = Teich(g^(-u * ell * mm)).  Any embedding
     gives the same sums, as a Frobenius power only permutes the field
@@ -460,17 +426,18 @@ class SubfieldDescent:
         q, Qk1 = p**a, p**big.deg - 1
         self.big = big
         self.base = base = make_context(p, a, big.M)
+        self.theta_poly = f = min_poly(base)
         t = 1  # k = 1: the fields and their generators agree
         if big.deg > a:
             h = poly_pow_mod(big.generator, Qk1 // (q - 1), big.modulus, p)
             if a == 1:  # h and g lie in F_p, and the walk is one of integers
                 t = next(t for t in range(p - 1) if pow(h[0], t, p) == base.generator[0])
             else:
-                f, t, z = min_poly(base), 0, (1,)
+                t, z = 0, (1,)
                 while poly_eval_mod(f, z, big.modulus, p):
                     z = poly_mul_mod(z, h, big.modulus, p)
                     t += 1
-        self._log_g = t * (Qk1 // (q - 1)) % Qk1
+        self.log_theta = t * (Qk1 // (q - 1)) % Qk1
         ell = pow(t, -1, c)
         w = base.teichmuller(poly_pow_mod(base.generator, -params.u * ell % (q - 1),
                                           base.modulus, p))
@@ -499,15 +466,13 @@ class SubfieldDescent:
         return RamifiedElem(self.base, self.weigh([[x - y for x, y in zip(row, last)]
                                                    for row in counts[:-1]]))
 
-    def lambda_logs(self, lam_indices: list[int]) -> list[int]:
-        """Discrete logs, to the base g_big, of the embedded binomial
-        coefficients: index l maps to iota(g)^l = g_big^(l s_1)."""
-        return [li * self._log_g % (self.big.p**self.big.deg - 1) for li in lam_indices]
-
     def lambda_residues(self, lam_indices: list[int]) -> list[tuple[int, ...]]:
-        """Residue vectors of the embedded binomial coefficients, the
-        powers of g_big at their ``lambda_logs``."""
-        return _powers(self.big, self.lambda_logs(lam_indices))
+        """Residue vectors of the embedded binomial coefficients theta^l =
+        g_big^(l s_1), one power of g_big each."""
+        big = self.big
+        N = big.p**big.deg - 1
+        return [poly_pow_mod(big.generator, li * self.log_theta % N, big.modulus, big.p)
+                for li in lam_indices]
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +499,8 @@ def classical_sums_multi(params: Params, k: int, lam_indices: list[int],
     the conjugate characters chi^-1 and psi^-1, from the same counts.
     """
     big, descent = _field(params, k, M, budget)
-    counts = trace_count_matrix(params.p, big.deg, big, descent.lambda_logs(lam_indices),
-                                params.d, params.e, params.c)
+    counts = trace_count_matrix(params.p, big.deg, big, lam_indices, descent.log_theta,
+                                descent.theta_poly, params.d, params.e, params.c)
     return {lam_index: ClassicalSum(k, counts[li], descent.descend_ram(counts[li]),
                                     descent.descend_ram(counts[li], conjugate=True)
                                     if conjugate else None)

@@ -14,10 +14,11 @@ pi_1-valuation is read off the binomial change of basis, row by row.
 The F_p[X] helpers (``poly_*``) serve both the residue fields and the
 contexts: every "multiply by X and fold the top coefficient back" walk,
 mod p or mod p^M, is ``x_walk``, and the traces of the power basis are
-the power sums of the modulus's roots (``core_arith.power_sums``).  The
-traces Tr(gamma * beta^j) recur with the characteristic polynomial of
-multiplication by beta, from ``core_arith.berkowitz``
-(``ZqContext.trace_sequence``).  Both sums of products,
+the power sums of the modulus's roots (``basis_traces``).  One helper,
+``mult_charpoly``, gives det(1 - M_beta s) for multiplication by beta,
+from ``core_arith.berkowitz``: the traces Tr(gamma * beta^j) recur with
+it (``ZqContext.trace_sequence``), and reversed mod p it is the minimal
+polynomial of a residue-field generator.  Both sums of products,
 ``ZqContext.group_dot`` in Z_q[zeta_p] and the T-adic series product
 ``dwork._dot``, pack residues into big integers in one layout: ``pack``,
 ``unpack`` and the width ``slot_bytes``.
@@ -118,6 +119,25 @@ def x_walk(v, low, mod, count) -> list[tuple[int, ...]]:
             col = [(x - top * c) % mod for x, c in zip(col, low)]
         out.append(tuple(col))
     return out
+
+
+def mult_charpoly(v, modulus, mod) -> list[int]:
+    """c_0..c_n with det(1 - M_v s) = sum_i c_i s^i mod ``mod``, for M_v
+    the matrix of multiplication by v modulo the monic ``modulus`` of
+    degree n: column t is X^t v (``x_walk``), and Berkowitz's recurrence
+    (``core_arith.charpoly_mod``) gives the determinant."""
+    n = len(modulus) - 1
+    cols = x_walk(v, modulus[:n], mod, n)
+    return charpoly_mod([list(row) for row in zip(*cols)], mod)
+
+
+def basis_traces(modulus, mod) -> list[int]:
+    """Tr(X^v) for v = 0..n-1 in Z[X]/(modulus), ``modulus`` monic of degree
+    n, mod ``mod``: the power sums of its roots, by ``power_sums`` on the
+    reversed modulus, det(1 - M_X s)."""
+    n = len(modulus) - 1
+    sums = power_sums(modulus[::-1][:n], mod_dot(mod))
+    return [n % mod] + [t % mod for t in sums[1:]]
 
 
 def poly_gcd(a, b, p):
@@ -267,17 +287,8 @@ class ZqContext:
         self.generator = find_generator(p, deg)
         # X^{deg+t} mod modulus, coefficients mod p^M, for t = 0..deg-2
         self._xpow = x_walk((0,) * (deg - 1) + (1,), self.modulus[:deg], self.pM, deg)[1:]
-        self._trace_table = self._build_trace_table()
+        self._trace_table = basis_traces(self.modulus, self.pM)
         self._ram_bytes = slot_bytes(self.pM, (p - 1) * deg)
-
-    # -- construction helpers
-
-    def _build_trace_table(self):
-        """Tr(x^v) for v = 0..deg-1: the power sums of the modulus's roots,
-        by ``power_sums`` on the reversed modulus, det(1 - M_X s)."""
-        n, pM = self.deg, self.pM
-        sums = power_sums(self.modulus[::-1][:n], mod_dot(pM))
-        return [n % pM] + [t % pM for t in sums[1:]]
 
     # -- element constructors
 
@@ -368,8 +379,7 @@ class ZqContext:
         each later one n integer products, and only the last n are kept.
         """
         n, pM = self.deg, self.pM
-        cols = x_walk(beta.coeffs, self.modulus[:n], pM, n)  # column t: X^t beta
-        charpoly = charpoly_mod([list(row) for row in zip(*cols)], pM)
+        charpoly = mult_charpoly(beta.coeffs, self.modulus, pM)
         recur = [-c % pM for c in reversed(charpoly[1:])]  # c_n first: it meets u_j
         window = deque(maxlen=n)
         x = gamma
@@ -380,10 +390,6 @@ class ZqContext:
         while True:
             window.append(sum(map(operator.mul, recur, window)) % pM)
             yield window[-1]
-
-    def residue_traces(self) -> list[int]:
-        """Traces to F_p of the residue field's power basis x^0..x^{deg-1}."""
-        return [t % self.p for t in self._trace_table]
 
     # -- ramified layer: Z_q[zeta_p], the image of the group ring Z_q[C_p]
 

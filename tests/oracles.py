@@ -1,7 +1,8 @@
 """Oracles and test-only helpers: code no command runs, kept as the
 independent side of the checks on the program.
 
-- the assignment layer: (n+1)! enumerations that the Hungarian solve, its
+- the assignment layer: rational falling factorials, (n+1)!
+  enumerations that the Hungarian solve, its
   tight edges and the matching count are checked against, the
   overflow-count matching with its residue columns, and the sum of y over
   the representable optimal set (``v_exponent``)
@@ -54,6 +55,7 @@ from twistnp.padic import (
     RamifiedElem,
     ZqContext,
     ZqElem,
+    basis_traces,
     checked_pairs,
     make_context,
     pack,
@@ -69,6 +71,17 @@ from twistnp.polygon import Params, Polygon, lower_bound_polygon
 
 # ---------------------------------------------------------------------------
 # the assignment layer
+
+
+def falling_factorial(x: int | Fraction, n: int) -> Fraction:
+    """x(x-1)...(x-n+1) with n factors; n = 0 gives 1."""
+    if n < 0:
+        raise ValueError(f"length must be non-negative, got {n}")
+    out = Fraction(1)
+    xf = Fraction(x)
+    for j in range(n):
+        out *= xf - j
+    return out
 
 
 def exhaustive_C(inst: CombInstance, n: int) -> tuple[int, frozenset[tuple[int, ...]]]:
@@ -289,7 +302,7 @@ def trace_count_matrix_numpy(p, m, ctx, lam_vecs, d_exp, e_exp, c,
     modulus, g = ctx.modulus, ctx.generator
     total = p**m - 1
     width = min(block, total)
-    tr = np.array(ctx.residue_traces(), dtype=np.int64)
+    tr = np.array(basis_traces(modulus, p), dtype=np.int64)
     h_d = poly_pow_mod(g, d_exp, modulus, p)
     h_e = poly_pow_mod(g, e_exp, modulus, p)
     P_d = power_block(h_d, modulus, p, m, width)

@@ -43,6 +43,15 @@ def test_polygon_csv(capsys):
     assert lines[1:] == ["0,0,1", "1,2,5", "2,3,5"]
 
 
+def test_polygon_csv_hodge_table(capsys):
+    code, out = _run(capsys, ["--format", "csv", "polygon", "--p", "11",
+                              "--d", "3", "--e", "2", "--n-max", "3", "--which", "hodge"])
+    assert code == 0
+    H = hodge_polygon(Params(p=11, a=1, d=3, e=2, c=1, mu=1), 3)
+    assert out.strip().splitlines()[1:] == [f"{n},{s.numerator},{s.denominator}"
+                                            for n, s in enumerate(H.slopes())]
+
+
 def test_bad_flags_exit_2(capsys):
     assert main(["polygon", "--p", "11", "--d", "3"]) == 2  # missing e
     assert main(["polygon", "--p", "10", "--d", "3", "--e", "2"]) == 2  # p not prime
@@ -91,6 +100,10 @@ def test_bad_flags_exit_2(capsys):
     ["sweep", "--d", "3", "--e", "2", "--primes", "11", "--trace-k", "1"],
     ["dwork", "--p", "11", "--d", "3", "--e", "2", "--J", "4"],
     ["dwork", "--p", "11", "--d", "3", "--e", "2", "--J", "4", "--trace-k", "0"],
+    # an lfunc extension that extends nothing, a CSV table choice without CSV
+    ["lfunc", "--p", "11", "--d", "3", "--e", "2", "--n-max", "2"],
+    ["lfunc", "--p", "11", "--d", "3", "--e", "2", "--n-max", "3"],
+    ["polygon", "--p", "11", "--d", "3", "--e", "2", "--which", "hodge"],
 ])
 def test_refused_input_exits_2_with_one_error_line(capsys, argv):
     assert main(argv) == 2
@@ -225,6 +238,46 @@ def test_resume_recomputes_keys_made_under_other_settings(tmp_path, capsys):
     bare.write_text("".join(json.dumps(r) + "\n" for r in first))
     code, out = _run(capsys, ["--out", str(bare)] + grid)
     assert code == 0 and json.loads(out)["summary"]["skipped_existing"] == 0
+
+
+@pytest.mark.parametrize("grid", [
+    ["--d", "3", "--e", "2", "--c", "3", "--mu", "1", "--primes", "11"],  # q = 121
+    ["--d", "3", "--e", "2", "--primes", "29"],  # a = 1
+])
+def test_resume_of_a_non_contiguous_lambda_set_matches_a_fresh_run(tmp_path, capsys,
+                                                                   monkeypatch, grid):
+    import twistnp.lfunction as lfunction
+
+    argv = ["verify"] + grid + ["--lam-policy", "all"]
+    fresh, resumed = tmp_path / "fresh.jsonl", tmp_path / "resumed.jsonl"
+    assert main(["--out", str(fresh)] + argv) == 0
+    want = [json.loads(x) for x in fresh.read_text().splitlines()]
+    resumed.write_text("".join(json.dumps(r) + "\n" for r in want if r["lambda_index"] % 2))
+    capsys.readouterr()
+    # the kernel's choice of pass for the even lambdas, which one group resumes
+    choices = []
+    real = lfunction.joint_pays
+
+    def spy(p, c, n_lam, r, total, narrow):
+        choices.append((n_lam, r, total, real(p, c, n_lam, r, total, narrow)))
+        return choices[-1][-1]
+
+    monkeypatch.setattr(lfunction, "joint_pays", spy)
+    code, out = _run(capsys, ["--out", str(resumed)] + argv)
+    assert code == 0
+    assert json.loads(out)["summary"]["skipped_existing"] == len(want) // 2
+    if "--c" in grid:  # q = 121: one by one over F_121, jointly over 1, theta in F_{11^4}
+        assert choices == [(60, 2, 120, False), (60, 2, 14640, True)]
+
+    def by_key(path):
+        recs = [json.loads(x) for x in path.read_text().splitlines()]
+        for rec in recs:
+            rec.pop("timings", None)
+        return {rec["key"]: rec for rec in recs}
+
+    got, fresh_recs = by_key(resumed), by_key(fresh)
+    assert len(got) == len(fresh_recs) == len(want)
+    assert got == fresh_recs
 
 
 def test_verify_writes_each_group_before_the_next(tmp_path, capsys, monkeypatch):

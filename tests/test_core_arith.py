@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import falling_factorial
 from twistnp.core_arith import (
     INFINITY,
     PSI_13,
@@ -19,7 +20,6 @@ from twistnp.core_arith import (
     berkowitz,
     charpoly_mod,
     factorial_inv_or_zero,
-    falling_factorial,
     is_prime,
     min_phi,
     min_residue,

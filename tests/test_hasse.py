@@ -18,7 +18,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from oracles import VExponentUndefinedError, cyclic, exhaustive_C, perm_sign, v_exponent
+from oracles import (
+    VExponentUndefinedError,
+    cyclic,
+    exhaustive_C,
+    falling_factorial,
+    perm_sign,
+    v_exponent,
+)
 from twistnp import combinatorics, hasse
 from twistnp.combinatorics import (
     CombInstance,
@@ -26,7 +33,7 @@ from twistnp.combinatorics import (
     optimal_perm_sets,
     xy_decomposition,
 )
-from twistnp.core_arith import INFINITY, factorial_inv_or_zero, falling_factorial
+from twistnp.core_arith import INFINITY, factorial_inv_or_zero
 from twistnp.hasse import (
     fraction_vp,
     hasse_certificate,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -43,12 +44,23 @@ from twistnp.lfunction import (
     default_precision,
     exp_sum_Tadic,
     l_polynomial,
+    min_poly,
     newton_polygon_classical,
     reflect_valuations,
     route_sums_by_lambda,
     trace_count_matrix,
 )
-from twistnp.padic import find_generator, make_context, poly_mul_mod, poly_pow_mod, x_walk
+from twistnp.padic import (
+    basis_traces,
+    find_generator,
+    is_irreducible,
+    make_context,
+    mult_charpoly,
+    poly_eval_mod,
+    poly_mul_mod,
+    poly_pow_mod,
+    x_walk,
+)
 from twistnp.polygon import (
     Params,
     hodge_polygon,
@@ -126,8 +138,9 @@ def _per_lambda_counts(p, m, modulus, g, lam_vecs, d_exp, e_exp, c, block=1 << 1
 def test_trace_count_matrix_against_brute_force(p, m, c):
     ctx = make_context(p, m, 2)
     g = ctx.generator
-    lam = g  # an arbitrary nonzero element, g^1
-    got = np.array(trace_count_matrix(p, m, ctx, [1], 3 if p != 3 else 4, 1, c))
+    lam = g  # an arbitrary nonzero element, g^1: index 1 over theta = g
+    got = np.array(trace_count_matrix(p, m, ctx, [1], 1, min_poly(ctx),
+                                      3 if p != 3 else 4, 1, c))
     want = _brute_force_counts(p, m, ctx.modulus, g, lam, 3 if p != 3 else 4, 1, c)
     assert got.shape == (1, p, c)
     assert (got[0] == want).all()
@@ -158,7 +171,9 @@ def test_mult_matrix_against_poly_mul_mod(p, m):
 # (p, a, d, e, c, mu, lambda indices or None for all, k_max, block).  With
 # every lambda at a = 1 the kernel bins the joint histogram once the field
 # is large enough (``joint_pays``); block 97 is smaller than every field
-# past k = 1 and divides none of them.
+# past k = 1 and divides none of them.  The index subsets at a = 2 give
+# the joint pass the basis 1, theta (r = 2), and each coefficient's
+# coordinates are column l of the walk 1, y, y^2, ... mod f, up to l = 100.
 ORACLE_GRID = [
     (11, 1, 3, 2, 1, 1, None, 3, 1 << 14),
     (11, 1, 3, 2, 1, 1, None, 3, 97),
@@ -166,74 +181,129 @@ ORACLE_GRID = [
     (13, 1, 4, 3, 2, 1, None, 4, 97),
     (29, 1, 4, 1, 1, 1, None, 4, 1 << 14),
     (11, 2, 3, 2, 3, 1, None, 3, 1 << 14),
+    (11, 2, 3, 2, 3, 1, [0, 3, 5], 2, 97),
+    (11, 2, 3, 2, 3, 1, [1, 2], 2, 1 << 14),
+    (11, 2, 3, 2, 3, 1, [7, 100], 2, 97),
+    (3, 3, 4, 1, 2, 1, None, 3, 97),  # a = 3: F_27 in F_{3^9}
     (43, 1, 5, 2, 1, 1, [7], 3, 1 << 14),  # the strict instance
     (43, 1, 5, 2, 1, 1, [7], 3, 97),
 ]
 
 
+def _indices_id(lams) -> str:
+    """The id suffix of a grid case's index subset of more than one index."""
+    return "_idx" + "-".join(map(str, lams)) if lams and len(lams) > 1 else ""
+
+
 @pytest.mark.parametrize("case", ORACLE_GRID,
-                         ids=lambda t: "p{}_a{}_d{}_e{}_c{}_block{}".format(*t[:5], t[8]))
-def test_trace_count_matrix_against_per_lambda_oracle(case):
+                         ids=lambda t: "p{}_a{}_d{}_e{}_c{}_block{}".format(*t[:5], t[8])
+                         + _indices_id(t[6]))
+def test_trace_count_matrix_against_per_lambda_oracle(monkeypatch, case):
+    import twistnp.lfunction as lfunction
+
     p, a, d, e, c, mu, lams, k_max, block = case
     pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu)
     lams = list(range(pr.q - 1)) if lams is None else lams
+    real = lfunction.joint_pays
     for k in range(1, k_max + 1):
         big = make_context(p, a * k, pr.a * pr.d + 8)
         descent = _descent_for(pr, big)
         lam_vecs = descent.lambda_residues(lams)
-        got = np.array(trace_count_matrix(p, a * k, big, descent.lambda_logs(lams),
-                                          d, e, c, block=block))
         want = _per_lambda_counts(p, a * k, big.modulus, big.generator,
                                   lam_vecs, d, e, c, block=block)
-        assert got.dtype == want.dtype == np.int64
-        assert np.array_equal(got, want), (case, k)
+        # the cost model's choice, then each way of counting forced while
+        # the forced one-by-one pass stays small
+        rules = [real, lambda *args: True]
+        if len(lams) * (p**(a * k) - 1) <= 1 << 21:
+            rules.append(lambda *args: False)
+        for rule in rules:
+            monkeypatch.setattr(lfunction, "joint_pays", rule)
+            got = np.array(trace_count_matrix(p, a * k, big, lams, descent.log_theta,
+                                              descent.theta_poly, d, e, c, block=block))
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want), (case, k, rule)
 
 
-# (p, m, d, e, c, a, block): one coefficient, then every element of
-# F_{p^a}^* in F_{p^m}, against the numpy kernel.  Block 97 is smaller than
-# N and divides none of these N.
+# (p, m, d, e, c, a, block, indices): one coefficient, then the
+# ``indices`` (None for every element of F_{p^a}^*) over theta' =
+# g^(N/(p^a-1)) in F_{p^m}, against the numpy kernel.  Block 97 is smaller
+# than N and divides none of these N.
 NUMPY_GRID = [
-    (43, 1, 5, 2, 1, 1, None),  # the strict instance, k = 1..3
-    (43, 2, 5, 2, 1, 1, None),
-    (43, 3, 5, 2, 1, 1, None),
-    (43, 3, 5, 2, 1, 1, 97),
-    (11, 2, 3, 2, 3, 2, None),  # q = 121, c = 3, k = 1, 2
-    (11, 4, 3, 2, 3, 2, None),
-    (11, 4, 3, 2, 3, 2, 97),
-    (2, 1, 3, 1, 1, 1, None),  # F_2^* has order 1: gamma = 1, N = 1
-    (2, 2, 3, 1, 1, 1, None),  # N = 3 divides d: x^d is 1 on the field
-    (2, 6, 3, 1, 1, 1, 97),
-    (3, 1, 4, 1, 2, 1, None),  # F_3^* has order 2
-    (3, 4, 4, 1, 2, 1, 97),
-    (7, 1, 3, 2, 6, 1, None),  # m = 1, c = 6
-    (7, 2, 4, 1, 6, 1, 97),  # gcd(d, N) = 4
-    (13, 3, 4, 3, 4, 1, None),  # c = 4
-    (13, 3, 4, 3, 4, 1, 97),
-    (127, 2, 3, 2, 2, 1, None),  # the last one-byte slots
-    (131, 2, 3, 2, 3, 1, None),  # the first two-byte slots
-    (131, 1, 3, 2, 1, 1, None),
-    (257, 2, 4, 1, 1, 1, None),  # residues past one byte
+    (43, 1, 5, 2, 1, 1, None, None),  # the strict instance, k = 1..3
+    (43, 2, 5, 2, 1, 1, None, None),
+    (43, 3, 5, 2, 1, 1, None, None),
+    (43, 3, 5, 2, 1, 1, 97, None),
+    (11, 2, 3, 2, 3, 2, None, None),  # q = 121, c = 3, k = 1, 2
+    (11, 4, 3, 2, 3, 2, None, None),
+    (11, 4, 3, 2, 3, 2, 97, None),
+    (2, 1, 3, 1, 1, 1, None, None),  # F_2^* has order 1: gamma = 1, N = 1
+    (2, 2, 3, 1, 1, 1, None, None),  # N = 3 divides d: x^d is 1 on the field
+    (2, 6, 3, 1, 1, 1, 97, None),
+    (3, 1, 4, 1, 2, 1, None, None),  # F_3^* has order 2
+    (3, 4, 4, 1, 2, 1, 97, None),
+    (7, 1, 3, 2, 6, 1, None, None),  # m = 1, c = 6
+    (7, 2, 4, 1, 6, 1, 97, None),  # gcd(d, N) = 4
+    (13, 3, 4, 3, 4, 1, None, None),  # c = 4
+    (13, 3, 4, 3, 4, 1, 97, None),
+    (127, 2, 3, 2, 2, 1, None, None),  # the last one-byte slots
+    (131, 2, 3, 2, 3, 1, None, None),  # the first two-byte slots
+    (131, 1, 3, 2, 1, 1, None, None),
+    (257, 2, 4, 1, 1, 1, None, None),  # residues past one byte
+    (11, 4, 3, 2, 3, 2, 97, [0, 3, 5]),  # index subsets at a = 2
+    (11, 4, 3, 2, 3, 2, None, [1, 2]),
+    (11, 2, 3, 2, 3, 2, 97, [7, 100]),
+    (7, 3, 3, 2, 2, 3, 97, None),  # a = 3: every element of F_343^*
 ]
 
 
 @pytest.mark.parametrize("case", NUMPY_GRID,
-                         ids=lambda t: "p{}_m{}_d{}_e{}_c{}_a{}_block{}".format(*t))
+                         ids=lambda t: "p{}_m{}_d{}_e{}_c{}_a{}_block{}".format(*t[:7])
+                         + _indices_id(t[7]))
 def test_trace_count_matrix_against_numpy_kernel(monkeypatch, case):
     import twistnp.lfunction as lfunction
 
-    p, m, d, e, c, a, block = case
+    p, m, d, e, c, a, block, lams = case
     ctx = make_context(p, m, 2)
     total, sub = p**m - 1, p**a - 1
     block = block or 1 << 16
     real = lfunction.joint_pays
-    for logs in ([5 % total], [l * (total // sub) for l in range(sub)]):
-        vecs = [poly_pow_mod(ctx.generator, s, ctx.modulus, p) for s in logs]
+    # index 5 over theta = g, then the indices over theta' = g^(N/(p^a-1)),
+    # whose minimal polynomial is the monic one of degree a it is a root of
+    s_sub = total // sub
+    theta = poly_pow_mod(ctx.generator, s_sub, ctx.modulus, p)
+    f_sub = next(low + (1,) for low in itertools.product(range(p), repeat=a)
+                 if not poly_eval_mod(low + (1,), theta, ctx.modulus, p))
+    cases = [([5 % total], 1, min_poly(ctx)),
+             (list(range(sub)) if lams is None else lams, s_sub, f_sub)]
+    for indices, log_theta, f in cases:
+        vecs = [poly_pow_mod(ctx.generator, li * log_theta % total, ctx.modulus, p)
+                for li in indices]
         want = trace_count_matrix_numpy(p, m, ctx, vecs, d, e, c)
         # the cost model's choice, then each way of counting forced
         for rule in (real, lambda *args: False, lambda *args: True):
             monkeypatch.setattr(lfunction, "joint_pays", rule)
-            got = trace_count_matrix(p, m, ctx, logs, d, e, c, block=block)
-            assert np.array_equal(np.array(got), want), (case, len(logs), rule)
+            got = trace_count_matrix(p, m, ctx, indices, log_theta, f, d, e, c, block=block)
+            assert np.array_equal(np.array(got), want), (case, len(indices), rule)
+
+
+@pytest.mark.parametrize("p", [2, 3, 43, 131])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_min_poly_is_the_generators_minimal_polynomial(p, m):
+    ctx = make_context(p, m, 3)
+    f = min_poly(ctx)
+    assert len(f) == m + 1 and f[-1] == 1
+    assert not poly_eval_mod(f, ctx.generator, ctx.modulus, p)
+    assert is_irreducible(f, p)
+    # trace_sequence streams Tr(beta^j), beta any lift of g, by the recurrence
+    # of det(1 - M_beta s) mod p^M: mod p that is f reversed, the traces'
+    # first m terms are the power sums of f's roots, and all recur by f
+    beta = ctx.elem(ctx.generator)
+    charpoly = mult_charpoly(beta.coeffs, ctx.modulus, ctx.pM)
+    assert [x % p for x in reversed(charpoly)] == list(f)
+    u = list(itertools.islice(ctx.trace_sequence(ctx.one(), beta), 3 * m + 2))
+    assert [x % p for x in u[:m]] == basis_traces(f, p)  # the trace table's seed
+    for j in range(2 * m + 2):
+        assert sum(fi * u[j + i] for i, fi in enumerate(f)) % p == 0, j
 
 
 # (p, m, table bytes): a table of every coset, of one coset (r = 1), and of
@@ -253,7 +323,7 @@ def test_trace_table_streams_are_the_traces(monkeypatch, p, m, table_bytes):
     assert table.span % table.L == 0 and table.span <= total
     if (p, table_bytes) == (29, 100):
         assert (p - 1) % table.r and table.r > 1
-    tr, traces, y = ctx.residue_traces(), [], (1,)
+    tr, traces, y = basis_traces(ctx.modulus, p), [], (1,)
     for _ in range(total):
         traces.append(sum(a * b for a, b in zip(y, tr)) % p)
         y = poly_mul_mod(y, ctx.generator, ctx.modulus, p)
