@@ -104,12 +104,24 @@ def test_bad_flags_exit_2(capsys):
     ["lfunc", "--p", "11", "--d", "3", "--e", "2", "--n-max", "2"],
     ["lfunc", "--p", "11", "--d", "3", "--e", "2", "--n-max", "3"],
     ["polygon", "--p", "11", "--d", "3", "--e", "2", "--which", "hodge"],
+    # exponents outside d > e >= 1, gcd(d, e) = 1
+    ["hasse", "--p", "7", "--d", "4", "--e", "2"],
+    ["polygon", "--p", "7", "--d", "3", "--e", "3"],
 ])
 def test_refused_input_exits_2_with_one_error_line(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["hasse", "--p", "7", "--d", "4", "--e", "2"], "error: need gcd(d, e) = 1, got 4, 2\n"),
+    (["polygon", "--p", "7", "--d", "3", "--e", "3"], "error: need d > e >= 1, got d=3, e=3\n"),
+])
+def test_refused_exponents_print_their_exact_error_line(capsys, argv, line):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == line
 
 
 def test_hasse_command(capsys):
@@ -848,14 +860,22 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
                            "--prime-count", "2", "--lam-policy", "first:3"]),
     ("lfunc_p7_c3", ["lfunc", "--p", "7", "--d", "3", "--e", "2", "--c", "3", "--lam", "2"]),
     ("lfunc_p13_c2", ["lfunc", "--p", "13", "--d", "4", "--e", "1", "--c", "2", "--lam", "3"]),
+    ("hasse_p43", ["hasse", "--p", "43", "--d", "5", "--e", "2"]),
+    ("hasse_p23_d11", ["hasse", "--p", "23", "--d", "11", "--e", "10"]),
+    ("hasse_q961_c4", ["hasse", "--p", "31", "--a", "2", "--d", "3", "--e", "2", "--c", "4",
+                       "--mu", "3"]),
+    ("hasse_p227_c2", ["hasse", "--p", "227", "--d", "9", "--e", "8", "--c", "2"]),
+    ("polygon_q961_c4", ["polygon", "--p", "31", "--a", "2", "--d", "3", "--e", "2",
+                         "--c", "4", "--mu", "3", "--n-max", "9"]),
 ])
 def test_outputs_match_golden_records(tmp_path, capsys, name, argv):
     # tests/golden holds each command's stdout and, for a grid, its JSONL
     # records without ``timings``, as written by the code before the change
     # each file guards (dwork_q121 to sweep_small: the base-ring sums;
     # dwork_p13 to sweep_dwork: the trace check in pi; verify_half_route
-    # to lfunc_p13_c2: the Newton identities in the group ring); every
-    # command exited 0
+    # to lfunc_p13_c2: the Newton identities in the group ring; hasse_p43
+    # to polygon_q961_c4: the one decomposition and twist-digit rule);
+    # every command exited 0
     grid = argv[0] in ("verify", "sweep")
     out = tmp_path / "records.jsonl"
     code, stdout = _run(capsys, (["--out", str(out)] if grid else []) + argv)
