@@ -29,7 +29,7 @@ from fractions import Fraction
 from .core_arith import is_prime, multiplicative_order
 from .dwork import DworkConsistencyError, TruncationError, np_T, trace_consistency
 from .dwork import check_trace_inputs
-from .hasse import hasse_certificate
+from .hasse import _digits, hasse_certificate
 from .lfunction import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -44,7 +44,7 @@ from .lfunction import (
 )
 from .padic import PrecisionError
 from .polygon import Params, Polygon, hodge_polygon, lies_above, lower_bound_polygon
-from .polygon import record_key
+from .polygon import monotone_bound, record_key
 
 SCHEMA = 1
 
@@ -118,7 +118,7 @@ def cmd_hasse(args) -> int:
     out = {"schema": SCHEMA, "params": params.key()}
     out.update(cert.to_json_dict())
     out["verdicts_consistent"] = cert.verdicts_consistent()
-    out["pp"] = cert.twist.pp
+    out["pp"] = cert.pp
     _emit(out)
     return EXIT_OK
 
@@ -240,7 +240,7 @@ def grid_tuples(args):
 def _grid_primes(args, d, e, c) -> list[int]:
     if args.primes:
         return _parse_int_list(args.primes)
-    bound = (d - e) * (2 * d - 1)
+    bound = monotone_bound(d, e)
     if not args.allow_small_p:
         lo = max(args.prime_min, bound + 1, c + 1)
     else:
@@ -335,7 +335,7 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
         return rec
     rec.update({
         "precision": data.M,
-        "H": str(cert.H),
+        "H": _digits(cert.H),
         "H_mod_p": cert.H % p,
         "p_divides_H": cert.p_divides_H,
         "h_unit": cert.h_unit,

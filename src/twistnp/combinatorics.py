@@ -1,7 +1,8 @@
 """Assignment-problem layer: optimal permutation sums over residue costs.
 
-The central quantity is the minimum of sum_i rbar(inv(e)*(p*i - tau(i) + t))
-over permutations tau of {0..n}, where rbar is the minimal non-negative
+The central quantity is the minimum of sum_i y_i over permutations tau of
+{0..n}, where p*i - tau(i) + t = d*x_i + e*y_i with 0 <= y_i < d, that is
+y_i = rbar(inv(e)*(p*i - tau(i) + t)) for rbar the minimal non-negative
 residue mod d.  One Hungarian solve gives that optimum together with an
 optimal dual (u, v); the edges with cost_ij = u_i + v_j ("tight" edges)
 carry exactly the optimal permutations, which is all the Hasse layer needs.
@@ -10,9 +11,9 @@ carry exactly the optimal permutations, which is all the Hasse layer needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core_arith import min_residue, mod_inverse
+from .core_arith import check_exponents, decompose
 
 
 @dataclass(frozen=True)
@@ -28,44 +29,20 @@ class CombInstance:
     d: int
     e: int
     t: int
-    e_inv: int = field(init=False)
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"p must be positive, got {self.p}")
-        if not (self.d > self.e >= 1):
-            raise ValueError(f"need d > e >= 1, got d={self.d}, e={self.e}")
-        if math.gcd(self.d, self.e) != 1:
-            raise ValueError(f"need gcd(d, e) = 1, got {self.d}, {self.e}")
-        object.__setattr__(self, "e_inv", mod_inverse(self.e, self.d))
+        check_exponents(self.d, self.e)
 
-
-@dataclass(frozen=True)
-class XYDecomposition:
-    x: int
-    y: int
-
-
-def cost(inst: CombInstance, i: int, j: int) -> int:
-    """Cost entry rbar(inv(e) * (p*i - j + t)) in [0, d)."""
-    return min_residue(inst.e_inv * (inst.p * i - j + inst.t), inst.d)
+    def decompose(self, i: int, j: int) -> tuple[int, int]:
+        """``core_arith.decompose`` of the target p*i - j + t."""
+        return decompose(self.p * i - j + self.t, self.d, self.e)
 
 
 def cost_matrix(inst: CombInstance, n: int) -> list[list[int]]:
-    return [[cost(inst, i, j) for j in range(n + 1)] for i in range(n + 1)]
-
-
-def xy_decomposition(inst: CombInstance, i: int, j: int) -> XYDecomposition:
-    """Unique (x, y) with d*x + e*y = p*i - j + t and 0 <= y < d.
-
-    x may be negative; it is non-negative exactly when the target lies in
-    the monoid generated by d and e.
-    """
-    k = inst.p * i - j + inst.t
-    y = min_residue(inst.e_inv * k, inst.d)
-    num = k - inst.e * y
-    assert num % inst.d == 0
-    return XYDecomposition(x=num // inst.d, y=y)
+    """Costs y in [0, d) of the targets p*i - j + t = d*x + e*y, i, j <= n."""
+    return [[inst.decompose(i, j)[1] for j in range(n + 1)] for i in range(n + 1)]
 
 
 def _dual(mat: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -154,7 +131,7 @@ def C_value_reduced(inst: CombInstance, n: int) -> int:
 
 def representable(inst: CombInstance, i: int, j: int) -> bool:
     """Whether p*i - j + t lies in the monoid dN + eN."""
-    return xy_decomposition(inst, i, j).x >= 0
+    return inst.decompose(i, j)[0] >= 0
 
 
 def optimal_perm_sets(

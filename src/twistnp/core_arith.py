@@ -1,10 +1,11 @@
 """Exact integer and rational building blocks.
 
 Everything here is exact: Python ints, ``fractions.Fraction``, and an
-infinity sentinel for the minimal-representation function.  No floats ever
+infinity sentinel for a valuation that does not exist.  No floats ever
 enter a value that is later asserted on.  The number theory the package
 needs (primality, prime factors, multiplicative orders, integer
-determinants) is here too, as plain integer code.  So are the two
+determinants) is here too, as plain integer code, with the one exponent
+check and the one decomposition n = d*x + e*y.  So are the two
 recurrences of a characteristic series, written once for any ring:
 Berkowitz's det(1 - A s) (``berkowitz``) and the traces Tr(A^k) by the
 Newton identities (``power_sums``), run mod n here and in ``padic``, and
@@ -15,27 +16,29 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
-#: Sentinel for "no representation exists".  Only ever compared, never
-#: used in arithmetic with exact values.
+#: Sentinel for the valuation of zero.  Only ever compared, never used in
+#: arithmetic with exact values.
 INFINITY = math.inf
 
 
-def min_residue(x: int, d: int) -> int:
-    """Minimal non-negative residue of ``x`` modulo ``d``."""
-    if d < 1:
-        raise ValueError(f"modulus must be positive, got {d}")
-    return x % d
+def check_exponents(d: int, e: int) -> None:
+    """Refuse the exponents of x^d + lambda x^e unless d > e >= 1, gcd(d, e) = 1."""
+    if not (d > e >= 1):
+        raise ValueError(f"need d > e >= 1, got d={d}, e={e}")
+    if math.gcd(d, e) != 1:
+        raise ValueError(f"need gcd(d, e) = 1, got {d}, {e}")
 
 
-def mod_inverse(e: int, d: int) -> int:
-    """Inverse of ``e`` modulo ``d``, in ``[1, d)`` (0 when d == 1)."""
-    if d < 1:
-        raise ValueError(f"modulus must be positive, got {d}")
-    if math.gcd(e, d) != 1:
-        raise ValueError(f"{e} is not invertible modulo {d}")
-    return pow(e, -1, d)
+def decompose(n: int, d: int, e: int) -> tuple[int, int]:
+    """The (x, y) with d*x + e*y = n and 0 <= y < d, for coprime d and e.
+
+    n lies in dN + eN exactly when x >= 0, and then x + y is the least
+    x' + y' over its representations: every other one is
+    (x - k*e, y + k*d) with k >= 1, whose sum is larger by k*(d - e).
+    """
+    y = n * pow(e, -1, d) % d
+    return (n - e * y) // d, y
 
 
 #: Sorenson and Webster, Math. Comp. 86 (2017): Miller-Rabin to the first
@@ -214,32 +217,3 @@ def artin_hasse_coeffs(p: int, n_max: int) -> list[Fraction]:
             q *= p
         lam.append(acc / n)
     return lam
-
-
-@lru_cache(maxsize=None)
-def min_phi(n: int, d: int, e: int) -> int | float:
-    """min{x + y : dx + ey = n, x, y >= 0}, or INFINITY if unsolvable.
-
-    When finite this equals (n + (d-e) * min_residue(e^{-1} n, d)) / d: the
-    minimum is attained at the smallest admissible y.
-    """
-    if not (d > e >= 1):
-        raise ValueError(f"need d > e >= 1, got d={d}, e={e}")
-    if math.gcd(d, e) != 1:
-        raise ValueError(f"need gcd(d, e) = 1, got d={d}, e={e}")
-    if n < 0:
-        return INFINITY
-    y = min_residue(mod_inverse(e, d) * n, d)
-    x2 = n - e * y
-    if x2 < 0:
-        return INFINITY
-    assert x2 % d == 0
-    return x2 // d + y
-
-
-def phi_minimizer(n: int, d: int, e: int) -> tuple[int, int] | None:
-    """The (x, y) attaining min_phi, or None when there is no solution."""
-    if min_phi(n, d, e) is INFINITY:
-        return None
-    y = min_residue(mod_inverse(e, d) * n, d)
-    return (n - e * y) // d, y

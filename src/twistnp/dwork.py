@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core_arith import artin_hasse_coeffs, berkowitz, phi_minimizer, power_sums
+from .core_arith import artin_hasse_coeffs, berkowitz, decompose, power_sums
 from .lfunction import (DEFAULT_BUDGET, check_budget, check_tadic_order, default_precision,
                         exp_sum_Tadic)
 from .padic import (ZqContext, ZqElem, checked_pairs, make_context, pack, poly_pow_mod,
@@ -179,18 +179,16 @@ def ef_gamma_coeffs(ctx: ZqContext, d: int, e: int, lam_hat: ZqElem,
     out = []
     for n in range(n_max + 1):
         terms: dict[int, ZqElem] = {}
-        start = phi_minimizer(n, d, e)
-        if start is not None:
-            x, y = start
-            while x >= 0:
-                total = x + y
-                if total >= O:
-                    break  # totals grow by d - e > 0 along the solution line
-                coeff = ctx.mul(ctx.mul(lam[x], lam[y]), lam_pows[y])
-                if not coeff.is_zero():  # each total comes once
-                    terms[total * d] = coeff
-                x -= e
-                y += d
+        x, y = decompose(n, d, e)
+        while x >= 0:
+            total = x + y
+            if total >= O:
+                break  # totals grow by d - e > 0 along the solution line
+            coeff = ctx.mul(ctx.mul(lam[x], lam[y]), lam_pows[y])
+            if not coeff.is_zero():  # each total comes once
+                terms[total * d] = coeff
+            x -= e
+            y += d
         out.append(PiSeries(ctx, d, O, terms))
     return out
 

@@ -27,70 +27,30 @@ from .combinatorics import (
     CombInstance,
     optimal_perm_sets,  # noqa: F401  uncalled here; perfbench's tracer wraps this name
     tight_edges,
-    xy_decomposition,
 )
 from .core_arith import (
     INFINITY,
     bareiss_det,
+    check_exponents,
     factorial_inv_or_zero,
     multiplicative_order,
 )
 from .polygon import Params
 
 
-@dataclass(frozen=True)
-class TwistData:
-    """Residue data tying the digit twists to p mod c*d.
+def twist_digits(P: int, mu: int, c: int) -> list[tuple[int, int]]:
+    """The pairs (t_{k+1}, u_k) for k = 0..b-1, with b the order of P mod c.
 
-    ``t`` lists the minimal residues of p^{-k} * mu mod c for k = 0..b-1
-    (cyclic beyond).  ``pp`` is the minimal positive residue of p mod c*d
-    and ``ell`` the quotient (p - pp)/(c*d).  ``uu`` are the digit
-    residues built from pp in place of p; they agree with the true digits
-    mod d and differ by t_{k+1} * d * ell exactly.
+    t_k is the least residue of P^-k * mu mod c (0 when c = 1), periodic
+    with period b, and u_k = (t_{k+1} * P - t_k) / c, exact because
+    t_{k+1} * P = t_k mod c.  For P = p the u_k are the base-p digits of
+    (q - 1) * mu / c; for P = pp = p mod c*d each is the p-digit minus
+    t_{k+1} * d * (p - pp) / (c*d).
     """
-
-    c: int
-    mu: int
-    b: int
-    p: int
-    d: int
-    pp: int
-    ell: int
-    t: tuple[int, ...]
-    u: tuple[int, ...]
-    uu: tuple[int, ...]
-
-
-def _t_residues(p_or_pp: int, mu: int, c: int, b: int) -> tuple[int, ...]:
-    if c == 1:
-        return (0,) * b
-    inv = pow(p_or_pp, -1, c)
-    return tuple(pow(inv, k, c) * mu % c for k in range(b))
-
-
-def twist_data(params: Params) -> TwistData:
-    p, c, d, mu, b = params.p, params.c, params.d, params.mu, params.b
-    t = _t_residues(p, mu, c, b)
-    pp = p % (c * d)
-    assert math.gcd(pp, c * d) == 1
-    ell = (p - pp) // (c * d)
-    u = []
-    uu = []
-    for k in range(b):
-        t_next = t[(k + 1) % b]
-        num = t_next * p - t[k]
-        assert num % c == 0
-        u_k = num // c
-        num_res = t_next * pp - t[k]
-        assert num_res % c == 0
-        uu_k = num_res // c
-        assert u_k == params.u_digit(k), "digit reconstruction failed"
-        assert u_k == t_next * d * ell + uu_k
-        assert 0 <= u_k <= p - 1 and (u_k - uu_k) % d == 0
-        u.append(u_k)
-        uu.append(uu_k)
-    return TwistData(c=c, mu=mu, b=b, p=p, d=d, pp=pp, ell=ell,
-                     t=t, u=tuple(u), uu=tuple(uu))
+    b = multiplicative_order(P, c)
+    inv = pow(P, -1, c)
+    t = [pow(inv, k, c) * mu % c for k in range(b + 1)]
+    return [(t[k + 1], (t[k + 1] * P - t[k]) // c) for k in range(b)]
 
 
 def _optimal_det(inst: CombInstance, n: int, weight) -> Fraction:
@@ -121,8 +81,8 @@ def hasse_number(params: Params, n: int, k: int) -> Fraction:
     inst = CombInstance(params.p, params.d, params.e, params.u_digit(k))
 
     def weight(i, j):
-        sol = xy_decomposition(inst, i, j)
-        return factorial_inv_or_zero(sol.x) * factorial_inv_or_zero(sol.y)
+        x, y = inst.decompose(i, j)
+        return factorial_inv_or_zero(x) * factorial_inv_or_zero(y)
 
     return _optimal_det(inst, n, weight)
 
@@ -145,11 +105,11 @@ def fraction_vp(x: Fraction, p: int) -> int:
 def _integer_weight(inst: CombInstance, c: int, t_next: int, i: int, j: int) -> int:
     """Edge weight of the Hasse constant, a product of integer factors."""
     pp, d, e = inst.p, inst.d, inst.e
-    sol = xy_decomposition(inst, i, j)
-    assert -e <= sol.x < pp, f"x-residue {sol.x} out of [{-e}, {pp})"
+    x, y = inst.decompose(i, j)
+    assert -e <= x < pp, f"x-residue {x} out of [{-e}, {pp})"
     cdr = -pp * (c * i + t_next) + c * d * (pp - 1)
-    prod = math.perm(d - 1, d - 1 - sol.y)  # (d-1)!/y!
-    for m in range(pp - 1 - sol.x):
+    prod = math.perm(d - 1, d - 1 - y)  # (d-1)!/y!
+    for m in range(pp - 1 - x):
         prod *= cdr - c * d * m
     return prod
 
@@ -165,20 +125,14 @@ def hasse_constant(c: int, mu: int, pp: int, e: int, d: int) -> int:
     """
     if c < 1 or pp < 1:
         raise ValueError("c and pp must be positive")
-    if not (d > e >= 1) or math.gcd(d, e) != 1:
-        raise ValueError(f"need d > e >= 1 coprime, got d={d}, e={e}")
+    check_exponents(d, e)
     if math.gcd(mu, c) != 1:
         raise ValueError(f"need gcd(mu, c) = 1, got mu={mu}, c={c}")
     if math.gcd(pp, c * d) != 1:
         raise ValueError(f"need gcd(pp, c*d) = 1, got pp={pp}, c*d={c * d}")
-    b = multiplicative_order(pp, c)
-    t = _t_residues(pp, mu, c, b)
     H = 1
-    for k in range(1, b + 1):
-        t_next = t[k % b]
-        num = t_next * pp - t[(k - 1) % b]
-        assert num % c == 0
-        inst = CombInstance(pp, d, e, num // c)
+    for t_next, u in twist_digits(pp, mu, c):
+        inst = CombInstance(pp, d, e, u)
         for n in range(d - 1):
             H *= int(_optimal_det(
                 inst, n, lambda i, j: _integer_weight(inst, c, t_next, i, j)))
@@ -194,9 +148,8 @@ def _digits(n: int) -> str:
 class HasseCertificate:
     """Everything Theorem-1.3-shaped about one parameter tuple."""
 
-    params_key: str
     p: int
-    twist: TwistData
+    pp: int  # p mod c*d, the residue H is computed at
     h_factors: dict
     h_valuation: object
     h_unit: bool
@@ -220,17 +173,16 @@ class HasseCertificate:
 
 
 def hasse_certificate(params: Params) -> HasseCertificate:
-    twist = twist_data(params)
+    pp = params.p % (params.c * params.d)
     h_factors = {(n, k): hasse_number(params, n, k)
                  for n in range(params.d - 1) for k in range(1, params.b + 1)}
     # valuation of the product of all Hasse numbers, INFINITY if one vanishes
     val = (INFINITY if 0 in h_factors.values()
            else sum(fraction_vp(h, params.p) for h in h_factors.values()))
-    H = hasse_constant(params.c, params.mu, twist.pp, params.e, params.d)
+    H = hasse_constant(params.c, params.mu, pp, params.e, params.d)
     return HasseCertificate(
-        params_key=params.key(),
         p=params.p,
-        twist=twist,
+        pp=pp,
         h_factors=h_factors,
         h_valuation=val,
         h_unit=(val == 0),

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import C_value_reduced, CombInstance
-from .core_arith import is_prime, multiplicative_order
+from .core_arith import check_exponents, is_prime, multiplicative_order
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,7 @@ class Params:
             raise ValueError(f"p must be prime, got {self.p}")
         if self.a < 1:
             raise ValueError(f"a must be >= 1, got {self.a}")
-        if not (self.d > self.e >= 1):
-            raise ValueError(f"need d > e >= 1, got d={self.d}, e={self.e}")
-        if math.gcd(self.d, self.e) != 1:
-            raise ValueError(f"need gcd(d, e) = 1, got {self.d}, {self.e}")
+        check_exponents(self.d, self.e)
         if self.d % self.p == 0:
             raise ValueError(f"p must not divide d, got p={self.p}, d={self.d}")
         if self.c < 1:
@@ -84,11 +81,16 @@ class Params:
 
     def monotone_bound_ok(self) -> bool:
         """Whether p > (d-e)(2d-1), the slope-monotonicity threshold."""
-        return self.p > (self.d - self.e) * (2 * self.d - 1)
+        return self.p > monotone_bound(self.d, self.e)
 
     def key(self) -> str:
         return record_key((self.p, self.a, self.d, self.e, self.c, self.mu,
                            self.lam_index))
+
+
+def monotone_bound(d: int, e: int) -> int:
+    """The slope-monotonicity threshold (d-e)(2d-1); theorems need p above it."""
+    return (d - e) * (2 * d - 1)
 
 
 def record_key(tup: tuple[int, ...]) -> str:

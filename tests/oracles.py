@@ -1,7 +1,9 @@
 """Oracles and test-only helpers: code no command runs, kept as the
 independent side of the checks on the program.
 
-- the assignment layer: rational falling factorials, (n+1)!
+- the assignment layer: the least residue, the inverse mod d and the
+  closed form of min x + y over d*x + e*y = n (``min_phi``), rational
+  falling factorials, (n+1)!
   enumerations that the Hungarian solve, its
   tight edges and the matching count are checked against, the
   overflow-count matching with its residue columns, and the sum of y over
@@ -33,13 +35,10 @@ from twistnp.combinatorics import (
     compute_C,
     cost_matrix,
     optimal_perm_sets,
-    xy_decomposition,
 )
 from twistnp.core_arith import (
     INFINITY,
     artin_hasse_coeffs,
-    min_phi,
-    min_residue,
     prime_factors,
 )
 from twistnp.dwork import PiSeries, PsiMatrix
@@ -73,6 +72,43 @@ from twistnp.polygon import Params, Polygon, lower_bound_polygon
 # the assignment layer
 
 
+def min_residue(x: int, d: int) -> int:
+    """Minimal non-negative residue of ``x`` modulo ``d``."""
+    if d < 1:
+        raise ValueError(f"modulus must be positive, got {d}")
+    return x % d
+
+
+def mod_inverse(e: int, d: int) -> int:
+    """Inverse of ``e`` modulo ``d``, in ``[1, d)`` (0 when d == 1)."""
+    if d < 1:
+        raise ValueError(f"modulus must be positive, got {d}")
+    if math.gcd(e, d) != 1:
+        raise ValueError(f"{e} is not invertible modulo {d}")
+    return pow(e, -1, d)
+
+
+@lru_cache(maxsize=None)
+def min_phi(n: int, d: int, e: int) -> int | float:
+    """min{x + y : dx + ey = n, x, y >= 0}, or INFINITY if unsolvable.
+
+    When finite this equals (n + (d-e) * min_residue(e^{-1} n, d)) / d: the
+    minimum is attained at the smallest admissible y.
+    """
+    if not (d > e >= 1):
+        raise ValueError(f"need d > e >= 1, got d={d}, e={e}")
+    if math.gcd(d, e) != 1:
+        raise ValueError(f"need gcd(d, e) = 1, got d={d}, e={e}")
+    if n < 0:
+        return INFINITY
+    y = min_residue(mod_inverse(e, d) * n, d)
+    x2 = n - e * y
+    if x2 < 0:
+        return INFINITY
+    assert x2 % d == 0
+    return x2 // d + y
+
+
 def falling_factorial(x: int | Fraction, n: int) -> Fraction:
     """x(x-1)...(x-n+1) with n factors; n = 0 gives 1."""
     if n < 0:
@@ -94,11 +130,11 @@ def exhaustive_C(inst: CombInstance, n: int) -> tuple[int, frozenset[tuple[int, 
 
 
 def R_value(inst: CombInstance, i: int, alpha: int) -> int:
-    return min_residue(inst.e_inv * (inst.p * i + alpha), inst.d)
+    return min_residue(mod_inverse(inst.e, inst.d) * (inst.p * i + alpha), inst.d)
 
 
 def r_value(inst: CombInstance, i: int, alpha: int) -> int:
-    return min_residue(inst.e_inv * (inst.t - alpha - i), inst.d)
+    return min_residue(mod_inverse(inst.e, inst.d) * (inst.t - alpha - i), inst.d)
 
 
 def perm_sign(tau: tuple[int, ...]) -> int:
@@ -178,16 +214,11 @@ def v_exponent(params: Params, n: int, k: int) -> int:
         raise VExponentUndefinedError(f"no representable optimum at n={n}, k={k}")
     values = set()
     for tau in circle:
-        values.add(sum(xy_decomposition(inst, i, tau[i]).y for i in range(n + 1)))
+        values.add(sum(inst.decompose(i, tau[i])[1] for i in range(n + 1)))
     assert len(values) == 1, "sum of y over the optimal set is not constant"
     v = values.pop()
     assert v == compute_C(inst, n)
     return v
-
-
-def cyclic(seq: tuple[int, ...], k: int) -> int:
-    """Entry k of a digit period, indexed cyclically (``TwistData.t``, ``u``, ``uu``)."""
-    return seq[k % len(seq)]
 
 
 def corners(poly: Polygon) -> list[tuple[int, Fraction]]:

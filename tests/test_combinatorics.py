@@ -19,21 +19,20 @@ from twistnp.combinatorics import (
     CombInstance,
     C_value_reduced,
     compute_C,
-    cost,
+    cost_matrix,
     optimal_perm_sets,
     tight_edges,
-    xy_decomposition,
 )
 
 
 def test_cost_examples():
     inst = CombInstance(p=5, d=3, e=2, t=0)
-    assert cost(inst, 1, 1) == 2
+    assert cost_matrix(inst, 1)[1][1] == 2
     inst11 = CombInstance(p=11, d=3, e=2, t=0)
-    assert cost(inst11, 2, 1) == 0
+    assert cost_matrix(inst11, 2)[2][1] == 0
     # j congruent to t at i = 0 gives cost 0
     inst_t = CombInstance(p=7, d=4, e=3, t=5)
-    assert cost(inst_t, 0, 5 % 4) == 0
+    assert cost_matrix(inst_t, 1)[0][5 % 4] == 0
 
 
 def test_compute_C_examples():
@@ -66,16 +65,16 @@ def test_compute_bfC_examples():
 
 def test_xy_decomposition_examples():
     inst = CombInstance(p=5, d=3, e=2, t=0)
-    sol = xy_decomposition(inst, 1, 0)
-    assert (sol.x, sol.y) == (1, 1)
-    assert xy_decomposition(inst, 0, 0) == xy_decomposition(inst, 0, 0)
-    assert (xy_decomposition(inst, 0, 0).x, xy_decomposition(inst, 0, 0).y) == (0, 0)
+    x, y = inst.decompose(1, 0)
+    assert (x, y) == (1, 1)
+    assert inst.decompose(0, 0) == inst.decompose(0, 0)
+    assert inst.decompose(0, 0) == (0, 0)
     # p = 1 mod d with d | t: along the diagonal y = 0
     inst13 = CombInstance(p=13, d=3, e=2, t=6)
     for i in range(4):
-        sol = xy_decomposition(inst13, i, i)
-        assert sol.y == 0
-        assert sol.x == (12 * i + 6) // 3
+        x, y = inst13.decompose(i, i)
+        assert y == 0
+        assert x == (12 * i + 6) // 3
 
 
 def test_xy_decomposition_defining_identity():
@@ -86,9 +85,9 @@ def test_xy_decomposition_defining_identity():
         inst = CombInstance(p=rng.choice([2, 3, 5, 11, 97]), d=d, e=e,
                             t=rng.randint(-50, 50))
         i, j = rng.randint(0, 10), rng.randint(0, 10)
-        sol = xy_decomposition(inst, i, j)
-        assert inst.d * sol.x + inst.e * sol.y == inst.p * i - j + inst.t
-        assert 0 <= sol.y < inst.d
+        x, y = inst.decompose(i, j)
+        assert inst.d * x + inst.e * y == inst.p * i - j + inst.t
+        assert 0 <= y < inst.d
 
 
 def test_perm_sign():
@@ -122,11 +121,12 @@ def test_optimal_perm_sets_at_ten_indices():
     # n + 1 = 10: past any exhaustive enumeration, every member is optimal
     for inst in (CombInstance(p=11, d=3, e=2, t=0), CombInstance(p=23, d=11, e=10, t=2)):
         best = compute_C(inst, 9)
+        mat = cost_matrix(inst, 9)
         circle, bullet = optimal_perm_sets(inst, 9)
         assert bullet and circle <= bullet
         for tau in bullet:
             assert sorted(tau) == list(range(10))
-            assert sum(cost(inst, i, tau[i]) for i in range(10)) == best
+            assert sum(mat[i][tau[i]] for i in range(10)) == best
     inst = CombInstance(p=11, d=3, e=2, t=0)
     assert compute_C(inst, 9) == compute_C(inst, 9 - 3)
 

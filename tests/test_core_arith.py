@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import falling_factorial
+from oracles import falling_factorial, min_phi, min_residue, mod_inverse
 from twistnp.core_arith import (
     INFINITY,
     PSI_13,
@@ -19,14 +19,11 @@ from twistnp.core_arith import (
     bareiss_det,
     berkowitz,
     charpoly_mod,
+    decompose,
     factorial_inv_or_zero,
     is_prime,
-    min_phi,
-    min_residue,
     mod_dot,
-    mod_inverse,
     multiplicative_order,
-    phi_minimizer,
     power_sums,
     prime_factors,
 )
@@ -133,12 +130,13 @@ def test_min_phi_against_enumeration(d, e):
         expected = min(candidates) if candidates else INFINITY
         got = min_phi(n, d, e)
         assert got == expected
+        x, y = decompose(n, d, e)
+        assert d * x + e * y == n and 0 <= y < d
         if candidates:
             assert got == Fraction(n + (d - e) * min_residue(mod_inverse(e, d) * n, d), d)
-            x, y = phi_minimizer(n, d, e)
-            assert d * x + e * y == n and x >= 0 and y >= 0 and x + y == got
+            assert x >= 0 and x + y == got
         else:
-            assert phi_minimizer(n, d, e) is None
+            assert x < 0
 
 
 def test_min_phi_small_cases():

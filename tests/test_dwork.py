@@ -13,11 +13,12 @@ from oracles import (
     compare_aggregate_bound,
     dict_dot,
     entry_valuation_bound,
+    min_phi,
     pi_of_T_coeffs,
     pi_series_to_T,
     work_order,
 )
-from twistnp.core_arith import INFINITY, artin_hasse_coeffs, berkowitz, min_phi
+from twistnp.core_arith import INFINITY, artin_hasse_coeffs, berkowitz
 from twistnp.dwork import (
     PiSeries,
     _dot,

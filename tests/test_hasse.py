@@ -20,7 +20,6 @@ import sympy
 
 from oracles import (
     VExponentUndefinedError,
-    cyclic,
     exhaustive_C,
     falling_factorial,
     perm_sign,
@@ -31,15 +30,14 @@ from twistnp.combinatorics import (
     CombInstance,
     compute_C,
     optimal_perm_sets,
-    xy_decomposition,
 )
-from twistnp.core_arith import INFINITY, factorial_inv_or_zero
+from twistnp.core_arith import INFINITY, factorial_inv_or_zero, is_prime
 from twistnp.hasse import (
     fraction_vp,
     hasse_certificate,
     hasse_constant,
     hasse_number,
-    twist_data,
+    twist_digits,
 )
 from twistnp.polygon import Params
 
@@ -48,21 +46,46 @@ F = Fraction
 
 def test_twist_data_twisted_anchor():
     pr = Params(p=11, a=2, d=3, e=2, c=3, mu=1)
-    tw = twist_data(pr)
-    assert tw.b == 2
-    assert tw.t == (1, 2)
-    assert tw.u == (7, 3)
-    assert tw.pp == 2 and tw.ell == 1
-    assert tw.uu == (1, 0)
-    for k in range(2):
-        assert cyclic(tw.u, k) == cyclic(tw.t, k + 1) * 3 * tw.ell + cyclic(tw.uu, k)
+    # t = (t_0, t_1) = (1, 2): the pairs are (t_1, u_0) and (t_2 = t_0, u_1)
+    digits = twist_digits(pr.p, pr.mu, pr.c)
+    assert pr.b == len(digits) == 2
+    assert digits == [(2, 7), (1, 3)]
+    pp = hasse_certificate(pr).pp
+    ell = (pr.p - pp) // (pr.c * pr.d)
+    assert pp == 2 and ell == 1
+    pp_digits = twist_digits(pp, pr.mu, pr.c)
+    assert pp_digits == [(2, 1), (1, 0)]
+    for (t_next, u), (_, uu) in zip(digits, pp_digits):
+        assert u == t_next * 3 * ell + uu
 
 
 def test_twist_data_trivial_character():
     pr = Params(p=7, a=1, d=3, e=2, c=1, mu=1)
-    tw = twist_data(pr)
-    assert tw.t == (0,) and tw.u == (0,) and tw.uu == (0,)
-    assert tw.pp == 1 and tw.ell == 2
+    pp = hasse_certificate(pr).pp
+    assert twist_digits(pr.p, pr.mu, pr.c) == twist_digits(pp, pr.mu, pr.c) == [(0, 0)]
+    assert pp == 1 and (pr.p - pp) // (pr.c * pr.d) == 2
+
+
+def test_twist_digits_match_the_digits_of_u():
+    # p < 60, c <= 8 prime to p, a in {b, 2b}, every unit mu mod c, d prime to p
+    for p in filter(is_prime, range(60)):
+        for c in range(1, 9):
+            if math.gcd(p, c) != 1:
+                continue
+            for mu in [mu for mu in range(1, c + 1) if math.gcd(mu, c) == 1]:
+                digits = twist_digits(p, mu, c)
+                for d in [d for d in (3, 4, 5, 7) if d % p]:
+                    pp = p % (c * d)
+                    ell = (p - pp) // (c * d)
+                    assert math.gcd(pp, c * d) == 1 and ell * c * d == p - pp
+                    pp_digits = twist_digits(pp, mu, c)
+                    for a in (len(digits), 2 * len(digits)):
+                        pr = Params(p=p, a=a, d=d, e=1, c=c, mu=mu)
+                        assert len(digits) == len(pp_digits) == pr.b
+                        for k, ((t_next, u), (t_pp, uu)) in enumerate(zip(digits, pp_digits)):
+                            assert u == pr.u_digit(k), (p, c, mu, d, a, k)
+                            assert t_pp == t_next and u - uu == t_next * d * ell
+                            assert 0 <= u <= p - 1
 
 
 def test_hasse_number_smallest_case():
@@ -230,8 +253,8 @@ def _hasse_number_oracle(pr, n, k):
     inst = CombInstance(pr.p, pr.d, pr.e, pr.u_digit(k))
 
     def weight(i, j):
-        sol = xy_decomposition(inst, i, j)
-        return factorial_inv_or_zero(sol.x) * factorial_inv_or_zero(sol.y)
+        x, y = inst.decompose(i, j)
+        return factorial_inv_or_zero(x) * factorial_inv_or_zero(y)
 
     return _perm_sum(inst, n, weight)
 
@@ -251,10 +274,10 @@ def _hasse_constant_rational_oracle(c, mu, pp, e, d):
         inst = CombInstance(pp, d, e, uu)
 
         def weight(i, j):
-            sol = xy_decomposition(inst, i, j)
+            x, y = inst.decompose(i, j)
             arg = F(-pp * (c * i + t_next), c * d) + pp - 1
-            length = pp - 1 - sol.x
-            return (falling_factorial(d - 1, d - 1 - sol.y)
+            length = pp - 1 - x
+            return (falling_factorial(d - 1, d - 1 - y)
                     * F(c * d) ** length
                     * falling_factorial(arg, length))
 
@@ -333,7 +356,7 @@ def test_certificate_past_d_10():
     # 13 and 79 are both 13 mod 22
     c13 = hasse_certificate(Params(p=13, a=1, d=11, e=3, c=2, mu=1))
     c79 = hasse_certificate(Params(p=79, a=1, d=11, e=3, c=2, mu=1))
-    assert c13.twist.pp == c79.twist.pp == 13
+    assert c13.pp == c79.pp == 13
     assert c13.H == c79.H
 
 
@@ -369,7 +392,7 @@ def test_certificate_residue_class_invariance():
     pr1 = Params(p=11, a=1, d=3, e=2, c=1, mu=1)
     pr2 = Params(p=17, a=1, d=3, e=2, c=1, mu=1)
     c1, c2 = hasse_certificate(pr1), hasse_certificate(pr2)
-    assert twist_data(pr1).pp == twist_data(pr2).pp == 2
+    assert c1.pp == c2.pp == 2
     assert c1.H == c2.H
 
 
