@@ -866,6 +866,10 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     ("hasse_p227_c2", ["hasse", "--p", "227", "--d", "9", "--e", "8", "--c", "2"]),
     ("polygon_q961_c4", ["polygon", "--p", "31", "--a", "2", "--d", "3", "--e", "2",
                          "--c", "4", "--mu", "3", "--n-max", "9"]),
+    ("dwork_q343_c9", ["dwork", "--p", "7", "--a", "3", "--d", "3", "--e", "2", "--c", "9",
+                       "--trace-k", "1", "--J", "3"]),
+    ("verify_q343_c9", ["verify", "--d", "3", "--e", "2", "--c", "9", "--mu", "1",
+                        "--primes", "7", "--lam-policy", "first:3"]),
 ])
 def test_outputs_match_golden_records(tmp_path, capsys, name, argv):
     # tests/golden holds each command's stdout and, for a grid, its JSONL
@@ -873,8 +877,9 @@ def test_outputs_match_golden_records(tmp_path, capsys, name, argv):
     # each file guards (dwork_q121 to sweep_small: the base-ring sums;
     # dwork_p13 to sweep_dwork: the trace check in pi; verify_half_route
     # to lfunc_p13_c2: the Newton identities in the group ring; hasse_p43
-    # to polygon_q961_c4: the one decomposition and twist-digit rule);
-    # every command exited 0
+    # to polygon_q961_c4: the one decomposition and twist-digit rule;
+    # dwork_q343_c9 and verify_q343_c9: a deg-3 Z_q reduced by one
+    # remainder routine); every command exited 0
     grid = argv[0] in ("verify", "sweep")
     out = tmp_path / "records.jsonl"
     code, stdout = _run(capsys, (["--out", str(out)] if grid else []) + argv)
