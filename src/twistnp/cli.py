@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -271,12 +272,14 @@ def shared_pass(tups, precision=None, budget=DEFAULT_BUDGET, n_max=None):
 
     Returns ``(result, error, per_record_s)``.  ``result`` holds each
     lambda's sums for its route (``route_sums_by_lambda``), from one
-    enumeration pass per k, then the lower-bound and Hodge polygons to
-    max(3d, n_max) and the Hasse certificate, so a group the budget
-    refuses does no other work; ``error`` is the exception computing them
-    raised instead, which each record re-raises where its own computation
-    would have met it.  The pass's time is split evenly over the group's
-    records.
+    enumeration pass per k, so a group the budget refuses does no other
+    work; then the lower-bound and Hodge polygons to max(3d, n_max), and
+    what of a record does not depend on lambda: the Hasse certificate's
+    fields and both bounds' slopes, the violations found where p passes
+    the monotone bound, and the Hodge-gap violation.  ``error`` is the
+    exception computing them raised instead, which each record re-raises
+    where its own computation would have met it.  The pass's time is
+    split evenly over the group's records.
     """
     t0 = time.monotonic()
     p, a, d, e, c, mu, _ = tups[0]
@@ -285,9 +288,24 @@ def shared_pass(tups, precision=None, budget=DEFAULT_BUDGET, n_max=None):
         params = Params(p=p, a=a, d=d, e=e, c=c, mu=mu)
         lams = list(dict.fromkeys(tup[6] for tup in tups))
         sums = route_sums_by_lambda(params, lams, precision, budget)
-        n_poly = max(3 * d, n_max or 0)
-        result = (lower_bound_polygon(params, n_poly), hodge_polygon(params, n_poly),
-                  hasse_certificate(params), sums)
+        n_poly, n_top = max(3 * d, n_max or 0), n_max or d
+        P, H = lower_bound_polygon(params, n_poly), hodge_polygon(params, n_poly)
+        cert = hasse_certificate(params)
+        monotone_faults = []
+        if params.monotone_bound_ok():
+            if not cert.verdicts_consistent():
+                monotone_faults.append("unit verdict disagrees with divisibility of H")
+            if not P.is_convex():
+                monotone_faults.append("lower-bound polygon not convex")
+        diff_bound = Fraction((d - e) * (d - 1) ** 2, d * (p - 1))
+        gap = max(P.value(n) - H.value(n) for n in range(3 * d + 1))
+        fields = {"H": _digits(cert.H), "H_mod_p": cert.H % p, "p_divides_H": cert.p_divides_H,
+                  "h_unit": cert.h_unit,
+                  "h_valuation": "inf" if cert.h_valuation == math.inf else str(cert.h_valuation),
+                  "P_slopes": _slopes_json(P.restrict(n_top)),
+                  "hodge_slopes": _slopes_json(H.restrict(n_top))}
+        result = (sums, P, H, fields, monotone_faults,
+                  ["gap to the Hodge bound exceeds its limit"] if gap > diff_bound else [])
     except Exception as exc:  # each record re-raises it
         error = exc
     return result, error, (time.monotonic() - t0) / len(tups)
@@ -313,11 +331,10 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
         "lambda_index": lam, "b": params.b, "u": params.u,
         "status": "ok", "route": route.name, "enum_field": route.field_size(p, a),
     }
-    n_top = n_max or d
     try:
         if error is not None:
             raise error
-        P, H, cert, sums = result
+        sums, P, H, fields, monotone_faults, gap_faults = result
         data = classical_l_function(params, precision, budget, _sums=sums[lam], hodge=H)
         np_poly = newton_polygon_classical(params, data=data)
     except BudgetExceededError:
@@ -333,17 +350,11 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
     except (PrecisionError, TruncationError) as exc:
         rec["status"] = f"error:precision:{exc}"
         return rec
+    rec.update(fields)
     rec.update({
         "precision": data.M,
-        "H": _digits(cert.H),
-        "H_mod_p": cert.H % p,
-        "p_divides_H": cert.p_divides_H,
-        "h_unit": cert.h_unit,
-        "h_valuation": "inf" if cert.h_valuation == math.inf else str(cert.h_valuation),
         "np_slopes": _slopes_json(np_poly),
-        "P_slopes": _slopes_json(P.restrict(n_top)),
-        "hodge_slopes": _slopes_json(H.restrict(n_top)),
-        "equal": np_poly.values == P.restrict(d).values,
+        "equal": np_poly.values == P.values[:d + 1],
         "lies_above": lies_above(np_poly, P).ok,
     })
     violations = []
@@ -352,15 +363,10 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
             violations.append("NP does not lie above the lower bound")
         if rec["equal"] != rec["h_unit"]:
             violations.append("polygon equality disagrees with unit verdict")
-        if rec["h_unit"] == rec["p_divides_H"]:
-            violations.append("unit verdict disagrees with divisibility of H")
-        if not P.is_convex():
-            violations.append("lower-bound polygon not convex")
+        violations += monotone_faults
     if e == d - 1 and p > c * (d * d - d + 1) and not rec["equal"]:
         violations.append("forced-equality case failed")
-    diff_bound = Fraction((d - e) * (d - 1) ** 2, d * (p - 1))
-    if max(P.value(n) - H.value(n) for n in range(3 * d + 1)) > diff_bound:
-        violations.append("gap to the Hodge bound exceeds its limit")
+    violations += gap_faults
     if dwork:
         try:
             res = np_T(params, d, M=precision)
@@ -538,6 +544,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="twistnp",
                                  description="Newton polygons of twisted "

@@ -5,11 +5,11 @@ infinity sentinel for a valuation that does not exist.  No floats ever
 enter a value that is later asserted on.  The number theory the package
 needs (primality, prime factors, multiplicative orders, integer
 determinants) is here too, as plain integer code, with the one exponent
-check and the one decomposition n = d*x + e*y.  So are the two
-recurrences of a characteristic series, written once for any ring:
-Berkowitz's det(1 - A s) (``berkowitz``) and the traces Tr(A^k) by the
-Newton identities (``power_sums``), run mod n here and in ``padic``, and
-on T-adic series in ``dwork``.
+check, the one decomposition n = d*x + e*y and the one twist-digit rule.
+So are the two recurrences of a characteristic series, written once for
+any ring: Berkowitz's det(1 - A s) (``berkowitz``) and the traces
+Tr(A^k) by the Newton identities (``power_sums``), run mod n here and in
+``padic``, and on T-adic series in ``dwork``.
 """
 
 from __future__ import annotations
@@ -103,6 +103,21 @@ def multiplicative_order(x: int, c: int) -> int:
     while y != 1 % c:
         b, y = b + 1, y * x % c
     return b
+
+
+def twist_digits(P: int, mu: int, c: int) -> list[tuple[int, int]]:
+    """The pairs (t_{k+1}, u_k) for k = 0..b-1, with b the order of P mod c.
+
+    t_k is the least residue of P^-k * mu mod c (0 when c = 1), periodic
+    with period b, and u_k = (t_{k+1} * P - t_k) / c, exact because
+    t_{k+1} * P = t_k mod c.  For P = p the u_k are the base-p digits of
+    (q - 1) * mu / c; for P = pp = p mod c*d each is the p-digit minus
+    t_{k+1} * d * (p - pp) / (c*d).
+    """
+    b = multiplicative_order(P, c)
+    inv = pow(P, -1, c)
+    t = [pow(inv, k, c) * mu % c for k in range(b + 1)]
+    return [(t[k + 1], (t[k + 1] * P - t[k]) // c) for k in range(b)]
 
 
 def bareiss_det(rows) -> int:

@@ -29,8 +29,8 @@ from fractions import Fraction
 from .core_arith import artin_hasse_coeffs, berkowitz, decompose, power_sums
 from .lfunction import (DEFAULT_BUDGET, check_budget, check_tadic_order, default_precision,
                         exp_sum_Tadic)
-from .padic import (ZqContext, ZqElem, checked_pairs, make_context, pack, poly_pow_mod,
-                    slot_bytes, unpack)
+from .padic import (ZqContext, ZqElem, checked_pairs, make_context, pack, poly_mod,
+                    poly_pow_mod, slot_bytes, unpack)
 from .polygon import Params, Polygon, lower_bound_polygon, lower_convex_hull
 
 #: extra pi-orders kept beyond the largest valuation that must be resolved
@@ -244,7 +244,7 @@ def _dot(pairs, zero: PiSeries) -> PiSeries:
                 acc[n] = acc.get(n, 0) + va * vb
     nbytes, span = zero.slot_width(), 2 * ctx.deg - 1
     return zero.copy_with({n: ZqElem(ctx, c) for n, v in acc.items()
-                           if any(c := ctx.reduce_product(unpack(v, nbytes, span)))})
+                           if any(c := poly_mod(unpack(v, nbytes, span), ctx.modulus, ctx.pM))})
 
 
 class _ProductCoeffs:

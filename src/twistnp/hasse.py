@@ -33,24 +33,9 @@ from .core_arith import (
     bareiss_det,
     check_exponents,
     factorial_inv_or_zero,
-    multiplicative_order,
+    twist_digits,
 )
 from .polygon import Params
-
-
-def twist_digits(P: int, mu: int, c: int) -> list[tuple[int, int]]:
-    """The pairs (t_{k+1}, u_k) for k = 0..b-1, with b the order of P mod c.
-
-    t_k is the least residue of P^-k * mu mod c (0 when c = 1), periodic
-    with period b, and u_k = (t_{k+1} * P - t_k) / c, exact because
-    t_{k+1} * P = t_k mod c.  For P = p the u_k are the base-p digits of
-    (q - 1) * mu / c; for P = pp = p mod c*d each is the p-digit minus
-    t_{k+1} * d * (p - pp) / (c*d).
-    """
-    b = multiplicative_order(P, c)
-    inv = pow(P, -1, c)
-    t = [pow(inv, k, c) * mu % c for k in range(b + 1)]
-    return [(t[k + 1], (t[k + 1] * P - t[k]) // c) for k in range(b)]
 
 
 def _optimal_det(inst: CombInstance, n: int, weight) -> Fraction:

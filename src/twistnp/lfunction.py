@@ -62,8 +62,8 @@ from .padic import (
     make_context,
     mult_charpoly,
     pack,
-    poly_divmod,
     poly_eval_mod,
+    poly_mod,
     poly_mul_mod,
     poly_pow_mod,
     poly_trim,
@@ -163,7 +163,7 @@ class TraceTable:
         self.narrow = self.code == "B"  # p < 128
         f = min_poly(ctx)
         self.gamma = (-1)**m * f[0] % p  # the norm, (-1)^m f(0)
-        b = poly_divmod((0,) * m + (1,), f, p)[1]  # x^n mod f for n entries
+        b = poly_mod((0,) * m + (1,), f, p)  # x^n mod f for n entries
         # x^-1 = -(f(x) - f(0)) / (x f(0)), and x^-(m-1) steps n to 2n - m + 1
         x_inv = poly_trim(tuple(-c * pow(f[0], -1, p) % p for c in f[1:]))
         back = poly_pow_mod(x_inv, m - 1, f, p)

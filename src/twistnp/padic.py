@@ -11,17 +11,20 @@ ring Z_q[x]/(x^p - 1), so a character sum is its weighted counts and a
 product is a cyclic convolution (``ZqContext.group_dot``); the
 pi_1-valuation is read off the binomial change of basis, row by row.
 
-The F_p[X] helpers (``poly_*``) serve both the residue fields and the
-contexts: every "multiply by X and fold the top coefficient back" walk,
-mod p or mod p^M, is ``x_walk``, and the traces of the power basis are
-the power sums of the modulus's roots (``basis_traces``).  One helper,
-``mult_charpoly``, gives det(1 - M_beta s) for multiplication by beta,
-from ``core_arith.berkowitz``: the traces Tr(gamma * beta^j) recur with
-it (``ZqContext.trace_sequence``), and reversed mod p it is the minimal
+The polynomial helpers (``poly_*``) serve both the residue fields and
+the contexts: every product is ``poly_mul`` over Z reduced by the one
+remainder ``poly_mod``, mod p or mod p^M; every "multiply by X and fold
+the top coefficient back" walk is ``x_walk``; and the traces of the
+power basis are the power sums of the modulus's roots
+(``basis_traces``).  One helper, ``mult_charpoly``, gives
+det(1 - M_beta s) for multiplication by beta, from
+``core_arith.berkowitz``: the traces Tr(gamma * beta^j) recur with it
+(``ZqContext.trace_sequence``), and reversed mod p it is the minimal
 polynomial of a residue-field generator.  Both sums of products,
 ``ZqContext.group_dot`` in Z_q[zeta_p] and the T-adic series product
 ``dwork._dot``, pack residues into big integers in one layout: ``pack``,
-``unpack`` and the width ``slot_bytes``.
+``unpack`` and the width ``slot_bytes``; each unpacked slot is reduced
+by ``poly_mod``.
 
 All ring operations are exact mod p^M: divisions only ever happen by
 p-adic units, so precision never degrades silently.  Valuations are
@@ -40,7 +43,7 @@ from functools import lru_cache
 from .core_arith import charpoly_mod, is_prime, mod_dot, power_sums, prime_factors
 
 # ---------------------------------------------------------------------------
-# residue-field polynomial helpers (coefficients little-endian, mod p)
+# polynomial helpers (coefficients little-endian, mod p or mod p^M)
 
 
 def poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -50,40 +53,47 @@ def poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
     return a[:i]
 
 
-def poly_mul(a, b, p):
-    """Product of a and b over F_p."""
+def poly_mul(a, b) -> list[int]:
+    """Product of a and b over Z, not reduced."""
     if not a or not b:
-        return ()
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(x % p for x in out)
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
+
+
+def poly_mod(a, f, m) -> tuple[int, ...]:
+    """The deg f coefficients of a modulo the monic f, each mod m; not trimmed.
+
+    This is the one remainder: mod p in the residue fields, mod p^M in Z_q.
+    """
+    n = len(f) - 1
+    if len(a) <= n:
+        return tuple([c % m for c in a]) + (0,) * (n - len(a))
+    a = list(a)
+    low = f[:n]
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] % m
+        if c:  # f is monic; a[i] is not read again
+            for j, fj in enumerate(low, i - n):
+                a[j] -= c * fj
+    return tuple([c % m for c in a[:n]])
 
 
 def poly_mul_mod(a, b, modulus, p):
-    """Product of a and b modulo (modulus, p)."""
-    return poly_divmod(poly_mul(a, b, p), modulus, p)[1]
-
-
-def poly_divmod(a, b, p):
-    """Quotient and remainder of a by the monic b over F_p, both trimmed."""
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            q[i - db] = c
-            for j in range(db):  # b is monic; a[i] is not read again
-                a[i - db + j] -= c * b[j]
-    return poly_trim(tuple(q)), poly_trim(tuple(x % p for x in a[:db]))
+    """Product of a and b modulo (modulus, p); trimmed."""
+    return poly_trim(poly_mod(poly_mul(a, b), modulus, p))
 
 
 def poly_pow_mod(a, k, modulus, p):
+    """a^k modulo (modulus, p) for k >= 0, by repeated squaring; trimmed."""
+    if k < 0:
+        raise ValueError(f"negative exponent {k}")
     result = (1,)
-    base = poly_divmod(a, modulus, p)[1]
+    base = poly_trim(poly_mod(a, modulus, p))
     while k:
         if k & 1:
             result = poly_mul_mod(result, base, modulus, p)
@@ -143,13 +153,11 @@ def basis_traces(modulus, mod) -> list[int]:
 def poly_gcd(a, b, p):
     a, b = poly_trim(a), poly_trim(b)
     while b:
-        inv = pow(b[-1], -1, p)
-        monic = tuple(c * inv % p for c in b)
-        r = poly_divmod(a, monic, p)[1] if len(a) >= len(b) else a
         if len(a) < len(b):
             a, b = b, a
             continue
-        a, b = b, r
+        inv = pow(b[-1], -1, p)
+        a, b = b, poly_trim(poly_mod(a, tuple(c * inv % p for c in b), p))
     return a
 
 
@@ -164,7 +172,7 @@ def is_irreducible(poly, p):
     for _ in range(deg):
         t = poly_pow_mod(t, p, poly, p)
         frob.append(t)
-    if frob[deg] != poly_divmod(x, poly, p)[1]:
+    if frob[deg] != x:  # x^(p^deg) = x; x is reduced, as deg >= 2
         return False
     for r in prime_factors(deg):
         diff = list(frob[deg // r])
@@ -285,8 +293,6 @@ class ZqContext:
         self.pM = p**M
         self.modulus = smallest_irreducible(p, deg)
         self.generator = find_generator(p, deg)
-        # X^{deg+t} mod modulus, coefficients mod p^M, for t = 0..deg-2
-        self._xpow = x_walk((0,) * (deg - 1) + (1,), self.modulus[:deg], self.pM, deg)[1:]
         self._trace_table = basis_traces(self.modulus, self.pM)
         self._ram_bytes = slot_bytes(self.pM, (p - 1) * deg)
 
@@ -308,30 +314,10 @@ class ZqContext:
     def from_int(self, n: int) -> "ZqElem":
         return self.elem((n,))
 
-    def reduce_product(self, prod: list[int]) -> tuple[int, ...]:
-        """The 2 deg - 1 X-coefficients ``prod`` reduced in X and mod p^M."""
-        deg, pM = self.deg, self.pM
-        out = list(prod[:deg])
-        for t in range(len(prod) - deg):
-            c = prod[deg + t] % pM
-            if c:
-                row = self._xpow[t]
-                for i in range(deg):
-                    out[i] = (out[i] + c * row[i]) % pM
-        return tuple(x % pM for x in out)
-
     def mul(self, a: "ZqElem", b: "ZqElem") -> "ZqElem":
-        deg = self.deg
-        if deg == 1:
+        if self.deg == 1:
             return ZqElem(self, ((a.coeffs[0] * b.coeffs[0]) % self.pM,))
-        prod = [0] * (2 * deg - 1)
-        ac, bc = a.coeffs, b.coeffs
-        for i in range(deg):
-            ai = ac[i]
-            if ai:
-                for j in range(deg):
-                    prod[i + j] += ai * bc[j]
-        return ZqElem(self, self.reduce_product(prod))
+        return ZqElem(self, poly_mod(poly_mul(a.coeffs, b.coeffs), self.modulus, self.pM))
 
     def pow(self, a: "ZqElem", k: int) -> "ZqElem":
         """a^k for k >= 0, by repeated squaring."""
@@ -347,16 +333,13 @@ class ZqContext:
         return result
 
     def teichmuller(self, residue) -> "ZqElem":
-        """The Teichmuller lift of a residue-field element.
+        """The Teichmuller lift of a residue-field element, given by its
+        coefficients (read mod p).
 
-        Accepts a coefficient iterable or a ZqElem (read mod p).  Iterating
-        z -> z^{p^deg} gains one p-adic digit per step; zero maps to zero.
+        Iterating z -> z^{p^deg} gains one p-adic digit per step; zero maps
+        to zero.
         """
-        if isinstance(residue, ZqElem):
-            coeffs = residue.coeffs
-        else:
-            coeffs = tuple(residue)
-        z = self.elem(tuple(c % self.p for c in coeffs))
+        z = self.elem(tuple(c % self.p for c in residue))
         if z.is_zero():
             return z
         q = self.p**self.deg
@@ -416,7 +399,8 @@ class ZqContext:
             t = top[0]
             coords = [((s - t) * scale % pM,) for s in slots[:-1]]
         else:
-            coords = [self.reduce_product([(s - t) * scale for s, t in zip(slots[i:i + span], top)])
+            coords = [poly_mod([(s - t) * scale for s, t in zip(slots[i:i + span], top)],
+                               self.modulus, pM)
                       for i in range(0, span * (p - 1), span)]
         return RamifiedElem(self, coords)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import C_value_reduced, CombInstance
-from .core_arith import check_exponents, is_prime, multiplicative_order
+from .core_arith import check_exponents, is_prime, twist_digits
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,10 @@ class Params:
     ``padic.make_context``), which keeps sweeps over that coefficient
     reproducible.
 
-    Derived data: q = p^a, u = (q-1)*mu/c reduced mod q-1, the digit list
-    of u in base p (length a, periodic with period b), and b the
-    multiplicative order of p mod c.
+    Derived data: q = p^a, u = (q-1)*mu/c reduced mod q-1, b the
+    multiplicative order of p mod c, and the digit list of u in base p:
+    the b digits u_k of ``twist_digits``, repeated a/b times (b divides a
+    once c divides q-1).
     """
 
     p: int
@@ -58,22 +59,12 @@ class Params:
             raise ValueError(f"need gcd(mu, c) = 1, got mu={self.mu}, c={self.c}")
         if not (0 <= self.lam_index <= q - 2):
             raise ValueError(f"lam_index must lie in [0, q-2], got {self.lam_index}")
-        u = ((q - 1) // self.c * self.mu) % (q - 1)
-        b = multiplicative_order(self.p, self.c)
-        if self.a % b != 0:
-            raise ValueError(f"order b={b} of p mod c must divide a={self.a}")
-        digits = []
-        rem = u
-        for _ in range(self.a):
-            digits.append(rem % self.p)
-            rem //= self.p
-        assert rem == 0
-        for i in range(self.a):
-            assert digits[i] == digits[(b + i) % self.a], "digits not b-periodic"
+        digits = tuple(u for _, u in twist_digits(self.p, self.mu, self.c))
+        b = len(digits)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "u", ((q - 1) // self.c * self.mu) % (q - 1))
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "digits", tuple(digits))
+        object.__setattr__(self, "digits", digits * (self.a // b))
 
     def u_digit(self, k: int) -> int:
         """Digit u_k of u in base p, indexed cyclically mod b."""

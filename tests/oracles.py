@@ -58,7 +58,7 @@ from twistnp.padic import (
     checked_pairs,
     make_context,
     pack,
-    poly_divmod,
+    poly_mod,
     poly_pow_mod,
     poly_trim,
     slot_bytes,
@@ -252,7 +252,7 @@ def find_generator_every_code(p: int, deg: int) -> tuple[int, ...]:
 def mult_matrix(z, modulus, p, m) -> np.ndarray:
     """Matrix of multiplication by z on the power basis of F_{p^m}: column
     t is z * X^t, one step of ``x_walk`` from column t - 1."""
-    cols = x_walk(poly_divmod(z, modulus, p)[1], modulus[:m], p, m)
+    cols = x_walk(poly_mod(z, modulus, p), modulus[:m], p, m)
     return np.array(cols, dtype=np.int64).T
 
 
@@ -567,7 +567,7 @@ def ram_dot(ctx: ZqContext, pairs) -> PiElem:
     for t, row in enumerate(pi_rows[:n - 1]):
         total += pack(high[t * span:(t + 1) * span], nbytes) * row
     low = unpack(total, nbytes, span * n)
-    return PiElem(ctx, (ZqElem(ctx, ctx.reduce_product(low[i * span:(i + 1) * span]))
+    return PiElem(ctx, (ZqElem(ctx, poly_mod(low[i * span:(i + 1) * span], ctx.modulus, pM))
                         for i in range(n)))
 
 
@@ -705,7 +705,7 @@ def dict_dot(pairs, zero: PiSeries) -> PiSeries:
                             row[i + j] += ai * bj
     terms = {}
     for n, row in acc.items():
-        c = ctx.reduce_product(row)
+        c = poly_mod(row, ctx.modulus, ctx.pM)
         if any(c):
             terms[n] = ZqElem(ctx, c)
     return zero.copy_with(terms)

@@ -31,13 +31,12 @@ from twistnp.combinatorics import (
     compute_C,
     optimal_perm_sets,
 )
-from twistnp.core_arith import INFINITY, factorial_inv_or_zero, is_prime
+from twistnp.core_arith import INFINITY, factorial_inv_or_zero, is_prime, twist_digits
 from twistnp.hasse import (
     fraction_vp,
     hasse_certificate,
     hasse_constant,
     hasse_number,
-    twist_digits,
 )
 from twistnp.polygon import Params
 
@@ -82,8 +81,9 @@ def test_twist_digits_match_the_digits_of_u():
                     for a in (len(digits), 2 * len(digits)):
                         pr = Params(p=p, a=a, d=d, e=1, c=c, mu=mu)
                         assert len(digits) == len(pp_digits) == pr.b
+                        assert pr.digits == tuple((pr.u // p**k) % p for k in range(a))
                         for k, ((t_next, u), (t_pp, uu)) in enumerate(zip(digits, pp_digits)):
-                            assert u == pr.u_digit(k), (p, c, mu, d, a, k)
+                            assert u == (pr.u // p**k) % p, (p, c, mu, d, a, k)
                             assert t_pp == t_next and u - uu == t_next * d * ell
                             assert 0 <= u <= p - 1
 

@@ -36,8 +36,8 @@ from twistnp.padic import (
     find_generator,
     is_irreducible,
     make_context,
-    poly_divmod,
     poly_eval_mod,
+    poly_mod,
     poly_mul,
     poly_mul_mod,
     poly_pow_mod,
@@ -364,24 +364,33 @@ def test_early_exit_valuation_against_full_change_of_basis(p, deg, M):
         assert (want is None) == x.is_zero()
 
 
-def test_poly_divmod_and_products():
+def test_poly_mod_and_products():
     p = 7
     rng = random.Random(3)
     modulus = smallest_irreducible(p, 3)
+    n = len(modulus) - 1
+    for m in (p, p**3):
+        for _ in range(30):
+            # coefficients over Z, as an unreduced product has them
+            a = tuple(rng.randrange(-m * m, m * m) for _ in range(rng.randrange(0, 7)))
+            b = tuple(rng.randrange(-m * m, m * m) for _ in range(rng.randrange(0, 5)))
+            r = poly_mod(a, modulus, m)
+            assert len(r) == n and all(0 <= c < m for c in r)
+            # a + q * modulus has a's remainder, for a random q over Z
+            q = [rng.randrange(-m, m) for _ in range(rng.randrange(1, 5))]
+            shifted = [x + y for x, y in
+                       itertools.zip_longest(a, poly_mul(q, modulus), fillvalue=0)]
+            assert poly_mod(shifted, modulus, m) == r
+            if len(a) <= n:  # deg a < deg modulus: a itself mod m, padded
+                assert r == tuple(c % m for c in a) + (0,) * (n - len(a))
+            assert poly_mul_mod(a, b, modulus, m) == poly_trim(
+                poly_mod(poly_mul(a, b), modulus, m))
 
-    def pad(t, n):
-        return tuple(t) + (0,) * (n - len(t))
 
-    for _ in range(30):
-        a = tuple(rng.randrange(p) for _ in range(rng.randrange(0, 7)))
-        b = tuple(rng.randrange(p) for _ in range(rng.randrange(0, 5)))
-        q, r = poly_divmod(a, modulus, p)
-        qm = poly_mul(q, modulus, p)
-        n = max(len(qm), len(r), len(a))
-        total = tuple((x + y) % p for x, y in zip(pad(qm, n), pad(r, n)))
-        assert poly_trim(total) == poly_trim(a)  # a = q * modulus + r
-        assert len(r) < len(modulus)  # deg r < deg modulus
-        assert poly_mul_mod(a, b, modulus, p) == poly_divmod(poly_mul(a, b, p), modulus, p)[1]
+def test_poly_pow_mod_refuses_a_negative_exponent():
+    modulus = smallest_irreducible(7, 3)
+    with pytest.raises(ValueError, match="negative exponent -1"):
+        poly_pow_mod((0, 1), -1, modulus, 7)
 
 
 def test_eval_int_poly_and_lift_root():
@@ -460,7 +469,7 @@ def _irreducible(poly, p):
     for k in range(1, deg // 2 + 1):
         for n in range(p**k):
             f = tuple((n // p**i) % p for i in range(k)) + (1,)
-            if not poly_divmod(poly, f, p)[1]:
+            if not any(poly_mod(poly, f, p)):
                 return False
     return True
 
