@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import math
 import os
@@ -544,7 +543,6 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="twistnp",
                                  description="Newton polygons of twisted "
