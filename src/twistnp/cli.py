@@ -27,14 +27,14 @@ import time
 from fractions import Fraction
 
 from .core_arith import is_prime, multiplicative_order
-from .dwork import DworkConsistencyError, TruncationError, np_T, trace_consistency
-from .dwork import check_trace_inputs
+from .dwork import DworkConsistencyError, np_T, trace_consistency
 from .hasse import _digits, hasse_certificate
 from .lfunction import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     FunctionalEquationError,
     SmallPrimeError,
+    check_trace_inputs,
     classical_l_function,
     classical_route,
     extend_newton_polygon,
@@ -165,15 +165,14 @@ def cmd_dwork(args) -> int:
     reports = []
     if args.trace_k > 0:
         reports = trace_consistency(params, args.trace_k, J,
-                                    N=res.verdict.N if args.big_n else None,
-                                    O=res.verdict.O if args.big_o else None,
+                                    N=args.big_n, O=args.big_o,
                                     M=args.precision, mat=res.matrix,
                                     budget=args.budget)
     halves = sandwich(params, lower_bound_polygon(params, n_max), res.polygon, np_classical)
     out = {
         "schema": SCHEMA,
         "params": params.key(),
-        "certificate": {"N": res.verdict.N, "O": res.verdict.O, "ok": True},
+        "certificate": {"N": res.matrix.N, "O": res.matrix.O, "ok": True},
         "np_T": res.polygon.to_json_dict(),
         "np_T_slopes": _slopes_json(res.polygon),
         "lies_above_lower_bound": halves["P_below_npT"],
@@ -207,8 +206,7 @@ def grid_tuples(args):
     for p in _parse_int_list(args.primes or ""):
         if not is_prime(p):
             raise ValueError(f"--primes entries must be prime, got {p}")
-    if args.lam_policy.startswith("first:") and int(args.lam_policy[6:]) < 1:
-        raise ValueError(f"--lam-policy first:K needs K >= 1, got {args.lam_policy}")
+    lambda_indices = _lambda_policy(args.lam_policy)
     tuples = []
     for d in _parse_int_list(args.d):
         if args.e == "all":
@@ -231,8 +229,7 @@ def grid_tuples(args):
                             continue
                         a = multiplicative_order(p, c) * args.a_multiple
                         q = p**a
-                        lam_list = _lambda_indices(args, q)
-                        for lam in lam_list:
+                        for lam in lambda_indices(q):
                             tuples.append((p, a, d, e, c, mu, lam))
     return tuples
 
@@ -254,15 +251,19 @@ def _grid_primes(args, d, e, c) -> list[int]:
     return out
 
 
-def _lambda_indices(args, q) -> list[int]:
-    policy = args.lam_policy
+def _lambda_policy(policy: str):
+    """The lambda indices of a field of size q, as a function of q; the
+    policy is parsed, and refused, before any tuple."""
     if policy == "all":
-        return list(range(q - 1))
+        return lambda q: list(range(q - 1))
     if policy.startswith("first:"):
-        k = int(policy.split(":")[1])
-        return list(range(min(k, q - 1)))
+        k = int(policy[6:])
+        if k < 1:
+            raise ValueError(f"--lam-policy first:K needs K >= 1, got {policy}")
+        return lambda q: list(range(min(k, q - 1)))
     if policy.startswith("fixed:"):
-        return [int(policy.split(":")[1]) % (q - 1)]
+        index = int(policy[6:])
+        return lambda q: [index % (q - 1)]
     raise ValueError(f"bad lambda policy {policy!r}")
 
 
@@ -346,7 +347,7 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
         rec["status"] = f"error:ValueError:{exc}"
         rec["needed_p_above"] = exc.threshold
         return rec
-    except (PrecisionError, TruncationError) as exc:
+    except PrecisionError as exc:
         rec["status"] = f"error:precision:{exc}"
         return rec
     rec.update(fields)
@@ -386,7 +387,7 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
                     rec["trace_consistency"] = all(r.ok for r in reports)
                     if not rec["trace_consistency"]:
                         violations.append("trace formula mismatch")
-        except (TruncationError, PrecisionError) as exc:
+        except PrecisionError as exc:
             rec["status"] = f"error:precision:{exc}"
             return rec
     rec["violations"] = violations
@@ -639,7 +640,7 @@ def main(argv=None) -> int:
     except (ValueError, BudgetExceededError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
-    except (TruncationError, PrecisionError) as exc:
+    except PrecisionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECISION
     except (DworkConsistencyError, FunctionalEquationError) as exc:

@@ -11,9 +11,12 @@ exponent carrying a nonzero coefficient.
 
 Truncation is certified, not guessed: every term routed through a basis
 row w carries order at least (p-1)*w/d, so rows beyond N are irrelevant
-once (p-1)*N/d clears the working order (``auto_sizes``).  The
-characteristic series and Tr(A^k) are ``core_arith.berkowitz`` and
-``core_arith.power_sums`` run with the one series product ``_dot``.
+once (p-1)*N/d clears the working order.  One rule, ``auto_sizes``, fills
+a size not given from the one given; ``np_T`` sizes for the least multiple
+of d at or above n_max, and raises ``TruncationError`` on sizes that
+cannot certify the series.  The characteristic series and Tr(A^k) are
+``core_arith.berkowitz`` and ``core_arith.power_sums`` run with the one
+series product ``_dot``.
 
 The trace formula S_k(T) = (q^k - 1) Tr(A^k) is checked in pi: the
 direct T-adic sum is a polynomial in T, and T = E(pi) - 1 is substituted
@@ -27,10 +30,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core_arith import artin_hasse_coeffs, berkowitz, decompose, power_sums
-from .lfunction import (DEFAULT_BUDGET, check_budget, check_tadic_order, default_precision,
-                        exp_sum_Tadic)
-from .padic import (ZqContext, ZqElem, checked_pairs, make_context, pack, poly_mod,
-                    poly_pow_mod, slot_bytes, unpack)
+from .lfunction import DEFAULT_BUDGET, check_trace_inputs, default_precision, exp_sum_Tadic
+from .padic import (PrecisionError, ZqContext, ZqElem, checked_pairs, make_context, pack,
+                    poly_mod, poly_pow_mod, slot_bytes, unpack)
 from .polygon import Params, Polygon, lower_bound_polygon, lower_convex_hull
 
 #: extra pi-orders kept beyond the largest valuation that must be resolved
@@ -41,11 +43,8 @@ class DworkConsistencyError(ArithmeticError):
     """Trace formula and direct enumeration disagree at certified order."""
 
 
-class TruncationError(RuntimeError):
-    def __init__(self, verdict):
-        super().__init__(f"truncation certificate failed: {verdict.reason}; "
-                         f"suggest N={verdict.suggested_N}, O={verdict.suggested_O}")
-        self.verdict = verdict
+class TruncationError(PrecisionError):
+    """The operator sizes (N, O) cannot certify the characteristic series."""
 
 
 @dataclass
@@ -347,44 +346,21 @@ def direct_traces(mat: PsiMatrix, k_max: int) -> list[PiSeries | None]:
     return traces[:k_max + 1]
 
 
-@dataclass(frozen=True)
-class TruncationVerdict:
-    ok: bool
-    N: int
-    O: int
-    suggested_N: int
-    suggested_O: int
-    reason: str = ""
-
-
-def auto_sizes(params: Params, n_max: int, least_order: int = 0) -> tuple[int, int]:
+def auto_sizes(params: Params, n_max: int, least_order: int = 0,
+               N: int | None = None, O: int | None = None) -> tuple[int, int]:
     """The operator sizes (N, O) that resolve the first n_max valuations.
 
-    O clears the lower bound's P(n_max), in pi-units, by ``DEFAULT_GUARD``
-    and is raised to ``least_order``; N is the least size whose tail rows
-    clear O, and at least n_max.
+    A size given is kept.  O clears the lower bound's P(n_max), in
+    pi-units, by ``DEFAULT_GUARD`` and is raised to ``least_order``; N is
+    the least size whose tail rows clear the O in use, and at least n_max.
     """
-    P = lower_bound_polygon(params, n_max)
-    O = max(math.ceil(params.a * (params.p - 1) * P.value(n_max)) + DEFAULT_GUARD,
-            least_order)
-    return max(math.ceil(Fraction(params.d * O, params.p - 1)) + 1, n_max), O
-
-
-def truncation_certificate(params: Params, N: int, O: int, n_max: int) -> TruncationVerdict:
-    """Certify that (N, O) resolve the first n_max char-series valuations.
-
-    Tail rows w >= N only feed terms of order at least (p-1)*w/d, so they
-    cannot touch anything below O once (p-1)*N/d >= O.  A failed verdict
-    suggests ``auto_sizes`` at order at least O.
-    """
-    N_needed, O_needed = auto_sizes(params, n_max, O)
-    tail_short = Fraction((params.p - 1) * N, params.d) < O
-    for failed, reason in ((O < O_needed, f"working order {O} below required {O_needed}"),
-                           (tail_short, f"tail rows reach below order {O} for N={N}"),
-                           (n_max > N, f"n_max={n_max} exceeds matrix size {N}")):
-        if failed:
-            return TruncationVerdict(False, N, O, N_needed, O_needed, reason)
-    return TruncationVerdict(True, N, O, N, O)
+    if O is None:
+        P = lower_bound_polygon(params, n_max)
+        O = max(math.ceil(params.a * (params.p - 1) * P.value(n_max)) + DEFAULT_GUARD,
+                least_order)
+    if N is None:
+        N = max(math.ceil(Fraction(params.d * O, params.p - 1)) + 1, n_max)
+    return N, O
 
 
 @dataclass
@@ -392,25 +368,36 @@ class NpTResult:
     polygon: Polygon
     coeffs: list[PiSeries]
     matrix: PsiMatrix
-    verdict: TruncationVerdict
 
 
 def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
          M: int | None = None) -> NpTResult:
     """T-adic Newton polygon of the characteristic series on [0, n_max].
 
+    The polygon is the hull of c_0..c_{n_top}, n_top = d*ceil(n_max/d),
+    restricted to n_max: NP_T meets the Hodge polygon at every multiple of
+    d, so no point past n_top lowers it.  The operator is sized for n_top
+    by ``auto_sizes``, and the sizes in use are certified, or this raises
+    ``TruncationError``: O clears the order ``auto_sizes`` requires, the
+    tail rows w >= N, whose terms have order at least (p-1)*w/d, clear O,
+    and N >= n_top.  ``coeffs`` and the matrix's traces stop at n_max.
+
     The traces of A^k read off the series must equal those computed from A
     directly (``direct_traces``), or this raises ``DworkConsistencyError``.
     """
-    autoN, autoO = auto_sizes(params, n_max)
-    N = N if N is not None else autoN
-    O = O if O is not None else autoO
-    verdict = truncation_certificate(params, N, O, n_max)
-    if not verdict.ok:
-        raise TruncationError(verdict)
+    n_top = -(-n_max // params.d) * params.d
+    N, O = auto_sizes(params, n_top, N=N, O=O)
+    need_N, need_O = auto_sizes(params, n_top, O)
+    for failed, reason in ((O < need_O, f"working order {O} below required {need_O}"),
+                           ((params.p - 1) * N < params.d * O,
+                            f"tail rows reach below order {O} for N={N}"),
+                           (n_top > N, f"n_max={n_top} exceeds matrix size {N}")):
+        if failed:
+            raise TruncationError(f"truncation certificate failed: {reason}; "
+                                  f"suggest N={need_N}, O={need_O}")
     mat = psi_a_matrix(params, N, O, M)
-    coeffs = char_series(mat, n_max)
-    mat.traces = power_traces(coeffs)
+    coeffs = char_series(mat, n_top)
+    mat.traces = power_traces(coeffs[:n_max + 1])
     for k, direct in enumerate(direct_traces(mat, n_max)):
         if k and direct != mat.traces[k]:
             raise DworkConsistencyError(
@@ -419,8 +406,8 @@ def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
     # digits at or beyond the target order live in the padding zone
     points = [(n, None if v is None or v >= O else v / scale)
               for n, v in enumerate(cs.t_valuation() for cs in coeffs)]
-    return NpTResult(polygon=lower_convex_hull(points), coeffs=coeffs,
-                     matrix=mat, verdict=verdict)
+    return NpTResult(polygon=lower_convex_hull(points).restrict(n_max),
+                     coeffs=coeffs[:n_max + 1], matrix=mat)
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +438,6 @@ class TraceReport:
     ok: bool
 
 
-def check_trace_inputs(params: Params, k_max: int, J: int, budget: int) -> None:
-    """Refuse, before any work, a trace check to k_max whose sums exceed
-    ``budget`` or whose T-adic order J lies outside [0, p)."""
-    check_budget(params, k_max, budget)
-    if k_max > 0:
-        check_tadic_order(params, J)
-
-
 def trace_consistency(params: Params, k_max: int, J: int,
                       N: int | None = None, O: int | None = None,
                       M: int | None = None,
@@ -479,9 +458,7 @@ def trace_consistency(params: Params, k_max: int, J: int,
     """
     check_trace_inputs(params, k_max, J, budget)
     M = M or default_precision(params)
-    autoN, autoO = auto_sizes(params, max(k_max, params.d), J + 2)
-    N = N if N is not None else autoN
-    O = O if O is not None else autoO
+    N, O = auto_sizes(params, max(k_max, params.d), J + 2, N, O)
     if mat is None or (mat.params, mat.N, mat.O, mat.ctx.M) != (params, N, O, M):
         mat = psi_a_matrix(params, N, O, M)
     check_order = min(J, O - 1)

@@ -247,8 +247,6 @@ class TraceTable:
         table, one per group of r cosets crossed, group G scaled by
         gamma^(rG)."""
         N, span = self.N, self.span
-        if count > 1 and not step % N:  # one entry, repeated
-            return self.stream(start, 1, 1) * count
         parts, pos = [], start % N
         while count:
             G, o = divmod(pos, span)
@@ -544,9 +542,12 @@ class TadicSum:
     coeffs: list[ZqElem]
 
 
-def check_tadic_order(params: Params, J: int) -> None:
-    """Refuse a T-adic truncation order J outside [0, p)."""
-    if not 0 <= J < params.p:
+def check_trace_inputs(params: Params, k_max: int, J: int, budget: int) -> None:
+    """The one T-adic refusal: T-adic sums over F_q .. F_{q^k_max} past
+    ``budget`` (``check_budget``), or, for k_max > 0, a truncation order J
+    outside [0, p)."""
+    check_budget(params, k_max, budget)
+    if k_max > 0 and not 0 <= J < params.p:
         raise ValueError(f"T-adic truncation order J={J} must lie in [0, p)")
 
 
@@ -561,7 +562,7 @@ def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
     (``ZqContext.trace_sequence``), streamed together, so each element
     costs 2ak integer products and no table of the field is kept.
     """
-    check_tadic_order(params, J)
+    check_trace_inputs(params, k, J, budget)
     big, descent = _field(params, k, M, budget)
     pM, c = big.pM, params.c
     omega = big.teichmuller(big.generator)

@@ -248,10 +248,10 @@ def test_criterion_6_dwork_route():
     np_classical = newton_polygon_classical(pr)
     assert lies_above(res.polygon, P).ok
     assert lies_above(np_classical, res.polygon).ok
-    res2 = np_T(pr, 3, N=2 * res.verdict.N, O=res.verdict.O)
+    res2 = np_T(pr, 3, N=2 * res.matrix.N, O=res.matrix.O)
     assert res2.polygon.values == res.polygon.values
     for c1, c2 in zip(res.coeffs, res2.coeffs):
-        cap = c1.D * res.verdict.O
+        cap = c1.D * res.matrix.O
         assert {k: v for k, v in c1.terms.items() if k < cap} == \
             {k: v for k, v in c2.terms.items() if k < cap}
     elapsed = time.monotonic() - t0

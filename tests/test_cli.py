@@ -75,6 +75,9 @@ def test_bad_flags_exit_2(capsys):
     ["sweep", "--d", "3", "--e", "2", "--c", "1,-3"],
     ["verify", "--d", "3", "--e", "2", "--primes", "11", "--lam-policy", "first:0"],
     ["sweep", "--d", "3", "--e", "2", "--primes", "11", "--lam-policy", "first:-2"],
+    # a policy that does not parse, also on a grid p | d leaves empty
+    ["verify", "--d", "3", "--e", "2", "--primes", "3", "--lam-policy", "bogus"],
+    ["verify", "--d", "3", "--e", "2", "--primes", "3", "--lam-policy", "fixed:x"],
     # flags that would do nothing, or sizes no operator has
     ["--format", "csv", "hasse", "--p", "43", "--d", "5", "--e", "2"],
     ["--format", "csv", "lfunc", "--p", "11", "--d", "3", "--e", "2"],
@@ -164,6 +167,28 @@ def test_hasse_rejects_bad_extension(capsys):
 def test_dwork_exit_3_on_tiny_matrix(capsys):
     code = main(["dwork", "--p", "11", "--d", "3", "--e", "2", "--N", "2"])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["dwork", "--p", "11", "--d", "3", "--e", "2", "--N", "2"],
+     "tail rows reach below order 16 for N=2; suggest N=6, O=16"),
+    (["dwork", "--p", "11", "--d", "3", "--e", "2", "--O", "3"],
+     "working order 3 below required 16; suggest N=6, O=16"),
+    (["dwork", "--p", "7", "--d", "3", "--e", "2", "--O", "4", "--N", "9"],
+     "working order 4 below required 12; suggest N=7, O=12"),
+], ids=["N-alone", "O-alone", "O-and-N"])
+def test_truncation_refusals_exit_3_with_one_error_line(capsys, argv, reason):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: truncation certificate failed: {reason}\n"
+
+
+def test_dwork_order_alone_sizes_the_matrix_from_it(capsys):
+    # N comes from the O given: the tail rows past N = 13 clear O = 40
+    code, out = _run(capsys, ["dwork", "--p", "11", "--d", "3", "--e", "2", "--O", "40"])
+    assert code == 0
+    assert json.loads(out)["certificate"] == {"N": 13, "O": 40, "ok": True}
 
 
 def test_dwork_rejects_negative_truncation_order(capsys):

@@ -31,7 +31,6 @@ from twistnp.dwork import (
     psi_a_matrix,
     substitute_T,
     trace_consistency,
-    truncation_certificate,
 )
 from twistnp.lfunction import newton_polygon_classical
 from twistnp.padic import make_context
@@ -398,15 +397,27 @@ def test_trace_power_extends_the_series():
 
 def test_truncation_certificate():
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
-    bad = truncation_certificate(pr, N=2, O=16, n_max=3)
-    assert not bad.ok and bad.suggested_N > 2
-    bad2 = truncation_certificate(pr, N=8, O=3, n_max=3)
-    assert not bad2.ok and bad2.suggested_O > 3
-    N, O = auto_sizes(pr, 3)
-    good = truncation_certificate(pr, N, O, 3)
-    assert good.ok
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match="tail rows reach below order 16 for N=2; "
+                                              "suggest N=6, O=16"):
         np_T(pr, 3, N=2, O=16)
+    with pytest.raises(TruncationError, match="working order 3 below required 16; "
+                                              "suggest N=6, O=16"):
+        np_T(pr, 3, N=8, O=3)
+    N, O = auto_sizes(pr, 3)
+    res = np_T(pr, 3, N, O)
+    assert (res.matrix.N, res.matrix.O) == (N, O)
+
+
+@pytest.mark.parametrize("tup", [(11, 1, 4, 3, 2, 1, 1), (5, 1, 3, 1, 2, 1, 1)],
+                         ids=lambda x: str(x).replace(" ", ""))
+def test_np_T_below_d_restricts_the_polygon_to_2d(tup):
+    # the polygon on [0, n] may turn at vertices past n, up to the next
+    # multiple of d, where NP_T meets the Hodge polygon
+    p, a, d, e, c, mu, lam = tup
+    pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
+    whole = np_T(pr, 2 * d).polygon
+    for n in range(1, d):
+        assert np_T(pr, n).polygon == whole.restrict(n), n
 
 
 def test_np_T_p11_anchor_and_stability():
@@ -416,12 +427,12 @@ def test_np_T_p11_anchor_and_stability():
     P = lower_bound_polygon(pr, 3)
     assert res.polygon.values == P.values
     # growing N (by ten, and doubling) must reproduce the same certified data
-    for bigger in (res.verdict.N + 10, 2 * res.verdict.N):
-        res2 = np_T(pr, 3, N=bigger, O=res.verdict.O)
+    for bigger in (res.matrix.N + 10, 2 * res.matrix.N):
+        res2 = np_T(pr, 3, N=bigger, O=res.matrix.O)
         assert res2.polygon.values == res.polygon.values
         for c1, c2 in zip(res.coeffs, res2.coeffs):
-            assert {k: v for k, v in c1.terms.items() if k < c1.D * res.verdict.O} == \
-                {k: v for k, v in c2.terms.items() if k < c2.D * res.verdict.O}
+            assert {k: v for k, v in c1.terms.items() if k < c1.D * res.matrix.O} == \
+                {k: v for k, v in c2.terms.items() if k < c2.D * res.matrix.O}
 
 
 def test_np_T_matches_classical_route():
