@@ -895,6 +895,10 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
                        "--trace-k", "1", "--J", "3"]),
     ("verify_q343_c9", ["verify", "--d", "3", "--e", "2", "--c", "9", "--mu", "1",
                         "--primes", "7", "--lam-policy", "first:3"]),
+    ("dwork_p13_c4_k4", ["dwork", "--p", "13", "--d", "3", "--e", "1", "--c", "4",
+                         "--n-max", "6", "--trace-k", "4"]),
+    ("dwork_p7_c3_k4", ["dwork", "--p", "7", "--d", "3", "--e", "2", "--c", "3",
+                        "--n-max", "4", "--trace-k", "4", "--J", "5"]),
 ])
 def test_outputs_match_golden_records(tmp_path, capsys, name, argv):
     # tests/golden holds each command's stdout and, for a grid, its JSONL
@@ -904,7 +908,9 @@ def test_outputs_match_golden_records(tmp_path, capsys, name, argv):
     # to lfunc_p13_c2: the Newton identities in the group ring; hasse_p43
     # to polygon_q961_c4: the one decomposition and twist-digit rule;
     # dwork_q343_c9 and verify_q343_c9: a deg-3 Z_q reduced by one
-    # remainder routine); every command exited 0
+    # remainder routine; dwork_p13_c4_k4 and dwork_p7_c3_k4: a direct
+    # Tr(A^4) and T-adic sums over several blocks at c >= 2); every
+    # command exited 0
     grid = argv[0] in ("verify", "sweep")
     out = tmp_path / "records.jsonl"
     code, stdout = _run(capsys, (["--out", str(out)] if grid else []) + argv)
