@@ -26,6 +26,7 @@ into it with the Artin-Hasse coefficients of E as Z_q integers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -154,13 +155,14 @@ class PiSeries:
         return out
 
 
-def artin_hasse_zq(ctx: ZqContext, n_max: int) -> list[ZqElem]:
-    """Artin-Hasse coefficients as Z_q scalars (denominators are units)."""
+def artin_hasse_zp(ctx: ZqContext, n_max: int) -> list[int]:
+    """Artin-Hasse coefficients as Z_p integers mod p^M (denominators are
+    units)."""
     out = []
     for lam in artin_hasse_coeffs(ctx.p, n_max):
         assert lam.denominator % ctx.p != 0
         inv = pow(lam.denominator % ctx.pM, -1, ctx.pM)
-        out.append(ctx.from_int(lam.numerator * inv))
+        out.append(lam.numerator * inv % ctx.pM)
     return out
 
 
@@ -171,7 +173,7 @@ def ef_gamma_coeffs(ctx: ZqContext, d: int, e: int, lam_hat: ZqElem,
     The series sit on the operator's grid (d, O): pi^(x+y) is exponent
     (x+y)*d.
     """
-    lam = artin_hasse_zq(ctx, O)
+    lam, pM = artin_hasse_zp(ctx, O), ctx.pM
     lam_pows = [ctx.one()]
     for _ in range(O):
         lam_pows.append(ctx.mul(lam_pows[-1], lam_hat))
@@ -183,7 +185,7 @@ def ef_gamma_coeffs(ctx: ZqContext, d: int, e: int, lam_hat: ZqElem,
             total = x + y
             if total >= O:
                 break  # totals grow by d - e > 0 along the solution line
-            coeff = ctx.mul(ctx.mul(lam[x], lam[y]), lam_pows[y])
+            coeff = lam_pows[y] * (lam[x] * lam[y] % pM)
             if not coeff.is_zero():  # each total comes once
                 terms[total * d] = coeff
             x -= e
@@ -214,16 +216,21 @@ class PsiMatrix:
         return self.traces[k]
 
 
-def _dot(pairs, zero: PiSeries) -> PiSeries:
-    """Sum of x * y over pairs of series on the grid of ``zero``.
+def _dot(pairs, zero: PiSeries, cap: int | None = None) -> PiSeries:
+    """Sum of x * y over pairs of series on the grid of ``zero``, below the
+    exponent ``cap``, by default the grid's own.
 
-    This is the one series product; a series on another grid raises.  Each
-    term product is one integer product of packed coefficients
-    (``PiSeries.packed``); the right-hand terms are walked by exponent and
-    left at the cap, so no pair past the truncation is visited.  Each
-    exponent's sum is unpacked and reduced once.
+    This is the one series product; a series on another grid, or a cap
+    above the grid's, raises.  Each term product is one integer product of
+    packed coefficients (``PiSeries.packed``); the right-hand terms are
+    walked by exponent and left at the cap, so no pair past the truncation
+    is visited.  Each exponent's sum is unpacked and reduced once.
     """
-    ctx, cap = zero.ctx, zero.D * zero.order
+    ctx, top = zero.ctx, zero.D * zero.order
+    if cap is None:
+        cap = top
+    elif cap > top:
+        raise ValueError(f"cap {cap} above the grid's cap {top}")
     acc: dict[int, int] = {}
     for x, y in checked_pairs(pairs):
         zero.check_same_grid(x)
@@ -268,17 +275,19 @@ class _ProductCoeffs:
         return self._level(0, m)
 
     def _level(self, j: int, m: int) -> PiSeries:
-        a = self.params.a
-        if j == a - 1:
-            pj = self.params.p**j
-            if m % pj == 0 and m // pj <= self.gamma_max:
-                return self.gammas[j][m // pj]
+        """X^m coefficient of the product over j' >= j, a series in X^(p^j):
+        zero unless p^j divides m."""
+        p = self.params.p
+        pj = p**j
+        if m % pj:
             return self.zero
+        if j == self.params.a - 1:
+            return self.gammas[j][m // pj] if m // pj <= self.gamma_max else self.zero
         key = (j, m)
         if key not in self._memo:
-            pj = self.params.p**j
             pairs = []
-            for n in range(min(m // pj, self.gamma_max) + 1):
+            # level j + 1 is nonzero only where p^(j+1) divides m - n p^j
+            for n in range(m // pj % p, min(m // pj, self.gamma_max) + 1, p):
                 g = self.gammas[j][n]
                 if g.terms:
                     rest = self._level(j + 1, m - n * pj)
@@ -330,16 +339,30 @@ def direct_traces(mat: PsiMatrix, k_max: int) -> list[PiSeries | None]:
 
     This is the runtime cross-check on ``char_series``: it shares no code
     with the recurrence beyond the series product.  Index 0 is unused.
+
+    A term of A2[i][j] meets only A[j][i] (in Tr(A^3)) and A2[j][i] (in
+    Tr(A^4)), so A2[i][j] is needed only below the cap less the least
+    exponent m of those partners: of A[j][i], and for k_max >= 4 of
+    min_t A[j][t] A[t][i] by its entries' least exponents.  An entry with
+    m at or past the cap is left zero.  Every trace below the cap is that
+    of the full A^2.
     """
     A, N, zero = mat.entries, mat.N, mat.entries[0][0].copy_with({})
+    cap = zero.D * zero.order
 
     def tr_prod(X, Y):  # Tr(XY) = sum_ij X_ij Y_ji
         return _dot(((X[i][j], Y[j][i]) for i in range(N) for j in range(N)), zero)
 
     traces = [None, sum((A[i][i] for i in range(N)), zero), tr_prod(A, A)]
     if k_max >= 3:
-        A2 = [[_dot(((A[i][t], A[t][j]) for t in range(N)), zero) for j in range(N)]
-              for i in range(N)]
+        low = [[min(x.terms, default=cap) for x in row] for row in A]  # cap where zero
+        if k_max >= 4:
+            cols = list(zip(*low))
+            low = [[min(lo, min(map(operator.add, low[j], cols[i])))
+                    for i, lo in enumerate(row)] for j, row in enumerate(low)]
+        A2 = [[zero if low[j][i] >= cap else
+               _dot(((A[i][t], A[t][j]) for t in range(N)), zero, cap - low[j][i])
+               for j in range(N)] for i in range(N)]
         traces.append(tr_prod(A2, A))
         if k_max >= 4:
             traces.append(tr_prod(A2, A2))
@@ -422,7 +445,7 @@ def substitute_T(coeffs: list[ZqElem], order: int) -> list[ZqElem]:
     variable is triangular with unit diagonal.
     """
     ctx = coeffs[0].ctx
-    lam = artin_hasse_zq(ctx, order)
+    lam = artin_hasse_zp(ctx, order)
     acc = [ctx.zero()] * (order + 1)
     for c in reversed(coeffs[:order + 1]):
         acc = [c] + [sum((lam[i] * acc[n - i] for i in range(1, n + 1)), ctx.zero())

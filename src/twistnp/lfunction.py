@@ -34,17 +34,22 @@ computes every coefficient from S_1..S_d, and is the oracle of the
 reflection.
 
 The T-adic sum (``exp_sum_Tadic``) needs the p-adic trace of each lifted
-value, not its residue, so it cannot bin traces mod p.  Instead the two
-traces of x = g^j, Tr(omega^(dj)) and Tr(lamhat * omega^(ej)) with omega
-the Teichmuller lift of g, are linear recurring sequences of order ak in
-j, streamed by integer recurrences whose characteristic polynomials come
-from Berkowitz's division-free algorithm (``core_arith.berkowitz``).
-The direct sum thus uses only the residue field, Teichmuller lifts and
-the base-ring assembly, never the Dwork operator it is checked against.
+value, not its residue, so it cannot bin traces mod p.  It reads one
+Teichmuller trace table instead (``TeichmullerTable``), indexed like the
+classical one: with omega the Teichmuller lift of g, T[u] = Tr(omega^u)
+mod p^M, and omega^(N/(p-1)) lies in Z_p, so the first N/(p-1) traces and
+their Z_p-multiples give them all.  The lift of theta^l is omega^(l s_1),
+so the two traces of x = g^j are again the strided slices T[dj mod N] and
+T[(l s_1 + ej) mod N].  Per class of j mod c the pass sums the powers of
+their sum, and Stirling numbers of the first kind turn those into the
+falling factorials the T-adic character needs.  The direct sum thus uses
+only the residue field, Teichmuller lifts and the base-ring assembly,
+never the Dwork operator it is checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from array import array
@@ -77,6 +82,12 @@ DEFAULT_BUDGET = 2 * 10**7
 
 #: generator powers streamed and binned at a time
 _BLOCK = 1 << 16
+
+#: generator powers a T-adic pass holds at a time.  Its entries are integers
+#: mod p^M, tens of bytes each where the classical pass holds one, and a
+#: class's powers are held beside them: in a whole-field block of F_{11^4}
+#: the `dwork` run of q = 121 peaks at 19.5 MB, in blocks of 2^11 at 18.3 MB
+_TADIC_BLOCK = 1 << 11
 
 #: a trace table keeps whole cosets of F_p^* up to about this many bytes
 _TABLE_BYTES = 1 << 22
@@ -464,14 +475,6 @@ class SubfieldDescent:
         return RamifiedElem(self.base, self.weigh([[x - y for x, y in zip(row, last)]
                                                    for row in counts[:-1]]))
 
-    def lambda_residues(self, lam_indices: list[int]) -> list[tuple[int, ...]]:
-        """Residue vectors of the embedded binomial coefficients theta^l =
-        g_big^(l s_1), one power of g_big each."""
-        big = self.big
-        N = big.p**big.deg - 1
-        return [poly_pow_mod(big.generator, li * self.log_theta % N, big.modulus, big.p)
-                for li in lam_indices]
-
 
 # ---------------------------------------------------------------------------
 # exponential sums
@@ -496,7 +499,8 @@ def classical_sums_multi(params: Params, k: int, lam_indices: list[int],
     With ``conjugate`` each sum also gets its complex conjugate, the sum of
     the conjugate characters chi^-1 and psi^-1, from the same counts.
     """
-    big, descent = _field(params, k, M, budget)
+    check_budget(params, k, budget)
+    big, descent = _field(params, k, M)
     counts = trace_count_matrix(params.p, big.deg, big, lam_indices, descent.log_theta,
                                 descent.theta_poly, params.d, params.e, params.c)
     return {lam_index: ClassicalSum(k, counts[li], descent.descend_ram(counts[li]),
@@ -524,11 +528,10 @@ def check_budget(params: Params, k_max: int, budget: int) -> None:
             raise BudgetExceededError(params.q**k, budget)
 
 
-def _field(params: Params, k: int, M: int | None,
-           budget: int) -> tuple[ZqContext, SubfieldDescent]:
-    """What every sum over F_{q^k} starts from: the budget gate, the
-    context of F_{q^k} at precision M, and its base-ring descent."""
-    check_budget(params, k, budget)
+def _field(params: Params, k: int, M: int | None) -> tuple[ZqContext, SubfieldDescent]:
+    """What every sum over F_{q^k} starts from, once its budget gate has
+    passed: the context of F_{q^k} at precision M, and its base-ring
+    descent."""
     big = make_context(params.p, params.a * k, M or default_precision(params))
     return big, _descent_for(params, big)
 
@@ -551,35 +554,83 @@ def check_trace_inputs(params: Params, k_max: int, J: int, budget: int) -> None:
         raise ValueError(f"T-adic truncation order J={J} must lie in [0, p)")
 
 
+class TeichmullerTable:
+    """The traces T[u] = Tr(omega^u) mod p^M, omega the Teichmuller lift
+    of the generator g of F_{p^m}, for u < N = p^m - 1.
+
+    omega^L, L = N/(p-1), is the lift of the norm g^L, which lies in F_p,
+    so it is an integer z of Z_p and T[vL + u] = z^v T[u]: the head
+    T[0..L), the first L terms of ``ZqContext.trace_sequence``, gives every
+    trace.  This is ``TraceTable``'s coset rule with p^M in place of p; the
+    head is a list of L integers.
+    """
+
+    def __init__(self, big: ZqContext):
+        self.pM = big.pM
+        self.N = big.p**big.deg - 1
+        self.L = self.N // (big.p - 1)
+        omega = big.teichmuller(big.generator)
+        self.head = list(itertools.islice(big.trace_sequence(big.one(), omega), self.L))
+        self.z = big.pow(omega, self.L).coeffs[0]
+
+    def stream(self, start: int, step: int, count: int) -> list[int]:
+        """T[(start + step i) mod N] for i < count: strided slices of the
+        head, one per coset crossed, coset v scaled by z^v."""
+        N, L, pM = self.N, self.L, self.pM
+        out, pos = [], start % N
+        while count:
+            v, u = divmod(pos, L)
+            n = min(count, (L - 1 - u) // step + 1)
+            part = self.head[u:u + (n - 1) * step + 1:step]
+            if v:
+                part = map(pM.__rmod__, map(pow(self.z, v, pM).__mul__, part))
+            out.extend(part)
+            pos = (pos + n * step) % N
+            count -= n
+        return out
+
+
+def stirling_rows(J: int) -> list[list[int]]:
+    """Rows jj <= J of the signed Stirling numbers of the first kind:
+    t(t-1)...(t-jj+1) = sum_i rows[jj][i] t^i, an identity over Z."""
+    rows = [[1]]
+    for n in range(J):
+        prev = rows[-1] + [0]
+        rows.append([(prev[i - 1] if i else 0) - n * prev[i] for i in range(n + 2)])
+    return rows
+
+
 def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
-                  budget: int = DEFAULT_BUDGET) -> TadicSum:
+                  budget: int = DEFAULT_BUDGET, block: int = _TADIC_BLOCK) -> TadicSum:
     """Coefficient-wise twisted T-adic sum, truncated at T^J.
 
     With omega the Teichmuller lift of the generator g of F_{q^k} and
     lamhat that of the coefficient, x = g^j contributes the falling-factorial
     expansion of (1+T)^t, t = Tr(omega^(dj)) + Tr(lamhat * omega^(ej)), to
-    the bucket j mod c.  Both traces are linear recurring sequences in j
-    (``ZqContext.trace_sequence``), streamed together, so each element
-    costs 2ak integer products and no table of the field is kept.
+    the bucket j mod c.  lamhat = omega^(l s_1), so both traces are streams
+    of one ``TeichmullerTable``.  Per block of j, each class sums t^i for
+    i <= J, and the falling factorials come from these power sums once per
+    class (``stirling_rows``).
     """
     check_trace_inputs(params, k, J, budget)
-    big, descent = _field(params, k, M, budget)
-    pM, c = big.pM, params.c
-    omega = big.teichmuller(big.generator)
-    lam_hat = big.teichmuller(descent.lambda_residues([params.lam_index])[0])
-    traces = zip(range(params.q**k - 1),
-                 big.trace_sequence(big.one(), big.pow(omega, params.d)),
-                 big.trace_sequence(lam_hat, big.pow(omega, params.e)))
-    acc = [[0] * (J + 1) for _ in range(c)]
-    for j, tr_d, tr_e in traces:
-        t = tr_d + tr_e
-        bucket = acc[j % c]
-        bucket[0] += 1
-        ff = 1
-        for jj in range(1, J + 1):
-            ff = ff * (t - jj + 1) % pM
-            bucket[jj] += ff
-    rows = descent.weigh(list(zip(*acc)))
+    big, descent = _field(params, k, M)
+    table = TeichmullerTable(big)
+    pM, c, N = big.pM, params.c, table.N
+    lam_log = params.lam_index * descent.log_theta
+    sums = [[0] * (J + 1) for _ in range(c)]  # sums[mm][i]: t^i over class mm
+    for j0 in range(0, N, block):
+        nb = min(block, N - j0)
+        t = list(map(operator.add, table.stream(params.d * j0, params.d, nb),
+                     table.stream(lam_log + params.e * j0, params.e, nb)))
+        for mm, acc in enumerate(sums):
+            part = power = t[(mm - j0) % c::c]
+            acc[0] += len(part)
+            for i in range(1, J + 1):
+                acc[i] += sum(power)
+                if i < J:
+                    power = list(map(pM.__rmod__, map(operator.mul, power, part)))
+    falling = [[sum(map(operator.mul, row, acc)) for row in stirling_rows(J)] for acc in sums]
+    rows = descent.weigh(list(zip(*falling)))
     coeffs = [descent.base.elem(row) * pow(math.factorial(jj) % pM, -1, pM)
               for jj, row in enumerate(rows)]
     return TadicSum(k=k, J=J, coeffs=coeffs)

@@ -41,10 +41,11 @@ from twistnp.core_arith import (
     artin_hasse_coeffs,
     prime_factors,
 )
-from twistnp.dwork import PiSeries, PsiMatrix
+from twistnp.dwork import PiSeries, PsiMatrix, _dot
 from twistnp.lfunction import (
     DEFAULT_BUDGET,
     ClassicalSum,
+    SubfieldDescent,
     TadicSum,
     _descent_for,
     classical_sums_multi,
@@ -652,6 +653,15 @@ def exp_sum_classical(params: Params, k: int, M: int | None = None,
     return classical_sums_multi(params, k, [params.lam_index], M, budget)[params.lam_index]
 
 
+def lambda_residues(descent: SubfieldDescent, lam_indices: list[int]) -> list[tuple[int, ...]]:
+    """Residue vectors of the embedded binomial coefficients theta^l =
+    g_big^(l s_1), one power of g_big each."""
+    big = descent.big
+    N = big.p**big.deg - 1
+    return [poly_pow_mod(big.generator, li * descent.log_theta % N, big.modulus, big.p)
+            for li in lam_indices]
+
+
 def exp_sum_Tadic_walk(params: Params, k: int, J: int, M: int | None = None) -> TadicSum:
     """``exp_sum_Tadic`` by walking F_{q^k}^*: the Teichmuller powers of
     x^d and x^e are kept as Z_q elements, three products and a trace per
@@ -663,7 +673,7 @@ def exp_sum_Tadic_walk(params: Params, k: int, J: int, M: int | None = None) -> 
     g_teich = big.teichmuller(big.generator)
     omega_d = big.pow(g_teich, params.d)
     omega_e = big.pow(g_teich, params.e)
-    lam_hat = big.teichmuller(descent.lambda_residues([params.lam_index])[0])
+    lam_hat = big.teichmuller(lambda_residues(descent, [params.lam_index])[0])
     xd, xe = big.one(), big.one()
     acc = [[0] * (J + 1) for _ in range(c)]
     for j in range(params.p**big.deg - 1):
@@ -677,6 +687,24 @@ def exp_sum_Tadic_walk(params: Params, k: int, J: int, M: int | None = None) -> 
     coeffs = [sum((descent.V[mm] * (acc[mm][jj] % pM) for mm in range(c)), descent.base.zero())
               * pow(math.factorial(jj), -1, pM) for jj in range(J + 1)]
     return TadicSum(k=k, J=J, coeffs=coeffs)
+
+
+def direct_traces_full(mat: PsiMatrix, k_max: int) -> list[PiSeries | None]:
+    """``direct_traces`` from the whole of A^2, every entry to the grid's
+    cap."""
+    A, N, zero = mat.entries, mat.N, mat.entries[0][0].copy_with({})
+
+    def tr_prod(X, Y):  # Tr(XY) = sum_ij X_ij Y_ji
+        return _dot(((X[i][j], Y[j][i]) for i in range(N) for j in range(N)), zero)
+
+    traces = [None, sum((A[i][i] for i in range(N)), zero), tr_prod(A, A)]
+    if k_max >= 3:
+        A2 = [[_dot(((A[i][t], A[t][j]) for t in range(N)), zero) for j in range(N)]
+              for i in range(N)]
+        traces.append(tr_prod(A2, A))
+        if k_max >= 4:
+            traces.append(tr_prod(A2, A2))
+    return traces[:k_max + 1]
 
 
 def dict_dot(pairs, zero: PiSeries) -> PiSeries:

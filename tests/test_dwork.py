@@ -12,6 +12,7 @@ import pytest
 from oracles import (
     compare_aggregate_bound,
     dict_dot,
+    direct_traces_full,
     entry_valuation_bound,
     min_phi,
     pi_of_T_coeffs,
@@ -21,11 +22,13 @@ from oracles import (
 from twistnp.core_arith import INFINITY, artin_hasse_coeffs, berkowitz
 from twistnp.dwork import (
     PiSeries,
+    PsiMatrix,
     _dot,
     _ProductCoeffs,
     TruncationError,
     auto_sizes,
     char_series,
+    direct_traces,
     ef_gamma_coeffs,
     np_T,
     psi_a_matrix,
@@ -188,6 +191,10 @@ def test_dot_matches_the_dict_oracle(p, deg, M):
         assert (got.D, got.order) == (D, order)
         assert all(not c.is_zero() and all(0 <= x < ctx.pM for x in c.coeffs)
                    for c in got.terms.values())
+        # a lower cap gives the full product restricted to it
+        low_cap = rng.randrange(cap + 1)
+        assert _dot(pairs, zero, low_cap) == \
+            got.copy_with({n: c for n, c in got.terms.items() if n < low_cap})
     # term pairs on both sides of the cap
     x, y = pool[1], series(range(0, cap, 5), rand)
     assert {na + nb < cap for na in x.terms for nb in y.terms} == {True, False}
@@ -200,6 +207,10 @@ def test_dot_matches_the_dict_oracle(p, deg, M):
     assert min(half.terms) == cap // 2
     # empty series and no pairs
     assert _dot([], zero).terms == {} and _dot([(zero, x), (y, zero)], zero).terms == {}
+    # the grid's own cap is the default, and a cap above it raises
+    assert _dot([(x, y)], zero, cap) == _dot([(x, y)], zero)
+    with pytest.raises(ValueError, match="above the grid's cap"):
+        _dot([(x, y)], zero, cap + 1)
     # another grid raises, on either side of a pair
     for other in (PiSeries(ctx, D, order + 1, dict(y.terms)), PiSeries(ctx, 1, order, {0: ctx.one()})):
         with pytest.raises(ValueError, match="grids"):
@@ -311,6 +322,38 @@ def test_psi_matrix_matches_pairwise_accumulation(tup):
             got = mat.entries[w][i]
             assert (got.D, got.order) == (d, work_order(mat))
             assert {F(n, d): c for n, c in got.terms.items()} == want[w][i], (w, i)
+
+
+@pytest.mark.parametrize("tup", [(2, 1, 3, 1, 1), (2, 2, 3, 1, 3), (3, 1, 4, 1, 1),
+                                 (3, 2, 4, 1, 4), (11, 1, 3, 2, 1), (11, 2, 3, 2, 3)],
+                         ids=lambda x: str(x).replace(" ", ""))
+def test_direct_traces_match_the_full_square(tup):
+    # A^2 cut below what Tr(A^3) and Tr(A^4) read, against the whole A^2
+    p, a, d, e, c = tup
+    mat = psi_a_matrix(Params(p=p, a=a, d=d, e=e, c=c, mu=1, lam_index=min(1, p**a - 2)), 6, 8)
+    assert any(x.is_zero() for row in mat.entries for x in row)
+    for k_max in (3, 4, 6):
+        assert direct_traces(mat, k_max) == direct_traces_full(mat, k_max), k_max
+
+
+def test_direct_traces_skip_a_square_entry_read_by_no_trace():
+    # row 2 of A is zero, so A2[i][2] meets only zeros in Tr(A^3) and
+    # Tr(A^4) though it is not zero itself; a high entry cuts its partner
+    rng = random.Random(4)
+    ctx = make_context(5, 2, 6)
+    D, order, N = 3, 8, 5
+    cap = D * order
+
+    def series(lo):
+        return PiSeries(ctx, D, order, {n: ctx.elem([rng.randrange(1, ctx.pM), 1])
+                                        for n in range(lo, cap) if rng.random() < 0.4})
+
+    A = [[PiSeries(ctx, D, order) if w == 2 else series(rng.choice([0, 3, cap - 2]))
+          for i in range(N)] for w in range(N)]
+    mat = PsiMatrix(params=None, ctx=ctx, N=N, O=order, entries=A)
+    assert not _dot([(A[0][t], A[t][2]) for t in range(N)], A[2][2]).is_zero()
+    for k_max in (3, 4, 6):
+        assert direct_traces(mat, k_max) == direct_traces_full(mat, k_max), k_max
 
 
 def test_psi_matrix_entry_orders_nonnegative():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from oracles import (
     find_generator_every_code,
     frobenius,
     joint_histogram_fits,
+    lambda_residues,
     lift_root,
     mult_matrix,
     pi_xpow_table,
@@ -48,6 +50,7 @@ from twistnp.lfunction import (
     newton_polygon_classical,
     reflect_valuations,
     route_sums_by_lambda,
+    stirling_rows,
     trace_count_matrix,
 )
 from twistnp.padic import (
@@ -208,7 +211,7 @@ def test_trace_count_matrix_against_per_lambda_oracle(monkeypatch, case):
     for k in range(1, k_max + 1):
         big = make_context(p, a * k, pr.a * pr.d + 8)
         descent = _descent_for(pr, big)
-        lam_vecs = descent.lambda_residues(lams)
+        lam_vecs = lambda_residues(descent, lams)
         want = _per_lambda_counts(p, a * k, big.modulus, big.generator,
                                   lam_vecs, d, e, c, block=block)
         # the cost model's choice, then each way of counting forced while
@@ -411,7 +414,7 @@ def _embedding(pr, big):
     base = make_context(p, pr.a, big.M)
     x_res = ()
     if pr.a > 1:
-        g_img = _descent_for(pr, big).lambda_residues([1])[0]
+        g_img = lambda_residues(_descent_for(pr, big), [1])[0]
         t = next(t for t in range(pr.q - 1)
                  if poly_pow_mod(base.generator, t, base.modulus, p) == (0, 1))
         x_res = poly_pow_mod(g_img, t, big.modulus, p)
@@ -476,7 +479,7 @@ def _big_ring_tadic(pr, J, big):
     binom(t, jj) chi(Norm x) with t = Tr(x^d + lambda x^e) of the lifts."""
     pM = big.pM
     g = big.teichmuller(big.generator)
-    lam = big.teichmuller(_descent_for(pr, big).lambda_residues([pr.lam_index])[0])
+    lam = big.teichmuller(lambda_residues(_descent_for(pr, big), [pr.lam_index])[0])
     acc = [[0] * (J + 1) for _ in range(pr.c)]
     x = big.one()
     for j in range(pr.p**big.deg - 1):
@@ -517,6 +520,49 @@ def test_tadic_sum_equals_the_walk(p, a, d, e, c, mu, k, J):
         assert exp_sum_Tadic(pr, k, J).coeffs == exp_sum_Tadic_walk(pr, k, J).coeffs, lam
 
 
+@pytest.mark.parametrize("p,a,d,e,c,k,block", [(11, 2, 3, 2, 3, 1, 7), (5, 2, 3, 1, 4, 2, 10)])
+def test_tadic_sum_in_small_blocks_equals_the_walk(p, a, d, e, c, k, block):
+    # blocks cross the cosets of the table's head (L = 12 and 156 entries)
+    # and start at j0 not 0 mod c; the walk is the oracle
+    for lam in (1, p**a // 3):
+        pr = Params(p=p, a=a, d=d, e=e, c=c, mu=1, lam_index=lam)
+        assert exp_sum_Tadic(pr, k, 4, block=block).coeffs == \
+            exp_sum_Tadic_walk(pr, k, 4).coeffs, lam
+
+
+def test_stirling_rows_give_the_falling_factorials():
+    rng = random.Random(25)
+    rows = stirling_rows(10)
+    for t in [0, 1, 9, -3] + [rng.randrange(-10**9, 10**9) for _ in range(20)]:
+        falling = 1
+        for j, row in enumerate(rows):
+            assert sum(s * t**i for i, s in enumerate(row)) == falling, (t, j)
+            falling *= t - j
+
+
+def test_tadic_sum_gates_the_budget_once(monkeypatch):
+    import twistnp.lfunction as lfunction
+
+    calls = []
+    real = lfunction.check_budget
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lfunction, "check_budget", counted)
+    pr = Params(p=7, a=1, d=3, e=2, c=3, mu=1, lam_index=2)
+    for k in (1, 2, 3):
+        calls.clear()
+        exp_sum_Tadic(pr, k, 2)
+        assert len(calls) == 1, k
+    # the budget is refused before J, with the smallest field past it named
+    with pytest.raises(BudgetExceededError, match="needs 49 elements"):
+        exp_sum_Tadic(pr, 3, 7, budget=10)
+    with pytest.raises(ValueError, match="J=7 must lie"):
+        exp_sum_Tadic(pr, 3, 7)
+
+
 def test_joint_histogram_rule():
     # lambda-grid sizes: one coefficient row (r = 1) for p = 29, c = 2
     assert not joint_histogram_fits(29, 1, 2, 28, 840)  # k = 2: 1682 bins > 1624, 840
@@ -545,9 +591,9 @@ def test_lambda_residues_are_powers_of_the_embedded_generator(p, a, k):
     def in_base(i):
         return _pad(poly_pow_mod(base.generator, i, base.modulus, p), a)
 
-    g_img = descent.lambda_residues([1])[0]
+    g_img = lambda_residues(descent, [1])[0]
     lams = [7, 0, pr.q - 2, 3, 7, pr.q + 4, 1]  # unsorted, repeated, past q - 1
-    assert [_pad(r, a * k) for r in descent.lambda_residues(lams)] == \
+    assert [_pad(r, a * k) for r in lambda_residues(descent, lams)] == \
         [in_big(li) for li in lams]
     # g^i -> g_img^i is a field embedding: it has order q - 1 and is
     # additive, g^i + g^j = g^l going to g_img^i + g_img^j = g_img^l
@@ -576,7 +622,7 @@ def test_descent_at_k_1_scans_for_no_root(monkeypatch, p, a):
     pr = Params(p=p, a=a, d=3, e=2, c=1, mu=1)
     descent = lfunction.SubfieldDescent(pr, make_context(p, a, 3))
     assert len(calls) <= 1
-    assert descent.lambda_residues([1]) == [make_context(p, a, 3).generator]
+    assert lambda_residues(descent, [1]) == [make_context(p, a, 3).generator]
 
 
 def test_character_orthogonality():
