@@ -629,8 +629,8 @@ def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
                 acc[i] += sum(power)
                 if i < J:
                     power = list(map(pM.__rmod__, map(operator.mul, power, part)))
-    falling = [[sum(map(operator.mul, row, acc)) for row in stirling_rows(J)] for acc in sums]
-    rows = descent.weigh(list(zip(*falling)))
+    stirling = stirling_rows(J)
+    rows = descent.weigh([[sum(map(operator.mul, row, acc)) for acc in sums] for row in stirling])
     coeffs = [descent.base.elem(row) * pow(math.factorial(jj) % pM, -1, pM)
               for jj, row in enumerate(rows)]
     return TadicSum(k=k, J=J, coeffs=coeffs)
