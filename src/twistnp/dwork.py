@@ -2,21 +2,30 @@
 
 The splitting-series coefficients gamma_n are finite sums of
 pi^(x+y) * lambda_x * lambda_y * lamhat^y over decompositions
-d*x + e*y = n, truncated at a working pi-order O.  The power-q operator is
-realised directly on the monomial basis of the twisted Banach space over
-Z_q: entry (w, i) is pi^((i-w)/d) times coefficient q*w - i + u of the
-product of the Frobenius-twisted splitting series.  Valuations here are
-T-adic: p is a unit, so the order of a series is simply its smallest
-exponent carrying a nonzero coefficient.
+d*x + e*y = n, truncated at the pi-order O.  The power-q operator A on the
+monomial basis of the twisted Banach space over Z_q has entry (w, i) equal
+to pi^((i-w)/d) times the coefficient F_{q*w - i + u} of X^(q*w - i + u) in
+the product of the Frobenius-twisted splitting series.  It is realised in
+its integral form B = Delta A Delta^-1, Delta = diag(pi^(w/d)), whose entry
+(w, i) is F_{q*w - i + u} itself, a series in Z_q[[pi]] (``psi_a_matrix``).
+Conjugation keeps det(1 - A s) and every Tr(A^k), and truncation at pi^O
+is a ring map on Z_q[[pi]], so every series below is exact mod pi^O.
+Valuations here are T-adic: p is a unit, so the order of a series is simply
+its smallest exponent carrying a nonzero coefficient.
+
+A series (``PiSeries``) is one sorted list of (exponent, packed
+coefficient): the coefficient's Z_q coordinates, reduced mod p^M, sit in
+the slots of one integer, so the one series product ``_dot`` multiplies
+two coefficients by one integer product and reduces each exponent's sum
+without leaving the packed integer.
 
 Truncation is certified, not guessed: every term routed through a basis
 row w carries order at least (p-1)*w/d, so rows beyond N are irrelevant
-once (p-1)*N/d clears the working order.  One rule, ``auto_sizes``, fills
-a size not given from the one given; ``np_T`` sizes for the least multiple
-of d at or above n_max, and raises ``TruncationError`` on sizes that
-cannot certify the series.  The characteristic series and Tr(A^k) are
-``core_arith.berkowitz`` and ``core_arith.power_sums`` run with the one
-series product ``_dot``.
+once (p-1)*N/d clears the order O.  One rule, ``auto_sizes``, fills a size
+not given from the one given; ``np_T`` sizes for the least multiple of d at
+or above n_max, and raises ``TruncationError`` on sizes that cannot certify
+the series.  The characteristic series and Tr(A^k) are
+``core_arith.berkowitz`` and ``core_arith.power_sums`` run with ``_dot``.
 
 The trace formula S_k(T) = (q^k - 1) Tr(A^k) is checked in pi: the
 direct T-adic sum is a polynomial in T, and T = E(pi) - 1 is substituted
@@ -33,7 +42,7 @@ from fractions import Fraction
 from .core_arith import artin_hasse_coeffs, berkowitz, decompose, power_sums
 from .lfunction import DEFAULT_BUDGET, check_trace_inputs, default_precision, exp_sum_Tadic
 from .padic import (PrecisionError, ZqContext, ZqElem, checked_pairs, make_context, pack,
-                    poly_mod, poly_pow_mod, slot_bytes, unpack)
+                    poly_pow_mod, slot_bytes)
 from .polygon import Params, Polygon, lower_bound_polygon, lower_convex_hull
 
 #: extra pi-orders kept beyond the largest valuation that must be resolved
@@ -48,7 +57,7 @@ class TruncationError(PrecisionError):
     """The operator sizes (N, O) cannot certify the characteristic series."""
 
 
-@dataclass
+@dataclass(slots=True)
 class PiSeries:
     """Finite sum of c * pi^(num/D) with num in [0, D*order).
 
@@ -56,39 +65,37 @@ class PiSeries:
     on the same grid, so sums and products never realign exponents; an
     operation on series of two grids raises ``ValueError``.
 
-    A series is immutable by convention: ``packed`` caches a view of
-    ``terms`` the first time a product reads it, so ``terms`` must not
-    change afterwards; ``copy_with`` makes a fresh series.
+    ``packed`` is the series' one representation: its terms as (exponent,
+    packed coefficient), by exponent, with no zero coefficient.  The
+    coefficient sum_i c_i X^i, reduced mod p^M, is packed with c_i in slot
+    i (``padic.pack``, slots of ``slot_width`` bytes), so a product of two
+    coefficients is one integer product whose slot i + j holds the X^(i+j)
+    sum.  Every operation, sums and scalar multiples included, is ``_dot``.
+    A series is immutable by convention.
     """
 
     ctx: ZqContext
     D: int
     order: int
-    terms: dict[int, ZqElem] = field(default_factory=dict)
-    _packed: list[tuple[int, int]] | None = field(default=None, init=False,
-                                                  repr=False, compare=False)
-
-    def copy_with(self, terms):
-        return PiSeries(self.ctx, self.D, self.order, terms)
+    packed: list[tuple[int, int]] = field(default_factory=list)
 
     @classmethod
     def one(cls, ctx, order, D):
-        return cls(ctx, D, order, {0: ctx.one()})
+        return cls(ctx, D, order, [(0, 1)])
+
+    def zero(self) -> "PiSeries":
+        """The zero series on this grid."""
+        return PiSeries(self.ctx, self.D, self.order)
+
+    def constant(self, c: int | ZqElem) -> "PiSeries":
+        """The constant c on this grid."""
+        if isinstance(c, int):
+            c = self.ctx.from_int(c)
+        return PiSeries(self.ctx, self.D, self.order,
+                        [] if c.is_zero() else [(0, pack(c.coeffs, self.slot_width()))])
 
     def is_zero(self):
-        return not self.terms
-
-    def packed(self) -> list[tuple[int, int]]:
-        """The terms as (exponent, packed coefficient), by exponent.
-
-        The coefficient sum_i c_i X^i is packed with c_i in slot i
-        (``padic.pack``), so a product of two coefficients is one integer
-        product whose slot i + j holds the X^(i+j) sum.
-        """
-        if self._packed is None:
-            nbytes = self.slot_width()
-            self._packed = [(n, pack(z.coeffs, nbytes)) for n, z in sorted(self.terms.items())]
-        return self._packed
+        return not self.packed
 
     def slot_width(self) -> int:
         """Bytes of a packed slot on this grid: a pair of series adds to an
@@ -96,7 +103,7 @@ class PiSeries:
         return slot_bytes(self.ctx.pM, self.D * self.order * self.ctx.deg)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.packed)
 
     def check_same_grid(self, other):
         if (self.D, self.order) != (other.D, other.order):
@@ -104,47 +111,33 @@ class PiSeries:
                              f"and {(other.D, other.order)}")
 
     def __add__(self, other):
-        self.check_same_grid(other)
-        out = dict(self.terms)
-        for num, c in other.terms.items():
-            s = out[num] + c if num in out else c
-            if s.is_zero():
-                out.pop(num, None)
-            else:
-                out[num] = s
-        return self.copy_with(out)
+        one = self.constant(1)
+        return _dot([(self, one), (other, one)], self.zero())
 
     def __sub__(self, other):
-        return self + other.negate()
+        return _dot([(self, self.constant(1)), (other, self.constant(-1))], self.zero())
 
     def negate(self):
-        return self.copy_with({n: -c for n, c in self.terms.items()})
+        return self * -1
 
     def __mul__(self, other):
-        if isinstance(other, (int, ZqElem)):
-            return self.copy_with({num: s for num, c in self.terms.items()
-                                   if not (s := c * other).is_zero()})
-        return _dot([(self, other)], self.copy_with({}))
+        if not isinstance(other, PiSeries):
+            other = self.constant(other)
+        return _dot([(self, other)], self.zero())
 
     __rmul__ = __mul__
 
-    def shift(self, num: int) -> "PiSeries":
-        """Multiply by pi^(num/D); exponents must stay non-negative."""
-        cap = self.D * self.order
-        out = {}
-        for n, c in self.terms.items():
-            nn = n + num
-            if nn < 0:
-                raise ValueError("negative pi-exponent")
-            if nn < cap:
-                out[nn] = c
-        return self.copy_with(out)
+    @property
+    def terms(self) -> dict[int, ZqElem]:
+        """The terms as {exponent: coefficient}: a read-only view of
+        ``packed``, its slots taken out by shift and mask."""
+        bits = 8 * self.slot_width()
+        mask, offsets = (1 << bits) - 1, range(0, self.ctx.deg * bits, bits)
+        return {n: ZqElem(self.ctx, tuple([v >> k & mask for k in offsets])) for n, v in self.packed}
 
     def t_valuation(self) -> Fraction | None:
         """T-adic order: smallest exponent present, None if empty."""
-        if not self.terms:
-            return None
-        return Fraction(min(self.terms), self.D)
+        return Fraction(self.packed[0][0], self.D) if self.packed else None
 
     def integer_coeff_map(self) -> dict[int, ZqElem]:
         out = {}
@@ -153,6 +146,41 @@ class PiSeries:
                 raise ValueError("series has genuinely fractional exponents")
             out[num // self.D] = c
         return out
+
+
+def _reducer(ctx: ZqContext, nbytes: int):
+    """The packed remainder of a packed sum of products, as a function.
+
+    A sum of products of packed coefficients holds the X^s coefficient in
+    slot s < 2 deg - 1.  The slots come out by shift and mask; slot s >=
+    deg folds onto slots s - deg.. by the monic modulus, from the top down,
+    as in ``padic.poly_mod``; each slot below deg is reduced mod p^M; and
+    the remainders are packed again by shifts.  At deg = 1 the packed
+    integer is the coefficient itself.
+    """
+    pM, deg = ctx.pM, ctx.deg
+    if deg == 1:
+        return pM.__rmod__
+    bits = 8 * nbytes
+    mask = (1 << bits) - 1
+    low = ctx.modulus[:deg]
+    offsets = range(0, (2 * deg - 1) * bits, bits)
+    tops = range(2 * deg - 2, deg - 1, -1)
+    outs = range(deg - 1, -1, -1)
+
+    def reduce(v: int) -> int:
+        s = [v >> k & mask for k in offsets]
+        for i in tops:
+            c = s[i] % pM
+            if c:
+                for j, f in enumerate(low, i - deg):
+                    s[j] -= c * f
+        out = 0
+        for i in outs:
+            out = out << bits | s[i] % pM
+        return out
+
+    return reduce
 
 
 def artin_hasse_zp(ctx: ZqContext, n_max: int) -> list[int]:
@@ -171,32 +199,45 @@ def ef_gamma_coeffs(ctx: ZqContext, d: int, e: int, lam_hat: ZqElem,
     """Splitting-series coefficients gamma_0..gamma_{n_max} mod pi^O.
 
     The series sit on the operator's grid (d, O): pi^(x+y) is exponent
-    (x+y)*d.
+    (x+y)*d.  Each term is the packed lamhat^y times the integer
+    lambda_x * lambda_y, reduced by ``_reducer``.
     """
     lam, pM = artin_hasse_zp(ctx, O), ctx.pM
-    lam_pows = [ctx.one()]
+    nbytes = PiSeries(ctx, d, O).slot_width()
+    reduce = _reducer(ctx, nbytes)
+    lam_pows, z = [], ctx.one()
     for _ in range(O):
-        lam_pows.append(ctx.mul(lam_pows[-1], lam_hat))
+        lam_pows.append(pack(z.coeffs, nbytes))
+        z = ctx.mul(z, lam_hat)
     out = []
     for n in range(n_max + 1):
-        terms: dict[int, ZqElem] = {}
+        packed = []
         x, y = decompose(n, d, e)
         while x >= 0:
             total = x + y
             if total >= O:
                 break  # totals grow by d - e > 0 along the solution line
-            coeff = lam_pows[y] * (lam[x] * lam[y] % pM)
-            if not coeff.is_zero():  # each total comes once
-                terms[total * d] = coeff
+            if coeff := reduce(lam_pows[y] * (lam[x] * lam[y] % pM)):  # each total comes once
+                packed.append((total * d, coeff))
             x -= e
             y += d
-        out.append(PiSeries(ctx, d, O, terms))
+        out.append(PiSeries(ctx, d, O, packed))
     return out
 
 
 @dataclass
 class PsiMatrix:
-    """Matrix of the power-q operator on the first N monomial basis vectors.
+    """The power-q operator on the first N monomial basis vectors, in its
+    integral form B = Delta A Delta^-1, Delta = diag(pi^(w/d)): entry (w, i)
+    is F_{q*w - i + u}, every entry on the grid (d, O).
+
+    Every entry of B lies in Z_q[[pi]], and Berkowitz's recurrence and the
+    Newton identities never divide, so cutting every series at pi^O, a
+    ring map, is exact for every intermediate: the series hold det(1 - B s)
+    and Tr(B^k) mod pi^O exactly, with no padding order.  Conjugation by a
+    diagonal keeps every principal minor and every trace, so these are
+    det(1 - A s) and Tr(A^k), and the tail-row certificate, a bound on the
+    orders of principal minors, is that of A.
 
     ``traces[k]`` holds Tr(A^k) once the characteristic series has been
     computed to s^k (``power_traces``); index 0 is unused.
@@ -224,7 +265,8 @@ def _dot(pairs, zero: PiSeries, cap: int | None = None) -> PiSeries:
     above the grid's, raises.  Each term product is one integer product of
     packed coefficients (``PiSeries.packed``); the right-hand terms are
     walked by exponent and left at the cap, so no pair past the truncation
-    is visited.  Each exponent's sum is unpacked and reduced once.
+    is visited.  Each exponent's sum is reduced once, in its packed form
+    (``_reducer``).
     """
     ctx, top = zero.ctx, zero.D * zero.order
     if cap is None:
@@ -235,11 +277,11 @@ def _dot(pairs, zero: PiSeries, cap: int | None = None) -> PiSeries:
     for x, y in checked_pairs(pairs):
         zero.check_same_grid(x)
         zero.check_same_grid(y)
-        right = y.packed()
+        right = y.packed
         if not right:
             continue
         first = right[0][0]
-        for na, va in x.packed():
+        for na, va in x.packed:
             lim = cap - na
             if lim <= first:
                 break
@@ -248,9 +290,9 @@ def _dot(pairs, zero: PiSeries, cap: int | None = None) -> PiSeries:
                     break
                 n = na + nb
                 acc[n] = acc.get(n, 0) + va * vb
-    nbytes, span = zero.slot_width(), 2 * ctx.deg - 1
-    return zero.copy_with({n: ZqElem(ctx, c) for n, v in acc.items()
-                           if any(c := poly_mod(unpack(v, nbytes, span), ctx.modulus, ctx.pM))})
+    reduce = _reducer(ctx, zero.slot_width())
+    return PiSeries(ctx, zero.D, zero.order,
+                    sorted((n, r) for n, v in acc.items() if (r := reduce(v))))
 
 
 class _ProductCoeffs:
@@ -267,7 +309,7 @@ class _ProductCoeffs:
             twisted = ctx.pow(lam_hat, p**j)
             self.gammas.append(
                 ef_gamma_coeffs(ctx, d, e, twisted, self.gamma_max, O))
-        self.zero = PiSeries(ctx, d, O, {})
+        self.zero = PiSeries(ctx, d, O)
         self._memo: dict[tuple[int, int], PiSeries] = {}
 
     def coeff(self, m: int) -> PiSeries:
@@ -289,48 +331,40 @@ class _ProductCoeffs:
             # level j + 1 is nonzero only where p^(j+1) divides m - n p^j
             for n in range(m // pj % p, min(m // pj, self.gamma_max) + 1, p):
                 g = self.gammas[j][n]
-                if g.terms:
+                if g.packed:
                     rest = self._level(j + 1, m - n * pj)
-                    if rest.terms:
+                    if rest.packed:
                         pairs.append((g, rest))
             self._memo[key] = _dot(pairs, self.zero)
         return self._memo[key]
 
 
 def psi_a_matrix(params: Params, N: int, O: int, M: int | None = None) -> PsiMatrix:
-    """Matrix entries pi^((i-w)/d) * F_{q*w - i + u} for w, i < N.
+    """The operator's integral form B on the first N basis vectors: entry
+    (w, i) is F_{q*w - i + u} mod pi^O, for w, i < N (``PsiMatrix``).
 
-    Internally the series are carried at order O + ceil((N-1)/d): partial
-    products inside determinant or trace monomials can sit up to (N-1)/d
-    above their final exponent (the fractional shifts only cancel once a
-    cycle closes), so the padding keeps every truncation decision safe.
-    Results are trustworthy below the target order O.
+    det(1 - B s) and Tr(B^k) are those of A, and every series of B is
+    exact mod pi^O, so O is the order the series are carried at.
     """
     ctx = make_context(params.p, params.a, M or default_precision(params))
-    d, q, u = params.d, params.q, params.u
-    O_work = O + (N - 1 + d - 1) // d
-    prod = _ProductCoeffs(params, ctx, O_work)
-    entries = []
-    for w in range(N):
-        row = []
-        for i in range(N):
-            midx = q * w - i + u
-            row.append(prod.zero if midx < 0 else prod.coeff(midx).shift(i - w))
-        entries.append(row)
+    q, u = params.q, params.u
+    prod = _ProductCoeffs(params, ctx, O)
+    entries = [[prod.coeff(q * w - i + u) if q * w - i + u >= 0 else prod.zero
+                for i in range(N)] for w in range(N)]
     return PsiMatrix(params=params, ctx=ctx, N=N, O=O, entries=entries)
 
 
 def char_series(mat: PsiMatrix, n_max: int) -> list[PiSeries]:
     """Coefficients of det(1 - A s) in s^0..s^{n_max}, by ``berkowitz``
     on series."""
-    zero = mat.entries[0][0].copy_with({})
+    zero = mat.entries[0][0].zero()
     return berkowitz(mat.entries, n_max, lambda pairs: _dot(pairs, zero),
-                     zero.copy_with({0: mat.ctx.one()}), zero)
+                     zero.constant(1), zero)
 
 
 def power_traces(coeffs: list[PiSeries]) -> list[PiSeries | None]:
     """Tr(A^k) for k <= n_max from det(1 - A s), by ``power_sums``."""
-    zero = coeffs[0].copy_with({})
+    zero = coeffs[0].zero()
     return power_sums(coeffs, lambda pairs: _dot(pairs, zero))
 
 
@@ -347,7 +381,7 @@ def direct_traces(mat: PsiMatrix, k_max: int) -> list[PiSeries | None]:
     m at or past the cap is left zero.  Every trace below the cap is that
     of the full A^2.
     """
-    A, N, zero = mat.entries, mat.N, mat.entries[0][0].copy_with({})
+    A, N, zero = mat.entries, mat.N, mat.entries[0][0].zero()
     cap = zero.D * zero.order
 
     def tr_prod(X, Y):  # Tr(XY) = sum_ij X_ij Y_ji
@@ -355,7 +389,7 @@ def direct_traces(mat: PsiMatrix, k_max: int) -> list[PiSeries | None]:
 
     traces = [None, sum((A[i][i] for i in range(N)), zero), tr_prod(A, A)]
     if k_max >= 3:
-        low = [[min(x.terms, default=cap) for x in row] for row in A]  # cap where zero
+        low = [[x.packed[0][0] if x.packed else cap for x in row] for row in A]  # cap where zero
         if k_max >= 4:
             cols = list(zip(*low))
             low = [[min(lo, min(map(operator.add, low[j], cols[i])))
@@ -405,6 +439,10 @@ def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
     tail rows w >= N, whose terms have order at least (p-1)*w/d, clear O,
     and N >= n_top.  ``coeffs`` and the matrix's traces stop at n_max.
 
+    The series come from the operator's integral form (``PsiMatrix``):
+    its entries lie in Z_q[[pi]] and nothing divides, so every coefficient
+    is exact mod pi^O, and a coefficient that vanishes there has no point.
+
     The traces of A^k read off the series must equal those computed from A
     directly (``direct_traces``), or this raises ``DworkConsistencyError``.
     """
@@ -426,8 +464,7 @@ def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
             raise DworkConsistencyError(
                 f"Tr(A^{k}) from A and from the characteristic series disagree")
     scale = params.a * (params.p - 1)
-    # digits at or beyond the target order live in the padding zone
-    points = [(n, None if v is None or v >= O else v / scale)
+    points = [(n, None if v is None else v / scale)
               for n, v in enumerate(cs.t_valuation() for cs in coeffs)]
     return NpTResult(polygon=lower_convex_hull(points).restrict(n_max),
                      coeffs=coeffs[:n_max + 1], matrix=mat)

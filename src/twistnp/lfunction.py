@@ -52,6 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -561,8 +562,9 @@ class TeichmullerTable:
     omega^L, L = N/(p-1), is the lift of the norm g^L, which lies in F_p,
     so it is an integer z of Z_p and T[vL + u] = z^v T[u]: the head
     T[0..L), the first L terms of ``ZqContext.trace_sequence``, gives every
-    trace.  This is ``TraceTable``'s coset rule with p^M in place of p; the
-    head is a list of L integers.
+    trace.  This is ``TraceTable``'s coset rule with p^M in place of p.
+    The head is an ``array('Q')`` of L integers, 8 bytes each, whenever
+    p^M <= 2^64, and a list past that.
     """
 
     def __init__(self, big: ZqContext):
@@ -570,7 +572,8 @@ class TeichmullerTable:
         self.N = big.p**big.deg - 1
         self.L = self.N // (big.p - 1)
         omega = big.teichmuller(big.generator)
-        self.head = list(itertools.islice(big.trace_sequence(big.one(), omega), self.L))
+        head = itertools.islice(big.trace_sequence(big.one(), omega), self.L)
+        self.head = array("Q", head) if self.pM <= 1 << 64 else list(head)
         self.z = big.pow(omega, self.L).coeffs[0]
 
     def stream(self, start: int, step: int, count: int) -> list[int]:
@@ -611,12 +614,18 @@ def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
     of one ``TeichmullerTable``.  Per block of j, each class sums t^i for
     i <= J, and the falling factorials come from these power sums once per
     class (``stirling_rows``).
+
+    The powers are reduced mod p^M lazily, and the class sums once at the
+    end.  A power is reduced only when its bit length would pass
+    bits_per_digit^2, bits_per_digit digits of a Python int: past that,
+    each product with t costs more than the reduction pass it saves.
     """
     check_trace_inputs(params, k, J, budget)
     big, descent = _field(params, k, M)
     table = TeichmullerTable(big)
     pM, c, N = big.pM, params.c, table.N
     lam_log = params.lam_index * descent.log_theta
+    t_bits, lazy_bits = (2 * pM - 2).bit_length(), sys.int_info.bits_per_digit**2  # t < 2 p^M
     sums = [[0] * (J + 1) for _ in range(c)]  # sums[mm][i]: t^i over class mm
     for j0 in range(0, N, block):
         nb = min(block, N - j0)
@@ -625,11 +634,17 @@ def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
         for mm, acc in enumerate(sums):
             part = power = t[(mm - j0) % c::c]
             acc[0] += len(part)
+            bits = t_bits  # a bound on the bit length of the power
             for i in range(1, J + 1):
                 acc[i] += sum(power)
                 if i < J:
-                    power = list(map(pM.__rmod__, map(operator.mul, power, part)))
+                    power = list(map(operator.mul, power, part))
+                    bits += t_bits
+                    if bits > lazy_bits:
+                        power = list(map(pM.__rmod__, power))
+                        bits = pM.bit_length()
     stirling = stirling_rows(J)
+    sums = [[s % pM for s in acc] for acc in sums]
     rows = descent.weigh([[sum(map(operator.mul, row, acc)) for acc in sums] for row in stirling])
     coeffs = [descent.base.elem(row) * pow(math.factorial(jj) % pM, -1, pM)
               for jj, row in enumerate(rows)]

@@ -41,7 +41,7 @@ from twistnp.core_arith import (
     artin_hasse_coeffs,
     prime_factors,
 )
-from twistnp.dwork import PiSeries, PsiMatrix, _dot
+from twistnp.dwork import PiSeries, PsiMatrix, _dot, _ProductCoeffs
 from twistnp.lfunction import (
     DEFAULT_BUDGET,
     ClassicalSum,
@@ -692,7 +692,7 @@ def exp_sum_Tadic_walk(params: Params, k: int, J: int, M: int | None = None) -> 
 def direct_traces_full(mat: PsiMatrix, k_max: int) -> list[PiSeries | None]:
     """``direct_traces`` from the whole of A^2, every entry to the grid's
     cap."""
-    A, N, zero = mat.entries, mat.N, mat.entries[0][0].copy_with({})
+    A, N, zero = mat.entries, mat.N, mat.entries[0][0].zero()
 
     def tr_prod(X, Y):  # Tr(XY) = sum_ij X_ij Y_ji
         return _dot(((X[i][j], Y[j][i]) for i in range(N) for j in range(N)), zero)
@@ -707,19 +707,70 @@ def direct_traces_full(mat: PsiMatrix, k_max: int) -> list[PiSeries | None]:
     return traces[:k_max + 1]
 
 
-def dict_dot(pairs, zero: PiSeries) -> PiSeries:
+def series_of(ctx: ZqContext, D: int, order: int, terms: dict[int, ZqElem]) -> PiSeries:
+    """The series on the grid (D, order) with the {exponent: coefficient}
+    ``terms``, packed as ``PiSeries.packed``; zero coefficients are left
+    out, and exponents must lie on the grid."""
+    zero = PiSeries(ctx, D, order)
+    assert all(0 <= n < D * order for n in terms)
+    nbytes = zero.slot_width()
+    return PiSeries(ctx, D, order, [(n, pack(c.coeffs, nbytes))
+                                    for n, c in sorted(terms.items()) if not c.is_zero()])
+
+
+def with_terms(series: PiSeries, terms: dict[int, ZqElem]) -> PiSeries:
+    """``series_of`` on the grid of ``series``."""
+    return series_of(series.ctx, series.D, series.order, terms)
+
+
+def shift(series: PiSeries, num: int) -> PiSeries:
+    """series * pi^(num/D), cut at the grid's cap; an exponent below 0
+    raises."""
+    terms = series.terms
+    if any(n + num < 0 for n in terms):
+        raise ValueError("negative pi-exponent")
+    cap = series.D * series.order
+    return with_terms(series, {n + num: c for n, c in terms.items() if n + num < cap})
+
+
+def psi_a_matrix_padded(params: Params, N: int, O: int, M: int | None = None) -> PsiMatrix:
+    """The operator A itself, the oracle of its integral form
+    ``dwork.psi_a_matrix``: entry (w, i) is pi^((i-w)/d) F_{q*w - i + u}.
+
+    The series are carried at the padded order O + ceil((N-1)/d): a
+    partial product inside a determinant or trace monomial can sit up to
+    (N-1)/d above its final exponent (the fractional shifts cancel only
+    once a cycle closes), so every result is exact below the order O.
+    """
+    ctx = make_context(params.p, params.a, M or default_precision(params))
+    d, q, u = params.d, params.q, params.u
+    prod = _ProductCoeffs(params, ctx, O + (N - 1 + d - 1) // d)
+    entries = [[prod.zero if q * w - i + u < 0 else shift(prod.coeff(q * w - i + u), i - w)
+                for i in range(N)] for w in range(N)]
+    return PsiMatrix(params=params, ctx=ctx, N=N, O=O, entries=entries)
+
+
+def dict_dot(pairs, zero: PiSeries, views: dict | None = None) -> PiSeries:
     """Sum of x * y over pairs of series on the grid of ``zero``, term pair
-    by term pair over the dicts: each product is accumulated as an
-    unreduced polynomial and reduced once per exponent, and pairs at or
-    past the cap are dropped."""
+    by term pair over the ``terms`` views: each product is accumulated as
+    an unreduced polynomial and reduced once per exponent by ``poly_mod``,
+    and pairs at or past the cap are dropped.
+
+    ``views``, kept by the caller across calls, holds each series read
+    with its view, by id; holding the series keeps its id its own.
+    """
     ctx, cap = zero.ctx, zero.D * zero.order
     width = 2 * ctx.deg - 1
     acc: dict[int, list[int]] = {}
+    views = {} if views is None else views
     for x, y in pairs:
         zero.check_same_grid(x)
         zero.check_same_grid(y)
-        for na, ca in x.terms.items():
-            for nb, cb in y.terms.items():
+        for s in (x, y):
+            if id(s) not in views:
+                views[id(s)] = (s, s.terms)
+        for na, ca in views[id(x)][1].items():
+            for nb, cb in views[id(y)][1].items():
                 n = na + nb
                 if n >= cap:
                     continue
@@ -731,17 +782,8 @@ def dict_dot(pairs, zero: PiSeries) -> PiSeries:
                     if ai:
                         for j, bj in enumerate(bc):
                             row[i + j] += ai * bj
-    terms = {}
-    for n, row in acc.items():
-        c = poly_mod(row, ctx.modulus, ctx.pM)
-        if any(c):
-            terms[n] = ZqElem(ctx, c)
-    return zero.copy_with(terms)
-
-
-def work_order(mat: PsiMatrix) -> int:
-    """The padded order the operator's series are carried at."""
-    return mat.entries[0][0].order
+    return with_terms(zero, {n: ZqElem(ctx, poly_mod(row, ctx.modulus, ctx.pM))
+                             for n, row in acc.items()})
 
 
 def pi_of_T_coeffs(p: int, order: int) -> list[Fraction]:

@@ -17,7 +17,10 @@ from oracles import (
     min_phi,
     pi_of_T_coeffs,
     pi_series_to_T,
-    work_order,
+    psi_a_matrix_padded,
+    series_of,
+    shift,
+    with_terms,
 )
 from twistnp.core_arith import INFINITY, artin_hasse_coeffs, berkowitz
 from twistnp.dwork import (
@@ -31,6 +34,7 @@ from twistnp.dwork import (
     direct_traces,
     ef_gamma_coeffs,
     np_T,
+    power_traces,
     psi_a_matrix,
     substitute_T,
     trace_consistency,
@@ -50,14 +54,14 @@ F = Fraction
 
 def _mat_mul(A, B):
     n = len(A)
-    zero = A[0][0].copy_with({})
+    zero = A[0][0].zero()
     return [[sum((A[i][t] * B[t][j] for t in range(n)), zero) for j in range(n)]
             for i in range(n)]
 
 
 def _product_traces(mat, n_max):
     """Tr(A^k) for k = 1..n_max, one matrix product per k."""
-    zero = mat.entries[0][0].copy_with({})
+    zero = mat.entries[0][0].zero()
     traces, power = [None], mat.entries
     for k in range(1, n_max + 1):
         if k > 1:
@@ -68,7 +72,7 @@ def _product_traces(mat, n_max):
 
 def _newton_series(mat, traces):
     """det(1 - A s) to s^n from the traces t_1..t_n, dividing by k <= n."""
-    zero = mat.entries[0][0].copy_with({})
+    zero = mat.entries[0][0].zero()
     coeffs = [PiSeries.one(mat.ctx, zero.order, zero.D)]
     for k in range(1, len(traces)):
         acc = sum((traces[j] * coeffs[k - j] for j in range(1, k + 1)), zero)
@@ -79,7 +83,7 @@ def _newton_series(mat, traces):
 def _det(m):
     """Permutation expansion, pruned where a partial product vanishes."""
     k = len(m)
-    zero = m[0][0].copy_with({})
+    zero = m[0][0].zero()
 
     def expand(i, used, term, sign):
         if i == k:
@@ -98,7 +102,7 @@ def _det(m):
 
 
 def _minor_series(mat, k_max):
-    zero = mat.entries[0][0].copy_with({})
+    zero = mat.entries[0][0].zero()
     coeffs = [PiSeries.one(mat.ctx, zero.order, zero.D)]
     for k in range(1, k_max + 1):
         acc = zero
@@ -143,20 +147,24 @@ def test_gamma_order_matches_phi():
 
 def test_pi_series_arithmetic():
     ctx = _gamma_ctx()
-    a = PiSeries(ctx, 3, 6, {0: ctx.one(), 6: ctx.from_int(3)})  # 1 + 3 pi^2
-    b = PiSeries(ctx, 3, 6, {1: ctx.from_int(2)})  # 2 * pi^(1/3)
+    a = series_of(ctx, 3, 6, {0: ctx.one(), 6: ctx.from_int(3)})  # 1 + 3 pi^2
+    b = series_of(ctx, 3, 6, {1: ctx.from_int(2)})  # 2 * pi^(1/3)
     assert (a * b).terms == {1: ctx.from_int(2), 7: ctx.from_int(6)}
     assert (a * b * b).terms == {2: ctx.from_int(4), 8: ctx.from_int(12)}
     assert (a + a).terms == {0: ctx.from_int(2), 6: ctx.from_int(6)}
     assert (a - a).is_zero() and (a - a).D == 3
-    assert a.shift(1).terms == {1: ctx.one(), 7: ctx.from_int(3)}
-    assert a.shift(12).terms == {12: ctx.one()}  # pi^6 falls past the order
+    assert (a - b - b).terms == {0: ctx.one(), 1: ctx.from_int(-4), 6: ctx.from_int(3)}
+    assert (a * 5).terms == (5 * a).terms == {0: ctx.from_int(5), 6: ctx.from_int(15)}
+    assert (a * ctx.pM).is_zero() and a.negate().terms == {0: ctx.from_int(-1), 6: ctx.from_int(-3)}
+    # the A-form oracle's shift
+    assert shift(a, 1).terms == {1: ctx.one(), 7: ctx.from_int(3)}
+    assert shift(a, 12).terms == {12: ctx.one()}  # pi^6 falls past the order
     with pytest.raises(ValueError):
-        b.shift(-2)
+        shift(b, -2)
     assert a.t_valuation() == 0 and b.t_valuation() == F(1, 3)
     # series on another grid, even one holding the same exponents, never mix
-    for other in (PiSeries(ctx, 1, 6, {0: ctx.one(), 2: ctx.from_int(3)}),
-                  PiSeries(ctx, 3, 7, dict(a.terms))):
+    for other in (series_of(ctx, 1, 6, {0: ctx.one(), 2: ctx.from_int(3)}),
+                  series_of(ctx, 3, 7, a.terms)):
         assert other != a
         for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
             with pytest.raises(ValueError, match="grids"):
@@ -165,7 +173,7 @@ def test_pi_series_arithmetic():
                 op(other, a)
 
 
-@pytest.mark.parametrize("p, deg, M", [(7, 1, 11), (2, 2, 9), (11, 2, 6), (5, 3, 9)])
+@pytest.mark.parametrize("p, deg, M", [(7, 1, 11), (2, 2, 9), (11, 2, 6), (5, 3, 9), (3, 4, 8)])
 def test_dot_matches_the_dict_oracle(p, deg, M):
     # the packed product against the term-pair walk over the dicts
     rng = random.Random(100 * p + deg)
@@ -175,8 +183,7 @@ def test_dot_matches_the_dict_oracle(p, deg, M):
     zero = PiSeries(ctx, D, order)
 
     def series(exps, draw):
-        return PiSeries(ctx, D, order, {n: z for n in exps
-                                        if not (z := ctx.elem([draw() for _ in range(deg)])).is_zero()})
+        return series_of(ctx, D, order, {n: ctx.elem([draw() for _ in range(deg)]) for n in exps})
 
     def rand():
         return rng.randrange(ctx.pM)
@@ -191,17 +198,18 @@ def test_dot_matches_the_dict_oracle(p, deg, M):
         assert (got.D, got.order) == (D, order)
         assert all(not c.is_zero() and all(0 <= x < ctx.pM for x in c.coeffs)
                    for c in got.terms.values())
+        assert [n for n, _ in got.packed] == sorted(got.terms)
         # a lower cap gives the full product restricted to it
         low_cap = rng.randrange(cap + 1)
         assert _dot(pairs, zero, low_cap) == \
-            got.copy_with({n: c for n, c in got.terms.items() if n < low_cap})
+            with_terms(got, {n: c for n, c in got.terms.items() if n < low_cap})
     # term pairs on both sides of the cap
     x, y = pool[1], series(range(0, cap, 5), rand)
     assert {na + nb < cap for na in x.terms for nb in y.terms} == {True, False}
     assert _dot([(x, y)], zero) == dict_dot([(x, y)], zero)
     # sums that vanish mod p^M, though not over the integers, leave no term
     assert _dot([(x, y), (x.negate(), y)], zero).terms == {}
-    low = x.copy_with({n: c for n, c in x.terms.items() if n < cap // 2})
+    low = with_terms(x, {n: c for n, c in x.terms.items() if n < cap // 2})
     half = _dot([(x, y), (low.negate(), y)], zero)
     assert half == dict_dot([(x, y), (low.negate(), y)], zero)
     assert min(half.terms) == cap // 2
@@ -212,14 +220,14 @@ def test_dot_matches_the_dict_oracle(p, deg, M):
     with pytest.raises(ValueError, match="above the grid's cap"):
         _dot([(x, y)], zero, cap + 1)
     # another grid raises, on either side of a pair
-    for other in (PiSeries(ctx, D, order + 1, dict(y.terms)), PiSeries(ctx, 1, order, {0: ctx.one()})):
+    for other in (series_of(ctx, D, order + 1, y.terms), PiSeries.one(ctx, order, 1)):
         with pytest.raises(ValueError, match="grids"):
             _dot([(x, other)], zero)
         with pytest.raises(ValueError, match="grids"):
             _dot([(x, y), (other, x)], zero)
 
 
-@pytest.mark.parametrize("deg", [1, 2, 3])
+@pytest.mark.parametrize("deg", [1, 2, 3, 4])
 def test_dot_headroom_is_certified(monkeypatch, deg):
     # with 2 headroom bits, 3 pairs of all-maximal coefficients fill the
     # slots as far as the width allows and stay exact; a 4th pair raises,
@@ -230,7 +238,7 @@ def test_dot_headroom_is_certified(monkeypatch, deg):
     ctx = padic.ZqContext(5, deg, 7)  # a fresh context: its widths are computed now
     D, order = 2, 9
     zero = PiSeries(ctx, D, order)
-    full = PiSeries(ctx, D, order, {n: ctx.elem([ctx.pM - 1] * deg) for n in range(D * order)})
+    full = series_of(ctx, D, order, {n: ctx.elem([ctx.pM - 1] * deg) for n in range(D * order)})
     assert _dot([(full, full)] * 3, zero) == dict_dot([(full, full)] * 3, zero)
     with pytest.raises(OverflowError, match="headroom"):
         _dot([(full, full)] * 4, zero)
@@ -242,7 +250,8 @@ def test_dot_headroom_is_certified(monkeypatch, deg):
 
 
 def test_psi_matrix_single_factor_case():
-    # a = 1: entry (w, i) is pi^((i-w)/d) gamma_{p*w - i + u}
+    # a = 1: entry (w, i) of the integral form is gamma_{p*w - i + u}, on
+    # the grid (d, O) and exact to pi^O
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
     N, O = 6, 12
     mat = psi_a_matrix(pr, N, O)
@@ -250,21 +259,21 @@ def test_psi_matrix_single_factor_case():
     lam_hat = ctx.teichmuller(
         __import__("twistnp.padic", fromlist=["poly_pow_mod"]).poly_pow_mod(
             ctx.generator, 1, ctx.modulus, 11))
-    gam = ef_gamma_coeffs(ctx, 3, 2, lam_hat, 11 * N, work_order(mat))
+    gam = ef_gamma_coeffs(ctx, 3, 2, lam_hat, 11 * N, O)
     for w in range(N):
         for i in range(N):
             midx = 11 * w - i
             if midx < 0:
                 assert mat.entries[w][i].is_zero()
             else:
-                assert mat.entries[w][i] == gam[midx].shift(i - w)
+                assert mat.entries[w][i] == gam[midx]
 
 
 def _pairwise_entries(params, N, order, ctx):
-    """Operator entries as {Fraction exponent: coefficient}: every gamma on
-    integer exponents, each product of (gamma, rest) reduced and added on
-    its own, and the shift by (i - w)/d aligned entry by entry.  Fraction
-    exponents need no common grid."""
+    """Entries F_{q*w - i + u} of the integral form as {Fraction exponent:
+    coefficient}: every gamma on integer exponents, and each product of
+    (gamma, rest) reduced and added on its own.  Fraction exponents need no
+    common grid."""
     p, a, d, q, u = params.p, params.a, params.d, params.q, params.u
     prod = _ProductCoeffs(params, ctx, order)
     gammas = [[{F(n, g.D): c for n, c in g.terms.items()} for g in row]
@@ -296,15 +305,8 @@ def _pairwise_entries(params, N, order, ctx):
             total = add(total, mul(gammas[j][n], level(j + 1, m - n * pj)))
         return total
 
-    entries = [[{} for _ in range(N)] for _ in range(N)]
-    for w in range(N):
-        for i in range(N):
-            midx = q * w - i + u
-            if midx >= 0:
-                shift = F(i - w, d)
-                entries[w][i] = {t + shift: c for t, c in level(0, midx).items()
-                                 if t + shift < order}
-    return entries
+    return [[level(0, q * w - i + u) if q * w - i + u >= 0 else {} for i in range(N)]
+            for w in range(N)]
 
 
 @pytest.mark.parametrize("tup", [(11, 2, 3, 2, 3, 1, 1),  # q = 121, two factors
@@ -316,12 +318,35 @@ def test_psi_matrix_matches_pairwise_accumulation(tup):
     pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
     N, O = auto_sizes(pr, d)
     mat = psi_a_matrix(pr, N, O)
-    want = _pairwise_entries(pr, N, work_order(mat), mat.ctx)
+    want = _pairwise_entries(pr, N, O, mat.ctx)
     for w in range(N):
         for i in range(N):
             got = mat.entries[w][i]
-            assert (got.D, got.order) == (d, work_order(mat))
+            assert (got.D, got.order) == (d, O)
             assert {F(n, d): c for n, c in got.terms.items()} == want[w][i], (w, i)
+
+
+@pytest.mark.parametrize("tup", [(11, 2, 3, 2, 3, 1, 1),  # q = 121, two factors
+                                 (43, 1, 5, 2, 1, 1, 1),  # the strict instance
+                                 (17, 1, 7, 6, 2, 1, 1)],
+                         ids=lambda x: str(x).replace(" ", ""))
+def test_integral_form_keeps_the_series_and_traces(tup):
+    # B = Delta A Delta^-1 against A itself, carried at the padded order:
+    # c_0..c_{n_top} and Tr(A^k) agree as whole series below d*O
+    p, a, d, e, c, mu, lam = tup
+    pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
+    N, O = auto_sizes(pr, d)
+    B, A = psi_a_matrix(pr, N, O), psi_a_matrix_padded(pr, N, O)
+    assert A.entries[0][0].order > O
+
+    def below(series):
+        return {n: c for n, c in series.terms.items() if n < d * O}
+
+    got, want = char_series(B, d), char_series(A, d)
+    assert [x.terms for x in got] == [below(x) for x in want]
+    assert any(x.terms != below(x) for x in want)  # the padding is not empty
+    assert [x.terms for x in power_traces(got)[1:]] == \
+        [below(x) for x in power_traces(want)[1:]]
 
 
 @pytest.mark.parametrize("tup", [(2, 1, 3, 1, 1), (2, 2, 3, 1, 3), (3, 1, 4, 1, 1),
@@ -345,8 +370,8 @@ def test_direct_traces_skip_a_square_entry_read_by_no_trace():
     cap = D * order
 
     def series(lo):
-        return PiSeries(ctx, D, order, {n: ctx.elem([rng.randrange(1, ctx.pM), 1])
-                                        for n in range(lo, cap) if rng.random() < 0.4})
+        return series_of(ctx, D, order, {n: ctx.elem([rng.randrange(1, ctx.pM), 1])
+                                         for n in range(lo, cap) if rng.random() < 0.4})
 
     A = [[PiSeries(ctx, D, order) if w == 2 else series(rng.choice([0, 3, cap - 2]))
           for i in range(N)] for w in range(N)]
@@ -407,9 +432,9 @@ def test_char_series_matches_oracles(tup, n_max, k_minors):
     mat, coeffs = res.matrix, res.coeffs
     assert len(coeffs) == n_max + 1
     # the same recurrence with the dict product, coefficient by coefficient
-    zero = mat.entries[0][0].copy_with({})
-    assert coeffs == berkowitz(mat.entries, n_max, lambda pairs: dict_dot(pairs, zero),
-                               zero.copy_with({0: mat.ctx.one()}), zero)
+    zero, views = mat.entries[0][0].zero(), {}
+    assert coeffs == berkowitz(mat.entries, n_max, lambda pairs: dict_dot(pairs, zero, views),
+                               PiSeries.one(mat.ctx, zero.order, zero.D), zero)
     assert coeffs[:k_minors + 1] == _minor_series(mat, k_minors)
     if tup[0] > n_max:
         traces = _product_traces(mat, n_max)
@@ -506,7 +531,8 @@ def test_entry_valuation_bound():
 
 def test_entry_bound_below_observed_orders():
     # one-step bound transposed to the power-q matrix: check on a = 1 where
-    # the single-step and power-q operators coincide
+    # the single-step and power-q operators coincide; the integral form's
+    # entry (w, i) is A's times pi^((w-i)/d), so its bound moves by that
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=2)
     mat = psi_a_matrix(pr, 6, 12)
     for w in range(6):
@@ -516,7 +542,7 @@ def test_entry_bound_below_observed_orders():
             if bound is INFINITY:
                 assert v is None or v >= mat.O
             elif v is not None:
-                assert v >= bound
+                assert v >= bound + F(w - i, pr.d)
 
 
 def test_pi_of_T_reversion():
@@ -544,7 +570,7 @@ def test_pi_of_T_reversion():
 def test_pi_series_to_T_roundtrip():
     ctx = make_context(5, 1, 8)
     # series pi^2 as a T-series: pi = T - T^2/2 + ... squared
-    s = PiSeries(ctx, 1, 8, {2: ctx.one()})
+    s = series_of(ctx, 1, 8, {2: ctx.one()})
     coeffs = pi_series_to_T(s, 5)
     r = pi_of_T_coeffs(5, 5)
     want2 = r[1] * r[1]
@@ -559,7 +585,7 @@ def test_substitute_T_inverts_the_reversion(p):
     order = 8
     ctx = make_context(p, 1, 10)
     for i in range(order + 1):
-        t_coeffs = pi_series_to_T(PiSeries(ctx, 1, order + 1, {i: ctx.one()}), order)
+        t_coeffs = pi_series_to_T(series_of(ctx, 1, order + 1, {i: ctx.one()}), order)
         got = substitute_T(t_coeffs, order)
         assert [c.coeffs[0] for c in got] == [int(n == i) for n in range(order + 1)], i
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,7 @@ from twistnp.lfunction import (
     LFunctionData,
     Route,
     SmallPrimeError,
+    TeichmullerTable,
     TraceTable,
     _descent_for,
     classical_l_function,
@@ -528,6 +530,45 @@ def test_tadic_sum_in_small_blocks_equals_the_walk(p, a, d, e, c, k, block):
         pr = Params(p=p, a=a, d=d, e=e, c=c, mu=1, lam_index=lam)
         assert exp_sum_Tadic(pr, k, 4, block=block).coeffs == \
             exp_sum_Tadic_walk(pr, k, 4).coeffs, lam
+
+
+@pytest.mark.parametrize("p,a,d,e,c,k,lazy", [
+    (7, 1, 3, 2, 3, 2, True),  # every power stays unreduced
+    (43, 1, 5, 2, 1, 1, False),  # the powers pass the digit bound and are reduced
+])
+def test_tadic_sum_at_J_p_minus_1_equals_the_walk(p, a, d, e, c, k, lazy):
+    # J = p - 1, the largest J: the lazily reduced powers against the walk,
+    # which reduces every falling factorial
+    J = p - 1
+    for lam in (0, 1, p**a - 2):
+        pr = Params(p=p, a=a, d=d, e=e, c=c, mu=1, lam_index=lam)
+        pM = p**default_precision(pr)
+        assert (J * (2 * pM).bit_length() <= sys.int_info.bits_per_digit**2) == lazy
+        assert exp_sum_Tadic(pr, k, J).coeffs == exp_sum_Tadic_walk(pr, k, J).coeffs, lam
+
+
+@pytest.mark.parametrize("p,d,e,c,k,J", [(2, 3, 1, 1, 6, 1), (3, 4, 1, 2, 3, 2)])
+def test_teichmuller_head_is_fixed_width_below_2_64(monkeypatch, p, d, e, c, k, J):
+    # p^M <= 2^64 here, so the head is an array('Q'); the sums are those
+    # of a list head, and of the walk
+    pr = Params(p=p, a=1, d=d, e=e, c=c, mu=1, lam_index=p - 2)
+    big = make_context(p, k, default_precision(pr))
+    assert big.pM <= 1 << 64
+    head = TeichmullerTable(big).head
+    assert head.typecode == "Q" and len(head) == (p**k - 1) // (p - 1)
+    want = exp_sum_Tadic(pr, k, J).coeffs
+    assert want == exp_sum_Tadic_walk(pr, k, J).coeffs
+    real_init = TeichmullerTable.__init__
+
+    def list_head(self, ctx):
+        real_init(self, ctx)
+        self.head = list(self.head)
+
+    monkeypatch.setattr(TeichmullerTable, "__init__", list_head)
+    assert isinstance(TeichmullerTable(big).head, list)
+    assert exp_sum_Tadic(pr, k, J).coeffs == want
+    # past 2^64 the head is a list
+    assert isinstance(TeichmullerTable(make_context(p, k, 65)).head, list)
 
 
 def test_stirling_rows_give_the_falling_factorials():
