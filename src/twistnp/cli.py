@@ -148,9 +148,9 @@ def sandwich(params: Params, P: Polygon, np_T: Polygon,
     """The halves of P <= NP_T <= NP, each on the range both share.  Below
     the threshold p > (d-e)(2d-1) P is no bound, and P <= NP_T is None;
     without the classical polygon NP_T <= NP is None."""
-    return {"P_below_npT": lies_above(np_T, P).ok if params.monotone_bound_ok() else None,
+    return {"P_below_npT": lies_above(np_T, P) if params.monotone_bound_ok() else None,
             "npT_below_classical": (None if np_classical is None
-                                    else lies_above(np_classical, np_T).ok)}
+                                    else lies_above(np_classical, np_T))}
 
 
 def cmd_dwork(args) -> int:
@@ -355,7 +355,7 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
         "precision": data.M,
         "np_slopes": _slopes_json(np_poly),
         "equal": np_poly.values == P.values[:d + 1],
-        "lies_above": lies_above(np_poly, P).ok,
+        "lies_above": lies_above(np_poly, P),
     })
     violations = []
     if params.monotone_bound_ok():

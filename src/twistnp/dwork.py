@@ -11,13 +11,14 @@ its integral form B = Delta A Delta^-1, Delta = diag(pi^(w/d)), whose entry
 Conjugation keeps det(1 - A s) and every Tr(A^k), and truncation at pi^O
 is a ring map on Z_q[[pi]], so every series below is exact mod pi^O.
 Valuations here are T-adic: p is a unit, so the order of a series is simply
-its smallest exponent carrying a nonzero coefficient.
+its smallest exponent carrying a nonzero coefficient, an integer.
 
 A series (``PiSeries``) is one sorted list of (exponent, packed
-coefficient): the coefficient's Z_q coordinates, reduced mod p^M, sit in
-the slots of one integer, so the one series product ``_dot`` multiplies
-two coefficients by one integer product and reduces each exponent's sum
-without leaving the packed integer.
+coefficient), exponent k standing for pi^k: the coefficient's Z_q
+coordinates, reduced mod p^M, sit in the slots of one integer, so the one
+series product ``_dot`` multiplies two coefficients by one integer
+product and reduces each exponent's sum without leaving the packed
+integer.  A series' order is the power of pi it is cut at.
 
 Truncation is certified, not guessed: every term routed through a basis
 row w carries order at least (p-1)*w/d, so rows beyond N are irrelevant
@@ -37,7 +38,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .core_arith import artin_hasse_coeffs, berkowitz, decompose, power_sums
 from .lfunction import DEFAULT_BUDGET, check_trace_inputs, default_precision, exp_sum_Tadic
@@ -59,11 +59,11 @@ class TruncationError(PrecisionError):
 
 @dataclass(slots=True)
 class PiSeries:
-    """Finite sum of c * pi^(num/D) with num in [0, D*order).
+    """Finite sum of c * pi^n with n in [0, order).
 
-    ``(D, order)`` is the series' grid.  Every series of one operator sits
-    on the same grid, so sums and products never realign exponents; an
-    operation on series of two grids raises ``ValueError``.
+    Every series of one operator has the same ``order``, so sums and
+    products never realign exponents; an operation on series of two orders
+    raises ``ValueError``.
 
     ``packed`` is the series' one representation: its terms as (exponent,
     packed coefficient), by exponent, with no zero coefficient.  The
@@ -75,40 +75,38 @@ class PiSeries:
     """
 
     ctx: ZqContext
-    D: int
     order: int
     packed: list[tuple[int, int]] = field(default_factory=list)
 
     @classmethod
-    def one(cls, ctx, order, D):
-        return cls(ctx, D, order, [(0, 1)])
+    def one(cls, ctx, order):
+        return cls(ctx, order, [(0, 1)])
 
     def zero(self) -> "PiSeries":
-        """The zero series on this grid."""
-        return PiSeries(self.ctx, self.D, self.order)
+        """The zero series of this order."""
+        return PiSeries(self.ctx, self.order)
 
     def constant(self, c: int | ZqElem) -> "PiSeries":
-        """The constant c on this grid."""
+        """The constant c at this order."""
         if isinstance(c, int):
             c = self.ctx.from_int(c)
-        return PiSeries(self.ctx, self.D, self.order,
+        return PiSeries(self.ctx, self.order,
                         [] if c.is_zero() else [(0, pack(c.coeffs, self.slot_width()))])
 
     def is_zero(self):
         return not self.packed
 
     def slot_width(self) -> int:
-        """Bytes of a packed slot on this grid: a pair of series adds to an
+        """Bytes of a packed slot at this order: a pair of series adds to an
         exponent at most one term product per left exponent below the cap."""
-        return slot_bytes(self.ctx.pM, self.D * self.order * self.ctx.deg)
+        return slot_bytes(self.ctx.pM, self.order * self.ctx.deg)
 
     def __bool__(self):
         return bool(self.packed)
 
-    def check_same_grid(self, other):
-        if (self.D, self.order) != (other.D, other.order):
-            raise ValueError(f"series on the grids (D, order) = {(self.D, self.order)} "
-                             f"and {(other.D, other.order)}")
+    def check_same_order(self, other):
+        if self.order != other.order:
+            raise ValueError(f"series of the orders {self.order} and {other.order}")
 
     def __add__(self, other):
         one = self.constant(1)
@@ -135,17 +133,9 @@ class PiSeries:
         mask, offsets = (1 << bits) - 1, range(0, self.ctx.deg * bits, bits)
         return {n: ZqElem(self.ctx, tuple([v >> k & mask for k in offsets])) for n, v in self.packed}
 
-    def t_valuation(self) -> Fraction | None:
+    def t_valuation(self) -> int | None:
         """T-adic order: smallest exponent present, None if empty."""
-        return Fraction(self.packed[0][0], self.D) if self.packed else None
-
-    def integer_coeff_map(self) -> dict[int, ZqElem]:
-        out = {}
-        for num, c in self.terms.items():
-            if num % self.D:
-                raise ValueError("series has genuinely fractional exponents")
-            out[num // self.D] = c
-        return out
+        return self.packed[0][0] if self.packed else None
 
 
 def _reducer(ctx: ZqContext, nbytes: int):
@@ -198,12 +188,11 @@ def ef_gamma_coeffs(ctx: ZqContext, d: int, e: int, lam_hat: ZqElem,
                     n_max: int, O: int) -> list[PiSeries]:
     """Splitting-series coefficients gamma_0..gamma_{n_max} mod pi^O.
 
-    The series sit on the operator's grid (d, O): pi^(x+y) is exponent
-    (x+y)*d.  Each term is the packed lamhat^y times the integer
-    lambda_x * lambda_y, reduced by ``_reducer``.
+    Each term is the packed lamhat^y times the integer lambda_x * lambda_y
+    at pi^(x+y), reduced by ``_reducer``.
     """
     lam, pM = artin_hasse_zp(ctx, O), ctx.pM
-    nbytes = PiSeries(ctx, d, O).slot_width()
+    nbytes = PiSeries(ctx, O).slot_width()
     reduce = _reducer(ctx, nbytes)
     lam_pows, z = [], ctx.one()
     for _ in range(O):
@@ -218,10 +207,10 @@ def ef_gamma_coeffs(ctx: ZqContext, d: int, e: int, lam_hat: ZqElem,
             if total >= O:
                 break  # totals grow by d - e > 0 along the solution line
             if coeff := reduce(lam_pows[y] * (lam[x] * lam[y] % pM)):  # each total comes once
-                packed.append((total * d, coeff))
+                packed.append((total, coeff))
             x -= e
             y += d
-        out.append(PiSeries(ctx, d, O, packed))
+        out.append(PiSeries(ctx, O, packed))
     return out
 
 
@@ -229,7 +218,7 @@ def ef_gamma_coeffs(ctx: ZqContext, d: int, e: int, lam_hat: ZqElem,
 class PsiMatrix:
     """The power-q operator on the first N monomial basis vectors, in its
     integral form B = Delta A Delta^-1, Delta = diag(pi^(w/d)): entry (w, i)
-    is F_{q*w - i + u}, every entry on the grid (d, O).
+    is F_{q*w - i + u}, every entry a series of order O.
 
     Every entry of B lies in Z_q[[pi]], and Berkowitz's recurrence and the
     Newton identities never divide, so cutting every series at pi^O, a
@@ -258,25 +247,25 @@ class PsiMatrix:
 
 
 def _dot(pairs, zero: PiSeries, cap: int | None = None) -> PiSeries:
-    """Sum of x * y over pairs of series on the grid of ``zero``, below the
-    exponent ``cap``, by default the grid's own.
+    """Sum of x * y over pairs of series of the order of ``zero``, below the
+    exponent ``cap``, by default that order.
 
-    This is the one series product; a series on another grid, or a cap
-    above the grid's, raises.  Each term product is one integer product of
+    This is the one series product; a series of another order, or a cap
+    above the order, raises.  Each term product is one integer product of
     packed coefficients (``PiSeries.packed``); the right-hand terms are
     walked by exponent and left at the cap, so no pair past the truncation
     is visited.  Each exponent's sum is reduced once, in its packed form
     (``_reducer``).
     """
-    ctx, top = zero.ctx, zero.D * zero.order
+    ctx = zero.ctx
     if cap is None:
-        cap = top
-    elif cap > top:
-        raise ValueError(f"cap {cap} above the grid's cap {top}")
+        cap = zero.order
+    elif cap > zero.order:
+        raise ValueError(f"cap {cap} above the order {zero.order}")
     acc: dict[int, int] = {}
     for x, y in checked_pairs(pairs):
-        zero.check_same_grid(x)
-        zero.check_same_grid(y)
+        zero.check_same_order(x)
+        zero.check_same_order(y)
         right = y.packed
         if not right:
             continue
@@ -291,8 +280,7 @@ def _dot(pairs, zero: PiSeries, cap: int | None = None) -> PiSeries:
                 n = na + nb
                 acc[n] = acc.get(n, 0) + va * vb
     reduce = _reducer(ctx, zero.slot_width())
-    return PiSeries(ctx, zero.D, zero.order,
-                    sorted((n, r) for n, v in acc.items() if (r := reduce(v))))
+    return PiSeries(ctx, zero.order, sorted((n, r) for n, v in acc.items() if (r := reduce(v))))
 
 
 class _ProductCoeffs:
@@ -309,7 +297,7 @@ class _ProductCoeffs:
             twisted = ctx.pow(lam_hat, p**j)
             self.gammas.append(
                 ef_gamma_coeffs(ctx, d, e, twisted, self.gamma_max, O))
-        self.zero = PiSeries(ctx, d, O)
+        self.zero = PiSeries(ctx, O)
         self._memo: dict[tuple[int, int], PiSeries] = {}
 
     def coeff(self, m: int) -> PiSeries:
@@ -382,7 +370,7 @@ def direct_traces(mat: PsiMatrix, k_max: int) -> list[PiSeries | None]:
     of the full A^2.
     """
     A, N, zero = mat.entries, mat.N, mat.entries[0][0].zero()
-    cap = zero.D * zero.order
+    cap = zero.order
 
     def tr_prod(X, Y):  # Tr(XY) = sum_ij X_ij Y_ji
         return _dot(((X[i][j], Y[j][i]) for i in range(N) for j in range(N)), zero)
@@ -416,7 +404,7 @@ def auto_sizes(params: Params, n_max: int, least_order: int = 0,
         O = max(math.ceil(params.a * (params.p - 1) * P.value(n_max)) + DEFAULT_GUARD,
                 least_order)
     if N is None:
-        N = max(math.ceil(Fraction(params.d * O, params.p - 1)) + 1, n_max)
+        N = max(-(-params.d * O // (params.p - 1)) + 1, n_max)
     return N, O
 
 
@@ -463,10 +451,8 @@ def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
         if k and direct != mat.traces[k]:
             raise DworkConsistencyError(
                 f"Tr(A^{k}) from A and from the characteristic series disagree")
-    scale = params.a * (params.p - 1)
-    points = [(n, None if v is None else v / scale)
-              for n, v in enumerate(cs.t_valuation() for cs in coeffs)]
-    return NpTResult(polygon=lower_convex_hull(points).restrict(n_max),
+    polygon = lower_convex_hull([cs.t_valuation() for cs in coeffs], params.a * (params.p - 1))
+    return NpTResult(polygon=polygon.restrict(n_max),
                      coeffs=coeffs[:n_max + 1], matrix=mat)
 
 
@@ -526,7 +512,7 @@ def trace_consistency(params: Params, k_max: int, J: int,
     reports = []
     for k in range(1, k_max + 1):
         lhs = substitute_T(exp_sum_Tadic(params, k, J, M, budget).coeffs, check_order)
-        rhs = mat.trace_power(k).integer_coeff_map()
+        rhs = mat.trace_power(k).terms
         scale = (params.q**k - 1) % mat.ctx.pM
         agree = next((jj for jj in range(check_order + 1)
                       if lhs[jj].coeffs != (rhs.get(jj, zero) * scale).coeffs),

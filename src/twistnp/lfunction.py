@@ -741,16 +741,15 @@ class LFunctionData:
     M: int
     sums: list[RamifiedElem]
     coeffs: list[RamifiedElem]
-    valuations: list[Fraction | None]  # pi-units; None when below precision
+    valuations: list[int | None]  # pi-units; None when below precision
     route: str = FULL_ENUMERATION
 
-    def newton_points(self) -> list[tuple[int, Fraction | None]]:
-        scale = self.params.a * (self.params.p - 1)
-        pts = [(n, None if v is None else v / scale)
-               for n, v in enumerate(self.valuations)]
-        if len(pts) == self.params.d:  # the A^1 L-function: times 1 - s
-            pts = [(0, Fraction(0))] + [(n + 1, v) for n, v in pts]
-        return pts
+    def newton_points(self) -> list[int | None]:
+        """The classical L-function's valuations in pi-units, the input of
+        ``lower_convex_hull`` at the scale a(p - 1)."""
+        if len(self.valuations) == self.params.d:  # the A^1 L-function: times 1 - s
+            return [0] + self.valuations
+        return self.valuations
 
 
 def _require_p_above(params: Params, n: int) -> None:
@@ -784,9 +783,8 @@ def l_polynomial(params: Params, M: int | None = None,
                          valuations=[c.valuation() for c in coeffs])
 
 
-def reflect_valuations(low: list[Fraction | None], conj: list[Fraction | None],
-                       deg: int, top: Fraction, step: int,
-                       cap: Fraction) -> list[Fraction | None]:
+def reflect_valuations(low: list[int | None], conj: list[int | None],
+                       deg: int, top: int, step: int, cap: int) -> list[int | None]:
     """Valuations of l_0..l_deg: ``low`` gives l_0..l_h, and past l_h
     v(l_{deg-i}) = top - i * step + v(l'_i), with l'_i from ``conj``.
 
@@ -810,12 +808,22 @@ def classical_l_function(params: Params, M: int | None = None,
 
     ``_sums`` is one coefficient's entry of ``route_sums_by_lambda``, and
     ``hodge`` the Hodge polygon on at least [0, d], whose end point the
-    reflection starts from; both are computed when absent.  l_{h+1} is
+    reflection starts from; both are computed when absent.  That end point
+    in pi-units, HP(d) a(p - 1) = a(p - 1)(d - 1)/2 + (a/b) (digit sum),
+    is an integer, since b | a and (p - 1)(d - 1) is even for p prime to
+    d; a ``hodge`` on which it is not raises ``ValueError``.  l_{h+1} is
     both computed and reflected; the two valuations, each capped at the
     precision, must agree, or ``FunctionalEquationError`` is raised.
     """
     M = M or default_precision(params)
     route = classical_route(params.d, params.c)
+    step = params.a * (params.p - 1)
+    if hodge is None:
+        hodge = hodge_polygon(params, params.d)
+    top = hodge.value(params.d) * step
+    if top.denominator != 1:
+        raise ValueError(f"Hodge end point {hodge.value(params.d)} is not an integer "
+                         f"in pi-units (times {step})")
     if _sums is None:
         _sums = route_sums_by_lambda(params, [params.lam_index], M,
                                      budget)[params.lam_index]
@@ -826,12 +834,7 @@ def classical_l_function(params: Params, M: int | None = None,
     coeffs = _newton_coeffs(sums)
     low = [c.valuation() for c in coeffs]
     conj = low if conj_sums is None else [c.valuation() for c in _newton_coeffs(conj_sums)]
-    step = params.a * (p - 1)
-    if hodge is None:
-        hodge = hodge_polygon(params, params.d)
-    top = hodge.value(params.d) * step
-    vals = reflect_valuations(low[:h + 1], conj, route.deg, top, step,
-                              Fraction(M * (p - 1)))
+    vals = reflect_valuations(low[:h + 1], conj, route.deg, top.numerator, step, M * (p - 1))
     if vals[h + 1] != low[h + 1]:
         raise FunctionalEquationError(
             f"l_{h + 1} has valuation {low[h + 1]} computed and {vals[h + 1]} "
@@ -855,11 +858,10 @@ def newton_polygon_classical(params: Params, M: int | None = None,
         raise PrecisionError(
             f"degree-{len(data.valuations) - 1} coefficient vanishes mod p^{M}; "
             f"retry with M >= {M + params.a * params.d}")
-    cap = Fraction(M * (params.p - 1))
     needed = max(v for v in data.valuations if v is not None)
-    if cap <= needed:
+    if M * (params.p - 1) <= needed:
         raise PrecisionError(f"precision M={M} cannot certify valuations up to {needed}")
-    return lower_convex_hull(data.newton_points())
+    return lower_convex_hull(data.newton_points(), params.a * (params.p - 1))
 
 
 def extend_newton_polygon(restriction: Polygon, n_max: int) -> Polygon:

@@ -23,13 +23,14 @@ det(1 - M_beta s) for multiplication by beta, from
 polynomial of a residue-field generator.  Both sums of products,
 ``ZqContext.group_dot`` in Z_q[zeta_p] and the T-adic series product
 ``dwork._dot``, pack residues into big integers in one layout: ``pack``,
-``unpack`` and the width ``slot_bytes``; each unpacked slot is reduced
-by ``poly_mod``.
+``unpack`` and the width ``slot_bytes``.  ``group_dot`` reduces its
+unpacked slots by ``poly_mod``; ``dwork._dot`` reduces inside the packed
+integer, by ``dwork._reducer``.
 
 All ring operations are exact mod p^M: divisions only ever happen by
 p-adic units, so precision never degrades silently.  Valuations are
 certified: an element that vanishes mod p^M has valuation None rather
-than a number.
+than a number, and a valuation is an integer in pi_1-units.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import deque
-from fractions import Fraction
 from functools import lru_cache
 
 from .core_arith import charpoly_mod, is_prime, mod_dot, power_sums, prime_factors
@@ -533,7 +533,7 @@ class RamifiedElem:
     def __hash__(self):
         return hash(self.coords)
 
-    def valuation(self) -> Fraction | None:
+    def valuation(self) -> int | None:
         """Certified valuation in pi_1-units (p has p - 1 of them); None
         when the element vanishes mod p^M.
 
@@ -558,7 +558,7 @@ class RamifiedElem:
         for j in range(p - 1):
             rows = [list(itertools.accumulate(row)) for row in rows]
             if any([row.pop() % p for row in rows]):  # b_j; the rest is the quotient
-                return Fraction((p - 1) * k + j)
+                return (p - 1) * k + j
         raise AssertionError("the change of basis is invertible")
 
     def __repr__(self):

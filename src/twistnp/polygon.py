@@ -2,7 +2,10 @@
 
 Polygons are stored as their values at every integer index of the range,
 not just at corner points, so comparisons are plain index-wise checks on
-``Fraction`` values.
+``Fraction`` values.  A Newton polygon comes from one hull,
+``lower_convex_hull``, of integer valuations in a ring's uniformizer over
+one integer scale: it runs on integers and makes each value's
+``Fraction`` once.
 """
 
 from __future__ import annotations
@@ -127,14 +130,6 @@ class Polygon:
                              for n, v in enumerate(self.values)]}
 
 
-@dataclass(frozen=True)
-class AboveVerdict:
-    ok: bool
-    index: int | None = None
-    upper_value: Fraction | None = None
-    lower_value: Fraction | None = None
-
-
 def hodge_polygon(params: Params, n_max: int) -> Polygon:
     """Polygon with slope n/d + (sum of one digit period)/(b*d*(p-1)) at n."""
     shift = Fraction(sum(params.u_digit(k) for k in range(1, params.b + 1)),
@@ -162,52 +157,40 @@ def lower_bound_polygon(params: Params, n_max: int) -> Polygon:
     return Polygon(tuple(vals))
 
 
-def lower_convex_hull(points: list[tuple[int, Fraction | None]]) -> Polygon:
-    """Lower convex closure of (index, value) points, evaluated index-wise.
+def lower_convex_hull(valuations: list[int | None], scale: int) -> Polygon:
+    """Lower convex hull of the points (n, valuations[n] / scale), evaluated
+    at every index up to the last point.
 
-    Entries with value None (or +infinity) are treated as missing
-    coefficients and ignored.  The index-0 point must be present.
+    ``valuations`` are integers, None where a coefficient vanishes mod the
+    precision and has no point; ``scale`` is a positive integer.  The hull
+    is taken on the integers, and value n on the hull segment from (x1, y1)
+    to (x2, y2) is (y1 (x2 - x1) + (y2 - y1)(n - x1)) / (scale (x2 - x1)).
+    The point (0, 0) must be present.
     """
-    finite = [(n, Fraction(v)) for n, v in points
-              if v is not None and v != math.inf]
-    if not finite:
+    if all(v is None for v in valuations):
         raise ValueError("no finite points given")
-    finite.sort()
-    if finite[0][0] != 0:
-        raise ValueError("hull needs a finite point at index 0")
-    hull: list[tuple[int, Fraction]] = []
-    for pt in finite:
+    if valuations[0] != 0:
+        raise ValueError("hull needs the point (0, 0)")
+    hull: list[tuple[int, int]] = []
+    for x, y in enumerate(valuations):
+        if y is None:
+            continue
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # keep only right turns: slope into pt must not drop
-            if (y2 - y1) * (pt[0] - x2) > (pt[1] - y2) * (x2 - x1):
+            # keep only right turns: slope into (x, y) must not drop
+            if (y2 - y1) * (x - x2) > (y - y2) * (x2 - x1):
                 hull.pop()
             else:
                 break
-        if len(hull) == 1 and hull[0][0] == pt[0]:
-            continue
-        hull.append(pt)
-    n_max = finite[-1][0]
+        hull.append((x, y))
     vals = []
-    seg = 0
-    for n in range(n_max + 1):
-        while seg + 1 < len(hull) and hull[seg + 1][0] < n:
-            seg += 1
-        if hull[seg][0] == n:
-            vals.append(hull[seg][1])
-        else:
-            (x1, y1), (x2, y2) = hull[seg], hull[seg + 1]
-            vals.append(y1 + (y2 - y1) * Fraction(n - x1, x2 - x1))
-    if vals[0] != 0:
-        raise ValueError("hull must start at value 0 at index 0")
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        dx, dy = x2 - x1, y2 - y1
+        vals += [Fraction(y1 * dx + dy * k, scale * dx) for k in range(dx)]
+    vals.append(Fraction(hull[-1][1], scale))
     return Polygon(tuple(vals))
 
 
-def lies_above(upper: Polygon, lower: Polygon) -> AboveVerdict:
-    """Index-wise comparison on the shared range; reports first violation."""
-    n_max = min(upper.n_max, lower.n_max)
-    for n in range(n_max + 1):
-        if upper.value(n) < lower.value(n):
-            return AboveVerdict(ok=False, index=n,
-                                upper_value=upper.value(n), lower_value=lower.value(n))
-    return AboveVerdict(ok=True)
+def lies_above(upper: Polygon, lower: Polygon) -> bool:
+    """Whether ``upper`` is at least ``lower`` at every index both cover."""
+    return all(u >= v for u, v in zip(upper.values, lower.values))

@@ -8,6 +8,8 @@ independent side of the checks on the program.
   tight edges and the matching count are checked against, the
   overflow-count matching with its residue columns, and the sum of y over
   the representable optimal set (``v_exponent``)
+- the polygons: the hull on ``Fraction`` points and the corners of a
+  polygon
 - the residue fields: the generator search over every code, and the numpy
   enumeration kernel that counts traces by small matrix products
 - the unramified ring: unit inverses, Newton lifting of roots, the lifted
@@ -220,6 +222,43 @@ def v_exponent(params: Params, n: int, k: int) -> int:
     v = values.pop()
     assert v == compute_C(inst, n)
     return v
+
+
+def fraction_hull(points: list[tuple[int, Fraction | None]]) -> Polygon:
+    """Lower convex closure of (index, value) points on ``Fraction``
+    values, evaluated index-wise: the oracle of the integer
+    ``polygon.lower_convex_hull``.  Points with value None are missing;
+    the hull must start at (0, 0)."""
+    finite = sorted((n, Fraction(v)) for n, v in points if v is not None)
+    if not finite:
+        raise ValueError("no finite points given")
+    if finite[0][0] != 0:
+        raise ValueError("hull needs a finite point at index 0")
+    hull: list[tuple[int, Fraction]] = []
+    for pt in finite:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            # keep only right turns: slope into pt must not drop
+            if (y2 - y1) * (pt[0] - x2) > (pt[1] - y2) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        if len(hull) == 1 and hull[0][0] == pt[0]:
+            continue
+        hull.append(pt)
+    vals = []
+    seg = 0
+    for n in range(finite[-1][0] + 1):
+        while seg + 1 < len(hull) and hull[seg + 1][0] < n:
+            seg += 1
+        if hull[seg][0] == n:
+            vals.append(hull[seg][1])
+        else:
+            (x1, y1), (x2, y2) = hull[seg], hull[seg + 1]
+            vals.append(y1 + (y2 - y1) * Fraction(n - x1, x2 - x1))
+    if vals[0] != 0:
+        raise ValueError("hull must start at value 0 at index 0")
+    return Polygon(tuple(vals))
 
 
 def corners(poly: Polygon) -> list[tuple[int, Fraction]]:
@@ -507,13 +546,13 @@ class PiElem:
     def __hash__(self):
         return hash(self.comps)
 
-    def valuation(self) -> Fraction | None:
+    def valuation(self) -> int | None:
         """Valuation in pi_1-units, None when zero mod p^M: the minimum of
         j + (p - 1) v_p over the nonzero components j."""
         n = self.ctx.p - 1
         units = [j + n * v for j, v in enumerate(c.vp() for c in self.comps)
                  if v is not None]
-        return Fraction(min(units)) if units else None
+        return min(units) if units else None
 
     def __repr__(self):
         return f"Pi({self.comps})"
@@ -707,51 +746,59 @@ def direct_traces_full(mat: PsiMatrix, k_max: int) -> list[PiSeries | None]:
     return traces[:k_max + 1]
 
 
-def series_of(ctx: ZqContext, D: int, order: int, terms: dict[int, ZqElem]) -> PiSeries:
-    """The series on the grid (D, order) with the {exponent: coefficient}
+def series_of(ctx: ZqContext, order: int, terms: dict[int, ZqElem]) -> PiSeries:
+    """The series of order ``order`` with the {exponent: coefficient}
     ``terms``, packed as ``PiSeries.packed``; zero coefficients are left
-    out, and exponents must lie on the grid."""
-    zero = PiSeries(ctx, D, order)
-    assert all(0 <= n < D * order for n in terms)
+    out, and exponents must lie in [0, order)."""
+    zero = PiSeries(ctx, order)
+    assert all(0 <= n < order for n in terms)
     nbytes = zero.slot_width()
-    return PiSeries(ctx, D, order, [(n, pack(c.coeffs, nbytes))
-                                    for n, c in sorted(terms.items()) if not c.is_zero()])
+    return PiSeries(ctx, order, [(n, pack(c.coeffs, nbytes))
+                                 for n, c in sorted(terms.items()) if not c.is_zero()])
 
 
 def with_terms(series: PiSeries, terms: dict[int, ZqElem]) -> PiSeries:
-    """``series_of`` on the grid of ``series``."""
-    return series_of(series.ctx, series.D, series.order, terms)
+    """``series_of`` at the order of ``series``."""
+    return series_of(series.ctx, series.order, terms)
 
 
 def shift(series: PiSeries, num: int) -> PiSeries:
-    """series * pi^(num/D), cut at the grid's cap; an exponent below 0
-    raises."""
+    """series * pi^num, cut at its order; an exponent below 0 raises."""
     terms = series.terms
     if any(n + num < 0 for n in terms):
         raise ValueError("negative pi-exponent")
-    cap = series.D * series.order
-    return with_terms(series, {n + num: c for n, c in terms.items() if n + num < cap})
+    return with_terms(series, {n + num: c for n, c in terms.items() if n + num < series.order})
 
 
 def psi_a_matrix_padded(params: Params, N: int, O: int, M: int | None = None) -> PsiMatrix:
     """The operator A itself, the oracle of its integral form
     ``dwork.psi_a_matrix``: entry (w, i) is pi^((i-w)/d) F_{q*w - i + u}.
 
-    The series are carried at the padded order O + ceil((N-1)/d): a
-    partial product inside a determinant or trace monomial can sit up to
-    (N-1)/d above its final exponent (the fractional shifts cancel only
-    once a cycle closes), so every result is exact below the order O.
+    A's exponents are fractions over d, so its series count in units of
+    pi^(1/d): an entry is F_{q*w - i + u} with its exponents times d,
+    shifted by i - w.  The series are carried at the padded order
+    O_pad = O + ceil((N-1)/d), d*O_pad in these units: a partial product
+    inside a determinant or trace monomial can sit up to (N-1)/d above its
+    final exponent (the fractional shifts cancel only once a cycle
+    closes), so every result is exact below pi^O.
     """
     ctx = make_context(params.p, params.a, M or default_precision(params))
     d, q, u = params.d, params.q, params.u
-    prod = _ProductCoeffs(params, ctx, O + (N - 1 + d - 1) // d)
-    entries = [[prod.zero if q * w - i + u < 0 else shift(prod.coeff(q * w - i + u), i - w)
+    O_pad = O + (N - 1 + d - 1) // d
+    prod = _ProductCoeffs(params, ctx, O_pad)
+    zero = PiSeries(ctx, d * O_pad)
+
+    def entry(m, num):
+        terms = prod.coeff(m).terms
+        return shift(series_of(ctx, d * O_pad, {n * d: c for n, c in terms.items()}), num)
+
+    entries = [[zero if q * w - i + u < 0 else entry(q * w - i + u, i - w)
                 for i in range(N)] for w in range(N)]
     return PsiMatrix(params=params, ctx=ctx, N=N, O=O, entries=entries)
 
 
 def dict_dot(pairs, zero: PiSeries, views: dict | None = None) -> PiSeries:
-    """Sum of x * y over pairs of series on the grid of ``zero``, term pair
+    """Sum of x * y over pairs of series of the order of ``zero``, term pair
     by term pair over the ``terms`` views: each product is accumulated as
     an unreduced polynomial and reduced once per exponent by ``poly_mod``,
     and pairs at or past the cap are dropped.
@@ -759,13 +806,13 @@ def dict_dot(pairs, zero: PiSeries, views: dict | None = None) -> PiSeries:
     ``views``, kept by the caller across calls, holds each series read
     with its view, by id; holding the series keeps its id its own.
     """
-    ctx, cap = zero.ctx, zero.D * zero.order
+    ctx, cap = zero.ctx, zero.order
     width = 2 * ctx.deg - 1
     acc: dict[int, list[int]] = {}
     views = {} if views is None else views
     for x, y in pairs:
-        zero.check_same_grid(x)
-        zero.check_same_grid(y)
+        zero.check_same_order(x)
+        zero.check_same_order(y)
         for s in (x, y):
             if id(s) not in views:
                 views[id(s)] = (s, s.terms)
@@ -818,9 +865,9 @@ def _poly_powers(poly: list[Fraction], order: int) -> list[list[Fraction]]:
 
 
 def pi_series_to_T(series: PiSeries, order: int) -> list[ZqElem]:
-    """T-expansion of an integer-exponent pi-series, to T^order."""
+    """T-expansion of a pi-series, to T^order."""
     ctx = series.ctx
-    coeff_map = series.integer_coeff_map()
+    coeff_map = series.terms
     rev = pi_of_T_coeffs(ctx.p, order)
     powers = _poly_powers(rev[: order + 1] + [Fraction(0)] * (order + 1 - len(rev)), order)
     out = [ctx.zero() for _ in range(order + 1)]

@@ -185,8 +185,7 @@ def test_criterion_4_unit_criterion_both_directions():
         # every sum S_1..S_d, and the functional-equation route beside it
         np_poly = newton_polygon_classical(pr, data=l_polynomial(pr, budget=BIG_BUDGET))
         assert newton_polygon_classical(pr).values == np_poly.values, (d, e, p)
-        above = lies_above(np_poly, P)
-        assert above.ok, (d, e, p)
+        assert lies_above(np_poly, P), (d, e, p)
         equal = np_poly.values == P.values
         assert cert.verdicts_consistent(), (d, e, p)
         assert equal == cert.h_unit == (not cert.p_divides_H), (d, e, p)
@@ -246,12 +245,12 @@ def test_criterion_6_dwork_route():
     assert all(r.ok for r in reports)
     assert all(r.agree_order == r.checked_order + 1 for r in reports)
     np_classical = newton_polygon_classical(pr)
-    assert lies_above(res.polygon, P).ok
-    assert lies_above(np_classical, res.polygon).ok
+    assert lies_above(res.polygon, P)
+    assert lies_above(np_classical, res.polygon)
     res2 = np_T(pr, 3, N=2 * res.matrix.N, O=res.matrix.O)
     assert res2.polygon.values == res.polygon.values
     for c1, c2 in zip(res.coeffs, res2.coeffs):
-        cap = c1.D * res.matrix.O
+        cap = res.matrix.O
         assert {k: v for k, v in c1.terms.items() if k < cap} == \
             {k: v for k, v in c2.terms.items() if k < cap}
     elapsed = time.monotonic() - t0
@@ -269,7 +268,7 @@ def test_criterion_7_twisted_b2_case():
     cert = hasse_certificate(pr)
     P = lower_bound_polygon(pr, 3)
     np_poly = newton_polygon_classical(pr, budget=BIG_BUDGET)
-    assert lies_above(np_poly, P).ok
+    assert lies_above(np_poly, P)
     equal = np_poly.values == P.values
     assert cert.verdicts_consistent()
     assert equal == cert.h_unit

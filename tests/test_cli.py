@@ -514,7 +514,7 @@ def test_consistency_errors_exit_1(capsys, monkeypatch):
 
     def corrupt_c2(mat, n_max):
         coeffs = real(mat, n_max)
-        coeffs[2] = coeffs[2] + PiSeries.one(mat.ctx, coeffs[2].order, coeffs[2].D)
+        coeffs[2] = coeffs[2] + PiSeries.one(mat.ctx, coeffs[2].order)
         return coeffs
 
     monkeypatch.setattr(dwork, "char_series", corrupt_c2)

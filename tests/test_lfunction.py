@@ -18,6 +18,7 @@ from oracles import (
     exp_sum_classical,
     exp_sum_Tadic_walk,
     find_generator_every_code,
+    fraction_hull,
     frobenius,
     joint_histogram_fits,
     lambda_residues,
@@ -68,6 +69,7 @@ from twistnp.padic import (
 )
 from twistnp.polygon import (
     Params,
+    Polygon,
     hodge_polygon,
     lies_above,
     lower_bound_polygon,
@@ -789,7 +791,7 @@ def test_newton_polygon_degree_and_endpoint():
         P = lower_bound_polygon(pr, d)
         H = hodge_polygon(pr, d)
         assert np_poly.value(d) == P.value(d) == H.value(d)
-        assert lies_above(np_poly, P).ok
+        assert lies_above(np_poly, P)
 
 
 # ---------------------------------------------------------------------------
@@ -876,19 +878,64 @@ def test_reflection_certificate_holds_and_types_agree():
 def test_inexact_low_coefficient_reflects_to_an_omitted_point():
     # deg 4, h = 2: l'_1 vanishes mod p^M, so l_3 = l_(4-1) is omitted, as a
     # coefficient that vanishes mod p^M is on the full route
-    cap = F(100)
-    low = [F(0), F(3), F(12)]
-    conj = [F(0), None, F(12)]
-    vals = reflect_valuations(low, conj, 4, F(40), 10, cap)
-    assert vals == [F(0), F(3), F(12), None, F(40)]
+    cap = 100
+    low = [0, 3, 12]
+    conj = [0, None, 12]
+    vals = reflect_valuations(low, conj, 4, 40, 10, cap)
+    assert vals == [0, 3, 12, None, 40]
+    assert all(type(v) is int for v in vals if v is not None)
     # a reflection that reaches the cap is omitted as well
-    assert reflect_valuations(low, [F(0), F(95), F(12)], 4, F(40), 10, cap)[3] is None
+    assert reflect_valuations(low, [0, 95, 12], 4, 40, 10, cap)[3] is None
     data = LFunctionData(params=Params(p=11, a=1, d=4, e=1, c=2, mu=1), M=10,
                          sums=[], coeffs=[], valuations=vals)
     pts = data.newton_points()
-    assert pts[3] == (3, None)
-    assert lower_convex_hull(pts).values == lower_convex_hull(
-        [pt for pt in pts if pt[1] is not None]).values
+    assert pts == vals and pts[3] is None
+    # the omitted point is the hull of the points that remain
+    assert lower_convex_hull(pts, 10).values == fraction_hull(
+        [(n, F(v, 10)) for n, v in enumerate(pts) if v is not None]).values
+    assert lower_convex_hull(pts, 10).value(3) == F(13, 5)
+    # the A^1 L-function of degree d - 1 gains the point (0, 0) of 1 - s
+    a1 = LFunctionData(params=Params(p=11, a=1, d=5, e=1, c=1, mu=1), M=10,
+                       sums=[], coeffs=[], valuations=vals)
+    assert a1.newton_points() == [0] + vals
+
+
+def _reflection_top_grid():
+    """(p, a, d, c) with p prime to d and c | p^a - 1, a in {b, 2b}, b the
+    order of p mod c: p = 2 with odd d, and odd p."""
+    for p in (2, 3, 5, 7, 11, 13):
+        for c in (1, 2, 3, 4):
+            if c % p == 0:
+                continue
+            b = next(k for k in range(1, c + 1) if (p**k - 1) % c == 0)
+            for a in (b, 2 * b):
+                for d in range(2, 10):
+                    if d % p:
+                        yield p, a, d, c
+
+
+def test_reflection_top_is_an_integer():
+    # HP(d) a(p - 1) = a(p - 1)(d - 1)/2 + (a/b) * digit sum: b | a, and
+    # (p - 1)(d - 1) is even whenever p does not divide d
+    seen = set()
+    for p, a, d, c in _reflection_top_grid():
+        for mu in (m for m in range(1, c + 1) if math.gcd(m, c) == 1):
+            pr = Params(p=p, a=a, d=d, e=1, c=c, mu=mu)
+            top = hodge_polygon(pr, d).value(d) * a * (p - 1)
+            assert top.denominator == 1, pr.key()
+            seen.add((p == 2, c, a > pr.b))
+    assert {(True, 1, True), (False, 4, True), (False, 3, True)} <= seen
+
+
+def test_reflection_refuses_a_fractional_top():
+    # handed a Hodge end point that is not an integer in pi-units, the
+    # reflection raises rather than rounding it
+    pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
+    H = hodge_polygon(pr, 3)
+    assert classical_l_function(pr, hodge=H).valuations[-1] == H.value(3) * 10
+    bad = Polygon(H.values[:-1] + (H.values[-1] + F(1, 20),))
+    with pytest.raises(ValueError, match="not an integer in pi-units"):
+        classical_l_function(pr, hodge=bad)
 
 
 def test_half_route_reach_below_d():
@@ -899,7 +946,7 @@ def test_half_route_reach_below_d():
     assert isinstance(info.value, ValueError) and info.value.threshold == 7
     np_poly = newton_polygon_classical(pr)
     H = hodge_polygon(pr, 7)
-    assert lies_above(np_poly, H).ok and np_poly.value(7) == H.value(7)
+    assert lies_above(np_poly, H) and np_poly.value(7) == H.value(7)
     with pytest.raises(SmallPrimeError, match="need p > 4") as info:
         newton_polygon_classical(Params(p=3, a=1, d=7, e=2, c=1, mu=1))
     assert info.value.threshold == 4

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import corners
+from oracles import corners, fraction_hull
 from twistnp.combinatorics import CombInstance, compute_C
 from twistnp.polygon import (
     Params,
@@ -81,7 +81,7 @@ def test_lower_bound_polygon_twisted_anchor():
     assert [P.value(n) for n in range(4)] == [F(0), F(1, 5), F(7, 10), F(3, 2)]
     H = hodge_polygon(pr, 3)
     assert P.value(3) == H.value(3)
-    assert lies_above(P, H).ok
+    assert lies_above(P, H)
 
 
 def test_lower_bound_meets_hodge_on_d_multiples():
@@ -90,7 +90,7 @@ def test_lower_bound_meets_hodge_on_d_multiples():
         pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu)
         P = lower_bound_polygon(pr, 3 * d)
         H = hodge_polygon(pr, 3 * d)
-        assert lies_above(P, H).ok
+        assert lies_above(P, H)
         for m in range(4):
             assert P.value(d * m) == H.value(d * m)
         for n in range(2 * d):
@@ -107,55 +107,78 @@ def test_p_equiv_1_case_collapses_to_hodge():
 
 
 def test_hull_basic():
-    hull = lower_convex_hull([(0, F(0)), (1, F(1)), (2, F(1))])
+    hull = lower_convex_hull([0, 1, 1], 1)
     assert hull.values == (F(0), F(1, 2), F(1))
     assert corners(hull) == [(0, F(0)), (2, F(1))]
 
 
 def test_hull_skips_missing_points():
-    hull = lower_convex_hull([(0, F(0)), (1, None), (2, F(1))])
+    hull = lower_convex_hull([0, None, 1], 1)
     assert hull.values == (F(0), F(1, 2), F(1))
-    hull2 = lower_convex_hull([(0, F(0)), (1, math.inf), (2, F(1))])
-    assert hull2.values == hull.values
+    # a missing last point shortens the polygon
+    assert lower_convex_hull([0, None, 1, None], 1).values == hull.values
 
 
 def test_hull_collinear_keeps_values():
-    hull = lower_convex_hull([(0, F(0)), (1, F(1, 2)), (2, F(1)), (3, F(5))])
+    hull = lower_convex_hull([0, 1, 2, 10], 2)
     assert hull.values == (F(0), F(1, 2), F(1), F(5))
     assert corners(hull) == [(0, F(0)), (2, F(1)), (3, F(5))]
 
 
+def test_hull_interpolates_over_scale_times_run():
+    # the chord from (0, 0) to (3, 1) at scale 10: value n/30, whose
+    # denominator is scale * (x2 - x1), not scale
+    hull = lower_convex_hull([0, None, None, 1], 10)
+    assert hull.values == (F(0), F(1, 30), F(1, 15), F(1, 10))
+    assert hull.value(1).denominator == 30
+
+
 def test_hull_errors():
-    with pytest.raises(ValueError):
-        lower_convex_hull([])
-    with pytest.raises(ValueError):
-        lower_convex_hull([(1, F(0)), (2, F(1))])
+    with pytest.raises(ValueError, match="no finite points"):
+        lower_convex_hull([], 1)
+    with pytest.raises(ValueError, match="no finite points"):
+        lower_convex_hull([None, None], 1)
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        lower_convex_hull([None, 0, 1], 1)
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        lower_convex_hull([1, 2], 1)
 
 
 def test_hull_is_convex_and_below_points():
-    import random
-
     rng = random.Random(5)
     for _ in range(50):
-        pts = [(0, F(0))] + [
-            (n, F(rng.randint(-20, 40), rng.randint(1, 7)))
-            for n in range(1, rng.randint(2, 9))
-        ]
-        hull = lower_convex_hull(pts)
+        # the rationals num/den, den <= 7, over the common scale 420
+        pts = [F(0)] + [F(rng.randint(-20, 40), rng.randint(1, 7))
+                        for n in range(1, rng.randint(2, 9))]
+        hull = lower_convex_hull([int(v * 420) for v in pts], 420)
         assert hull.is_convex()
-        for n, v in pts:
+        for n, v in enumerate(pts):
             assert hull.value(n) <= v
+
+
+def test_hull_matches_the_fraction_oracle():
+    rng = random.Random(27)
+    for _ in range(2000):
+        scale = rng.choice([10, 22, 40, 84, 120])
+        vals = [0] + [None if rng.random() < 0.3 else rng.randrange(400)
+                      for _ in range(rng.randint(2, 12))]
+        want = fraction_hull([(n, None if v is None else F(v, scale))
+                              for n, v in enumerate(vals)])
+        assert lower_convex_hull(vals, scale) == want, (vals, scale)
 
 
 def test_lies_above():
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1)
     P = lower_bound_polygon(pr, 6)
     H = hodge_polygon(pr, 6)
-    assert lies_above(P, P).ok
-    assert lies_above(P, H).ok
-    bad = lies_above(H, P)
-    assert not bad.ok and bad.index == 2
-    assert bad.upper_value == F(1, 3) and bad.lower_value == F(2, 5)
+    assert lies_above(P, P) is True
+    assert lies_above(P, H) is True
+    assert lies_above(H, P) is False
+    # the first violation is at index 2
+    assert all(H.value(n) >= P.value(n) for n in range(2))
+    assert H.value(2) == F(1, 3) and P.value(2) == F(2, 5)
+    # only the shared range counts
+    assert lies_above(H.restrict(1), P) is True
 
 
 def test_polygon_json_shape():
