@@ -23,10 +23,13 @@ integer.  A series' order is the power of pi it is cut at.
 Truncation is certified, not guessed: every term routed through a basis
 row w carries order at least (p-1)*w/d, so rows beyond N are irrelevant
 once (p-1)*N/d clears the order O.  One rule, ``auto_sizes``, fills a size
-not given from the one given; ``np_T`` sizes for the least multiple of d at
-or above n_max, and raises ``TruncationError`` on sizes that cannot certify
-the series.  The characteristic series and Tr(A^k) are
-``core_arith.berkowitz`` and ``core_arith.power_sums`` run with ``_dot``.
+not given from the one given.  ``np_T`` reads the hull up to n_top, the
+least multiple of d at or above n_max, where NP_T meets the Hodge
+polygon: that top point is known, so O need only clear the Hodge chord
+below it, which bounds every other point the hull can use.  ``np_T``
+raises ``TruncationError`` on sizes that cannot certify the series.  The
+characteristic series and Tr(A^k) are ``core_arith.berkowitz`` and
+``core_arith.power_sums`` run with ``_dot``.
 
 The trace formula S_k(T) = (q^k - 1) Tr(A^k) is checked in pi: the
 direct T-adic sum is a polynomial in T, and T = E(pi) - 1 is substituted
@@ -43,7 +46,7 @@ from .core_arith import artin_hasse_coeffs, berkowitz, decompose, power_sums
 from .lfunction import DEFAULT_BUDGET, check_trace_inputs, default_precision, exp_sum_Tadic
 from .padic import (PrecisionError, ZqContext, ZqElem, checked_pairs, make_context, pack,
                     poly_pow_mod, slot_bytes)
-from .polygon import Params, Polygon, lower_bound_polygon, lower_convex_hull
+from .polygon import Params, Polygon, hodge_polygon, lower_convex_hull
 
 #: extra pi-orders kept beyond the largest valuation that must be resolved
 DEFAULT_GUARD = 6
@@ -393,18 +396,25 @@ def direct_traces(mat: PsiMatrix, k_max: int) -> list[PiSeries | None]:
 
 def auto_sizes(params: Params, n_max: int, least_order: int = 0,
                N: int | None = None, O: int | None = None) -> tuple[int, int]:
-    """The operator sizes (N, O) that resolve the first n_max valuations.
+    """The operator sizes (N, O) that resolve NP_T on [0, n_max].
 
-    A size given is kept.  O clears the lower bound's P(n_max), in
+    A size given is kept.  The hull runs to n_top = d*ceil(n_max/d), where
+    NP_T meets the Hodge polygon HP, so its top point is known; below it,
+    convexity puts NP_T(n) at or under the chord of HP between the
+    multiples of d around n, and HP rises, so every point the hull can use
+    has a value at most chord(n_top - 1).  O clears that value, in
     pi-units, by ``DEFAULT_GUARD`` and is raised to ``least_order``; N is
-    the least size whose tail rows clear the O in use, and at least n_max.
+    the least size whose tail rows clear the O in use, and at least n_top.
     """
+    d, scale = params.d, params.a * (params.p - 1)
+    n_top = -(-n_max // d) * d
     if O is None:
-        P = lower_bound_polygon(params, n_max)
-        O = max(math.ceil(params.a * (params.p - 1) * P.value(n_max)) + DEFAULT_GUARD,
-                least_order)
+        H = hodge_polygon(params, n_top)
+        lo, hi = H.value(n_top - d), H.value(n_top)
+        chord = lo + (hi - lo) * (d - 1) / d  # at n_top - 1
+        O = max(math.ceil(scale * chord) + DEFAULT_GUARD, least_order)
     if N is None:
-        N = max(-(-params.d * O // (params.p - 1)) + 1, n_max)
+        N = max(-(-d * O // (params.p - 1)) + 1, n_top)
     return N, O
 
 
@@ -420,23 +430,29 @@ def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
     """T-adic Newton polygon of the characteristic series on [0, n_max].
 
     The polygon is the hull of c_0..c_{n_top}, n_top = d*ceil(n_max/d),
-    restricted to n_max: NP_T meets the Hodge polygon at every multiple of
-    d, so no point past n_top lowers it.  The operator is sized for n_top
-    by ``auto_sizes``, and the sizes in use are certified, or this raises
+    restricted to n_max: NP_T meets the Hodge polygon HP at every multiple
+    of d, so no point past n_top lowers it.  The operator is sized by
+    ``auto_sizes``, to resolve every point below n_top that the hull can
+    use, and the sizes in use are certified, or this raises
     ``TruncationError``: O clears the order ``auto_sizes`` requires, the
     tail rows w >= N, whose terms have order at least (p-1)*w/d, clear O,
     and N >= n_top.  ``coeffs`` and the matrix's traces stop at n_max.
 
     The series come from the operator's integral form (``PsiMatrix``):
     its entries lie in Z_q[[pi]] and nothing divides, so every coefficient
-    is exact mod pi^O, and a coefficient that vanishes there has no point.
+    is exact mod pi^O, and a coefficient below n_top that vanishes there
+    has no point.  The top point is (n_top, HP(n_top)), whose value in
+    pi-units, HP(n_top)*a(p-1), must be an integer, or this raises
+    ``ValueError``.
 
     The traces of A^k read off the series must equal those computed from A
-    directly (``direct_traces``), or this raises ``DworkConsistencyError``.
+    directly (``direct_traces``), and c_{n_top} must have the top point's
+    order wherever O resolves it, or this raises ``DworkConsistencyError``.
     """
+    scale = params.a * (params.p - 1)
     n_top = -(-n_max // params.d) * params.d
-    N, O = auto_sizes(params, n_top, N=N, O=O)
-    need_N, need_O = auto_sizes(params, n_top, O)
+    N, O = auto_sizes(params, n_max, N=N, O=O)
+    need_N, need_O = auto_sizes(params, n_max, O)
     for failed, reason in ((O < need_O, f"working order {O} below required {need_O}"),
                            ((params.p - 1) * N < params.d * O,
                             f"tail rows reach below order {O} for N={N}"),
@@ -444,6 +460,10 @@ def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
         if failed:
             raise TruncationError(f"truncation certificate failed: {reason}; "
                                   f"suggest N={need_N}, O={need_O}")
+    top = hodge_polygon(params, n_top).value(n_top) * scale
+    if top.denominator != 1:
+        raise ValueError(f"Hodge point {top / scale} at n={n_top} is not an integer "
+                         f"in pi-units (times {scale})")
     mat = psi_a_matrix(params, N, O, M)
     coeffs = char_series(mat, n_top)
     mat.traces = power_traces(coeffs[:n_max + 1])
@@ -451,7 +471,12 @@ def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
         if k and direct != mat.traces[k]:
             raise DworkConsistencyError(
                 f"Tr(A^{k}) from A and from the characteristic series disagree")
-    polygon = lower_convex_hull([cs.t_valuation() for cs in coeffs], params.a * (params.p - 1))
+    valuations = [cs.t_valuation() for cs in coeffs]
+    if (valuations[n_top] is not None or top < O) and valuations[n_top] != top:
+        raise DworkConsistencyError(f"c_{n_top} has order {valuations[n_top]} mod pi^{O}, "
+                                    f"the Hodge polygon {top.numerator}")
+    valuations[n_top] = top.numerator
+    polygon = lower_convex_hull(valuations, scale)
     return NpTResult(polygon=polygon.restrict(n_max),
                      coeffs=coeffs[:n_max + 1], matrix=mat)
 
@@ -497,15 +522,20 @@ def trace_consistency(params: Params, k_max: int, J: int,
     that differs has the same index in T and in pi, so ``agree_order``
     counts the agreeing T-coefficients too.  Both sides are exact mod p^M,
     so any mismatch within the certified order is a failure, reported as
-    ``ok=False``.  An operator ``mat`` already built for these params is
-    reused when its (N, O, M) match the sizes the check needs.  Before any
-    work, ``check_trace_inputs`` gates the direct sums over F_{q^k} by
+    ``ok=False``.  The check reads the traces below pi^(J+1), so the
+    sizes it needs are O = J + 2, unless O is given, and the N of
+    ``auto_sizes``; the hull's sizes do not bound it.  An operator ``mat``
+    already built for these params at this M is reused when it is at least
+    those sizes: its traces are exact mod pi^(mat.O), which is finer, and
+    the order checked comes from the check's own sizes.  Before any work,
+    ``check_trace_inputs`` gates the direct sums over F_{q^k} by
     ``budget`` for every k, and J by [0, p).
     """
     check_trace_inputs(params, k_max, J, budget)
     M = M or default_precision(params)
-    N, O = auto_sizes(params, max(k_max, params.d), J + 2, N, O)
-    if mat is None or (mat.params, mat.N, mat.O, mat.ctx.M) != (params, N, O, M):
+    N, O = auto_sizes(params, k_max, N=N, O=J + 2 if O is None else O)
+    if (mat is None or (mat.params, mat.ctx.M) != (params, M)
+            or mat.N < N or mat.O < O):
         mat = psi_a_matrix(params, N, O, M)
     check_order = min(J, O - 1)
     zero = mat.ctx.zero()

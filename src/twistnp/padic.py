@@ -334,17 +334,22 @@ class ZqContext:
 
     def teichmuller(self, residue) -> "ZqElem":
         """The Teichmuller lift of a residue-field element, given by its
-        coefficients (read mod p).
+        coefficients (read mod p): the root of z^(q-1) = 1 over a nonzero
+        residue, q = p^deg; zero maps to zero.
 
-        Iterating z -> z^{p^deg} gains one p-adic digit per step; zero maps
-        to zero.
+        Newton's step z -> z - z (z^(q-1) - 1) / (q - 1) doubles the
+        correct p-adic digits, q - 1 being a unit, so the lift takes
+        ceil(log2 M) steps.
         """
         z = self.elem(tuple(c % self.p for c in residue))
         if z.is_zero():
             return z
         q = self.p**self.deg
-        for _ in range(self.M + 1):
-            z = self.pow(z, q)
+        inv = pow(q - 1, -1, self.pM)
+        digits = 1
+        while digits < self.M:
+            z = z - self.mul(z, self.pow(z, q - 1) - 1) * inv
+            digits *= 2
         return z
 
     def trace_zp(self, a: "ZqElem") -> int:

@@ -12,15 +12,17 @@ independent side of the checks on the program.
   polygon
 - the residue fields: the generator search over every code, and the numpy
   enumeration kernel that counts traces by small matrix products
-- the unramified ring: unit inverses, Newton lifting of roots, the lifted
-  Frobenius, and the companion-matrix traces
+- the unramified ring: unit inverses, Newton lifting of roots, the
+  Teichmuller lift by iterated q-th powers, the lifted Frobenius, and the
+  companion-matrix traces
 - the ramified ring over the pi_1-basis: its packed product with the
   pi-fold, the Newton identities there, the full change of basis from
   zeta_p-coordinates and back, zeta_p powers and congruence mod pi_1
 - the T-adic layer: the series product over dicts of Z_q elements, the
   direct sum by a walk over the field, the reversion pi(T) of
-  T = E(pi) - 1 and the T-expansion of a pi-series, and the stated entry
-  and aggregate bounds
+  T = E(pi) - 1 and the T-expansion of a pi-series, the stated entry
+  and aggregate bounds, and the operator sized by the lower bound's top
+  point P(n_top) with the hull read off it
 """
 
 from __future__ import annotations
@@ -43,7 +45,15 @@ from twistnp.core_arith import (
     artin_hasse_coeffs,
     prime_factors,
 )
-from twistnp.dwork import PiSeries, PsiMatrix, _dot, _ProductCoeffs
+from twistnp.dwork import (
+    DEFAULT_GUARD,
+    PiSeries,
+    PsiMatrix,
+    _dot,
+    _ProductCoeffs,
+    char_series,
+    psi_a_matrix,
+)
 from twistnp.lfunction import (
     DEFAULT_BUDGET,
     ClassicalSum,
@@ -69,7 +79,7 @@ from twistnp.padic import (
     unpack,
     x_walk,
 )
-from twistnp.polygon import Params, Polygon, lower_bound_polygon
+from twistnp.polygon import Params, Polygon, lower_bound_polygon, lower_convex_hull
 
 # ---------------------------------------------------------------------------
 # the assignment layer
@@ -459,6 +469,16 @@ def lift_root(ctx: ZqContext, coeffs, z: ZqElem) -> ZqElem:
         fz, dfz = eval_int_poly(ctx, coeffs, z)
         z = z - ctx.mul(fz, inverse(ctx, dfz))
     assert eval_int_poly(ctx, coeffs, z)[0].is_zero()
+    return z
+
+
+def teichmuller_iterated(ctx: ZqContext, residue) -> ZqElem:
+    """``ZqContext.teichmuller`` by iterating z -> z^q, q = p^deg, M + 1
+    times from the residue: each step gains one p-adic digit.  Zero maps
+    to zero."""
+    z = ctx.elem(tuple(c % ctx.p for c in residue))
+    for _ in range(ctx.M + 1):
+        z = ctx.pow(z, ctx.p**ctx.deg)
     return z
 
 
@@ -908,3 +928,29 @@ def compare_aggregate_bound(params: Params, coeffs: list[PiSeries]) -> bool:
         if v is not None and v < scale * P.value(n):
             return False
     return True
+
+
+def sizes_by_P(params: Params, n_max: int) -> tuple[int, int]:
+    """The operator sizes (N, O) that resolve the lower bound's top point
+    P(n_top), n_top = d*ceil(n_max/d): O clears a(p-1) P(n_top) by
+    ``DEFAULT_GUARD``, and N is the least size whose tail rows clear O, at
+    least n_top.  ``dwork.auto_sizes`` sizes by the Hodge chord below
+    n_top instead."""
+    d, p = params.d, params.p
+    n_top = -(-n_max // d) * d
+    P = lower_bound_polygon(params, n_top)
+    O = math.ceil(params.a * (p - 1) * P.value(n_top)) + DEFAULT_GUARD
+    return max(-(-d * O // (p - 1)) + 1, n_top), O
+
+
+def np_T_by_P(params: Params, n_max: int) -> tuple[Polygon, int | None, tuple[int, int]]:
+    """NP_T on [0, n_max] from an operator of the sizes ``sizes_by_P``:
+    the hull of c_0..c_{n_top} as read, c_{n_top} included.  Returns the
+    polygon, the order of c_{n_top} (None if it vanishes mod pi^O) and
+    the sizes."""
+    n_top = -(-n_max // params.d) * params.d
+    N, O = sizes_by_P(params, n_max)
+    coeffs = char_series(psi_a_matrix(params, N, O), n_top)
+    valuations = [cs.t_valuation() for cs in coeffs]
+    hull = lower_convex_hull(valuations, params.a * (params.p - 1))
+    return hull.restrict(n_max), valuations[n_top], (N, O)

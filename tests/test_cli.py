@@ -171,11 +171,11 @@ def test_dwork_exit_3_on_tiny_matrix(capsys):
 
 @pytest.mark.parametrize("argv, reason", [
     (["dwork", "--p", "11", "--d", "3", "--e", "2", "--N", "2"],
-     "tail rows reach below order 16 for N=2; suggest N=6, O=16"),
+     "tail rows reach below order 13 for N=2; suggest N=5, O=13"),
     (["dwork", "--p", "11", "--d", "3", "--e", "2", "--O", "3"],
-     "working order 3 below required 16; suggest N=6, O=16"),
+     "working order 3 below required 13; suggest N=5, O=13"),
     (["dwork", "--p", "7", "--d", "3", "--e", "2", "--O", "4", "--N", "9"],
-     "working order 4 below required 12; suggest N=7, O=12"),
+     "working order 4 below required 10; suggest N=6, O=10"),
 ], ids=["N-alone", "O-alone", "O-and-N"])
 def test_truncation_refusals_exit_3_with_one_error_line(capsys, argv, reason):
     assert main(argv) == 3
@@ -386,6 +386,14 @@ def test_dwork_trace_check_reuses_the_operator(capsys, monkeypatch):
         assert all(r["ok"] for r in json.loads(out)["trace_consistency"])
         assert builds[-1][1] == int(order)
     assert len(builds) == 3
+    # np_T at n_max = 8 builds (33, 64); the check needs a smaller operator,
+    # reads that one, and checks the order of its own sizes
+    code, out = _run(capsys, ["dwork", "--p", "7", "--d", "3", "--e", "2",
+                              "--n-max", "8", "--trace-k", "2"])
+    assert code == 0
+    assert builds[3:] == [(33, 64)]
+    assert json.loads(out)["trace_consistency"] == [
+        {"k": k, "checked_order": 5, "ok": True} for k in (1, 2)]
 
 
 def _off_by_one_tadic_sums(monkeypatch):

@@ -15,15 +15,18 @@ from oracles import (
     direct_traces_full,
     entry_valuation_bound,
     min_phi,
+    np_T_by_P,
     pi_of_T_coeffs,
     pi_series_to_T,
     psi_a_matrix_padded,
     series_of,
     shift,
+    sizes_by_P,
     with_terms,
 )
 from twistnp.core_arith import INFINITY, artin_hasse_coeffs, berkowitz
 from twistnp.dwork import (
+    DworkConsistencyError,
     PiSeries,
     PsiMatrix,
     _dot,
@@ -41,7 +44,7 @@ from twistnp.dwork import (
 )
 from twistnp.lfunction import newton_polygon_classical
 from twistnp.padic import make_context
-from twistnp.polygon import Params, hodge_polygon, lies_above, lower_bound_polygon
+from twistnp.polygon import Params, Polygon, hodge_polygon, lies_above, lower_bound_polygon
 
 F = Fraction
 
@@ -462,6 +465,69 @@ def test_np_T_past_p_lies_above_hodge(tup, n_max):
     assert res.polygon.value(d) == H.value(d)
 
 
+# (p, a, d, e, c, mu, lambda), n_max: the strict instance, the exceptional
+# (17,7,6,2), a = 2 at c = 3 and a = 3 at c = 9, p = 3 and p = 5, and
+# n_max off a multiple of d
+SIZING_GRID = [
+    ((43, 1, 5, 2, 1, 1, 1), 5),
+    ((17, 1, 7, 6, 2, 1, 1), 7),
+    ((7, 1, 3, 2, 1, 1, 1), 8),
+    ((11, 2, 3, 2, 3, 1, 57), 3),
+    ((7, 3, 3, 2, 9, 1, 1), 3),
+    ((3, 1, 4, 1, 1, 1, 1), 4),
+    ((5, 2, 3, 1, 4, 1, 1), 3),
+    ((11, 1, 4, 3, 2, 1, 1), 2),
+]
+
+
+@pytest.mark.parametrize("tup, n_max", SIZING_GRID, ids=lambda x: str(x).replace(" ", ""))
+def test_chord_sizing_keeps_the_polygon_of_the_P_sizing(tup, n_max):
+    # sized by the Hodge chord below n_top, NP_T is the hull read off the
+    # operator sized by P(n_top), and there c_{n_top} has the Hodge order
+    p, a, d, e, c, mu, lam = tup
+    pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
+    want, top, (N_P, O_P) = np_T_by_P(pr, n_max)
+    n_top = -(-n_max // d) * d
+    assert top == hodge_polygon(pr, n_top).value(n_top) * a * (p - 1)
+    res = _np_T(tup, n_max)
+    assert res.polygon == want
+    assert (res.matrix.N, res.matrix.O) == auto_sizes(pr, n_max)
+    assert res.matrix.N <= N_P and res.matrix.O <= O_P
+
+
+def test_chord_sizes_against_the_P_sizes():
+    q121 = Params(p=11, a=2, d=3, e=2, c=3, mu=1, lam_index=57)
+    assert (auto_sizes(q121, 3), sizes_by_P(q121, 3)) == ((9, 26), (12, 36))
+    p7 = Params(p=7, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
+    assert (auto_sizes(p7, 8), sizes_by_P(p7, 8)) == ((33, 64), (40, 78))
+
+
+def test_np_T_checks_the_top_point(monkeypatch):
+    # the top point (3, HP(3)) is 10 in pi-units; at O = 40 c_3 is read
+    import twistnp.dwork as dwork
+
+    pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
+    real = dwork.hodge_polygon
+
+    def moved_top(by):
+        def hodge(params, n_max):
+            H = real(params, n_max)
+            return Polygon(H.values[:-1] + (H.values[-1] + by,))
+        return hodge
+
+    assert np_T(pr, 3, O=40).coeffs[3].t_valuation() == 10
+    monkeypatch.setattr(dwork, "hodge_polygon", moved_top(F(1, 10)))
+    with pytest.raises(DworkConsistencyError, match="c_3 has order 10 mod pi\\^40"):
+        np_T(pr, 3, O=40)
+    # a top point of 6 sizes O at 10, which leaves c_3 unread, yet 6 < 10
+    monkeypatch.setattr(dwork, "hodge_polygon", moved_top(F(-2, 5)))
+    with pytest.raises(DworkConsistencyError, match="c_3 has order None mod pi\\^10"):
+        np_T(pr, 3)
+    monkeypatch.setattr(dwork, "hodge_polygon", moved_top(F(1, 20)))
+    with pytest.raises(ValueError, match="not an integer in pi-units"):
+        np_T(pr, 3)
+
+
 def test_trace_power_extends_the_series():
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
     mat = psi_a_matrix(pr, 6, 12)
@@ -474,8 +540,8 @@ def test_truncation_certificate():
     with pytest.raises(TruncationError, match="tail rows reach below order 16 for N=2; "
                                               "suggest N=6, O=16"):
         np_T(pr, 3, N=2, O=16)
-    with pytest.raises(TruncationError, match="working order 3 below required 16; "
-                                              "suggest N=6, O=16"):
+    with pytest.raises(TruncationError, match="working order 3 below required 13; "
+                                              "suggest N=5, O=13"):
         np_T(pr, 3, N=8, O=3)
     N, O = auto_sizes(pr, 3)
     res = np_T(pr, 3, N, O)
@@ -596,12 +662,25 @@ def test_substitute_T_inverts_the_reversion(p):
         assert [c.coeffs[0] for c in got] == [int(n == i) for n in range(order + 1)], i
 
 
-def test_trace_consistency_p11():
+def test_trace_consistency_p11(monkeypatch):
+    import twistnp.dwork as dwork
+
+    builds = []
+    real_build = dwork.psi_a_matrix
+
+    def counted(*args, **kwargs):
+        builds.append(args[1:3])
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(dwork, "psi_a_matrix", counted)
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
     reports = trace_consistency(pr, k_max=3, J=6)
     for rep in reports:
         assert rep.ok
-        assert rep.agree_order == rep.checked_order + 1
+        assert rep.agree_order == rep.checked_order + 1 == 7
+    # the check reads the traces below pi^7: it builds O = J + 2, and the
+    # N whose tail rows clear it
+    assert builds == [(4, 8)]
 
 
 def test_trace_consistency_twisted_b2():

@@ -22,6 +22,7 @@ from oracles import (
     pi_xpow_table,
     pi_zero,
     ram_dot,
+    teichmuller_iterated,
     ram_from_zq,
     to_pi,
     zeta_basis,
@@ -156,6 +157,21 @@ def test_teichmuller_defining_property_extension():
         t = ctx.teichmuller(res)
         assert ctx.pow(t, qq - 1).is_one()
         assert t.residue() == res
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 11, 43])
+def test_teichmuller_newton_lift_matches_the_iteration(p):
+    # the Newton lift against M + 1 q-th powers, on the zero residue, the
+    # generator and a seeded residue, at every deg 1..4 and M 1..20
+    rng = random.Random(p)
+    for deg in range(1, 5):
+        q = p**deg
+        for M in range(1, 21):
+            ctx = make_context(p, deg, M)
+            for res in ((0,) * deg, ctx.generator, tuple(rng.randrange(p) for _ in range(deg))):
+                t = ctx.teichmuller(res)
+                assert t == teichmuller_iterated(ctx, res), (deg, M, res)
+                assert ctx.pow(t, q) == t
 
 
 def test_frobenius_on_teichmuller():
