@@ -27,7 +27,7 @@ import time
 from fractions import Fraction
 
 from .core_arith import is_prime, multiplicative_order
-from .dwork import DworkConsistencyError, np_T, trace_consistency
+from .dwork import DworkConsistencyError, default_trace_order, np_T, trace_consistency
 from .hasse import _digits, hasse_certificate
 from .lfunction import (
     BudgetExceededError,
@@ -156,7 +156,7 @@ def sandwich(params: Params, P: Polygon, np_T: Polygon,
 def cmd_dwork(args) -> int:
     params = _params_from_args(args)
     n_max = args.n_max or params.d
-    J = min(5, params.p - 1) if args.J is None else args.J
+    J = default_trace_order(params) if args.J is None else args.J
     check_trace_inputs(params, args.trace_k, J, args.budget)
     # before the operator: a classical route past the budget, or at p <= h + 1, exits 2
     np_classical = (newton_polygon_classical(params, args.precision, args.budget)
@@ -164,10 +164,7 @@ def cmd_dwork(args) -> int:
     res = np_T(params, n_max, N=args.big_n, O=args.big_o, M=args.precision)
     reports = []
     if args.trace_k > 0:
-        reports = trace_consistency(params, args.trace_k, J,
-                                    N=args.big_n, O=args.big_o,
-                                    M=args.precision, mat=res.matrix,
-                                    budget=args.budget)
+        reports = trace_consistency(params, args.trace_k, J, res.matrix, args.budget)
     halves = sandwich(params, lower_bound_polygon(params, n_max), res.polygon, np_classical)
     out = {
         "schema": SCHEMA,
@@ -378,9 +375,8 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
             if trace_k > 0:
                 # the check enumerates F_{q^trace_k} under the run's budget
                 try:
-                    reports = trace_consistency(params, trace_k, min(6, p - 2),
-                                                M=precision, mat=res.matrix,
-                                                budget=budget)
+                    reports = trace_consistency(params, trace_k, default_trace_order(params),
+                                                res.matrix, budget)
                 except BudgetExceededError:
                     rec.update(trace_consistency=None, trace_needed_budget=params.q**trace_k)
                 else:

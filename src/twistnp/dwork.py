@@ -31,9 +31,10 @@ raises ``TruncationError`` on sizes that cannot certify the series.  The
 characteristic series and Tr(A^k) are ``core_arith.berkowitz`` and
 ``core_arith.power_sums`` run with ``_dot``.
 
-The trace formula S_k(T) = (q^k - 1) Tr(A^k) is checked in pi: the
-direct T-adic sum is a polynomial in T, and T = E(pi) - 1 is substituted
-into it with the Artin-Hasse coefficients of E as Z_q integers.
+The trace formula S_k(T) = (q^k - 1) Tr(A^k) is checked in pi on the
+operator ``np_T`` built: the direct T-adic sum is a polynomial in T, and
+T = E(pi) - 1 is substituted into it with the Artin-Hasse coefficients of
+E as Z_q integers.
 """
 
 from __future__ import annotations
@@ -117,9 +118,6 @@ class PiSeries:
 
     def __sub__(self, other):
         return _dot([(self, self.constant(1)), (other, self.constant(-1))], self.zero())
-
-    def negate(self):
-        return self * -1
 
     def __mul__(self, other):
         if not isinstance(other, PiSeries):
@@ -243,7 +241,8 @@ class PsiMatrix:
     traces: list[PiSeries | None] = field(default_factory=list, repr=False)
 
     def trace_power(self, k: int) -> PiSeries:
-        """Tr(A^k), read off the characteristic series."""
+        """Tr(A^k), read off the characteristic series, which is extended
+        to s^k, in one run of the recurrence, when k is past the cache."""
         if len(self.traces) <= k:
             self.traces = power_traces(char_series(self, k))
         return self.traces[k]
@@ -405,6 +404,8 @@ def auto_sizes(params: Params, n_max: int, least_order: int = 0,
     has a value at most chord(n_top - 1).  O clears that value, in
     pi-units, by ``DEFAULT_GUARD`` and is raised to ``least_order``; N is
     the least size whose tail rows clear the O in use, and at least n_top.
+    These are the sizes of a command's one operator: the trace check reads
+    that operator and sizes none of its own.
     """
     d, scale = params.d, params.a * (params.p - 1)
     n_top = -(-n_max // d) * d
@@ -509,36 +510,36 @@ class TraceReport:
     ok: bool
 
 
-def trace_consistency(params: Params, k_max: int, J: int,
-                      N: int | None = None, O: int | None = None,
-                      M: int | None = None,
-                      mat: PsiMatrix | None = None,
-                      budget: int = DEFAULT_BUDGET) -> list[TraceReport]:
-    """Check S_k(T) = (q^k - 1) * trace(M^k) as truncated series.
+def default_trace_order(params: Params) -> int:
+    """The truncation order J the trace check uses when none is given:
+    min(6, p - 1), the largest in [0, p) up to 6."""
+    return min(6, params.p - 1)
 
-    The left side is the direct T-adic character sum, a polynomial in T;
-    ``substitute_T`` turns it into a pi-series, which is compared with the
-    operator's trace coefficient by coefficient.  The first coefficient
-    that differs has the same index in T and in pi, so ``agree_order``
-    counts the agreeing T-coefficients too.  Both sides are exact mod p^M,
-    so any mismatch within the certified order is a failure, reported as
-    ``ok=False``.  The check reads the traces below pi^(J+1), so the
-    sizes it needs are O = J + 2, unless O is given, and the N of
-    ``auto_sizes``; the hull's sizes do not bound it.  An operator ``mat``
-    already built for these params at this M is reused when it is at least
-    those sizes: its traces are exact mod pi^(mat.O), which is finer, and
-    the order checked comes from the check's own sizes.  Before any work,
-    ``check_trace_inputs`` gates the direct sums over F_{q^k} by
-    ``budget`` for every k, and J by [0, p).
+
+def trace_consistency(params: Params, k_max: int, J: int, mat: PsiMatrix,
+                      budget: int = DEFAULT_BUDGET) -> list[TraceReport]:
+    """Check S_k(T) = (q^k - 1) * trace(M^k) as truncated series on the
+    operator ``mat`` of these params, built by the caller.
+
+    The left side is the direct T-adic character sum, a polynomial in T,
+    at the operator's precision M; ``substitute_T`` turns it into a
+    pi-series, which is compared with the operator's trace coefficient by
+    coefficient.  The first coefficient that differs has the same index in
+    T and in pi, so ``agree_order`` counts the agreeing T-coefficients
+    too.  Both sides are exact mod p^M, and the traces mod pi^(mat.O), so
+    any mismatch below the checked order min(J, mat.O - 1) is a failure,
+    reported as ``ok=False``.  The traces are exact only where the tail
+    rows clear the order, (p-1)*mat.N >= d*mat.O, or this raises
+    ``TruncationError``.  Before any work, ``check_trace_inputs`` gates the
+    direct sums over F_{q^k} by ``budget`` for every k, and J by [0, p).
     """
     check_trace_inputs(params, k_max, J, budget)
-    M = M or default_precision(params)
-    N, O = auto_sizes(params, k_max, N=N, O=J + 2 if O is None else O)
-    if (mat is None or (mat.params, mat.ctx.M) != (params, M)
-            or mat.N < N or mat.O < O):
-        mat = psi_a_matrix(params, N, O, M)
-    check_order = min(J, O - 1)
-    zero = mat.ctx.zero()
+    if (params.p - 1) * mat.N < params.d * mat.O:
+        raise TruncationError(f"truncation certificate failed: tail rows reach below "
+                              f"order {mat.O} for N={mat.N}")
+    check_order = min(J, mat.O - 1)
+    M, zero = mat.ctx.M, mat.ctx.zero()
+    mat.trace_power(k_max)  # the characteristic series, extended once
     reports = []
     for k in range(1, k_max + 1):
         lhs = substitute_T(exp_sum_Tadic(params, k, J, M, budget).coeffs, check_order)

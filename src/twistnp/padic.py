@@ -476,13 +476,6 @@ class ZqElem:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
-
-    def vp(self) -> int | None:
-        """min v_p over coordinates; None when zero mod p^M."""
-        return vp_min(self.coeffs, self.ctx.p)
-
     def residue(self) -> tuple[int, ...]:
         return tuple(c % self.ctx.p for c in self.coeffs)
 

@@ -77,6 +77,7 @@ from twistnp.padic import (
     slot_bytes,
     smallest_irreducible,
     unpack,
+    vp_min,
     x_walk,
 )
 from twistnp.polygon import Params, Polygon, lower_bound_polygon, lower_convex_hull
@@ -448,7 +449,7 @@ def inverse(ctx: ZqContext, a: ZqElem) -> ZqElem:
     w = ctx.elem(poly_pow_mod(res, ctx.p**ctx.deg - 2, ctx.modulus, ctx.p))
     for _ in range(_newton_steps(ctx)):
         w = ctx.mul(w, 2 - ctx.mul(a, w))
-    assert ctx.mul(a, w).is_one()
+    assert ctx.mul(a, w) == 1
     return w
 
 
@@ -569,8 +570,8 @@ class PiElem:
     def valuation(self) -> int | None:
         """Valuation in pi_1-units, None when zero mod p^M: the minimum of
         j + (p - 1) v_p over the nonzero components j."""
-        n = self.ctx.p - 1
-        units = [j + n * v for j, v in enumerate(c.vp() for c in self.comps)
+        p = self.ctx.p
+        units = [j + (p - 1) * v for j, v in enumerate(vp_min(c.coeffs, p) for c in self.comps)
                  if v is not None]
         return min(units) if units else None
 

@@ -362,7 +362,7 @@ def test_grouped_lambda_sweep_matches_single_lambda_runs(tmp_path, capsys):
     assert got == want
 
 
-def test_dwork_trace_check_reuses_the_operator(capsys, monkeypatch):
+def test_one_operator_per_command(tmp_path, capsys, monkeypatch):
     import twistnp.dwork as dwork
 
     builds = []
@@ -386,14 +386,40 @@ def test_dwork_trace_check_reuses_the_operator(capsys, monkeypatch):
         assert all(r["ok"] for r in json.loads(out)["trace_consistency"])
         assert builds[-1][1] == int(order)
     assert len(builds) == 3
-    # np_T at n_max = 8 builds (33, 64); the check needs a smaller operator,
-    # reads that one, and checks the order of its own sizes
+    # the polygon's operator serves a check of k past n_top, and its
+    # characteristic series is extended once, to s^5, for it
+    del builds[:]
+    runs = []
+    real_series = dwork.char_series
+
+    def counted_series(mat, n_max):
+        runs.append(n_max)
+        return real_series(mat, n_max)
+
+    monkeypatch.setattr(dwork, "char_series", counted_series)
+    code, out = _run(capsys, ["dwork", "--p", "11", "--d", "3", "--e", "2",
+                              "--trace-k", "5"])
+    assert code == 0
+    assert builds == [(5, 13)] and runs == [3, 5]
+    assert json.loads(out)["trace_consistency"] == [
+        {"k": k, "checked_order": 6, "ok": True} for k in range(1, 6)]
+    del builds[:]
     code, out = _run(capsys, ["dwork", "--p", "7", "--d", "3", "--e", "2",
                               "--n-max", "8", "--trace-k", "2"])
     assert code == 0
-    assert builds[3:] == [(33, 64)]
+    assert builds == [(33, 64)]
     assert json.loads(out)["trace_consistency"] == [
-        {"k": k, "checked_order": 5, "ok": True} for k in (1, 2)]
+        {"k": k, "checked_order": 6, "ok": True} for k in (1, 2)]
+    # one operator per sweep record, the check included
+    del builds[:]
+    out_file = tmp_path / "one.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "sweep", "--d", "3", "--e", "2",
+                            "--primes", "13", "--lam-policy", "first:1",
+                            "--dwork", "--trace-k", "4"])
+    assert code == 0
+    (rec,) = [json.loads(x) for x in out_file.read_text().splitlines()]
+    assert rec["status"] == "ok" and rec["trace_consistency"] is True
+    assert builds == [(5, 14)]
 
 
 def _off_by_one_tadic_sums(monkeypatch):
@@ -415,7 +441,7 @@ def test_dwork_trace_mismatch_exits_1(capsys, monkeypatch):
                               "--trace-k", "1"])
     assert code == 1
     assert json.loads(out)["trace_consistency"] == [
-        {"k": 1, "checked_order": 5, "ok": False}]
+        {"k": 1, "checked_order": 6, "ok": False}]
 
 
 def test_verify_records_a_trace_mismatch(tmp_path, capsys, monkeypatch):
@@ -465,7 +491,7 @@ def test_over_budget_trace_check_is_refused_before_any_work(capsys, monkeypatch)
     # the smallest field past the budget is named: F_{11^2} here
     with pytest.raises(BudgetExceededError, match="needs 121 elements"):
         dwork.trace_consistency(Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1),
-                                3, 4, budget=100)
+                                3, 4, None, budget=100)  # refused before the operator is read
 
 
 def test_bad_J_is_refused_before_the_operator(capsys, monkeypatch):
@@ -482,7 +508,8 @@ def test_bad_J_is_refused_before_the_operator(capsys, monkeypatch):
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: T-adic truncation order J={J} must lie in [0, p)\n"
     with pytest.raises(ValueError, match="J=11 must lie"):
-        dwork.trace_consistency(Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1), 1, 11)
+        dwork.trace_consistency(Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1), 1, 11,
+                                None)  # refused before the operator is read
 
 
 def test_dwork_trace_check_runs_under_the_global_budget(capsys):
@@ -506,7 +533,7 @@ def test_default_coefficient_exists_at_q_2(capsys, argv):
     assert json.loads(out)["params"].endswith("_l0")
 
 
-@pytest.mark.parametrize("p, J", [(2, 1), (3, 2), (5, 4), (7, 5)])
+@pytest.mark.parametrize("p, J", [(2, 1), (3, 2), (5, 4), (7, 6)])
 def test_dwork_default_truncation_order_fits_p(capsys, p, J):
     code, out = _run(capsys, ["dwork", "--p", str(p), "--d", "4" if p == 3 else "3",
                               "--e", "1", "--trace-k", "1"])

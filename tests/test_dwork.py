@@ -79,7 +79,7 @@ def _newton_series(mat, traces):
     coeffs = [PiSeries.one(mat.ctx, zero.order)]
     for k in range(1, len(traces)):
         acc = sum((traces[j] * coeffs[k - j] for j in range(1, k + 1)), zero)
-        coeffs.append(acc.negate() * pow(k, -1, mat.ctx.pM))
+        coeffs.append(acc * -pow(k, -1, mat.ctx.pM))
     return coeffs
 
 
@@ -159,7 +159,7 @@ def test_pi_series_arithmetic():
     assert (a - a).is_zero() and (a - a).order == 6
     assert (a - b - b).terms == {0: ctx.one(), 1: ctx.from_int(-4), 2: ctx.from_int(3)}
     assert (a * 5).terms == (5 * a).terms == {0: ctx.from_int(5), 2: ctx.from_int(15)}
-    assert (a * ctx.pM).is_zero() and a.negate().terms == {0: ctx.from_int(-1), 2: ctx.from_int(-3)}
+    assert (a * ctx.pM).is_zero() and (a * -1).terms == {0: ctx.from_int(-1), 2: ctx.from_int(-3)}
     # the A-form oracle's shift
     assert shift(a, 1).terms == {1: ctx.one(), 3: ctx.from_int(3)}
     assert shift(a, 4).terms == {4: ctx.one()}  # pi^6 falls past the order
@@ -212,10 +212,10 @@ def test_dot_matches_the_dict_oracle(p, deg, M):
     assert {na + nb < cap for na in x.terms for nb in y.terms} == {True, False}
     assert _dot([(x, y)], zero) == dict_dot([(x, y)], zero)
     # sums that vanish mod p^M, though not over the integers, leave no term
-    assert _dot([(x, y), (x.negate(), y)], zero).terms == {}
+    assert _dot([(x, y), (x * -1, y)], zero).terms == {}
     low = with_terms(x, {n: c for n, c in x.terms.items() if n < cap // 2})
-    half = _dot([(x, y), (low.negate(), y)], zero)
-    assert half == dict_dot([(x, y), (low.negate(), y)], zero)
+    half = _dot([(x, y), (low * -1, y)], zero)
+    assert half == dict_dot([(x, y), (low * -1, y)], zero)
     assert min(half.terms) == cap // 2
     # empty series and no pairs
     assert _dot([], zero).terms == {} and _dot([(zero, x), (y, zero)], zero).terms == {}
@@ -408,7 +408,7 @@ def test_char_series_low_coefficients_and_minors_agreement():
     mat = psi_a_matrix(pr, 6, 12)
     coeffs = char_series(mat, 3)
     assert coeffs[0].terms == {0: mat.ctx.one()}
-    assert coeffs[1] == _product_traces(mat, 1)[1].negate()
+    assert coeffs[1] == _product_traces(mat, 1)[1] * -1
     assert coeffs == _minor_series(mat, 3)
     assert coeffs == _newton_series(mat, _product_traces(mat, 3))
 
@@ -533,6 +533,14 @@ def test_trace_power_extends_the_series():
     mat = psi_a_matrix(pr, 6, 12)
     assert mat.trace_power(4) == _product_traces(mat, 4)[4]
     assert len(mat.traces) == 5
+    # the traces do not depend on sizes whose tail rows clear the order:
+    # the polygon's (5, 14) operator and the least (6, 8) one agree below
+    # pi^8
+    pr = Params(p=13, a=1, d=3, e=2, c=1, mu=1, lam_index=0)
+    big, small = psi_a_matrix(pr, 5, 14), psi_a_matrix(pr, 6, 8)
+    for k in range(1, 5):
+        assert {n: c for n, c in big.trace_power(k).terms.items() if n < 8} == \
+            small.trace_power(k).terms, k
 
 
 def test_truncation_certificate():
@@ -546,6 +554,10 @@ def test_truncation_certificate():
     N, O = auto_sizes(pr, 3)
     res = np_T(pr, 3, N, O)
     assert (res.matrix.N, res.matrix.O) == (N, O)
+    # the trace check refuses a hand-built operator on the same condition:
+    # (p-1)*N = 30 < d*O = 33, so row 3's terms reach below pi^11
+    with pytest.raises(TruncationError, match="tail rows reach below order 11 for N=3"):
+        trace_consistency(pr, 1, 4, psi_a_matrix(pr, 3, 11))
 
 
 @pytest.mark.parametrize("tup", [(11, 1, 4, 3, 2, 1, 1), (5, 1, 3, 1, 2, 1, 1)],
@@ -665,27 +677,27 @@ def test_substitute_T_inverts_the_reversion(p):
 def test_trace_consistency_p11(monkeypatch):
     import twistnp.dwork as dwork
 
-    builds = []
-    real_build = dwork.psi_a_matrix
-
-    def counted(*args, **kwargs):
-        builds.append(args[1:3])
-        return real_build(*args, **kwargs)
-
-    monkeypatch.setattr(dwork, "psi_a_matrix", counted)
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
-    reports = trace_consistency(pr, k_max=3, J=6)
-    for rep in reports:
-        assert rep.ok
-        assert rep.agree_order == rep.checked_order + 1 == 7
-    # the check reads the traces below pi^7: it builds O = J + 2, and the
-    # N whose tail rows clear it
-    assert builds == [(4, 8)]
+    mats = [np_T(pr, 3).matrix, psi_a_matrix(pr, 4, 8), psi_a_matrix(pr, 4, 6)]
+    assert (mats[0].N, mats[0].O) == (5, 13)
+
+    def no_operator(*args, **kwargs):
+        raise AssertionError("the check built an operator")
+
+    monkeypatch.setattr(dwork, "psi_a_matrix", no_operator)
+    # the check reads the traces below pi^7 of the operator it is given:
+    # the polygon's, or the least one whose order clears J + 1; an order
+    # of J + 1 or less caps the order checked
+    for mat, checked in zip(mats, (6, 6, 5)):
+        reports = trace_consistency(pr, k_max=3, J=6, mat=mat)
+        for rep in reports:
+            assert rep.ok
+            assert rep.agree_order == rep.checked_order + 1 == checked + 1
 
 
 def test_trace_consistency_twisted_b2():
     pr = Params(p=11, a=2, d=3, e=2, c=3, mu=1, lam_index=11)
-    reports = trace_consistency(pr, k_max=1, J=4)
+    reports = trace_consistency(pr, k_max=1, J=4, mat=np_T(pr, 3).matrix)
     assert all(r.ok for r in reports)
 
 
@@ -701,7 +713,7 @@ def test_trace_consistency_reports_a_mismatch(monkeypatch):
 
     monkeypatch.setattr(dwork, "exp_sum_Tadic", off_by_one)
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
-    reports = trace_consistency(pr, k_max=2, J=4)
+    reports = trace_consistency(pr, k_max=2, J=4, mat=np_T(pr, 3).matrix)
     assert [(r.ok, r.agree_order) for r in reports] == [(False, 1), (False, 1)]
 
 
@@ -718,5 +730,5 @@ def test_non_unit_case_tadic_polygon():
     res = np_T(pr, 5)
     P = lower_bound_polygon(pr, 5)
     assert res.polygon.values == P.values
-    reports = trace_consistency(pr, k_max=2, J=5)
+    reports = trace_consistency(pr, k_max=2, J=5, mat=res.matrix)
     assert all(r.ok for r in reports)

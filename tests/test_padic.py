@@ -121,13 +121,13 @@ def test_zq_inverse_roundtrip():
         if a.residue() == (0, 0):
             continue
         inv = inverse(ctx, a)
-        assert ctx.mul(a, inv).is_one()
+        assert ctx.mul(a, inv) == 1
     # every unit residue class, q - 2 = 0 at q = 2 included, and a non-unit
     for (p, deg) in [(2, 1), (2, 3), (3, 1), (5, 2)]:
         ctx = make_context(p, deg, 6)
         for code in range(1, p**deg):
             a = ctx.elem([(code // p**i) % p + p * i for i in range(deg)])
-            assert ctx.mul(a, inverse(ctx, a)).is_one()
+            assert ctx.mul(a, inverse(ctx, a)) == 1
         with pytest.raises(ZeroDivisionError):
             inverse(ctx, ctx.from_int(p))
 
@@ -145,7 +145,7 @@ def test_teichmuller_basics():
     assert ctx.teichmuller((1,)) == ctx.one()
     t2 = ctx.teichmuller((2,))
     assert t2.coeffs == (57,)  # Hensel root of X^4 = 1 lifting 2 mod 5
-    assert ctx.pow(t2, 4).is_one()
+    assert ctx.pow(t2, 4) == 1
     assert ctx.teichmuller((0,)).is_zero()
 
 
@@ -155,7 +155,7 @@ def test_teichmuller_defining_property_extension():
     for code in range(1, qq):
         res = (code % 3, code // 3)
         t = ctx.teichmuller(res)
-        assert ctx.pow(t, qq - 1).is_one()
+        assert ctx.pow(t, qq - 1) == 1
         assert t.residue() == res
 
 
