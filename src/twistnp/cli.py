@@ -164,7 +164,7 @@ def cmd_dwork(args) -> int:
     res = np_T(params, n_max, N=args.big_n, O=args.big_o, M=args.precision)
     reports = []
     if args.trace_k > 0:
-        reports = trace_consistency(params, args.trace_k, J, res.matrix, args.budget)
+        reports = trace_consistency(res.matrix, args.trace_k, J, args.budget)
     halves = sandwich(params, lower_bound_polygon(params, n_max), res.polygon, np_classical)
     out = {
         "schema": SCHEMA,
@@ -375,8 +375,8 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
             if trace_k > 0:
                 # the check enumerates F_{q^trace_k} under the run's budget
                 try:
-                    reports = trace_consistency(params, trace_k, default_trace_order(params),
-                                                res.matrix, budget)
+                    reports = trace_consistency(res.matrix, trace_k,
+                                                default_trace_order(params), budget)
                 except BudgetExceededError:
                     rec.update(trace_consistency=None, trace_needed_budget=params.q**trace_k)
                 else:
@@ -579,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     sd.add_argument("--trace-k", type=int, default=0)
     sd.add_argument("--J", type=int, default=None,
                     help="T-adic truncation order of the trace check "
-                         "(default min(5, p - 1))")
+                         "(default min(6, p - 1))")
     sd.add_argument("--sandwich", action="store_true")
     sd.set_defaults(func=cmd_dwork)
 

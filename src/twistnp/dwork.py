@@ -82,10 +82,6 @@ class PiSeries:
     order: int
     packed: list[tuple[int, int]] = field(default_factory=list)
 
-    @classmethod
-    def one(cls, ctx, order):
-        return cls(ctx, order, [(0, 1)])
-
     def zero(self) -> "PiSeries":
         """The zero series of this order."""
         return PiSeries(self.ctx, self.order)
@@ -230,7 +226,8 @@ class PsiMatrix:
     orders of principal minors, is that of A.
 
     ``traces[k]`` holds Tr(A^k) once the characteristic series has been
-    computed to s^k (``power_traces``); index 0 is unused.
+    computed to s^k (``power_traces``); index 0 is unused.  ``np_T`` keeps
+    them to n_top, where the trace check reads them.
     """
 
     params: Params
@@ -393,11 +390,17 @@ def direct_traces(mat: PsiMatrix, k_max: int) -> list[PiSeries | None]:
     return traces[:k_max + 1]
 
 
+def top_degree(params: Params, n_max: int) -> int:
+    """n_top = d*ceil(n_max/d), the least multiple of d at or above n_max,
+    where NP_T meets the Hodge polygon."""
+    return -(-n_max // params.d) * params.d
+
+
 def auto_sizes(params: Params, n_max: int, least_order: int = 0,
                N: int | None = None, O: int | None = None) -> tuple[int, int]:
     """The operator sizes (N, O) that resolve NP_T on [0, n_max].
 
-    A size given is kept.  The hull runs to n_top = d*ceil(n_max/d), where
+    A size given is kept.  The hull runs to n_top (``top_degree``), where
     NP_T meets the Hodge polygon HP, so its top point is known; below it,
     convexity puts NP_T(n) at or under the chord of HP between the
     multiples of d around n, and HP rises, so every point the hull can use
@@ -408,7 +411,7 @@ def auto_sizes(params: Params, n_max: int, least_order: int = 0,
     that operator and sizes none of its own.
     """
     d, scale = params.d, params.a * (params.p - 1)
-    n_top = -(-n_max // d) * d
+    n_top = top_degree(params, n_max)
     if O is None:
         H = hodge_polygon(params, n_top)
         lo, hi = H.value(n_top - d), H.value(n_top)
@@ -417,6 +420,20 @@ def auto_sizes(params: Params, n_max: int, least_order: int = 0,
     if N is None:
         N = max(-(-d * O // (params.p - 1)) + 1, n_top)
     return N, O
+
+
+def certify_sizes(params: Params, N: int, O: int, need_O: int = 0, n_top: int = 0,
+                  suggest: str = "") -> None:
+    """Raise ``TruncationError`` unless the sizes (N, O) certify the series:
+    O reaches ``need_O``, the tail rows w >= N, whose terms have order at
+    least (p-1)*w/d, clear O, and N >= ``n_top``.  The message names the
+    first condition that fails, then ``suggest``."""
+    for failed, reason in ((O < need_O, f"working order {O} below required {need_O}"),
+                           ((params.p - 1) * N < params.d * O,
+                            f"tail rows reach below order {O} for N={N}"),
+                           (n_top > N, f"n_max={n_top} exceeds matrix size {N}")):
+        if failed:
+            raise TruncationError(f"truncation certificate failed: {reason}{suggest}")
 
 
 @dataclass
@@ -434,10 +451,10 @@ def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
     restricted to n_max: NP_T meets the Hodge polygon HP at every multiple
     of d, so no point past n_top lowers it.  The operator is sized by
     ``auto_sizes``, to resolve every point below n_top that the hull can
-    use, and the sizes in use are certified, or this raises
-    ``TruncationError``: O clears the order ``auto_sizes`` requires, the
-    tail rows w >= N, whose terms have order at least (p-1)*w/d, clear O,
-    and N >= n_top.  ``coeffs`` and the matrix's traces stop at n_max.
+    use, and the sizes in use are certified by ``certify_sizes``, or this
+    raises ``TruncationError``: O clears the order ``auto_sizes`` requires,
+    the tail rows clear O, and N >= n_top.  ``coeffs`` stops at n_max; the
+    matrix keeps its traces to n_top, for the trace check to read.
 
     The series come from the operator's integral form (``PsiMatrix``):
     its entries lie in Z_q[[pi]] and nothing divides, so every coefficient
@@ -446,28 +463,23 @@ def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
     pi-units, HP(n_top)*a(p-1), must be an integer, or this raises
     ``ValueError``.
 
-    The traces of A^k read off the series must equal those computed from A
-    directly (``direct_traces``), and c_{n_top} must have the top point's
-    order wherever O resolves it, or this raises ``DworkConsistencyError``.
+    The traces of A^k, k <= n_max, read off the series must equal those
+    from A directly (``direct_traces``), and c_{n_top} must have the top
+    point's order wherever O resolves it, or this raises
+    ``DworkConsistencyError``.
     """
     scale = params.a * (params.p - 1)
-    n_top = -(-n_max // params.d) * params.d
+    n_top = top_degree(params, n_max)
     N, O = auto_sizes(params, n_max, N=N, O=O)
     need_N, need_O = auto_sizes(params, n_max, O)
-    for failed, reason in ((O < need_O, f"working order {O} below required {need_O}"),
-                           ((params.p - 1) * N < params.d * O,
-                            f"tail rows reach below order {O} for N={N}"),
-                           (n_top > N, f"n_max={n_top} exceeds matrix size {N}")):
-        if failed:
-            raise TruncationError(f"truncation certificate failed: {reason}; "
-                                  f"suggest N={need_N}, O={need_O}")
+    certify_sizes(params, N, O, need_O, n_top, f"; suggest N={need_N}, O={need_O}")
     top = hodge_polygon(params, n_top).value(n_top) * scale
     if top.denominator != 1:
         raise ValueError(f"Hodge point {top / scale} at n={n_top} is not an integer "
                          f"in pi-units (times {scale})")
     mat = psi_a_matrix(params, N, O, M)
     coeffs = char_series(mat, n_top)
-    mat.traces = power_traces(coeffs[:n_max + 1])
+    mat.traces = power_traces(coeffs)
     for k, direct in enumerate(direct_traces(mat, n_max)):
         if k and direct != mat.traces[k]:
             raise DworkConsistencyError(
@@ -516,30 +528,30 @@ def default_trace_order(params: Params) -> int:
     return min(6, params.p - 1)
 
 
-def trace_consistency(params: Params, k_max: int, J: int, mat: PsiMatrix,
+def trace_consistency(mat: PsiMatrix, k_max: int, J: int,
                       budget: int = DEFAULT_BUDGET) -> list[TraceReport]:
     """Check S_k(T) = (q^k - 1) * trace(M^k) as truncated series on the
-    operator ``mat`` of these params, built by the caller.
+    operator ``mat`` that ``np_T`` built, for its params ``mat.params``.
 
     The left side is the direct T-adic character sum, a polynomial in T,
     at the operator's precision M; ``substitute_T`` turns it into a
-    pi-series, which is compared with the operator's trace coefficient by
+    pi-series, which is compared with the trace the operator keeps
+    (to n_top; a k past it extends the series once) coefficient by
     coefficient.  The first coefficient that differs has the same index in
     T and in pi, so ``agree_order`` counts the agreeing T-coefficients
     too.  Both sides are exact mod p^M, and the traces mod pi^(mat.O), so
     any mismatch below the checked order min(J, mat.O - 1) is a failure,
     reported as ``ok=False``.  The traces are exact only where the tail
-    rows clear the order, (p-1)*mat.N >= d*mat.O, or this raises
-    ``TruncationError``.  Before any work, ``check_trace_inputs`` gates the
-    direct sums over F_{q^k} by ``budget`` for every k, and J by [0, p).
+    rows clear the order, or ``certify_sizes`` raises ``TruncationError``.
+    Before any work, ``check_trace_inputs`` gates the direct sums over
+    F_{q^k} by ``budget`` for every k, and J by [0, p).
     """
+    params = mat.params
     check_trace_inputs(params, k_max, J, budget)
-    if (params.p - 1) * mat.N < params.d * mat.O:
-        raise TruncationError(f"truncation certificate failed: tail rows reach below "
-                              f"order {mat.O} for N={mat.N}")
+    certify_sizes(params, mat.N, mat.O)
     check_order = min(J, mat.O - 1)
     M, zero = mat.ctx.M, mat.ctx.zero()
-    mat.trace_power(k_max)  # the characteristic series, extended once
+    mat.trace_power(k_max)  # past n_top, the characteristic series, extended once
     reports = []
     for k in range(1, k_max + 1):
         lhs = substitute_T(exp_sum_Tadic(params, k, J, M, budget).coeffs, check_order)

@@ -35,6 +35,7 @@ from .core_arith import (
     factorial_inv_or_zero,
     twist_digits,
 )
+from .padic import vp_min
 from .polygon import Params
 
 
@@ -76,15 +77,7 @@ def fraction_vp(x: Fraction, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
     if x == 0:
         raise ValueError("valuation of zero")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return vp_min((x.numerator,), p) - vp_min((x.denominator,), p)
 
 
 def _integer_weight(inst: CombInstance, c: int, t_next: int, i: int, j: int) -> int:

@@ -147,6 +147,20 @@ def _plane_map(p: int, f: int, j: int) -> bytes:
     return bytes(f * x % p >> 8 * j & 255 for x in range(256))
 
 
+def coset_runs(start: int, step: int, count: int, N: int, span: int):
+    """The walk (start + step i) mod N, i < count, cut into runs that stay
+    inside one block of ``span`` indices, block G covering [G span,
+    min((G + 1) span, N)): yields (G, o, n), n indices from G span + o,
+    ``step`` apart."""
+    pos = start % N
+    while count:
+        G, o = divmod(pos, span)
+        n = min(count, (min(span, N - G * span) - 1 - o) // step + 1)
+        yield G, o, n
+        pos = (pos + n * step) % N
+        count -= n
+
+
 class TraceTable:
     """The traces T[i] = Tr(g^i) of F_{p^m}, g its generator, i < N = p^m - 1.
 
@@ -256,18 +270,11 @@ class TraceTable:
 
     def stream(self, start: int, step: int, count: int) -> bytes:
         """T[(start + step i) mod N] for i < count: strided slices of the
-        table, one per group of r cosets crossed, group G scaled by
-        gamma^(rG)."""
-        N, span = self.N, self.span
-        parts, pos = [], start % N
-        while count:
-            G, o = divmod(pos, span)
-            n = min(count, (min(span, N - G * span) - 1 - o) // step + 1)
-            parts.append(self.scale(self.cut(o, o + (n - 1) * step + 1, step),
-                                    pow(self.gamma, self.r * G, self.p)))
-            pos = (pos + n * step) % N
-            count -= n
-        return b"".join(parts)
+        table, one per group of r cosets crossed (``coset_runs``), group G
+        scaled by gamma^(rG)."""
+        return b"".join(self.scale(self.cut(o, o + (n - 1) * step + 1, step),
+                                   pow(self.gamma, self.r * G, self.p))
+                        for G, o, n in coset_runs(start, step, count, self.N, self.span))
 
     def bin(self, sums: bytes, j0: int, out: list[list[int]]) -> None:
         """out[t][j mod c] += the slots of ``sums``, those of x = g^j for j
@@ -578,18 +585,14 @@ class TeichmullerTable:
 
     def stream(self, start: int, step: int, count: int) -> list[int]:
         """T[(start + step i) mod N] for i < count: strided slices of the
-        head, one per coset crossed, coset v scaled by z^v."""
-        N, L, pM = self.N, self.L, self.pM
-        out, pos = [], start % N
-        while count:
-            v, u = divmod(pos, L)
-            n = min(count, (L - 1 - u) // step + 1)
+        head, one per coset crossed (``coset_runs``), coset v scaled by
+        z^v."""
+        pM, out = self.pM, []
+        for v, u, n in coset_runs(start, step, count, self.N, self.L):
             part = self.head[u:u + (n - 1) * step + 1:step]
             if v:
                 part = map(pM.__rmod__, map(pow(self.z, v, pM).__mul__, part))
             out.extend(part)
-            pos = (pos + n * step) % N
-            count -= n
         return out
 
 

@@ -320,17 +320,8 @@ class ZqContext:
         return ZqElem(self, poly_mod(poly_mul(a.coeffs, b.coeffs), self.modulus, self.pM))
 
     def pow(self, a: "ZqElem", k: int) -> "ZqElem":
-        """a^k for k >= 0, by repeated squaring."""
-        if k < 0:
-            raise ValueError(f"negative exponent {k}")
-        result = self.one()
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        """a^k for k >= 0: ``poly_pow_mod`` taken mod p^M."""
+        return self.elem(poly_pow_mod(a.coeffs, k, self.modulus, self.pM))
 
     def teichmuller(self, residue) -> "ZqElem":
         """The Teichmuller lift of a residue-field element, given by its
@@ -475,9 +466,6 @@ class ZqElem:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def residue(self) -> tuple[int, ...]:
-        return tuple(c % self.ctx.p for c in self.coeffs)
 
     def __repr__(self):
         return f"Zq{self.coeffs}"

@@ -241,7 +241,7 @@ def test_criterion_6_dwork_route():
     P = lower_bound_polygon(pr, 3)
     assert res.polygon.values == P.values
     assert res.polygon.slopes() == [F(0), F(2, 5), F(3, 5)]
-    reports = trace_consistency(pr, k_max=3, J=6, mat=res.matrix)
+    reports = trace_consistency(res.matrix, k_max=3, J=6)
     assert all(r.ok for r in reports)
     assert all(r.agree_order == r.checked_order + 1 for r in reports)
     np_classical = newton_polygon_classical(pr)
@@ -274,7 +274,7 @@ def test_criterion_7_twisted_b2_case():
     assert equal == cert.h_unit
     res = np_T(pr, 3)
     assert res.polygon.values == np_poly.values
-    reports = trace_consistency(pr, k_max=2, J=4, mat=res.matrix)
+    reports = trace_consistency(res.matrix, k_max=2, J=4)
     assert all(r.ok for r in reports)
     elapsed = time.monotonic() - t0
     _report(7, True,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import decimal
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -403,6 +404,15 @@ def test_one_operator_per_command(tmp_path, capsys, monkeypatch):
     assert builds == [(5, 13)] and runs == [3, 5]
     assert json.loads(out)["trace_consistency"] == [
         {"k": k, "checked_order": 6, "ok": True} for k in range(1, 6)]
+    # a check of k up to n_top reads the traces np_T kept, past n_max too:
+    # one run of the recurrence, to s^3
+    del builds[:], runs[:]
+    code, out = _run(capsys, ["dwork", "--p", "11", "--d", "3", "--e", "2",
+                              "--n-max", "1", "--trace-k", "3"])
+    assert code == 0
+    assert builds == [(5, 13)] and runs == [3]
+    assert json.loads(out)["trace_consistency"] == [
+        {"k": k, "checked_order": 6, "ok": True} for k in (1, 2, 3)]
     del builds[:]
     code, out = _run(capsys, ["dwork", "--p", "7", "--d", "3", "--e", "2",
                               "--n-max", "8", "--trace-k", "2"])
@@ -475,14 +485,29 @@ def test_verify_keeps_a_record_whose_trace_check_exceeds_the_tadic_budget(tmp_pa
     assert rec["H"] == "8" and rec["h_unit"] is True
 
 
-def test_over_budget_trace_check_is_refused_before_any_work(capsys, monkeypatch):
+def _refuse_series_work(monkeypatch):
+    """A small operator of (11,3,2), built before dwork.psi_a_matrix and
+    dwork.char_series are made to raise if called."""
     import twistnp.dwork as dwork
-    from twistnp.lfunction import BudgetExceededError
+
+    mat = dwork.psi_a_matrix(Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1), 3, 4)
 
     def no_operator(*args, **kwargs):
         raise AssertionError("the operator was built")
 
+    def no_series(*args, **kwargs):
+        raise AssertionError("the characteristic series was computed")
+
     monkeypatch.setattr(dwork, "psi_a_matrix", no_operator)
+    monkeypatch.setattr(dwork, "char_series", no_series)
+    return mat
+
+
+def test_over_budget_trace_check_is_refused_before_any_work(capsys, monkeypatch):
+    import twistnp.dwork as dwork
+    from twistnp.lfunction import BudgetExceededError
+
+    mat = _refuse_series_work(monkeypatch)
     code = main(["dwork", "--p", "11", "--a", "2", "--d", "3", "--e", "2", "--c", "3",
                  "--lam", "57", "--trace-k", "4", "--J", "4"])
     captured = capsys.readouterr()
@@ -490,17 +515,13 @@ def test_over_budget_trace_check_is_refused_before_any_work(capsys, monkeypatch)
     assert captured.err == "error: enumeration needs 214358881 elements, budget is 20000000\n"
     # the smallest field past the budget is named: F_{11^2} here
     with pytest.raises(BudgetExceededError, match="needs 121 elements"):
-        dwork.trace_consistency(Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1),
-                                3, 4, None, budget=100)  # refused before the operator is read
+        dwork.trace_consistency(mat, 3, 4, budget=100)  # refused before any series work
 
 
 def test_bad_J_is_refused_before_the_operator(capsys, monkeypatch):
     import twistnp.dwork as dwork
 
-    def no_operator(*args, **kwargs):
-        raise AssertionError("the operator was built")
-
-    monkeypatch.setattr(dwork, "psi_a_matrix", no_operator)
+    mat = _refuse_series_work(monkeypatch)
     for J in ("7", "-1"):
         code = main(["dwork", "--p", "7", "--d", "3", "--e", "2", "--n-max", "8",
                      "--trace-k", "1", "--J", J])
@@ -508,8 +529,7 @@ def test_bad_J_is_refused_before_the_operator(capsys, monkeypatch):
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: T-adic truncation order J={J} must lie in [0, p)\n"
     with pytest.raises(ValueError, match="J=11 must lie"):
-        dwork.trace_consistency(Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1), 1, 11,
-                                None)  # refused before the operator is read
+        dwork.trace_consistency(mat, 1, 11)  # refused before any series work
 
 
 def test_dwork_trace_check_runs_under_the_global_budget(capsys):
@@ -543,13 +563,12 @@ def test_dwork_default_truncation_order_fits_p(capsys, p, J):
 
 def test_consistency_errors_exit_1(capsys, monkeypatch):
     import twistnp.dwork as dwork
-    from twistnp.dwork import PiSeries
 
     real = dwork.char_series
 
     def corrupt_c2(mat, n_max):
         coeffs = real(mat, n_max)
-        coeffs[2] = coeffs[2] + PiSeries.one(mat.ctx, coeffs[2].order)
+        coeffs[2] = coeffs[2] + coeffs[2].constant(1)
         return coeffs
 
     monkeypatch.setattr(dwork, "char_series", corrupt_c2)
@@ -960,3 +979,45 @@ def test_outputs_match_golden_records(tmp_path, capsys, name, argv):
             lines.append(json.dumps(rec, sort_keys=True) + "\n")
         with open(os.path.join(GOLDEN, name + ".jsonl"), encoding="utf-8") as fh:
             assert "".join(lines) == fh.read()
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_dwork_help_states_the_default_trace_order(capsys, p):
+    from twistnp.dwork import default_trace_order
+
+    code, out = _run(capsys, ["dwork", "--help"])
+    assert code == 0
+    text = " ".join(out.split())
+    cap, shift = map(int, re.search(r"\(default min\((\d+), p - (\d+)\)\)", text).groups())
+    assert min(cap, p - shift) == default_trace_order(Params(p=p, a=1, d=3, e=1, c=1, mu=1))
+
+
+def _fsync_grid(tmp_path, capsys, monkeypatch, *flags):
+    """The sweep of d = 3, e = 2, c in {1, 3} over the first two primes
+    from 20, with the os.fsync calls counted."""
+    calls = []
+    real_fsync = os.fsync
+
+    def counted(fd):
+        calls.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counted)
+    out_file = tmp_path / f"grid{len(flags)}.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "sweep", "--d", "3", "--e", "2",
+                            "--c", "1,3", "--prime-min", "20", "--prime-count", "2",
+                            "--lam-policy", "first:2", *flags])
+    assert code == 0
+    return [json.loads(x) for x in out_file.read_text().splitlines()], calls
+
+
+def test_sweep_fsync_syncs_once_per_group(tmp_path, capsys, monkeypatch):
+    recs, calls = _fsync_grid(tmp_path, capsys, monkeypatch, "--fsync")
+    groups = {tuple(rec[k] for k in ("p", "a", "d", "e", "c", "mu")) for rec in recs}
+    assert len(groups) == len(calls) == 6
+    assert _fsync_grid(tmp_path, capsys, monkeypatch)[1] == []
+
+
+def test_sweep_prime_min_starts_the_primes(tmp_path, capsys, monkeypatch):
+    recs, _ = _fsync_grid(tmp_path, capsys, monkeypatch)
+    assert {rec["p"] for rec in recs} == {23, 29}

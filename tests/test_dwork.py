@@ -76,7 +76,7 @@ def _product_traces(mat, n_max):
 def _newton_series(mat, traces):
     """det(1 - A s) to s^n from the traces t_1..t_n, dividing by k <= n."""
     zero = mat.entries[0][0].zero()
-    coeffs = [PiSeries.one(mat.ctx, zero.order)]
+    coeffs = [zero.constant(1)]
     for k in range(1, len(traces)):
         acc = sum((traces[j] * coeffs[k - j] for j in range(1, k + 1)), zero)
         coeffs.append(acc * -pow(k, -1, mat.ctx.pM))
@@ -101,12 +101,12 @@ def _det(m):
                 total = total + expand(i + 1, used | {t}, prod, sign * (-1) ** flips)
         return total
 
-    return expand(0, frozenset(), PiSeries.one(zero.ctx, zero.order), 1)
+    return expand(0, frozenset(), zero.constant(1), 1)
 
 
 def _minor_series(mat, k_max):
     zero = mat.entries[0][0].zero()
-    coeffs = [PiSeries.one(mat.ctx, zero.order)]
+    coeffs = [zero.constant(1)]
     for k in range(1, k_max + 1):
         acc = zero
         for subset in itertools.combinations(range(mat.N), k):
@@ -224,7 +224,7 @@ def test_dot_matches_the_dict_oracle(p, deg, M):
     with pytest.raises(ValueError, match="above the order"):
         _dot([(x, y)], zero, cap + 1)
     # another order raises, on either side of a pair
-    for other in (series_of(ctx, order + 1, y.terms), PiSeries.one(ctx, order // 3)):
+    for other in (series_of(ctx, order + 1, y.terms), PiSeries(ctx, order // 3).constant(1)):
         with pytest.raises(ValueError, match="orders"):
             _dot([(x, other)], zero)
         with pytest.raises(ValueError, match="orders"):
@@ -443,7 +443,7 @@ def test_char_series_matches_oracles(tup, n_max, k_minors):
     # the same recurrence with the dict product, coefficient by coefficient
     zero, views = mat.entries[0][0].zero(), {}
     assert coeffs == berkowitz(mat.entries, n_max, lambda pairs: dict_dot(pairs, zero, views),
-                               PiSeries.one(mat.ctx, zero.order), zero)
+                               zero.constant(1), zero)
     assert coeffs[:k_minors + 1] == _minor_series(mat, k_minors)
     if tup[0] > n_max:
         traces = _product_traces(mat, n_max)
@@ -557,7 +557,7 @@ def test_truncation_certificate():
     # the trace check refuses a hand-built operator on the same condition:
     # (p-1)*N = 30 < d*O = 33, so row 3's terms reach below pi^11
     with pytest.raises(TruncationError, match="tail rows reach below order 11 for N=3"):
-        trace_consistency(pr, 1, 4, psi_a_matrix(pr, 3, 11))
+        trace_consistency(psi_a_matrix(pr, 3, 11), 1, 4)
 
 
 @pytest.mark.parametrize("tup", [(11, 1, 4, 3, 2, 1, 1), (5, 1, 3, 1, 2, 1, 1)],
@@ -689,15 +689,26 @@ def test_trace_consistency_p11(monkeypatch):
     # the polygon's, or the least one whose order clears J + 1; an order
     # of J + 1 or less caps the order checked
     for mat, checked in zip(mats, (6, 6, 5)):
-        reports = trace_consistency(pr, k_max=3, J=6, mat=mat)
+        reports = trace_consistency(mat, k_max=3, J=6)
         for rep in reports:
             assert rep.ok
             assert rep.agree_order == rep.checked_order + 1 == checked + 1
 
 
+def test_trace_consistency_reads_the_params_of_its_operator():
+    # at (11,3,2) the traces of lambda indices 1 and 2 differ below the
+    # checked order, so each operator passes only against its own sums
+    ops = [np_T(Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=lam), 3).matrix
+           for lam in (1, 2)]
+    low = [{n: c for n, c in mat.trace_power(1).terms.items() if n <= 6} for mat in ops]
+    assert low[0] != low[1]
+    for mat in ops:
+        assert [r.ok for r in trace_consistency(mat, k_max=1, J=6)] == [True]
+
+
 def test_trace_consistency_twisted_b2():
     pr = Params(p=11, a=2, d=3, e=2, c=3, mu=1, lam_index=11)
-    reports = trace_consistency(pr, k_max=1, J=4, mat=np_T(pr, 3).matrix)
+    reports = trace_consistency(np_T(pr, 3).matrix, k_max=1, J=4)
     assert all(r.ok for r in reports)
 
 
@@ -713,7 +724,7 @@ def test_trace_consistency_reports_a_mismatch(monkeypatch):
 
     monkeypatch.setattr(dwork, "exp_sum_Tadic", off_by_one)
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
-    reports = trace_consistency(pr, k_max=2, J=4, mat=np_T(pr, 3).matrix)
+    reports = trace_consistency(np_T(pr, 3).matrix, k_max=2, J=4)
     assert [(r.ok, r.agree_order) for r in reports] == [(False, 1), (False, 1)]
 
 
@@ -730,5 +741,5 @@ def test_non_unit_case_tadic_polygon():
     res = np_T(pr, 5)
     P = lower_bound_polygon(pr, 5)
     assert res.polygon.values == P.values
-    reports = trace_consistency(pr, k_max=2, J=5, mat=res.matrix)
+    reports = trace_consistency(res.matrix, k_max=2, J=5)
     assert all(r.ok for r in reports)

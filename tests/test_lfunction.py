@@ -46,6 +46,7 @@ from twistnp.lfunction import (
     classical_l_function,
     classical_route,
     classical_sums_multi,
+    coset_runs,
     default_precision,
     exp_sum_Tadic,
     l_polynomial,
@@ -339,6 +340,19 @@ def test_trace_table_streams_are_the_traces(monkeypatch, p, m, table_bytes):
                         (total // 2, table.L)]:
         got = list(table.view(table.stream(start, step, count)))
         assert got == [traces[(start + step * i) % total] for i in range(count)], (start, step)
+
+
+@pytest.mark.parametrize("N, span", [(28, 4), (28, 12), (28, 28), (1, 1), (840, 100)])
+def test_coset_runs_cover_the_walk_block_by_block(N, span):
+    # both tables' walk: every run lies in one block [G span, min((G+1) span, N)),
+    # a last block shorter than span included, and the runs spell the walk
+    for start, step, count in [(0, 1, 3 * N), (5, 3, 2 * N + 1), (N - 1, 2, N),
+                               (7, N, 4), (3, 2 * N + 1, N), (N // 2, span, 2 * N)]:
+        got = []
+        for G, o, n in coset_runs(start, step, count, N, span):
+            assert n >= 1 and G * span + o + (n - 1) * step < min((G + 1) * span, N)
+            got += [G * span + o + step * i for i in range(n)]
+        assert got == [(start + step * i) % N for i in range(count)], (start, step)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 43])

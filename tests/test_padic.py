@@ -118,7 +118,7 @@ def test_zq_inverse_roundtrip():
     rng = random.Random(23)
     for _ in range(25):
         a = ctx.elem((rng.randrange(ctx.pM), rng.randrange(ctx.pM)))
-        if a.residue() == (0, 0):
+        if tuple(c % 7 for c in a.coeffs) == (0, 0):
             continue
         inv = inverse(ctx, a)
         assert ctx.mul(a, inv) == 1
@@ -156,7 +156,7 @@ def test_teichmuller_defining_property_extension():
         res = (code % 3, code // 3)
         t = ctx.teichmuller(res)
         assert ctx.pow(t, qq - 1) == 1
-        assert t.residue() == res
+        assert tuple(c % 3 for c in t.coeffs) == res
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 11, 43])
