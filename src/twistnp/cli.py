@@ -44,7 +44,7 @@ from .lfunction import (
 )
 from .padic import PrecisionError
 from .polygon import Params, Polygon, hodge_polygon, lies_above, lower_bound_polygon
-from .polygon import monotone_bound, record_key
+from .polygon import monotone_bound
 
 SCHEMA = 1
 
@@ -192,19 +192,23 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
-def grid_tuples(args):
-    """All valid parameter tuples of the requested grid, in sorted order."""
+def grid_tuples(args) -> list[Params]:
+    """The points of the requested grid, in sorted order, each validated
+    as a ``Params``: a point no binomial has raises ``ValueError``."""
     # flags no tuple can come from are refused, not read as an empty grid
     if args.a_multiple < 1:  # a = 0 would make q = 1
         raise ValueError(f"--a-multiple must be >= 1, got {args.a_multiple}")
     for c in _parse_int_list(args.c):
         if c < 1:
             raise ValueError(f"--c entries must be >= 1, got {c}")
+    for d in _parse_int_list(args.d):
+        if d < 2:  # x^d + lambda x^e needs d > e >= 1
+            raise ValueError(f"--d entries must be >= 2, got {d}")
     for p in _parse_int_list(args.primes or ""):
         if not is_prime(p):
             raise ValueError(f"--primes entries must be prime, got {p}")
     lambda_indices = _lambda_policy(args.lam_policy)
-    tuples = []
+    points = []
     for d in _parse_int_list(args.d):
         if args.e == "all":
             e_list = [e for e in range(1, d) if math.gcd(d, e) == 1]
@@ -227,8 +231,9 @@ def grid_tuples(args):
                         a = multiplicative_order(p, c) * args.a_multiple
                         q = p**a
                         for lam in lambda_indices(q):
-                            tuples.append((p, a, d, e, c, mu, lam))
-    return tuples
+                            points.append(Params(p=p, a=a, d=d, e=e, c=c, mu=mu,
+                                                 lam_index=lam))
+    return points
 
 
 def _grid_primes(args, d, e, c) -> list[int]:
@@ -264,26 +269,28 @@ def _lambda_policy(policy: str):
     raise ValueError(f"bad lambda policy {policy!r}")
 
 
-def shared_pass(tups, precision=None, budget=DEFAULT_BUDGET, n_max=None):
+def shared_pass(group: list[Params], precision=None, budget=DEFAULT_BUDGET, n_max=None):
     """The work the records of one (p, a, d, e, c, mu) group share.
 
-    Returns ``(result, error, per_record_s)``.  ``result`` holds each
-    lambda's sums for its route (``route_sums_by_lambda``), from one
-    enumeration pass per k, so a group the budget refuses does no other
-    work; then the lower-bound and Hodge polygons to max(3d, n_max), and
-    what of a record does not depend on lambda: the Hasse certificate's
-    fields and both bounds' slopes, the violations found where p passes
-    the monotone bound, and the Hodge-gap violation.  ``error`` is the
-    exception computing them raised instead, which each record re-raises
-    where its own computation would have met it.  The pass's time is
-    split evenly over the group's records.
+    ``group`` is the group's points, which differ only in lambda; the
+    pass reads its first, whose lambda plays no part.  Returns
+    ``(result, error, per_record_s)``.  ``result`` holds each lambda's
+    sums for its route (``route_sums_by_lambda``), from one enumeration
+    pass per k, so a group the budget refuses does no other work; then the
+    lower-bound and Hodge polygons to max(3d, n_max), and what of a record
+    does not depend on lambda: the Hasse certificate's fields and both
+    bounds' slopes, the violations found where p passes the monotone
+    bound, and the Hodge-gap violation.  ``error`` is the exception
+    computing them raised instead, which ``sweep_record`` raises again on
+    each record, to refuse it.  The pass's time is split evenly over the
+    group's records.
     """
     t0 = time.monotonic()
-    p, a, d, e, c, mu, _ = tups[0]
+    params = group[0]
+    p, d, e = params.p, params.d, params.e
     result = error = None
     try:
-        params = Params(p=p, a=a, d=d, e=e, c=c, mu=mu)
-        lams = list(dict.fromkeys(tup[6] for tup in tups))
+        lams = list(dict.fromkeys(pr.lam_index for pr in group))
         sums = route_sums_by_lambda(params, lams, precision, budget)
         n_poly, n_top = max(3 * d, n_max or 0), n_max or d
         P, H = lower_bound_polygon(params, n_poly), hodge_polygon(params, n_poly)
@@ -301,39 +308,74 @@ def shared_pass(tups, precision=None, budget=DEFAULT_BUDGET, n_max=None):
                   "h_valuation": "inf" if cert.h_valuation == math.inf else str(cert.h_valuation),
                   "P_slopes": _slopes_json(P.restrict(n_top)),
                   "hodge_slopes": _slopes_json(H.restrict(n_top))}
-        result = (sums, P, H, fields, monotone_faults,
+        result = (sums, P, fields, monotone_faults,
                   ["gap to the Hodge bound exceeds its limit"] if gap > diff_bound else [])
-    except Exception as exc:  # each record re-raises it
+    except Exception as exc:  # each record is refused by it
         error = exc
-    return result, error, (time.monotonic() - t0) / len(tups)
+    return result, error, (time.monotonic() - t0) / len(group)
 
 
-def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
+def sweep_record(params: Params, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
                  dwork=False, trace_k=0) -> dict:
-    """Compute the full record for one parameter tuple.
+    """Compute the full record of one grid point.
 
-    ``shared`` is the ``shared_pass`` of the tuple's group, made with the
-    same precision, budget and n_max.  A group the budget refuses gives
-    ``skipped:budget`` records.
+    ``shared`` is the ``shared_pass`` of the point's group, made with the
+    same precision, budget and n_max.  Every refusal, raised by the shared
+    pass or by the record's own work on either route, is decided in one
+    ``except`` chain, on a record that keeps the point's fields, ``route``
+    and ``enum_field``.  A trace check past the budget refuses nothing: it
+    leaves ``trace_consistency`` null.
     """
     result, error, shared_s = shared
-    p, a, d, e, c, mu, lam = tup
+    p, d, e, lam = params.p, params.d, params.e, params.lam_index
     t0 = time.monotonic()
-    params = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
-    key = params.key()
-    route = classical_route(d, c)
+    route = classical_route(d, params.c)
     rec = {
-        "schema": SCHEMA, "key": key,
-        "p": p, "a": a, "d": d, "e": e, "c": c, "mu": mu,
+        "schema": SCHEMA, "key": params.key(),
+        "p": p, "a": params.a, "d": d, "e": e, "c": params.c, "mu": params.mu,
         "lambda_index": lam, "b": params.b, "u": params.u,
-        "status": "ok", "route": route.name, "enum_field": route.field_size(p, a),
+        "status": "ok", "route": route.name, "enum_field": route.field_size(p, params.a),
     }
     try:
         if error is not None:
             raise error
-        sums, P, H, fields, monotone_faults, gap_faults = result
-        data = classical_l_function(params, precision, budget, _sums=sums[lam], hodge=H)
+        sums, P, fields, monotone_faults, gap_faults = result
+        data = classical_l_function(params, precision, budget, _sums=sums[lam])
         np_poly = newton_polygon_classical(params, data=data)
+        rec.update(fields)
+        rec.update({
+            "precision": data.M,
+            "np_slopes": _slopes_json(np_poly),
+            "equal": np_poly.values == P.values[:d + 1],
+            "lies_above": lies_above(np_poly, P),
+        })
+        violations = []
+        if params.monotone_bound_ok():
+            if not rec["lies_above"]:
+                violations.append("NP does not lie above the lower bound")
+            if rec["equal"] != rec["h_unit"]:
+                violations.append("polygon equality disagrees with unit verdict")
+            violations += monotone_faults
+        if e == d - 1 and p > params.c * (d * d - d + 1) and not rec["equal"]:
+            violations.append("forced-equality case failed")
+        violations += gap_faults
+        if dwork:
+            res = np_T(params, d, M=precision)
+            rec["np_T_slopes"] = _slopes_json(res.polygon)
+            rec["routes_agree"] = res.polygon.values == np_poly.values
+            rec["sandwich"] = False not in sandwich(params, P, res.polygon, np_poly).values()
+            if not rec["sandwich"]:
+                violations.append("T-adic polygon escapes the sandwich")
+            if trace_k > 0:
+                # the check enumerates F_q .. F_{q^trace_k} under the run's budget
+                if params.q**trace_k > budget:
+                    rec.update(trace_consistency=None, trace_needed_budget=params.q**trace_k)
+                else:
+                    reports = trace_consistency(res.matrix, trace_k,
+                                                default_trace_order(params), budget)
+                    rec["trace_consistency"] = all(r.ok for r in reports)
+                    if not rec["trace_consistency"]:
+                        violations.append("trace formula mismatch")
     except BudgetExceededError:
         rec["status"] = "skipped:budget"
         rec["needed_budget"] = rec["enum_field"]
@@ -347,45 +389,9 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
     except PrecisionError as exc:
         rec["status"] = f"error:precision:{exc}"
         return rec
-    rec.update(fields)
-    rec.update({
-        "precision": data.M,
-        "np_slopes": _slopes_json(np_poly),
-        "equal": np_poly.values == P.values[:d + 1],
-        "lies_above": lies_above(np_poly, P),
-    })
-    violations = []
-    if params.monotone_bound_ok():
-        if not rec["lies_above"]:
-            violations.append("NP does not lie above the lower bound")
-        if rec["equal"] != rec["h_unit"]:
-            violations.append("polygon equality disagrees with unit verdict")
-        violations += monotone_faults
-    if e == d - 1 and p > c * (d * d - d + 1) and not rec["equal"]:
-        violations.append("forced-equality case failed")
-    violations += gap_faults
-    if dwork:
-        try:
-            res = np_T(params, d, M=precision)
-            rec["np_T_slopes"] = _slopes_json(res.polygon)
-            rec["routes_agree"] = res.polygon.values == np_poly.values
-            rec["sandwich"] = False not in sandwich(params, P, res.polygon, np_poly).values()
-            if not rec["sandwich"]:
-                violations.append("T-adic polygon escapes the sandwich")
-            if trace_k > 0:
-                # the check enumerates F_{q^trace_k} under the run's budget
-                try:
-                    reports = trace_consistency(res.matrix, trace_k,
-                                                default_trace_order(params), budget)
-                except BudgetExceededError:
-                    rec.update(trace_consistency=None, trace_needed_budget=params.q**trace_k)
-                else:
-                    rec["trace_consistency"] = all(r.ok for r in reports)
-                    if not rec["trace_consistency"]:
-                        violations.append("trace formula mismatch")
-        except PrecisionError as exc:
-            rec["status"] = f"error:precision:{exc}"
-            return rec
+    except Exception as exc:  # record, never kill the sweep
+        rec["status"] = f"error:{type(exc).__name__}:{exc}"
+        return rec
     rec["violations"] = violations
     # to the microsecond: a record of a small group takes well under 1 ms
     rec["timings"] = {"total_s": round(time.monotonic() - t0 + shared_s, 6),
@@ -396,22 +402,14 @@ def sweep_record(tup, shared, n_max=None, precision=None, budget=DEFAULT_BUDGET,
 def _group_worker(payload):
     """Records of one (p, a, d, e, c, mu) group, from one shared pass.
 
-    Each record carries the run's ``settings``, the keyword arguments of
-    ``sweep_record``.
+    ``payload`` is the group's points and the run's ``settings``, the
+    keyword arguments of ``sweep_record``, which each record carries.
+    ``sweep_record`` refuses a record itself, so nothing here catches.
     """
-    tups, settings = payload
-    shared = shared_pass(tups, settings["precision"], settings["budget"],
-                         settings["n_max"])
-    records = []
-    for tup in tups:
-        try:
-            rec = sweep_record(tup, shared, **settings)
-        except Exception as exc:  # record, never kill the sweep
-            rec = {"schema": SCHEMA, "key": record_key(tup),
-                   "status": f"error:{type(exc).__name__}:{exc}"}
-        rec["settings"] = settings
-        records.append(rec)
-    return records
+    group, settings = payload
+    shared = shared_pass(group, settings["precision"], settings["budget"], settings["n_max"])
+    return [dict(sweep_record(params, shared, **settings), settings=settings)
+            for params in group]
 
 
 def _load_existing(path: str, settings: dict) -> set[str]:
@@ -457,22 +455,23 @@ def run_grid(args, enforce: bool) -> int:
     """Compute the grid's missing records, group by group, appending each
     group's records as soon as it finishes.
 
-    Tuples that differ only in lambda form a group and share one
-    enumeration pass per k (``shared_pass``).  A key counts as done only
-    when it has a record other than an error made under this run's
-    settings; otherwise it is computed again.
+    Every point is validated as a ``Params`` (``grid_tuples``) before the
+    output file is opened.  Points that differ only in lambda form a group
+    and share one enumeration pass per k (``shared_pass``).  A key counts
+    as done only when it has a record other than an error made under this
+    run's settings; otherwise it is computed again.
     """
-    tuples = grid_tuples(args)
+    points = grid_tuples(args)
     settings = dict(n_max=args.n_max, precision=args.precision,
                     budget=args.budget, dwork=args.dwork, trace_k=args.trace_k)
     existing = _load_existing(args.out, settings) if args.out else set()
-    todo = [tup for tup in tuples if record_key(tup) not in existing]
-    groups: dict[tuple, list] = {}
-    for tup in todo:
-        groups.setdefault(tup[:6], []).append(tup)
+    todo = [pr for pr in points if pr.key() not in existing]
+    groups: dict[tuple, list[Params]] = {}
+    for pr in todo:
+        groups.setdefault((pr.p, pr.a, pr.d, pr.e, pr.c, pr.mu), []).append(pr)
     payloads = [(group, settings) for group in groups.values()]
     violations = 0
-    summary = {"total": len(tuples), "skipped_existing": len(tuples) - len(todo),
+    summary = {"total": len(points), "skipped_existing": len(points) - len(todo),
                "equal": 0, "strict_above": 0, "p_divides_H": 0,
                "violations": 0, "skipped_budget": 0, "errors": 0}
     with contextlib.ExitStack() as stack:

@@ -39,7 +39,6 @@ E as Z_q integers.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 
@@ -47,7 +46,7 @@ from .core_arith import artin_hasse_coeffs, berkowitz, decompose, power_sums
 from .lfunction import DEFAULT_BUDGET, check_trace_inputs, default_precision, exp_sum_Tadic
 from .padic import (PrecisionError, ZqContext, ZqElem, checked_pairs, make_context, pack,
                     poly_pow_mod, slot_bytes)
-from .polygon import Params, Polygon, hodge_polygon, lower_convex_hull
+from .polygon import Params, Polygon, hodge_order, lower_convex_hull
 
 #: extra pi-orders kept beyond the largest valuation that must be resolved
 DEFAULT_GUARD = 6
@@ -304,12 +303,13 @@ class _ProductCoeffs:
         return self._level(0, m)
 
     def _level(self, j: int, m: int) -> PiSeries:
-        """X^m coefficient of the product over j' >= j, a series in X^(p^j):
-        zero unless p^j divides m."""
+        """X^m coefficient of the product over j' >= j, a series in X^(p^j).
+
+        Precondition: p^j divides m.  The top call has j = 0, and each
+        recursive call passes m - n p^j with n = m/p^j mod p, which p^(j+1)
+        divides."""
         p = self.params.p
         pj = p**j
-        if m % pj:
-            return self.zero
         if j == self.params.a - 1:
             return self.gammas[j][m // pj] if m // pj <= self.gamma_max else self.zero
         key = (j, m)
@@ -410,13 +410,12 @@ def auto_sizes(params: Params, n_max: int, least_order: int = 0,
     These are the sizes of a command's one operator: the trace check reads
     that operator and sizes none of its own.
     """
-    d, scale = params.d, params.a * (params.p - 1)
+    d = params.d
     n_top = top_degree(params, n_max)
     if O is None:
-        H = hodge_polygon(params, n_top)
-        lo, hi = H.value(n_top - d), H.value(n_top)
-        chord = lo + (hi - lo) * (d - 1) / d  # at n_top - 1
-        O = max(math.ceil(scale * chord) + DEFAULT_GUARD, least_order)
+        lo, hi = hodge_order(params, n_top - d), hodge_order(params, n_top)
+        chord = -(-(lo + (d - 1) * hi) // d)  # at n_top - 1, rounded up
+        O = max(chord + DEFAULT_GUARD, least_order)
     if N is None:
         N = max(-(-d * O // (params.p - 1)) + 1, n_top)
     return N, O
@@ -459,24 +458,19 @@ def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
     The series come from the operator's integral form (``PsiMatrix``):
     its entries lie in Z_q[[pi]] and nothing divides, so every coefficient
     is exact mod pi^O, and a coefficient below n_top that vanishes there
-    has no point.  The top point is (n_top, HP(n_top)), whose value in
-    pi-units, HP(n_top)*a(p-1), must be an integer, or this raises
-    ``ValueError``.
+    has no point.  The top point is (n_top, HP(n_top)), of order
+    ``hodge_order`` in pi-units.
 
     The traces of A^k, k <= n_max, read off the series must equal those
     from A directly (``direct_traces``), and c_{n_top} must have the top
     point's order wherever O resolves it, or this raises
     ``DworkConsistencyError``.
     """
-    scale = params.a * (params.p - 1)
     n_top = top_degree(params, n_max)
     N, O = auto_sizes(params, n_max, N=N, O=O)
     need_N, need_O = auto_sizes(params, n_max, O)
     certify_sizes(params, N, O, need_O, n_top, f"; suggest N={need_N}, O={need_O}")
-    top = hodge_polygon(params, n_top).value(n_top) * scale
-    if top.denominator != 1:
-        raise ValueError(f"Hodge point {top / scale} at n={n_top} is not an integer "
-                         f"in pi-units (times {scale})")
+    top = hodge_order(params, n_top)
     mat = psi_a_matrix(params, N, O, M)
     coeffs = char_series(mat, n_top)
     mat.traces = power_traces(coeffs)
@@ -487,9 +481,9 @@ def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
     valuations = [cs.t_valuation() for cs in coeffs]
     if (valuations[n_top] is not None or top < O) and valuations[n_top] != top:
         raise DworkConsistencyError(f"c_{n_top} has order {valuations[n_top]} mod pi^{O}, "
-                                    f"the Hodge polygon {top.numerator}")
-    valuations[n_top] = top.numerator
-    polygon = lower_convex_hull(valuations, scale)
+                                    f"the Hodge polygon {top}")
+    valuations[n_top] = top
+    polygon = lower_convex_hull(valuations, params.a * (params.p - 1))
     return NpTResult(polygon=polygon.restrict(n_max),
                      coeffs=coeffs[:n_max + 1], matrix=mat)
 
@@ -518,7 +512,6 @@ def substitute_T(coeffs: list[ZqElem], order: int) -> list[ZqElem]:
 class TraceReport:
     k: int
     checked_order: int
-    agree_order: int
     ok: bool
 
 
@@ -537,9 +530,7 @@ def trace_consistency(mat: PsiMatrix, k_max: int, J: int,
     at the operator's precision M; ``substitute_T`` turns it into a
     pi-series, which is compared with the trace the operator keeps
     (to n_top; a k past it extends the series once) coefficient by
-    coefficient.  The first coefficient that differs has the same index in
-    T and in pi, so ``agree_order`` counts the agreeing T-coefficients
-    too.  Both sides are exact mod p^M, and the traces mod pi^(mat.O), so
+    coefficient.  Both sides are exact mod p^M, and the traces mod pi^(mat.O), so
     any mismatch below the checked order min(J, mat.O - 1) is a failure,
     reported as ``ok=False``.  The traces are exact only where the tail
     rows clear the order, or ``certify_sizes`` raises ``TruncationError``.
@@ -557,9 +548,7 @@ def trace_consistency(mat: PsiMatrix, k_max: int, J: int,
         lhs = substitute_T(exp_sum_Tadic(params, k, J, M, budget).coeffs, check_order)
         rhs = mat.trace_power(k).terms
         scale = (params.q**k - 1) % mat.ctx.pM
-        agree = next((jj for jj in range(check_order + 1)
-                      if lhs[jj].coeffs != (rhs.get(jj, zero) * scale).coeffs),
-                     check_order + 1)
-        reports.append(TraceReport(k=k, checked_order=check_order,
-                                   agree_order=agree, ok=agree > check_order))
+        ok = all(lhs[jj].coeffs == (rhs.get(jj, zero) * scale).coeffs
+                 for jj in range(check_order + 1))
+        reports.append(TraceReport(k=k, checked_order=check_order, ok=ok))
     return reports

@@ -76,7 +76,7 @@ from .padic import (
     unpack,
     x_walk,
 )
-from .polygon import Params, Polygon, hodge_polygon, lower_convex_hull
+from .polygon import Params, Polygon, hodge_order, lower_convex_hull
 
 #: Default cap on field size for a single exponential sum.
 DEFAULT_BUDGET = 2 * 10**7
@@ -805,28 +805,18 @@ def reflect_valuations(low: list[int | None], conj: list[int | None],
 
 
 def classical_l_function(params: Params, M: int | None = None,
-                         budget: int = DEFAULT_BUDGET,
-                         _sums=None, hodge: Polygon | None = None) -> LFunctionData:
+                         budget: int = DEFAULT_BUDGET, _sums=None) -> LFunctionData:
     """The classical L-function's valuations by its ``classical_route``.
 
-    ``_sums`` is one coefficient's entry of ``route_sums_by_lambda``, and
-    ``hodge`` the Hodge polygon on at least [0, d], whose end point the
-    reflection starts from; both are computed when absent.  That end point
-    in pi-units, HP(d) a(p - 1) = a(p - 1)(d - 1)/2 + (a/b) (digit sum),
-    is an integer, since b | a and (p - 1)(d - 1) is even for p prime to
-    d; a ``hodge`` on which it is not raises ``ValueError``.  l_{h+1} is
-    both computed and reflected; the two valuations, each capped at the
-    precision, must agree, or ``FunctionalEquationError`` is raised.
+    ``_sums`` is one coefficient's entry of ``route_sums_by_lambda``,
+    computed when absent.  The reflection starts from the Hodge end point
+    HP(d), of order ``hodge_order`` in pi-units.  l_{h+1} is both computed
+    and reflected; the two valuations, each capped at the precision, must
+    agree, or ``FunctionalEquationError`` is raised.
     """
     M = M or default_precision(params)
     route = classical_route(params.d, params.c)
     step = params.a * (params.p - 1)
-    if hodge is None:
-        hodge = hodge_polygon(params, params.d)
-    top = hodge.value(params.d) * step
-    if top.denominator != 1:
-        raise ValueError(f"Hodge end point {hodge.value(params.d)} is not an integer "
-                         f"in pi-units (times {step})")
     if _sums is None:
         _sums = route_sums_by_lambda(params, [params.lam_index], M,
                                      budget)[params.lam_index]
@@ -837,7 +827,8 @@ def classical_l_function(params: Params, M: int | None = None,
     coeffs = _newton_coeffs(sums)
     low = [c.valuation() for c in coeffs]
     conj = low if conj_sums is None else [c.valuation() for c in _newton_coeffs(conj_sums)]
-    vals = reflect_valuations(low[:h + 1], conj, route.deg, top.numerator, step, M * (p - 1))
+    vals = reflect_valuations(low[:h + 1], conj, route.deg, hodge_order(params, params.d),
+                              step, M * (p - 1))
     if vals[h + 1] != low[h + 1]:
         raise FunctionalEquationError(
             f"l_{h + 1} has valuation {low[h + 1]} computed and {vals[h + 1]} "

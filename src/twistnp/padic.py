@@ -442,10 +442,6 @@ class ZqElem:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        pM = self.ctx.pM
-        return ZqElem(self.ctx, tuple((-c) % pM for c in self.coeffs))
-
     def __pow__(self, k: int):
         return self.ctx.pow(self, k)
 
@@ -453,9 +449,6 @@ class ZqElem:
         if isinstance(other, int):
             other = self.ctx.from_int(other)
         return isinstance(other, ZqElem) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def _coerce(self, other) -> "ZqElem":
         if isinstance(other, int):
@@ -515,9 +508,6 @@ class RamifiedElem:
 
     def __eq__(self, other):
         return isinstance(other, RamifiedElem) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
 
     def valuation(self) -> int | None:
         """Certified valuation in pi_1-units (p has p - 1 of them); None

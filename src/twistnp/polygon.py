@@ -78,19 +78,13 @@ class Params:
         return self.p > monotone_bound(self.d, self.e)
 
     def key(self) -> str:
-        return record_key((self.p, self.a, self.d, self.e, self.c, self.mu,
-                           self.lam_index))
+        """The sweep-record key."""
+        return f"p{self.p}_a{self.a}_d{self.d}_e{self.e}_c{self.c}_mu{self.mu}_l{self.lam_index}"
 
 
 def monotone_bound(d: int, e: int) -> int:
     """The slope-monotonicity threshold (d-e)(2d-1); theorems need p above it."""
     return (d - e) * (2 * d - 1)
-
-
-def record_key(tup: tuple[int, ...]) -> str:
-    """Sweep-record key of a (p, a, d, e, c, mu, lam) tuple, valid or not."""
-    p, a, d, e, c, mu, lam = tup
-    return f"p{p}_a{a}_d{d}_e{e}_c{c}_mu{mu}_l{lam}"
 
 
 @dataclass(frozen=True)
@@ -136,6 +130,16 @@ def hodge_polygon(params: Params, n_max: int) -> Polygon:
                      params.b * params.d * (params.p - 1))
     vals = [Fraction(n * (n - 1), 2 * params.d) + n * shift for n in range(n_max + 1)]
     return Polygon(tuple(vals))
+
+
+def hodge_order(params: Params, n: int) -> int:
+    """HP(n) a(p-1), the Hodge polygon at a multiple n = md of d in
+    pi-units: a(p-1) m(n-1)/2 + m (a/b) (digit sum of one period).
+
+    An integer, since b | a and (p-1) m(n-1) is even for p prime to d.
+    """
+    m = n // params.d
+    return params.a * (params.p - 1) * m * (n - 1) // 2 + m * sum(params.digits)
 
 
 def lower_bound_polygon(params: Params, n_max: int) -> Polygon:

@@ -207,6 +207,42 @@ def test_lfunc_command(capsys):
     assert data["newton_slopes"] == ["0/1", "2/5", "3/5"]
 
 
+def _frac(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _extended_slopes(argv, capsys):
+    code, out = _run(capsys, argv)
+    assert code == 0
+    data = json.loads(out)
+    values = [Fraction(v) for _, v in data["extended_polygon"]["vertices"]]
+    return data, [b - a for a, b in zip(values, values[1:])]
+
+
+@pytest.mark.parametrize("tup, n_max, want", [
+    (["--p", "11", "--d", "3", "--e", "2"], 7, ["0", "2/5", "3/5", "1", "7/5", "8/5", "2"]),
+    (["--p", "11", "--d", "4", "--e", "1", "--c", "2"], 9,
+     ["1/5", "3/10", "7/10", "4/5", "6/5", "13/10", "17/10", "9/5", "11/5"]),
+])
+def test_lfunc_extends_the_polygon_by_the_slope_rule(capsys, tup, n_max, want):
+    # the extension restricts to the Newton polygon on [0, d], and
+    # slope(n + d) = slope(n) + 1; both lists are dwork's np_T_slopes at
+    # the same n_max
+    d = int(tup[3])
+    data, slopes = _extended_slopes(["lfunc"] + tup + ["--n-max", str(n_max)], capsys)
+    assert slopes == [Fraction(s) for s in want]
+    assert data["newton_slopes"] == [_frac(s) for s in slopes[:d]]
+    assert all(slopes[n + d] == slopes[n] + 1 for n in range(n_max - d))
+
+
+def test_lfunc_extension_is_the_tadic_polygon(capsys):
+    tup = ["--p", "11", "--d", "3", "--e", "2", "--n-max", "6"]
+    _, slopes = _extended_slopes(["lfunc"] + tup, capsys)
+    code, out = _run(capsys, ["dwork"] + tup)
+    assert code == 0
+    assert json.loads(out)["np_T_slopes"] == [_frac(s) for s in slopes]
+
+
 def test_verify_small_grid_and_resume(tmp_path, capsys):
     out_file = tmp_path / "sweep.jsonl"
     # p = 2 is not above the half route's k_max = 2, so the recurrence
@@ -230,6 +266,65 @@ def test_verify_small_grid_and_resume(tmp_path, capsys):
     assert summary2["skipped_existing"] == 2 and summary2["errors"] == 1
     error_lines = [x for x in lines if '"error:' in x]
     assert out_file.read_text().strip().splitlines() == lines + error_lines
+
+
+def _records(path):
+    return [json.loads(x) for x in path.read_text().splitlines()]
+
+
+def test_grid_e_max_takes_d_minus_one(tmp_path, capsys):
+    out_file = tmp_path / "emax.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "verify", "--d", "3,4", "--e", "max",
+                            "--primes", "11"])
+    assert code == 0
+    assert [(r["d"], r["e"]) for r in _records(out_file)] == [(3, 2), (4, 3)]
+
+
+def test_grid_skips_an_explicit_mu_sharing_a_factor_with_c(tmp_path, capsys):
+    out_file = tmp_path / "mu.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "verify", "--d", "3", "--e", "2",
+                            "--c", "4", "--mu", "1,2,3", "--primes", "13"])
+    assert code == 0
+    assert [r["mu"] for r in _records(out_file)] == [1, 3]
+
+
+def test_grid_small_primes_start_at_two(tmp_path, capsys):
+    # without --primes, --allow-small-p takes the first primes prime to c*d
+    out_file = tmp_path / "small.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "sweep", "--d", "3", "--e", "2",
+                            "--allow-small-p"])
+    assert code == 0
+    assert [r["p"] for r in _records(out_file)] == [2, 5, 7]
+
+
+def test_verify_records_a_classical_precision_error(tmp_path, capsys):
+    out_file = tmp_path / "precision.jsonl"
+    code, out = _run(capsys, ["--precision", "1", "--out", str(out_file), "verify",
+                              "--d", "3", "--e", "2", "--primes", "11",
+                              "--lam-policy", "first:2"])
+    assert code == 1
+    assert json.loads(out)["summary"]["errors"] == 2
+    recs = _records(out_file)
+    assert [r["lambda_index"] for r in recs] == [0, 1]
+    for rec in recs:
+        assert rec["status"].startswith("error:precision:")
+        assert rec["status"].endswith("retry with M >= 4")
+        assert rec["route"] == "functional-equation" and rec["enum_field"] == 11**2
+
+
+def test_resume_passes_over_blank_lines(tmp_path, capsys):
+    out_file = tmp_path / "sweep.jsonl"
+    argv = ["--out", str(out_file), "verify", "--d", "3", "--e", "2",
+            "--primes", "11", "--lam-policy", "first:1"]
+    assert _run(capsys, argv)[0] == 0
+    with open(out_file, "a", encoding="utf-8") as fh:
+        fh.write("\n   \n")
+    written = out_file.read_text()
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["summary"]["skipped_existing"] == 1
+    assert out_file.read_text() == written
+    assert not (tmp_path / "sweep.jsonl.quarantine").exists()
 
 
 def test_verify_skips_explicit_primes_sharing_a_factor_with_c(tmp_path, capsys):
@@ -326,7 +421,7 @@ def test_verify_writes_each_group_before_the_next(tmp_path, capsys, monkeypatch)
     real_pass = cli.shared_pass
 
     def killed_at_second_group(tups, *args, **kwargs):
-        if tups[0][0] == 13:
+        if tups[0].p == 13:
             raise KeyboardInterrupt
         return real_pass(tups, *args, **kwargs)
 
@@ -642,8 +737,13 @@ def test_verify_records_a_reflection_mismatch(tmp_path, capsys, monkeypatch):
     assert code == 1
     recs = [json.loads(x) for x in out_file.read_text().splitlines()]
     assert len(recs) == 2
-    assert all(r["status"].startswith("error:FunctionalEquationError:l_3 ")
-               for r in recs)
+    # the record keeps its point's fields, route and largest field
+    for rec, c in zip(recs, (1, 2)):
+        assert rec["status"].startswith("error:FunctionalEquationError:l_3 ")
+        assert rec["key"] == f"p43_a1_d5_e2_c{c}_mu1_l0"
+        assert (rec["p"], rec["a"], rec["d"], rec["e"], rec["c"], rec["mu"],
+                rec["lambda_index"]) == (43, 1, 5, 2, c, 1, 0)
+        assert rec["route"] == "functional-equation" and rec["enum_field"] == 43**3
 
 
 def test_small_p_sweep_with_dwork(tmp_path, capsys):
@@ -723,6 +823,34 @@ def test_verify_empty_grid(tmp_path, capsys):
     assert not out_file.exists() or out_file.read_text() == ""
 
 
+@pytest.mark.parametrize("grid", [
+    ["--d", "1", "--e", "all", "--primes", "3"],
+    ["--d", "0", "--e", "max", "--primes", "3"],
+    ["--d", "3,1", "--e", "max", "--primes", "3,5"],
+])
+def test_grid_refuses_d_below_two(tmp_path, capsys, grid):
+    # no binomial has d < 2: refused, not read as an empty grid or as
+    # error records
+    out_file = tmp_path / "none.jsonl"
+    code = main(["--out", str(out_file), "verify"] + grid)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: --d entries must be >= 2, got {grid[1][-1]}\n"
+    assert not out_file.exists()
+
+
+def test_grid_points_are_validated_before_the_output_opens(tmp_path, capsys, monkeypatch):
+    import twistnp.cli as cli
+
+    monkeypatch.setattr(cli, "_grid_primes", lambda *args: [11, 4])
+    out_file = tmp_path / "none.jsonl"
+    code = main(["--out", str(out_file), "sweep", "--d", "3", "--e", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: p must be prime, got 4\n"
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_grid_rejects_a_multiple_below_one(tmp_path, capsys, command):
     # a = 0 gives q = 1: no lambda, no tuple, and nothing was verified
@@ -780,18 +908,25 @@ def test_p_threshold_refusal_keeps_the_record_fields(tmp_path, capsys):
 
 
 def test_grid_records_take_the_hodge_polygon_of_their_group(tmp_path, capsys, monkeypatch):
-    import twistnp.lfunction as lfunction
+    import twistnp.cli as cli
+    import twistnp.polygon as polygon
 
-    def no_hodge(*args, **kwargs):
-        raise AssertionError("a record built the Hodge polygon again")
+    real, calls = polygon.hodge_polygon, []
 
-    monkeypatch.setattr(lfunction, "hodge_polygon", no_hodge)
+    def counted(params, n_max):
+        calls.append((params.c, params.mu, n_max))
+        return real(params, n_max)
+
+    for owner in (cli, polygon):
+        monkeypatch.setattr(owner, "hodge_polygon", counted)
     out_file = tmp_path / "grid.jsonl"
     code, _ = _run(capsys, ["--out", str(out_file), "verify", "--d", "3", "--e", "2",
                             "--c", "1,3", "--primes", "7", "--lam-policy", "first:3"])
     assert code == 0
     recs = [json.loads(x) for x in out_file.read_text().splitlines()]
     assert len(recs) == 9 and all(r["status"] == "ok" for r in recs)
+    # one Hodge polygon per (p, a, d, e, c, mu) group, to 3d, and none per record
+    assert calls == [(1, 1, 9), (3, 1, 9), (3, 2, 9)]
 
 
 def test_over_budget_sandwich_is_refused_before_the_operator(capsys, monkeypatch):

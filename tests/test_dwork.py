@@ -44,7 +44,7 @@ from twistnp.dwork import (
 )
 from twistnp.lfunction import newton_polygon_classical
 from twistnp.padic import make_context
-from twistnp.polygon import Params, Polygon, hodge_polygon, lies_above, lower_bound_polygon
+from twistnp.polygon import Params, hodge_polygon, lies_above, lower_bound_polygon
 
 F = Fraction
 
@@ -507,24 +507,20 @@ def test_np_T_checks_the_top_point(monkeypatch):
     import twistnp.dwork as dwork
 
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
-    real = dwork.hodge_polygon
+    real = dwork.hodge_order
 
     def moved_top(by):
-        def hodge(params, n_max):
-            H = real(params, n_max)
-            return Polygon(H.values[:-1] + (H.values[-1] + by,))
+        def hodge(params, n):
+            return real(params, n) + (by if n == 3 else 0)
         return hodge
 
     assert np_T(pr, 3, O=40).coeffs[3].t_valuation() == 10
-    monkeypatch.setattr(dwork, "hodge_polygon", moved_top(F(1, 10)))
+    monkeypatch.setattr(dwork, "hodge_order", moved_top(1))
     with pytest.raises(DworkConsistencyError, match="c_3 has order 10 mod pi\\^40"):
         np_T(pr, 3, O=40)
     # a top point of 6 sizes O at 10, which leaves c_3 unread, yet 6 < 10
-    monkeypatch.setattr(dwork, "hodge_polygon", moved_top(F(-2, 5)))
+    monkeypatch.setattr(dwork, "hodge_order", moved_top(-4))
     with pytest.raises(DworkConsistencyError, match="c_3 has order None mod pi\\^10"):
-        np_T(pr, 3)
-    monkeypatch.setattr(dwork, "hodge_polygon", moved_top(F(1, 20)))
-    with pytest.raises(ValueError, match="not an integer in pi-units"):
         np_T(pr, 3)
 
 
@@ -691,8 +687,7 @@ def test_trace_consistency_p11(monkeypatch):
     for mat, checked in zip(mats, (6, 6, 5)):
         reports = trace_consistency(mat, k_max=3, J=6)
         for rep in reports:
-            assert rep.ok
-            assert rep.agree_order == rep.checked_order + 1 == checked + 1
+            assert rep.ok and rep.checked_order == checked
 
 
 def test_trace_consistency_reads_the_params_of_its_operator():
@@ -719,13 +714,18 @@ def test_trace_consistency_reports_a_mismatch(monkeypatch):
 
     def off_by_one(*args, **kwargs):
         s = real(*args, **kwargs)
-        s.coeffs[1] = s.coeffs[1] + 1
+        if len(s.coeffs) > 1:
+            s.coeffs[1] = s.coeffs[1] + 1
         return s
 
     monkeypatch.setattr(dwork, "exp_sum_Tadic", off_by_one)
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
-    reports = trace_consistency(np_T(pr, 3).matrix, k_max=2, J=4)
-    assert [(r.ok, r.agree_order) for r in reports] == [(False, 1), (False, 1)]
+    mat = np_T(pr, 3).matrix
+    # the T^1 coefficient is off, so the check fails from order 1 on; the
+    # change of variable is triangular, so order 0 still agrees
+    for J, ok in ((0, True), (1, False), (4, False)):
+        reports = trace_consistency(mat, k_max=2, J=J)
+        assert [(r.ok, r.checked_order) for r in reports] == [(ok, J), (ok, J)]
 
 
 def test_non_unit_case_tadic_polygon():

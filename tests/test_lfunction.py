@@ -71,6 +71,7 @@ from twistnp.padic import (
 from twistnp.polygon import (
     Params,
     Polygon,
+    hodge_order,
     hodge_polygon,
     lies_above,
     lower_bound_polygon,
@@ -935,21 +936,16 @@ def test_reflection_top_is_an_integer():
     for p, a, d, c in _reflection_top_grid():
         for mu in (m for m in range(1, c + 1) if math.gcd(m, c) == 1):
             pr = Params(p=p, a=a, d=d, e=1, c=c, mu=mu)
-            top = hodge_polygon(pr, d).value(d) * a * (p - 1)
+            H = hodge_polygon(pr, 2 * d)
+            top = H.value(d) * a * (p - 1)
             assert top.denominator == 1, pr.key()
+            for n in (d, 2 * d):
+                assert hodge_order(pr, n) == H.value(n) * a * (p - 1), (pr.key(), n)
             seen.add((p == 2, c, a > pr.b))
     assert {(True, 1, True), (False, 4, True), (False, 3, True)} <= seen
-
-
-def test_reflection_refuses_a_fractional_top():
-    # handed a Hodge end point that is not an integer in pi-units, the
-    # reflection raises rather than rounding it
+    # the reflection starts from that top: l_deg has valuation HP(d) a(p - 1)
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
-    H = hodge_polygon(pr, 3)
-    assert classical_l_function(pr, hodge=H).valuations[-1] == H.value(3) * 10
-    bad = Polygon(H.values[:-1] + (H.values[-1] + F(1, 20),))
-    with pytest.raises(ValueError, match="not an integer in pi-units"):
-        classical_l_function(pr, hodge=bad)
+    assert classical_l_function(pr).valuations[-1] == hodge_order(pr, 3) == 10
 
 
 def test_half_route_reach_below_d():
