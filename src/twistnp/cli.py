@@ -193,8 +193,13 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def grid_tuples(args) -> list[Params]:
-    """The points of the requested grid, in sorted order, each validated
-    as a ``Params``: a point no binomial has raises ``ValueError``."""
+    """The points of the requested grid, in the order the flags list them,
+    each validated as a ``Params``: a point no binomial has raises
+    ``ValueError``.
+
+    An explicit mu is read mod c, as 1..c, since mu and mu + c give one
+    character; a point that comes twice is kept once, where it first
+    comes."""
     # flags no tuple can come from are refused, not read as an empty grid
     if args.a_multiple < 1:  # a = 0 would make q = 1
         raise ValueError(f"--a-multiple must be >= 1, got {args.a_multiple}")
@@ -218,8 +223,8 @@ def grid_tuples(args) -> list[Params]:
             e_list = [e for e in _parse_int_list(args.e) if 0 < e < d and math.gcd(d, e) == 1]
         for e in e_list:
             for c in _parse_int_list(args.c):
-                mus = [m for m in range(1, c + 1) if math.gcd(m, c) == 1] \
-                    if args.mu == "all" else _parse_int_list(args.mu)
+                mus = range(1, c + 1) if args.mu == "all" \
+                    else [(mu - 1) % c + 1 for mu in _parse_int_list(args.mu)]
                 for mu in mus:
                     if math.gcd(mu, c) != 1:
                         continue
@@ -233,7 +238,7 @@ def grid_tuples(args) -> list[Params]:
                         for lam in lambda_indices(q):
                             points.append(Params(p=p, a=a, d=d, e=e, c=c, mu=mu,
                                                  lam_index=lam))
-    return points
+    return list(dict.fromkeys(points))
 
 
 def _grid_primes(args, d, e, c) -> list[int]:

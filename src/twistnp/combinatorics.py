@@ -11,12 +11,10 @@ carry exactly the optimal permutations, which is all the Hasse layer needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core_arith import check_exponents, decompose
 
 
-@dataclass(frozen=True)
 class CombInstance:
     """Parameters (p, d, e, t) of one assignment instance.
 
@@ -25,15 +23,13 @@ class CombInstance:
     residue for p).
     """
 
-    p: int
-    d: int
-    e: int
-    t: int
+    __slots__ = ("p", "d", "e", "t")
 
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"p must be positive, got {self.p}")
-        check_exponents(self.d, self.e)
+    def __init__(self, p: int, d: int, e: int, t: int):
+        if p < 1:
+            raise ValueError(f"p must be positive, got {p}")
+        check_exponents(d, e)
+        self.p, self.d, self.e, self.t = p, d, e, t
 
     def decompose(self, i: int, j: int) -> tuple[int, int]:
         """``core_arith.decompose`` of the target p*i - j + t."""

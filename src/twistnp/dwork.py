@@ -40,7 +40,6 @@ E as Z_q integers.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 from .core_arith import artin_hasse_coeffs, berkowitz, decompose, power_sums
 from .lfunction import DEFAULT_BUDGET, check_trace_inputs, default_precision, exp_sum_Tadic
@@ -60,7 +59,6 @@ class TruncationError(PrecisionError):
     """The operator sizes (N, O) cannot certify the characteristic series."""
 
 
-@dataclass(slots=True)
 class PiSeries:
     """Finite sum of c * pi^n with n in [0, order).
 
@@ -74,12 +72,19 @@ class PiSeries:
     i (``padic.pack``, slots of ``slot_width`` bytes), so a product of two
     coefficients is one integer product whose slot i + j holds the X^(i+j)
     sum.  Every operation, sums and scalar multiples included, is ``_dot``.
-    A series is immutable by convention.
+    A series is immutable by convention; two series are equal when their
+    context, order and terms are, and a series has no hash.
     """
 
-    ctx: ZqContext
-    order: int
-    packed: list[tuple[int, int]] = field(default_factory=list)
+    __slots__ = ("ctx", "order", "packed")
+
+    def __init__(self, ctx: ZqContext, order: int, packed: list[tuple[int, int]] | None = None):
+        self.ctx, self.order, self.packed = ctx, order, [] if packed is None else packed
+
+    def __eq__(self, other):
+        if not isinstance(other, PiSeries):
+            return NotImplemented
+        return (self.ctx, self.order, self.packed) == (other.ctx, other.order, other.packed)
 
     def zero(self) -> "PiSeries":
         """The zero series of this order."""
@@ -210,7 +215,6 @@ def ef_gamma_coeffs(ctx: ZqContext, d: int, e: int, lam_hat: ZqElem,
     return out
 
 
-@dataclass
 class PsiMatrix:
     """The power-q operator on the first N monomial basis vectors, in its
     integral form B = Delta A Delta^-1, Delta = diag(pi^(w/d)): entry (w, i)
@@ -229,12 +233,12 @@ class PsiMatrix:
     them to n_top, where the trace check reads them.
     """
 
-    params: Params
-    ctx: ZqContext
-    N: int
-    O: int
-    entries: list[list[PiSeries]]
-    traces: list[PiSeries | None] = field(default_factory=list, repr=False)
+    __slots__ = ("params", "ctx", "N", "O", "entries", "traces")
+
+    def __init__(self, params: Params, ctx: ZqContext, N: int, O: int,
+                 entries: list[list[PiSeries]]):
+        self.params, self.ctx, self.N, self.O, self.entries = params, ctx, N, O, entries
+        self.traces: list[PiSeries] = []
 
     def trace_power(self, k: int) -> PiSeries:
         """Tr(A^k), read off the characteristic series, which is extended
@@ -435,11 +439,14 @@ def certify_sizes(params: Params, N: int, O: int, need_O: int = 0, n_top: int = 
             raise TruncationError(f"truncation certificate failed: {reason}{suggest}")
 
 
-@dataclass
 class NpTResult:
-    polygon: Polygon
-    coeffs: list[PiSeries]
-    matrix: PsiMatrix
+    """The T-adic polygon to n_max, c_0..c_{n_max} of the characteristic
+    series, and the operator they come from."""
+
+    __slots__ = ("polygon", "coeffs", "matrix")
+
+    def __init__(self, polygon: Polygon, coeffs: list[PiSeries], matrix: PsiMatrix):
+        self.polygon, self.coeffs, self.matrix = polygon, coeffs, matrix
 
 
 def np_T(params: Params, n_max: int, N: int | None = None, O: int | None = None,
@@ -508,11 +515,13 @@ def substitute_T(coeffs: list[ZqElem], order: int) -> list[ZqElem]:
     return acc
 
 
-@dataclass
 class TraceReport:
-    k: int
-    checked_order: int
-    ok: bool
+    """The trace check at T^0..T^checked_order of Tr(A^k)."""
+
+    __slots__ = ("k", "checked_order", "ok")
+
+    def __init__(self, k: int, checked_order: int, ok: bool):
+        self.k, self.checked_order, self.ok = k, checked_order, ok
 
 
 def default_trace_order(params: Params) -> int:

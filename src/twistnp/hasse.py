@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import (
@@ -122,17 +121,18 @@ def _digits(n: int) -> str:
     return str(decimal.Decimal(n))
 
 
-@dataclass(frozen=True)
 class HasseCertificate:
-    """Everything Theorem-1.3-shaped about one parameter tuple."""
+    """Everything Theorem-1.3-shaped about one parameter tuple.
 
-    p: int
-    pp: int  # p mod c*d, the residue H is computed at
-    h_factors: dict
-    h_valuation: object
-    h_unit: bool
-    H: int
-    p_divides_H: bool
+    ``pp`` is p mod c*d, the residue H is computed at.
+    """
+
+    __slots__ = ("p", "pp", "h_factors", "h_valuation", "h_unit", "H", "p_divides_H")
+
+    def __init__(self, p: int, pp: int, h_factors: dict, h_valuation, h_unit: bool, H: int,
+                 p_divides_H: bool):
+        self.p, self.pp, self.h_factors, self.h_valuation = p, pp, h_factors, h_valuation
+        self.h_unit, self.H, self.p_divides_H = h_unit, H, p_divides_H
 
     def verdicts_consistent(self) -> bool:
         return self.h_unit == (not self.p_divides_H)

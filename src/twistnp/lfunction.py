@@ -55,7 +55,6 @@ import operator
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -488,15 +487,16 @@ class SubfieldDescent:
 # exponential sums
 
 
-@dataclass
 class ClassicalSum:
-    """One classical twisted sum over F_{q^k}: its (p, c) counts and its
-    values in the base ring Z_q[zeta_p]."""
+    """One classical twisted sum over F_{q^k}: its (p, c) counts, p rows of
+    c counts, and its value in the base ring Z_q[zeta_p], with the value's
+    complex conjugate when it was asked for."""
 
-    k: int
-    counts: list[list[int]]  # p rows of c counts
-    value: RamifiedElem
-    conj_value: RamifiedElem | None = None  # the complex conjugate
+    __slots__ = ("k", "counts", "value", "conj_value")
+
+    def __init__(self, k: int, counts: list[list[int]], value: RamifiedElem,
+                 conj_value: RamifiedElem | None = None):
+        self.k, self.counts, self.value, self.conj_value = k, counts, value, conj_value
 
 
 def classical_sums_multi(params: Params, k: int, lam_indices: list[int],
@@ -544,13 +544,13 @@ def _field(params: Params, k: int, M: int | None) -> tuple[ZqContext, SubfieldDe
     return big, _descent_for(params, big)
 
 
-@dataclass
 class TadicSum:
     """Truncated T-adic sum: coefficients of T^0..T^J over the base ring."""
 
-    k: int
-    J: int
-    coeffs: list[ZqElem]
+    __slots__ = ("k", "J", "coeffs")
+
+    def __init__(self, k: int, J: int, coeffs: list[ZqElem]):
+        self.k, self.J, self.coeffs = k, J, coeffs
 
 
 def check_trace_inputs(params: Params, k_max: int, J: int, budget: int) -> None:
@@ -663,17 +663,23 @@ FUNCTIONAL_EQUATION_CONJUGATE = "functional-equation-conjugate"
 FULL_ENUMERATION = "full-enumeration"
 
 
-@dataclass(frozen=True)
 class Route:
     """How the classical polygon of one (d, c) is computed.
 
     ``deg`` is the degree of the L-function whose coefficients are
-    computed, and S_1..S_k_max are the sums enumerated for it.
+    computed, and S_1..S_k_max are the sums enumerated for it.  Two routes
+    are equal when all three fields are.
     """
 
-    name: str
-    deg: int
-    k_max: int
+    __slots__ = ("name", "deg", "k_max")
+
+    def __init__(self, name: str, deg: int, k_max: int):
+        self.name, self.deg, self.k_max = name, deg, k_max
+
+    def __eq__(self, other):
+        if not isinstance(other, Route):
+            return NotImplemented
+        return (self.name, self.deg, self.k_max) == (other.name, other.deg, other.k_max)
 
     def field_size(self, p: int, a: int) -> int:
         """The largest field the route enumerates, F_{q^k_max}."""
@@ -729,23 +735,24 @@ def route_sums_by_lambda(params: Params, lam_indices: list[int],
             for li in lam_indices}
 
 
-@dataclass
 class LFunctionData:
     """Coefficients of an L-polynomial and their valuations.
 
     From ``l_polynomial``, ``sums`` are S_1..S_d and ``coeffs`` l_0..l_d.
     From a functional-equation route they are the computed low half of
     the route's L-function, S_1..S_{h+1} and l_0..l_{h+1}, while
-    ``valuations`` covers l_0..l_deg, past l_h by reflection.  For c = 1
-    that L-function is the A^1 one, of degree d - 1.
+    ``valuations`` covers l_0..l_deg, past l_h by reflection, in pi-units,
+    None where a coefficient is below the precision.  For c = 1 that
+    L-function is the A^1 one, of degree d - 1.
     """
 
-    params: Params
-    M: int
-    sums: list[RamifiedElem]
-    coeffs: list[RamifiedElem]
-    valuations: list[int | None]  # pi-units; None when below precision
-    route: str = FULL_ENUMERATION
+    __slots__ = ("params", "M", "sums", "coeffs", "valuations", "route")
+
+    def __init__(self, params: Params, M: int, sums: list[RamifiedElem],
+                 coeffs: list[RamifiedElem], valuations: list[int | None],
+                 route: str = FULL_ENUMERATION):
+        self.params, self.M, self.sums, self.coeffs = params, M, sums, coeffs
+        self.valuations, self.route = valuations, route
 
     def newton_points(self) -> list[int | None]:
         """The classical L-function's valuations in pi-units, the input of

@@ -11,14 +11,12 @@ one integer scale: it runs on integers and makes each value's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import C_value_reduced, CombInstance
 from .core_arith import check_exponents, is_prime, twist_digits
 
 
-@dataclass(frozen=True)
 class Params:
     """Full parameter tuple of one twisted binomial instance.
 
@@ -30,44 +28,51 @@ class Params:
     Derived data: q = p^a, u = (q-1)*mu/c reduced mod q-1, b the
     multiplicative order of p mod c, and the digit list of u in base p:
     the b digits u_k of ``twist_digits``, repeated a/b times (b divides a
-    once c divides q-1).
+    once c divides q-1).  Two tuples are equal, and hash alike, when their
+    seven given fields are.  A tuple is immutable by convention.
     """
 
-    p: int
-    a: int
-    d: int
-    e: int
-    c: int
-    mu: int
-    lam_index: int = 0
-    q: int = field(init=False)
-    u: int = field(init=False)
-    b: int = field(init=False)
-    digits: tuple[int, ...] = field(init=False)
+    __slots__ = ("p", "a", "d", "e", "c", "mu", "lam_index", "q", "u", "b", "digits")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.a < 1:
-            raise ValueError(f"a must be >= 1, got {self.a}")
-        check_exponents(self.d, self.e)
-        if self.d % self.p == 0:
-            raise ValueError(f"p must not divide d, got p={self.p}, d={self.d}")
-        if self.c < 1:
-            raise ValueError(f"c must be >= 1, got {self.c}")
-        q = self.p ** self.a
-        if (q - 1) % self.c != 0:
-            raise ValueError(f"c={self.c} must divide q-1={q - 1}")
-        if math.gcd(self.mu, self.c) != 1:
-            raise ValueError(f"need gcd(mu, c) = 1, got mu={self.mu}, c={self.c}")
-        if not (0 <= self.lam_index <= q - 2):
-            raise ValueError(f"lam_index must lie in [0, q-2], got {self.lam_index}")
-        digits = tuple(u for _, u in twist_digits(self.p, self.mu, self.c))
-        b = len(digits)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "u", ((q - 1) // self.c * self.mu) % (q - 1))
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "digits", digits * (self.a // b))
+    def __init__(self, p: int, a: int, d: int, e: int, c: int, mu: int, lam_index: int = 0):
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if a < 1:
+            raise ValueError(f"a must be >= 1, got {a}")
+        check_exponents(d, e)
+        if d % p == 0:
+            raise ValueError(f"p must not divide d, got p={p}, d={d}")
+        if c < 1:
+            raise ValueError(f"c must be >= 1, got {c}")
+        q = p ** a
+        if (q - 1) % c != 0:
+            raise ValueError(f"c={c} must divide q-1={q - 1}")
+        if math.gcd(mu, c) != 1:
+            raise ValueError(f"need gcd(mu, c) = 1, got mu={mu}, c={c}")
+        if not (0 <= lam_index <= q - 2):
+            raise ValueError(f"lam_index must lie in [0, q-2], got {lam_index}")
+        digits = tuple(u for _, u in twist_digits(p, mu, c))
+        self.p, self.a, self.d, self.e = p, a, d, e
+        self.c, self.mu, self.lam_index = c, mu, lam_index
+        self.q = q
+        self.u = ((q - 1) // c * mu) % (q - 1)
+        self.b = len(digits)
+        self.digits = digits * (a // self.b)
+
+    def _fields(self) -> tuple[int, ...]:
+        return (self.p, self.a, self.d, self.e, self.c, self.mu, self.lam_index)
+
+    def __eq__(self, other):
+        if not isinstance(other, Params):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return ("Params(p={}, a={}, d={}, e={}, c={}, mu={}, lam_index={})"
+                .format(*self._fields()))
 
     def u_digit(self, k: int) -> int:
         """Digit u_k of u in base p, indexed cyclically mod b."""
@@ -87,17 +92,23 @@ def monotone_bound(d: int, e: int) -> int:
     return (d - e) * (2 * d - 1)
 
 
-@dataclass(frozen=True)
 class Polygon:
-    """Values of a polygon at indices 0..n_max as exact rationals."""
+    """Values of a polygon at indices 0..n_max as exact rationals; two
+    polygons are equal when their values are."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: tuple[Fraction, ...]):
+        if not values:
             raise ValueError("polygon needs at least the index-0 point")
-        if self.values[0] != 0:
+        if values[0] != 0:
             raise ValueError("polygon must start at value 0")
+        self.values = values
+
+    def __eq__(self, other):
+        if not isinstance(other, Polygon):
+            return NotImplemented
+        return self.values == other.values
 
     @property
     def n_max(self) -> int:

@@ -288,6 +288,35 @@ def test_grid_skips_an_explicit_mu_sharing_a_factor_with_c(tmp_path, capsys):
     assert [r["mu"] for r in _records(out_file)] == [1, 3]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--d", "3,3", "--e", "2", "--primes", "11"],
+    ["--d", "3", "--e", "2", "--primes", "11,11"],
+    ["--d", "3", "--e", "2", "--c", "1,1", "--primes", "11"],
+    ["--d", "3", "--e", "2,2", "--primes", "11"],
+])
+def test_grid_computes_a_repeated_entry_once(tmp_path, capsys, flags):
+    out_file = tmp_path / "repeat.jsonl"
+    code, out = _run(capsys, ["--out", str(out_file), "verify"] + flags)
+    assert code == 0
+    assert json.loads(out)["summary"]["total"] == 1
+    assert [r["key"] for r in _records(out_file)] == ["p11_a1_d3_e2_c1_mu1_l0"]
+
+
+def test_grid_reads_mu_mod_c(tmp_path, capsys):
+    # mu, mu + c and mu - c give one character, so one key
+    out_file = tmp_path / "mu_mod_c.jsonl"
+    code, out = _run(capsys, ["--out", str(out_file), "verify", "--d", "3", "--e", "2",
+                              "--c", "3", "--mu=-1,2,5", "--primes", "7"])
+    assert code == 0
+    assert json.loads(out)["summary"]["total"] == 1
+    assert [(r["key"], r["u"]) for r in _records(out_file)] == [("p7_a1_d3_e2_c3_mu2_l0", 4)]
+    out_file = tmp_path / "mu_per_c.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "verify", "--d", "3", "--e", "2",
+                            "--c", "1,3", "--mu", "1,2", "--primes", "7"])
+    assert code == 0
+    assert [(r["c"], r["mu"]) for r in _records(out_file)] == [(1, 1), (3, 1), (3, 2)]
+
+
 def test_grid_small_primes_start_at_two(tmp_path, capsys):
     # without --primes, --allow-small-p takes the first primes prime to c*d
     out_file = tmp_path / "small.jsonl"
@@ -1048,6 +1077,20 @@ def test_cli_import_leaves_numpy_out():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # start-up cost: the records are plain classes, so neither the
+    # dataclasses machinery nor the inspect module it pulls in is loaded
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twistnp.__file__)))
+    code = ("import sys; bare = set(sys.modules); import twistnp.cli; "
+            "print(*sorted(set(sys.modules) - bare))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "twistnp.cli" in added
+    assert not {"dataclasses", "inspect"} & added
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")

@@ -177,6 +177,21 @@ def test_pi_series_arithmetic():
                 op(other, a)
 
 
+def test_pi_series_equality():
+    # np_T's trace check compares series with != : equal terms and order
+    # make equal series, one term or the order apart makes them differ
+    ctx = _gamma_ctx()
+    terms = {0: ctx.one(), 2: ctx.from_int(3)}
+    a, b = series_of(ctx, 6, terms), series_of(ctx, 6, dict(terms))
+    assert a is not b and a == b and not a != b
+    assert a != series_of(ctx, 6, {0: ctx.one(), 2: ctx.from_int(4)})
+    assert a != series_of(ctx, 6, {0: ctx.one()})
+    assert a != series_of(ctx, 7, terms)
+    assert PiSeries(ctx, 6) == a.zero() != a
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 @pytest.mark.parametrize("p, deg, M", [(7, 1, 11), (2, 2, 9), (11, 2, 6), (5, 3, 9), (3, 4, 8)])
 def test_dot_matches_the_dict_oracle(p, deg, M):
     # the packed product against the term-pair walk over the dicts
