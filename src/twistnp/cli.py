@@ -67,12 +67,18 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
+def _mu_mod_c(mu: int, c: int) -> int:
+    """mu read mod c, as 1..c: mu and mu + c give one character, so one
+    key.  A c below 1 leaves mu as it is, for ``Params`` to refuse c."""
+    return (mu - 1) % c + 1 if c >= 1 else mu
+
+
 def _params_from_args(args) -> Params:
     lam = args.lam
     if lam is None:  # the generator g by default; at q = 2, g = g^0
         lam = 0 if (args.p, args.a) == (2, 1) else 1
     return Params(p=args.p, a=args.a, d=args.d, e=args.e, c=args.c,
-                  mu=args.mu, lam_index=lam)
+                  mu=_mu_mod_c(args.mu, args.c), lam_index=lam)
 
 
 def _add_param_flags(sub):
@@ -197,8 +203,8 @@ def grid_tuples(args) -> list[Params]:
     each validated as a ``Params``: a point no binomial has raises
     ``ValueError``.
 
-    An explicit mu is read mod c, as 1..c, since mu and mu + c give one
-    character; a point that comes twice is kept once, where it first
+    An explicit mu is read mod c (``_mu_mod_c``), as the single-tuple
+    commands read it; a point that comes twice is kept once, where it first
     comes."""
     # flags no tuple can come from are refused, not read as an empty grid
     if args.a_multiple < 1:  # a = 0 would make q = 1
@@ -224,7 +230,7 @@ def grid_tuples(args) -> list[Params]:
         for e in e_list:
             for c in _parse_int_list(args.c):
                 mus = range(1, c + 1) if args.mu == "all" \
-                    else [(mu - 1) % c + 1 for mu in _parse_int_list(args.mu)]
+                    else [_mu_mod_c(mu, c) for mu in _parse_int_list(args.mu)]
                 for mu in mus:
                     if math.gcd(mu, c) != 1:
                         continue

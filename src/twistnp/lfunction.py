@@ -37,14 +37,18 @@ The T-adic sum (``exp_sum_Tadic``) needs the p-adic trace of each lifted
 value, not its residue, so it cannot bin traces mod p.  It reads one
 Teichmuller trace table instead (``TeichmullerTable``), indexed like the
 classical one: with omega the Teichmuller lift of g, T[u] = Tr(omega^u)
-mod p^M, and omega^(N/(p-1)) lies in Z_p, so the first N/(p-1) traces and
-their Z_p-multiples give them all.  The lift of theta^l is omega^(l s_1),
-so the two traces of x = g^j are again the strided slices T[dj mod N] and
-T[(l s_1 + ej) mod N].  Per class of j mod c the pass sums the powers of
-their sum, and Stirling numbers of the first kind turn those into the
-falling factorials the T-adic character needs.  The direct sum thus uses
-only the residue field, Teichmuller lifts and the base-ring assembly,
-never the Dwork operator it is checked against.
+mod p^M, and z = omega^L, L = N/(p-1), lies in Z_p, so the first L traces
+and their Z_p-multiples give them all.  The lift of theta^l is
+omega^(l s_1), so the two traces of x = g^j are again the strided slices
+T[dj mod N] and T[(l s_1 + ej) mod N].  The pass reads them only for the
+coset representatives u < L: x = g^(u + sL) has trace
+z^(ds) T[du] + z^(es) T[l s_1 + eu], so per class of u mod c it sums the
+mixed moments of the two traces, and the sum over s < p - 1 of the
+z-powers has a closed form.  That gives the power sums of the traces per
+class of j mod c, and Stirling numbers of the first kind turn those into
+the falling factorials the T-adic character needs.  The direct sum thus
+uses only the residue field, Teichmuller lifts and the base-ring
+assembly, never the Dwork operator it is checked against.
 """
 
 from __future__ import annotations
@@ -83,10 +87,11 @@ DEFAULT_BUDGET = 2 * 10**7
 #: generator powers streamed and binned at a time
 _BLOCK = 1 << 16
 
-#: generator powers a T-adic pass holds at a time.  Its entries are integers
-#: mod p^M, tens of bytes each where the classical pass holds one, and a
-#: class's powers are held beside them: in a whole-field block of F_{11^4}
-#: the `dwork` run of q = 121 peaks at 19.5 MB, in blocks of 2^11 at 18.3 MB
+#: coset representatives a T-adic pass holds at a time.  Its entries are
+#: integers mod p^M, tens of bytes each where the classical pass holds one,
+#: and up to J powers of a class's B_u are held beside them:
+#: `dwork --p 43 --d 5 --e 2 --trace-k 4 --J 42` peaks at 37 MB in
+#: blocks of 2^11, and at 374 MB in one block of all L = 81,400 of F_{43^4}
 _TADIC_BLOCK = 1 << 11
 
 #: a trace table keeps whole cosets of F_p^* up to about this many bytes
@@ -606,6 +611,24 @@ def stirling_rows(J: int) -> list[list[int]]:
     return rows
 
 
+def _lazy_powers(part: list[int], top: int, pM: int):
+    """Yields part^0 .. part^top entrywise, for entries below p^M.  A power
+    is reduced mod p^M only when its bit length would pass
+    bits_per_digit^2, bits_per_digit digits of a Python int: past that,
+    each product with ``part`` costs more than the reduction pass it
+    saves."""
+    yield [1] * len(part)
+    step, lazy_bits = pM.bit_length(), sys.int_info.bits_per_digit**2
+    power, bits = part, step  # bits bounds the power's bit length
+    for i in range(1, top + 1):
+        yield power
+        if i < top:
+            power = list(map(operator.mul, power, part))
+            bits += step
+            if bits > lazy_bits:
+                power, bits = list(map(pM.__rmod__, power)), step
+
+
 def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
                   budget: int = DEFAULT_BUDGET, block: int = _TADIC_BLOCK) -> TadicSum:
     """Coefficient-wise twisted T-adic sum, truncated at T^J.
@@ -614,40 +637,57 @@ def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
     lamhat that of the coefficient, x = g^j contributes the falling-factorial
     expansion of (1+T)^t, t = Tr(omega^(dj)) + Tr(lamhat * omega^(ej)), to
     the bucket j mod c.  lamhat = omega^(l s_1), so both traces are streams
-    of one ``TeichmullerTable``.  Per block of j, each class sums t^i for
-    i <= J, and the falling factorials come from these power sums once per
-    class (``stirling_rows``).
+    of one ``TeichmullerTable``, and the falling factorials come from the
+    power sums of t once per class (``stirling_rows``).
 
-    The powers are reduced mod p^M lazily, and the class sums once at the
-    end.  A power is reduced only when its bit length would pass
-    bits_per_digit^2, bits_per_digit digits of a Python int: past that,
-    each product with t costs more than the reduction pass it saves.
+    Only the coset representatives u < L = (q^k - 1)/(p - 1) are read.
+    Write j = u + sL, s < p - 1: omega^L is an integer z of Z_p, so
+    t = z^(ds) A_u + z^(es) B_u with A_u = T[du], B_u = T[l s_1 + eu], and
+    j's class is (u + sL) mod c.  Per class r of u mod c the pass sums the
+    mixed moments P_r[i1, i2] of A_u^i1 B_u^i2, and the sum over s of
+    z^(ms) over the s with r + sL = mm (mod c) has a closed form: those s
+    are one class s_0 mod c' = c/gcd(L, c), and c' divides p - 1 since c
+    divides N = L(p - 1).  The z^(ms) are (p-1)/c'-th roots of unity
+    times z^(m s_0), so the sum is (p-1)/c' z^(m s_0) when (p-1)/c'
+    divides m, and 0 otherwise (z^n - 1 is a unit unless p - 1 divides
+    n).  Hence t^i over class mm is
+    (p-1)/c' sum_r sum_(i1+i2=i) C(i, i1) P_r[i1, i2] z^(m s_0), over the
+    r with gcd(L, c) | mm - r and the (i1, i2) with (p-1)/c' | m,
+    m = d i1 + e i2: only those moments are summed.  Everything is exact
+    mod p^M, so the coefficients are those of the walk over F_{q^k}^*.
     """
     check_trace_inputs(params, k, J, budget)
     big, descent = _field(params, k, M)
     table = TeichmullerTable(big)
-    pM, c, N = big.pM, params.c, table.N
+    p, d, e, c = params.p, params.d, params.e, params.c
+    pM, L = big.pM, table.L
+    g = math.gcd(L, c)
+    c1, period = c // g, (p - 1) * g // c  # c' and (p-1)/c', the s of one class
+    pairs = [(i1, i - i1) for i in range(J + 1) for i1 in range(i + 1)
+             if (d * i1 + e * (i - i1)) % period == 0]
+    top_a, top_b = max(i1 for i1, _ in pairs), max(i2 for _, i2 in pairs)
+    by_a = [[i2 for j1, i2 in pairs if j1 == i1] for i1 in range(top_a + 1)]
     lam_log = params.lam_index * descent.log_theta
-    t_bits, lazy_bits = (2 * pM - 2).bit_length(), sys.int_info.bits_per_digit**2  # t < 2 p^M
+    moments = [dict.fromkeys(pairs, 0) for _ in range(c)]  # moments[r]: the P_r
+    for u0 in range(0, L, block):
+        nb = min(block, L - u0)
+        A = table.stream(d * u0, d, nb)
+        B = table.stream(lam_log + e * u0, e, nb)
+        for r, mom in enumerate(moments):
+            b_pows = list(_lazy_powers(B[(r - u0) % c::c], top_b, pM))
+            for i1, a_pow in enumerate(_lazy_powers(A[(r - u0) % c::c], top_a, pM)):
+                for i2 in by_a[i1]:
+                    mom[i1, i2] += sum(map(operator.mul, a_pow, b_pows[i2]))
     sums = [[0] * (J + 1) for _ in range(c)]  # sums[mm][i]: t^i over class mm
-    for j0 in range(0, N, block):
-        nb = min(block, N - j0)
-        t = list(map(operator.add, table.stream(params.d * j0, params.d, nb),
-                     table.stream(lam_log + params.e * j0, params.e, nb)))
-        for mm, acc in enumerate(sums):
-            part = power = t[(mm - j0) % c::c]
-            acc[0] += len(part)
-            bits = t_bits  # a bound on the bit length of the power
-            for i in range(1, J + 1):
-                acc[i] += sum(power)
-                if i < J:
-                    power = list(map(operator.mul, power, part))
-                    bits += t_bits
-                    if bits > lazy_bits:
-                        power = list(map(pM.__rmod__, power))
-                        bits = pM.bit_length()
+    inv = pow(L // g, -1, c1)
+    for r, mom in enumerate(moments):
+        for mm in range(r % g, c, g):
+            zs = pow(table.z, (mm - r) // g * inv % c1, pM)  # z^(s_0)
+            acc = sums[mm]
+            for (i1, i2), P in mom.items():
+                acc[i1 + i2] += math.comb(i1 + i2, i1) * P % pM * pow(zs, d * i1 + e * i2, pM)
     stirling = stirling_rows(J)
-    sums = [[s % pM for s in acc] for acc in sums]
+    sums = [[period * s % pM for s in acc] for acc in sums]
     rows = descent.weigh([[sum(map(operator.mul, row, acc)) for acc in sums] for row in stirling])
     coeffs = [descent.base.elem(row) * pow(math.factorial(jj) % pM, -1, pM)
               for jj, row in enumerate(rows)]

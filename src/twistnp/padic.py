@@ -92,6 +92,8 @@ def poly_pow_mod(a, k, modulus, p):
     """a^k modulo (modulus, p) for k >= 0, by repeated squaring; trimmed."""
     if k < 0:
         raise ValueError(f"negative exponent {k}")
+    if len(modulus) == 2:  # degree 1: a is the integer a(-modulus[0])
+        return poly_trim((pow(poly_mod(a, modulus, p)[0], k, p),))
     result = (1,)
     base = poly_trim(poly_mod(a, modulus, p))
     while k:

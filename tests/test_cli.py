@@ -111,6 +111,8 @@ def test_bad_flags_exit_2(capsys):
     # exponents outside d > e >= 1, gcd(d, e) = 1
     ["hasse", "--p", "7", "--d", "4", "--e", "2"],
     ["polygon", "--p", "7", "--d", "3", "--e", "3"],
+    # a c below 1 is refused as c, before mu is read mod c
+    ["dwork", "--p", "7", "--d", "3", "--e", "2", "--c", "0", "--mu", "4"],
 ])
 def test_refused_input_exits_2_with_one_error_line(capsys, argv):
     assert main(argv) == 2
@@ -123,6 +125,7 @@ def test_refused_input_exits_2_with_one_error_line(capsys, argv):
 # refusals whose wording is pinned, by their argv
 EXACT_ERROR_LINES = {
     "hasse --p 7 --d 4 --e 2": "error: need gcd(d, e) = 1, got 4, 2\n",
+    "dwork --p 7 --d 3 --e 2 --c 0 --mu 4": "error: c must be >= 1, got 0\n",
     "polygon --p 7 --d 3 --e 3": "error: need d > e >= 1, got d=3, e=3\n",
 }
 
@@ -315,6 +318,19 @@ def test_grid_reads_mu_mod_c(tmp_path, capsys):
                             "--c", "1,3", "--mu", "1,2", "--primes", "7"])
     assert code == 0
     assert [(r["c"], r["mu"]) for r in _records(out_file)] == [(1, 1), (3, 1), (3, 2)]
+
+
+def test_single_tuple_commands_read_mu_mod_c_as_the_grid_does(tmp_path, capsys):
+    # mu = 4 and mu = -2 are the character of mu = 1 mod 3: one key, the grid's
+    out_file = tmp_path / "mu4.jsonl"
+    code, _ = _run(capsys, ["--out", str(out_file), "verify", "--d", "3", "--e", "2",
+                            "--c", "3", "--mu", "4", "--primes", "7", "--lam-policy", "fixed:1"])
+    assert code == 0
+    assert [r["key"] for r in _records(out_file)] == ["p7_a1_d3_e2_c3_mu1_l1"]
+    for mu in ("--mu=4", "--mu=-2"):
+        code, out = _run(capsys, ["dwork", "--p", "7", "--d", "3", "--e", "2", "--c", "3", mu])
+        assert code == 0
+        assert json.loads(out)["params"] == "p7_a1_d3_e2_c3_mu1_l1", mu
 
 
 def test_grid_small_primes_start_at_two(tmp_path, capsys):
@@ -1131,6 +1147,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
                          "--n-max", "6", "--trace-k", "4"]),
     ("dwork_p7_c3_k4", ["dwork", "--p", "7", "--d", "3", "--e", "2", "--c", "3",
                         "--n-max", "4", "--trace-k", "4", "--J", "5"]),
+    ("dwork_p43_k4", ["dwork", "--p", "43", "--d", "5", "--e", "2", "--trace-k", "4"]),
 ])
 def test_outputs_match_golden_records(tmp_path, capsys, name, argv):
     # tests/golden holds each command's stdout and, for a grid, its JSONL
@@ -1141,8 +1158,9 @@ def test_outputs_match_golden_records(tmp_path, capsys, name, argv):
     # to polygon_q961_c4: the one decomposition and twist-digit rule;
     # dwork_q343_c9 and verify_q343_c9: a deg-3 Z_q reduced by one
     # remainder routine; dwork_p13_c4_k4 and dwork_p7_c3_k4: a direct
-    # Tr(A^4) and T-adic sums over several blocks at c >= 2); every
-    # command exited 0
+    # Tr(A^4) and T-adic sums over several blocks at c >= 2; dwork_p43_k4:
+    # the strict instance's T-adic sums over F_43 .. F_{43^4}, written by
+    # the pass over every element of each field); every command exited 0
     grid = argv[0] in ("verify", "sweep")
     out = tmp_path / "records.jsonl"
     code, stdout = _run(capsys, (["--out", str(out)] if grid else []) + argv)

@@ -42,6 +42,7 @@ from twistnp.lfunction import (
     SmallPrimeError,
     TeichmullerTable,
     TraceTable,
+    _TADIC_BLOCK,
     _descent_for,
     classical_l_function,
     classical_route,
@@ -526,27 +527,60 @@ def test_tadic_base_ring_sums_are_the_big_ring_sums_embedded(p, a, d, e, c, mu, 
 
 @pytest.mark.parametrize("p,a,d,e,c,mu,k,J", [
     (43, 1, 5, 2, 1, 1, 2, 5),  # the strict instance
+    (43, 1, 5, 2, 1, 1, 1, 5),
     (11, 2, 3, 2, 3, 2, 1, 4),  # a > 1 and c >= 3
-    (11, 2, 3, 2, 3, 1, 2, 4),
+    (11, 2, 3, 2, 3, 1, 2, 4),  # q = 121, c = 3 does not divide p - 1
     (13, 1, 3, 1, 1, 1, 3, 5),
     (3, 1, 2, 1, 1, 1, 3, 2),  # recurrence order ak = 3 >= p
     (5, 2, 3, 1, 4, 1, 2, 4),  # ak = 4 >= p, c = 4
+    (2, 2, 3, 1, 3, 1, 2, 1),  # q = 4, c = 3: p = 2, one coset, L = q^k - 1
+    (3, 1, 2, 1, 2, 1, 3, 2),  # p = 3, c = 2
+    (7, 1, 3, 2, 3, 1, 2, 5),  # c' = c/gcd(L, c) = 3 does not divide L = 8
+    (5, 1, 3, 2, 4, 3, 3, 4),  # c' = 4, L = 31 = 3 mod 4
 ])
 def test_tadic_sum_equals_the_walk(p, a, d, e, c, mu, k, J):
+    # the sum over u < L = (q^k - 1)/(p - 1), folded over s < p - 1, is the
+    # walk over all of F_{q^k}^*, at M = 1 and the default M, in whole
+    # blocks and in blocks of 7, which divides none of the L here
     q = p**a
     for lam in sorted({0, 1, q // 3, q - 2}):
         pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
-        assert exp_sum_Tadic(pr, k, J).coeffs == exp_sum_Tadic_walk(pr, k, J).coeffs, lam
+        for M in (1, None):
+            want = exp_sum_Tadic_walk(pr, k, J, M).coeffs
+            for block in (_TADIC_BLOCK, 7):
+                assert exp_sum_Tadic(pr, k, J, M, block=block).coeffs == want, (lam, M, block)
 
 
 @pytest.mark.parametrize("p,a,d,e,c,k,block", [(11, 2, 3, 2, 3, 1, 7), (5, 2, 3, 1, 4, 2, 10)])
 def test_tadic_sum_in_small_blocks_equals_the_walk(p, a, d, e, c, k, block):
-    # blocks cross the cosets of the table's head (L = 12 and 156 entries)
-    # and start at j0 not 0 mod c; the walk is the oracle
+    # blocks of the coset representatives u < L (L = 12 and 156) start at
+    # u0 not 0 mod c, and their strided streams cross the cosets of the
+    # table's head; the walk is the oracle
     for lam in (1, p**a // 3):
         pr = Params(p=p, a=a, d=d, e=e, c=c, mu=1, lam_index=lam)
         assert exp_sum_Tadic(pr, k, 4, block=block).coeffs == \
             exp_sum_Tadic_walk(pr, k, 4).coeffs, lam
+
+
+@pytest.mark.parametrize("p,a,d,e,c,k", [(11, 2, 3, 2, 3, 2), (43, 1, 5, 2, 1, 2),
+                                         (2, 2, 3, 1, 3, 2)])
+def test_tadic_sum_streams_two_traces_per_coset_representative(monkeypatch, p, a, d, e, c, k):
+    # 2L traces, A_u and B_u for u < L, not two for each of the q^k - 1
+    # elements
+    streamed = []
+    real_stream = TeichmullerTable.stream
+
+    def counted(self, start, step, count):
+        streamed.append(count)
+        return real_stream(self, start, step, count)
+
+    monkeypatch.setattr(TeichmullerTable, "stream", counted)
+    pr = Params(p=p, a=a, d=d, e=e, c=c, mu=1, lam_index=1)
+    for block in (_TADIC_BLOCK, 7):
+        streamed.clear()
+        exp_sum_Tadic(pr, k, min(4, p - 1), block=block)
+        L = (p**(a * k) - 1) // (p - 1)
+        assert sum(streamed) == 2 * L, block
 
 
 @pytest.mark.parametrize("p,a,d,e,c,k,lazy", [

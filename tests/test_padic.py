@@ -408,6 +408,36 @@ def test_poly_pow_mod_refuses_a_negative_exponent():
         poly_pow_mod((0, 1), -1, modulus, 7)
 
 
+def _square_and_multiply(a, k, modulus, m):
+    result, base = (1,), poly_trim(poly_mod(a, modulus, m))
+    while k:
+        if k & 1:
+            result = poly_mul_mod(result, base, modulus, m)
+        base = poly_mul_mod(base, base, modulus, m)
+        k >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p", [2, 7, 43])
+def test_poly_pow_mod_at_degree_1_is_square_and_multiply(p):
+    # a degree-1 modulus makes a one integer: one pow, trimmed as before,
+    # mod p and mod p^M, k = 0 giving (1,) and a = 0 giving ()
+    rng = random.Random(p)
+    for m in (p, p**9):
+        for modulus in [smallest_irreducible(p, 1), (rng.randrange(m), 1)]:
+            cases = [((), 0), ((), 3), ((m,), 0), ((m,), 5), ((0, 1), 0), ((p,), 9)]
+            cases += [(tuple(rng.randrange(-m * m, m * m) for _ in range(rng.randrange(0, 5))),
+                       rng.randrange(0, 3 * p)) for _ in range(40)]
+            for a, k in cases:
+                assert poly_pow_mod(a, k, modulus, m) == _square_and_multiply(a, k, modulus, m), \
+                    (a, k, modulus, m)
+    ctx = make_context(p, 1, 9)
+    g = ctx.elem(ctx.generator)
+    for k in (0, 1, p - 1, p**9 + 3):
+        assert ctx.pow(g, k).coeffs == ctx.elem(_square_and_multiply(
+            g.coeffs, k, ctx.modulus, ctx.pM)).coeffs
+
+
 def test_eval_int_poly_and_lift_root():
     ctx = make_context(7, 2, 9)
     rng = random.Random(11)
