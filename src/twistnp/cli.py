@@ -4,8 +4,8 @@ Subcommands
 -----------
 polygon   assignment lower bound and Hodge bound, slopes included
 hasse     Hasse-number certificate and the integral constant
-lfunc     classical L-polynomial valuations and Newton polygon, from every
-          sum S_1..S_d
+lfunc     classical L-polynomial valuations and Newton polygon, by the
+          ``classical_route`` that verify and sweep take
 dwork     T-adic polygon, truncation certificate, trace-formula check
 verify    run a grid, append one record per tuple, enforce the theorems;
           the classical polygon comes by its ``classical_route``
@@ -35,7 +35,6 @@ from .lfunction import (
     FunctionalEquationError,
     SmallPrimeError,
     check_trace_inputs,
-    classical_l_function,
     classical_route,
     extend_newton_polygon,
     l_polynomial,
@@ -132,13 +131,13 @@ def cmd_hasse(args) -> int:
 def cmd_lfunc(args) -> int:
     params = _params_from_args(args)
     data = l_polynomial(params, args.precision, args.budget)
-    np_poly = newton_polygon_classical(params, data=data)
+    np_poly = newton_polygon_classical(data)
     out = {
         "schema": SCHEMA,
         "params": params.key(),
         "precision": data.M,
         "l_valuations_pi_units": [None if v is None else _frac_str(Fraction(v))
-                                  for v in data.valuations],
+                                  for v in data.newton_points()],
         "newton_polygon": np_poly.to_json_dict(),
         "newton_slopes": _slopes_json(np_poly),
     }
@@ -165,7 +164,7 @@ def cmd_dwork(args) -> int:
     J = default_trace_order(params) if args.J is None else args.J
     check_trace_inputs(params, args.trace_k, J, args.budget)
     # before the operator: a classical route past the budget, or at p <= h + 1, exits 2
-    np_classical = (newton_polygon_classical(params, args.precision, args.budget)
+    np_classical = (newton_polygon_classical(l_polynomial(params, args.precision, args.budget))
                     if args.sandwich else None)
     res = np_T(params, n_max, N=args.big_n, O=args.big_o, M=args.precision)
     reports = []
@@ -351,8 +350,8 @@ def sweep_record(params: Params, shared, n_max=None, precision=None, budget=DEFA
         if error is not None:
             raise error
         sums, P, fields, monotone_faults, gap_faults = result
-        data = classical_l_function(params, precision, budget, _sums=sums[lam])
-        np_poly = newton_polygon_classical(params, data=data)
+        data = l_polynomial(params, precision, budget, _sums=sums[lam])
+        np_poly = newton_polygon_classical(data)
         rec.update(fields)
         rec.update({
             "precision": data.M,

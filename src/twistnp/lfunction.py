@@ -29,9 +29,10 @@ valuations of the l_n go to the pi_1-basis, row by row.
 
 The classical polygon needs only about half the sums: the L-function is
 pure of weight 1, so its top coefficients' valuations are those of the
-bottom ones reflected (``classical_route``).  ``l_polynomial`` still
-computes every coefficient from S_1..S_d, and is the oracle of the
-reflection.
+bottom ones reflected (``classical_route``).  ``l_polynomial`` computes
+the bottom coefficients from S_1..S_(h+1), h = floor(deg/2), and reflects
+the rest; the tests check it against every coefficient computed from
+S_1..S_d.
 
 The T-adic sum (``exp_sum_Tadic``) needs the p-adic trace of each lifted
 value, not its residue, so it cannot bin traces mod p.  It reads one
@@ -700,7 +701,6 @@ def exp_sum_Tadic(params: Params, k: int, J: int, M: int | None = None,
 
 FUNCTIONAL_EQUATION = "functional-equation"
 FUNCTIONAL_EQUATION_CONJUGATE = "functional-equation-conjugate"
-FULL_ENUMERATION = "full-enumeration"
 
 
 class Route:
@@ -735,7 +735,8 @@ def classical_route(d: int, c: int) -> Route:
     that reads v(l_{deg-i}) = w - i + v(l'_i), with l' the coefficients of
     the complex-conjugate L-function.  So S_1..S_h, h = floor(deg/2), give
     l_0..l_h and the reflection gives the rest; S_{h+1} gives l_{h+1} both
-    ways, as a certificate (``classical_l_function``).
+    ways, as a certificate (``l_polynomial``).  The route enumerates
+    F_{q^(h+1)} at most, and divides by n <= h + 1, so it needs p > h + 1.
 
     * c = 1: the A^1 L-function, of degree d - 1, whose sums are S_k + 1;
       the classical L-function is (1 - s) times it.  Its coefficients lie
@@ -750,22 +751,22 @@ def classical_route(d: int, c: int) -> Route:
 
 
 def route_sums_by_lambda(params: Params, lam_indices: list[int],
-                         M: int | None = None, budget: int = DEFAULT_BUDGET,
-                         route: Route | None = None):
-    """The sums each coefficient's route needs, one pass per k for all.
+                         M: int | None = None, budget: int = DEFAULT_BUDGET):
+    """The sums each coefficient's ``classical_route`` needs, one pass per
+    k for all.
 
-    ``route`` is ``classical_route`` by default; ``l_polynomial`` passes
-    the full route, Route(FULL_ENUMERATION, d, d).  ``params.lam_index``
-    plays no part: the sums are those of the binomials whose coefficient
-    indices are ``lam_indices``.  Before any pass, ``check_budget`` gates
-    every field up to F_{q^k_max}, and then p must exceed k_max.
+    ``params.lam_index`` plays no part: the sums are those of the binomials
+    whose coefficient indices are ``lam_indices``.  Before any pass,
+    ``check_budget`` gates every field up to F_{q^k_max}, and then p must
+    exceed k_max.
 
     Returns ``{lam: (sums, conj_sums)}``: S_1..S_k_max, and on the
     conjugate route the complex conjugates S'_1..S'_h, otherwise None.
     """
-    route = route or classical_route(params.d, params.c)
+    route = classical_route(params.d, params.c)
     check_budget(params, route.k_max, budget)
-    _require_p_above(params, route.k_max)
+    if params.p <= route.k_max:
+        raise SmallPrimeError(route.k_max)
     conj = route.name == FUNCTIONAL_EQUATION_CONJUGATE
     by_k = [classical_sums_multi(params, k, lam_indices, M, budget,
                                  conjugate=conj and k < route.k_max)
@@ -776,23 +777,16 @@ def route_sums_by_lambda(params: Params, lam_indices: list[int],
 
 
 class LFunctionData:
-    """Coefficients of an L-polynomial and their valuations.
-
-    From ``l_polynomial``, ``sums`` are S_1..S_d and ``coeffs`` l_0..l_d.
-    From a functional-equation route they are the computed low half of
-    the route's L-function, S_1..S_{h+1} and l_0..l_{h+1}, while
-    ``valuations`` covers l_0..l_deg, past l_h by reflection, in pi-units,
-    None where a coefficient is below the precision.  For c = 1 that
-    L-function is the A^1 one, of degree d - 1.
+    """The valuations of the coefficients l_0..l_deg of the L-function a
+    ``route`` computes, in pi-units, None where a coefficient vanishes
+    mod p^M: l_0..l_h from the sums, the rest by reflection.  For c = 1
+    that L-function is the A^1 one, of degree d - 1.
     """
 
-    __slots__ = ("params", "M", "sums", "coeffs", "valuations", "route")
+    __slots__ = ("params", "M", "valuations", "route")
 
-    def __init__(self, params: Params, M: int, sums: list[RamifiedElem],
-                 coeffs: list[RamifiedElem], valuations: list[int | None],
-                 route: str = FULL_ENUMERATION):
-        self.params, self.M, self.sums, self.coeffs = params, M, sums, coeffs
-        self.valuations, self.route = valuations, route
+    def __init__(self, params: Params, M: int, valuations: list[int | None], route: str):
+        self.params, self.M, self.valuations, self.route = params, M, valuations, route
 
     def newton_points(self) -> list[int | None]:
         """The classical L-function's valuations in pi-units, the input of
@@ -800,11 +794,6 @@ class LFunctionData:
         if len(self.valuations) == self.params.d:  # the A^1 L-function: times 1 - s
             return [0] + self.valuations
         return self.valuations
-
-
-def _require_p_above(params: Params, n: int) -> None:
-    if params.p <= n:
-        raise SmallPrimeError(n)
 
 
 def _newton_coeffs(sums: list[RamifiedElem]) -> list[RamifiedElem]:
@@ -818,21 +807,6 @@ def _newton_coeffs(sums: list[RamifiedElem]) -> list[RamifiedElem]:
     return coeffs
 
 
-def l_polynomial(params: Params, M: int | None = None,
-                 budget: int = DEFAULT_BUDGET,
-                 _sums: list[RamifiedElem] | None = None) -> LFunctionData:
-    """Coefficients of exp(sum_k S_k s^k / k) up to degree d."""
-    M = M or default_precision(params)
-    _require_p_above(params, params.d)
-    if _sums is None:
-        full = Route(FULL_ENUMERATION, params.d, params.d)
-        _sums = route_sums_by_lambda(params, [params.lam_index], M, budget,
-                                     full)[params.lam_index][0]
-    coeffs = _newton_coeffs(_sums)
-    return LFunctionData(params=params, M=M, sums=_sums, coeffs=coeffs,
-                         valuations=[c.valuation() for c in coeffs])
-
-
 def reflect_valuations(low: list[int | None], conj: list[int | None],
                        deg: int, top: int, step: int, cap: int) -> list[int | None]:
     """Valuations of l_0..l_deg: ``low`` gives l_0..l_h, and past l_h
@@ -841,7 +815,7 @@ def reflect_valuations(low: list[int | None], conj: list[int | None],
     All in pi-units, None for a coefficient that vanishes mod p^M.  A
     reflected value is None too when l'_i is, or when it reaches ``cap``:
     since top - i * step >= 0, precision M could not certify the
-    coefficient on the full route either.
+    coefficient from every sum either.
     """
     out = list(low)
     for n in range(len(low), deg + 1):
@@ -851,8 +825,8 @@ def reflect_valuations(low: list[int | None], conj: list[int | None],
     return out
 
 
-def classical_l_function(params: Params, M: int | None = None,
-                         budget: int = DEFAULT_BUDGET, _sums=None) -> LFunctionData:
+def l_polynomial(params: Params, M: int | None = None,
+                 budget: int = DEFAULT_BUDGET, _sums=None) -> LFunctionData:
     """The classical L-function's valuations by its ``classical_route``.
 
     ``_sums`` is one coefficient's entry of ``route_sums_by_lambda``,
@@ -871,8 +845,7 @@ def classical_l_function(params: Params, M: int | None = None,
     p, h = params.p, route.k_max - 1
     if params.c == 1:  # the A^1 sums gain x = 0, where psi(0) = 1
         sums = [s + 1 for s in sums]
-    coeffs = _newton_coeffs(sums)
-    low = [c.valuation() for c in coeffs]
+    low = [c.valuation() for c in _newton_coeffs(sums)]
     conj = low if conj_sums is None else [c.valuation() for c in _newton_coeffs(conj_sums)]
     vals = reflect_valuations(low[:h + 1], conj, route.deg, hodge_order(params, params.d),
                               step, M * (p - 1))
@@ -880,21 +853,13 @@ def classical_l_function(params: Params, M: int | None = None,
         raise FunctionalEquationError(
             f"l_{h + 1} has valuation {low[h + 1]} computed and {vals[h + 1]} "
             f"reflected (pi-units, None past precision M={M})")
-    return LFunctionData(params=params, M=M, sums=sums, coeffs=coeffs,
-                         valuations=vals, route=route.name)
+    return LFunctionData(params, M, vals, route.name)
 
 
-def newton_polygon_classical(params: Params, M: int | None = None,
-                             budget: int = DEFAULT_BUDGET,
-                             data: LFunctionData | None = None) -> Polygon:
-    """Newton polygon of the L-polynomial on [0, d], in q-adic units.
-
-    Without ``data`` it comes by ``classical_l_function``;
-    ``data=l_polynomial(params)`` gives it from every sum S_1..S_d.
-    """
-    if data is None:
-        data = classical_l_function(params, M, budget)
-    M = data.M
+def newton_polygon_classical(data: LFunctionData) -> Polygon:
+    """Newton polygon of the L-polynomial on [0, d], in q-adic units: the
+    hull of ``data.newton_points()``, once the precision certifies them."""
+    params, M = data.params, data.M
     if data.valuations[-1] is None:
         raise PrecisionError(
             f"degree-{len(data.valuations) - 1} coefficient vanishes mod p^{M}; "

@@ -18,6 +18,8 @@ independent side of the checks on the program.
 - the ramified ring over the pi_1-basis: its packed product with the
   pi-fold, the Newton identities there, the full change of basis from
   zeta_p-coordinates and back, zeta_p powers and congruence mod pi_1
+- the classical L-polynomial from every sum S_1..S_d, the full route the
+  half route's reflection is checked against
 - the T-adic layer: the series product over dicts of Z_q elements, the
   direct sum by a walk over the field, the reversion pi(T) of
   T = E(pi) - 1 and the T-expansion of a pi-series, the stated entry
@@ -57,9 +59,13 @@ from twistnp.dwork import (
 from twistnp.lfunction import (
     DEFAULT_BUDGET,
     ClassicalSum,
+    LFunctionData,
+    SmallPrimeError,
     SubfieldDescent,
     TadicSum,
     _descent_for,
+    _newton_coeffs,
+    check_budget,
     classical_sums_multi,
     default_precision,
 )
@@ -711,6 +717,45 @@ def congruent_mod_pi(x, y, k: int) -> bool:
 def exp_sum_classical(params: Params, k: int, M: int | None = None,
                       budget: int = DEFAULT_BUDGET) -> ClassicalSum:
     return classical_sums_multi(params, k, [params.lam_index], M, budget)[params.lam_index]
+
+
+FULL_ENUMERATION = "full-enumeration"
+
+
+def full_sums_by_lambda(params: Params, lam_indices: list[int], M: int | None = None,
+                        budget: int = DEFAULT_BUDGET) -> dict[int, list[RamifiedElem]]:
+    """S_1..S_d of each coefficient index in ``lam_indices``, one pass per
+    k for all, once every field up to F_{q^d} fits the budget."""
+    check_budget(params, params.d, budget)
+    by_k = [classical_sums_multi(params, k, lam_indices, M, budget)
+            for k in range(1, params.d + 1)]
+    return {lam: [s[lam].value for s in by_k] for lam in lam_indices}
+
+
+class FullLFunction(LFunctionData):
+    """The full route's ``LFunctionData``, which keeps the sums S_1..S_d
+    and the coefficients l_0..l_d they give."""
+
+    __slots__ = ("sums", "coeffs")
+
+    def __init__(self, params: Params, M: int, sums: list[RamifiedElem]):
+        self.sums, self.coeffs = sums, _newton_coeffs(sums)
+        super().__init__(params, M, [c.valuation() for c in self.coeffs], FULL_ENUMERATION)
+
+
+def l_polynomial_full(params: Params, M: int | None = None, budget: int = DEFAULT_BUDGET,
+                      sums: list[RamifiedElem] | None = None) -> FullLFunction:
+    """Every coefficient of exp(sum_k S_k s^k / k) up to degree d, by
+    Newton's identities from every sum S_1..S_d, with no reflection: the
+    oracle of ``l_polynomial``.  ``sums`` are S_1..S_d, enumerated over
+    F_q .. F_{q^d} when absent.  The identities divide by n <= d, so p
+    must exceed d."""
+    M = M or default_precision(params)
+    if params.p <= params.d:
+        raise SmallPrimeError(params.d)
+    if sums is None:
+        sums = full_sums_by_lambda(params, [params.lam_index], M, budget)[params.lam_index]
+    return FullLFunction(params, M, sums)
 
 
 def lambda_residues(descent: SubfieldDescent, lam_indices: list[int]) -> list[tuple[int, ...]]:

@@ -14,11 +14,18 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from oracles import R_value, compute_bfC, exhaustive_C, r_value
+from oracles import (
+    R_value,
+    compute_bfC,
+    exhaustive_C,
+    full_sums_by_lambda,
+    l_polynomial_full,
+    r_value,
+)
 from twistnp.combinatorics import CombInstance, compute_C, optimal_perm_sets
 from twistnp.dwork import np_T, trace_consistency
 from twistnp.hasse import hasse_certificate
-from twistnp.lfunction import classical_sums_multi, l_polynomial, newton_polygon_classical
+from twistnp.lfunction import l_polynomial, newton_polygon_classical
 from twistnp.polygon import Params, hodge_polygon, lies_above, lower_bound_polygon
 
 F = Fraction
@@ -125,16 +132,11 @@ def _first_primes_above(bound: int, count: int, avoid_divisor: int):
 def _np_all_lambdas(p, a, d, e, c, mu, budget=BIG_BUDGET):
     base = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=0)
     lam_all = list(range(base.q - 1))
-    sums_by_k = {
-        k: classical_sums_multi(base, k, lam_all, budget=budget)
-        for k in range(1, d + 1)
-    }
+    sums = full_sums_by_lambda(base, lam_all, budget=budget)
     out = {}
     for lam in lam_all:
         pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
-        data = l_polynomial(pr, _sums=[sums_by_k[k][lam].value
-                                       for k in range(1, d + 1)])
-        out[lam] = newton_polygon_classical(pr, data=data)
+        out[lam] = newton_polygon_classical(l_polynomial_full(pr, sums=sums[lam]))
     return out
 
 
@@ -183,8 +185,8 @@ def test_criterion_4_unit_criterion_both_directions():
         cert = hasse_certificate(pr)
         P = lower_bound_polygon(pr, d)
         # every sum S_1..S_d, and the functional-equation route beside it
-        np_poly = newton_polygon_classical(pr, data=l_polynomial(pr, budget=BIG_BUDGET))
-        assert newton_polygon_classical(pr).values == np_poly.values, (d, e, p)
+        np_poly = newton_polygon_classical(l_polynomial_full(pr, budget=BIG_BUDGET))
+        assert newton_polygon_classical(l_polynomial(pr)).values == np_poly.values, (d, e, p)
         assert lies_above(np_poly, P), (d, e, p)
         equal = np_poly.values == P.values
         assert cert.verdicts_consistent(), (d, e, p)
@@ -224,7 +226,7 @@ def test_criterion_5_hodge_attainment():
         for p in primes:
             for e in {1, d - 1}:
                 pr = Params(p=p, a=1, d=d, e=e, c=1, mu=1, lam_index=1)
-                np_poly = newton_polygon_classical(pr, budget=BIG_BUDGET)
+                np_poly = newton_polygon_classical(l_polynomial(pr, budget=BIG_BUDGET))
                 H = hodge_polygon(pr, d)
                 assert np_poly.values == H.values, (d, e, p)
                 assert np_poly.slopes() == [F(n, d) for n in range(d)]
@@ -243,7 +245,7 @@ def test_criterion_6_dwork_route():
     assert res.polygon.slopes() == [F(0), F(2, 5), F(3, 5)]
     reports = trace_consistency(res.matrix, k_max=3, J=6)
     assert all(r.ok and r.checked_order == 6 for r in reports)
-    np_classical = newton_polygon_classical(pr)
+    np_classical = newton_polygon_classical(l_polynomial(pr))
     assert lies_above(res.polygon, P)
     assert lies_above(np_classical, res.polygon)
     res2 = np_T(pr, 3, N=2 * res.matrix.N, O=res.matrix.O)
@@ -266,7 +268,7 @@ def test_criterion_7_twisted_b2_case():
     assert pr.u == 40 and pr.digits == (7, 3) and pr.b == 2
     cert = hasse_certificate(pr)
     P = lower_bound_polygon(pr, 3)
-    np_poly = newton_polygon_classical(pr, budget=BIG_BUDGET)
+    np_poly = newton_polygon_classical(l_polynomial(pr, budget=BIG_BUDGET))
     assert lies_above(np_poly, P)
     equal = np_poly.values == P.values
     assert cert.verdicts_consistent()

@@ -792,7 +792,7 @@ def test_verify_records_a_reflection_mismatch(tmp_path, capsys, monkeypatch):
 
 
 def test_small_p_sweep_with_dwork(tmp_path, capsys):
-    # p = 5 <= d = 7: the full route refuses, the half route needs p > 4
+    # p = 5 <= d = 7: full enumeration would refuse, the half route needs p > 4
     out_file = tmp_path / "small.jsonl"
     code, _ = _run(capsys, ["--out", str(out_file), "sweep", "--allow-small-p",
                             "--dwork", "--d", "7", "--e", "2,3", "--c", "1",
@@ -995,12 +995,20 @@ def test_over_budget_lfunc_is_refused_before_any_pass(capsys, monkeypatch):
         raise AssertionError("a field was enumerated")
 
     monkeypatch.setattr(lfunction, "trace_count_matrix", no_pass)
-    code = main(["lfunc", "--p", "43", "--d", "5", "--e", "2"])
+    code = main(["--budget", "1000", "lfunc", "--p", "43", "--d", "5", "--e", "2"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    # F_43 .. F_{43^4} fit the default budget; F_{43^5} is the one named
-    assert captured.err == ("error: enumeration needs 147008443 elements, "
-                            "budget is 20000000\n")
+    # the half route needs F_43 .. F_{43^3}; F_43 fits, F_{43^2} is the one named
+    assert captured.err == "error: enumeration needs 1849 elements, budget is 1000\n"
+
+
+def test_lfunc_answers_below_d(capsys):
+    # p = 5 <= d = 7: the half route divides by n <= 4 only, where the
+    # identities from every sum S_1..S_7 would divide by 5
+    code, out = _run(capsys, ["lfunc", "--p", "5", "--d", "7", "--e", "2"])
+    assert code == 0
+    assert json.loads(out)["newton_slopes"] == ["0/1", "3/8", "3/8", "1/2", "1/2",
+                                                "5/8", "5/8"]
 
 
 def test_grid_polygons_reach_n_max_past_3d(tmp_path, capsys):
@@ -1148,6 +1156,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     ("dwork_p7_c3_k4", ["dwork", "--p", "7", "--d", "3", "--e", "2", "--c", "3",
                         "--n-max", "4", "--trace-k", "4", "--J", "5"]),
     ("dwork_p43_k4", ["dwork", "--p", "43", "--d", "5", "--e", "2", "--trace-k", "4"]),
+    ("lfunc_p43", ["lfunc", "--p", "43", "--d", "5", "--e", "2"]),
 ])
 def test_outputs_match_golden_records(tmp_path, capsys, name, argv):
     # tests/golden holds each command's stdout and, for a grid, its JSONL
@@ -1160,7 +1169,8 @@ def test_outputs_match_golden_records(tmp_path, capsys, name, argv):
     # remainder routine; dwork_p13_c4_k4 and dwork_p7_c3_k4: a direct
     # Tr(A^4) and T-adic sums over several blocks at c >= 2; dwork_p43_k4:
     # the strict instance's T-adic sums over F_43 .. F_{43^4}, written by
-    # the pass over every element of each field); every command exited 0
+    # the pass over every element of each field; lfunc_p43: every sum
+    # S_1..S_5, at --budget 200000000); every command exited 0
     grid = argv[0] in ("verify", "sweep")
     out = tmp_path / "records.jsonl"
     code, stdout = _run(capsys, (["--out", str(out)] if grid else []) + argv)

@@ -42,7 +42,7 @@ from twistnp.dwork import (
     substitute_T,
     trace_consistency,
 )
-from twistnp.lfunction import newton_polygon_classical
+from twistnp.lfunction import l_polynomial, newton_polygon_classical
 from twistnp.padic import make_context
 from twistnp.polygon import Params, hodge_polygon, lies_above, lower_bound_polygon
 
@@ -602,7 +602,7 @@ def test_np_T_matches_classical_route():
     for (p, a, d, e, c, mu, lam) in [(11, 1, 3, 2, 1, 1, 1), (13, 1, 3, 1, 1, 1, 2)]:
         pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
         res = np_T(pr, d)
-        np_classical = newton_polygon_classical(pr)
+        np_classical = newton_polygon_classical(l_polynomial(pr))
         assert lies_above(np_classical, res.polygon)
         P = lower_bound_polygon(pr, d)
         assert lies_above(res.polygon, P)

@@ -17,10 +17,13 @@ from oracles import (
     congruent_mod_pi,
     exp_sum_classical,
     exp_sum_Tadic_walk,
+    FULL_ENUMERATION,
     find_generator_every_code,
     fraction_hull,
     frobenius,
+    full_sums_by_lambda,
     joint_histogram_fits,
+    l_polynomial_full,
     lambda_residues,
     lift_root,
     mult_matrix,
@@ -33,7 +36,6 @@ from oracles import (
     zeta_p_power,
 )
 from twistnp.lfunction import (
-    FULL_ENUMERATION,
     FUNCTIONAL_EQUATION,
     FUNCTIONAL_EQUATION_CONJUGATE,
     BudgetExceededError,
@@ -44,7 +46,6 @@ from twistnp.lfunction import (
     TraceTable,
     _TADIC_BLOCK,
     _descent_for,
-    classical_l_function,
     classical_route,
     classical_sums_multi,
     coset_runs,
@@ -790,7 +791,7 @@ def test_tadic_specializes_to_classical(p, a, d, e, c, mu, lam, k, J):
 
 def test_l_polynomial_low_coefficients():
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
-    data = l_polynomial(pr)
+    data = l_polynomial_full(pr)
     base = data.coeffs[0].ctx
     assert data.coeffs[0] == base.ram_one()
     assert data.coeffs[1] == data.sums[0]
@@ -800,7 +801,7 @@ def test_l_polynomial_low_coefficients():
 
 def test_newton_polygon_p_equiv_1_is_hodge():
     pr = Params(p=7, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
-    np_poly = newton_polygon_classical(pr)
+    np_poly = newton_polygon_classical(l_polynomial(pr))
     assert np_poly.slopes() == [F(0), F(1, 3), F(2, 3)]
     assert np_poly.values == hodge_polygon(pr, 3).values
 
@@ -810,10 +811,10 @@ def test_newton_polygon_p11_anchor_all_lambda():
     pr0 = Params(p=11, a=1, d=3, e=2, c=1, mu=1)
     P = lower_bound_polygon(pr0, 3)
     assert P.slopes() == [F(0), F(2, 5), F(3, 5)]
-    sums = classical_sums_multi(pr0, 1, list(range(10)))
+    sums = route_sums_by_lambda(pr0, list(range(10)))
     for lam in range(10):
         pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=lam)
-        np_poly = newton_polygon_classical(pr)
+        np_poly = newton_polygon_classical(l_polynomial(pr, _sums=sums[lam]))
         assert np_poly.values == P.values, f"lambda index {lam}"
         assert sum(np_poly.slopes()) == 1
 
@@ -834,9 +835,9 @@ def test_newton_polygon_degree_and_endpoint():
     for (p, a, d, e, c, mu, lam) in [(11, 1, 3, 2, 1, 1, 2), (13, 1, 4, 3, 1, 1, 1),
                                      (11, 1, 3, 2, 2, 1, 4)]:
         pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
-        data = l_polynomial(pr)
+        data = l_polynomial_full(pr)
         assert data.valuations[d] is not None
-        np_poly = newton_polygon_classical(pr, data=data)
+        np_poly = newton_polygon_classical(data)
         P = lower_bound_polygon(pr, d)
         H = hodge_polygon(pr, d)
         assert np_poly.value(d) == P.value(d) == H.value(d)
@@ -889,14 +890,14 @@ def test_half_route_matches_full_enumeration():
     for (p, a, d, e, c, mu) in grid:
         base = Params(p=p, a=a, d=d, e=e, c=c, mu=mu)
         lams = sorted({1, (base.q - 1) // 2})
-        full = route_sums_by_lambda(base, lams, route=Route(FULL_ENUMERATION, d, d))
+        full = full_sums_by_lambda(base, lams)
         half = route_sums_by_lambda(base, lams)
         for lam in lams:
             pr = Params(p=p, a=a, d=d, e=e, c=c, mu=mu, lam_index=lam)
-            want = newton_polygon_classical(pr, data=l_polynomial(pr, _sums=full[lam][0]))
-            data = classical_l_function(pr, _sums=half[lam])
+            want = newton_polygon_classical(l_polynomial_full(pr, sums=full[lam]))
+            data = l_polynomial(pr, _sums=half[lam])
             assert data.route != FULL_ENUMERATION
-            got = newton_polygon_classical(pr, data=data)
+            got = newton_polygon_classical(data)
             assert got.values == want.values, pr.key()
 
 
@@ -916,11 +917,12 @@ def test_conjugate_sums_are_the_conjugate_tuple_sums():
 
 def test_reflection_certificate_holds_and_types_agree():
     pr = Params(p=43, a=1, d=5, e=2, c=1, mu=1, lam_index=7)
-    data = classical_l_function(pr)
+    data = l_polynomial(pr)
     assert isinstance(data, LFunctionData) and data.route == FUNCTIONAL_EQUATION
-    # the A^1 L-function: degree 4, l_0..l_3 computed, l_3 also reflected
-    assert len(data.valuations) == 5 and len(data.coeffs) == 4
-    assert newton_polygon_classical(pr, data=data).slopes() == [
+    # the A^1 L-function: degree 4, l_0..l_3 computed, l_3 also reflected;
+    # the factor 1 - s adds the point (0, 0)
+    assert len(data.valuations) == 5 and data.newton_points() == [0] + data.valuations
+    assert newton_polygon_classical(data).slopes() == [
         F(0), F(3, 14), F(1, 2), F(1, 2), F(11, 14)]
 
 
@@ -935,8 +937,7 @@ def test_inexact_low_coefficient_reflects_to_an_omitted_point():
     assert all(type(v) is int for v in vals if v is not None)
     # a reflection that reaches the cap is omitted as well
     assert reflect_valuations(low, [0, 95, 12], 4, 40, 10, cap)[3] is None
-    data = LFunctionData(params=Params(p=11, a=1, d=4, e=1, c=2, mu=1), M=10,
-                         sums=[], coeffs=[], valuations=vals)
+    data = LFunctionData(Params(p=11, a=1, d=4, e=1, c=2, mu=1), 10, vals, FUNCTIONAL_EQUATION)
     pts = data.newton_points()
     assert pts == vals and pts[3] is None
     # the omitted point is the hull of the points that remain
@@ -944,8 +945,7 @@ def test_inexact_low_coefficient_reflects_to_an_omitted_point():
         [(n, F(v, 10)) for n, v in enumerate(pts) if v is not None]).values
     assert lower_convex_hull(pts, 10).value(3) == F(13, 5)
     # the A^1 L-function of degree d - 1 gains the point (0, 0) of 1 - s
-    a1 = LFunctionData(params=Params(p=11, a=1, d=5, e=1, c=1, mu=1), M=10,
-                       sums=[], coeffs=[], valuations=vals)
+    a1 = LFunctionData(Params(p=11, a=1, d=5, e=1, c=1, mu=1), 10, vals, FUNCTIONAL_EQUATION)
     assert a1.newton_points() == [0] + vals
 
 
@@ -979,18 +979,19 @@ def test_reflection_top_is_an_integer():
     assert {(True, 1, True), (False, 4, True), (False, 3, True)} <= seen
     # the reflection starts from that top: l_deg has valuation HP(d) a(p - 1)
     pr = Params(p=11, a=1, d=3, e=2, c=1, mu=1, lam_index=1)
-    assert classical_l_function(pr).valuations[-1] == hodge_order(pr, 3) == 10
+    assert l_polynomial(pr).valuations[-1] == hodge_order(pr, 3) == 10
 
 
 def test_half_route_reach_below_d():
-    # p = 5 <= d = 7: the half route divides only by n <= 4
+    # p = 5 <= d = 7: the half route divides only by n <= 4, the full
+    # route of the oracle by n <= 7
     pr = Params(p=5, a=1, d=7, e=2, c=1, mu=1, lam_index=1)
     with pytest.raises(SmallPrimeError) as info:
-        l_polynomial(pr)
+        l_polynomial_full(pr)
     assert isinstance(info.value, ValueError) and info.value.threshold == 7
-    np_poly = newton_polygon_classical(pr)
+    np_poly = newton_polygon_classical(l_polynomial(pr))
     H = hodge_polygon(pr, 7)
     assert lies_above(np_poly, H) and np_poly.value(7) == H.value(7)
     with pytest.raises(SmallPrimeError, match="need p > 4") as info:
-        newton_polygon_classical(Params(p=3, a=1, d=7, e=2, c=1, mu=1))
+        l_polynomial(Params(p=3, a=1, d=7, e=2, c=1, mu=1))
     assert info.value.threshold == 4
